@@ -174,27 +174,50 @@ def save_dataset(dataset: Dataset, path) -> None:
             fh.write(np.ascontiguousarray(record.instances, dtype="<f8").tobytes())
 
 
+_HEADER_KEYS = ("n_classes", "instance_shape", "class_ids", "per_class_counts", "role")
+
+
+def _read_exact(fh, n: int, what: str) -> bytes:
+    """Exactly ``n`` bytes of ``fh``; a short read raises ``ValueError``."""
+    buf = fh.read(n)
+    if len(buf) < n:
+        raise ValueError(f"truncated dataset {what}: {len(buf)} of {n} bytes")
+    return buf
+
+
+def _check_header(header) -> None:
+    if not isinstance(header, dict) or any(k not in header for k in _HEADER_KEYS):
+        raise ValueError(f"dataset header must be an object with keys {_HEADER_KEYS}")
+    ids, counts, shape = header["class_ids"], header["per_class_counts"], header["instance_shape"]
+    if not all(isinstance(v, list) for v in (ids, counts, shape)):
+        raise ValueError("class_ids, per_class_counts and instance_shape must be lists")
+    if not header["n_classes"] == len(ids) == len(counts):
+        raise ValueError(
+            f"dataset header lists n_classes={header['n_classes']}, "
+            f"{len(ids)} class ids and {len(counts)} per-class counts"
+        )
+    for value in [*counts, *shape]:
+        if not isinstance(value, int) or value < 0:
+            raise ValueError(f"bad count or extent {value!r} in dataset header")
+
+
 def load_dataset(path) -> Dataset:
+    """Read a dataset file; a malformed or truncated file raises ``ValueError``."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
+        magic = _read_exact(fh, 4, "magic")
         if magic != DATASET_MAGIC:
             raise ValueError(f"bad dataset magic {magic!r}")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
         if version != DATASET_VERSION:
             raise ValueError(f"unsupported dataset version {version}")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        blob = fh.read(hlen)
-        if len(blob) < hlen:
-            raise ValueError("truncated dataset header")
-        header = json.loads(blob.decode("utf-8"))
+        (hlen,) = struct.unpack("<I", _read_exact(fh, 4, "header length"))
+        header = json.loads(_read_exact(fh, hlen, "header").decode("utf-8"))
+        _check_header(header)
         shape = tuple(header["instance_shape"])
         per_item = int(np.prod(shape)) if shape else 1
         classes = []
         for cid, count in zip(header["class_ids"], header["per_class_counts"]):
-            nbytes = count * per_item * 8
-            buf = fh.read(nbytes)
-            if len(buf) < nbytes:
-                raise ValueError("truncated dataset payload")
+            buf = _read_exact(fh, count * per_item * 8, "payload")
             arr = np.frombuffer(buf, dtype="<f8").reshape((count, *shape))
             classes.append(ClassRecord(cid, arr))
         if fh.read(1):

@@ -42,6 +42,7 @@ from .learners import (
     compute_prototypes,
     cross_entropy,
     maml_outer_step,
+    maml_task_accuracies,
     predict_accuracy,
     protonet_logits,
 )
@@ -331,21 +332,29 @@ def evaluate(
     distance: str = "sqeuclidean",
 ):
     """Mean task accuracy with a normal-approximation 95% confidence
-    half-width (zero for a single task, where the sample std is undefined)."""
+    half-width (zero for a single task, where the sample std is undefined).
+
+    Task ``i`` is drawn from its own stream seeded by (entropy, i).  The
+    meta-learner adapts all ``n_tasks`` tasks at once
+    (:func:`~fewshot_ibp.learners.maml_task_accuracies`), recording one tape
+    per inner step for all of them, each released after its backward pass;
+    the prototype learner scores the tasks one by one as they are drawn.
+    """
     if n_tasks < 1:
         raise ValueError("need at least one evaluation task")
     entropy = tuple(np.atleast_1d(seed_entropy).astype(np.uint64).tolist())
-    accs = np.empty(n_tasks)
-    for i in range(n_tasks):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy + (i,)))
-        task = sample_task(dataset, spec, rng)
-        accs[i] = predict_accuracy(
-            learner,
-            network,
-            task,
-            distance=distance,
-            eval_steps=eval_inner_steps,
-            inner_lr=inner_lr,
+    tasks = (
+        sample_task(dataset, spec, np.random.default_rng(np.random.SeedSequence(entropy + (i,))))
+        for i in range(n_tasks)
+    )
+    if learner == "maml":
+        accs = maml_task_accuracies(network, tasks, inner_lr, eval_inner_steps)
+    else:
+        accs = np.array(
+            [
+                predict_accuracy(learner, network, task, distance=distance)
+                for task in tasks
+            ]
         )
     mean = float(np.mean(accs))
     ci = float(1.96 * np.std(accs, ddof=1) / np.sqrt(n_tasks)) if n_tasks > 1 else 0.0

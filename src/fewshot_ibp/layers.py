@@ -5,6 +5,10 @@ Supported layer kinds: ``fully_connected``, ``conv2d``, ``batchnorm``,
 list plus a split index separating the embedding prefix from the classifier
 head.  Batchnorm normalizes with statistics of the current batch, detached
 from differentiation, so within one step it acts as a fixed affine map.
+
+With ``task_axis=True`` the forward pass runs T independent tasks at once:
+inputs carry a leading task axis, parameters are either shared or stacked
+per task (a leading axis of T), and batchnorm takes its statistics per task.
 """
 
 from __future__ import annotations
@@ -186,10 +190,12 @@ def param_nodes_to_list(params) -> list:
     return [entry[name] for entry in params for name in ("weight", "bias") if name in entry]
 
 
-def batch_stats(x, layer: LayerSpec):
-    """Detached per-channel batch mean and variance for a batchnorm layer."""
+def batch_stats(x, layer: LayerSpec, task_axis: bool = False):
+    """Detached per-channel batch mean and variance for a batchnorm layer,
+    of shape (channels,), or (tasks, channels) with a leading task axis."""
     v = value_of(x)
-    axes = (0,) if v.ndim == 2 else (0, 2, 3)
+    b = int(task_axis)
+    axes = (b,) if v.ndim == 2 + b else (b, b + 2, b + 3)
     mean = v.mean(axis=axes)
     var = v.var(axis=axes)
     return mean, var
@@ -205,55 +211,85 @@ def bn_affine(layer: LayerSpec, mean, var, gamma=None, beta=None):
     return scale, shift
 
 
-def _bn_broadcast(x, per_channel):
-    if np.ndim(value_of(x)) == 4:
+def _bn_broadcast(x, per_channel, task_axis: bool = False):
+    """Align per-channel values, (channels,) or (tasks, channels), with the
+    channel axis of ``x``."""
+    spatial = np.ndim(value_of(x)) - task_axis == 4
+    if task_axis:
+        lead = (np.shape(value_of(x))[0], 1, -1)
+        return reshape(per_channel, (lead + (1, 1)) if spatial else lead)
+    if spatial:
         return reshape(per_channel, (1, -1, 1, 1))
     return per_channel
 
 
-def apply_layer(layer: LayerSpec, x, weight=None, bias=None, frozen_stats=None, stats_out=None):
+def apply_layer(
+    layer: LayerSpec,
+    x,
+    weight=None,
+    bias=None,
+    frozen_stats=None,
+    stats_out=None,
+    task_axis: bool = False,
+):
     """Forward one layer.  ``weight``/``bias`` override the stored parameters
     (typically with tape nodes); ``frozen_stats`` supplies (mean, var) for a
-    batchnorm layer instead of computing them from the batch."""
+    batchnorm layer instead of computing them from the batch.  With
+    ``task_axis`` the first axis of ``x`` indexes tasks (see the module
+    docstring)."""
     w = layer.weight if weight is None else weight
     b = layer.bias if bias is None else bias
     kind = layer.kind
     if kind == "fully_connected":
         vx = value_of(x)
-        if vx.ndim != 2 or vx.shape[1] != value_of(w).shape[1]:
-            raise ValueError(
-                f"fc expects (batch, {value_of(w).shape[1]}), got {vx.shape}"
-            )
+        in_dim = value_of(w).shape[-1]
+        if vx.ndim != 2 + task_axis or vx.shape[-1] != in_dim:
+            lead = "tasks, batch" if task_axis else "batch"
+            raise ValueError(f"fc expects ({lead}, {in_dim}), got {vx.shape}")
+        if task_axis and np.ndim(value_of(b)) == 2:  # per-task bias (tasks, out)
+            b = reshape(b, (vx.shape[0], 1, -1))
         return add(matmul(x, transpose(w)), b)
     if kind == "conv2d":
         return conv2d(x, w, b, stride=layer.stride)
     if kind == "batchnorm":
         if frozen_stats is None:
-            mean, var = batch_stats(x, layer)
+            mean, var = batch_stats(x, layer, task_axis)
         else:
             mean, var = frozen_stats
         if stats_out is not None:
             stats_out.append((mean, var))
         scale, shift = bn_affine(layer, mean, var, gamma=w, beta=b)
-        return add(mul(x, _bn_broadcast(x, scale)), _bn_broadcast(x, shift))
+        return add(
+            mul(x, _bn_broadcast(x, scale, task_axis)),
+            _bn_broadcast(x, shift, task_axis),
+        )
     if kind == "relu":
         return relu_op(x)
     if kind == "maxpool2d":
         return maxpool2d(x, layer.window, layer.stride)
     if kind == "flatten":
         v = value_of(x)
-        return reshape(x, (v.shape[0], -1))
+        return reshape(x, v.shape[: 1 + task_axis] + (-1,))
     raise ValueError(f"unknown layer kind {kind!r}")
 
 
-def forward(layers, x, tape=None, params=None, frozen_stats=None, stats_out=None):
+def forward(
+    layers,
+    x,
+    tape=None,
+    params=None,
+    frozen_stats=None,
+    stats_out=None,
+    task_axis: bool = False,
+):
     """Run ``x`` through an ordered layer sequence.
 
     When ``tape`` is given without explicit ``params``, leaf nodes are created
     for every parameter so the result is differentiable; pass ``params`` (from
     :func:`make_param_nodes`) to share leaves across several forward passes.
     ``frozen_stats`` replays previously collected batchnorm statistics;
-    ``stats_out`` collects them.  Raises on shape mismatches and non-finite
+    ``stats_out`` collects them.  ``task_axis`` runs a stack of tasks at once
+    (see the module docstring).  Raises on shape mismatches and non-finite
     intermediates.
     """
     check_finite(x, "forward input")
@@ -270,6 +306,7 @@ def forward(layers, x, tape=None, params=None, frozen_stats=None, stats_out=None
             bias=entry.get("bias"),
             frozen_stats=next(stats_iter) if (stats_iter and layer.kind == "batchnorm") else None,
             stats_out=stats_out,
+            task_axis=task_axis,
         )
         check_finite(out, f"activation after layer {i} ({layer.kind})")
     return out

@@ -8,6 +8,14 @@ whenever a node participates.  The backward pass expresses adjoints with the
 same operation set, so gradients are themselves tape nodes and can be
 differentiated again (used for exact second-order meta-updates on networks
 whose layers are all graph-safe).
+
+``matmul``, ``transpose``, ``conv2d`` and ``maxpool2d`` accept a leading
+task axis: a stack of T independent problems, each with its own operands or
+sharing a weight, evaluated in one call.
+
+Every node points at its tape and the tape lists every node, so a tape is a
+reference cycle.  :meth:`Tape.release` (or leaving a ``with Tape()`` block)
+breaks it, so the graph is freed at once instead of by the cyclic collector.
 """
 
 from __future__ import annotations
@@ -136,13 +144,30 @@ class Node:
 
 
 class Tape:
-    """Single-writer record of operations, consumed in reverse by backward."""
+    """Single-writer record of operations, consumed in reverse by backward.
+
+    Used as a context manager, the tape is released when the block exits.
+    """
 
     def __init__(self):
         self._nodes: list[Node] = []
 
     def __len__(self):
         return len(self._nodes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.release()
+
+    def release(self) -> None:
+        """Forget the recorded nodes, breaking the node/tape reference cycle.
+
+        Nodes still held elsewhere stay valid as values, but the tape must
+        not be used for another backward pass.
+        """
+        self._nodes.clear()
 
     def leaf(self, value) -> Node:
         """Record an independent variable (typically a parameter)."""
@@ -300,6 +325,11 @@ def div(a, b):
 
 
 def matmul(a, b):
+    """Matrix product over the last two axes, broadcast over leading axes.
+
+    An operand without the leading axes of the other (a weight shared by
+    every task) receives the sum of the per-task gradients.
+    """
     tape = _tape_of(a, b)
     out = value_of(a) @ value_of(b)
     if tape is None:
@@ -311,14 +341,18 @@ def matmul(a, b):
         xb = next(ops) if isinstance(b, Node) else b
         ga = matmul(g, transpose(xb)) if isinstance(a, Node) else None
         gb = matmul(transpose(xa), g) if isinstance(b, Node) else None
+        if np.ndim(value_of(g)) > 2:
+            ga = None if ga is None else _unbroadcast(ga, _shape_of(xa))
+            gb = None if gb is None else _unbroadcast(gb, _shape_of(xb))
         return _node_only(((ga, a), (gb, b)))
 
     return Node(tape, out, _node_only(((a, a), (b, b))), vjp)
 
 
 def transpose(a):
+    """Swap the last two axes; leading (task) axes stay in place."""
     tape = _tape_of(a)
-    out = np.transpose(value_of(a))
+    out = value_of(a).swapaxes(-1, -2)
     if tape is None:
         return out
     return Node(tape, out, (a,), lambda g, inputs, o: (transpose(g),))
@@ -435,21 +469,34 @@ def conv2d(x, weight, bias, stride: int = 1):
     """2-D cross correlation with no padding.
 
     ``x`` is (batch, in_c, h, w); ``weight`` is (out_c, in_c, kh, kw);
-    ``bias`` is (out_c,).  Output is (batch, out_c, oh, ow).
+    ``bias`` is (out_c,).  Output is (batch, out_c, oh, ow).  With a leading
+    task axis ``x`` is (tasks, batch, in_c, h, w), the output gains the same
+    axis, and ``weight``/``bias`` are shared or stacked per task as
+    (tasks, out_c, in_c, kh, kw) / (tasks, out_c).
     """
     if stride <= 0:
         raise ValueError("conv stride must be positive")
     tape = _tape_of(x, weight, bias)
     vx, vw, vb = value_of(x), value_of(weight), value_of(bias)
-    out_c, in_c, kh, kw = vw.shape
-    if vx.ndim != 4 or vx.shape[1] != in_c:
+    out_c, in_c, kh, kw = vw.shape[-4:]
+    lead = vx.shape[:-4]
+    if (
+        vx.ndim not in (4, 5)
+        or vx.shape[-3] != in_c
+        or vw.shape[:-4] not in ((), lead)
+        or vb.shape != vw.shape[:-3]
+    ):
         raise ValueError(
-            f"conv2d input shape {vx.shape} incompatible with kernel {vw.shape}"
+            f"conv2d input shape {vx.shape} incompatible with kernel {vw.shape} "
+            f"and bias {vb.shape}"
         )
-    windows, oh, ow = _window_view(vx, kh, kw, stride)
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(vx.shape[0], oh, ow, -1)
-    w_mat = vw.reshape(out_c, -1)
-    out = np.einsum("nijk,ok->noij", cols, w_mat) + vb.reshape(1, out_c, 1, 1)
+    n = vx.shape[-4]
+    windows, oh, ow = _window_view(vx.reshape((-1,) + vx.shape[-3:]), kh, kw, stride)
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(lead + (n, oh, ow, -1))
+    w_mat = vw.reshape(vw.shape[:-3] + (-1,))
+    out = np.einsum("...nijk,...ok->...noij", cols, w_mat) + vb.reshape(
+        vb.shape[:-1] + (1, out_c, 1, 1)
+    )
     if tape is None:
         return out
 
@@ -457,19 +504,20 @@ def conv2d(x, weight, bias, stride: int = 1):
 
     def vjp(g, inputs, o):
         g = value_of(g)
-        g_mat = g.transpose(0, 2, 3, 1).reshape(-1, out_c)
+        g_mat = np.moveaxis(g, -3, -1).reshape(lead + (-1, out_c))
         grads = []
         if isinstance(x, Node):
-            dcols = (g_mat @ w_mat).reshape(x_shape[0], oh, ow, in_c, kh, kw)
+            dcols = (g_mat @ w_mat).reshape(lead + (n, oh, ow, in_c, kh, kw))
             dx = np.zeros(x_shape)
             for i in range(oh):
                 for j in range(ow):
-                    dx[:, :, i * stride : i * stride + kh, j * stride : j * stride + kw] += dcols[:, i, j]
+                    dx[..., i * stride : i * stride + kh, j * stride : j * stride + kw] += dcols[..., i, j, :, :, :]
             grads.append(dx)
         if isinstance(weight, Node):
-            grads.append((g_mat.T @ cols.reshape(-1, cols.shape[-1])).reshape(vw.shape))
+            gw = np.swapaxes(g_mat, -1, -2) @ cols.reshape(lead + (-1, cols.shape[-1]))
+            grads.append(_unbroadcast(gw, w_mat.shape).reshape(vw.shape))
         if isinstance(bias, Node):
-            grads.append(g.sum(axis=(0, 2, 3)))
+            grads.append(_unbroadcast(g.sum(axis=(-4, -2, -1)), vb.shape))
         return tuple(grads)
 
     parents = tuple(p for p in (x, weight, bias) if isinstance(p, Node))
@@ -479,7 +527,8 @@ def conv2d(x, weight, bias, stride: int = 1):
 def maxpool2d(x, window: int, stride: int | None = None):
     """Max pooling over (window, window) patches with the given stride.
 
-    Stride defaults to the window size (non-overlapping pooling).
+    Stride defaults to the window size (non-overlapping pooling).  ``x`` is
+    (batch, c, h, w), or (tasks, batch, c, h, w) with a leading task axis.
     """
     if window <= 0:
         raise ValueError("pool window must be positive")
@@ -488,22 +537,26 @@ def maxpool2d(x, window: int, stride: int | None = None):
         raise ValueError("pool stride must be positive")
     tape = _tape_of(x)
     vx = value_of(x)
-    if vx.ndim != 4:
-        raise ValueError(f"maxpool2d expects (batch, c, h, w), got {vx.shape}")
-    windows, oh, ow = _window_view(vx, window, window, stride)
-    n, c = vx.shape[:2]
+    if vx.ndim not in (4, 5):
+        raise ValueError(
+            f"maxpool2d expects (batch, c, h, w) or (tasks, batch, c, h, w), got {vx.shape}"
+        )
+    flat_x = vx.reshape((-1,) + vx.shape[-3:])
+    windows, oh, ow = _window_view(flat_x, window, window, stride)
+    n, c = flat_x.shape[:2]
     flat = windows.reshape(n, c, oh, ow, -1)
     arg = flat.argmax(axis=-1)
     out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+    out = out.reshape(vx.shape[:-2] + (oh, ow))
     if tape is None:
         return out
 
     def vjp(g, inputs, o):
-        g = value_of(g)
-        dx = np.zeros_like(vx)
+        g = value_of(g).reshape(arg.shape)
+        dx = np.zeros_like(flat_x)
         ki, kj = np.unravel_index(arg, (window, window))
         b_idx, c_idx, i_idx, j_idx = np.indices(arg.shape)
         np.add.at(dx, (b_idx, c_idx, i_idx * stride + ki, j_idx * stride + kj), g)
-        return (dx,)
+        return (dx.reshape(vx.shape),)
 
     return Node(tape, out, (x,), vjp, graph_safe=False)

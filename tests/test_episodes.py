@@ -1,6 +1,7 @@
 """Episodic sampling invariants, synthetic pools, and the dataset file format."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -176,3 +177,64 @@ class TestFileFormat:
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError):
             E.load_dataset(path)
+
+    def test_file_cut_inside_the_fixed_header_rejected(self, tmp_path):
+        # 6 bytes: the magic and half of the version field
+        ds = small_dataset()
+        path = tmp_path / "pool.fsds"
+        E.save_dataset(ds, path)
+        path.write_bytes(path.read_bytes()[:6])
+        with pytest.raises(ValueError, match="truncated"):
+            E.load_dataset(path)
+
+    @staticmethod
+    def write_with_header(path, ds, keep=None, drop=(), **changes):
+        """Save ``ds``, then rewrite its JSON header with ``changes``, remove
+        the keys ``drop``, and keep the payload of the first ``keep`` classes."""
+        E.save_dataset(ds, path)
+        raw = path.read_bytes()
+        hlen = int.from_bytes(raw[8:12], "little")
+        header = json.loads(raw[12 : 12 + hlen])
+        header.update(changes)
+        for key in drop:
+            del header[key]
+        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        payload = b"".join(
+            np.ascontiguousarray(c.instances, dtype="<f8").tobytes()
+            for c in ds.classes[:keep]
+        )
+        path.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob + payload)
+
+    @pytest.mark.parametrize(
+        "changes,keep",
+        [
+            ({"per_class_counts": [10, 10]}, 2),
+            ({"class_ids": [0, 1]}, 2),
+            ({"n_classes": 2}, 3),
+            ({"n_classes": 2, "class_ids": [0, 1], "per_class_counts": [10, 10, 10]}, 3),
+            ({"per_class_counts": [10, 10, -1]}, 2),
+            ({"instance_shape": 3}, 3),
+        ],
+    )
+    def test_inconsistent_header_lengths_rejected(self, tmp_path, changes, keep):
+        # a 3-class header whose lists disagree, with a payload that matches
+        # the shorter list; a short per_class_counts list used to load a
+        # subset of the classes without complaint
+        ds = small_dataset(n_classes=3)
+        path = tmp_path / "pool.fsds"
+        self.write_with_header(path, ds, keep=keep, **changes)
+        with pytest.raises(ValueError):
+            E.load_dataset(path)
+
+    def test_missing_header_key_rejected(self, tmp_path):
+        ds = small_dataset(n_classes=3)
+        path = tmp_path / "pool.fsds"
+        self.write_with_header(path, ds, drop=("role",))
+        with pytest.raises(ValueError):
+            E.load_dataset(path)
+
+    def test_rewritten_consistent_header_loads(self, tmp_path):
+        ds = small_dataset(n_classes=3)
+        path = tmp_path / "pool.fsds"
+        self.write_with_header(path, ds, role="test")
+        assert E.load_dataset(path).role == "test"

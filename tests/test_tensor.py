@@ -361,6 +361,114 @@ class TestSecondOrder:
             tape.backward(loss, [x], build_graph=True)
 
 
+class TestTaskAxis:
+    """``matmul``/``transpose`` with a leading task axis: a weight shared by
+    every task, or one weight per task, against (T, n, i) inputs."""
+
+    @staticmethod
+    def loss(x, w, c):
+        # sum_tn c * (x @ W^T)^2: nonlinear, so second derivatives are not constant
+        y = T.matmul(x, T.transpose(w))
+        return T.sum_(T.mul(T.mul(y, y), c))
+
+    # (x shape, W shape): shared weight, per-task weights, shared input
+    LAYOUTS = [((3, 4, 5), (2, 5)), ((3, 4, 5), (3, 2, 5)), ((4, 5), (3, 2, 5))]
+
+    @staticmethod
+    def operands(layout):
+        rng = np.random.default_rng(31)
+        x_shape, w_shape = layout
+        return (
+            rng.standard_normal(x_shape),
+            rng.standard_normal(w_shape),
+            rng.standard_normal((3, 4, 2)),
+        )
+
+    def test_transpose_swaps_only_the_last_two_axes(self):
+        a = np.arange(24.0).reshape(2, 3, 4)
+        np.testing.assert_array_equal(T.transpose(a), np.swapaxes(a, 1, 2))
+        tape = T.Tape()
+        an = tape.leaf(a)
+        g = np.arange(24.0).reshape(2, 4, 3)
+        (grad,) = tape.backward(T.sum_(T.mul(T.transpose(an), g)), [an]).values()
+        np.testing.assert_array_equal(grad, np.swapaxes(g, 1, 2))
+
+    def test_shared_weight_gradient_is_sum_over_tasks(self):
+        x, w, c = self.operands(self.LAYOUTS[0])
+        tape = T.Tape()
+        wn = tape.leaf(w)
+        (g,) = tape.backward(self.loss(x, wn, c), [wn]).values()
+        per_task = []
+        for t in range(x.shape[0]):
+            tape = T.Tape()
+            wt = tape.leaf(w)
+            per_task.append(tape.backward(self.loss(x[t], wt, c[t]), [wt])[wt])
+        np.testing.assert_allclose(g, np.sum(per_task, axis=0), rtol=1e-12)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_first_order_gradients_match_finite_differences(self, layout):
+        x, w, c = self.operands(layout)
+
+        def loss_fn(arrays):
+            return float(self.loss(arrays[0], arrays[1], c))
+
+        tape = T.Tape()
+        xn, wn = tape.leaf(x), tape.leaf(w)
+        grads = tape.backward(self.loss(xn, wn, c), [xn, wn])
+        for idx, node in enumerate([xn, wn]):
+            assert grads[node].shape == (x, w)[idx].shape
+            fd = fd_gradient(loss_fn, [x, w], idx)
+            assert np.max(np.abs(grads[node] - fd)) / np.max(np.abs(fd)) < 1e-5
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_graph_mode_gradients_differentiate_again(self, layout):
+        # h(x, W) = <dL/dW, r>, differentiated through the recorded gradient,
+        # against finite differences of the first-order gradient
+        x, w, c = self.operands(layout)
+        r = np.random.default_rng(33).standard_normal(w.shape)
+
+        def first_order_grad(arrays):
+            tape = T.Tape()
+            xn, wn = tape.leaf(arrays[0]), tape.leaf(arrays[1])
+            return tape.backward(self.loss(xn, wn, c), [wn])[wn]
+
+        def h(arrays):
+            return float(np.sum(first_order_grad(arrays) * r))
+
+        tape = T.Tape()
+        xn, wn = tape.leaf(x), tape.leaf(w)
+        gw = tape.backward(self.loss(xn, wn, c), [wn], build_graph=True)[wn]
+        np.testing.assert_allclose(T.value_of(gw), first_order_grad([x, w]), rtol=1e-12)
+        grads = tape.backward(T.sum_(T.mul(gw, r)), [xn, wn])
+        for idx, node in enumerate([xn, wn]):
+            fd = fd_gradient(h, [x, w], idx)
+            assert np.max(np.abs(grads[node] - fd)) / np.max(np.abs(fd)) < 1e-5
+
+    @pytest.mark.parametrize("per_task", [False, True])
+    def test_conv_and_pool_match_the_per_task_loop(self, per_task):
+        rng = np.random.default_rng(34)
+        x = rng.standard_normal((3, 2, 2, 6, 6))
+        w = rng.standard_normal((3, 4, 2, 3, 3) if per_task else (4, 2, 3, 3))
+        b = rng.standard_normal((3, 4) if per_task else 4)
+
+        def run(x, w, b):
+            tape = T.Tape()
+            nodes = [tape.leaf(a) for a in (x, w, b)]
+            out = T.maxpool2d(T.conv2d(*nodes), 2)
+            grads = tape.backward(T.sum_(T.mul(out, out)), nodes)
+            return T.value_of(out), [grads[n] for n in nodes]
+
+        out, grads = run(x, w, b)
+        loop = [run(x[t], w[t] if per_task else w, b[t] if per_task else b) for t in range(3)]
+        np.testing.assert_allclose(out, [o for o, _ in loop], rtol=1e-12)
+        np.testing.assert_allclose(grads[0], [g[0] for _, g in loop], rtol=1e-12)
+        for i in (1, 2):
+            expected = [g[i] for _, g in loop]
+            if not per_task:
+                expected = np.sum(expected, axis=0)
+            np.testing.assert_allclose(grads[i], expected, rtol=1e-12, atol=1e-12)
+
+
 class TestOptimizers:
     def test_sgd_definition(self):
         params, state = optimizer_step([np.array([1.0])], [np.array([2.0])], sgd(0.01))
