@@ -12,7 +12,6 @@ from .bounds import (
     epsilon_box,
     propagate_layer,
     propagate_prefix,
-    task_bounds,
 )
 from .config import RunConfig
 from .episodes import (
@@ -30,12 +29,9 @@ from .harness import (
     mean_box_width,
     report,
     train,
-    transfer_eval,
 )
 from .interpolation import (
-    InterpolatedTask,
     MixCoefficients,
-    interpolate,
     interpolate_batch,
     make_interpolated_task,
     mix_batch,
@@ -51,14 +47,12 @@ from .layers import (
     save_checkpoint,
 )
 from .learners import (
-    AdaptedParams,
     compute_prototypes,
     cross_entropy,
     maml_adapt,
     maml_outer_step,
     predict_accuracy,
     protonet_logits,
-    protonet_probs,
 )
 from .objective import (
     LossTriple,

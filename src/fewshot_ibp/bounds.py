@@ -44,9 +44,6 @@ class IntervalTensor:
     def values(self) -> "IntervalTensor":
         return IntervalTensor(value_of(self.lower), value_of(self.upper))
 
-    def width(self):
-        return sub(self.upper, self.lower)
-
     def validate(self, tol: float = 0.0) -> None:
         lo, up = value_of(self.lower), value_of(self.upper)
         if np.shape(lo) != np.shape(up):
@@ -188,19 +185,3 @@ def propagate_prefix(
     result.validate()
     return result
 
-
-def task_bounds(network: Network, instances, eps: float) -> list[BoundResult]:
-    """Per-instance bound results for a batch, in input order."""
-    arr = value_of(instances)
-    if np.shape(arr)[0] == 0:
-        raise ValueError("empty instance batch")
-    batched = propagate_prefix(network, arr, eps).values()
-    out = []
-    for i in range(arr.shape[0]):
-        out.append(
-            BoundResult(
-                batched.center[i],
-                IntervalTensor(batched.box.lower[i], batched.box.upper[i]),
-            )
-        )
-    return out

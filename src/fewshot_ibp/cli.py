@@ -11,19 +11,10 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .config import RunConfig
 from .episodes import TaskSpec, load_dataset, save_dataset, synth_dataset
-from .harness import (
-    compactness,
-    evaluate,
-    load_trained,
-    mean_box_width,
-    report,
-    train,
-    transfer_eval,
-)
+from .harness import compactness, evaluate, report, train
+from .layers import load_checkpoint
 
 
 def _task_spec_args(parser):
@@ -61,8 +52,19 @@ def _cmd_train(args):
     return 0
 
 
+def _emit(result: dict, out) -> int:
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            json.dump(result, fh, indent=2)
+            fh.write("\n")
+    print(json.dumps(result))
+    return 0
+
+
 def _cmd_eval(args):
-    network = load_trained(args.checkpoint)
+    """``eval`` and ``transfer``: accuracy of a checkpoint on a dataset, which
+    for transfer is another dataset than the one trained on."""
+    network = load_checkpoint(args.checkpoint)[0]
     dataset = load_dataset(args.dataset)
     mean, ci = evaluate(
         network,
@@ -75,17 +77,14 @@ def _cmd_eval(args):
         inner_lr=args.inner_lr,
         distance=args.distance,
     )
-    result = {"accuracy": mean, "ci95": ci, "n_tasks": args.n_tasks}
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(result, fh, indent=2)
-            fh.write("\n")
-    print(json.dumps(result))
-    return 0
+    return _emit(
+        {"accuracy": mean, "ci95": ci, "n_tasks": args.n_tasks, "target_role": dataset.role},
+        args.out,
+    )
 
 
 def _cmd_compactness(args):
-    network = load_trained(args.checkpoint)
+    network = load_checkpoint(args.checkpoint)[0]
     dataset = load_dataset(args.dataset)
     mean, std = compactness(
         network,
@@ -95,35 +94,7 @@ def _cmd_compactness(args):
         queries_per_task=args.queries_per_task,
         seed_entropy=(args.seed,),
     )
-    result = {"nn_distance_mean": mean, "nn_distance_std": std}
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(result, fh, indent=2)
-            fh.write("\n")
-    print(json.dumps(result))
-    return 0
-
-
-def _cmd_transfer(args):
-    network = load_trained(args.checkpoint)
-    dataset = load_dataset(args.dataset)
-    result = transfer_eval(
-        network,
-        args.learner,
-        dataset,
-        _spec_from(args),
-        args.n_tasks,
-        (args.seed,),
-        eval_inner_steps=args.eval_inner_steps,
-        inner_lr=args.inner_lr,
-        distance=args.distance,
-    )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(result, fh, indent=2)
-            fh.write("\n")
-    print(json.dumps(result))
-    return 0
+    return _emit({"nn_distance_mean": mean, "nn_distance_std": std}, args.out)
 
 
 def _cmd_report(args):
@@ -162,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(fn=_cmd_train)
 
-    for name, fn in (("eval", _cmd_eval), ("transfer", _cmd_transfer)):
+    for name in ("eval", "transfer"):
         p = sub.add_parser(name, help=f"{name} a checkpoint on a dataset")
         p.add_argument("--checkpoint", required=True)
         p.add_argument("--dataset", required=True)
@@ -174,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--inner-lr", type=float, default=0.01)
         p.add_argument("--distance", default="sqeuclidean")
         p.add_argument("--out", default=None)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("compactness", help="same-class NN distance in the embedding")
     p.add_argument("--checkpoint", required=True)

@@ -12,7 +12,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 
-from .episodes import Dataset, TaskSpec, load_dataset, synth_dataset
+from .episodes import Dataset, TaskSpec, check_supply, load_dataset, synth_dataset
 
 LEARNERS = ("protonet", "maml")
 OBJECTIVES = (
@@ -132,7 +132,19 @@ def resolve_dataset(entry: dict) -> Dataset:
 
 
 def resolve_data(config: RunConfig) -> dict[str, Dataset]:
-    """Datasets for the splits named in the config (train required)."""
+    """Datasets for the splits named in the config (train required).
+
+    Raises ``ValueError`` unless the train split can supply every task of
+    :meth:`RunConfig.train_spec` and the ``val`` and ``test`` splits every
+    task of :meth:`RunConfig.eval_spec`, so a run that cannot finish fails
+    before its first step.
+    """
     if "train" not in config.data:
         raise ValueError("config data section needs at least a 'train' entry")
-    return {split: resolve_dataset(entry) for split, entry in config.data.items()}
+    data = {split: resolve_dataset(entry) for split, entry in config.data.items()}
+    eval_spec = config.eval_spec()
+    specs = {"train": config.train_spec(), "val": eval_spec, "test": eval_spec}
+    for split, spec in specs.items():
+        if split in data:
+            check_supply(data[split], spec, f"{split} split")
+    return data

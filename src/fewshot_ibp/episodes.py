@@ -94,24 +94,30 @@ class Task:
         return len(self.class_ids)
 
 
+def check_supply(dataset: Dataset, spec: TaskSpec, name: str = "dataset") -> None:
+    """Raise ``ValueError`` unless every task of ``spec`` can be drawn from
+    ``dataset``: at least N classes, each with at least K+Q instances."""
+    if dataset.n_classes < spec.ways:
+        raise ValueError(f"{name} has {dataset.n_classes} classes, tasks need {spec.ways}")
+    need = spec.shots + spec.query_shots
+    for record in dataset.classes:
+        if record.instances.shape[0] < need:
+            raise ValueError(
+                f"{name} class {record.class_id} has {record.instances.shape[0]} "
+                f"instances, tasks need {need}"
+            )
+
+
 def sample_task(dataset: Dataset, spec: TaskSpec, rng: np.random.Generator) -> Task:
     """Draw one episode: N classes without replacement, K+Q distinct
     instances each, first K to the support set."""
-    if dataset.n_classes < spec.ways:
-        raise ValueError(
-            f"dataset has {dataset.n_classes} classes, task needs {spec.ways}"
-        )
+    check_supply(dataset, spec)
     need = spec.shots + spec.query_shots
     chosen = rng.choice(dataset.n_classes, size=spec.ways, replace=False)
     support, query, class_ids = [], [], []
     for local, ci in enumerate(chosen):
         record = dataset.classes[int(ci)]
-        count = record.instances.shape[0]
-        if count < need:
-            raise ValueError(
-                f"class {record.class_id} has {count} instances, task needs {need}"
-            )
-        picks = rng.choice(count, size=need, replace=False)
+        picks = rng.choice(record.instances.shape[0], size=need, replace=False)
         support.append(record.instances[picks[: spec.shots]])
         query.append(record.instances[picks[spec.shots :]])
         class_ids.append(record.class_id)

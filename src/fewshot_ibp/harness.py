@@ -1,5 +1,6 @@
 """Experiment orchestration: training loops, evaluation with confidence
-intervals, compactness and transfer analyses, and consolidated reports.
+intervals (on the training distribution or, for transfer, another dataset),
+compactness analysis, and consolidated reports.
 
 Training is sequential over steps.  Every derived random stream is seeded
 from the run seed, and evaluation tasks use per-task streams seeded by
@@ -16,16 +17,18 @@ import io
 import json
 import os
 import time
+from typing import NamedTuple
 
 import numpy as np
 
 from .bounds import propagate_prefix
 from .config import SCHEMA_VERSION, RunConfig, resolve_data
-from .episodes import Dataset, TaskSpec, sample_task
+from .episodes import Dataset, Task, TaskSpec, sample_task
 from .interpolation import (
-    interpolate_batch,
+    BOUND_MODES,
+    MODES,
+    MixCoefficients,
     make_interpolated_task,
-    mix_batch,
     sample_mix,
     should_interpolate,
 )
@@ -33,7 +36,6 @@ from .layers import (
     Network,
     build_network,
     forward,
-    load_checkpoint,
     make_param_nodes,
     param_nodes_to_list,
     save_checkpoint,
@@ -73,8 +75,6 @@ METRICS_COLUMNS = [
 ]
 
 BOUND_OBJECTIVES = ("ibp", "ibpi")
-INTERP_OBJECTIVES = ("ibpi", "ibpi_no_bound_loss", "mixup_input", "mixup_embedding")
-EMBED_INTERP_OBJECTIVES = ("ibpi", "ibpi_no_bound_loss")
 
 
 def _fmt(x) -> str:
@@ -89,23 +89,12 @@ def _weights_for(config: RunConfig, losses: LossTriple) -> WeightTriple:
     return dynamic_weights(losses, config.gamma_value)
 
 
-class _InterpContext:
+class _InterpContext(NamedTuple):
     """Coefficients and optional pair task, fixed for one training task."""
 
-    def __init__(self, coeffs, query_coeffs, pair_task, task, mode):
-        self.coeffs = coeffs
-        self.query_coeffs = query_coeffs
-        self.pair_task = pair_task
-        self.mixed_support_x = None
-        self.mixed_query_x = None
-        if mode == "mixup_input":
-            # input-space mixing is parameter-free, so precompute it once
-            self.mixed_support_x = mix_batch(
-                task.support_x, pair_task.support_x, task.support_y, coeffs
-            )
-            self.mixed_query_x = mix_batch(
-                task.query_x, pair_task.query_x, task.query_y, query_coeffs
-            )
+    coeffs: MixCoefficients
+    query_coeffs: MixCoefficients
+    pair_task: Task | None
 
 
 def _draw_context(config: RunConfig, task, dataset, interp_rng, sample_rng):
@@ -116,74 +105,64 @@ def _draw_context(config: RunConfig, task, dataset, interp_rng, sample_rng):
         else sample_mix(task.ways, config.alpha, config.beta, interp_rng)
     )
     pair_task = None
-    if config.objective in ("mixup_input", "mixup_embedding"):
+    if config.objective not in BOUND_MODES:  # a mixup mode
         pair_task = sample_task(dataset, config.train_spec(), sample_rng)
-    return _InterpContext(coeffs, query_coeffs, pair_task, task, config.objective)
+    return _InterpContext(coeffs, query_coeffs, pair_task)
+
+
+def _protonet_loss(network, head_params, support_h, query_h, task, distance):
+    support_emb = forward(network.head, support_h, params=head_params)
+    query_emb = forward(network.head, query_h, params=head_params)
+    protos = compute_prototypes(support_emb, task.support_y, task.ways)
+    return cross_entropy(protonet_logits(query_emb, protos, distance), task.query_y)
 
 
 def _protonet_step(network, dataset, config, eps_t, sample_rng, interp_rng, opt_state):
     task = sample_task(dataset, config.train_spec(), sample_rng)
     mode = config.objective
     use_bounds = mode in BOUND_OBJECTIVES
-    do_interp = False
     ctx = None
-    if mode in INTERP_OBJECTIVES:
-        do_interp = bool(
-            should_interpolate("protonet", 1, interp_rng, config.interp_probability)[0]
-        )
-        if do_interp:
-            ctx = _draw_context(config, task, dataset, interp_rng, sample_rng)
+    if mode in MODES and should_interpolate(
+        "protonet", 1, interp_rng, config.interp_probability
+    )[0]:
+        ctx = _draw_context(config, task, dataset, interp_rng, sample_rng)
 
     s = network.split_index
     tape = Tape()
     params = make_param_nodes(network.layers, tape)
     prefix_params, head_params = params[:s], params[s:]
 
-    need_query_bounds = use_bounds or (do_interp and mode in EMBED_INTERP_OBJECTIVES)
-    need_support_bounds = do_interp and mode in EMBED_INTERP_OBJECTIVES
-
-    if need_query_bounds:
+    # the clean pass shares the centers of the boxes that the bound losses
+    # or a bound-mode interpolation read
+    interp_boxes = ctx is not None and mode in BOUND_MODES
+    qres = sres = None
+    if use_bounds or interp_boxes:
         qres = propagate_prefix(network, task.query_x, eps_t, params=prefix_params)
         query_prefix = qres.center
     else:
-        qres = None
         query_prefix = forward(network.prefix, task.query_x, params=prefix_params)
-    if need_support_bounds:
+    if interp_boxes:
         sres = propagate_prefix(network, task.support_x, eps_t, params=prefix_params)
         support_prefix = sres.center
     else:
-        sres = None
         support_prefix = forward(network.prefix, task.support_x, params=prefix_params)
-
-    support_emb = forward(network.head, support_prefix, params=head_params)
-    query_emb = forward(network.head, query_prefix, params=head_params)
-    protos = compute_prototypes(support_emb, task.support_y, task.ways)
-    l_ce = cross_entropy(
-        protonet_logits(query_emb, protos, config.distance), task.query_y
+    l_ce = _protonet_loss(
+        network, head_params, support_prefix, query_prefix, task, config.distance
     )
 
-    if do_interp:
-        itask = make_interpolated_task(
-            task,
-            network,
-            eps_t,
-            mode,
-            coeffs=ctx.coeffs,
-            query_coeffs=ctx.query_coeffs,
-            pair_task=ctx.pair_task,
-            params=prefix_params,
-            support_bounds=sres,
-            query_bounds=qres,
+    if ctx is not None:
+        support_h = make_interpolated_task(
+            mode, network, task.support_x, task.support_y, ctx.coeffs,
+            prefix_params, eps_t, bounds=sres,
+            pair_x=getattr(ctx.pair_task, "support_x", None),
         )
-        if itask.space == "input":
-            s_emb2 = forward(network.layers, itask.support_h, params=params)
-            q_emb2 = forward(network.layers, itask.query_h, params=params)
-        else:
-            s_emb2 = forward(network.head, itask.support_h, params=head_params)
-            q_emb2 = forward(network.head, itask.query_h, params=head_params)
-        protos2 = compute_prototypes(s_emb2, itask.support_y, task.ways)
-        l_ce2 = cross_entropy(
-            protonet_logits(q_emb2, protos2, config.distance), itask.query_y
+        query_h = make_interpolated_task(
+            mode, network, task.query_x, task.query_y, ctx.query_coeffs,
+            prefix_params, eps_t, bounds=qres,
+            pair_x=getattr(ctx.pair_task, "query_x", None),
+        )
+        l_ce2 = _protonet_loss(
+            network, head_params, support_h, query_h, task, config.distance
         )
         l_ce = mul(add(l_ce, l_ce2), 0.5)
 
@@ -220,22 +199,11 @@ def _maml_inner_loss_fn(network, config, eps_t, contexts):
             l_ce = cross_entropy(logits, task.support_y)
             if ctx is None:
                 return l_ce
-            if mode in EMBED_INTERP_OBJECTIVES:
-                sres = propagate_prefix(
-                    network, task.support_x, eps_t, params=params[:s]
-                )
-                h = interpolate_batch(sres.center, sres.box, task.support_y, ctx.coeffs)
-                logits2 = forward(network.head, h, params=params[s:])
-            elif mode == "mixup_input":
-                logits2 = forward(network.layers, ctx.mixed_support_x, params=params)
-            else:  # mixup_embedding
-                emb_a = forward(network.prefix, task.support_x, params=params[:s])
-                emb_b = forward(
-                    network.prefix, ctx.pair_task.support_x, params=params[:s]
-                )
-                h = mix_batch(emb_a, emb_b, task.support_y, ctx.coeffs)
-                logits2 = forward(network.head, h, params=params[s:])
-            l_ce2 = cross_entropy(logits2, task.support_y)
+            h = make_interpolated_task(
+                mode, network, task.support_x, task.support_y, ctx.coeffs,
+                params[:s], eps_t, pair_x=getattr(ctx.pair_task, "support_x", None),
+            )
+            l_ce2 = cross_entropy(forward(network.head, h, params=params[s:]), task.support_y)
             return mul(add(l_ce, l_ce2), 0.5)
 
         return inner_loss
@@ -254,26 +222,19 @@ def _maml_task_loss_fn(network, config, eps_t, contexts):
         l_ce = cross_entropy(logits, task.query_y)
 
         qres = None
-        if use_bounds or (ctx is not None and mode in EMBED_INTERP_OBJECTIVES):
+        if use_bounds or (ctx is not None and mode in BOUND_MODES):
             bound_params = phi if config.bounds_on_adapted else theta
             qres = propagate_prefix(
                 network, task.query_x, eps_t, params=bound_params[:s]
             )
 
         if ctx is not None:
-            if mode in EMBED_INTERP_OBJECTIVES:
-                h = interpolate_batch(
-                    qres.center, qres.box, task.query_y, ctx.query_coeffs
-                )
-                logits2 = forward(network.head, h, params=phi[s:])
-            elif mode == "mixup_input":
-                logits2 = forward(network.layers, ctx.mixed_query_x, params=phi)
-            else:  # mixup_embedding
-                emb_a = forward(network.prefix, task.query_x, params=phi[:s])
-                emb_b = forward(network.prefix, ctx.pair_task.query_x, params=phi[:s])
-                h = mix_batch(emb_a, emb_b, task.query_y, ctx.query_coeffs)
-                logits2 = forward(network.head, h, params=phi[s:])
-            l_ce2 = cross_entropy(logits2, task.query_y)
+            h = make_interpolated_task(
+                mode, network, task.query_x, task.query_y, ctx.query_coeffs,
+                phi[:s], eps_t, bounds=qres,
+                pair_x=getattr(ctx.pair_task, "query_x", None),
+            )
+            l_ce2 = cross_entropy(forward(network.head, h, params=phi[s:]), task.query_y)
             l_ce = mul(add(l_ce, l_ce2), 0.5)
 
         if use_bounds:
@@ -297,7 +258,7 @@ def _maml_step(network, dataset, config, eps_t, sample_rng, interp_rng, opt_stat
     b = config.meta_batch
     tasks = [sample_task(dataset, config.train_spec(), sample_rng) for _ in range(b)]
     contexts: dict[int, _InterpContext] = {}
-    if config.objective in INTERP_OBJECTIVES:
+    if config.objective in MODES:
         mask = should_interpolate("maml", b, interp_rng, config.interp_probability)
         for i, task in enumerate(tasks):
             if mask[i]:
@@ -339,6 +300,9 @@ def evaluate(
     (:func:`~fewshot_ibp.learners.maml_task_accuracies`), recording one tape
     per inner step for all of them, each released after its backward pass;
     the prototype learner scores the tasks one by one as they are drawn.
+    Transfer is this call on a dataset other than the one trained on: the
+    meta-learner still fine-tunes on each task's support set, and shape
+    incompatibilities surface as ``ValueError`` from the forward pass.
     """
     if n_tasks < 1:
         raise ValueError("need at least one evaluation task")
@@ -396,32 +360,6 @@ def compactness(
         means[i] = float(np.mean(np.concatenate(dists)))
     std = float(np.std(means, ddof=1)) if n_tasks > 1 else 0.0
     return float(np.mean(means)), std
-
-
-def transfer_eval(
-    network: Network,
-    learner: str,
-    dataset: Dataset,
-    spec: TaskSpec,
-    n_tasks: int,
-    seed_entropy,
-    **eval_kwargs,
-) -> dict:
-    """Evaluate a trained model on another dataset without retraining.
-
-    The meta-learner still fine-tunes on each test task's support set, per
-    its standard protocol.  Shape incompatibilities surface as errors from
-    the forward pass.
-    """
-    mean, ci = evaluate(
-        network, learner, dataset, spec, n_tasks, seed_entropy, **eval_kwargs
-    )
-    return {
-        "target_role": dataset.role,
-        "n_tasks": n_tasks,
-        "accuracy": mean,
-        "ci95": ci,
-    }
 
 
 def mean_box_width(
@@ -647,7 +585,3 @@ def report(summary_paths, out_csv=None, out_json=None):
             fh.write("\n")
     return rows
 
-
-def load_trained(checkpoint_path) -> Network:
-    network, _ = load_checkpoint(checkpoint_path)
-    return network

@@ -8,6 +8,11 @@ and the chosen face of its own box, so interpolated instances always stay
 inside their boxes.  Labels are unchanged.  Two plain mixup variants (at the
 input or at the embedding layer) pair two tasks position-by-position and are
 kept as ablation baselines.
+
+All four modes are one task-interpolation operator,
+:func:`make_interpolated_task`, the only code that branches on the mode: it
+maps one set of a task to the input of the classifier head, and both
+learners run the head on its result.
 """
 
 from __future__ import annotations
@@ -16,13 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import IntervalTensor, propagate_prefix
-from .episodes import Task
+from .bounds import BoundResult, IntervalTensor, propagate_prefix
 from .layers import Network, forward
 from .tensor import add, mul, value_of
 
 
 MODES = ("ibpi", "ibpi_no_bound_loss", "mixup_input", "mixup_embedding")
+# the modes that interpolate toward propagated boxes
+BOUND_MODES = MODES[:2]
 
 
 @dataclass(frozen=True)
@@ -41,23 +47,6 @@ class MixCoefficients:
             raise ValueError("face choices must be 0 or 1")
 
 
-@dataclass
-class InterpolatedTask:
-    """Instances of an artificial task, with the source task's labels.
-
-    ``space`` is ``"embedding"`` for bound-based and embedding-mixup modes
-    (instances are consumed by the classifier head) and ``"input"`` for input
-    mixup (instances are consumed by the full network).
-    """
-
-    support_h: object
-    support_y: np.ndarray
-    query_h: object
-    query_y: np.ndarray
-    mode: str
-    space: str
-
-
 def sample_mix(n_classes: int, alpha: float, beta: float, rng) -> MixCoefficients:
     """Independent Beta(alpha, beta) weight and fair face choice per class."""
     if alpha <= 0 or beta <= 0:
@@ -65,14 +54,6 @@ def sample_mix(n_classes: int, alpha: float, beta: float, rng) -> MixCoefficient
     lam = rng.beta(alpha, beta, size=n_classes)
     nu = rng.integers(0, 2, size=n_classes)
     return MixCoefficients(lam, nu, alpha, beta)
-
-
-def interpolate(center, box: IntervalTensor, lam: float, nu: int):
-    """Convex step from an embedding toward one face of its box."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lam must lie in [0, 1], got {lam}")
-    face = box.upper if nu else box.lower
-    return add(mul(center, 1.0 - lam), mul(face, lam))
 
 
 def _per_row(coeff_values, labels, reference):
@@ -98,91 +79,41 @@ def mix_batch(first, second, labels, coeffs: MixCoefficients):
 
 
 def make_interpolated_task(
-    task: Task,
-    network: Network,
-    eps: float,
     mode: str,
-    coeffs: MixCoefficients | None = None,
-    query_coeffs: MixCoefficients | None = None,
-    rng=None,
-    alpha: float = 0.5,
-    beta: float = 0.5,
-    pair_task: Task | None = None,
-    tape=None,
-    params=None,
-    support_bounds=None,
-    query_bounds=None,
-    shared_coeffs: bool = True,
-) -> InterpolatedTask:
-    """Build one artificial task in the requested mode.
+    network: Network,
+    x,
+    y,
+    coeffs: MixCoefficients,
+    params,
+    eps: float,
+    bounds: BoundResult | None = None,
+    pair_x=None,
+):
+    """Classifier-head input of one set (support or query) of an artificial task.
 
-    Bound-based modes interpolate every support and query instance toward a
-    face of its propagated box.  One coefficient pair per class is shared
-    across the support and query sets unless ``query_coeffs`` is given (or
-    ``shared_coeffs=False``, which draws a second set from ``rng``).  Mixup
-    modes combine same-position instances of ``task`` and ``pair_task``;
-    labels always come from ``task``.  ``support_bounds``/``query_bounds``
-    reuse already propagated boxes (tape nodes during training); ``params``
-    are prefix parameter nodes for propagations done here.
+    ``x`` and ``y`` are the set's instances and local labels, ``coeffs`` its
+    per-class coefficients, and ``params`` the prefix parameters (tape nodes,
+    or None for the stored arrays).  The bound modes interpolate every prefix
+    embedding toward a face of its box: ``bounds``, when the caller has
+    already propagated the set, otherwise a box propagated here at ``eps``.
+    ``mixup_input`` embeds the mix of ``x`` with the aligned batch ``pair_x``;
+    ``mixup_embedding`` mixes the embeddings of the two batches.
     """
+    if mode in BOUND_MODES:
+        if bounds is None:
+            bounds = propagate_prefix(network, x, eps, params=params)
+        return interpolate_batch(bounds.center, bounds.box, y, coeffs)
     if mode not in MODES:
         raise ValueError(f"unknown interpolation mode {mode!r}")
-    if coeffs is None:
-        if rng is None:
-            raise ValueError("need either coefficients or an rng")
-        coeffs = sample_mix(task.ways, alpha, beta, rng)
-    if query_coeffs is None:
-        if shared_coeffs:
-            query_coeffs = coeffs
-        else:
-            if rng is None:
-                raise ValueError("independent query coefficients need an rng")
-            query_coeffs = sample_mix(task.ways, coeffs.alpha, coeffs.beta, rng)
-
-    if mode in ("ibpi", "ibpi_no_bound_loss"):
-        if support_bounds is None:
-            support_bounds = propagate_prefix(
-                network, task.support_x, eps, tape=tape, params=params
-            )
-        if query_bounds is None:
-            query_bounds = propagate_prefix(
-                network, task.query_x, eps, tape=tape, params=params
-            )
-        support_h = interpolate_batch(
-            support_bounds.center, support_bounds.box, task.support_y, coeffs
-        )
-        query_h = interpolate_batch(
-            query_bounds.center, query_bounds.box, task.query_y, query_coeffs
-        )
-        space = "embedding"
-    else:
-        if pair_task is None:
-            raise ValueError(f"mode {mode!r} requires a second task to mix with")
-        if mode == "mixup_input":
-            support_h = mix_batch(
-                task.support_x, pair_task.support_x, task.support_y, coeffs
-            )
-            query_h = mix_batch(
-                task.query_x, pair_task.query_x, task.query_y, query_coeffs
-            )
-            space = "input"
-        else:  # mixup_embedding
-            prefix = network.prefix
-            emb_a_s = forward(prefix, task.support_x, tape=tape, params=params)
-            emb_b_s = forward(prefix, pair_task.support_x, tape=tape, params=params)
-            emb_a_q = forward(prefix, task.query_x, tape=tape, params=params)
-            emb_b_q = forward(prefix, pair_task.query_x, tape=tape, params=params)
-            support_h = mix_batch(emb_a_s, emb_b_s, task.support_y, coeffs)
-            query_h = mix_batch(emb_a_q, emb_b_q, task.query_y, query_coeffs)
-            space = "embedding"
-
-    return InterpolatedTask(
-        support_h=support_h,
-        support_y=task.support_y.copy(),
-        query_h=query_h,
-        query_y=task.query_y.copy(),
-        mode=mode,
-        space=space,
+    if pair_x is None:
+        raise ValueError(f"mode {mode!r} requires a second batch to mix with")
+    if mode == "mixup_input":
+        return forward(network.prefix, mix_batch(x, pair_x, y, coeffs), params=params)
+    return mix_batch(
+        forward(network.prefix, x, params=params),
+        forward(network.prefix, pair_x, params=params),
+        y,
+        coeffs,
     )
 
 

@@ -14,7 +14,9 @@ per task (a leading axis of T), and batchnorm takes its statistics per task.
 from __future__ import annotations
 
 import json
+import math
 import struct
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,10 +65,6 @@ class LayerSpec:
         if self.bias is not None:
             self.bias = as_tensor(self.bias)
 
-    @property
-    def has_params(self) -> bool:
-        return self.weight is not None
-
     def param_items(self):
         if self.weight is not None:
             yield "weight", self.weight
@@ -90,10 +88,16 @@ def conv(weight, bias, stride: int = 1) -> LayerSpec:
     return LayerSpec("conv2d", weight=w, bias=b, stride=stride)
 
 
-def batchnorm(channels: int, eps: float = 1e-5) -> LayerSpec:
-    return LayerSpec(
-        "batchnorm", weight=np.ones(channels), bias=np.zeros(channels), eps=eps
-    )
+def batchnorm(channels: int, eps: float = 1e-5, gamma=None, beta=None) -> LayerSpec:
+    """Batchnorm with scale ``gamma`` (default ones) and shift ``beta``
+    (default zeros) over ``channels``."""
+    g = np.ones(channels) if gamma is None else as_tensor(gamma)
+    b = np.zeros(channels) if beta is None else as_tensor(beta)
+    if g.shape != (channels,) or b.shape != (channels,):
+        raise ValueError(f"inconsistent batchnorm shapes {g.shape} / {b.shape}")
+    if not 0 <= eps < math.inf:
+        raise ValueError(f"batchnorm eps must be non-negative and finite, got {eps}")
+    return LayerSpec("batchnorm", weight=g, bias=b, eps=eps)
 
 
 def relu() -> LayerSpec:
@@ -392,47 +396,77 @@ def save_checkpoint(network: Network, path, rng_info: dict | None = None) -> Non
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
+def _header_int(h: dict, key: str, default: int) -> int:
+    value = h.get(key, default)
+    if type(value) is not int:
+        raise ValueError(f"checkpoint {key} must be an integer, got {value!r}")
+    return value
+
+
+def _header_shape(h: dict, key: str):
+    shape = h.get(key)
+    if shape is not None and not (
+        isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)
+    ):
+        raise ValueError(f"bad {key} {shape!r} in checkpoint header")
+    return shape
+
+
+def _layer_from_header(h, read_array) -> LayerSpec:
+    """Rebuild one layer through its constructor, which checks its shapes;
+    ``read_array(shape)`` takes that layer's next parameter block."""
+    if not isinstance(h, dict):
+        raise ValueError(f"checkpoint layer header must be an object, got {h!r}")
+    kind = h.get("kind")
+    shapes = [_header_shape(h, f"{p}_shape") for p in ("weight", "bias")]
+    if kind not in AFFINE_KINDS:
+        if shapes != [None, None]:
+            raise ValueError(f"{kind!r} layer takes no parameters")
+        if kind == "maxpool2d":
+            window = _header_int(h, "window", 0)
+            return maxpool(window, _header_int(h, "stride", window))
+        return LayerSpec(kind)  # rejects an unknown kind
+    if None in shapes:
+        raise ValueError(f"{kind} layer needs weight_shape and bias_shape")
+    weight, bias = (read_array(shape) for shape in shapes)
+    if kind == "fully_connected":
+        return fully_connected(weight, bias)
+    if kind == "conv2d":
+        return conv(weight, bias, stride=_header_int(h, "stride", 1))
+    eps = h.get("eps", 1e-5)
+    if type(eps) not in (int, float) or not abs(eps) <= sys.float_info.max:
+        raise ValueError(f"checkpoint eps must be a finite number, got {eps!r}")
+    return batchnorm(weight.size, eps=float(eps), gamma=weight, beta=bias)
+
+
 def load_checkpoint(path) -> tuple[Network, dict]:
+    """Read a checkpoint; a malformed or truncated file raises ``ValueError``."""
     with open(path, "rb") as fh:
-        raw = fh.read(4)
-        if len(raw) < 4:
-            raise ValueError("truncated checkpoint header")
-        (hlen,) = struct.unpack("<I", raw)
-        blob = fh.read(hlen)
-        if len(blob) < hlen:
-            raise ValueError("truncated checkpoint header")
-        header = json.loads(blob.decode("utf-8"))
-        if header.get("format_version") != CHECKPOINT_VERSION:
-            raise ValueError(
-                f"unsupported checkpoint version {header.get('format_version')}"
-            )
-        layers = []
-        for lh in header["layers"]:
-            kind = lh["kind"]
-            weight = bias = None
-            for pname in ("weight", "bias"):
-                shape = lh.get(f"{pname}_shape")
-                if shape is None:
-                    continue
-                count = int(np.prod(shape))
-                buf = fh.read(count * 8)
-                if len(buf) < count * 8:
-                    raise ValueError("truncated checkpoint payload")
-                arr = np.frombuffer(buf, dtype="<f8").reshape(shape)
-                if pname == "weight":
-                    weight = arr
-                else:
-                    bias = arr
-            layers.append(
-                LayerSpec(
-                    kind,
-                    weight=weight,
-                    bias=bias,
-                    stride=lh.get("stride", 1),
-                    window=lh.get("window", 0),
-                    eps=lh.get("eps", 1e-5),
-                )
-            )
-        if fh.read(1):
-            raise ValueError("trailing bytes after checkpoint payload")
-    return Network(layers, header["split_index"]), header
+        raw = fh.read()
+    if len(raw) < 4:
+        raise ValueError("truncated checkpoint header")
+    (hlen,) = struct.unpack("<I", raw[:4])
+    offset = 4 + hlen
+    if len(raw) < offset:
+        raise ValueError("truncated checkpoint header")
+    header = json.loads(raw[4:offset].decode("utf-8"))
+    if not isinstance(header, dict) or not isinstance(header.get("layers"), list):
+        raise ValueError("checkpoint header must be an object with a layer list")
+    if header.get("format_version") != CHECKPOINT_VERSION:
+        raise ValueError(
+            f"unsupported checkpoint version {header.get('format_version')}"
+        )
+
+    def read_array(shape):
+        nonlocal offset
+        end = offset + 8 * math.prod(shape)
+        if len(raw) < end:
+            raise ValueError("truncated checkpoint payload")
+        arr = np.frombuffer(raw[offset:end], dtype="<f8").reshape(shape)
+        offset = end
+        return arr
+
+    layers = [_layer_from_header(h, read_array) for h in header["layers"]]
+    if offset != len(raw):
+        raise ValueError("trailing bytes after checkpoint payload")
+    return Network(layers, _header_int(header, "split_index", 0)), header

@@ -2,14 +2,19 @@
 initializations with inner-loop adaptation.
 
 Prototypes are per-class means of support embeddings; queries are classified
-by a softmax over negative (squared) Euclidean distances.  The meta-learner
-adapts a copy of the parameters on each task's support set with full-batch
-gradient descent, then is judged on the query set.  Adaptation is first-order
-by default: the inner update is detached, and the outer gradient is the query
-gradient at the adapted parameters applied to the initial slots.  Exact
-second-order updates re-record the inner updates on the tape and are limited
-to networks of fully-connected and relu layers.
+by a softmax over negative (squared) Euclidean distances.  Both learners
+score in logits: :func:`protonet_logits` gives the negative distances and
+:func:`cross_entropy` takes logits, so no probability rows are formed.
 
+The meta-learner adapts a copy of the parameters on each task's support set
+with full-batch gradient descent, then is judged on the query set.
+Adaptation is first-order by default: the inner update is detached, and the
+outer gradient is the query gradient at the adapted parameters applied to
+the initial slots.  Exact second-order updates re-record the inner updates
+on the tape and are limited to networks of fully-connected and relu layers.
+
+:func:`maml_adapt` returns the adapted parameters as a list of per-layer
+dicts, the layout of :func:`~fewshot_ibp.layers.make_param_nodes`.
 Evaluation adapts all of its tasks together: :func:`maml_adapt_tasks` stacks
 the support sets along a leading task axis, tiles the parameters to one copy
 per task and descends on the sum of the per-task support losses, so each
@@ -20,8 +25,6 @@ gradients have been read, so no graph waits for the cyclic collector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .episodes import Task
@@ -30,7 +33,6 @@ from .tensor import (
     Tape,
     add,
     as_tensor,
-    div,
     exp,
     log,
     matmul,
@@ -72,28 +74,16 @@ def pairwise_sqdist(a, b):
 
 def protonet_logits(query_embeddings, prototypes, distance: str = "sqeuclidean"):
     """Negative distances, the classification scores of the prototype rule."""
+    qd = np.shape(value_of(query_embeddings))[-1]
+    pd = np.shape(value_of(prototypes))[-1]
+    if qd != pd:
+        raise ValueError(f"embedding dim {qd} != prototype dim {pd}")
     d = pairwise_sqdist(query_embeddings, prototypes)
     if distance == "euclidean":
         d = sqrt(d)
     elif distance != "sqeuclidean":
         raise ValueError(f"unknown distance {distance!r}")
     return neg(d)
-
-
-def softmax(scores):
-    """Row softmax with max-shift stabilization (shift is detached)."""
-    shift = value_of(scores).max(axis=-1, keepdims=True)
-    e = exp(sub(scores, shift))
-    return div(e, sum_(e, axis=-1, keepdims=True))
-
-
-def protonet_probs(query_embeddings, prototypes, distance: str = "sqeuclidean"):
-    """Class probabilities of queries under the prototype classifier."""
-    qd = np.shape(value_of(query_embeddings))[-1]
-    pd = np.shape(value_of(prototypes))[-1]
-    if qd != pd:
-        raise ValueError(f"embedding dim {qd} != prototype dim {pd}")
-    return softmax(protonet_logits(query_embeddings, prototypes, distance))
 
 
 def _onehot(labels, score_shape) -> np.ndarray:
@@ -112,39 +102,20 @@ def _onehot(labels, score_shape) -> np.ndarray:
     return out.reshape(score_shape)
 
 
-def cross_entropy(scores, labels, from_logits: bool = True):
-    """Mean negative log probability of the true class.
+def cross_entropy(scores, labels):
+    """Mean negative log softmax probability of the true class, from logits.
 
-    ``scores`` are logits by default; pass ``from_logits=False`` for
-    probability rows.  Scores (tasks, n, k) with labels (tasks, n) give the
-    sum over tasks of each task's mean, so each task's gradient is its own.
+    Scores (tasks, n, k) with labels (tasks, n) give the sum over tasks of
+    each task's mean, so each task's gradient is its own.
     """
     shape = value_of(scores).shape
     onehot = _onehot(labels, shape)
     n = shape[-2]
-    if from_logits:
-        shift = value_of(scores).max(axis=-1, keepdims=True)
-        z = sub(scores, shift)
-        logsum = log(sum_(exp(z), axis=-1, keepdims=True))
-        logp = sub(z, logsum)
-        picked = sum_(mul(logp, onehot))
-    else:
-        picked = sum_(log(sum_(mul(scores, onehot), axis=-1)))
-    return mul(picked, -1.0 / n)
-
-
-@dataclass
-class AdaptedParams:
-    """Adapted parameter set: per-layer dicts of arrays (first-order) or tape
-    nodes (second-order), plus provenance."""
-
-    params: list[dict]
-    steps: int
-    first_order: bool
-    source: Network
-
-    def as_arrays(self) -> list[np.ndarray]:
-        return [value_of(p) for p in param_nodes_to_list(self.params)]
+    shift = value_of(scores).max(axis=-1, keepdims=True)  # detached
+    z = sub(scores, shift)
+    logsum = log(sum_(exp(z), axis=-1, keepdims=True))
+    logp = sub(z, logsum)
+    return mul(sum_(mul(logp, onehot)), -1.0 / n)
 
 
 def _default_inner_loss(network: Network, support_x, support_y):
@@ -166,9 +137,12 @@ def maml_adapt(
     theta_params: list[dict] | None = None,
     inner_loss=None,
     start_params: list[dict] | None = None,
-) -> AdaptedParams:
+) -> list[dict]:
     """Full-batch gradient descent on the support loss from the current init.
 
+    Returns the adapted parameters, one dict per layer like
+    :func:`~fewshot_ibp.layers.make_param_nodes`: arrays (first-order) or
+    tape nodes (second-order).
     ``inner_loss(params, tape)`` defaults to support cross-entropy.  With
     ``first_order`` each step runs on a throwaway tape, released once its
     gradients are read, and returns detached arrays; ``start_params`` (default:
@@ -204,7 +178,7 @@ def maml_adapt(
                 }
                 for entry in nodes
             ]
-        return AdaptedParams(current, steps, True, network)
+        return current
 
     bad = {l.kind for l in network.layers} - set(SECOND_ORDER_KINDS)
     if bad:
@@ -222,14 +196,14 @@ def maml_adapt(
             {name: sub(node, mul(grads[node], inner_lr)) for name, node in entry.items()}
             for entry in current
         ]
-    return AdaptedParams(current, steps, False, network)
+    return current
 
 
 def _layer_arrays(network: Network) -> list[dict]:
     return [dict(layer.param_items()) for layer in network.layers]
 
 
-def maml_adapt_tasks(network: Network, tasks, inner_lr: float, steps: int) -> AdaptedParams:
+def maml_adapt_tasks(network: Network, tasks, inner_lr: float, steps: int) -> list[dict]:
     """First-order adaptation of every task in ``tasks`` in one pass.
 
     The support sets (equal shapes, as drawn from one task spec) are stacked
@@ -279,7 +253,7 @@ def maml_task_accuracies(network: Network, tasks, inner_lr: float, steps: int) -
     adapted = maml_adapt_tasks(network, tasks, inner_lr, steps)
     accs = np.empty(len(tasks))
     for t, task in enumerate(tasks):
-        params = [{name: arr[t] for name, arr in entry.items()} for entry in adapted.params]
+        params = [{name: arr[t] for name, arr in entry.items()} for entry in adapted]
         accs[t] = _accuracy(forward(network.layers, task.query_x, params=params), task)
     return accs
 
@@ -336,10 +310,10 @@ def maml_outer_step(
                 )
                 phi = [
                     {name: tape.leaf(arr) for name, arr in entry.items()}
-                    for entry in adapted.params
+                    for entry in adapted
                 ]
             else:
-                adapted = maml_adapt(
+                phi = maml_adapt(
                     network,
                     task.support_x,
                     task.support_y,
@@ -350,7 +324,6 @@ def maml_outer_step(
                     theta_params=theta,
                     inner_loss=inner_loss,
                 )
-                phi = adapted.params
             loss, info = task_loss_fn(tape, theta, phi, task)
             infos.append(info)
             if first_order:

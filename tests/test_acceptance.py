@@ -328,10 +328,10 @@ class TestCriterion8InterpolationGeometry:
         for trial in range(50):
             task = sample_task(ds, TaskSpec(5, 1, 5), rng)
             eps = float(rng.choice(EPS_GRID))
-            itask = I.make_interpolated_task(task, net, eps, "ibpi", rng=rng)
-            for side, x in (("support", task.support_x), ("query", task.query_x)):
+            coeffs = I.sample_mix(task.ways, 0.5, 0.5, rng)
+            for x, y in ((task.support_x, task.support_y), (task.query_x, task.query_y)):
                 res = B.propagate_prefix(net, x, eps).values()
-                h = T.value_of(itask.support_h if side == "support" else itask.query_h)
+                h = T.value_of(I.make_interpolated_task("ibpi", net, x, y, coeffs, None, eps))
                 inside += int(
                     np.all(h >= res.box.lower - 1e-12)
                     and np.all(h <= res.box.upper + 1e-12)
@@ -341,13 +341,11 @@ class TestCriterion8InterpolationGeometry:
 
         task = sample_task(ds, TaskSpec(5, 1, 5), rng)
         zero = I.MixCoefficients(np.zeros(5), np.ones(5, dtype=int), 1.0, 1.0)
-        itask = I.make_interpolated_task(task, net, 0.2, "ibpi", coeffs=zero)
-        np.testing.assert_array_equal(
-            T.value_of(itask.support_h), L.forward(net.prefix, task.support_x)
-        )
-        np.testing.assert_array_equal(
-            T.value_of(itask.query_h), L.forward(net.prefix, task.query_x)
-        )
+        for x, y in ((task.support_x, task.support_y), (task.query_x, task.query_y)):
+            np.testing.assert_array_equal(
+                T.value_of(I.make_interpolated_task("ibpi", net, x, y, zero, None, 0.2)),
+                L.forward(net.prefix, x),
+            )
         _pass(8, f"{inside}/{total} interpolated batches inside their source "
                  f"boxes; lam=0 reproduces embeddings bit-exactly")
 

@@ -205,30 +205,29 @@ class TestPropagatePrefix:
 
 
 class TestTaskBounds:
+    """Bounds of a task's batch, propagated in one call."""
+
     def test_batch_of_one_equals_prefix(self):
+        # rows of an fc/relu prefix do not interact: a row's bounds do not
+        # depend on the batch around it
         rng = np.random.default_rng(9)
         net = make_random_vector_net(rng, 4)
-        x = rng.standard_normal((1, 4))
-        single = B.task_bounds(net, x, 0.1)[0]
-        direct = B.propagate_prefix(net, x, 0.1).values()
-        np.testing.assert_array_equal(single.center, direct.center[0])
-        np.testing.assert_array_equal(single.box.lower, direct.box.lower[0])
+        x = rng.standard_normal((3, 4))
+        single = B.propagate_prefix(net, x[:1], 0.1).values()
+        batched = B.propagate_prefix(net, x, 0.1).values()
+        np.testing.assert_allclose(single.center, batched.center[:1], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(single.box.lower, batched.box.lower[:1], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(single.box.upper, batched.box.upper[:1], rtol=0, atol=1e-12)
 
     def test_duplicates_get_identical_results(self):
         rng = np.random.default_rng(10)
         net = make_random_vector_net(rng, 4)
         row = rng.standard_normal(4)
         batch = np.stack([row, rng.standard_normal(4), row])
-        results = B.task_bounds(net, batch, 0.2)
-        np.testing.assert_array_equal(results[0].center, results[2].center)
-        np.testing.assert_array_equal(results[0].box.lower, results[2].box.lower)
-        np.testing.assert_array_equal(results[0].box.upper, results[2].box.upper)
-
-    def test_empty_batch_rejected(self):
-        rng = np.random.default_rng(11)
-        net = make_random_vector_net(rng, 4)
-        with pytest.raises(ValueError):
-            B.task_bounds(net, np.zeros((0, 4)), 0.1)
+        res = B.propagate_prefix(net, batch, 0.2).values()
+        np.testing.assert_array_equal(res.center[0], res.center[2])
+        np.testing.assert_array_equal(res.box.lower[0], res.box.lower[2])
+        np.testing.assert_array_equal(res.box.upper[0], res.box.upper[2])
 
 
 class TestConvPrefixSoundness:

@@ -9,7 +9,14 @@ from fewshot_ibp import cli
 from fewshot_ibp import harness as H
 from fewshot_ibp import layers as L
 from fewshot_ibp.config import RunConfig, resolve_data
-from fewshot_ibp.episodes import TaskSpec, load_dataset, save_dataset, synth_dataset
+from fewshot_ibp.episodes import (
+    ClassRecord,
+    Dataset,
+    TaskSpec,
+    load_dataset,
+    save_dataset,
+    synth_dataset,
+)
 from fewshot_ibp.tensor import NonFiniteError
 
 SYNTH = {
@@ -219,8 +226,6 @@ class TestCompactness:
         # identity embedding; every same-class pair sits at distance 5
         tri = np.array([[0.0, 0.0], [5.0, 0.0], [2.5, 2.5 * np.sqrt(3.0)]])
         classes = [tri, tri + 100.0]
-        from fewshot_ibp.episodes import ClassRecord, Dataset
-
         ds = Dataset([ClassRecord(i, c) for i, c in enumerate(classes)])
         net = L.Network([L.fully_connected(np.eye(2), np.zeros(2))], split_index=1)
         mean, std = H.compactness(net, ds, TaskSpec(2, 1, 2), n_tasks=12, queries_per_task=4)
@@ -234,28 +239,78 @@ class TestCompactness:
 
 
 class TestTransfer:
-    def test_same_dataset_matches_evaluate(self):
-        cfg = make_config(max_steps=30)
+    def test_same_dataset_matches_evaluate(self, tmp_path, capsys):
+        # the CLI transfer record carries evaluate's accuracy and the target role
+        cfg = make_config(max_steps=30, out_dir=str(tmp_path / "run"))
         net, _, _ = H.train(cfg)
         data = resolve_data(cfg)
         direct = H.evaluate(net, "protonet", data["test"], cfg.eval_spec(), 20, (3,))
-        via = H.transfer_eval(net, "protonet", data["test"], cfg.eval_spec(), 20, (3,))
+        test_ds = tmp_path / "test.fsds"
+        save_dataset(data["test"], test_ds)
+        rc = cli.main([
+            "transfer", "--checkpoint", str(tmp_path / "run" / "checkpoint.ckpt"),
+            "--dataset", str(test_ds), "--learner", "protonet", "--ways", "3",
+            "--shots", "1", "--query-shots", "5", "--n-tasks", "20", "--seed", "3",
+        ])
+        assert rc == 0
+        via = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert (via["accuracy"], via["ci95"]) == direct
+        assert via["target_role"] == "test" and via["n_tasks"] == 20
 
     def test_linearly_related_transfer_beats_chance(self):
         # target pool shares the generative map (shifted classes, same scale)
         cfg = make_config(max_steps=150)
         net, _, _ = H.train(cfg)
         target = synth_dataset(8, 12, (6,), 3.0, 1.0, seed=77, role="test")
-        res = H.transfer_eval(net, "protonet", target, cfg.eval_spec(), 50, (5,))
-        assert res["accuracy"] > 1.0 / 3.0 + 0.1  # clearly above 3-way chance
+        accuracy, _ = H.evaluate(net, "protonet", target, cfg.eval_spec(), 50, (5,))
+        assert accuracy > 1.0 / 3.0 + 0.1  # clearly above 3-way chance
 
     def test_shape_mismatch_rejected(self):
         cfg = make_config(max_steps=5)
         net, _, _ = H.train(cfg)
         bad = synth_dataset(4, 8, (9,), 2.0, 1.0, seed=8)
         with pytest.raises(ValueError):
-            H.transfer_eval(net, "protonet", bad, TaskSpec(2, 1, 2), 5, (0,))
+            H.evaluate(net, "protonet", bad, TaskSpec(2, 1, 2), 5, (0,))
+
+
+class TestTaskSupply:
+    """Splits that cannot supply their tasks are rejected before step 1."""
+
+    def test_test_split_with_fewer_classes_than_ways(self, tmp_path):
+        data = {
+            "train": {"synth": {**SYNTH, "seed": 1, "role": "train"}},
+            "test": {"synth": {**SYNTH, "n_classes": 4, "seed": 3, "role": "test"}},
+        }
+        cfg = make_config(data=data, eval_ways=5, max_steps=300, out_dir=str(tmp_path))
+        steps = []
+        with pytest.raises(ValueError, match="test split has 4 classes, tasks need 5"):
+            H.train(cfg, progress=steps.append)
+        assert steps == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_single_short_class_rejected(self, tmp_path):
+        # one class of the train pool holds fewer than shots + query shots
+        # instances; sampling reaches it only on some draws
+        classes = [
+            ClassRecord(c, np.random.default_rng(c).standard_normal((12 if c else 5, 6)))
+            for c in range(8)
+        ]
+        path = tmp_path / "train.fsds"
+        save_dataset(Dataset(classes), path)
+        cfg = make_config(data={"train": {"path": str(path)}})
+        with pytest.raises(ValueError, match="class 0 has 5 instances, tasks need 6"):
+            resolve_data(cfg)
+
+    def test_val_split_checked_against_eval_spec(self):
+        data = {
+            "train": {"synth": {**SYNTH, "seed": 1, "role": "train"}},
+            "val": {"synth": {**SYNTH, "per_class": 5, "seed": 2, "role": "validation"}},
+        }
+        # 3-way 1+5 training tasks fit the train pool; 1+5 eval tasks do not
+        # fit 5 instances per class
+        with pytest.raises(ValueError, match="val split"):
+            resolve_data(make_config(data=data))
+        resolve_data(make_config(data=data, eval_query_shots=4))
 
 
 class TestReport:

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from fewshot_ibp import bounds as B
+from fewshot_ibp import harness as H
 from fewshot_ibp import interpolation as I
 from fewshot_ibp import layers as L
 from fewshot_ibp import tensor as T
+from fewshot_ibp.config import RunConfig
 from fewshot_ibp.episodes import TaskSpec, sample_task, synth_dataset
 
 
@@ -24,6 +26,11 @@ def make_net(rng, in_dim=4, hidden=6, out=3):
 def make_task(seed=0, ways=3, shots=2, queries=4, dim=4):
     ds = synth_dataset(6, 12, (dim,), 2.0, 0.6, seed=seed)
     return sample_task(ds, TaskSpec(ways, shots, queries), np.random.default_rng(seed))
+
+
+def interp_config(**overrides):
+    layers = [{"kind": "fully_connected", "in": 4, "out": 3}]
+    return RunConfig(learner="maml", objective="ibpi", layers=layers, **overrides)
 
 
 class TestSampleMix:
@@ -53,27 +60,46 @@ class TestSampleMix:
                 I.sample_mix(3, alpha, beta, rng)
 
 
+def one_row(lam, nu):
+    return I.MixCoefficients(np.array([lam]), np.array([nu]), alpha=1, beta=1)
+
+
+def head_input(mode, net, task, side, coeffs, eps, pair=None, **kwargs):
+    """The operator applied to the support or query set of ``task``."""
+    return I.make_interpolated_task(
+        mode,
+        net,
+        getattr(task, f"{side}_x"),
+        getattr(task, f"{side}_y"),
+        coeffs,
+        None,
+        eps,
+        pair_x=None if pair is None else getattr(pair, f"{side}_x"),
+        **kwargs,
+    )
+
+
 class TestInterpolate:
+    box = B.IntervalTensor(np.array([[0.0]]), np.array([[4.0]]))
+
     def test_lam_zero_is_center(self):
-        box = B.IntervalTensor(np.array([0.0]), np.array([4.0]))
-        out = I.interpolate(np.array([2.0]), box, 0.0, 1)
-        np.testing.assert_array_equal(out, [2.0])
+        out = I.interpolate_batch(np.array([[2.0]]), self.box, [0], one_row(0.0, 1))
+        np.testing.assert_array_equal(out, [[2.0]])
 
     def test_lam_one_reaches_chosen_face(self):
-        box = B.IntervalTensor(np.array([0.0]), np.array([4.0]))
-        np.testing.assert_array_equal(I.interpolate(np.array([2.0]), box, 1.0, 1), [4.0])
-        np.testing.assert_array_equal(I.interpolate(np.array([2.0]), box, 1.0, 0), [0.0])
+        for nu, face in ((1, 4.0), (0, 0.0)):
+            out = I.interpolate_batch(np.array([[2.0]]), self.box, [0], one_row(1.0, nu))
+            np.testing.assert_array_equal(out, [[face]])
 
     def test_halfway_toward_lower(self):
-        box = B.IntervalTensor(np.array([0.0]), np.array([5.0]))
-        out = I.interpolate(np.array([2.0]), box, 0.5, 0)
-        np.testing.assert_array_equal(out, [1.0])
+        box = B.IntervalTensor(np.array([[0.0]]), np.array([[5.0]]))
+        out = I.interpolate_batch(np.array([[2.0]]), box, [0], one_row(0.5, 0))
+        np.testing.assert_array_equal(out, [[1.0]])
 
     def test_lam_outside_unit_interval_rejected(self):
-        box = B.IntervalTensor(np.array([0.0]), np.array([1.0]))
         for lam in (-0.1, 1.1):
             with pytest.raises(ValueError):
-                I.interpolate(np.array([0.5]), box, lam, 0)
+                one_row(lam, 0)
 
 
 class TestMakeInterpolatedTask:
@@ -84,11 +110,10 @@ class TestMakeInterpolatedTask:
         net = make_net(rng)
         task = make_task(seed=3)
         coeffs = I.sample_mix(task.ways, 0.5, 0.5, rng)
-        itask = I.make_interpolated_task(task, net, 0.0, "ibpi", coeffs=coeffs)
-        support_emb = L.forward(net.prefix, task.support_x)
-        query_emb = L.forward(net.prefix, task.query_x)
-        np.testing.assert_allclose(T.value_of(itask.support_h), support_emb, atol=1e-14)
-        np.testing.assert_allclose(T.value_of(itask.query_h), query_emb, atol=1e-14)
+        for side in ("support", "query"):
+            h = head_input("ibpi", net, task, side, coeffs, 0.0)
+            emb = L.forward(net.prefix, getattr(task, f"{side}_x"))
+            np.testing.assert_allclose(T.value_of(h), emb, atol=1e-14)
 
     def test_zero_lam_reproduces_embeddings_bit_exactly(self):
         rng = np.random.default_rng(2)
@@ -97,63 +122,58 @@ class TestMakeInterpolatedTask:
         coeffs = I.MixCoefficients(
             lam=np.zeros(task.ways), nu=np.ones(task.ways, dtype=int), alpha=1, beta=1
         )
-        itask = I.make_interpolated_task(task, net, 0.4, "ibpi", coeffs=coeffs)
-        support_emb = L.forward(net.prefix, task.support_x)
-        query_emb = L.forward(net.prefix, task.query_x)
-        np.testing.assert_array_equal(T.value_of(itask.support_h), support_emb)
-        np.testing.assert_array_equal(T.value_of(itask.query_h), query_emb)
+        for mode in I.BOUND_MODES:
+            for side in ("support", "query"):
+                h = head_input(mode, net, task, side, coeffs, 0.4)
+                emb = L.forward(net.prefix, getattr(task, f"{side}_x"))
+                np.testing.assert_array_equal(T.value_of(h), emb)
 
     def test_outputs_stay_inside_source_boxes(self):
         rng = np.random.default_rng(4)
         net = make_net(rng)
         task = make_task(seed=5)
         for trial in range(10):
-            itask = I.make_interpolated_task(task, net, 0.3, "ibpi", rng=rng)
-            sres = B.propagate_prefix(net, task.support_x, 0.3).values()
-            qres = B.propagate_prefix(net, task.query_x, 0.3).values()
-            for h, res in ((itask.support_h, sres), (itask.query_h, qres)):
-                h = T.value_of(h)
+            coeffs = I.sample_mix(task.ways, 0.5, 0.5, rng)
+            for side in ("support", "query"):
+                h = T.value_of(head_input("ibpi", net, task, side, coeffs, 0.3))
+                res = B.propagate_prefix(net, getattr(task, f"{side}_x"), 0.3).values()
                 assert np.all(h >= res.box.lower - 1e-12)
                 assert np.all(h <= res.box.upper + 1e-12)
 
     def test_labels_preserved(self):
+        # each row moves with its own label's coefficients: class 0 to its
+        # upper face, every other class stays put
         rng = np.random.default_rng(6)
         net = make_net(rng)
         task = make_task(seed=7, ways=5, shots=1)
-        itask = I.make_interpolated_task(task, net, 0.2, "ibpi", rng=rng)
-        np.testing.assert_array_equal(itask.support_y, task.support_y)
-        np.testing.assert_array_equal(itask.query_y, task.query_y)
-        assert itask.support_h.shape[0] == 5
-        assert sorted(set(itask.support_y)) == [0, 1, 2, 3, 4]
+        lam = np.zeros(5)
+        lam[0] = 1.0
+        coeffs = I.MixCoefficients(lam, np.ones(5, dtype=int), alpha=1, beta=1)
+        h = T.value_of(head_input("ibpi", net, task, "support", coeffs, 0.2))
+        res = B.propagate_prefix(net, task.support_x, 0.2).values()
+        moved = task.support_y == 0
+        assert h.shape[0] == 5
+        np.testing.assert_array_equal(h[moved], res.box.upper[moved])
+        np.testing.assert_array_equal(h[~moved], res.center[~moved])
 
     def test_class_shares_coefficients_across_support_and_query(self):
-        rng = np.random.default_rng(8)
-        net = make_net(rng)
+        cfg = interp_config(shared_mix_coeffs=True)
         task = make_task(seed=9, ways=2, shots=3, queries=3)
-        coeffs = I.sample_mix(task.ways, 0.5, 0.5, rng)
-        itask = I.make_interpolated_task(task, net, 0.25, "ibpi", coeffs=coeffs)
-        sres = B.propagate_prefix(net, task.support_x, 0.25).values()
-        qres = B.propagate_prefix(net, task.query_x, 0.25).values()
-        # recompute with the per-class coefficients; equality means sharing
-        expected_s = I.interpolate_batch(sres.center, sres.box, task.support_y, coeffs)
-        expected_q = I.interpolate_batch(qres.center, qres.box, task.query_y, coeffs)
-        np.testing.assert_allclose(T.value_of(itask.support_h), expected_s, atol=1e-12)
-        np.testing.assert_allclose(T.value_of(itask.query_h), expected_q, atol=1e-12)
+        ctx = H._draw_context(cfg, task, None, np.random.default_rng(8), None)
+        assert ctx.query_coeffs is ctx.coeffs
+        assert ctx.pair_task is None
 
     def test_independent_query_coefficients_differ(self):
-        rng = np.random.default_rng(10)
-        net = make_net(rng)
         task = make_task(seed=11, ways=2, shots=2, queries=2)
-        shared = I.make_interpolated_task(
-            task, net, 0.25, "ibpi", rng=np.random.default_rng(3), shared_coeffs=True
+        shared, split = (
+            H._draw_context(
+                interp_config(shared_mix_coeffs=flag), task, None,
+                np.random.default_rng(3), None,
+            )
+            for flag in (True, False)
         )
-        split = I.make_interpolated_task(
-            task, net, 0.25, "ibpi", rng=np.random.default_rng(3), shared_coeffs=False
-        )
-        np.testing.assert_array_equal(
-            T.value_of(shared.support_h), T.value_of(split.support_h)
-        )
-        assert not np.array_equal(T.value_of(shared.query_h), T.value_of(split.query_h))
+        np.testing.assert_array_equal(shared.coeffs.lam, split.coeffs.lam)
+        assert not np.array_equal(shared.query_coeffs.lam, split.query_coeffs.lam)
 
     def test_spread_grows_with_eps(self):
         rng = np.random.default_rng(12)
@@ -165,18 +185,43 @@ class TestMakeInterpolatedTask:
             draw = np.random.default_rng(99)
             center = L.forward(net.prefix, task.query_x)
             for _ in range(30):
-                itask = I.make_interpolated_task(task, net, eps, "ibpi", rng=draw)
-                offsets.append(T.value_of(itask.query_h) - center)
+                coeffs = I.sample_mix(task.ways, 0.5, 0.5, draw)
+                h = head_input("ibpi", net, task, "query", coeffs, eps)
+                offsets.append(T.value_of(h) - center)
             spreads.append(float(np.var(np.stack(offsets))))
         assert all(a <= b + 1e-12 for a, b in zip(spreads, spreads[1:]))
+
+    def test_given_bounds_match_own_propagation(self):
+        # boxes a caller already propagated on the tape give the result, and
+        # the gradients, of letting the operator propagate them itself
+        rng = np.random.default_rng(27)
+        net = make_net(rng)
+        task = make_task(seed=28)
+        coeffs = I.sample_mix(task.ways, 0.5, 0.5, rng)
+        results = []
+        for reuse in (False, True):
+            tape = T.Tape()
+            params = L.make_param_nodes(net.prefix, tape)
+            bounds = B.propagate_prefix(net, task.query_x, 0.3, params=params) if reuse else None
+            h = I.make_interpolated_task(
+                "ibpi", net, task.query_x, task.query_y, coeffs, params, 0.3, bounds=bounds
+            )
+            loss = T.sum_(T.mul(h, h))
+            grads = tape.backward(loss, L.param_nodes_to_list(params))
+            results.append((T.value_of(h), [grads[p] for p in L.param_nodes_to_list(params)]))
+        (h_own, g_own), (h_given, g_given) = results
+        np.testing.assert_array_equal(h_given, h_own)
+        for a, b in zip(g_given, g_own):
+            np.testing.assert_array_equal(a, b)
 
     def test_mixup_requires_pair_task(self):
         rng = np.random.default_rng(14)
         net = make_net(rng)
         task = make_task(seed=15)
+        coeffs = I.sample_mix(task.ways, 0.5, 0.5, rng)
         for mode in ("mixup_input", "mixup_embedding"):
             with pytest.raises(ValueError):
-                I.make_interpolated_task(task, net, 0.1, mode, rng=rng)
+                head_input(mode, net, task, "support", coeffs, 0.1)
 
     def test_mixup_zero_draw_is_identity(self):
         rng = np.random.default_rng(16)
@@ -185,12 +230,10 @@ class TestMakeInterpolatedTask:
         coeffs = I.MixCoefficients(
             lam=np.zeros(task.ways), nu=np.zeros(task.ways, dtype=int), alpha=1, beta=1
         )
-        itask = I.make_interpolated_task(
-            task, net, 0.1, "mixup_input", coeffs=coeffs, pair_task=pair
-        )
-        np.testing.assert_array_equal(T.value_of(itask.support_h), task.support_x)
-        np.testing.assert_array_equal(T.value_of(itask.query_h), task.query_x)
-        assert itask.space == "input"
+        for side in ("support", "query"):
+            h = head_input("mixup_input", net, task, side, coeffs, 0.1, pair=pair)
+            emb = L.forward(net.prefix, getattr(task, f"{side}_x"))
+            np.testing.assert_array_equal(T.value_of(h), emb)
 
     def test_mixup_embedding_mixes_prefix_outputs(self):
         rng = np.random.default_rng(19)
@@ -199,18 +242,17 @@ class TestMakeInterpolatedTask:
         coeffs = I.MixCoefficients(
             lam=np.array([0.5, 0.5]), nu=np.zeros(2, dtype=int), alpha=1, beta=1
         )
-        itask = I.make_interpolated_task(
-            task, net, 0.1, "mixup_embedding", coeffs=coeffs, pair_task=pair
-        )
+        h = head_input("mixup_embedding", net, task, "support", coeffs, 0.1, pair=pair)
         ea = L.forward(net.prefix, task.support_x)
         eb = L.forward(net.prefix, pair.support_x)
-        np.testing.assert_allclose(T.value_of(itask.support_h), 0.5 * ea + 0.5 * eb)
-        assert itask.space == "embedding"
+        np.testing.assert_allclose(T.value_of(h), 0.5 * ea + 0.5 * eb)
 
     def test_unknown_mode_rejected(self):
         rng = np.random.default_rng(22)
+        task = make_task()
+        coeffs = I.sample_mix(task.ways, 0.5, 0.5, rng)
         with pytest.raises(ValueError):
-            I.make_interpolated_task(make_task(), make_net(rng), 0.1, "cutmix", rng=rng)
+            head_input("cutmix", make_net(rng), task, "support", coeffs, 0.1, pair=task)
 
 
 class TestShouldInterpolate:

@@ -36,17 +36,39 @@ class TestPrototypes:
             LR.compute_prototypes(np.ones((2, 2)), np.array([0, 1]), 5)
 
 
+def arrays(params):
+    """Values of adapted parameters, in canonical order."""
+    return [T.value_of(p) for p in L.param_nodes_to_list(params)]
+
+
+def class_probs(scores):
+    """Softmax rows read off cross-entropy: p(k) = exp(-CE(row, k))."""
+    scores = np.asarray(scores)
+    return np.array(
+        [
+            [math.exp(-T.value_of(LR.cross_entropy(row[None], np.array([k]))))
+             for k in range(row.shape[0])]
+            for row in scores
+        ]
+    )
+
+
 class TestProtonetProbs:
+    """Class probabilities of the prototype classifier, from its logits."""
+
     def test_equidistant_gives_uniform(self):
         protos = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-        probs = LR.protonet_probs(np.zeros((1, 2)), protos)
-        np.testing.assert_allclose(probs, 0.25)
+        logits = T.value_of(LR.protonet_logits(np.zeros((1, 2)), protos))
+        np.testing.assert_array_equal(logits, -1.0)
+        np.testing.assert_allclose(class_probs(logits), 0.25)
 
     def test_extreme_distance_gap(self):
         # distances (0, 100): p ~= (1/(1+e^-100), e^-100/(1+e^-100))
         query = np.zeros((1, 1))
         protos = np.array([[0.0], [10.0]])  # squared distances 0 and 100
-        probs = LR.protonet_probs(query, protos)
+        logits = T.value_of(LR.protonet_logits(query, protos))
+        np.testing.assert_array_equal(logits, [[0.0, -100.0]])
+        probs = class_probs(logits)
         expected0 = 1.0 / (1.0 + math.exp(-100.0))
         assert probs[0, 0] == pytest.approx(expected0, rel=1e-12)
         assert probs[0, 1] == pytest.approx(math.exp(-100.0), rel=1e-6)
@@ -65,29 +87,30 @@ class TestProtonetProbs:
     )
     @settings(max_examples=50, deadline=None)
     def test_rows_sum_to_one(self, emb, protos):
-        probs = LR.protonet_probs(emb, protos)
+        probs = class_probs(T.value_of(LR.protonet_logits(emb, protos)))
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
     def test_shift_invariance_of_distance_softmax(self):
         rng = np.random.default_rng(0)
         d = rng.uniform(0, 5, size=(4, 3))
+        labels = rng.integers(0, 3, size=4)
+        base = T.value_of(LR.cross_entropy(-d, labels))
         for c in (-2.0, 0.5, 100.0):
-            p1 = T.value_of(LR.softmax(-d))
-            p2 = T.value_of(LR.softmax(-(d + c)))
-            np.testing.assert_allclose(p1, p2, atol=1e-12)
+            shifted = T.value_of(LR.cross_entropy(-(d + c), labels))
+            assert shifted == pytest.approx(base, abs=1e-12)
 
     def test_argmax_is_nearest_prototype(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             emb = rng.standard_normal((6, 3))
             protos = rng.standard_normal((4, 3))
-            probs = LR.protonet_probs(emb, protos)
+            logits = T.value_of(LR.protonet_logits(emb, protos))
             d = ((emb[:, None, :] - protos[None, :, :]) ** 2).sum(-1)
-            np.testing.assert_array_equal(np.argmax(probs, 1), np.argmin(d, 1))
+            np.testing.assert_array_equal(np.argmax(logits, 1), np.argmin(d, 1))
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            LR.protonet_probs(np.zeros((1, 3)), np.zeros((2, 4)))
+            LR.protonet_logits(np.zeros((1, 3)), np.zeros((2, 4)))
 
     def test_euclidean_distance_flag(self):
         query = np.array([[0.0, 0.0]])
@@ -98,20 +121,19 @@ class TestProtonetProbs:
 
 class TestCrossEntropy:
     def test_uniform_five_class_is_log_five(self):
-        probs = np.full((1, 5), 0.2)
-        loss = T.value_of(LR.cross_entropy(probs, np.array([2]), from_logits=False))
+        loss = T.value_of(LR.cross_entropy(np.zeros((1, 5)), np.array([2])))
         assert loss == pytest.approx(math.log(5.0), rel=1e-12)
 
     def test_certain_correct_prediction_is_zero(self):
-        probs = np.array([[0.0, 1.0, 0.0]])
-        loss = T.value_of(LR.cross_entropy(probs, np.array([1]), from_logits=False))
+        logits = np.array([[-1000.0, 0.0, -1000.0]])
+        loss = T.value_of(LR.cross_entropy(logits, np.array([1])))
         assert loss == pytest.approx(0.0, abs=1e-15)
 
     def test_batch_mean(self):
-        probs = np.array([[0.5, 0.5], [0.25, 0.75]])
+        logits = np.log(np.array([[0.5, 0.5], [0.25, 0.75]]))
         a = -math.log(0.5)
         b = -math.log(0.75)
-        loss = T.value_of(LR.cross_entropy(probs, np.array([0, 1]), from_logits=False))
+        loss = T.value_of(LR.cross_entropy(logits, np.array([0, 1])))
         assert loss == pytest.approx((a + b) / 2, rel=1e-12)
 
     def test_logits_match_probability_path(self):
@@ -119,9 +141,9 @@ class TestCrossEntropy:
         logits = rng.standard_normal((4, 3))
         labels = rng.integers(0, 3, size=4)
         probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
-        l1 = T.value_of(LR.cross_entropy(logits, labels))
-        l2 = T.value_of(LR.cross_entropy(probs, labels, from_logits=False))
-        assert l1 == pytest.approx(l2, rel=1e-12)
+        expected = -np.mean(np.log(probs[np.arange(4), labels]))
+        loss = T.value_of(LR.cross_entropy(logits, labels))
+        assert loss == pytest.approx(expected, rel=1e-12)
 
     def test_out_of_range_label_rejected(self):
         with pytest.raises(ValueError):
@@ -152,7 +174,7 @@ class TestMamlAdapt:
             adapted = LR.maml_adapt(
                 net, None, None, lr, steps, inner_loss=linear_model_inner_loss(1.0, 0.0)
             )
-            assert T.value_of(adapted.params[0]["weight"])[0, 0] == 1.0
+            assert T.value_of(adapted[0]["weight"])[0, 0] == 1.0
 
     def test_hand_computed_single_step(self):
         # loss (w*x - y)^2 at w=1, x=1, y=0: gradient 2, so w' = 1 - 0.1*2 = 0.8
@@ -160,7 +182,7 @@ class TestMamlAdapt:
         adapted = LR.maml_adapt(
             net, None, None, 0.1, 1, inner_loss=linear_model_inner_loss(1.0, 0.0)
         )
-        assert T.value_of(adapted.params[0]["weight"])[0, 0] == pytest.approx(0.8)
+        assert T.value_of(adapted[0]["weight"])[0, 0] == pytest.approx(0.8)
 
     def test_step_composition(self):
         rng = np.random.default_rng(3)
@@ -172,8 +194,8 @@ class TestMamlAdapt:
         y = rng.integers(0, 2, size=6)
         once = LR.maml_adapt(net, x, y, 0.05, 4)
         first = LR.maml_adapt(net, x, y, 0.05, 2)
-        second = LR.maml_adapt(net, x, y, 0.05, 2, start_params=first.params)
-        for a, b in zip(once.as_arrays(), second.as_arrays()):
+        second = LR.maml_adapt(net, x, y, 0.05, 2, start_params=first)
+        for a, b in zip(arrays(once), arrays(second)):
             np.testing.assert_array_equal(a, b)
 
     def test_first_order_outer_gradient_matches_finite_differences(self):
@@ -188,7 +210,7 @@ class TestMamlAdapt:
             adapted = LR.maml_adapt(
                 net, None, None, lr, 1, inner_loss=linear_model_inner_loss(x_s, y_s)
             )
-            w1 = T.value_of(adapted.params[0]["weight"])[0, 0]
+            w1 = T.value_of(adapted[0]["weight"])[0, 0]
             return (w1 * x_q - y_q) ** 2
 
         w0 = 1.1
@@ -197,13 +219,13 @@ class TestMamlAdapt:
             net, None, None, lr, 1, inner_loss=linear_model_inner_loss(x_s, y_s)
         )
         tape = T.Tape()
-        phi = [{n: tape.leaf(a) for n, a in e.items()} for e in adapted.params]
+        phi = [{n: tape.leaf(a) for n, a in e.items()} for e in adapted]
         r = T.sub(T.mul(phi[0]["weight"], x_q), y_q)
         loss = T.sum_(T.mul(r, r))
         grads = tape.backward(loss, [phi[0]["weight"]])
         g_first_order = float(np.ravel(grads[phi[0]["weight"]])[0])
         # detached-update oracle: d/dphi only (the first-order reading)
-        w1 = T.value_of(adapted.params[0]["weight"])[0, 0]
+        w1 = T.value_of(adapted[0]["weight"])[0, 0]
         expected = 2 * (w1 * x_q - y_q) * x_q
         assert g_first_order == pytest.approx(expected, rel=1e-12)
         # and it differs from the full derivative when the inner step matters
@@ -234,7 +256,7 @@ class TestMamlAdapt:
             theta_params=theta,
             inner_loss=linear_model_inner_loss(x_s, y_s),
         )
-        r = T.sub(T.mul(adapted.params[0]["weight"], x_q), y_q)
+        r = T.sub(T.mul(adapted[0]["weight"], x_q), y_q)
         loss = T.sum_(T.mul(r, r))
         grads = tape.backward(loss, [theta[0]["weight"]])
         got = float(np.ravel(grads[theta[0]["weight"]])[0])
@@ -284,7 +306,7 @@ class TestMamlAdapt:
         second = LR.maml_adapt(
             net, x, y, 0.5, 3, first_order=False, tape=tape, theta_params=theta
         )
-        for a, b in zip(first.as_arrays(), second.as_arrays()):
+        for a, b in zip(arrays(first), arrays(second)):
             np.testing.assert_allclose(b, a, rtol=0, atol=1e-12)
 
 
@@ -449,10 +471,10 @@ class TestTaskBatchedEvaluation:
         for i in range(n_tasks):
             task = sample_task(ds, spec, np.random.default_rng(np.random.SeedSequence(entropy + (i,))))
             ref = LR.maml_adapt(net, task.support_x, task.support_y, lr, steps)
-            for ref_entry, entry in zip(ref.params, seen["adapted"].params):
+            for ref_entry, entry in zip(ref, seen["adapted"]):
                 for name, arr in ref_entry.items():
                     np.testing.assert_allclose(entry[name][i], arr, rtol=0, atol=1e-12)
-            scores = L.forward(net.layers, task.query_x, params=ref.params)
+            scores = L.forward(net.layers, task.query_x, params=ref)
             ref_accs.append(float(np.mean(np.argmax(scores, axis=1) == task.query_y)))
             assert LR.predict_accuracy(
                 "maml", net, task, eval_steps=steps, inner_lr=lr
