@@ -47,6 +47,7 @@ from .layers import (
     save_checkpoint,
 )
 from .learners import (
+    TaskBatch,
     compute_prototypes,
     cross_entropy,
     maml_adapt,

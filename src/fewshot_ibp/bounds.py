@@ -9,6 +9,9 @@ maxpool layer each output face is attained by some input point.
 
 All entry points accept tape nodes as well as plain arrays, so bound
 computations are differentiable with respect to the network parameters.
+With ``task_axis=True`` a stack of T tasks is propagated at once: boxes carry
+a leading task axis, parameters are shared or stacked per task, and batchnorm
+takes its statistics per task, as in the task-axis forward pass.
 """
 
 from __future__ import annotations
@@ -93,13 +96,15 @@ def propagate_layer(
     weight=None,
     bias=None,
     frozen_stats=None,
+    task_axis: bool = False,
 ) -> IntervalTensor:
     """Push a box through one layer.
 
     ``weight``/``bias`` override stored parameters (typically tape nodes).
     Batchnorm uses ``frozen_stats`` when given; otherwise statistics are taken
     from the box midpoint batch, matching the per-step frozen-affine
-    treatment of batchnorm.
+    treatment of batchnorm.  With ``task_axis`` the first axis of the box
+    indexes tasks (see the module docstring).
     """
     box.validate()
     w = layer.weight if weight is None else weight
@@ -107,6 +112,8 @@ def propagate_layer(
     kind = layer.kind
 
     if kind == "fully_connected":
+        if task_axis and np.ndim(value_of(b)) == 2:  # per-task bias (tasks, out)
+            b = reshape(b, (np.shape(value_of(b))[0], 1, -1))
         return _affine_box(
             box,
             lambda mu: add(matmul(mu, transpose(w)), b),
@@ -128,12 +135,14 @@ def propagate_layer(
         return IntervalTensor(lower, upper)
     if kind == "batchnorm":
         if frozen_stats is None:
-            frozen_stats = batch_stats(mul(add(box.lower, box.upper), 0.5), layer)
+            frozen_stats = batch_stats(
+                mul(add(box.lower, box.upper), 0.5), layer, task_axis
+            )
         scale, shift = bn_affine(layer, *frozen_stats, gamma=w, beta=b)
         ref = box.lower
-        scale_b = _bn_broadcast(ref, scale)
-        shift_b = _bn_broadcast(ref, shift)
-        abs_scale_b = _bn_broadcast(ref, abs_(scale))
+        scale_b = _bn_broadcast(ref, scale, task_axis)
+        shift_b = _bn_broadcast(ref, shift, task_axis)
+        abs_scale_b = _bn_broadcast(ref, abs_(scale), task_axis)
         return _affine_box(
             box,
             lambda mu: add(mul(mu, scale_b), shift_b),
@@ -147,22 +156,24 @@ def propagate_layer(
             maxpool2d(box.upper, layer.window, layer.stride),
         )
     if kind == "flatten":
-        n = np.shape(value_of(box.lower))[0]
+        lead = np.shape(value_of(box.lower))[: 1 + task_axis]
         return IntervalTensor(
-            reshape(box.lower, (n, -1)), reshape(box.upper, (n, -1))
+            reshape(box.lower, lead + (-1,)), reshape(box.upper, lead + (-1,))
         )
     raise ValueError(f"unknown layer kind {kind!r}")
 
 
 def propagate_prefix(
-    network: Network, x, eps: float, tape=None, params=None
+    network: Network, x, eps: float, tape=None, params=None, task_axis: bool = False
 ) -> BoundResult:
     """Forward ``x`` through the embedding prefix while propagating its box.
 
     Returns the ordinary layer-``S`` activation as ``center`` and the box
     obtained by pushing ``[x - eps, x + eps]`` through the same layers.
     Batchnorm statistics come from the center activations and are reused for
-    the box, so both passes see the identical per-step affine map.
+    the box, so both passes see the identical per-step affine map.  With
+    ``task_axis`` the first axis of ``x`` indexes tasks, and each task's
+    batchnorm statistics are its own.
     """
     from .layers import apply_layer, make_param_nodes  # cycle-free local import
 
@@ -176,9 +187,13 @@ def propagate_prefix(
         w, b = entry.get("weight"), entry.get("bias")
         frozen = None
         if layer.kind == "batchnorm":
-            frozen = batch_stats(center, layer)
-        center = apply_layer(layer, center, weight=w, bias=b, frozen_stats=frozen)
-        box = propagate_layer(layer, box, weight=w, bias=b, frozen_stats=frozen)
+            frozen = batch_stats(center, layer, task_axis)
+        center = apply_layer(
+            layer, center, weight=w, bias=b, frozen_stats=frozen, task_axis=task_axis
+        )
+        box = propagate_layer(
+            layer, box, weight=w, bias=b, frozen_stats=frozen, task_axis=task_axis
+        )
         check_finite(box.lower, f"box lower after layer {i}")
         check_finite(box.upper, f"box upper after layer {i}")
     result = BoundResult(center, box)

@@ -9,6 +9,8 @@ distinct instances per class, remapping global class ids to local labels
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -183,8 +185,19 @@ def save_dataset(dataset: Dataset, path) -> None:
 _HEADER_KEYS = ("n_classes", "instance_shape", "class_ids", "per_class_counts", "role")
 
 
+def _bytes_left(fh) -> int:
+    return os.fstat(fh.fileno()).st_size - fh.tell()
+
+
 def _read_exact(fh, n: int, what: str) -> bytes:
-    """Exactly ``n`` bytes of ``fh``; a short read raises ``ValueError``."""
+    """Exactly ``n`` bytes of ``fh``; a short read raises ``ValueError``.
+
+    A count beyond the end of the file is refused before ``read`` is asked
+    for it, so a corrupt size field cannot make it allocate that much.
+    """
+    left = _bytes_left(fh)
+    if n > left:
+        raise ValueError(f"truncated dataset {what}: {left} of {n} bytes")
     buf = fh.read(n)
     if len(buf) < n:
         raise ValueError(f"truncated dataset {what}: {len(buf)} of {n} bytes")
@@ -205,10 +218,17 @@ def _check_header(header) -> None:
     for value in [*counts, *shape]:
         if not isinstance(value, int) or value < 0:
             raise ValueError(f"bad count or extent {value!r} in dataset header")
+    for cid in ids:
+        if not isinstance(cid, int):
+            raise ValueError(f"class id {cid!r} in dataset header is not an integer")
 
 
 def load_dataset(path) -> Dataset:
-    """Read a dataset file; a malformed or truncated file raises ``ValueError``."""
+    """Read a dataset file; a malformed or truncated file raises ``ValueError``.
+
+    The payload size the header implies is checked against the bytes left in
+    the file before any of it is read.
+    """
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 4, "magic")
         if magic != DATASET_MAGIC:
@@ -220,12 +240,19 @@ def load_dataset(path) -> Dataset:
         header = json.loads(_read_exact(fh, hlen, "header").decode("utf-8"))
         _check_header(header)
         shape = tuple(header["instance_shape"])
-        per_item = int(np.prod(shape)) if shape else 1
+        item_bytes = 8 * math.prod(shape)
+        payload = item_bytes * sum(header["per_class_counts"])
+        left = _bytes_left(fh)
+        if payload > left:
+            raise ValueError(
+                f"truncated dataset payload: the header implies {payload} bytes, "
+                f"{left} are left"
+            )
+        if payload < left:
+            raise ValueError("trailing bytes after dataset payload")
         classes = []
         for cid, count in zip(header["class_ids"], header["per_class_counts"]):
-            buf = _read_exact(fh, count * per_item * 8, "payload")
+            buf = _read_exact(fh, count * item_bytes, "payload")
             arr = np.frombuffer(buf, dtype="<f8").reshape((count, *shape))
             classes.append(ClassRecord(cid, arr))
-        if fh.read(1):
-            raise ValueError("trailing bytes after dataset payload")
     return Dataset(classes, role=header["role"])

@@ -2,12 +2,16 @@
 intervals (on the training distribution or, for transfer, another dataset),
 compactness analysis, and consolidated reports.
 
-Training is sequential over steps.  Every derived random stream is seeded
-from the run seed, and evaluation tasks use per-task streams seeded by
-(run seed, task index), so a (config, seed) pair fully determines the
-metrics stream.  Metrics are written as CSV (one row per step, byte-stable
-across reruns) plus a JSON summary holding config, fingerprint, timing, and
-final measurements.
+Training is sequential over steps.  A MAML step draws its meta-batch and
+the interpolation of the tasks that fired, then scores all tasks at once on
+a leading task axis: the inner and query losses give one value per task,
+tasks that did not fire interpolate with zero weight, and the loss weights
+are computed task by task from detached values.  Every derived random
+stream is seeded from the run seed, and evaluation tasks use per-task
+streams seeded by (run seed, task index), so a (config, seed) pair fully
+determines the metrics stream.  Metrics are written as CSV (one row per
+step, byte-stable across reruns) plus a JSON summary holding config,
+fingerprint, timing, and final measurements.
 """
 
 from __future__ import annotations
@@ -187,93 +191,128 @@ def _protonet_step(network, dataset, config, eps_t, sample_rng, interp_rng, opt_
     }, opt_state
 
 
-def _maml_inner_loss_fn(network, config, eps_t, contexts):
+class _TaskMix(NamedTuple):
+    """The interpolation of one meta-batch, stacked on the task axis.
+
+    A task that did not fire has zero mixing weights and, for the mixup
+    modes, its own sets as the pair, so its interpolated input is its own
+    embedding bit for bit; its (plain, interpolated) cross-entropies weigh
+    (1, 0) against (1/2, 1/2) on a task that fired.
+    """
+
+    coeffs: MixCoefficients
+    query_coeffs: MixCoefficients
+    pair_support_x: np.ndarray | None
+    pair_query_x: np.ndarray | None
+    ce_weights: np.ndarray  # (tasks, 2)
+
+
+def _stack_contexts(tasks, contexts) -> _TaskMix | None:
+    if all(ctx is None for ctx in contexts):
+        return None
+    ways = tasks[0].ways
+    idle = MixCoefficients(np.zeros(ways), np.zeros(ways, dtype=int))
+
+    def stacked(field):
+        rows = [idle if ctx is None else getattr(ctx, field) for ctx in contexts]
+        return MixCoefficients(np.stack([r.lam for r in rows]), np.stack([r.nu for r in rows]))
+
+    pair_support_x = pair_query_x = None
+    if any(ctx is not None and ctx.pair_task is not None for ctx in contexts):
+        pairs = [task if ctx is None else ctx.pair_task for task, ctx in zip(tasks, contexts)]
+        pair_support_x = np.stack([pair.support_x for pair in pairs])
+        pair_query_x = np.stack([pair.query_x for pair in pairs])
+    fired = np.array([ctx is not None for ctx in contexts])
+    ce_weights = np.where(fired[:, None], 0.5, np.array([1.0, 0.0]))
+    return _TaskMix(
+        stacked("coeffs"), stacked("query_coeffs"), pair_support_x, pair_query_x, ce_weights
+    )
+
+
+def _mixed_cross_entropy(network, l_ce, h, head_params, labels, mix: _TaskMix):
+    """Per-task weighted sum of the plain and the interpolated cross-entropy."""
+    scores = forward(network.head, h, params=head_params, task_axis=True)
+    l_ce2 = cross_entropy(scores, labels)
+    return add(mul(l_ce, mix.ce_weights[:, 0]), mul(l_ce2, mix.ce_weights[:, 1]))
+
+
+def _maml_inner_loss(network, config, eps_t, mix: _TaskMix | None):
     s = network.split_index
-    mode = config.objective
 
-    def make(task):
-        ctx = contexts.get(id(task))
+    def inner_loss(batch, params):
+        logits = forward(network.layers, batch.support_x, params=params, task_axis=True)
+        l_ce = cross_entropy(logits, batch.support_y)
+        if mix is None:
+            return l_ce
+        h = make_interpolated_task(
+            config.objective, network, batch.support_x, batch.support_y, mix.coeffs,
+            params[:s], eps_t, pair_x=mix.pair_support_x, task_axis=True,
+        )
+        return _mixed_cross_entropy(network, l_ce, h, params[s:], batch.support_y, mix)
 
-        def inner_loss(params, tape):
-            logits = forward(network.layers, task.support_x, params=params)
-            l_ce = cross_entropy(logits, task.support_y)
-            if ctx is None:
-                return l_ce
-            h = make_interpolated_task(
-                mode, network, task.support_x, task.support_y, ctx.coeffs,
-                params[:s], eps_t, pair_x=getattr(ctx.pair_task, "support_x", None),
-            )
-            l_ce2 = cross_entropy(forward(network.head, h, params=params[s:]), task.support_y)
-            return mul(add(l_ce, l_ce2), 0.5)
-
-        return inner_loss
-
-    return make
+    return inner_loss
 
 
-def _maml_task_loss_fn(network, config, eps_t, contexts):
+def _maml_query_loss(network, config, eps_t, mix: _TaskMix | None):
     s = network.split_index
     mode = config.objective
     use_bounds = mode in BOUND_OBJECTIVES
 
-    def task_loss(tape, theta, phi, task):
-        ctx = contexts.get(id(task))
-        logits = forward(network.layers, task.query_x, params=phi)
-        l_ce = cross_entropy(logits, task.query_y)
+    def query_loss(batch, theta, phi):
+        logits = forward(network.layers, batch.query_x, params=phi, task_axis=True)
+        l_ce = cross_entropy(logits, batch.query_y)
 
         qres = None
-        if use_bounds or (ctx is not None and mode in BOUND_MODES):
+        if use_bounds or (mix is not None and mode in BOUND_MODES):
             bound_params = phi if config.bounds_on_adapted else theta
             qres = propagate_prefix(
-                network, task.query_x, eps_t, params=bound_params[:s]
+                network, batch.query_x, eps_t, params=bound_params[:s], task_axis=True
             )
 
-        if ctx is not None:
+        if mix is not None:
             h = make_interpolated_task(
-                mode, network, task.query_x, task.query_y, ctx.query_coeffs,
-                phi[:s], eps_t, bounds=qres,
-                pair_x=getattr(ctx.pair_task, "query_x", None),
+                mode, network, batch.query_x, batch.query_y, mix.query_coeffs,
+                phi[:s], eps_t, bounds=qres, pair_x=mix.pair_query_x, task_axis=True,
             )
-            l_ce2 = cross_entropy(forward(network.head, h, params=phi[s:]), task.query_y)
-            l_ce = mul(add(l_ce, l_ce2), 0.5)
+            l_ce = _mixed_cross_entropy(network, l_ce, h, phi[s:], batch.query_y, mix)
 
         if use_bounds:
-            l_lb, l_ub = bound_losses(qres.center, qres.box)
+            l_lb, l_ub = bound_losses(qres.center, qres.box, task_axis=True)
         else:
             l_lb, l_ub = 0.0, 0.0
         losses = LossTriple(l_ce, l_lb, l_ub)
-        weights = _weights_for(config, losses)
+        per_task = losses.per_task(len(batch.query_y))
+        weights = [_weights_for(config, task_losses) for task_losses in per_task]
         total = total_loss(losses, weights)
-        info = {
-            "losses": losses.values(),
-            "weights": weights.as_tuple(),
-            "total": float(value_of(total)),
-        }
-        return total, info
+        infos = [
+            {"losses": task_losses.values(), "weights": w.as_tuple(), "total": float(t)}
+            for task_losses, w, t in zip(per_task, weights, value_of(total))
+        ]
+        return total, infos
 
-    return task_loss
+    return query_loss
 
 
 def _maml_step(network, dataset, config, eps_t, sample_rng, interp_rng, opt_state):
     b = config.meta_batch
     tasks = [sample_task(dataset, config.train_spec(), sample_rng) for _ in range(b)]
-    contexts: dict[int, _InterpContext] = {}
+    contexts = [None] * b
     if config.objective in MODES:
         mask = should_interpolate("maml", b, interp_rng, config.interp_probability)
-        for i, task in enumerate(tasks):
-            if mask[i]:
-                contexts[id(task)] = _draw_context(
-                    config, task, dataset, interp_rng, sample_rng
-                )
+        contexts = [
+            _draw_context(config, task, dataset, interp_rng, sample_rng) if fired else None
+            for task, fired in zip(tasks, mask)
+        ]
+    mix = _stack_contexts(tasks, contexts)
     infos = maml_outer_step(
         network,
         tasks,
-        _maml_task_loss_fn(network, config, eps_t, contexts),
+        _maml_query_loss(network, config, eps_t, mix),
         opt_state,
         config.inner_lr,
         config.inner_steps,
         first_order=config.first_order,
-        inner_loss_fn=_maml_inner_loss_fn(network, config, eps_t, contexts),
+        inner_loss=_maml_inner_loss(network, config, eps_t, mix),
     )
     losses = tuple(float(np.mean([i["losses"][k] for i in infos])) for k in range(3))
     weights = tuple(float(np.mean([i["weights"][k] for i in infos])) for k in range(3))

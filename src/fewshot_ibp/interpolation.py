@@ -12,7 +12,9 @@ kept as ablation baselines.
 All four modes are one task-interpolation operator,
 :func:`make_interpolated_task`, the only code that branches on the mode: it
 maps one set of a task to the input of the classifier head, and both
-learners run the head on its result.
+learners run the head on its result.  It also takes a stack of tasks on a
+leading task axis, with one row of coefficients per task; a task whose
+weights are all zero gets its own embeddings back bit for bit.
 """
 
 from __future__ import annotations
@@ -33,12 +35,11 @@ BOUND_MODES = MODES[:2]
 
 @dataclass(frozen=True)
 class MixCoefficients:
-    """Per-class mixing weights ``lam`` in [0,1] and face choices ``nu`` in {0,1}."""
+    """Per-class mixing weights ``lam`` in [0,1] and face choices ``nu`` in
+    {0,1}: shape (ways,), or (tasks, ways) for a stack of tasks."""
 
     lam: np.ndarray
     nu: np.ndarray
-    alpha: float
-    beta: float
 
     def __post_init__(self):
         if np.any(self.lam < 0) or np.any(self.lam > 1):
@@ -53,13 +54,16 @@ def sample_mix(n_classes: int, alpha: float, beta: float, rng) -> MixCoefficient
         raise ValueError("Beta parameters must be positive")
     lam = rng.beta(alpha, beta, size=n_classes)
     nu = rng.integers(0, 2, size=n_classes)
-    return MixCoefficients(lam, nu, alpha, beta)
+    return MixCoefficients(lam, nu)
 
 
 def _per_row(coeff_values, labels, reference):
+    """Each row's class coefficient, shaped to broadcast over ``reference``;
+    labels (tasks, n) pick from coefficients (tasks, ways) task by task."""
     labels = np.asarray(labels)
-    trail = [1] * (np.ndim(value_of(reference)) - 1)
-    return coeff_values[labels].astype(np.float64).reshape(-1, *trail)
+    trail = (1,) * (np.ndim(value_of(reference)) - labels.ndim)
+    rows = np.take_along_axis(np.asarray(coeff_values), labels, axis=-1)
+    return rows.astype(np.float64).reshape(labels.shape + trail)
 
 
 def interpolate_batch(centers, box: IntervalTensor, labels, coeffs: MixCoefficients):
@@ -88,6 +92,7 @@ def make_interpolated_task(
     eps: float,
     bounds: BoundResult | None = None,
     pair_x=None,
+    task_axis: bool = False,
 ):
     """Classifier-head input of one set (support or query) of an artificial task.
 
@@ -97,24 +102,25 @@ def make_interpolated_task(
     embedding toward a face of its box: ``bounds``, when the caller has
     already propagated the set, otherwise a box propagated here at ``eps``.
     ``mixup_input`` embeds the mix of ``x`` with the aligned batch ``pair_x``;
-    ``mixup_embedding`` mixes the embeddings of the two batches.
+    ``mixup_embedding`` mixes the embeddings of the two batches.  With
+    ``task_axis`` the sets of several tasks are stacked on a leading axis and
+    ``coeffs`` holds one row per task.
     """
     if mode in BOUND_MODES:
         if bounds is None:
-            bounds = propagate_prefix(network, x, eps, params=params)
+            bounds = propagate_prefix(network, x, eps, params=params, task_axis=task_axis)
         return interpolate_batch(bounds.center, bounds.box, y, coeffs)
     if mode not in MODES:
         raise ValueError(f"unknown interpolation mode {mode!r}")
     if pair_x is None:
         raise ValueError(f"mode {mode!r} requires a second batch to mix with")
+
+    def embed(batch):
+        return forward(network.prefix, batch, params=params, task_axis=task_axis)
+
     if mode == "mixup_input":
-        return forward(network.prefix, mix_batch(x, pair_x, y, coeffs), params=params)
-    return mix_batch(
-        forward(network.prefix, x, params=params),
-        forward(network.prefix, pair_x, params=params),
-        y,
-        coeffs,
-    )
+        return embed(mix_batch(x, pair_x, y, coeffs))
+    return mix_batch(embed(x), embed(pair_x), y, coeffs)
 
 
 def should_interpolate(learner: str, batch_size: int, rng, probability: float | None = None):

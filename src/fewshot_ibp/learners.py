@@ -14,21 +14,28 @@ the initial slots.  Exact second-order updates re-record the inner updates
 on the tape and are limited to networks of fully-connected and relu layers.
 
 :func:`maml_adapt` returns the adapted parameters as a list of per-layer
-dicts, the layout of :func:`~fewshot_ibp.layers.make_param_nodes`.
-Evaluation adapts all of its tasks together: :func:`maml_adapt_tasks` stacks
-the support sets along a leading task axis, tiles the parameters to one copy
-per task and descends on the sum of the per-task support losses, so each
-task's gradient is exactly its own and one backward pass per step serves
-every task.  Every tape the meta-learner records is released as soon as its
-gradients have been read, so no graph waits for the cyclic collector.
+dicts, the layout of :func:`~fewshot_ibp.layers.make_param_nodes`.  Tasks
+are adapted together on a leading task axis: their sets are stacked into a
+:class:`TaskBatch`, the parameters tiled to one copy per task, and the
+inner loss is the sum of the per-task losses (:func:`cross_entropy` gives
+one value per task), so each task's gradient is exactly its own and one
+backward pass per step serves every task.  Evaluation does this with
+:func:`maml_adapt_tasks`; training does it in :func:`maml_outer_step`,
+where θ is tiled into one tape leaf per task, one call of
+:func:`maml_adapt` adapts the whole meta-batch in either order, and one
+backward pass of the summed query losses gives every task's gradient of θ.
+Every tape the meta-learner records is released as soon as its gradients
+have been read, so no graph waits for the cyclic collector.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .episodes import Task
-from .layers import Network, forward, make_param_nodes, param_nodes_to_list
+from .layers import Network, forward, param_nodes_to_list
 from .tensor import (
     Tape,
     add,
@@ -105,8 +112,8 @@ def _onehot(labels, score_shape) -> np.ndarray:
 def cross_entropy(scores, labels):
     """Mean negative log softmax probability of the true class, from logits.
 
-    Scores (tasks, n, k) with labels (tasks, n) give the sum over tasks of
-    each task's mean, so each task's gradient is its own.
+    Scores (tasks, n, k) with labels (tasks, n) give one mean per task, so
+    each task's gradient is its own; callers sum them.
     """
     shape = value_of(scores).shape
     onehot = _onehot(labels, shape)
@@ -115,7 +122,26 @@ def cross_entropy(scores, labels):
     z = sub(scores, shift)
     logsum = log(sum_(exp(z), axis=-1, keepdims=True))
     logp = sub(z, logsum)
-    return mul(sum_(mul(logp, onehot)), -1.0 / n)
+    axes = (-2, -1) if len(shape) == 3 else None
+    return mul(sum_(mul(logp, onehot), axis=axes), -1.0 / n)
+
+
+class TaskBatch(NamedTuple):
+    """Support and query sets of equally shaped tasks (as drawn from one task
+    spec) stacked on a leading task axis: entry ``[t]`` belongs to task t."""
+
+    support_x: np.ndarray
+    support_y: np.ndarray
+    query_x: np.ndarray
+    query_y: np.ndarray
+
+
+def _tiled_arrays(network: Network, n_tasks: int) -> list[dict]:
+    """The network's parameters as read-only views with a leading task axis."""
+    return [
+        {name: np.broadcast_to(arr, (n_tasks,) + arr.shape) for name, arr in entry.items()}
+        for entry in _layer_arrays(network)
+    ]
 
 
 def _default_inner_loss(network: Network, support_x, support_y):
@@ -124,6 +150,12 @@ def _default_inner_loss(network: Network, support_x, support_y):
         return cross_entropy(logits, support_y)
 
     return loss_fn
+
+
+def _support_cross_entropy(network: Network, params, support_x, support_y):
+    """Per-task mean cross-entropies of support sets stacked on a task axis."""
+    logits = forward(network.layers, support_x, params=params, task_axis=True)
+    return cross_entropy(logits, support_y)
 
 
 def maml_adapt(
@@ -218,17 +250,9 @@ def maml_adapt_tasks(network: Network, tasks, inner_lr: float, steps: int) -> li
         raise ValueError("no tasks to adapt")
     support_x = np.stack([task.support_x for task in tasks])
     support_y = np.stack([task.support_y for task in tasks])
-    tiled = [
-        {
-            name: as_tensor(np.broadcast_to(arr, (len(tasks),) + arr.shape))
-            for name, arr in entry.items()
-        }
-        for entry in _layer_arrays(network)
-    ]
 
     def inner_loss(params, tape):
-        logits = forward(network.layers, support_x, params=params, task_axis=True)
-        return cross_entropy(logits, support_y)
+        return sum_(_support_cross_entropy(network, params, support_x, support_y))
 
     return maml_adapt(
         network,
@@ -237,7 +261,7 @@ def maml_adapt_tasks(network: Network, tasks, inner_lr: float, steps: int) -> li
         inner_lr,
         steps,
         inner_loss=inner_loss,
-        start_params=tiled,
+        start_params=_tiled_arrays(network, len(tasks)),
     )
 
 
@@ -266,78 +290,74 @@ def _accuracy(scores, task: Task) -> float:
 def maml_outer_step(
     network: Network,
     tasks,
-    task_loss_fn,
+    query_loss,
     opt_state,
     inner_lr: float,
     inner_steps: int,
     first_order: bool = True,
-    inner_loss_fn=None,
+    inner_loss=None,
 ):
-    """One meta-update over a batch of tasks.
+    """One meta-update over a batch of tasks, all adapted at once.
 
-    ``task_loss_fn(tape, theta_params, phi_params, task)`` returns the scalar
-    total-loss node for a task plus a diagnostics dict; gradients are averaged
-    over the batch and applied with one optimizer step.  Each task's tape is
-    released once its gradients have been accumulated.  Returns the list of
-    per-task diagnostics.  ``inner_loss_fn(task)``, when given, builds the
-    inner objective for that task (defaults to support cross-entropy).
+    The tasks are stacked into a :class:`TaskBatch` and the parameters θ
+    tiled into one leaf per task, ``tape.leaf(broadcast_to(a, (T,) +
+    a.shape))``, on a single tape.  ``inner_loss(batch, params)`` returns the
+    per-task support losses, shape (tasks,), and defaults to support
+    cross-entropy; :func:`maml_adapt` descends on their sum once for every
+    task, first-order from the tiled arrays or second-order on the tape from
+    the tiled leaves.  ``query_loss(batch, theta, phi)`` returns the per-task
+    total losses, shape (tasks,), and a list of per-task diagnostics.  One
+    backward pass of their sum gives each task's own gradient of θ; the
+    gradients are averaged over the batch, adding in task order, and applied
+    with one optimizer step.  The tape is released once they are read.
+    Returns the per-task diagnostics.
     """
     from .optim import optimizer_step
 
     tasks = list(tasks)
     if not tasks:
         raise ValueError("task batch is empty")
-    arrays = network.parameter_arrays()
-    total = [np.zeros_like(a) for a in arrays]
-    infos = []
-    for task in tasks:
-        with Tape() as tape:
-            theta = make_param_nodes(network.layers, tape)
-            theta_flat = param_nodes_to_list(theta)
-            inner_loss = (
-                inner_loss_fn(task) if inner_loss_fn is not None
-                else _default_inner_loss(network, task.support_x, task.support_y)
-            )
-            if first_order:
-                adapted = maml_adapt(
-                    network,
-                    task.support_x,
-                    task.support_y,
-                    inner_lr,
-                    inner_steps,
-                    first_order=True,
-                    inner_loss=inner_loss,
-                )
-                phi = [
-                    {name: tape.leaf(arr) for name, arr in entry.items()}
-                    for entry in adapted
-                ]
-            else:
-                phi = maml_adapt(
-                    network,
-                    task.support_x,
-                    task.support_y,
-                    inner_lr,
-                    inner_steps,
-                    first_order=False,
-                    tape=tape,
-                    theta_params=theta,
-                    inner_loss=inner_loss,
-                )
-            loss, info = task_loss_fn(tape, theta, phi, task)
-            infos.append(info)
-            if first_order:
-                phi_flat = param_nodes_to_list(phi)
-                grads = tape.backward(loss, phi_flat + theta_flat)
-                task_grads = [grads[p] + grads[t] for p, t in zip(phi_flat, theta_flat)]
-            else:
-                grads = tape.backward(loss, theta_flat)
-                task_grads = [grads[t] for t in theta_flat]
-        for i, g in enumerate(task_grads):
-            total[i] += g
+    batch = TaskBatch(
+        *(np.stack([getattr(task, name) for task in tasks]) for name in TaskBatch._fields)
+    )
+
+    def support_loss(params, tape):
+        if inner_loss is None:
+            losses = _support_cross_entropy(network, params, batch.support_x, batch.support_y)
+        else:
+            losses = inner_loss(batch, params)
+        return sum_(losses)
+
+    with Tape() as tape:
+        tiled = _tiled_arrays(network, len(tasks))
+        theta = [{name: tape.leaf(arr) for name, arr in entry.items()} for entry in tiled]
+        theta_flat = param_nodes_to_list(theta)
+        phi = maml_adapt(
+            network,
+            batch.support_x,
+            batch.support_y,
+            inner_lr,
+            inner_steps,
+            first_order=first_order,
+            tape=tape,
+            theta_params=theta,
+            inner_loss=support_loss,
+            start_params=tiled,
+        )
+        if first_order:  # detached arrays become leaves of the outer tape
+            phi = [{name: tape.leaf(arr) for name, arr in entry.items()} for entry in phi]
+        losses, infos = query_loss(batch, theta, phi)
+        loss = sum_(losses)
+        if first_order:
+            phi_flat = param_nodes_to_list(phi)
+            grads = tape.backward(loss, phi_flat + theta_flat)
+            task_grads = [grads[p] + grads[t] for p, t in zip(phi_flat, theta_flat)]
+        else:
+            grads = tape.backward(loss, theta_flat)
+            task_grads = [grads[t] for t in theta_flat]
     scale = 1.0 / len(tasks)
-    mean_grads = [g * scale for g in total]
-    new_arrays, opt_state = optimizer_step(arrays, mean_grads, opt_state)
+    mean_grads = [np.sum(g, axis=0) * scale for g in task_grads]
+    new_arrays, opt_state = optimizer_step(network.parameter_arrays(), mean_grads, opt_state)
     network.set_parameter_arrays(new_arrays)
     return infos
 

@@ -40,6 +40,14 @@ class LossTriple:
             raise ValueError("bound losses must be non-negative")
         return vals
 
+    def per_task(self, n_tasks: int) -> list["LossTriple"]:
+        """Detached triples, one per task, of losses that hold one value per
+        task; a plain number (an absent bound loss) counts for every task."""
+        cols = [
+            np.broadcast_to(value_of(x), (n_tasks,)) for x in (self.l_ce, self.l_lb, self.l_ub)
+        ]
+        return [LossTriple(*(float(c[t]) for c in cols)) for t in range(n_tasks)]
+
 
 @dataclass(frozen=True)
 class WeightTriple:
@@ -57,24 +65,28 @@ class WeightTriple:
             raise ValueError(f"weights {t} are not on the probability simplex")
 
 
-def bound_losses(centers, box: IntervalTensor):
+def bound_losses(centers, box: IntervalTensor, task_axis: bool = False):
     """Mean squared distance from each embedding row to the box faces.
 
     ``centers`` has one row per query instance; ``box`` faces are aligned
     row-for-row.  These losses apply to query instances only; support
-    instances never contribute.  Returns ``(l_lb, l_ub)``.
+    instances never contribute.  Returns ``(l_lb, l_ub)``.  With
+    ``task_axis`` the first axis of ``centers`` indexes tasks and each loss
+    holds one value per task.
     """
-    n = np.shape(value_of(centers))[0]
+    shape = np.shape(value_of(centers))
     for face in (box.lower, box.upper):
-        if np.shape(value_of(face)) != np.shape(value_of(centers)):
+        if np.shape(value_of(face)) != shape:
             raise ValueError(
                 f"box face shape {np.shape(value_of(face))} does not match "
-                f"centers {np.shape(value_of(centers))}"
+                f"centers {shape}"
             )
+    n = shape[int(task_axis)]
+    axes = tuple(range(1, len(shape))) if task_axis else None
     d_lo = sub(centers, box.lower)
     d_up = sub(centers, box.upper)
-    l_lb = mul(sum_(mul(d_lo, d_lo)), 1.0 / n)
-    l_ub = mul(sum_(mul(d_up, d_up)), 1.0 / n)
+    l_lb = mul(sum_(mul(d_lo, d_lo), axis=axes), 1.0 / n)
+    l_ub = mul(sum_(mul(d_up, d_up), axis=axes), 1.0 / n)
     return l_lb, l_ub
 
 
@@ -101,12 +113,22 @@ def static_weights(w_ce: float, w_lb: float, w_ub: float) -> WeightTriple:
     return w
 
 
-def total_loss(losses: LossTriple, weights: WeightTriple):
-    """Convex combination of the three losses; weights are step constants."""
-    weights.validate()
+def total_loss(losses: LossTriple, weights):
+    """Convex combination of the three losses; weights are step constants.
+
+    Losses holding one value per task take one :class:`WeightTriple` per
+    task, and the result holds each task's own combination.
+    """
+    if isinstance(weights, WeightTriple):
+        weights.validate()
+        w_ce, w_lb, w_ub = weights.as_tuple()
+    else:
+        for w in weights:
+            w.validate()
+        w_ce, w_lb, w_ub = np.array([w.as_tuple() for w in weights]).T
     return add(
-        add(mul(losses.l_ce, weights.w_ce), mul(losses.l_lb, weights.w_lb)),
-        mul(losses.l_ub, weights.w_ub),
+        add(mul(losses.l_ce, w_ce), mul(losses.l_lb, w_lb)),
+        mul(losses.l_ub, w_ub),
     )
 
 

@@ -180,8 +180,11 @@ class Tape:
         topological order because recording order is execution order.  With
         ``build_graph=True`` the adjoints are created as tape nodes (enabling
         differentiation through the gradients); every node on the path must
-        then be graph-safe.  Returns ``{param: gradient}``; parameters that do
-        not reach the loss get zero gradients.
+        then be graph-safe, and only nodes computed from a requested parameter
+        are walked.  Returns ``{param: gradient}``; parameters that do not
+        reach the loss get zero gradients.  A parameter may be a computed node
+        rather than a leaf (a parameter after an inner update); its gradient
+        is its full adjoint.
         """
         if not isinstance(loss, Node) or loss.tape is not self:
             raise ValueError("loss must be a node recorded on this tape")
@@ -191,13 +194,28 @@ class Tape:
         for p in params:
             if not isinstance(p, Node) or p.tape is not self:
                 raise ValueError("every parameter must be a node on this tape")
+        wanted = {id(p) for p in params}
 
         adjoints: dict[int, object] = {id(loss): np.ones_like(loss.value)}
         order = list(self._nodes)  # snapshot: graph mode appends while walking
+        live = None
+        if build_graph:
+            # only nodes computed from a requested parameter carry its
+            # gradient; the graph recorded before it (earlier inner updates
+            # and their gradients) is not walked
+            live = set(wanted)
+            for node in order:
+                if any(id(p) in live for p in node.parents):
+                    live.add(id(node))
         for node in reversed(order):
             if node.vjp is None:
                 continue  # leaves keep their accumulated adjoints
-            g = adjoints.pop(id(node), None)
+            if live is not None and id(node) not in live:
+                continue
+            if id(node) in wanted:  # a computed parameter keeps its adjoint
+                g = adjoints.get(id(node))
+            else:
+                g = adjoints.pop(id(node), None)
             if g is None:
                 continue
             if build_graph and not node.graph_safe:

@@ -340,7 +340,7 @@ class TestCriterion8InterpolationGeometry:
         assert inside == total
 
         task = sample_task(ds, TaskSpec(5, 1, 5), rng)
-        zero = I.MixCoefficients(np.zeros(5), np.ones(5, dtype=int), 1.0, 1.0)
+        zero = I.MixCoefficients(np.zeros(5), np.ones(5, dtype=int))
         for x, y in ((task.support_x, task.support_y), (task.query_x, task.query_y)):
             np.testing.assert_array_equal(
                 T.value_of(I.make_interpolated_task("ibpi", net, x, y, zero, None, 0.2)),

@@ -230,6 +230,55 @@ class TestTaskBounds:
         np.testing.assert_array_equal(res.box.upper[0], res.box.upper[2])
 
 
+def conv_batchnorm_prefix(rng):
+    return L.Network(
+        [
+            L.init_conv(2, 3, 3, rng),
+            L.batchnorm(3, gamma=rng.uniform(0.5, 2.0, 3), beta=rng.standard_normal(3)),
+            L.relu(),
+            L.maxpool(2),
+            L.flatten(),
+            L.init_fully_connected(12, 4, rng),
+        ],
+        split_index=6,
+    )
+
+
+class TestTaskAxisBounds:
+    """A stack of tasks propagated at once against one call per task."""
+
+    @staticmethod
+    def per_task_params(net, n_tasks, rng):
+        """Each layer's parameters, moved off the stored ones task by task."""
+        return [
+            {name: arr + 0.1 * rng.standard_normal((n_tasks,) + arr.shape)
+             for name, arr in layer.param_items()}
+            for layer in net.prefix
+        ]
+
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("conv", [True, False])
+    def test_task_axis_equals_per_task_calls(self, conv, shared):
+        rng = np.random.default_rng(13)
+        if conv:
+            net, x = conv_batchnorm_prefix(rng), rng.standard_normal((3, 4, 2, 6, 6))
+        else:
+            net, x = make_random_vector_net(rng, 4), rng.standard_normal((3, 5, 4))
+        params = None if shared else self.per_task_params(net, 3, rng)
+        res = B.propagate_prefix(net, x, 0.1, params=params, task_axis=True).values()
+        for t in range(3):
+            task_params = None if shared else [
+                {name: arr[t] for name, arr in entry.items()} for entry in params
+            ]
+            ref = B.propagate_prefix(net, x[t], 0.1, params=task_params).values()
+            for got, want in (
+                (res.center[t], ref.center),
+                (res.box.lower[t], ref.box.lower),
+                (res.box.upper[t], ref.box.upper),
+            ):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 class TestConvPrefixSoundness:
     def test_conv_pool_batchnorm_prefix_contains_perturbations(self):
         # batchnorm is frozen to the center batch's affine, and the perturbed

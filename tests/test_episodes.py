@@ -2,9 +2,14 @@
 
 import itertools
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fewshot_ibp import episodes as E
 
@@ -238,3 +243,125 @@ class TestFileFormat:
         path = tmp_path / "pool.fsds"
         self.write_with_header(path, ds, role="test")
         assert E.load_dataset(path).role == "test"
+
+    def test_oversized_class_count_rejected_before_reading(self, tmp_path):
+        # 2**40 instances of 3 floats: read() used to be asked for 24 TB and
+        # raise MemoryError
+        ds = small_dataset(n_classes=3)
+        path = tmp_path / "pool.fsds"
+        self.write_with_header(path, ds, keep=3, per_class_counts=[2**40, 10, 10])
+        with pytest.raises(ValueError, match="truncated dataset payload"):
+            E.load_dataset(path)
+
+    def test_oversized_header_length_rejected(self, tmp_path):
+        ds = small_dataset()
+        path = tmp_path / "pool.fsds"
+        E.save_dataset(ds, path)
+        raw = bytearray(path.read_bytes())
+        raw[8:12] = (2**32 - 1).to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="truncated dataset header"):
+            E.load_dataset(path)
+
+    def test_non_integer_class_id_rejected(self, tmp_path):
+        ds = small_dataset(n_classes=3)
+        path = tmp_path / "pool.fsds"
+        self.write_with_header(path, ds, class_ids=[0, [1], 2])
+        with pytest.raises(ValueError, match="class id"):
+            E.load_dataset(path)
+
+
+@st.composite
+def datasets(draw):
+    """Small datasets of any instance shape, class ids and role."""
+    n_classes = draw(st.integers(1, 4))
+    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=0, max_size=3)))
+    ids = draw(st.lists(st.integers(-(2**40), 2**40), min_size=n_classes,
+                        max_size=n_classes, unique=True))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    classes = [
+        E.ClassRecord(cid, draw(hnp.arrays(np.float64, (draw(st.integers(1, 4)),) + shape,
+                                           elements=finite)))
+        for cid in ids
+    ]
+    return E.Dataset(classes, role=draw(st.sampled_from(E.ROLES)))
+
+
+def saved_bytes(dataset) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "pool.fsds")
+        E.save_dataset(dataset, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def load_bytes(raw: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "pool.fsds")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        return E.load_dataset(path)
+
+
+REFERENCE_BYTES = saved_bytes(E.synth_dataset(3, 4, (2, 3), 1.0, 1.0, seed=5, role="test"))
+HEADER_END = 12 + int.from_bytes(REFERENCE_BYTES[8:12], "little")
+
+
+def loads_or_value_error(raw: bytes) -> None:
+    """The property every byte string must satisfy: loading either raises
+    ``ValueError`` or gives a dataset that passed its own checks."""
+    try:
+        ds = load_bytes(raw)
+    except ValueError:
+        return
+    assert isinstance(ds, E.Dataset)
+    for record in ds.classes:
+        assert record.instances.shape[1:] == ds.instance_shape
+        assert np.all(np.isfinite(record.instances))
+
+
+class TestFuzz:
+    @given(dataset=datasets())
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_is_exact(self, dataset):
+        raw = saved_bytes(dataset)
+        loaded = load_bytes(raw)
+        assert loaded.role == dataset.role
+        assert [c.class_id for c in loaded.classes] == [c.class_id for c in dataset.classes]
+        for a, b in zip(dataset.classes, loaded.classes):
+            assert a.instances.shape == b.instances.shape
+            assert a.instances.tobytes() == b.instances.tobytes()  # -0.0 included
+        assert saved_bytes(loaded) == raw
+
+    @given(
+        edits=st.lists(
+            st.tuples(
+                # most edits land in the fixed fields and the header
+                st.one_of(
+                    st.integers(0, HEADER_END - 1),
+                    st.integers(0, len(REFERENCE_BYTES) - 1),
+                ),
+                st.integers(0, 255),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_bytes_load_or_raise_value_error(self, edits):
+        raw = bytearray(REFERENCE_BYTES)
+        for pos, value in edits:
+            raw[pos] = value
+        loads_or_value_error(bytes(raw))
+
+    @given(cut=st.integers(0, len(REFERENCE_BYTES) - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_truncated_bytes_raise_value_error(self, cut):
+        with pytest.raises(ValueError):
+            load_bytes(REFERENCE_BYTES[:cut])
+
+    @given(extra=st.binary(min_size=1, max_size=16))
+    @settings(max_examples=20, deadline=None)
+    def test_appended_bytes_raise_value_error(self, extra):
+        with pytest.raises(ValueError):
+            load_bytes(REFERENCE_BYTES + extra)

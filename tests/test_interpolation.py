@@ -61,7 +61,7 @@ class TestSampleMix:
 
 
 def one_row(lam, nu):
-    return I.MixCoefficients(np.array([lam]), np.array([nu]), alpha=1, beta=1)
+    return I.MixCoefficients(np.array([lam]), np.array([nu]))
 
 
 def head_input(mode, net, task, side, coeffs, eps, pair=None, **kwargs):
@@ -120,13 +120,37 @@ class TestMakeInterpolatedTask:
         net = make_net(rng)
         task = make_task(seed=3)
         coeffs = I.MixCoefficients(
-            lam=np.zeros(task.ways), nu=np.ones(task.ways, dtype=int), alpha=1, beta=1
+            lam=np.zeros(task.ways), nu=np.ones(task.ways, dtype=int)
         )
         for mode in I.BOUND_MODES:
             for side in ("support", "query"):
                 h = head_input(mode, net, task, side, coeffs, 0.4)
                 emb = L.forward(net.prefix, getattr(task, f"{side}_x"))
                 np.testing.assert_array_equal(T.value_of(h), emb)
+
+    @pytest.mark.parametrize("mode", I.MODES)
+    def test_task_axis_rows_match_per_task_calls(self, mode):
+        # a stack of 3 tasks: task 1 has zero weights and mixes with itself,
+        # so it gets its own embeddings back bit for bit
+        rng = np.random.default_rng(7)
+        net = make_net(rng)
+        tasks = [make_task(seed=s) for s in (11, 12, 13)]
+        pairs = [make_task(seed=s) for s in (21, 22, 23)]
+        pairs[1] = tasks[1]
+        coeffs = [I.sample_mix(3, 0.5, 0.5, rng) for _ in tasks]
+        coeffs[1] = I.MixCoefficients(np.zeros(3), np.ones(3, dtype=int))
+        stacked = I.MixCoefficients(
+            np.stack([c.lam for c in coeffs]), np.stack([c.nu for c in coeffs])
+        )
+        h = T.value_of(I.make_interpolated_task(
+            mode, net, np.stack([t.query_x for t in tasks]),
+            np.stack([t.query_y for t in tasks]), stacked, None, 0.3,
+            pair_x=np.stack([p.query_x for p in pairs]), task_axis=True,
+        ))
+        for t, (task, pair, c) in enumerate(zip(tasks, pairs, coeffs)):
+            ref = T.value_of(head_input(mode, net, task, "query", c, 0.3, pair=pair))
+            np.testing.assert_allclose(h[t], ref, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(h[1], L.forward(net.prefix, tasks[1].query_x))
 
     def test_outputs_stay_inside_source_boxes(self):
         rng = np.random.default_rng(4)
@@ -148,7 +172,7 @@ class TestMakeInterpolatedTask:
         task = make_task(seed=7, ways=5, shots=1)
         lam = np.zeros(5)
         lam[0] = 1.0
-        coeffs = I.MixCoefficients(lam, np.ones(5, dtype=int), alpha=1, beta=1)
+        coeffs = I.MixCoefficients(lam, np.ones(5, dtype=int))
         h = T.value_of(head_input("ibpi", net, task, "support", coeffs, 0.2))
         res = B.propagate_prefix(net, task.support_x, 0.2).values()
         moved = task.support_y == 0
@@ -228,7 +252,7 @@ class TestMakeInterpolatedTask:
         net = make_net(rng)
         task, pair = make_task(seed=17), make_task(seed=18)
         coeffs = I.MixCoefficients(
-            lam=np.zeros(task.ways), nu=np.zeros(task.ways, dtype=int), alpha=1, beta=1
+            lam=np.zeros(task.ways), nu=np.zeros(task.ways, dtype=int)
         )
         for side in ("support", "query"):
             h = head_input("mixup_input", net, task, side, coeffs, 0.1, pair=pair)
@@ -240,7 +264,7 @@ class TestMakeInterpolatedTask:
         net = make_net(rng)
         task, pair = make_task(seed=20, ways=2), make_task(seed=21, ways=2)
         coeffs = I.MixCoefficients(
-            lam=np.array([0.5, 0.5]), nu=np.zeros(2, dtype=int), alpha=1, beta=1
+            lam=np.array([0.5, 0.5]), nu=np.zeros(2, dtype=int)
         )
         h = head_input("mixup_embedding", net, task, "support", coeffs, 0.1, pair=pair)
         ea = L.forward(net.prefix, task.support_x)

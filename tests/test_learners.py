@@ -10,13 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fewshot_ibp import bounds as B
 from fewshot_ibp import harness as H
+from fewshot_ibp import interpolation as I
 from fewshot_ibp import layers as L
 from fewshot_ibp import learners as LR
+from fewshot_ibp import objective as O
 from fewshot_ibp import tensor as T
 from fewshot_ibp.config import RunConfig
 from fewshot_ibp.episodes import Task, TaskSpec, sample_task, synth_dataset
-from fewshot_ibp.optim import adam
+from fewshot_ibp.optim import adam, optimizer_step
 
 
 class TestPrototypes:
@@ -264,6 +267,32 @@ class TestMamlAdapt:
         fd = (query_loss_after_adapt(w0 + h) - query_loss_after_adapt(w0 - h)) / (2 * h)
         assert got == pytest.approx(fd, rel=1e-6)
 
+    def test_three_second_order_steps_match_full_finite_differences(self):
+        # each step's gradient depends on the previous update, so the outer
+        # gradient runs through the gradients of every inner step
+        x_s, y_s = 1.3, 0.4
+        x_q, y_q = -0.7, 0.9
+        lr, w0, steps = 0.05, 1.1, 3
+
+        def query_loss_after_adapt(wv):
+            for _ in range(steps):
+                wv = wv - lr * 2 * x_s * (wv * x_s - y_s)
+            return (wv * x_q - y_q) ** 2
+
+        net = tiny_linear_network(w0)
+        with T.Tape() as tape:
+            theta = L.make_param_nodes(net.layers, tape)
+            adapted = LR.maml_adapt(
+                net, None, None, lr, steps, first_order=False, tape=tape,
+                theta_params=theta, inner_loss=linear_model_inner_loss(x_s, y_s),
+            )
+            r = T.sub(T.mul(adapted[0]["weight"], x_q), y_q)
+            grads = tape.backward(T.sum_(T.mul(r, r)), [theta[0]["weight"]])
+        got = float(np.ravel(grads[theta[0]["weight"]])[0])
+        h = 1e-6
+        fd = (query_loss_after_adapt(w0 + h) - query_loss_after_adapt(w0 - h)) / (2 * h)
+        assert got == pytest.approx(fd, rel=1e-6)
+
     def test_second_order_rejected_for_unsupported_layers(self):
         rng = np.random.default_rng(4)
         net = L.Network(
@@ -284,15 +313,11 @@ class TestMamlAdapt:
                 theta_params=theta,
             )
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="Tape.backward pops the adjoint of a non-leaf parameter before "
-        "reading it, so second-order steps 2..n apply zero gradients",
-    )
     def test_second_order_steps_move_like_first_order_steps(self):
         # the inner updates have the same values in both modes; only what the
-        # outer gradient sees differs.  With the defect, 3 second-order steps
-        # give exactly the parameters of 1 first-order step.
+        # outer gradient sees differs.  Steps 2..n used to apply zero
+        # gradients, when Tape.backward dropped the adjoint of a parameter
+        # that is itself an earlier update.
         rng = np.random.default_rng(21)
         net = L.Network(
             [L.init_fully_connected(3, 4, rng), L.relu(), L.init_fully_connected(4, 2, rng)],
@@ -320,9 +345,10 @@ class TestMamlOuterStep:
         net = L.Network([L.init_fully_connected(3, 2, rng)], split_index=1)
         before = [a.copy() for a in net.parameter_arrays()]
 
-        def frozen_loss(tape, theta, phi, task):
-            const = tape.leaf(np.array(1.0))
-            return T.mul(const, 1.0), {"losses": (1.0, 0.0, 0.0), "weights": (1, 0, 0), "total": 1.0}
+        def frozen_loss(batch, theta, phi):
+            const = phi[0]["weight"].tape.leaf(np.ones(len(batch.query_y)))
+            info = {"losses": (1.0, 0.0, 0.0), "weights": (1, 0, 0), "total": 1.0}
+            return T.mul(const, 1.0), [info]
 
         task = self.make_task(rng)
         LR.maml_outer_step(net, [task], frozen_loss, adam(0.01), 0.1, 1)
@@ -340,10 +366,10 @@ class TestMamlOuterStep:
                 split_index=2,
             )
 
-            def task_loss(tape, theta, phi, t):
-                logits = L.forward(net.layers, t.query_x, params=phi)
-                loss = LR.cross_entropy(logits, t.query_y)
-                return loss, {"total": float(T.value_of(loss))}
+            def task_loss(stacked, theta, phi):
+                logits = L.forward(net.layers, stacked.query_x, params=phi, task_axis=True)
+                loss = LR.cross_entropy(logits, stacked.query_y)
+                return loss, [{"total": float(v)} for v in T.value_of(loss)]
 
             LR.maml_outer_step(net, batch, task_loss, adam(0.01), 0.05, 2)
             return net.parameter_arrays()
@@ -352,6 +378,156 @@ class TestMamlOuterStep:
         b = run([task])
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
+
+
+def reference_maml_step(network, dataset, config, eps_t, sample_rng, interp_rng, opt_state):
+    """The meta-step as a loop over tasks, each adapted and scored on its own
+    tape with per-task closures: the semantics the batched step must keep."""
+    b, s, mode = config.meta_batch, network.split_index, config.objective
+    use_bounds = mode in H.BOUND_OBJECTIVES
+    tasks = [sample_task(dataset, config.train_spec(), sample_rng) for _ in range(b)]
+    contexts = [None] * b
+    if mode in I.MODES:
+        mask = I.should_interpolate("maml", b, interp_rng, config.interp_probability)
+        contexts = [
+            H._draw_context(config, task, dataset, interp_rng, sample_rng) if fired else None
+            for task, fired in zip(tasks, mask)
+        ]
+    arrays = network.parameter_arrays()
+    total = [np.zeros_like(a) for a in arrays]
+    infos = []
+    for task, ctx in zip(tasks, contexts):
+        def inner_loss(params, tape):
+            logits = L.forward(network.layers, task.support_x, params=params)
+            l_ce = LR.cross_entropy(logits, task.support_y)
+            if ctx is None:
+                return l_ce
+            h = I.make_interpolated_task(
+                mode, network, task.support_x, task.support_y, ctx.coeffs, params[:s],
+                eps_t, pair_x=getattr(ctx.pair_task, "support_x", None),
+            )
+            l_ce2 = LR.cross_entropy(L.forward(network.head, h, params=params[s:]), task.support_y)
+            return T.mul(T.add(l_ce, l_ce2), 0.5)
+
+        with T.Tape() as tape:
+            theta = L.make_param_nodes(network.layers, tape)
+            if config.first_order:
+                adapted = LR.maml_adapt(
+                    network, None, None, config.inner_lr, config.inner_steps,
+                    inner_loss=inner_loss,
+                )
+                phi = [{n: tape.leaf(a) for n, a in e.items()} for e in adapted]
+            else:
+                phi = LR.maml_adapt(
+                    network, None, None, config.inner_lr, config.inner_steps,
+                    first_order=False, tape=tape, theta_params=theta, inner_loss=inner_loss,
+                )
+            logits = L.forward(network.layers, task.query_x, params=phi)
+            l_ce = LR.cross_entropy(logits, task.query_y)
+            qres = None
+            if use_bounds or (ctx is not None and mode in I.BOUND_MODES):
+                bound_params = phi if config.bounds_on_adapted else theta
+                qres = B.propagate_prefix(network, task.query_x, eps_t, params=bound_params[:s])
+            if ctx is not None:
+                h = I.make_interpolated_task(
+                    mode, network, task.query_x, task.query_y, ctx.query_coeffs, phi[:s],
+                    eps_t, bounds=qres, pair_x=getattr(ctx.pair_task, "query_x", None),
+                )
+                l_ce2 = LR.cross_entropy(L.forward(network.head, h, params=phi[s:]), task.query_y)
+                l_ce = T.mul(T.add(l_ce, l_ce2), 0.5)
+            if use_bounds:
+                l_lb, l_ub = O.bound_losses(qres.center, qres.box)
+            else:
+                l_lb, l_ub = 0.0, 0.0
+            losses = O.LossTriple(l_ce, l_lb, l_ub)
+            weights = H._weights_for(config, losses)
+            loss = O.total_loss(losses, weights)
+            infos.append({
+                "losses": losses.values(),
+                "weights": weights.as_tuple(),
+                "total": float(T.value_of(loss)),
+            })
+            theta_flat = L.param_nodes_to_list(theta)
+            if config.first_order:
+                phi_flat = L.param_nodes_to_list(phi)
+                grads = tape.backward(loss, phi_flat + theta_flat)
+                task_grads = [grads[p] + grads[t] for p, t in zip(phi_flat, theta_flat)]
+            else:
+                grads = tape.backward(loss, theta_flat)
+                task_grads = [grads[t] for t in theta_flat]
+        for i, g in enumerate(task_grads):
+            total[i] += g
+    new_arrays, opt_state = optimizer_step(arrays, [g * (1.0 / b) for g in total], opt_state)
+    network.set_parameter_arrays(new_arrays)
+    return infos, opt_state
+
+
+OBJECTIVES = ("vanilla", "ibp", "ibpi", "ibpi_no_bound_loss", "mixup_input", "mixup_embedding")
+
+
+class TestBatchedMetaStep:
+    """The task-axis meta-step against the per-task reference loop."""
+
+    @staticmethod
+    def config(make, objective, first_order, flags):
+        net, _ = make(0)
+        return RunConfig(
+            learner="maml",
+            objective=objective,
+            # a config needs a layer list; the step uses the network it is given
+            layers=[{"kind": "relu"}] * len(net.layers),
+            split_index=net.split_index,
+            meta_batch=4,
+            inner_lr=0.1,
+            inner_steps=3,
+            first_order=first_order,
+            shared_mix_coeffs=flags,
+            bounds_on_adapted=flags,
+        )
+
+    def check(self, make, objective, first_order, flags, monkeypatch, steps=3):
+        cfg = self.config(make, objective, first_order, flags)
+        batched, ds = make(0)
+        reference, _ = make(0)
+        seen = []
+        outer_step = LR.maml_outer_step
+
+        def spy(*args, **kwargs):
+            seen.append(outer_step(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(H, "maml_outer_step", spy)
+        rngs = [np.random.default_rng(9), np.random.default_rng(10)]
+        ref_rngs = [np.random.default_rng(9), np.random.default_rng(10)]
+        opt, ref_opt = adam(0.01), adam(0.01)
+        for step in range(1, steps + 1):
+            eps_t = 0.05 * step
+            _, opt = H._maml_step(batched, ds, cfg, eps_t, *rngs, opt)
+            ref_infos, ref_opt = reference_maml_step(reference, ds, cfg, eps_t, *ref_rngs, ref_opt)
+            assert len(seen[-1]) == len(ref_infos) == cfg.meta_batch
+            for info, ref in zip(seen[-1], ref_infos):
+                for key in ("losses", "weights"):
+                    np.testing.assert_allclose(info[key], ref[key], rtol=0, atol=1e-12)
+                assert info["total"] == pytest.approx(ref["total"], rel=0, abs=1e-12)
+            for a, r in zip(batched.parameter_arrays(), reference.parameter_arrays()):
+                np.testing.assert_allclose(a, r, rtol=0, atol=1e-12)
+        # the step moved the parameters, so the comparison is not vacuous
+        start, _ = make(0)
+        assert any(
+            not np.array_equal(a, r)
+            for a, r in zip(start.parameter_arrays(), reference.parameter_arrays())
+        )
+
+    @pytest.mark.parametrize("flags", [True, False])
+    @pytest.mark.parametrize("first_order", [True, False])
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_fc_network_equals_per_task_loop(self, objective, first_order, flags, monkeypatch):
+        self.check(fc_pool_network, objective, first_order, flags, monkeypatch)
+
+    @pytest.mark.parametrize("flags", [True, False])
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_conv_network_equals_per_task_loop(self, objective, flags, monkeypatch):
+        self.check(conv_pool_network, objective, True, flags, monkeypatch, steps=2)
 
 
 class TestPredictAccuracy:
@@ -483,14 +659,12 @@ class TestTaskBatchedEvaluation:
         np.testing.assert_array_equal(seen["accs"], ref_accs)
         assert mean == float(np.mean(ref_accs))
 
-    def test_cross_entropy_sums_per_task_means(self):
+    def test_cross_entropy_gives_per_task_means(self):
         rng = np.random.default_rng(2)
         logits = rng.standard_normal((3, 4, 5))
         labels = rng.integers(0, 5, size=(3, 4))
         per_task = [T.value_of(LR.cross_entropy(logits[t], labels[t])) for t in range(3)]
-        assert T.value_of(LR.cross_entropy(logits, labels)) == pytest.approx(
-            sum(per_task), rel=1e-12
-        )
+        np.testing.assert_array_equal(T.value_of(LR.cross_entropy(logits, labels)), per_task)
         with pytest.raises(ValueError):
             LR.cross_entropy(logits, labels[:, :3])
 
@@ -526,12 +700,14 @@ class TestTapeRelease:
         rng = np.random.default_rng(4)
         batch = [sample_task(ds, TaskSpec(5, 1, 3), rng) for _ in range(2)]
 
-        def task_loss(tape, theta, phi, task):
-            loss = LR.cross_entropy(L.forward(net.layers, task.query_x, params=phi), task.query_y)
-            return loss, {}
+        def task_loss(stacked, theta, phi):
+            logits = L.forward(net.layers, stacked.query_x, params=phi, task_axis=True)
+            return LR.cross_entropy(logits, stacked.query_y), [{}, {}]
 
         LR.maml_outer_step(net, batch, task_loss, adam(0.01), 0.1, 3, first_order=first_order)
-        assert len(tapes) == (2 * 4 if first_order else 2)
+        # one tape per inner step and the outer tape (first order), or the
+        # outer tape alone (second order), for the whole batch
+        assert len(tapes) == (4 if first_order else 1)
         assert self.alive(tapes) == 0
 
     def test_evaluate_frees_every_tape(self, tapes):

@@ -44,6 +44,15 @@ class TestBoundLosses:
                 B.IntervalTensor(np.zeros((3, 2)), np.ones((3, 2))),
             )
 
+    def test_task_axis_gives_each_task_its_own_losses(self):
+        rng = np.random.default_rng(3)
+        c = rng.standard_normal((3, 5, 4))
+        box = B.IntervalTensor(c - rng.uniform(0, 1, c.shape), c + rng.uniform(0, 1, c.shape))
+        l_lb, l_ub = O.bound_losses(c, box, task_axis=True)
+        for t in range(3):
+            ref = O.bound_losses(c[t], B.IntervalTensor(box.lower[t], box.upper[t]))
+            assert l_lb[t] == ref[0] and l_ub[t] == ref[1]
+
 
 class TestDynamicWeights:
     def test_equal_losses_exact_thirds(self):
@@ -122,6 +131,16 @@ class TestTotalLoss:
     def test_simplex_violation_rejected(self):
         with pytest.raises(ValueError):
             O.total_loss(O.LossTriple(1.0, 1.0, 1.0), O.WeightTriple(0.5, 0.5, 0.5))
+
+    def test_per_task_weights_combine_each_task_alone(self):
+        losses = O.LossTriple(np.array([1.0, 2.0]), np.array([3.0, 0.5]), 0.0)
+        weights = [O.WeightTriple(0.5, 0.25, 0.25), O.WeightTriple(1.0, 0.0, 0.0)]
+        total = O.total_loss(losses, weights)
+        for t, (task_losses, w) in enumerate(zip(losses.per_task(2), weights)):
+            assert total[t] == O.total_loss(task_losses, w)
+        assert losses.per_task(2)[1].values() == (2.0, 0.5, 0.0)
+        with pytest.raises(ValueError):
+            O.total_loss(losses, [weights[0], O.WeightTriple(0.5, 0.5, 0.5)])
 
     def test_gradient_with_frozen_weights_matches_finite_differences(self):
         from fewshot_ibp.learners import cross_entropy
