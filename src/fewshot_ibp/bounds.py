@@ -1,11 +1,15 @@
 """Interval propagation of axis-aligned boxes through network prefixes.
 
-An input box ``[x - eps, x + eps]`` is pushed layer by layer: affine layers
-map the box center and radius (radius through the elementwise absolute
-weights), elementwise monotone layers and max pooling apply to the lower and
-upper faces separately.  The propagated box is guaranteed to contain the
-image of every point of the input box, and for a single affine, relu, or
-maxpool layer each output face is attained by some input point.
+An input box ``[x - eps, x + eps]`` is pushed layer by layer.  Every affine
+layer (fully connected, conv, batchnorm) goes through one center/radius rule,
+:func:`_affine_box`: the center ``mu`` maps through the layer and the radius
+``psi`` through its elementwise absolute weights without bias, giving
+``[mu' - psi', mu' + psi']`` (the standard interval bound propagation form,
+Gowal et al. 2018); a conv box costs two convolutions.  Elementwise monotone
+layers and max pooling apply to the lower and upper faces separately.  The
+propagated box is guaranteed to contain the image of every point of the
+input box, and for a single affine, relu, or maxpool layer each output face
+is attained by some input point.
 
 All entry points accept tape nodes as well as plain arrays, so bound
 computations are differentiable with respect to the network parameters.
@@ -26,13 +30,12 @@ from .tensor import (
     add,
     check_finite,
     conv2d,
-    matmul,
+    linear,
     maxpool2d,
     mul,
     relu,
     reshape,
     sub,
-    transpose,
     value_of,
 )
 
@@ -112,27 +115,15 @@ def propagate_layer(
     kind = layer.kind
 
     if kind == "fully_connected":
-        if task_axis and np.ndim(value_of(b)) == 2:  # per-task bias (tasks, out)
-            b = reshape(b, (np.shape(value_of(b))[0], 1, -1))
         return _affine_box(
-            box,
-            lambda mu: add(matmul(mu, transpose(w)), b),
-            lambda psi: matmul(psi, transpose(abs_(w))),
+            box, lambda mu: linear(mu, w, b), lambda psi: linear(psi, abs_(w))
         )
     if kind == "conv2d":
-        # positive/negative kernel split; equal to the center/radius form
-        w_pos = relu(w)
-        w_neg = sub(w, w_pos)
-        zero_b = np.zeros(np.shape(value_of(b)))
-        lower = add(
-            conv2d(box.lower, w_pos, b, stride=layer.stride),
-            conv2d(box.upper, w_neg, zero_b, stride=layer.stride),
+        return _affine_box(
+            box,
+            lambda mu: conv2d(mu, w, b, stride=layer.stride),
+            lambda psi: conv2d(psi, abs_(w), None, stride=layer.stride),
         )
-        upper = add(
-            conv2d(box.upper, w_pos, b, stride=layer.stride),
-            conv2d(box.lower, w_neg, zero_b, stride=layer.stride),
-        )
-        return IntervalTensor(lower, upper)
     if kind == "batchnorm":
         if frozen_stats is None:
             frozen_stats = batch_stats(

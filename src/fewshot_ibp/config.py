@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 from .episodes import Dataset, TaskSpec, check_supply, load_dataset, synth_dataset
+from .learners import DISTANCES
+from .objective import WeightTriple
 
 LEARNERS = ("protonet", "maml")
 OBJECTIVES = (
@@ -69,18 +72,34 @@ class RunConfig:
             raise ValueError(f"learner must be one of {LEARNERS}")
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}")
-        if self.max_steps <= 0:
-            raise ValueError("max_steps must be positive")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
-        if self.meta_batch < 1:
-            raise ValueError("meta_batch must be at least 1")
+        if self.distance not in DISTANCES:
+            raise ValueError(f"distance must be one of {DISTANCES}")
+        for name in ("max_steps", "meta_batch", "eval_interval", "n_val_tasks", "n_eval_tasks"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        for name in ("inner_steps", "eval_inner_steps"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
+        for name in ("epsilon", "meta_lr", "inner_lr"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
+        for name in ("alpha", "beta") + (() if self.gamma is None else ("gamma",)):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        p = self.interp_probability
+        if p is not None and not 0 <= p <= 1:
+            raise ValueError("interp_probability must lie in [0, 1]")
         if not self.layers:
             raise ValueError("config needs a network layer list")
         if not 0 < self.split_index <= len(self.layers):
             raise ValueError("split_index outside the layer range")
-        if self.static_weights is not None and len(self.static_weights) != 3:
-            raise ValueError("static_weights needs exactly three entries")
+        if self.static_weights is not None:
+            if len(self.static_weights) != 3:
+                raise ValueError("static_weights needs exactly three entries")
+            try:
+                WeightTriple(*self.static_weights).validate()
+            except ValueError as err:
+                raise ValueError(f"static_weights: {err}") from None
 
     @property
     def gamma_value(self) -> float:

@@ -26,13 +26,12 @@ from .tensor import (
     as_tensor,
     check_finite,
     conv2d,
-    matmul,
+    linear,
     maxpool2d,
     mul,
     relu as relu_op,
     reshape,
     sub,
-    transpose,
     value_of,
 )
 
@@ -250,9 +249,7 @@ def apply_layer(
         if vx.ndim != 2 + task_axis or vx.shape[-1] != in_dim:
             lead = "tasks, batch" if task_axis else "batch"
             raise ValueError(f"fc expects ({lead}, {in_dim}), got {vx.shape}")
-        if task_axis and np.ndim(value_of(b)) == 2:  # per-task bias (tasks, out)
-            b = reshape(b, (vx.shape[0], 1, -1))
-        return add(matmul(x, transpose(w)), b)
+        return linear(x, w, b)
     if kind == "conv2d":
         return conv2d(x, w, b, stride=layer.stride)
     if kind == "batchnorm":

@@ -37,14 +37,16 @@ import numpy as np
 from .episodes import Task
 from .layers import Network, forward, param_nodes_to_list
 from .tensor import (
+    Node,
     Tape,
     add,
     as_tensor,
+    div,
     exp,
-    log,
     matmul,
     mul,
     neg,
+    reshape,
     sqrt,
     sub,
     sum_,
@@ -53,6 +55,7 @@ from .tensor import (
 )
 
 SECOND_ORDER_KINDS = ("fully_connected", "relu")
+DISTANCES = ("sqeuclidean", "euclidean")
 
 
 def compute_prototypes(embeddings, labels, ways: int):
@@ -85,12 +88,10 @@ def protonet_logits(query_embeddings, prototypes, distance: str = "sqeuclidean")
     pd = np.shape(value_of(prototypes))[-1]
     if qd != pd:
         raise ValueError(f"embedding dim {qd} != prototype dim {pd}")
-    d = pairwise_sqdist(query_embeddings, prototypes)
-    if distance == "euclidean":
-        d = sqrt(d)
-    elif distance != "sqeuclidean":
+    if distance not in DISTANCES:
         raise ValueError(f"unknown distance {distance!r}")
-    return neg(d)
+    d = pairwise_sqdist(query_embeddings, prototypes)
+    return neg(sqrt(d) if distance == "euclidean" else d)
 
 
 def _onehot(labels, score_shape) -> np.ndarray:
@@ -113,17 +114,29 @@ def cross_entropy(scores, labels):
     """Mean negative log softmax probability of the true class, from logits.
 
     Scores (tasks, n, k) with labels (tasks, n) give one mean per task, so
-    each task's gradient is its own; callers sum them.
+    each task's gradient is its own; callers sum them.  One tape node, whose
+    vjp ``(softmax - onehot) * g / n`` is written with tape operations, so
+    it can be differentiated again.
     """
-    shape = value_of(scores).shape
+    vs = value_of(scores)
+    shape = vs.shape
     onehot = _onehot(labels, shape)
     n = shape[-2]
-    shift = value_of(scores).max(axis=-1, keepdims=True)  # detached
-    z = sub(scores, shift)
-    logsum = log(sum_(exp(z), axis=-1, keepdims=True))
-    logp = sub(z, logsum)
+    shift = vs.max(axis=-1, keepdims=True)  # detached; softmax ignores it
+    z = vs - shift
+    logp = z - np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
     axes = (-2, -1) if len(shape) == 3 else None
-    return mul(sum_(mul(logp, onehot), axis=axes), -1.0 / n)
+    out = np.sum(logp * onehot, axis=axes) * (-1.0 / n)
+    if not isinstance(scores, Node):
+        return out
+    g_shape = shape[:-2] + (1, 1)
+
+    def vjp(g, inputs, o):
+        e = exp(sub(inputs[0], shift))
+        probs = div(e, sum_(e, axis=-1, keepdims=True))
+        return (mul(sub(probs, onehot), reshape(mul(g, 1.0 / n), g_shape)),)
+
+    return Node(scores.tape, out, (scores,), vjp)
 
 
 class TaskBatch(NamedTuple):

@@ -17,7 +17,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import IntervalTensor
-from .tensor import NonFiniteError, add, mul, sub, sum_, value_of
+from .tensor import (
+    Node,
+    NonFiniteError,
+    _node_only,
+    _tape_of,
+    add,
+    mul,
+    neg,
+    reshape,
+    sub,
+    value_of,
+)
 
 
 @dataclass
@@ -61,7 +72,7 @@ class WeightTriple:
 
     def validate(self, tol: float = 1e-9) -> None:
         t = self.as_tuple()
-        if any(w < -tol for w in t) or abs(sum(t) - 1.0) > tol:
+        if not (all(w >= -tol for w in t) and abs(sum(t) - 1.0) <= tol):
             raise ValueError(f"weights {t} are not on the probability simplex")
 
 
@@ -72,7 +83,9 @@ def bound_losses(centers, box: IntervalTensor, task_axis: bool = False):
     row-for-row.  These losses apply to query instances only; support
     instances never contribute.  Returns ``(l_lb, l_ub)``.  With
     ``task_axis`` the first axis of ``centers`` indexes tasks and each loss
-    holds one value per task.
+    holds one value per task.  Each loss is one tape node, whose vjp
+    ``2(c - f) * g / n`` (and its negation for the face) is written with
+    tape operations, so it can be differentiated again.
     """
     shape = np.shape(value_of(centers))
     for face in (box.lower, box.upper):
@@ -83,11 +96,25 @@ def bound_losses(centers, box: IntervalTensor, task_axis: bool = False):
             )
     n = shape[int(task_axis)]
     axes = tuple(range(1, len(shape))) if task_axis else None
-    d_lo = sub(centers, box.lower)
-    d_up = sub(centers, box.upper)
-    l_lb = mul(sum_(mul(d_lo, d_lo), axis=axes), 1.0 / n)
-    l_ub = mul(sum_(mul(d_up, d_up), axis=axes), 1.0 / n)
-    return l_lb, l_ub
+    g_shape = shape[:1] + (1,) * (len(shape) - 1) if task_axis else ()
+
+    def mean_sq_distance(face):
+        d = np.subtract(value_of(centers), value_of(face))
+        out = np.sum(d * d, axis=axes) * (1.0 / n)
+        tape = _tape_of(centers, face)
+        if tape is None:
+            return out
+
+        def vjp(g, inputs, o):
+            ops = iter(inputs)
+            c = next(ops) if isinstance(centers, Node) else centers
+            f = next(ops) if isinstance(face, Node) else face
+            gc = mul(sub(c, f), reshape(mul(g, 2.0 / n), g_shape))
+            return _node_only(((gc, centers), (neg(gc), face)))
+
+        return Node(tape, out, _node_only(((centers, centers), (face, face))), vjp)
+
+    return mean_sq_distance(box.lower), mean_sq_distance(box.upper)
 
 
 def dynamic_weights(losses, gamma: float) -> WeightTriple:

@@ -9,9 +9,17 @@ same operation set, so gradients are themselves tape nodes and can be
 differentiated again (used for exact second-order meta-updates on networks
 whose layers are all graph-safe).
 
-``matmul``, ``transpose``, ``conv2d`` and ``maxpool2d`` accept a leading
-task axis: a stack of T independent problems, each with its own operands or
-sharing a weight, evaluated in one call.
+Hot chains of primitives are single fused nodes with analytic
+vector-Jacobian products: ``sub`` (one node, not ``add`` of ``neg``) and
+``linear`` (``x @ wᵀ + b``); the learners and the objective fuse their
+cross-entropy and bound losses the same way.  A fused vjp is written with
+the same operations as everything else, so it is graph-safe: with
+``build_graph=True`` it records the nodes of its own derivative, and
+second-order meta-updates differentiate through it.
+
+``matmul``, ``transpose``, ``linear``, ``conv2d`` and ``maxpool2d`` accept a
+leading task axis: a stack of T independent problems, each with its own
+operands or sharing a weight, evaluated in one call.
 
 Every node points at its tape and the tape lists every node, so a tape is a
 reference cycle.  :meth:`Tape.release` (or leaving a ``with Tape()`` block)
@@ -43,7 +51,7 @@ __all__ = [
     "log",
     "sqrt",
     "sum_",
-    "mean_",
+    "linear",
     "conv2d",
     "maxpool2d",
 ]
@@ -291,7 +299,18 @@ def add(a, b):
 
 
 def sub(a, b):
-    return add(a, neg(b))
+    tape = _tape_of(a, b)
+    out = np.subtract(value_of(a), value_of(b))  # bit-equal to a + (-b)
+    if tape is None:
+        return out
+    sa, sb = _shape_of(a), _shape_of(b)
+
+    def vjp(g, inputs, o):
+        ga = _unbroadcast(g, sa) if isinstance(a, Node) else None
+        gb = _unbroadcast(neg(g), sb) if isinstance(b, Node) else None
+        return _node_only(((ga, a), (gb, b)))
+
+    return Node(tape, out, _node_only(((a, a), (b, b))), vjp)
 
 
 def neg(a):
@@ -376,6 +395,38 @@ def transpose(a):
     return Node(tape, out, (a,), lambda g, inputs, o: (transpose(g),))
 
 
+def linear(x, w, b=None):
+    """``x @ wᵀ + b`` as one node: rows ``x`` (n, in), weight ``w`` (out, in)
+    and bias ``b`` (out,), or no bias when ``b`` is None.
+
+    With a leading task axis ``x`` is (tasks, n, in) and ``w``/``b`` are
+    shared or stacked per task as (tasks, out, in) / (tasks, out); a shared
+    operand receives the sum of the per-task gradients.
+    """
+    tape = _tape_of(x, w, b)
+    vx, vw = value_of(x), value_of(w)
+    out = vx @ vw.swapaxes(-1, -2)
+    if b is not None:
+        vb = value_of(b)
+        out += vb[:, None, :] if vb.ndim == 2 else vb
+    if tape is None:
+        return out
+    sx, sw = vx.shape, vw.shape
+
+    def vjp(g, inputs, o):
+        ops = iter(inputs)
+        xx = next(ops) if isinstance(x, Node) else x
+        xw = next(ops) if isinstance(w, Node) else w
+        gx = _unbroadcast(matmul(g, xw), sx) if isinstance(x, Node) else None
+        gw = _unbroadcast(matmul(transpose(g), xx), sw) if isinstance(w, Node) else None
+        gb = None
+        if isinstance(b, Node):  # a per-task bias sums over its own rows only
+            gb = sum_(g, axis=-2) if len(b.shape) == 2 else _unbroadcast(g, b.shape)
+        return _node_only(((gx, x), (gw, w), (gb, b)))
+
+    return Node(tape, out, _node_only(((x, x), (w, w), (b, b))), vjp)
+
+
 def reshape(a, shape):
     tape = _tape_of(a)
     va = value_of(a)
@@ -450,15 +501,6 @@ def sum_(a, axis=None, keepdims=False):
     return Node(tape, out, (a,), vjp)
 
 
-def mean_(a, axis=None, keepdims=False):
-    va = value_of(a)
-    if axis is None:
-        n = va.size
-    else:
-        axes = (axis,) if np.isscalar(axis) else tuple(axis)
-        n = int(np.prod([va.shape[ax] for ax in axes]))
-    return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / float(n))
-
 
 # ---------------------------------------------------------------------------
 # Spatial operations.  Backward passes are plain numpy (im2col based); their
@@ -487,34 +529,35 @@ def conv2d(x, weight, bias, stride: int = 1):
     """2-D cross correlation with no padding.
 
     ``x`` is (batch, in_c, h, w); ``weight`` is (out_c, in_c, kh, kw);
-    ``bias`` is (out_c,).  Output is (batch, out_c, oh, ow).  With a leading
-    task axis ``x`` is (tasks, batch, in_c, h, w), the output gains the same
-    axis, and ``weight``/``bias`` are shared or stacked per task as
-    (tasks, out_c, in_c, kh, kw) / (tasks, out_c).
+    ``bias`` is (out_c,), or None for no bias.  Output is (batch, out_c, oh,
+    ow).  With a leading task axis ``x`` is (tasks, batch, in_c, h, w), the
+    output gains the same axis, and ``weight``/``bias`` are shared or stacked
+    per task as (tasks, out_c, in_c, kh, kw) / (tasks, out_c).
     """
     if stride <= 0:
         raise ValueError("conv stride must be positive")
     tape = _tape_of(x, weight, bias)
-    vx, vw, vb = value_of(x), value_of(weight), value_of(bias)
+    vx, vw = value_of(x), value_of(weight)
+    vb = None if bias is None else value_of(bias)
     out_c, in_c, kh, kw = vw.shape[-4:]
     lead = vx.shape[:-4]
     if (
         vx.ndim not in (4, 5)
         or vx.shape[-3] != in_c
         or vw.shape[:-4] not in ((), lead)
-        or vb.shape != vw.shape[:-3]
+        or (vb is not None and vb.shape != vw.shape[:-3])
     ):
         raise ValueError(
             f"conv2d input shape {vx.shape} incompatible with kernel {vw.shape} "
-            f"and bias {vb.shape}"
+            f"and bias {None if vb is None else vb.shape}"
         )
     n = vx.shape[-4]
     windows, oh, ow = _window_view(vx.reshape((-1,) + vx.shape[-3:]), kh, kw, stride)
     cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(lead + (n, oh, ow, -1))
     w_mat = vw.reshape(vw.shape[:-3] + (-1,))
-    out = np.einsum("...nijk,...ok->...noij", cols, w_mat) + vb.reshape(
-        vb.shape[:-1] + (1, out_c, 1, 1)
-    )
+    out = np.einsum("...nijk,...ok->...noij", cols, w_mat)
+    if vb is not None:
+        out += vb.reshape(vb.shape[:-1] + (1, out_c, 1, 1))
     if tape is None:
         return out
 

@@ -304,3 +304,140 @@ class TestConvPrefixSoundness:
             y = L.forward(net.prefix, x + delta, frozen_stats=stats)
             assert np.all(y >= res.box.lower - 1e-9)
             assert np.all(y <= res.box.upper + 1e-9)
+
+
+def kernel_split_conv_box(layer, box, weight, bias):
+    """The positive/negative kernel-split conv box that the center/radius
+    rule replaced: four convolutions."""
+    from fewshot_ibp import tensor as T
+
+    w_pos = T.relu(weight)
+    w_neg = T.sub(weight, w_pos)
+    zero_b = np.zeros(np.shape(T.value_of(bias)))
+    lo, up, s = box.lower, box.upper, layer.stride
+    return B.IntervalTensor(
+        T.add(T.conv2d(lo, w_pos, bias, s), T.conv2d(up, w_neg, zero_b, s)),
+        T.add(T.conv2d(up, w_pos, bias, s), T.conv2d(lo, w_neg, zero_b, s)),
+    )
+
+
+def random_conv(rng, in_c, stride=1):
+    layer = L.init_conv(in_c, int(rng.integers(1, 4)), int(rng.integers(1, 4)), rng, stride=stride)
+    return L.conv(layer.weight, rng.standard_normal(layer.bias.shape), stride=stride)
+
+
+def random_batchnorm(rng, channels):
+    # scales of both signs, so the radius must go through |scale|
+    return L.batchnorm(
+        channels, gamma=rng.uniform(0.5, 2.0, channels) * rng.choice([-1.0, 1.0], channels),
+        beta=rng.standard_normal(channels),
+    )
+
+
+class TestAffineBoxRule:
+    """Every affine box (fc, conv, batchnorm) goes through the one
+    center/radius rule; conv is checked against the kernel split it replaced,
+    and conv and batchnorm boxes are held to the soundness (1e-9) and face
+    exactness criteria."""
+
+    @pytest.mark.parametrize("per_task", [False, True])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv_box_equals_kernel_split(self, stride, per_task):
+        from fewshot_ibp import tensor as T
+
+        rng = np.random.default_rng(60 + stride)
+        layer = random_conv(rng, 2, stride)
+        x = rng.standard_normal((3, 4, 2, 7, 7) if per_task else (4, 2, 7, 7))
+        lead = (3,) if per_task else ()
+        w = layer.weight + 0.1 * rng.standard_normal(lead + layer.weight.shape)
+        b = layer.bias + 0.1 * rng.standard_normal(lead + layer.bias.shape)
+        radius = rng.uniform(0.05, 0.5, x.shape)
+
+        def run(rule):
+            tape = T.Tape()
+            leaves = [tape.leaf(a) for a in (x - radius, x + radius, w, b)]
+            box = rule(B.IntervalTensor(*leaves[:2]), *leaves[2:])
+            c = np.random.default_rng(64).standard_normal((2,) + box.lower.shape)
+            loss = T.add(
+                T.sum_(T.mul(T.mul(box.lower, box.lower), c[0])),
+                T.sum_(T.mul(T.mul(box.upper, box.upper), c[1])),
+            )
+            grads = tape.backward(loss, leaves)
+            return [box.lower.value, box.upper.value] + [grads[n] for n in leaves]
+
+        got = run(lambda box, w, b: B.propagate_layer(layer, box, w, b, task_axis=per_task))
+        want = run(lambda box, w, b: kernel_split_conv_box(layer, box, w, b))
+        for g, ref in zip(got, want):
+            np.testing.assert_allclose(g, ref, rtol=1e-12, atol=1e-12)
+
+    def test_conv_box_costs_two_convolutions(self, monkeypatch):
+        calls = []
+        conv2d = B.conv2d
+        monkeypatch.setattr(B, "conv2d", lambda *a, **k: calls.append(1) or conv2d(*a, **k))
+        rng = np.random.default_rng(65)
+        B.propagate_layer(random_conv(rng, 2), B.epsilon_box(rng.standard_normal((2, 2, 5, 5)), 0.1))
+        assert len(calls) == 2
+
+    def test_conv_and_batchnorm_boxes_are_sound(self):
+        rng = np.random.default_rng(66)
+        worst = 0.0
+        for trial in range(20):
+            in_c = int(rng.integers(1, 3))
+            conv = random_conv(rng, in_c, stride=int(rng.integers(1, 3)))
+            layers = [conv, random_batchnorm(rng, conv.weight.shape[0])]
+            if trial % 2:
+                layers += [L.relu(), L.maxpool(2, stride=1)]
+            net = L.Network(layers, split_index=len(layers))
+            x = rng.standard_normal((5, in_c, 7, 7))
+            stats = []
+            L.forward(net.prefix, x, stats_out=stats)
+            for eps in (0.05, 0.1, 0.2):
+                res = B.propagate_prefix(net, x, eps).values()
+                delta = rng.uniform(-eps, eps, size=(50,) + x.shape)
+                # the perturbed batches replay the center batch's statistics
+                y = np.stack([L.forward(net.prefix, x + d, frozen_stats=stats) for d in delta])
+                worst = max(worst, np.max(res.box.lower - y), np.max(y - res.box.upper))
+        assert worst <= 1e-9
+
+    def test_conv_faces_attained_by_corners(self):
+        rng = np.random.default_rng(67)
+        worst = 0.0
+        for _ in range(10):
+            in_c = int(rng.integers(1, 3))
+            layer = random_conv(rng, in_c)
+            side = 2 if in_c == 2 else 3  # at most 9 input coordinates
+            layer = L.conv(layer.weight[..., :side, :side], layer.bias)
+            x = rng.standard_normal((1, in_c, side, side))
+            box = B.IntervalTensor(x - rng.uniform(0.05, 1.0, x.shape), x + 0.3)
+            out = B.propagate_layer(layer, box)
+            corners = corner_images(
+                lambda c: L.forward([layer], c).ravel(), box.lower, box.upper
+            )
+            worst = max(
+                worst,
+                np.max(np.abs(corners.min(axis=0) - out.lower.ravel())),
+                np.max(np.abs(corners.max(axis=0) - out.upper.ravel())),
+            )
+        assert worst <= 1e-9
+
+    @pytest.mark.parametrize("spatial", [False, True])
+    def test_batchnorm_faces_attained_by_corners(self, spatial):
+        rng = np.random.default_rng(68)
+        worst = 0.0
+        for _ in range(10):
+            channels = int(rng.integers(1, 4))
+            layer = random_batchnorm(rng, channels)
+            x = rng.standard_normal((2, channels, 1, 1) if spatial else (2, channels))
+            stats = L.batch_stats(x, layer)
+            box = B.IntervalTensor(x - rng.uniform(0.05, 1.0, x.shape), x + 0.2)
+            out = B.propagate_layer(layer, box, frozen_stats=stats)
+            corners = corner_images(
+                lambda c: L.apply_layer(layer, c, frozen_stats=stats).ravel(),
+                box.lower, box.upper,
+            )
+            worst = max(
+                worst,
+                np.max(np.abs(corners.min(axis=0) - out.lower.ravel())),
+                np.max(np.abs(corners.max(axis=0) - out.upper.ravel())),
+            )
+        assert worst <= 1e-9

@@ -1,6 +1,7 @@
 """Training orchestration, evaluation, reporting, and the CLI surface."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -311,6 +312,47 @@ class TestTaskSupply:
         with pytest.raises(ValueError, match="val split"):
             resolve_data(make_config(data=data))
         resolve_data(make_config(data=data, eval_query_shots=4))
+
+
+class TestConfigValidation:
+    """A malformed field fails at construction, naming the field; each of
+    these used to run, or to fail only inside a training step."""
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("interp_probability", 1.5),
+            ("interp_probability", -1.0),
+            ("interp_probability", math.nan),
+            ("eval_interval", 0),
+            ("eval_interval", -2),
+            ("epsilon", math.nan),
+            ("epsilon", math.inf),
+            ("gamma", 0.0),
+            ("gamma", math.nan),
+            ("distance", "cosine"),
+            ("alpha", 0.0),
+            ("beta", -1.0),
+            ("static_weights", [2.0, 0.0, 0.0]),
+            ("static_weights", [math.nan, 0.0, 1.0]),
+            ("inner_steps", -1),
+            ("eval_inner_steps", -1),
+            ("meta_lr", math.nan),
+            ("inner_lr", math.nan),
+            ("n_val_tasks", 0),
+            ("n_eval_tasks", 0),
+        ],
+    )
+    def test_malformed_field_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            make_config(**{field: value})
+
+    def test_edge_values_accepted(self):
+        make_config(
+            interp_probability=0.0, eval_interval=1, epsilon=0.0, inner_steps=0,
+            static_weights=[1.0, 0.0, 0.0], distance="euclidean", n_val_tasks=1,
+        )
+        make_config(interp_probability=1.0, gamma=1e-3, meta_lr=1e80)
 
 
 class TestReport:

@@ -748,3 +748,52 @@ class TestTapeRelease:
         H.train(cfg)
         assert tapes
         assert self.alive(tapes) == 0
+
+
+class TestTapeBudget:
+    """Tape nodes per training step, counted as the traced benchmark counts
+    them: the nodes recorded on each tape before each backward pass, summed
+    over the step.  The budgets are the counts after the nodes were fused, so
+    a change that re-expands the graph fails here."""
+
+    @pytest.fixture
+    def node_count(self, monkeypatch):
+        counted = weakref.WeakKeyDictionary()
+        total = [0]
+        backward = T.Tape.backward
+
+        def counting_backward(tape, loss, params, build_graph=False):
+            total[0] += sum(n.vjp is not None for n in tape._nodes[counted.get(tape, 0):])
+            counted[tape] = len(tape)
+            return backward(tape, loss, params, build_graph=build_graph)
+
+        monkeypatch.setattr(T.Tape, "backward", counting_backward)
+        return total
+
+    @staticmethod
+    def one_step(step, **overrides):
+        cfg = RunConfig(**{
+            "learner": "protonet",
+            "objective": "ibpi",
+            "layers": [
+                {"kind": "fully_connected", "in": 8, "out": 32},
+                {"kind": "relu"},
+                {"kind": "fully_connected", "in": 32, "out": 16},
+            ],
+            "split_index": 2,
+            "interp_probability": 1.0,  # interpolation fires: the largest step
+            **overrides,
+        })
+        net, ds = fc_pool_network(0)
+        step(net, ds, cfg, 0.1, np.random.default_rng(1), np.random.default_rng(2), adam(0.01))
+
+    def test_protonet_step(self, node_count):
+        self.one_step(H._protonet_step)
+        assert node_count[0] <= 69  # 115 before fusing
+
+    # 363 and 708 before fusing
+    @pytest.mark.parametrize("first_order,budget", [(True, 157), (False, 463)])
+    def test_maml_step(self, node_count, first_order, budget):
+        self.one_step(H._maml_step, learner="maml", meta_batch=4, inner_steps=5,
+                      first_order=first_order)
+        assert node_count[0] <= budget
