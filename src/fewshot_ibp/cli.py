@@ -15,6 +15,7 @@ from .config import RunConfig
 from .episodes import TaskSpec, load_dataset, save_dataset, synth_dataset
 from .harness import compactness, evaluate, report, train
 from .layers import load_checkpoint
+from .learners import DISTANCES
 
 
 def _task_spec_args(parser):
@@ -143,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--eval-inner-steps", type=int, default=10)
         p.add_argument("--inner-lr", type=float, default=0.01)
-        p.add_argument("--distance", default="sqeuclidean")
+        p.add_argument("--distance", choices=DISTANCES, default="sqeuclidean")
         p.add_argument("--out", default=None)
         p.set_defaults(fn=_cmd_eval)
 

@@ -11,7 +11,7 @@ with full-batch gradient descent, then is judged on the query set.
 Adaptation is first-order by default: the inner update is detached, and the
 outer gradient is the query gradient at the adapted parameters applied to
 the initial slots.  Exact second-order updates re-record the inner updates
-on the tape and are limited to networks of fully-connected and relu layers.
+on the tape, for every layer kind.
 
 :func:`maml_adapt` returns the adapted parameters as a list of per-layer
 dicts, the layout of :func:`~fewshot_ibp.layers.make_param_nodes`.  Tasks
@@ -54,7 +54,6 @@ from .tensor import (
     value_of,
 )
 
-SECOND_ORDER_KINDS = ("fully_connected", "relu")
 DISTANCES = ("sqeuclidean", "euclidean")
 
 
@@ -193,9 +192,8 @@ def maml_adapt(
     gradients are read, and returns detached arrays; ``start_params`` (default:
     the network's own) may carry a leading task axis, as in
     :func:`maml_adapt_tasks`.  Otherwise the updates are recorded on ``tape``
-    starting from ``theta_params`` so the outer gradient is exact; this
-    requires every layer kind to support differentiation through gradients,
-    and the caller releases ``tape``.
+    starting from ``theta_params`` so the outer gradient is exact, and the
+    caller releases ``tape``.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
@@ -225,11 +223,6 @@ def maml_adapt(
             ]
         return current
 
-    bad = {l.kind for l in network.layers} - set(SECOND_ORDER_KINDS)
-    if bad:
-        raise ValueError(
-            f"second-order adaptation unsupported for layer kinds {sorted(bad)}"
-        )
     if tape is None or theta_params is None:
         raise ValueError("second-order adaptation needs the outer tape and leaves")
     current = theta_params

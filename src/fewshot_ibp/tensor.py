@@ -6,16 +6,17 @@ Differentiable computations happen on a :class:`Tape`: operations accept a mix
 of plain arrays (constants) and :class:`Node` handles, and return a ``Node``
 whenever a node participates.  The backward pass expresses adjoints with the
 same operation set, so gradients are themselves tape nodes and can be
-differentiated again (used for exact second-order meta-updates on networks
-whose layers are all graph-safe).
+differentiated again (used for exact second-order meta-updates).
 
 Hot chains of primitives are single fused nodes with analytic
 vector-Jacobian products: ``sub`` (one node, not ``add`` of ``neg``) and
 ``linear`` (``x @ wᵀ + b``); the learners and the objective fuse their
-cross-entropy and bound losses the same way.  A fused vjp is written with
-the same operations as everything else, so it is graph-safe: with
-``build_graph=True`` it records the nodes of its own derivative, and
-second-order meta-updates differentiate through it.
+cross-entropy and bound losses the same way.  ``conv2d`` and ``maxpool2d``
+are numpy kernels whose vjps are private tape ops: a transposed
+convolution and a kernel gradient, and a scatter into the argmax
+positions, each differentiable again.  Every vjp is written with tape
+operations, so with ``build_graph=True`` it records the nodes of its own
+derivative, and second-order meta-updates differentiate through it.
 
 ``matmul``, ``transpose``, ``linear``, ``conv2d`` and ``maxpool2d`` accept a
 leading task axis: a stack of T independent problems, each with its own
@@ -98,21 +99,18 @@ class Node:
     output adjoint to one adjoint per parent.  ``inputs`` and ``out`` are the
     parent nodes and the node itself when the backward pass builds a graph,
     or their raw values otherwise, so a single vjp body serves both modes.
-    Nodes whose vjp falls back to raw numpy are marked ``graph_safe=False``
-    and reject graph-building backward passes.
     """
 
-    __slots__ = ("tape", "value", "parents", "vjp", "graph_safe")
+    __slots__ = ("tape", "value", "parents", "vjp")
 
     # make ndarray <op> Node defer to the reflected Node operators
     __array_ufunc__ = None
 
-    def __init__(self, tape, value, parents=(), vjp=None, graph_safe=True):
+    def __init__(self, tape, value, parents=(), vjp=None):
         self.tape = tape
         self.value = value
         self.parents = parents
         self.vjp = vjp
-        self.graph_safe = graph_safe
         tape._nodes.append(self)
 
     @property
@@ -187,10 +185,9 @@ class Tape:
         Walks the recorded nodes once in reverse order, which is a reverse
         topological order because recording order is execution order.  With
         ``build_graph=True`` the adjoints are created as tape nodes (enabling
-        differentiation through the gradients); every node on the path must
-        then be graph-safe, and only nodes computed from a requested parameter
-        are walked.  Returns ``{param: gradient}``; parameters that do not
-        reach the loss get zero gradients.  A parameter may be a computed node
+        differentiation through the gradients), and only nodes computed from a
+        requested parameter are walked.  Returns ``{param: gradient}``;
+        parameters that do not reach the loss get zero gradients.  A parameter may be a computed node
         rather than a leaf (a parameter after an inner update); its gradient
         is its full adjoint.
         """
@@ -226,11 +223,6 @@ class Tape:
                 g = adjoints.pop(id(node), None)
             if g is None:
                 continue
-            if build_graph and not node.graph_safe:
-                raise ValueError(
-                    "operation does not support differentiation through its "
-                    "gradient (graph-unsafe node on the backward path)"
-                )
             if build_graph:
                 inputs, out = node.parents, node
             else:
@@ -501,28 +493,138 @@ def sum_(a, axis=None, keepdims=False):
     return Node(tape, out, (a,), vjp)
 
 
-
 # ---------------------------------------------------------------------------
-# Spatial operations.  Backward passes are plain numpy (im2col based); their
-# vjps return raw arrays, so these nodes are graph-unsafe: first-order
-# gradients are exact, but gradients of gradients are not available.
+# Spatial operations.  A convolution is a bilinear op, and so are its two
+# gradients: the input gradient (a transposed convolution) and the weight
+# gradient.  Each one's vjp is written with the other two, so the three are
+# closed under differentiation and gradients of gradients are tape nodes.
+# Max pooling's vjp scatters into the argmax positions; the scatter's vjp is
+# the matching gather, and the gather's the scatter.  Each public op defines
+# its vjp inside itself, so its nodes carry its name; vjps call only the
+# private kernels, so a wrapper around a public op sees forward calls only.
 # ---------------------------------------------------------------------------
 
 
-def _window_view(x, kh, kw, stride):
-    n, c, h, w = x.shape
+def _out_hw(h, w, kh, kw, stride):
     oh = (h - kh) // stride + 1
     ow = (w - kw) // stride + 1
     if oh <= 0 or ow <= 0:
         raise ValueError(f"window {kh}x{kw} too large for input {h}x{w}")
-    s0, s1, s2, s3 = x.strides
-    view = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, oh, ow, kh, kw),
-        strides=(s0, s1, s2 * stride, s3 * stride, s2, s3),
+    return oh, ow
+
+
+def _offset_views(a, kh, kw, stride, out_hw):
+    """The kh·kw strided views of ``a`` (..., h, w), one per offset in a
+    (kh, kw) window in row-major order, each (..., oh, ow): view ``k`` holds
+    offset ``k`` of every window."""
+    rows, cols = stride * (out_hw[0] - 1) + 1, stride * (out_hw[1] - 1) + 1
+    return [
+        a[..., i : i + rows : stride, j : j + cols : stride]
+        for i in range(kh)
+        for j in range(kw)
+    ]
+
+
+def _bilinear(tape, out, a, b, grad_a, grad_b):
+    """Node for an op linear in each of ``a`` and ``b``: ``grad_a(h, b)`` and
+    ``grad_b(h, a)`` map the output adjoint ``h`` to each operand's."""
+
+    def vjp(h, inputs, o):
+        ops = iter(inputs)
+        xa = next(ops) if isinstance(a, Node) else a
+        xb = next(ops) if isinstance(b, Node) else b
+        ga = grad_a(h, xb) if isinstance(a, Node) else None
+        gb = grad_b(h, xa) if isinstance(b, Node) else None
+        return _node_only(((ga, a), (gb, b)))
+
+    return Node(tape, out, _node_only(((a, a), (b, b))), vjp)
+
+
+def _im2col(vx, kh, kw, stride):
+    """Every kernel window of ``vx`` (..., n, c, h, w) as the columns of a
+    (..., n, c·kh·kw, oh·ow) matrix, built with one copy, and (oh, ow)."""
+    *lead, c, h, w = vx.shape
+    oh, ow = _out_hw(h, w, kh, kw, stride)
+    flat = vx.reshape((-1, c, h, w))
+    s0, s1, s2, s3 = flat.strides
+    windows = np.lib.stride_tricks.as_strided(
+        flat,
+        shape=(flat.shape[0], c, kh, kw, oh, ow),
+        strides=(s0, s1, s2, s3, s2 * stride, s3 * stride),
         writeable=False,
     )
-    return view, oh, ow
+    return windows.reshape(tuple(lead) + (c * kh * kw, oh * ow)), (oh, ow)
+
+
+def _kernel_matrix(vw):
+    """Kernel (..., out_c, in_c, kh, kw) as an (out_c, in_c·kh·kw) matrix; a
+    per-task stack gains a broadcast axis for the batch."""
+    w_mat = vw.reshape(vw.shape[:-3] + (-1,))
+    return w_mat[:, None] if w_mat.ndim == 3 else w_mat
+
+
+def _conv_value(cols, out_hw, vw):
+    return (_kernel_matrix(vw) @ cols).reshape(cols.shape[:-2] + vw.shape[-4:-3] + out_hw)
+
+
+def _conv(x, w, stride):
+    """``conv2d`` without bias, as a tape op of its own."""
+    tape = _tape_of(x, w)
+    vx, vw = value_of(x), value_of(w)
+    out = _conv_value(*_im2col(vx, *vw.shape[-2:], stride), vw)
+    if tape is None:
+        return out
+    x_shape, w_shape = vx.shape, vw.shape
+    return _bilinear(
+        tape, out, x, w,
+        lambda g, w_: _conv_input_grad(g, w_, x_shape, stride),
+        lambda g, x_: _conv_weight_grad(g, x_, w_shape, stride),
+    )
+
+
+def _conv_input_grad(g, w, x_shape, stride):
+    """Adjoint of a convolution's input for output adjoint ``g``: the
+    transposed convolution ``w_matᵀ @ g``, folded back onto ``x_shape`` one
+    kernel offset at a time."""
+    tape = _tape_of(g, w)
+    vg, vw = value_of(g), value_of(w)
+    in_c, kh, kw = vw.shape[-3:]
+    out_hw = vg.shape[-2:]
+    g_mat = vg.reshape(vg.shape[:-2] + (-1,))
+    dcols = (np.swapaxes(_kernel_matrix(vw), -1, -2) @ g_mat).reshape(
+        vg.shape[:-3] + (in_c, kh * kw) + out_hw
+    )
+    dx = np.zeros(x_shape)
+    for k, view in enumerate(_offset_views(dx, kh, kw, stride, out_hw)):
+        view += dcols[..., k, :, :]
+    if tape is None:
+        return dx
+    return _bilinear(
+        tape, dx, g, w,
+        lambda h, w_: _conv(h, w_, stride),
+        lambda h, g_: _conv_weight_grad(g_, h, vw.shape, stride),
+    )
+
+
+def _conv_weight_grad(g, x, w_shape, stride, cols=None):
+    """Adjoint of a convolution's kernel for output adjoint ``g`` and input
+    ``x``: ``g @ colsᵀ`` summed over the batch, and over the tasks when the
+    kernel is shared.  ``cols`` is the column matrix of ``x`` if known."""
+    tape = _tape_of(g, x)
+    vg, vx = value_of(g), value_of(x)
+    if cols is None:
+        cols, _ = _im2col(vx, *w_shape[-2:], stride)
+    g_mat = vg.reshape(vg.shape[:-2] + (-1,))
+    prod = g_mat @ np.swapaxes(cols, -1, -2)  # (..., n, out_c, in_c·kh·kw)
+    dw = _unbroadcast(prod.sum(axis=-3), w_shape[:-3] + prod.shape[-1:]).reshape(w_shape)
+    if tape is None:
+        return dw
+    x_shape = vx.shape
+    return _bilinear(
+        tape, dw, g, x,
+        lambda k, x_: _conv(x_, k, stride),
+        lambda k, g_: _conv_input_grad(g_, k, x_shape, stride),
+    )
 
 
 def conv2d(x, weight, bias, stride: int = 1):
@@ -539,50 +641,70 @@ def conv2d(x, weight, bias, stride: int = 1):
     tape = _tape_of(x, weight, bias)
     vx, vw = value_of(x), value_of(weight)
     vb = None if bias is None else value_of(bias)
-    out_c, in_c, kh, kw = vw.shape[-4:]
-    lead = vx.shape[:-4]
     if (
         vx.ndim not in (4, 5)
-        or vx.shape[-3] != in_c
-        or vw.shape[:-4] not in ((), lead)
+        or vw.ndim not in (4, 5)
+        or vw.shape[:-4] not in ((), vx.shape[:-4])
+        or vx.shape[-3] != vw.shape[-3]
         or (vb is not None and vb.shape != vw.shape[:-3])
     ):
         raise ValueError(
             f"conv2d input shape {vx.shape} incompatible with kernel {vw.shape} "
             f"and bias {None if vb is None else vb.shape}"
         )
-    n = vx.shape[-4]
-    windows, oh, ow = _window_view(vx.reshape((-1,) + vx.shape[-3:]), kh, kw, stride)
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(lead + (n, oh, ow, -1))
-    w_mat = vw.reshape(vw.shape[:-3] + (-1,))
-    out = np.einsum("...nijk,...ok->...noij", cols, w_mat)
+    cols, out_hw = _im2col(vx, *vw.shape[-2:], stride)
+    out = _conv_value(cols, out_hw, vw)
     if vb is not None:
-        out += vb.reshape(vb.shape[:-1] + (1, out_c, 1, 1))
+        out += vb.reshape(vb.shape[:-1] + (1, -1, 1, 1))
     if tape is None:
         return out
-
-    x_shape = vx.shape
+    x_shape, w_shape = vx.shape, vw.shape
+    cols = cols if isinstance(weight, Node) else None  # only the weight gradient reads it
 
     def vjp(g, inputs, o):
-        g = value_of(g)
-        g_mat = np.moveaxis(g, -3, -1).reshape(lead + (-1, out_c))
-        grads = []
-        if isinstance(x, Node):
-            dcols = (g_mat @ w_mat).reshape(lead + (n, oh, ow, in_c, kh, kw))
-            dx = np.zeros(x_shape)
-            for i in range(oh):
-                for j in range(ow):
-                    dx[..., i * stride : i * stride + kh, j * stride : j * stride + kw] += dcols[..., i, j, :, :, :]
-            grads.append(dx)
-        if isinstance(weight, Node):
-            gw = np.swapaxes(g_mat, -1, -2) @ cols.reshape(lead + (-1, cols.shape[-1]))
-            grads.append(_unbroadcast(gw, w_mat.shape).reshape(vw.shape))
+        ops = iter(inputs)
+        xx = next(ops) if isinstance(x, Node) else x
+        xw = next(ops) if isinstance(weight, Node) else weight
+        gx = _conv_input_grad(g, xw, x_shape, stride) if isinstance(x, Node) else None
+        gw = _conv_weight_grad(g, xx, w_shape, stride, cols) if isinstance(weight, Node) else None
+        gb = None
         if isinstance(bias, Node):
-            grads.append(_unbroadcast(g.sum(axis=(-4, -2, -1)), vb.shape))
-        return tuple(grads)
+            gb = _unbroadcast(sum_(g, axis=(-4, -2, -1)), bias.shape)
+        return _node_only(((gx, x), (gw, weight), (gb, bias)))
 
-    parents = tuple(p for p in (x, weight, bias) if isinstance(p, Node))
-    return Node(tape, out, parents, vjp, graph_safe=False)
+    return Node(tape, out, _node_only(((x, x), (weight, weight), (bias, bias))), vjp)
+
+
+def _pool_scatter(g, arg, x_shape, window, stride):
+    """Adjoint of max pooling: ``g`` added at each window's argmax offset
+    ``arg`` in a zero array of ``x_shape``."""
+    tape = _tape_of(g)
+    vg = value_of(g)
+    dx = np.zeros(x_shape)
+    for k, view in enumerate(_offset_views(dx, window, window, stride, arg.shape[-2:])):
+        view += np.where(arg == k, vg, 0.0)
+    if tape is None:
+        return dx
+    return Node(
+        tape, dx, (g,), lambda h, inputs, o: (_pool_gather(h, arg, window, stride),)
+    )
+
+
+def _pool_gather(h, arg, window, stride):
+    """Each window's entry of ``h`` at its argmax offset ``arg``: the adjoint
+    of :func:`_pool_scatter`."""
+    tape = _tape_of(h)
+    vh = value_of(h)
+    out = np.zeros(arg.shape)
+    for k, view in enumerate(_offset_views(vh, window, window, stride, arg.shape[-2:])):
+        np.copyto(out, view, where=arg == k)
+    if tape is None:
+        return out
+    x_shape = vh.shape
+    return Node(
+        tape, out, (h,),
+        lambda g, inputs, o: (_pool_scatter(g, arg, x_shape, window, stride),),
+    )
 
 
 def maxpool2d(x, window: int, stride: int | None = None):
@@ -590,6 +712,8 @@ def maxpool2d(x, window: int, stride: int | None = None):
 
     Stride defaults to the window size (non-overlapping pooling).  ``x`` is
     (batch, c, h, w), or (tasks, batch, c, h, w) with a leading task axis.
+    The gradient goes to the first maximum of each window, in row-major
+    order.
     """
     if window <= 0:
         raise ValueError("pool window must be positive")
@@ -602,22 +726,21 @@ def maxpool2d(x, window: int, stride: int | None = None):
         raise ValueError(
             f"maxpool2d expects (batch, c, h, w) or (tasks, batch, c, h, w), got {vx.shape}"
         )
-    flat_x = vx.reshape((-1,) + vx.shape[-3:])
-    windows, oh, ow = _window_view(flat_x, window, window, stride)
-    n, c = flat_x.shape[:2]
-    flat = windows.reshape(n, c, oh, ow, -1)
-    arg = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-    out = out.reshape(vx.shape[:-2] + (oh, ow))
+    out_hw = _out_hw(*vx.shape[-2:], window, window, stride)
+    first, *rest = _offset_views(vx, window, window, stride, out_hw)
+    out = first.copy()
+    # on a tie np.maximum returns its second operand, the earlier max
     if tape is None:
+        for view in rest:
+            np.maximum(view, out, out=out)
         return out
+    arg = np.zeros(out.shape, dtype=np.min_scalar_type(window * window - 1))
+    for k, view in enumerate(rest, 1):
+        np.putmask(arg, view > out, k)  # strict: ties keep the first max, as argmax does
+        np.maximum(view, out, out=out)
+    x_shape = vx.shape
 
     def vjp(g, inputs, o):
-        g = value_of(g).reshape(arg.shape)
-        dx = np.zeros_like(flat_x)
-        ki, kj = np.unravel_index(arg, (window, window))
-        b_idx, c_idx, i_idx, j_idx = np.indices(arg.shape)
-        np.add.at(dx, (b_idx, c_idx, i_idx * stride + ki, j_idx * stride + kj), g)
-        return (dx.reshape(vx.shape),)
+        return (_pool_scatter(g, arg, x_shape, window, stride),)
 
-    return Node(tape, out, (x,), vjp, graph_safe=False)
+    return Node(tape, out, (x,), vjp)

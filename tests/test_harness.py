@@ -146,6 +146,40 @@ class TestTrainLoop:
         _, rows, summary = H.train(cfg)
         assert summary["status"] == "completed"
 
+    def test_maml_second_order_conv_network_runs(self):
+        image = {**SYNTH, "shape": [1, 6, 6]}
+        cfg = make_config(
+            learner="maml",
+            objective="ibpi",
+            epsilon=0.1,
+            first_order=False,
+            layers=[
+                {"kind": "conv2d", "in_channels": 1, "out_channels": 2, "kernel": 3},
+                {"kind": "batchnorm", "channels": 2},
+                {"kind": "relu"},
+                {"kind": "maxpool2d", "window": 2},
+                {"kind": "flatten"},
+                {"kind": "fully_connected", "in": 8, "out": 3},
+            ],
+            split_index=4,
+            data={
+                split: {"synth": {**image, "seed": seed, "role": role}}
+                for split, seed, role in (
+                    ("train", 1, "train"), ("val", 2, "validation"), ("test", 3, "test")
+                )
+            },
+            bounds_on_adapted=True,
+            interp_probability=1.0,
+            max_steps=4,
+            meta_batch=2,
+            inner_steps=2,
+            n_eval_tasks=4,
+            n_val_tasks=4,
+        )
+        _, rows, summary = H.train(cfg)
+        assert summary["status"] == "completed"
+        assert len(rows) == 4
+
     def test_static_weights_respected(self):
         _, rows, _ = H.train(
             make_config(objective="ibp", epsilon=0.1, static_weights=[0.6, 0.2, 0.2])
@@ -452,6 +486,19 @@ class TestCli:
         assert rc == 1
         record = json.loads(capsys.readouterr().err.strip())
         assert "error" in record and "message" in record
+
+    @pytest.mark.parametrize("command", ["eval", "transfer"])
+    @pytest.mark.parametrize("learner", ["protonet", "maml"])
+    def test_unknown_distance_rejected_before_loading(self, tmp_path, capsys, command, learner):
+        argv = [
+            command, "--checkpoint", str(tmp_path / "missing.ckpt"),
+            "--dataset", str(tmp_path / "missing.fsds"),
+            "--learner", learner, "--distance", "sqeuclidian",
+        ]
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'sqeuclidian'" in capsys.readouterr().err
 
     def test_seed_override_changes_results(self, tmp_path):
         train_ds = tmp_path / "train.fsds"

@@ -20,6 +20,7 @@ from fewshot_ibp import tensor as T
 from fewshot_ibp.config import RunConfig
 from fewshot_ibp.episodes import Task, TaskSpec, sample_task, synth_dataset
 from fewshot_ibp.optim import adam, optimizer_step
+from test_tensor import fd_gradient, randomize_biases
 
 
 class TestPrototypes:
@@ -293,25 +294,56 @@ class TestMamlAdapt:
         fd = (query_loss_after_adapt(w0 + h) - query_loss_after_adapt(w0 - h)) / (2 * h)
         assert got == pytest.approx(fd, rel=1e-6)
 
-    def test_second_order_rejected_for_unsupported_layers(self):
+    def test_second_order_conv_network_matches_finite_differences(self):
+        # two exact inner steps on conv -> batchnorm -> relu -> maxpool ->
+        # flatten -> fc; the outer gradient of the query loss runs through
+        # both inner gradients, so through every spatial op's own vjp.
+        # Batchnorm statistics are detached by design, so they are frozen
+        # here: the loss is then the function the tape differentiates.
         rng = np.random.default_rng(4)
         net = L.Network(
-            [L.init_conv(1, 2, 3, rng), L.flatten(), L.init_fully_connected(32, 2, rng)],
-            split_index=2,
+            [
+                L.init_conv(1, 2, 3, rng),
+                L.batchnorm(2),
+                L.relu(),
+                L.maxpool(2),
+                L.flatten(),
+                L.init_fully_connected(8, 2, rng),
+            ],
+            split_index=5,
         )
-        tape = T.Tape()
-        theta = L.make_param_nodes(net.layers, tape)
-        with pytest.raises(ValueError):
-            LR.maml_adapt(
-                net,
-                np.zeros((2, 1, 6, 6)),
-                np.array([0, 1]),
-                0.1,
-                1,
-                first_order=False,
-                tape=tape,
-                theta_params=theta,
+        randomize_biases(net, rng)
+        support_x, query_x = rng.standard_normal((2, 4, 1, 6, 6))
+        support_y, query_y = np.array([0, 1, 0, 1]), np.array([1, 0, 0, 1])
+        lr, steps = 0.3, 2
+        stats = []
+        L.forward(net.layers, support_x, stats_out=stats)
+
+        def loss(params, x, y):
+            return LR.cross_entropy(
+                L.forward(net.layers, x, params=params, frozen_stats=stats), y
             )
+
+        def inner_loss(params, tape):
+            return loss(params, support_x, support_y)
+
+        def query_loss_after_adapt(flat):
+            net.set_parameter_arrays(flat)
+            adapted = LR.maml_adapt(net, None, None, lr, steps, inner_loss=inner_loss)
+            return float(loss(adapted, query_x, query_y))
+
+        theta0 = net.parameter_arrays()
+        with T.Tape() as tape:
+            theta = L.make_param_nodes(net.layers, tape)
+            adapted = LR.maml_adapt(
+                net, None, None, lr, steps, first_order=False, tape=tape,
+                theta_params=theta, inner_loss=inner_loss,
+            )
+            flat = L.param_nodes_to_list(theta)
+            grads = tape.backward(loss(adapted, query_x, query_y), flat)
+        for idx, node in enumerate(flat):
+            fd = fd_gradient(query_loss_after_adapt, theta0, idx)
+            assert np.max(np.abs(grads[node] - fd)) <= 1e-5 * max(np.max(np.abs(fd)), 1.0)
 
     def test_second_order_steps_move_like_first_order_steps(self):
         # the inner updates have the same values in both modes; only what the
@@ -528,6 +560,11 @@ class TestBatchedMetaStep:
     @pytest.mark.parametrize("objective", OBJECTIVES)
     def test_conv_network_equals_per_task_loop(self, objective, flags, monkeypatch):
         self.check(conv_pool_network, objective, True, flags, monkeypatch, steps=2)
+
+    @pytest.mark.parametrize("flags", [True, False])
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_second_order_conv_network_equals_per_task_loop(self, objective, flags, monkeypatch):
+        self.check(conv_pool_network, objective, False, flags, monkeypatch, steps=2)
 
 
 class TestPredictAccuracy:
@@ -771,7 +808,7 @@ class TestTapeBudget:
         return total
 
     @staticmethod
-    def one_step(step, **overrides):
+    def one_step(step, make=fc_pool_network, **overrides):
         cfg = RunConfig(**{
             "learner": "protonet",
             "objective": "ibpi",
@@ -784,12 +821,18 @@ class TestTapeBudget:
             "interp_probability": 1.0,  # interpolation fires: the largest step
             **overrides,
         })
-        net, ds = fc_pool_network(0)
+        net, ds = make(0)
         step(net, ds, cfg, 0.1, np.random.default_rng(1), np.random.default_rng(2), adam(0.01))
 
     def test_protonet_step(self, node_count):
         self.one_step(H._protonet_step)
         assert node_count[0] <= 69  # 115 before fusing
+
+    def test_protonet_conv_step(self, node_count):
+        # the conv, batchnorm, relu, maxpool prefix with its conv boxes
+        self.one_step(H._protonet_step, conv_pool_network, objective="ibp",
+                      layers=[{"kind": "relu"}] * 6, split_index=4)
+        assert node_count[0] <= 69
 
     # 363 and 708 before fusing
     @pytest.mark.parametrize("first_order,budget", [(True, 157), (False, 463)])

@@ -264,16 +264,27 @@ class TestConv:
         bias = rng.standard_normal(3)
 
         def loss_fn(arrays):
-            return float(np.sum(T.conv2d(x, arrays[0], arrays[1]) ** 2))
+            return float(np.sum(T.conv2d(*arrays) ** 2))
 
         tape = T.Tape()
-        wn, bn = tape.leaf(weight), tape.leaf(bias)
-        out = T.conv2d(x, wn, bn)
+        nodes = [tape.leaf(a) for a in (x, weight, bias)]
+        out = T.conv2d(*nodes)
         loss = T.sum_(T.mul(out, out))
-        grads = tape.backward(loss, [wn, bn])
-        for idx, node in enumerate([wn, bn]):
-            fd = fd_gradient(loss_fn, [weight, bias], idx)
+        grads = tape.backward(loss, nodes)
+        for idx, node in enumerate(nodes):
+            fd = fd_gradient(loss_fn, [x, weight, bias], idx)
             assert np.max(np.abs(grads[node] - fd)) / np.max(np.abs(fd)) < 1e-5
+
+    def test_bad_kernel_rank_names_both_shapes(self):
+        with pytest.raises(ValueError, match=r"\(1, 1, 5, 5\).*\(3, 3\)"):
+            T.conv2d(np.zeros((1, 1, 5, 5)), np.zeros((3, 3)), None)
+
+    def test_window_too_large_rejected(self):
+        x = np.zeros((1, 1, 4, 4))
+        with pytest.raises(ValueError, match="too large"):
+            T.conv2d(x, np.zeros((1, 1, 5, 5)), None)
+        with pytest.raises(ValueError, match="too large"):
+            T.maxpool2d(x, 5)
 
 
 class TestMaxpoolAndBatchnorm:
@@ -297,6 +308,23 @@ class TestMaxpoolAndBatchnorm:
         xn = tape.leaf(x)
         loss = T.sum_(T.mul(T.maxpool2d(xn, 2), T.maxpool2d(xn, 2)))
         (g,) = tape.backward(loss, [xn]).values()
+        fd = fd_gradient(loss_fn, [x], 0)
+        assert np.max(np.abs(g - fd)) / np.max(np.abs(fd)) < 1e-5
+
+    @pytest.mark.parametrize("window,stride", [(2, 1), (3, 1), (3, 2)])
+    def test_overlapping_maxpool_gradient_matches_finite_differences(self, window, stride):
+        x = np.random.default_rng(11).standard_normal((2, 2, 7, 7))
+        c = np.random.default_rng(12).standard_normal(
+            np.shape(T.maxpool2d(x, window, stride))
+        )
+
+        def loss_fn(arrays):
+            return float(np.sum(T.maxpool2d(arrays[0], window, stride) ** 2 * c))
+
+        tape = T.Tape()
+        xn = tape.leaf(x)
+        out = T.maxpool2d(xn, window, stride)
+        (g,) = tape.backward(T.sum_(T.mul(T.mul(out, out), c)), [xn]).values()
         fd = fd_gradient(loss_fn, [x], 0)
         assert np.max(np.abs(g - fd)) / np.max(np.abs(fd)) < 1e-5
 
@@ -352,13 +380,46 @@ class TestSecondOrder:
         (g2,) = tape.backward(g1, [w]).values()
         assert g2 == pytest.approx(2 * x * x)
 
-    def test_graph_unsafe_ops_reject_build_graph(self):
+    @staticmethod
+    def conv_pool_loss(x, w, b, c):
+        out = T.maxpool2d(T.conv2d(x, w, b), 2, 1)
+        return T.sum_(T.mul(T.mul(out, out), c))
+
+    def test_gradient_of_gradient_through_conv_and_maxpool(self):
+        # h(x, W, b) = sum of <dL/dp, r_p> over the three operands, with the
+        # graph-mode gradients differentiated again, against finite
+        # differences of the first-order gradients
+        rng = np.random.default_rng(35)
+        arrays = [
+            rng.standard_normal((2, 2, 6, 6)),
+            rng.standard_normal((3, 2, 2, 2)),
+            rng.standard_normal(3),
+        ]
+        c = rng.standard_normal((2, 3, 4, 4))
+        r = [rng.standard_normal(a.shape) for a in arrays]
+
+        def first_order_grads(arrs):
+            tape = T.Tape()
+            nodes = [tape.leaf(a) for a in arrs]
+            grads = tape.backward(self.conv_pool_loss(*nodes, c), nodes)
+            return [grads[n] for n in nodes]
+
+        def h(arrs):
+            return float(sum(np.sum(g * rp) for g, rp in zip(first_order_grads(arrs), r)))
+
         tape = T.Tape()
-        x = tape.leaf(np.ones((1, 1, 4, 4)))
-        out = T.maxpool2d(x, 2)
-        loss = T.sum_(T.mul(out, out))
-        with pytest.raises(ValueError):
-            tape.backward(loss, [x], build_graph=True)
+        nodes = [tape.leaf(a) for a in arrays]
+        grads = tape.backward(self.conv_pool_loss(*nodes, c), nodes, build_graph=True)
+        for n, want in zip(nodes, first_order_grads(arrays)):
+            assert isinstance(grads[n], T.Node)
+            np.testing.assert_allclose(T.value_of(grads[n]), want, rtol=1e-12, atol=1e-12)
+        hv = T.sum_(T.mul(grads[nodes[0]], r[0]))
+        for n, rp in zip(nodes[1:], r[1:]):
+            hv = T.add(hv, T.sum_(T.mul(grads[n], rp)))
+        second = tape.backward(hv, nodes)
+        for idx, node in enumerate(nodes):
+            fd = fd_gradient(h, arrays, idx)
+            assert np.max(np.abs(second[node] - fd)) / np.max(np.abs(fd)) < 1e-5
 
 
 class TestTaskAxis:
@@ -692,3 +753,159 @@ class TestFusedNodes:
             chain_bound_losses(centers, lower, upper, task_axis),
         ):
             np.testing.assert_array_equal(got, want)
+
+
+# The convolution and max pooling that the matmul and strided-view kernels
+# replaced, copied as references.  Only the tape recording is gone: each
+# returns its output and a vjp from the output adjoint to plain arrays.
+
+
+def _window_view(x, kh, kw, stride):
+    n, c, h, w = x.shape
+    oh = (h - kh) // stride + 1
+    ow = (w - kw) // stride + 1
+    if oh <= 0 or ow <= 0:
+        raise ValueError(f"window {kh}x{kw} too large for input {h}x{w}")
+    s0, s1, s2, s3 = x.strides
+    view = np.lib.stride_tricks.as_strided(
+        x,
+        shape=(n, c, oh, ow, kh, kw),
+        strides=(s0, s1, s2 * stride, s3 * stride, s2, s3),
+        writeable=False,
+    )
+    return view, oh, ow
+
+
+def reference_conv2d(vx, vw, vb, stride=1):
+    """einsum convolution; the vjp returns the (x, weight, bias) adjoints."""
+    out_c, in_c, kh, kw = vw.shape[-4:]
+    lead = vx.shape[:-4]
+    n = vx.shape[-4]
+    windows, oh, ow = _window_view(vx.reshape((-1,) + vx.shape[-3:]), kh, kw, stride)
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(lead + (n, oh, ow, -1))
+    w_mat = vw.reshape(vw.shape[:-3] + (-1,))
+    out = np.einsum("...nijk,...ok->...noij", cols, w_mat)
+    out += vb.reshape(vb.shape[:-1] + (1, out_c, 1, 1))
+    x_shape = vx.shape
+
+    def vjp(g):
+        g_mat = np.moveaxis(g, -3, -1).reshape(lead + (-1, out_c))
+        dcols = (g_mat @ w_mat).reshape(lead + (n, oh, ow, in_c, kh, kw))
+        dx = np.zeros(x_shape)
+        for i in range(oh):
+            for j in range(ow):
+                dx[..., i * stride : i * stride + kh, j * stride : j * stride + kw] += dcols[..., i, j, :, :, :]
+        gw = np.swapaxes(g_mat, -1, -2) @ cols.reshape(lead + (-1, cols.shape[-1]))
+        gw = T._unbroadcast(gw, w_mat.shape).reshape(vw.shape)
+        return dx, gw, T._unbroadcast(g.sum(axis=(-4, -2, -1)), vb.shape)
+
+    return out, vjp
+
+
+def reference_maxpool2d(vx, window, stride=None):
+    """argmax pooling; the vjp scatters with ``np.add.at``."""
+    stride = window if stride is None else stride
+    flat_x = vx.reshape((-1,) + vx.shape[-3:])
+    windows, oh, ow = _window_view(flat_x, window, window, stride)
+    n, c = flat_x.shape[:2]
+    flat = windows.reshape(n, c, oh, ow, -1)
+    arg = flat.argmax(axis=-1)
+    out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+    out = out.reshape(vx.shape[:-2] + (oh, ow))
+
+    def vjp(g):
+        g = g.reshape(arg.shape)
+        dx = np.zeros_like(flat_x)
+        ki, kj = np.unravel_index(arg, (window, window))
+        b_idx, c_idx, i_idx, j_idx = np.indices(arg.shape)
+        np.add.at(dx, (b_idx, c_idx, i_idx * stride + ki, j_idx * stride + kj), g)
+        return dx.reshape(vx.shape)
+
+    return out, vjp
+
+
+def tape_vjp(op, arrays, g):
+    """Output and adjoints of ``op`` on leaves ``arrays`` for output adjoint ``g``."""
+    tape = T.Tape()
+    leaves = [tape.leaf(a) for a in arrays]
+    out = op(*leaves)
+    grads = tape.backward(T.sum_(T.mul(out, g)), leaves)
+    return T.value_of(out), [grads[n] for n in leaves]
+
+
+def close(got, want):
+    assert np.shape(got) == np.shape(want)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+class TestSpatialKernelsMatchReference:
+    """``conv2d`` and ``maxpool2d`` against the kernels they replaced."""
+
+    # (x shape, kernel shape without kh, kw): plain, task axis with a shared
+    # kernel, task axis with one kernel per task
+    CONV_LAYOUTS = [((2, 3, 7, 7), (4, 3)), ((3, 2, 3, 7, 7), (4, 3)), ((3, 2, 3, 7, 7), (3, 4, 3))]
+
+    @pytest.mark.parametrize("layout", range(3))
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("kernel", [1, 2, 3])
+    def test_conv2d(self, layout, stride, kernel):
+        x_shape, w_lead = self.CONV_LAYOUTS[layout]
+        rng = np.random.default_rng(100 * layout + 10 * stride + kernel)
+        x = rng.standard_normal(x_shape)
+        w = rng.standard_normal(w_lead + (kernel, kernel))
+        b = rng.standard_normal(w_lead[:-1])
+        want, ref_vjp = reference_conv2d(x, w, b, stride)
+        close(T.conv2d(x, w, b, stride), want)
+        g = rng.standard_normal(want.shape)
+        out, grads = tape_vjp(lambda *a: T.conv2d(*a, stride=stride), [x, w, b], g)
+        close(out, want)
+        for got, ref in zip(grads, ref_vjp(g)):
+            close(got, ref)
+
+    @staticmethod
+    def pool_input(shape, data, rng):
+        x = rng.standard_normal(shape)
+        if data == "relu_zeros":
+            # after a relu many windows are all zero; the sign of each zero
+            # shows which one the forward pass kept
+            x = np.maximum(x - 0.5, 0.0)
+            x[x == 0.0] *= rng.choice([-1.0, 1.0], size=int(np.sum(x == 0.0)))
+        return x
+
+    @pytest.mark.parametrize("shape", [(2, 3, 7, 8), (3, 2, 2, 7, 8)])
+    @pytest.mark.parametrize("window,stride", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("data", ["normal", "relu_zeros"])
+    def test_maxpool2d(self, shape, window, stride, data):
+        rng = np.random.default_rng(window * 10 + stride)
+        x = self.pool_input(shape, data, rng)
+        want, ref_vjp = reference_maxpool2d(x, window, stride)
+        g = rng.standard_normal(want.shape)
+        untaped = T.maxpool2d(x, window, stride)
+        out, (grad,) = tape_vjp(lambda a: T.maxpool2d(a, window, stride), [x], g)
+        for got in (untaped, out):
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+        close(grad, ref_vjp(g))
+
+    @pytest.mark.parametrize("layout", range(3))
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv_kernels_are_mutual_adjoints(self, layout, stride):
+        # <conv(x, w), g> = <x, input_grad(g, w)> = <w, weight_grad(g, x)>,
+        # and <scatter(g), h> = <g, gather(h)>: each kernel is the transpose
+        # the others' vjps take it to be
+        x_shape, w_lead = self.CONV_LAYOUTS[layout]
+        rng = np.random.default_rng(60 + layout)
+        x = rng.standard_normal(x_shape)
+        w = rng.standard_normal(w_lead + (3, 3))
+        y = T._conv(x, w, stride)
+        g = rng.standard_normal(y.shape)
+        dot = np.sum(y * g)
+        assert np.sum(x * T._conv_input_grad(g, w, x.shape, stride)) == pytest.approx(dot, rel=1e-12)
+        assert np.sum(w * T._conv_weight_grad(g, x, w.shape, stride)) == pytest.approx(dot, rel=1e-12)
+
+        arg = rng.integers(0, 9, size=(x_shape[:-2] + (3, 3)), dtype=np.uint8)
+        gp = rng.standard_normal(arg.shape)
+        scattered = T._pool_scatter(gp, arg, x.shape, 3, stride)
+        assert np.sum(scattered * x) == pytest.approx(
+            np.sum(gp * T._pool_gather(x, arg, 3, stride)), rel=1e-12
+        )
