@@ -49,8 +49,9 @@ from .learners import (
     cross_entropy,
     maml_outer_step,
     maml_task_accuracies,
-    predict_accuracy,
     protonet_logits,
+    protonet_task_accuracies,
+    task_chunks,
 )
 from .objective import (
     LossTriple,
@@ -320,6 +321,13 @@ def _maml_step(network, dataset, config, eps_t, sample_rng, interp_rng, opt_stat
     return {"losses": losses, "weights": weights, "total": total}, opt_state
 
 
+def _task_rngs(seed_entropy, n_tasks: int):
+    """One generator per task, task ``i`` seeded by (entropy, i)."""
+    entropy = tuple(np.atleast_1d(seed_entropy).astype(np.uint64).tolist())
+    for i in range(n_tasks):
+        yield np.random.default_rng(np.random.SeedSequence(entropy + (i,)))
+
+
 def evaluate(
     network: Network,
     learner: str,
@@ -338,27 +346,22 @@ def evaluate(
     meta-learner adapts all ``n_tasks`` tasks at once
     (:func:`~fewshot_ibp.learners.maml_task_accuracies`), recording one tape
     per inner step for all of them, each released after its backward pass;
-    the prototype learner scores the tasks one by one as they are drawn.
+    the prototype learner scores them on a task axis, one chunk of tasks at
+    a time as they are drawn
+    (:func:`~fewshot_ibp.learners.protonet_task_accuracies`).
     Transfer is this call on a dataset other than the one trained on: the
     meta-learner still fine-tunes on each task's support set, and shape
     incompatibilities surface as ``ValueError`` from the forward pass.
     """
     if n_tasks < 1:
         raise ValueError("need at least one evaluation task")
-    entropy = tuple(np.atleast_1d(seed_entropy).astype(np.uint64).tolist())
-    tasks = (
-        sample_task(dataset, spec, np.random.default_rng(np.random.SeedSequence(entropy + (i,))))
-        for i in range(n_tasks)
-    )
+    tasks = (sample_task(dataset, spec, rng) for rng in _task_rngs(seed_entropy, n_tasks))
     if learner == "maml":
         accs = maml_task_accuracies(network, tasks, inner_lr, eval_inner_steps)
+    elif learner == "protonet":
+        accs = protonet_task_accuracies(network, tasks, distance)
     else:
-        accs = np.array(
-            [
-                predict_accuracy(learner, network, task, distance=distance)
-                for task in tasks
-            ]
-        )
+        raise ValueError(f"unknown learner {learner!r}")
     mean = float(np.mean(accs))
     ci = float(1.96 * np.std(accs, ddof=1) / np.sqrt(n_tasks)) if n_tasks > 1 else 0.0
     return mean, ci
@@ -376,27 +379,34 @@ def compactness(
 
     Per task, ``queries_per_task`` query instances (split evenly over the
     ways) are embedded through the prefix; each instance's Euclidean distance
-    to its nearest same-class neighbor is averaged.  Returns the mean and
-    sample std over tasks.
+    to its nearest same-class neighbor is averaged.  Task ``i`` is drawn from
+    its own stream seeded by (entropy, i), and the tasks are embedded on a
+    task axis a chunk at a time, as in :func:`evaluate`.  Returns the mean
+    and sample std over tasks.
     """
+    if n_tasks < 1:
+        raise ValueError("need at least one task")
     per_class = queries_per_task // spec.ways
     if per_class < 2:
         raise ValueError("need at least 2 same-class query instances per task")
     task_spec = TaskSpec(spec.ways, spec.shots, per_class)
-    entropy = tuple(np.atleast_1d(seed_entropy).astype(np.uint64).tolist())
-    means = np.empty(n_tasks)
-    for i in range(n_tasks):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy + (i,)))
-        task = sample_task(dataset, task_spec, rng)
-        emb = forward(network.prefix, task.query_x)
-        emb = emb.reshape(emb.shape[0], -1)
-        dists = []
-        for k in range(task.ways):
-            rows = emb[task.query_y == k]
-            d2 = np.sum((rows[:, None, :] - rows[None, :, :]) ** 2, axis=-1)
-            np.fill_diagonal(d2, np.inf)
-            dists.append(np.sqrt(d2.min(axis=1)))
-        means[i] = float(np.mean(np.concatenate(dists)))
+    tasks = (
+        sample_task(dataset, task_spec, rng) for rng in _task_rngs(seed_entropy, n_tasks)
+    )
+    diagonal = np.arange(per_class)
+    means = []
+    for chunk in task_chunks(tasks):
+        query_y = np.stack([task.query_y for task in chunk])
+        emb = forward(network.prefix, np.stack([task.query_x for task in chunk]), task_axis=True)
+        order = np.argsort(query_y, axis=-1, kind="stable")
+        rows = np.take_along_axis(emb.reshape(emb.shape[:2] + (-1,)), order[..., None], axis=1)
+        # one task's rows grouped by class, (ways, per_class, dim), at a time:
+        # a whole chunk's pairwise differences outgrow the cache and run slower
+        for task_rows in rows.reshape(len(chunk), spec.ways, per_class, -1):
+            d2 = np.sum((task_rows[:, :, None, :] - task_rows[:, None, :, :]) ** 2, axis=-1)
+            d2[:, diagonal, diagonal] = np.inf
+            means.append(np.mean(np.sqrt(d2.min(axis=-1))))
+    means = np.array(means)
     std = float(np.std(means, ddof=1)) if n_tasks > 1 else 0.0
     return float(np.mean(means)), std
 
@@ -409,11 +419,16 @@ def mean_box_width(
     n_tasks: int = 20,
     seed_entropy=(0,),
 ) -> float:
-    """Average propagated box width over query instances of sampled tasks."""
-    entropy = tuple(np.atleast_1d(seed_entropy).astype(np.uint64).tolist())
+    """Average propagated box width over query instances of sampled tasks.
+
+    Tasks are propagated one at a time: a conv box on a stacked task axis
+    holds several full-size temporaries per task, and measured slower than
+    this loop, with a higher memory peak.
+    """
+    if n_tasks < 1:
+        raise ValueError("need at least one task")
     widths = []
-    for i in range(n_tasks):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy + (i,)))
+    for rng in _task_rngs(seed_entropy, n_tasks):
         task = sample_task(dataset, spec, rng)
         res = propagate_prefix(network, task.query_x, eps).values()
         widths.append(float(np.mean(res.box.upper - res.box.lower)))

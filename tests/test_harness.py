@@ -272,6 +272,22 @@ class TestCompactness:
         with pytest.raises(ValueError):
             H.compactness(net, ds, TaskSpec(4, 1, 1), n_tasks=2, queries_per_task=4)
 
+    @pytest.mark.parametrize("n_tasks", [0, -1])
+    def test_no_tasks_rejected(self, n_tasks):
+        net = L.Network([L.fully_connected(np.eye(2), np.zeros(2))], split_index=1)
+        ds = synth_dataset(4, 10, (2,), 2.0, 1.0, seed=7)
+        with pytest.raises(ValueError, match="at least one task"):
+            H.compactness(net, ds, TaskSpec(2, 1, 1), n_tasks=n_tasks, queries_per_task=4)
+
+
+class TestMeanBoxWidth:
+    @pytest.mark.parametrize("n_tasks", [0, -1])
+    def test_no_tasks_rejected(self, n_tasks):
+        net = L.Network([L.fully_connected(np.eye(2), np.zeros(2))], split_index=1)
+        ds = synth_dataset(4, 10, (2,), 2.0, 1.0, seed=7)
+        with pytest.raises(ValueError, match="at least one task"):
+            H.mean_box_width(net, ds, TaskSpec(2, 1, 2), 0.1, n_tasks=n_tasks)
+
 
 class TestTransfer:
     def test_same_dataset_matches_evaluate(self, tmp_path, capsys):
@@ -480,6 +496,21 @@ class TestCli:
         ])
         assert rc == 0
         assert merged.exists()
+
+    def test_compactness_without_tasks_fails(self, tmp_path, capsys):
+        ckpt, data = tmp_path / "net.ckpt", tmp_path / "data.fsds"
+        L.save_checkpoint(
+            L.Network([L.fully_connected(np.eye(2), np.zeros(2))], split_index=1), ckpt
+        )
+        save_dataset(synth_dataset(4, 10, (2,), 2.0, 1.0, seed=7), data)
+        rc = cli.main([
+            "compactness", "--checkpoint", str(ckpt), "--dataset", str(data),
+            "--ways", "2", "--shots", "1", "--n-tasks", "0", "--queries-per-task", "4",
+        ])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "ValueError"
 
     def test_failure_emits_error_record_and_nonzero_exit(self, tmp_path, capsys):
         rc = cli.main(["train", "--config", str(tmp_path / "missing.json")])
