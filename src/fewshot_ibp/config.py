@@ -14,6 +14,7 @@ import math
 from dataclasses import asdict, dataclass, field
 
 from .episodes import Dataset, TaskSpec, check_supply, load_dataset, synth_dataset
+from .layers import check_layer_descs
 from .learners import DISTANCES
 from .objective import WeightTriple
 
@@ -91,6 +92,7 @@ class RunConfig:
             raise ValueError("interp_probability must lie in [0, 1]")
         if not self.layers:
             raise ValueError("config needs a network layer list")
+        check_layer_descs(self.layers)
         if not 0 < self.split_index <= len(self.layers):
             raise ValueError("split_index outside the layer range")
         if self.static_weights is not None:

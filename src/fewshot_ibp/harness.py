@@ -133,56 +133,56 @@ def _protonet_step(network, dataset, config, eps_t, sample_rng, interp_rng, opt_
         ctx = _draw_context(config, task, dataset, interp_rng, sample_rng)
 
     s = network.split_index
-    tape = Tape()
-    params = make_param_nodes(network.layers, tape)
-    prefix_params, head_params = params[:s], params[s:]
+    with Tape() as tape:
+        params = make_param_nodes(network.layers, tape)
+        prefix_params, head_params = params[:s], params[s:]
 
-    # the clean pass shares the centers of the boxes that the bound losses
-    # or a bound-mode interpolation read
-    interp_boxes = ctx is not None and mode in BOUND_MODES
-    qres = sres = None
-    if use_bounds or interp_boxes:
-        qres = propagate_prefix(network, task.query_x, eps_t, params=prefix_params)
-        query_prefix = qres.center
-    else:
-        query_prefix = forward(network.prefix, task.query_x, params=prefix_params)
-    if interp_boxes:
-        sres = propagate_prefix(network, task.support_x, eps_t, params=prefix_params)
-        support_prefix = sres.center
-    else:
-        support_prefix = forward(network.prefix, task.support_x, params=prefix_params)
-    l_ce = _protonet_loss(
-        network, head_params, support_prefix, query_prefix, task, config.distance
-    )
-
-    if ctx is not None:
-        support_h = make_interpolated_task(
-            mode, network, task.support_x, task.support_y, ctx.coeffs,
-            prefix_params, eps_t, bounds=sres,
-            pair_x=getattr(ctx.pair_task, "support_x", None),
+        # the clean pass shares the centers of the boxes that the bound losses
+        # or a bound-mode interpolation read
+        interp_boxes = ctx is not None and mode in BOUND_MODES
+        qres = sres = None
+        if use_bounds or interp_boxes:
+            qres = propagate_prefix(network, task.query_x, eps_t, params=prefix_params)
+            query_prefix = qres.center
+        else:
+            query_prefix = forward(network.prefix, task.query_x, params=prefix_params)
+        if interp_boxes:
+            sres = propagate_prefix(network, task.support_x, eps_t, params=prefix_params)
+            support_prefix = sres.center
+        else:
+            support_prefix = forward(network.prefix, task.support_x, params=prefix_params)
+        l_ce = _protonet_loss(
+            network, head_params, support_prefix, query_prefix, task, config.distance
         )
-        query_h = make_interpolated_task(
-            mode, network, task.query_x, task.query_y, ctx.query_coeffs,
-            prefix_params, eps_t, bounds=qres,
-            pair_x=getattr(ctx.pair_task, "query_x", None),
-        )
-        l_ce2 = _protonet_loss(
-            network, head_params, support_h, query_h, task, config.distance
-        )
-        l_ce = mul(add(l_ce, l_ce2), 0.5)
 
-    if use_bounds:
-        l_lb, l_ub = bound_losses(qres.center, qres.box)
-    else:
-        l_lb, l_ub = 0.0, 0.0
-    losses = LossTriple(l_ce, l_lb, l_ub)
-    weights = _weights_for(config, losses)
-    total = total_loss(losses, weights)
+        if ctx is not None:
+            support_h = make_interpolated_task(
+                mode, network, task.support_x, task.support_y, ctx.coeffs,
+                prefix_params, eps_t, bounds=sres,
+                pair_x=getattr(ctx.pair_task, "support_x", None),
+            )
+            query_h = make_interpolated_task(
+                mode, network, task.query_x, task.query_y, ctx.query_coeffs,
+                prefix_params, eps_t, bounds=qres,
+                pair_x=getattr(ctx.pair_task, "query_x", None),
+            )
+            l_ce2 = _protonet_loss(
+                network, head_params, support_h, query_h, task, config.distance
+            )
+            l_ce = mul(add(l_ce, l_ce2), 0.5)
 
-    grads = tape.backward(total, param_nodes_to_list(params))
-    arrays = network.parameter_arrays()
+        if use_bounds:
+            l_lb, l_ub = bound_losses(qres.center, qres.box)
+        else:
+            l_lb, l_ub = 0.0, 0.0
+        losses = LossTriple(l_ce, l_lb, l_ub)
+        weights = _weights_for(config, losses)
+        total = total_loss(losses, weights)
+
+        flat = param_nodes_to_list(params)
+        grads = tape.backward(total, flat)
     new_arrays, opt_state = optimizer_step(
-        arrays, [grads[p] for p in param_nodes_to_list(params)], opt_state
+        network.parameter_arrays(), [grads[p] for p in flat], opt_state
     )
     network.set_parameter_arrays(new_arrays)
     return {

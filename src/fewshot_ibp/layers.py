@@ -318,8 +318,62 @@ def forward(
 # ---------------------------------------------------------------------------
 
 
+# the sizes each descriptor kind requires; "stride" (conv2d, maxpool2d) and
+# "eps" (batchnorm) are optional
+_DESC_SIZES = {
+    "fully_connected": ("in", "out"),
+    "conv2d": ("in_channels", "out_channels", "kernel"),
+    "batchnorm": ("channels",),
+    "relu": (),
+    "maxpool2d": ("window",),
+    "flatten": (),
+}
+
+
+def check_layer_descs(layer_descs) -> None:
+    """Reject a malformed descriptor list (see :func:`build_network`).
+
+    Raises ``ValueError`` naming the layer index and the field for a
+    descriptor that is not an object, an unknown kind, a missing size, a size
+    or stride that is not a positive integer, a batchnorm ``eps`` that is not
+    a non-negative finite number, and fully_connected layers, consecutive
+    but for relu and batchnorm, whose widths do not chain.
+    """
+    width = None  # output width of the last fully_connected layer
+    for i, desc in enumerate(layer_descs):
+        if not isinstance(desc, dict):
+            raise ValueError(f"layer {i} must be an object, got {desc!r}")
+        kind = desc.get("kind")
+        if kind not in LAYER_KINDS:
+            raise ValueError(f"layer {i}: unknown kind {kind!r}, expected one of {LAYER_KINDS}")
+        for key in _DESC_SIZES[kind]:
+            if key not in desc:
+                raise ValueError(f"layer {i} ({kind}) needs {key!r}")
+        for key in _DESC_SIZES[kind] + ("stride",):
+            value = desc.get(key, 1)
+            if type(value) is not int or value <= 0:
+                raise ValueError(
+                    f"layer {i} ({kind}): {key!r} must be a positive integer, got {value!r}"
+                )
+        eps = desc.get("eps", 0.0)
+        if type(eps) not in (int, float) or not 0 <= eps < math.inf:
+            raise ValueError(
+                f"layer {i} ({kind}): 'eps' must be a non-negative finite number, got {eps!r}"
+            )
+        if kind == "fully_connected":
+            if width is not None and desc["in"] != width:
+                raise ValueError(
+                    f"layer {i} (fully_connected): 'in' is {desc['in']}, "
+                    f"but the layers before it give width {width}"
+                )
+            width = desc["out"]
+        elif kind not in ("relu", "batchnorm"):
+            width = None
+
+
 def build_network(layer_descs, split_index: int, rng) -> Network:
-    """Instantiate a network from descriptor dicts.
+    """Instantiate a network from descriptor dicts, checked by
+    :func:`check_layer_descs`.
 
     Descriptor examples::
 
@@ -328,6 +382,7 @@ def build_network(layer_descs, split_index: int, rng) -> Network:
         {"kind": "batchnorm", "channels": 4}
         {"kind": "relu"} / {"kind": "maxpool2d", "window": 2} / {"kind": "flatten"}
     """
+    check_layer_descs(layer_descs)
     built = []
     for desc in layer_descs:
         kind = desc["kind"]
@@ -349,10 +404,8 @@ def build_network(layer_descs, split_index: int, rng) -> Network:
             built.append(relu())
         elif kind == "maxpool2d":
             built.append(maxpool(desc["window"], desc.get("stride")))
-        elif kind == "flatten":
+        else:  # flatten
             built.append(flatten())
-        else:
-            raise ValueError(f"unknown layer kind {kind!r}")
     return Network(built, split_index)
 
 

@@ -25,9 +25,21 @@ operands or sharing a weight, evaluated in one call.
 Every node points at its tape and the tape lists every node, so a tape is a
 reference cycle.  :meth:`Tape.release` (or leaving a ``with Tape()`` block)
 breaks it, so the graph is freed at once instead of by the cyclic collector.
+Every training tape is recorded in a ``with Tape()`` block, so a step's
+graph is freed when the step ends.  Under glibc's default allocator
+thresholds that made each step costlier: the 300-700 KB conv, im2col and
+box arrays were mapped afresh, or freed to a heap top that glibc trims past
+a few times their size, so every step faulted its ~4 MB of temporaries back
+in from the OS.  Importing this module therefore sets glibc's mmap
+threshold to 4 MiB and its trim threshold to 16 MiB, once per process:
+those arrays come from the heap, and a freed step's pages stay mapped for
+the next step.
 """
 
 from __future__ import annotations
+
+import ctypes
+import platform
 
 import numpy as np
 
@@ -60,6 +72,26 @@ __all__ = [
 
 class NonFiniteError(ValueError):
     """A tensor contains NaN or Inf, which violates the numeric contract."""
+
+
+# mallopt parameter numbers from glibc's <malloc.h>
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_heap_pages() -> None:
+    """Set glibc's mmap and trim thresholds (see the module docstring);
+    a no-op under any other C library."""
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt  # the C library the process runs on
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 4 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 16 << 20)
+
+
+_keep_heap_pages()
 
 
 def as_tensor(values, shape=None) -> np.ndarray:

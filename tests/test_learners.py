@@ -620,33 +620,32 @@ class TestPredictAccuracy:
         assert np.mean(accs) > 0.8
 
 
+# the acceptance pool and its network, and a small conv pool and network
+FC_POOL = {"shape": [8], "class_separation": 3.0}
+FC_LAYERS = [
+    {"kind": "fully_connected", "in": 8, "out": 32},
+    {"kind": "relu"},
+    {"kind": "fully_connected", "in": 32, "out": 16},
+]
+CONV_POOL = {"shape": [1, 8, 8], "class_separation": 2.0}
+CONV_LAYERS = [
+    {"kind": "conv2d", "in_channels": 1, "out_channels": 4, "kernel": 3},
+    {"kind": "batchnorm", "channels": 4},
+    {"kind": "relu"},
+    {"kind": "maxpool2d", "window": 2},
+    {"kind": "flatten"},
+    {"kind": "fully_connected", "in": 36, "out": 5},
+]
+
+
 def fc_pool_network(seed):
     """The acceptance pool's network, fc 8->32, relu, fc 32->16, and pool."""
-    net = L.build_network(
-        [
-            {"kind": "fully_connected", "in": 8, "out": 32},
-            {"kind": "relu"},
-            {"kind": "fully_connected", "in": 32, "out": 16},
-        ],
-        2,
-        np.random.default_rng(seed),
-    )
+    net = L.build_network(FC_LAYERS, 2, np.random.default_rng(seed))
     return net, synth_dataset(12, 30, (8,), 3.0, 1.0, seed=13, role="test")
 
 
 def conv_pool_network(seed):
-    net = L.build_network(
-        [
-            {"kind": "conv2d", "in_channels": 1, "out_channels": 4, "kernel": 3},
-            {"kind": "batchnorm", "channels": 4},
-            {"kind": "relu"},
-            {"kind": "maxpool2d", "window": 2},
-            {"kind": "flatten"},
-            {"kind": "fully_connected", "in": 36, "out": 5},
-        ],
-        4,
-        np.random.default_rng(seed),
-    )
+    net = L.build_network(CONV_LAYERS, 4, np.random.default_rng(seed))
     return net, synth_dataset(12, 30, (1, 8, 8), 2.0, 1.0, seed=13, role="test")
 
 
@@ -753,37 +752,52 @@ class TestTapeRelease:
         assert len(tapes) == 4
         assert self.alive(tapes) == 0
 
-    @pytest.mark.parametrize("objective,first_order", [("ibpi", True), ("ibp", False)])
-    def test_training_run_frees_every_tape(self, tapes, objective, first_order):
-        pool = {"n_classes": 12, "per_class": 30, "shape": [8], "class_separation": 3.0,
-                "noise_scale": 1.0}
-        cfg = RunConfig(
-            learner="maml",
-            objective=objective,
-            layers=[
-                {"kind": "fully_connected", "in": 8, "out": 32},
-                {"kind": "relu"},
-                {"kind": "fully_connected", "in": 32, "out": 16},
-            ],
-            split_index=2,
+    @staticmethod
+    def run_config(layers, split_index, pool, **overrides):
+        """A 2-step run that validates every step and always interpolates."""
+        pool = {"n_classes": 12, "per_class": 30, "noise_scale": 1.0, **pool}
+        splits = (("train", 11, "train"), ("val", 12, "validation"), ("test", 13, "test"))
+        return RunConfig(
+            layers=layers,
+            split_index=split_index,
             data={
-                "train": {"synth": {**pool, "seed": 11, "role": "train"}},
-                "val": {"synth": {**pool, "seed": 12, "role": "validation"}},
-                "test": {"synth": {**pool, "seed": 13, "role": "test"}},
+                split: {"synth": {**pool, "seed": seed, "role": role}}
+                for split, seed, role in splits
             },
             max_steps=2,
             eval_interval=1,
             n_val_tasks=3,
             n_eval_tasks=3,
+            interp_probability=1.0,
+            seed=0,
+            **overrides,
+        )
+
+    @pytest.mark.parametrize("objective,first_order", [("ibpi", True), ("ibp", False)])
+    def test_training_run_frees_every_tape(self, tapes, objective, first_order):
+        cfg = self.run_config(
+            FC_LAYERS, 2, FC_POOL,
+            learner="maml",
+            objective=objective,
             meta_batch=2,
             inner_steps=2,
             eval_inner_steps=2,
             first_order=first_order,
-            interp_probability=1.0,
-            seed=0,
         )
         H.train(cfg)
         assert tapes
+        assert self.alive(tapes) == 0
+
+    @pytest.mark.parametrize("objective,layers,split_index,pool", [
+        ("ibpi", FC_LAYERS, 2, FC_POOL),
+        ("ibp", CONV_LAYERS, 4, CONV_POOL),
+    ], ids=["fc-ibpi", "conv-ibp"])
+    def test_protonet_training_run_frees_every_tape(
+        self, tapes, objective, layers, split_index, pool
+    ):
+        H.train(self.run_config(layers, split_index, pool, learner="protonet",
+                                objective=objective))
+        assert len(tapes) == 2  # one per step; evaluation records none
         assert self.alive(tapes) == 0
 
 
@@ -812,11 +826,7 @@ class TestTapeBudget:
         cfg = RunConfig(**{
             "learner": "protonet",
             "objective": "ibpi",
-            "layers": [
-                {"kind": "fully_connected", "in": 8, "out": 32},
-                {"kind": "relu"},
-                {"kind": "fully_connected", "in": 32, "out": 16},
-            ],
+            "layers": FC_LAYERS,
             "split_index": 2,
             "interp_probability": 1.0,  # interpolation fires: the largest step
             **overrides,

@@ -4,6 +4,13 @@ Gradient checks use an independent central finite-difference oracle; the
 convolution is checked against a quadruple-loop reference.
 """
 
+import os
+import platform
+import subprocess
+import sys
+import types
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -285,6 +292,70 @@ class TestConv:
             T.conv2d(x, np.zeros((1, 1, 5, 5)), None)
         with pytest.raises(ValueError, match="too large"):
             T.maxpool2d(x, 5)
+
+
+def run_in_fresh_process(script: str) -> str:
+    """Standard output of ``script`` run by a new interpreter that imports
+    this package from where the tests import it."""
+    src = str(Path(T.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr[-2000:]
+    return out.stdout
+
+
+# Untaped calls of the first conv of the benchmark's conv workload (75 queries
+# of 1x10x10), after warm-up; prints the minor page faults per call.
+CONV_FAULTS_SCRIPT = """
+import resource
+import numpy as np
+from fewshot_ibp.tensor import conv2d
+
+rng = np.random.default_rng(0)
+x = rng.standard_normal((75, 1, 10, 10))
+weight = rng.standard_normal((8, 1, 3, 3))
+bias = rng.standard_normal(8)
+for _ in range(5):
+    conv2d(x, weight, bias)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(50):
+    conv2d(x, weight, bias)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50)
+"""
+
+
+class TestHeapPages:
+    """Importing the package sets glibc's allocator thresholds, so the
+    arrays of one call reuse the heap pages the previous call freed."""
+
+    @pytest.mark.skipif(
+        platform.libc_ver()[0] != "glibc", reason="the thresholds are set only under glibc"
+    )
+    def test_conv2d_reuses_freed_pages(self):
+        # in a fresh process: what the test runner's imports allocate and
+        # free moves glibc's dynamic thresholds; about 128 faults per call
+        # with the thresholds glibc starts with
+        assert float(run_in_fresh_process(CONV_FAULTS_SCRIPT)) < 8
+
+    @pytest.mark.parametrize("libc,calls", [
+        ("glibc", [(-3, 4 << 20), (-1, 16 << 20)]),
+        ("", []),
+        ("musl", []),
+    ])
+    def test_thresholds_are_set_only_under_glibc(self, monkeypatch, libc, calls):
+        made = []
+
+        def mallopt(param, value):
+            made.append((param, value))
+            return 1
+
+        monkeypatch.setattr(T.platform, "libc_ver", lambda: (libc, "1.0"))
+        monkeypatch.setattr(T.ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+        T._keep_heap_pages()
+        assert made == calls
 
 
 class TestMaxpoolAndBatchnorm:
