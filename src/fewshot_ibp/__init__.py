@@ -64,7 +64,7 @@ from .objective import (
     static_weights,
     total_loss,
 )
-from .optim import OptimizerState, adam, optimizer_step, sgd
+from .optim import OptimizerState, adam, optimizer_step
 from .tensor import NonFiniteError, Node, Tape, as_tensor
 
 __version__ = "0.1.0"

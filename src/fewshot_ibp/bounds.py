@@ -155,7 +155,7 @@ def propagate_layer(
 
 
 def propagate_prefix(
-    network: Network, x, eps: float, tape=None, params=None, task_axis: bool = False
+    network: Network, x, eps: float, params=None, task_axis: bool = False
 ) -> BoundResult:
     """Forward ``x`` through the embedding prefix while propagating its box.
 
@@ -166,11 +166,9 @@ def propagate_prefix(
     ``task_axis`` the first axis of ``x`` indexes tasks, and each task's
     batchnorm statistics are its own.
     """
-    from .layers import apply_layer, make_param_nodes  # cycle-free local import
+    from .layers import apply_layer  # cycle-free local import
 
     check_finite(x, "bound propagation input")
-    if params is None and tape is not None:
-        params = make_param_nodes(network.prefix, tape)
     center = x
     box = epsilon_box(x, eps)
     for i, layer in enumerate(network.prefix):

@@ -308,12 +308,12 @@ def _maml_step(network, dataset, config, eps_t, sample_rng, interp_rng, opt_stat
     infos = maml_outer_step(
         network,
         tasks,
+        _maml_inner_loss(network, config, eps_t, mix),
         _maml_query_loss(network, config, eps_t, mix),
         opt_state,
         config.inner_lr,
         config.inner_steps,
         first_order=config.first_order,
-        inner_loss=_maml_inner_loss(network, config, eps_t, mix),
     )
     losses = tuple(float(np.mean([i["losses"][k] for i in infos])) for k in range(3))
     weights = tuple(float(np.mean([i["weights"][k] for i in infos])) for k in range(3))
@@ -343,12 +343,13 @@ def evaluate(
     half-width (zero for a single task, where the sample std is undefined).
 
     Task ``i`` is drawn from its own stream seeded by (entropy, i).  The
-    meta-learner adapts all ``n_tasks`` tasks at once
-    (:func:`~fewshot_ibp.learners.maml_task_accuracies`), recording one tape
-    per inner step for all of them, each released after its backward pass;
-    the prototype learner scores them on a task axis, one chunk of tasks at
-    a time as they are drawn
-    (:func:`~fewshot_ibp.learners.protonet_task_accuracies`).
+    meta-learner adapts all ``n_tasks`` tasks at once on a task axis,
+    recording one tape per inner step for all of them, each released after
+    its backward pass, and scores each task's queries with its own adapted
+    parameters, one forward pass per chunk of tasks
+    (:func:`~fewshot_ibp.learners.maml_task_accuracies`); the prototype
+    learner scores them on a task axis, one chunk of tasks at a time as they
+    are drawn (:func:`~fewshot_ibp.learners.protonet_task_accuracies`).
     Transfer is this call on a dataset other than the one trained on: the
     meta-learner still fine-tunes on each task's support set, and shape
     incompatibilities surface as ``ValueError`` from the forward pass.

@@ -277,7 +277,6 @@ def apply_layer(
 def forward(
     layers,
     x,
-    tape=None,
     params=None,
     frozen_stats=None,
     stats_out=None,
@@ -285,17 +284,15 @@ def forward(
 ):
     """Run ``x`` through an ordered layer sequence.
 
-    When ``tape`` is given without explicit ``params``, leaf nodes are created
-    for every parameter so the result is differentiable; pass ``params`` (from
-    :func:`make_param_nodes`) to share leaves across several forward passes.
+    ``params``, one dict per layer as from :func:`make_param_nodes`,
+    replaces the layers' own parameters; tape nodes there make the result
+    differentiable, and can be shared across several forward passes.
     ``frozen_stats`` replays previously collected batchnorm statistics;
     ``stats_out`` collects them.  ``task_axis`` runs a stack of tasks at once
     (see the module docstring).  Raises on shape mismatches and non-finite
     intermediates.
     """
     check_finite(x, "forward input")
-    if params is None and tape is not None:
-        params = make_param_nodes(layers, tape)
     stats_iter = iter(frozen_stats) if frozen_stats is not None else None
     out = x
     for i, layer in enumerate(layers):

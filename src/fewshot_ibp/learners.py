@@ -11,21 +11,22 @@ that way, in chunks of bounded size (:func:`protonet_task_accuracies`).
 
 The meta-learner adapts a copy of the parameters on each task's support set
 with full-batch gradient descent, then is judged on the query set.
-Adaptation is first-order by default: the inner update is detached, and the
-outer gradient is the query gradient at the adapted parameters applied to
-the initial slots.  Exact second-order updates re-record the inner updates
-on the tape, for every layer kind.
+:func:`maml_adapt` is that descent, on any loss of the parameters, in the
+layout of :func:`~fewshot_ibp.layers.make_param_nodes`.  The order follows
+from what it is given: from arrays it adapts first-order, the inner update
+detached, so the outer gradient is the query gradient at the adapted
+parameters applied to the initial slots; from tape nodes it adapts
+second-order, re-recording the inner updates on their tape, for every layer
+kind.
 
-:func:`maml_adapt` returns the adapted parameters as a list of per-layer
-dicts, the layout of :func:`~fewshot_ibp.layers.make_param_nodes`.  Tasks
-are adapted together on a leading task axis: their sets are stacked into a
-:class:`TaskBatch`, the parameters tiled to one copy per task, and the
-inner loss is the sum of the per-task losses (:func:`cross_entropy` gives
-one value per task), so each task's gradient is exactly its own and one
-backward pass per step serves every task.  Evaluation does this with
-:func:`maml_adapt_tasks`; training does it in :func:`maml_outer_step`,
-where θ is tiled into one tape leaf per task, one call of
-:func:`maml_adapt` adapts the whole meta-batch in either order, and one
+Tasks are adapted together on a leading task axis: their sets are stacked
+into a :class:`TaskBatch`, the parameters tiled to one copy per task, and
+the inner loss is the sum of the per-task losses (:func:`cross_entropy`
+gives one value per task), so each task's gradient is exactly its own and
+one backward pass per step serves every task.  Evaluation adapts the tiled
+arrays and scores the queries one forward pass per chunk of tasks
+(:func:`maml_task_accuracies`); training, in :func:`maml_outer_step`, tiles
+θ into one tape leaf per task and adapts the arrays or the leaves, and one
 backward pass of the summed query losses gives every task's gradient of θ.
 Every tape the meta-learner records is released as soon as its gradients
 have been read, so no graph waits for the cyclic collector.
@@ -34,6 +35,7 @@ have been read, so no graph waits for the cyclic collector.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -43,6 +45,7 @@ from .layers import Network, forward, param_nodes_to_list
 from .tensor import (
     Node,
     Tape,
+    _tape_of,
     add,
     as_tensor,
     div,
@@ -180,68 +183,35 @@ def task_chunks(tasks):
 def _tiled_arrays(network: Network, n_tasks: int) -> list[dict]:
     """The network's parameters as read-only views with a leading task axis."""
     return [
-        {name: np.broadcast_to(arr, (n_tasks,) + arr.shape) for name, arr in entry.items()}
-        for entry in _layer_arrays(network)
+        {name: np.broadcast_to(arr, (n_tasks,) + arr.shape) for name, arr in layer.param_items()}
+        for layer in network.layers
     ]
 
 
-def _default_inner_loss(network: Network, support_x, support_y):
-    def loss_fn(params, tape):
-        logits = forward(network.layers, support_x, tape=tape, params=params)
-        return cross_entropy(logits, support_y)
+def maml_adapt(inner_loss, params: list[dict], inner_lr: float, steps: int) -> list[dict]:
+    """``steps`` steps of full-batch gradient descent on ``inner_loss(params)``.
 
-    return loss_fn
-
-
-def _support_cross_entropy(network: Network, params, support_x, support_y):
-    """Per-task mean cross-entropies of support sets stacked on a task axis."""
-    logits = forward(network.layers, support_x, params=params, task_axis=True)
-    return cross_entropy(logits, support_y)
-
-
-def maml_adapt(
-    network: Network,
-    support_x,
-    support_y,
-    inner_lr: float,
-    steps: int,
-    first_order: bool = True,
-    tape: Tape | None = None,
-    theta_params: list[dict] | None = None,
-    inner_loss=None,
-    start_params: list[dict] | None = None,
-) -> list[dict]:
-    """Full-batch gradient descent on the support loss from the current init.
-
-    Returns the adapted parameters, one dict per layer like
-    :func:`~fewshot_ibp.layers.make_param_nodes`: arrays (first-order) or
-    tape nodes (second-order).
-    ``inner_loss(params, tape)`` defaults to support cross-entropy.  With
-    ``first_order`` each step runs on a throwaway tape, released once its
-    gradients are read, and returns detached arrays; ``start_params`` (default:
-    the network's own) may carry a leading task axis, as in
-    :func:`maml_adapt_tasks`.  Otherwise the updates are recorded on ``tape``
-    starting from ``theta_params`` so the outer gradient is exact, and the
-    caller releases ``tape``.
+    ``params`` is one dict per layer, the layout of
+    :func:`~fewshot_ibp.layers.make_param_nodes`, and so is the result.  The
+    order follows from ``params``: arrays adapt first-order, each step on a
+    throwaway tape released once its gradients are read, and give detached
+    arrays; tape nodes adapt second-order, every update recorded on their
+    tape so the outer gradient runs through it, and the caller releases it.
     """
+    if not 0 <= inner_lr < math.inf:
+        raise ValueError(f"inner_lr must be non-negative and finite, got {inner_lr!r}")
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    if inner_loss is None:
-        inner_loss = _default_inner_loss(network, support_x, support_y)
-
-    if first_order:
-        current = (
-            [dict(e) for e in start_params]
-            if start_params is not None
-            else _layer_arrays(network)
-        )
-        for _ in range(steps):
+    tape = _tape_of(*param_nodes_to_list(params))
+    current = [dict(entry) for entry in params]
+    for _ in range(steps):
+        if tape is None:
             with Tape() as step_tape:
                 nodes = [
                     {name: step_tape.leaf(arr) for name, arr in entry.items()}
                     for entry in current
                 ]
-                loss = inner_loss(nodes, step_tape)
+                loss = inner_loss(nodes)
                 grads = step_tape.backward(loss, param_nodes_to_list(nodes))
             current = [
                 {
@@ -250,71 +220,56 @@ def maml_adapt(
                 }
                 for entry in nodes
             ]
-        return current
-
-    if tape is None or theta_params is None:
-        raise ValueError("second-order adaptation needs the outer tape and leaves")
-    current = theta_params
-    for _ in range(steps):
-        loss = inner_loss(current, tape)
-        flat = param_nodes_to_list(current)
-        grads = tape.backward(loss, flat, build_graph=True)
-        current = [
-            {name: sub(node, mul(grads[node], inner_lr)) for name, node in entry.items()}
-            for entry in current
-        ]
+        else:
+            loss = inner_loss(current)
+            flat = param_nodes_to_list(current)
+            grads = tape.backward(loss, flat, build_graph=True)
+            current = [
+                {name: sub(node, mul(grads[node], inner_lr)) for name, node in entry.items()}
+                for entry in current
+            ]
     return current
 
 
-def _layer_arrays(network: Network) -> list[dict]:
-    return [dict(layer.param_items()) for layer in network.layers]
-
-
-def maml_adapt_tasks(network: Network, tasks, inner_lr: float, steps: int) -> list[dict]:
-    """First-order adaptation of every task in ``tasks`` in one pass.
+def maml_task_accuracies(network: Network, tasks, inner_lr: float, steps: int) -> np.ndarray:
+    """Query accuracy of each task after first-order adaptation on its
+    support set.
 
     The support sets (equal shapes, as drawn from one task spec) are stacked
-    along a leading task axis and the network's parameters tiled to one copy
-    per task.  The inner loss sums the per-task mean support cross-entropies,
-    so every task descends on exactly its own gradient.  The returned
-    parameters keep the task axis: entry ``[t]`` of each array belongs to
-    ``tasks[t]``.
+    on a leading task axis and the network's parameters tiled to one copy
+    per task.  :func:`maml_adapt` descends on the sum of the per-task
+    support cross-entropies, so every task follows exactly its own gradient.
+    The queries are then scored a chunk of tasks at a time
+    (:func:`task_chunks`), each chunk by one forward pass on the task axis
+    with those tasks' adapted parameters; batchnorm takes its statistics per
+    task.  Scoring every task at once would hold all the query activations:
+    for 240 tasks of the benchmark's conv pool network it raised the peak
+    memory of evaluation from 94 to 262 MB.
     """
     tasks = list(tasks)
     if not tasks:
         raise ValueError("no tasks to adapt")
+    if any(task.query_x.shape[0] == 0 for task in tasks):
+        raise ValueError("task has an empty query set")
     support_x = np.stack([task.support_x for task in tasks])
     support_y = np.stack([task.support_y for task in tasks])
 
-    def inner_loss(params, tape):
-        return sum_(_support_cross_entropy(network, params, support_x, support_y))
+    def inner_loss(params):
+        logits = forward(network.layers, support_x, params=params, task_axis=True)
+        return sum_(cross_entropy(logits, support_y))
 
-    return maml_adapt(
-        network,
-        support_x,
-        support_y,
-        inner_lr,
-        steps,
-        inner_loss=inner_loss,
-        start_params=_tiled_arrays(network, len(tasks)),
-    )
-
-
-def maml_task_accuracies(network: Network, tasks, inner_lr: float, steps: int) -> np.ndarray:
-    """Query accuracy of each task after :func:`maml_adapt_tasks`.
-
-    Each task's queries are scored with that task's own slice of the adapted
-    parameters, so batchnorm takes its statistics from that task's queries.
-    """
-    tasks = list(tasks)
-    if any(task.query_x.shape[0] == 0 for task in tasks):
-        raise ValueError("task has an empty query set")
-    adapted = maml_adapt_tasks(network, tasks, inner_lr, steps)
-    accs = np.empty(len(tasks))
-    for t, task in enumerate(tasks):
-        params = [{name: arr[t] for name, arr in entry.items()} for entry in adapted]
-        accs[t] = _accuracy(forward(network.layers, task.query_x, params=params), task.query_y)
-    return accs
+    adapted = maml_adapt(inner_loss, _tiled_arrays(network, len(tasks)), inner_lr, steps)
+    accs = []
+    for chunk in task_chunks(tasks):
+        done = len(accs)
+        params = [
+            {name: arr[done : done + len(chunk)] for name, arr in entry.items()}
+            for entry in adapted
+        ]
+        batch = TaskBatch.stack(chunk)
+        scores = forward(network.layers, batch.query_x, params=params, task_axis=True)
+        accs.extend(_accuracy(scores, batch.query_y).tolist())
+    return np.array(accs)
 
 
 def protonet_task_accuracies(network: Network, tasks, distance: str = "sqeuclidean") -> np.ndarray:
@@ -350,27 +305,26 @@ def _accuracy(scores, labels):
 def maml_outer_step(
     network: Network,
     tasks,
+    inner_loss,
     query_loss,
     opt_state,
     inner_lr: float,
     inner_steps: int,
     first_order: bool = True,
-    inner_loss=None,
 ):
     """One meta-update over a batch of tasks, all adapted at once.
 
     The tasks are stacked into a :class:`TaskBatch` and the parameters θ
     tiled into one leaf per task, ``tape.leaf(broadcast_to(a, (T,) +
     a.shape))``, on a single tape.  ``inner_loss(batch, params)`` returns the
-    per-task support losses, shape (tasks,), and defaults to support
-    cross-entropy; :func:`maml_adapt` descends on their sum once for every
-    task, first-order from the tiled arrays or second-order on the tape from
-    the tiled leaves.  ``query_loss(batch, theta, phi)`` returns the per-task
-    total losses, shape (tasks,), and a list of per-task diagnostics.  One
-    backward pass of their sum gives each task's own gradient of θ; the
-    gradients are averaged over the batch, adding in task order, and applied
-    with one optimizer step.  The tape is released once they are read.
-    Returns the per-task diagnostics.
+    per-task support losses, shape (tasks,); :func:`maml_adapt` descends on
+    their sum once for every task, first-order from the tiled arrays or
+    second-order on the tape from the tiled leaves.  ``query_loss(batch,
+    theta, phi)`` returns the per-task total losses, shape (tasks,), and a
+    list of per-task diagnostics.  One backward pass of their sum gives each
+    task's own gradient of θ; the gradients are averaged over the batch,
+    adding in task order, and applied with one optimizer step.  The tape is
+    released once they are read.  Returns the per-task diagnostics.
     """
     from .optim import optimizer_step
 
@@ -379,28 +333,15 @@ def maml_outer_step(
         raise ValueError("task batch is empty")
     batch = TaskBatch.stack(tasks)
 
-    def support_loss(params, tape):
-        if inner_loss is None:
-            losses = _support_cross_entropy(network, params, batch.support_x, batch.support_y)
-        else:
-            losses = inner_loss(batch, params)
-        return sum_(losses)
-
     with Tape() as tape:
         tiled = _tiled_arrays(network, len(tasks))
         theta = [{name: tape.leaf(arr) for name, arr in entry.items()} for entry in tiled]
         theta_flat = param_nodes_to_list(theta)
         phi = maml_adapt(
-            network,
-            batch.support_x,
-            batch.support_y,
+            lambda params: sum_(inner_loss(batch, params)),
+            tiled if first_order else theta,
             inner_lr,
             inner_steps,
-            first_order=first_order,
-            tape=tape,
-            theta_params=theta,
-            inner_loss=support_loss,
-            start_params=tiled,
         )
         if first_order:  # detached arrays become leaves of the outer tape
             phi = [{name: tape.leaf(arr) for name, arr in entry.items()} for entry in phi]

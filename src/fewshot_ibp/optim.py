@@ -1,4 +1,4 @@
-"""SGD and Adam parameter updates over flat lists of arrays."""
+"""Adam parameter updates over flat lists of arrays."""
 
 from __future__ import annotations
 
@@ -11,13 +11,10 @@ from .tensor import NonFiniteError, as_tensor
 
 @dataclass
 class OptimizerState:
-    """Optimizer kind plus any running moments.
-
-    ``kind`` is ``"sgd"`` or ``"adam"``.  Adam keeps first/second moments per
-    parameter and a non-decreasing step counter used for bias correction.
+    """Adam's settings plus its running moments: first and second moments
+    per parameter and a non-decreasing step counter used for bias correction.
     """
 
-    kind: str
     lr: float
     beta1: float = 0.9
     beta2: float = 0.999
@@ -27,26 +24,19 @@ class OptimizerState:
     v: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.kind not in ("sgd", "adam"):
-            raise ValueError(f"unknown optimizer kind {self.kind!r}")
         if self.lr < 0:
             raise ValueError("learning rate must be non-negative")
 
 
-def sgd(lr: float) -> OptimizerState:
-    return OptimizerState("sgd", lr)
-
-
 def adam(lr: float, beta1: float = 0.9, beta2: float = 0.999, stabilizer: float = 1e-8) -> OptimizerState:
-    return OptimizerState("adam", lr, beta1=beta1, beta2=beta2, stabilizer=stabilizer)
+    return OptimizerState(lr, beta1=beta1, beta2=beta2, stabilizer=stabilizer)
 
 
 def optimizer_step(params, grads, state: OptimizerState):
-    """Apply one update; returns (new_params, state).
+    """Apply one bias-corrected Adam update; returns (new_params, state).
 
-    ``params`` and ``grads`` are aligned lists of arrays.  SGD performs
-    ``p - lr * g``; Adam performs the standard bias-corrected update.  Raises
-    on shape mismatches and non-finite gradients.
+    ``params`` and ``grads`` are aligned lists of arrays.  Raises on shape
+    mismatches and non-finite gradients.
     """
     params = list(params)
     grads = list(grads)
@@ -57,10 +47,6 @@ def optimizer_step(params, grads, state: OptimizerState):
             raise ValueError(f"gradient shape {np.shape(g)} != parameter shape {np.shape(p)}")
         if not np.all(np.isfinite(g)):
             raise NonFiniteError("non-finite gradient")
-
-    if state.kind == "sgd":
-        new_params = [as_tensor(p - state.lr * g) for p, g in zip(params, grads)]
-        return new_params, state
 
     if not state.m:
         state.m = [np.zeros_like(p) for p in params]

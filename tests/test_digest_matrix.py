@@ -1,0 +1,36 @@
+"""Smoke test of ``tools/digest_matrix.py``, the byte-identity check for
+refactors."""
+
+import hashlib
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "digest_matrix.py"
+
+
+def digest_listing(*runs):
+    argv = [sys.executable, str(SCRIPT)] + [a for run in runs for a in ("--only", run)]
+    out = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr[-2000:]
+    return out.stdout
+
+
+def test_one_run_digest_is_stable_and_listed():
+    first = digest_listing("maml1-fc-ibpi-on")
+    lines = first.splitlines()
+    assert len(lines) == 2
+    assert re.fullmatch(r"maml1-fc-ibpi-on [0-9a-f]{64}", lines[0])
+    listing = hashlib.sha256((lines[0] + "\n").encode("utf-8")).hexdigest()
+    assert lines[1] == f"listing {listing}"
+    assert digest_listing("maml1-fc-ibpi-on") == first
+
+
+def test_unknown_run_rejected():
+    out = subprocess.run(
+        [sys.executable, str(SCRIPT), "--only", "no-such-run"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 2
+    assert "no run named" in out.stderr

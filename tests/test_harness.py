@@ -540,6 +540,27 @@ class TestCli:
         assert out == ""
         assert json.loads(err)["error"] == "ValueError"
 
+    @pytest.mark.parametrize("inner_lr", ["-5", "inf", "nan"])
+    def test_maml_eval_rejects_bad_inner_lr(self, tmp_path, capsys, inner_lr):
+        # a negative rate would run gradient ascent, and inf or nan would
+        # fail only later, as non-finite activations
+        ckpt, data = tmp_path / "net.ckpt", tmp_path / "data.fsds"
+        L.save_checkpoint(
+            L.Network([L.fully_connected(np.eye(2), np.zeros(2))], split_index=1), ckpt
+        )
+        save_dataset(synth_dataset(4, 10, (2,), 2.0, 1.0, seed=7), data)
+        rc = cli.main([
+            "eval", "--checkpoint", str(ckpt), "--dataset", str(data),
+            "--learner", "maml", "--ways", "2", "--shots", "1", "--query-shots", "2",
+            "--n-tasks", "3", "--inner-lr", inner_lr,
+        ])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""
+        record = json.loads(err)
+        assert record["error"] == "ValueError"
+        assert "inner_lr" in record["message"]
+
     def test_failure_emits_error_record_and_nonzero_exit(self, tmp_path, capsys):
         rc = cli.main(["train", "--config", str(tmp_path / "missing.json")])
         assert rc == 1

@@ -157,12 +157,22 @@ class TestCrossEntropy:
 def linear_model_inner_loss(x, y):
     """Inner objective (w*x - y)^2 for a single fully-connected weight."""
 
-    def loss_fn(params, tape):
+    def loss_fn(params):
         w = params[0]["weight"]
         r = T.sub(T.mul(w, x), y)
         return T.sum_(T.mul(r, r))
 
     return loss_fn
+
+
+def support_cross_entropy(net, x, y):
+    """Inner objective: cross-entropy of the network's outputs on (x, y)."""
+    return lambda params: LR.cross_entropy(L.forward(net.layers, x, params=params), y)
+
+
+def layer_arrays(net):
+    """The network's own parameters, one dict of arrays per layer."""
+    return [dict(layer.param_items()) for layer in net.layers]
 
 
 def tiny_linear_network(w0):
@@ -176,17 +186,36 @@ class TestMamlAdapt:
         net = tiny_linear_network(1.0)
         for lr, steps in ((0.0, 3), (0.1, 0)):
             adapted = LR.maml_adapt(
-                net, None, None, lr, steps, inner_loss=linear_model_inner_loss(1.0, 0.0)
+                linear_model_inner_loss(1.0, 0.0), layer_arrays(net), lr, steps
             )
             assert T.value_of(adapted[0]["weight"])[0, 0] == 1.0
 
     def test_hand_computed_single_step(self):
         # loss (w*x - y)^2 at w=1, x=1, y=0: gradient 2, so w' = 1 - 0.1*2 = 0.8
         net = tiny_linear_network(1.0)
-        adapted = LR.maml_adapt(
-            net, None, None, 0.1, 1, inner_loss=linear_model_inner_loss(1.0, 0.0)
-        )
+        adapted = LR.maml_adapt(linear_model_inner_loss(1.0, 0.0), layer_arrays(net), 0.1, 1)
         assert T.value_of(adapted[0]["weight"])[0, 0] == pytest.approx(0.8)
+
+    @pytest.mark.parametrize("inner_lr", [-5.0, -1e-300, math.inf, -math.inf, math.nan])
+    def test_bad_inner_lr_rejected(self, inner_lr):
+        net = tiny_linear_network(1.0)
+        with pytest.raises(ValueError, match="inner_lr"):
+            LR.maml_adapt(linear_model_inner_loss(1.0, 0.0), layer_arrays(net), inner_lr, 1)
+
+    def test_second_order_returns_nodes_of_the_same_tape(self):
+        rng = np.random.default_rng(20)
+        net = L.Network(
+            [L.init_fully_connected(3, 4, rng), L.relu(), L.init_fully_connected(4, 2, rng)],
+            split_index=2,
+        )
+        loss = support_cross_entropy(net, rng.standard_normal((6, 3)), rng.integers(0, 2, 6))
+        with T.Tape() as tape:
+            theta = L.make_param_nodes(net.layers, tape)
+            adapted = LR.maml_adapt(loss, theta, 0.1, 2)
+            flat = L.param_nodes_to_list(adapted)
+            assert len(flat) == 4
+            assert all(isinstance(p, T.Node) and p.tape is tape for p in flat)
+            assert not any(p is t for p, t in zip(flat, L.param_nodes_to_list(theta)))
 
     def test_step_composition(self):
         rng = np.random.default_rng(3)
@@ -196,9 +225,10 @@ class TestMamlAdapt:
         )
         x = rng.standard_normal((6, 3))
         y = rng.integers(0, 2, size=6)
-        once = LR.maml_adapt(net, x, y, 0.05, 4)
-        first = LR.maml_adapt(net, x, y, 0.05, 2)
-        second = LR.maml_adapt(net, x, y, 0.05, 2, start_params=first)
+        loss = support_cross_entropy(net, x, y)
+        once = LR.maml_adapt(loss, layer_arrays(net), 0.05, 4)
+        first = LR.maml_adapt(loss, layer_arrays(net), 0.05, 2)
+        second = LR.maml_adapt(loss, first, 0.05, 2)
         for a, b in zip(arrays(once), arrays(second)):
             np.testing.assert_array_equal(a, b)
 
@@ -208,20 +238,15 @@ class TestMamlAdapt:
         x_s, y_s = 1.3, 0.4
         x_q, y_q = -0.7, 0.9
         lr = 0.05
+        inner_loss = linear_model_inner_loss(x_s, y_s)
 
         def query_loss_after_adapt(w0):
-            net = tiny_linear_network(w0)
-            adapted = LR.maml_adapt(
-                net, None, None, lr, 1, inner_loss=linear_model_inner_loss(x_s, y_s)
-            )
+            adapted = LR.maml_adapt(inner_loss, layer_arrays(tiny_linear_network(w0)), lr, 1)
             w1 = T.value_of(adapted[0]["weight"])[0, 0]
             return (w1 * x_q - y_q) ** 2
 
         w0 = 1.1
-        net = tiny_linear_network(w0)
-        adapted = LR.maml_adapt(
-            net, None, None, lr, 1, inner_loss=linear_model_inner_loss(x_s, y_s)
-        )
+        adapted = LR.maml_adapt(inner_loss, layer_arrays(tiny_linear_network(w0)), lr, 1)
         tape = T.Tape()
         phi = [{n: tape.leaf(a) for n, a in e.items()} for e in adapted]
         r = T.sub(T.mul(phi[0]["weight"], x_q), y_q)
@@ -249,17 +274,7 @@ class TestMamlAdapt:
         net = tiny_linear_network(w0)
         tape = T.Tape()
         theta = L.make_param_nodes(net.layers, tape)
-        adapted = LR.maml_adapt(
-            net,
-            None,
-            None,
-            lr,
-            1,
-            first_order=False,
-            tape=tape,
-            theta_params=theta,
-            inner_loss=linear_model_inner_loss(x_s, y_s),
-        )
+        adapted = LR.maml_adapt(linear_model_inner_loss(x_s, y_s), theta, lr, 1)
         r = T.sub(T.mul(adapted[0]["weight"], x_q), y_q)
         loss = T.sum_(T.mul(r, r))
         grads = tape.backward(loss, [theta[0]["weight"]])
@@ -283,10 +298,7 @@ class TestMamlAdapt:
         net = tiny_linear_network(w0)
         with T.Tape() as tape:
             theta = L.make_param_nodes(net.layers, tape)
-            adapted = LR.maml_adapt(
-                net, None, None, lr, steps, first_order=False, tape=tape,
-                theta_params=theta, inner_loss=linear_model_inner_loss(x_s, y_s),
-            )
+            adapted = LR.maml_adapt(linear_model_inner_loss(x_s, y_s), theta, lr, steps)
             r = T.sub(T.mul(adapted[0]["weight"], x_q), y_q)
             grads = tape.backward(T.sum_(T.mul(r, r)), [theta[0]["weight"]])
         got = float(np.ravel(grads[theta[0]["weight"]])[0])
@@ -324,21 +336,18 @@ class TestMamlAdapt:
                 L.forward(net.layers, x, params=params, frozen_stats=stats), y
             )
 
-        def inner_loss(params, tape):
+        def inner_loss(params):
             return loss(params, support_x, support_y)
 
         def query_loss_after_adapt(flat):
             net.set_parameter_arrays(flat)
-            adapted = LR.maml_adapt(net, None, None, lr, steps, inner_loss=inner_loss)
+            adapted = LR.maml_adapt(inner_loss, layer_arrays(net), lr, steps)
             return float(loss(adapted, query_x, query_y))
 
         theta0 = net.parameter_arrays()
         with T.Tape() as tape:
             theta = L.make_param_nodes(net.layers, tape)
-            adapted = LR.maml_adapt(
-                net, None, None, lr, steps, first_order=False, tape=tape,
-                theta_params=theta, inner_loss=inner_loss,
-            )
+            adapted = LR.maml_adapt(inner_loss, theta, lr, steps)
             flat = L.param_nodes_to_list(theta)
             grads = tape.backward(loss(adapted, query_x, query_y), flat)
         for idx, node in enumerate(flat):
@@ -357,14 +366,22 @@ class TestMamlAdapt:
         )
         x = rng.standard_normal((6, 3))
         y = rng.integers(0, 2, size=6)
-        first = LR.maml_adapt(net, x, y, 0.5, 3)
+        loss = support_cross_entropy(net, x, y)
+        first = LR.maml_adapt(loss, layer_arrays(net), 0.5, 3)
         tape = T.Tape()
-        theta = L.make_param_nodes(net.layers, tape)
-        second = LR.maml_adapt(
-            net, x, y, 0.5, 3, first_order=False, tape=tape, theta_params=theta
-        )
+        second = LR.maml_adapt(loss, L.make_param_nodes(net.layers, tape), 0.5, 3)
         for a, b in zip(arrays(first), arrays(second)):
             np.testing.assert_allclose(b, a, rtol=0, atol=1e-12)
+
+
+def batch_cross_entropy(net):
+    """Per-task support cross-entropies of a stacked task batch."""
+
+    def inner_loss(batch, params):
+        logits = L.forward(net.layers, batch.support_x, params=params, task_axis=True)
+        return LR.cross_entropy(logits, batch.support_y)
+
+    return inner_loss
 
 
 class TestMamlOuterStep:
@@ -383,7 +400,7 @@ class TestMamlOuterStep:
             return T.mul(const, 1.0), [info]
 
         task = self.make_task(rng)
-        LR.maml_outer_step(net, [task], frozen_loss, adam(0.01), 0.1, 1)
+        LR.maml_outer_step(net, [task], batch_cross_entropy(net), frozen_loss, adam(0.01), 0.1, 1)
         for a, b in zip(before, net.parameter_arrays()):
             np.testing.assert_array_equal(a, b)
 
@@ -403,7 +420,9 @@ class TestMamlOuterStep:
                 loss = LR.cross_entropy(logits, stacked.query_y)
                 return loss, [{"total": float(v)} for v in T.value_of(loss)]
 
-            LR.maml_outer_step(net, batch, task_loss, adam(0.01), 0.05, 2)
+            LR.maml_outer_step(
+                net, batch, batch_cross_entropy(net), task_loss, adam(0.01), 0.05, 2
+            )
             return net.parameter_arrays()
 
         a = run([task])
@@ -429,7 +448,7 @@ def reference_maml_step(network, dataset, config, eps_t, sample_rng, interp_rng,
     total = [np.zeros_like(a) for a in arrays]
     infos = []
     for task, ctx in zip(tasks, contexts):
-        def inner_loss(params, tape):
+        def inner_loss(params):
             logits = L.forward(network.layers, task.support_x, params=params)
             l_ce = LR.cross_entropy(logits, task.support_y)
             if ctx is None:
@@ -445,15 +464,11 @@ def reference_maml_step(network, dataset, config, eps_t, sample_rng, interp_rng,
             theta = L.make_param_nodes(network.layers, tape)
             if config.first_order:
                 adapted = LR.maml_adapt(
-                    network, None, None, config.inner_lr, config.inner_steps,
-                    inner_loss=inner_loss,
+                    inner_loss, layer_arrays(network), config.inner_lr, config.inner_steps
                 )
                 phi = [{n: tape.leaf(a) for n, a in e.items()} for e in adapted]
             else:
-                phi = LR.maml_adapt(
-                    network, None, None, config.inner_lr, config.inner_steps,
-                    first_order=False, tape=tape, theta_params=theta, inner_loss=inner_loss,
-                )
+                phi = LR.maml_adapt(inner_loss, theta, config.inner_lr, config.inner_steps)
             logits = L.forward(network.layers, task.query_x, params=phi)
             l_ce = LR.cross_entropy(logits, task.query_y)
             qres = None
@@ -662,17 +677,17 @@ class TestTaskBatchedEvaluation:
         spec, n_tasks, entropy, steps, lr = TaskSpec(5, 1, 15), 24, (0, 202), 10, 0.1
 
         seen = {}
-        adapt_tasks, task_accuracies = LR.maml_adapt_tasks, H.maml_task_accuracies
+        adapt, task_accuracies = LR.maml_adapt, H.maml_task_accuracies
 
         def spy_adapt(*args, **kwargs):
-            seen["adapted"] = adapt_tasks(*args, **kwargs)
+            seen["adapted"] = adapt(*args, **kwargs)
             return seen["adapted"]
 
         def spy_accuracies(*args, **kwargs):
             seen["accs"] = task_accuracies(*args, **kwargs)
             return seen["accs"]
 
-        monkeypatch.setattr(LR, "maml_adapt_tasks", spy_adapt)
+        monkeypatch.setattr(LR, "maml_adapt", spy_adapt)
         monkeypatch.setattr(H, "maml_task_accuracies", spy_accuracies)
         mean, _ = H.evaluate(
             net, "maml", ds, spec, n_tasks, entropy, eval_inner_steps=steps, inner_lr=lr
@@ -682,7 +697,8 @@ class TestTaskBatchedEvaluation:
         ref_accs = []
         for i in range(n_tasks):
             task = sample_task(ds, spec, np.random.default_rng(np.random.SeedSequence(entropy + (i,))))
-            ref = LR.maml_adapt(net, task.support_x, task.support_y, lr, steps)
+            loss = support_cross_entropy(net, task.support_x, task.support_y)
+            ref = LR.maml_adapt(loss, layer_arrays(net), lr, steps)
             for ref_entry, entry in zip(ref, seen["adapted"]):
                 for name, arr in ref_entry.items():
                     np.testing.assert_allclose(entry[name][i], arr, rtol=0, atol=1e-12)
@@ -694,6 +710,27 @@ class TestTaskBatchedEvaluation:
         assert len(set(ref_accs)) > 1
         np.testing.assert_array_equal(seen["accs"], ref_accs)
         assert mean == float(np.mean(ref_accs))
+
+    @pytest.mark.parametrize("make", [fc_pool_network, conv_pool_network])
+    def test_queries_are_scored_in_chunks(self, make, monkeypatch):
+        # one stack of every task's queries holds all their activations at
+        # once: 262 MB against 94 for 240 tasks of the benchmark's conv network
+        net, ds = make(0)
+        spec, n_tasks = TaskSpec(5, 1, 15), 60
+        task = sample_task(ds, spec, np.random.default_rng(0))
+        chunk = len(next(LR.task_chunks([task] * n_tasks)))
+        stacks = []
+        forward = LR.forward
+
+        def spy(layers, x, **kwargs):
+            if np.shape(x)[1] == task.query_x.shape[0]:
+                stacks.append(np.shape(x)[0])
+            return forward(layers, x, **kwargs)
+
+        monkeypatch.setattr(LR, "forward", spy)
+        H.evaluate(net, "maml", ds, spec, n_tasks, (0,), eval_inner_steps=2)
+        assert sum(stacks) == n_tasks
+        assert 1 < len(stacks) and max(stacks) <= chunk
 
     def test_cross_entropy_gives_per_task_means(self):
         rng = np.random.default_rng(2)
@@ -740,10 +777,22 @@ class TestTapeRelease:
             logits = L.forward(net.layers, stacked.query_x, params=phi, task_axis=True)
             return LR.cross_entropy(logits, stacked.query_y), [{}, {}]
 
-        LR.maml_outer_step(net, batch, task_loss, adam(0.01), 0.1, 3, first_order=first_order)
+        LR.maml_outer_step(
+            net, batch, batch_cross_entropy(net), task_loss, adam(0.01), 0.1, 3,
+            first_order=first_order,
+        )
         # one tape per inner step and the outer tape (first order), or the
         # outer tape alone (second order), for the whole batch
         assert len(tapes) == (4 if first_order else 1)
+        assert self.alive(tapes) == 0
+
+    def test_first_order_adapt_returns_arrays_and_frees_every_tape(self, tapes):
+        net, ds = fc_pool_network(6)
+        task = sample_task(ds, TaskSpec(5, 1, 3), np.random.default_rng(7))
+        loss = support_cross_entropy(net, task.support_x, task.support_y)
+        adapted = LR.maml_adapt(loss, layer_arrays(net), 0.1, 3)
+        assert all(type(p) is np.ndarray for p in L.param_nodes_to_list(adapted))
+        assert len(tapes) == 3  # one throwaway tape per step
         assert self.alive(tapes) == 0
 
     def test_evaluate_frees_every_tape(self, tapes):

@@ -16,7 +16,7 @@ import pytest
 
 from fewshot_ibp import layers as L
 from fewshot_ibp import tensor as T
-from fewshot_ibp.optim import adam, optimizer_step, sgd
+from fewshot_ibp.optim import adam, optimizer_step
 
 
 def fd_gradient(loss_fn, arrays, index, step=1e-5):
@@ -602,16 +602,10 @@ class TestTaskAxis:
 
 
 class TestOptimizers:
-    def test_sgd_definition(self):
-        params, state = optimizer_step([np.array([1.0])], [np.array([2.0])], sgd(0.01))
-        assert params[0][0] == pytest.approx(0.98)
-
-    def test_zero_gradient_is_identity_for_both(self):
+    def test_zero_gradient_is_identity(self):
         p = [np.array([1.5, -2.0])]
-        z = [np.zeros(2)]
-        for state in (sgd(0.1), adam(0.1)):
-            new, _ = optimizer_step(p, z, state)
-            np.testing.assert_array_equal(new[0], p[0])
+        new, _ = optimizer_step(p, [np.zeros(2)], adam(0.1))
+        np.testing.assert_array_equal(new[0], p[0])
 
     def test_adam_first_step_closed_form(self):
         # after bias correction at t=1: update = -lr * g / (|g| + stabilizer)
@@ -625,9 +619,9 @@ class TestOptimizers:
 
     def test_shape_mismatch_and_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            optimizer_step([np.zeros(2)], [np.zeros(3)], sgd(0.1))
+            optimizer_step([np.zeros(2)], [np.zeros(3)], adam(0.1))
         with pytest.raises(T.NonFiniteError):
-            optimizer_step([np.zeros(2)], [np.array([np.nan, 0.0])], sgd(0.1))
+            optimizer_step([np.zeros(2)], [np.array([np.nan, 0.0])], adam(0.1))
 
 
 class TestCheckpoint:
