@@ -13,18 +13,18 @@ is attained by some input point.
 
 All entry points accept tape nodes as well as plain arrays, so bound
 computations are differentiable with respect to the network parameters.
-With ``task_axis=True`` a stack of T tasks is propagated at once: boxes carry
-a leading task axis, parameters are shared or stacked per task, and batchnorm
-takes its statistics per task, as in the task-axis forward pass.
+As in the forward pass, an odd rank marks a stack of T tasks, propagated at
+once (:func:`~fewshot_ibp.layers.has_task_axis`): boxes carry a leading task
+axis, parameters are shared or stacked per task, and batchnorm takes its
+statistics per task.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .layers import LayerSpec, Network, batch_stats, bn_affine, _bn_broadcast
+from .layers import LayerSpec, Network, apply_layer, batch_stats, bn_affine, has_task_axis
+from .layers import _bn_broadcast
 from .tensor import (
     abs_,
     add,
@@ -52,11 +52,11 @@ class IntervalTensor:
 
     def validate(self, tol: float = 0.0) -> None:
         lo, up = value_of(self.lower), value_of(self.upper)
-        if np.shape(lo) != np.shape(up):
-            raise ValueError(f"box face shapes differ: {np.shape(lo)} vs {np.shape(up)}")
+        if lo.shape != up.shape:
+            raise ValueError(f"box face shapes differ: {lo.shape} vs {up.shape}")
         check_finite(lo, "box lower face")
         check_finite(up, "box upper face")
-        if np.any(lo > up + tol):
+        if (lo > up + tol).any():
             raise ValueError("box has lower > upper")
 
 
@@ -74,7 +74,7 @@ class BoundResult:
         self.box.validate(tol=tol)
         c = value_of(self.center)
         lo, up = value_of(self.box.lower), value_of(self.box.upper)
-        if np.any(c < lo - tol) or np.any(c > up + tol):
+        if (c < lo - tol).any() or (c > up + tol).any():
             raise ValueError("center outside propagated box")
 
 
@@ -99,15 +99,14 @@ def propagate_layer(
     weight=None,
     bias=None,
     frozen_stats=None,
-    task_axis: bool = False,
 ) -> IntervalTensor:
     """Push a box through one layer.
 
     ``weight``/``bias`` override stored parameters (typically tape nodes).
     Batchnorm uses ``frozen_stats`` when given; otherwise statistics are taken
     from the box midpoint batch, matching the per-step frozen-affine
-    treatment of batchnorm.  With ``task_axis`` the first axis of the box
-    indexes tasks (see the module docstring).
+    treatment of batchnorm.  A box of odd rank is a stack of tasks (see the
+    module docstring).
     """
     box.validate()
     w = layer.weight if weight is None else weight
@@ -126,14 +125,12 @@ def propagate_layer(
         )
     if kind == "batchnorm":
         if frozen_stats is None:
-            frozen_stats = batch_stats(
-                mul(add(box.lower, box.upper), 0.5), layer, task_axis
-            )
+            frozen_stats = batch_stats(mul(add(box.lower, box.upper), 0.5), layer)
         scale, shift = bn_affine(layer, *frozen_stats, gamma=w, beta=b)
         ref = box.lower
-        scale_b = _bn_broadcast(ref, scale, task_axis)
-        shift_b = _bn_broadcast(ref, shift, task_axis)
-        abs_scale_b = _bn_broadcast(ref, abs_(scale), task_axis)
+        scale_b = _bn_broadcast(ref, scale)
+        shift_b = _bn_broadcast(ref, shift)
+        abs_scale_b = _bn_broadcast(ref, abs_(scale))
         return _affine_box(
             box,
             lambda mu: add(mul(mu, scale_b), shift_b),
@@ -147,27 +144,23 @@ def propagate_layer(
             maxpool2d(box.upper, layer.window, layer.stride),
         )
     if kind == "flatten":
-        lead = np.shape(value_of(box.lower))[: 1 + task_axis]
+        lead = value_of(box.lower).shape[: 1 + has_task_axis(box.lower)]
         return IntervalTensor(
             reshape(box.lower, lead + (-1,)), reshape(box.upper, lead + (-1,))
         )
     raise ValueError(f"unknown layer kind {kind!r}")
 
 
-def propagate_prefix(
-    network: Network, x, eps: float, params=None, task_axis: bool = False
-) -> BoundResult:
+def propagate_prefix(network: Network, x, eps: float, params=None) -> BoundResult:
     """Forward ``x`` through the embedding prefix while propagating its box.
 
     Returns the ordinary layer-``S`` activation as ``center`` and the box
     obtained by pushing ``[x - eps, x + eps]`` through the same layers.
     Batchnorm statistics come from the center activations and are reused for
-    the box, so both passes see the identical per-step affine map.  With
-    ``task_axis`` the first axis of ``x`` indexes tasks, and each task's
-    batchnorm statistics are its own.
+    the box, so both passes see the identical per-step affine map.  An
+    odd-rank ``x`` is a stack of tasks, and each task's batchnorm statistics
+    are its own.
     """
-    from .layers import apply_layer  # cycle-free local import
-
     check_finite(x, "bound propagation input")
     center = x
     box = epsilon_box(x, eps)
@@ -176,13 +169,9 @@ def propagate_prefix(
         w, b = entry.get("weight"), entry.get("bias")
         frozen = None
         if layer.kind == "batchnorm":
-            frozen = batch_stats(center, layer, task_axis)
-        center = apply_layer(
-            layer, center, weight=w, bias=b, frozen_stats=frozen, task_axis=task_axis
-        )
-        box = propagate_layer(
-            layer, box, weight=w, bias=b, frozen_stats=frozen, task_axis=task_axis
-        )
+            frozen = batch_stats(center, layer)
+        center = apply_layer(layer, center, weight=w, bias=b, frozen_stats=frozen)
+        box = propagate_layer(layer, box, weight=w, bias=b, frozen_stats=frozen)
         check_finite(box.lower, f"box lower after layer {i}")
         check_finite(box.upper, f"box upper after layer {i}")
     result = BoundResult(center, box)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .episodes import Dataset, TaskSpec, check_supply, load_dataset, synth_dataset
 from .layers import check_layer_descs
@@ -31,6 +31,9 @@ SCHEMA_VERSION = 1
 
 # tuned defaults: softmax temperature differs per learner
 DEFAULT_GAMMA = {"maml": 0.1, "protonet": 1.0}
+# fields annotated ``int`` or ``bool`` hold exactly that type: no bool for
+# an int, no float or string for either
+_EXACT_TYPES = {"int": (int, "an integer"), "bool": (bool, "true or false")}
 
 
 @dataclass
@@ -75,6 +78,10 @@ class RunConfig:
             raise ValueError(f"objective must be one of {OBJECTIVES}")
         if self.distance not in DISTANCES:
             raise ValueError(f"distance must be one of {DISTANCES}")
+        for f in fields(self):
+            kind, noun = _EXACT_TYPES.get(f.type, (None, None))
+            if kind is not None and type(getattr(self, f.name)) is not kind:
+                raise ValueError(f"{f.name} must be {noun}, got {getattr(self, f.name)!r}")
         for name in ("max_steps", "meta_batch", "eval_interval", "n_val_tasks", "n_eval_tasks"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -98,6 +105,8 @@ class RunConfig:
         if self.static_weights is not None:
             if len(self.static_weights) != 3:
                 raise ValueError("static_weights needs exactly three entries")
+            if any(type(w) not in (int, float) for w in self.static_weights):
+                raise ValueError(f"static_weights must be numbers, got {self.static_weights!r}")
             try:
                 WeightTriple(*self.static_weights).validate()
             except ValueError as err:

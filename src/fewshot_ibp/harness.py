@@ -2,15 +2,18 @@
 intervals (on the training distribution or, for transfer, another dataset),
 compactness analysis, and consolidated reports.
 
-Training is sequential over steps.  A MAML step draws its meta-batch and
-the interpolation of the tasks that fired, then scores all tasks at once on
-a leading task axis: the inner and query losses give one value per task,
-tasks that did not fire interpolate with zero weight, and the loss weights
-are computed task by task from detached values.  Every derived random
-stream is seeded from the run seed, and evaluation tasks use per-task
-streams seeded by (run seed, task index), so a (config, seed) pair fully
-determines the metrics stream.  Metrics are written as CSV (one row per
-step, byte-stable across reruns) plus a JSON summary holding config,
+Training is sequential over steps, and both learners train on one layout:
+a stack of tasks on a leading task axis, which every layer reads from the
+input's odd rank (:func:`~fewshot_ibp.layers.has_task_axis`).  A step draws
+its tasks (a MAML meta-batch, or one ProtoNet task) and the interpolation of
+the tasks that fired, then scores all tasks at once: the cross-entropies
+give one value per task, tasks that did not fire interpolate with zero
+weight, and one loss tail adds the bound losses and weighs each task's
+losses with weights computed from its own detached values.  Every derived
+random stream is seeded from the run seed, and evaluation tasks use
+per-task streams seeded by (run seed, task index), so a (config, seed) pair
+fully determines the metrics stream.  Metrics are written as CSV (one row
+per step, byte-stable across reruns) plus a JSON summary holding config,
 fingerprint, timing, and final measurements.
 """
 
@@ -36,15 +39,9 @@ from .interpolation import (
     sample_mix,
     should_interpolate,
 )
-from .layers import (
-    Network,
-    build_network,
-    forward,
-    make_param_nodes,
-    param_nodes_to_list,
-    save_checkpoint,
-)
+from .layers import Network, build_network, forward, param_nodes_to_list, save_checkpoint
 from .learners import (
+    TaskBatch,
     compute_prototypes,
     cross_entropy,
     maml_outer_step,
@@ -86,9 +83,9 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _weights_for(config: RunConfig, losses: LossTriple) -> WeightTriple:
+def _weights_for(config: RunConfig, losses) -> WeightTriple:
     if config.objective not in BOUND_OBJECTIVES:
-        return WeightTriple(1.0, 0.0, 0.0, mode="fixed")
+        return WeightTriple(1.0, 0.0, 0.0)
     if config.static_weights is not None:
         return static_weights(*config.static_weights)
     return dynamic_weights(losses, config.gamma_value)
@@ -115,85 +112,8 @@ def _draw_context(config: RunConfig, task, dataset, interp_rng, sample_rng):
     return _InterpContext(coeffs, query_coeffs, pair_task)
 
 
-def _protonet_loss(network, head_params, support_h, query_h, task, distance):
-    support_emb = forward(network.head, support_h, params=head_params)
-    query_emb = forward(network.head, query_h, params=head_params)
-    protos = compute_prototypes(support_emb, task.support_y, task.ways)
-    return cross_entropy(protonet_logits(query_emb, protos, distance), task.query_y)
-
-
-def _protonet_step(network, dataset, config, eps_t, sample_rng, interp_rng, opt_state):
-    task = sample_task(dataset, config.train_spec(), sample_rng)
-    mode = config.objective
-    use_bounds = mode in BOUND_OBJECTIVES
-    ctx = None
-    if mode in MODES and should_interpolate(
-        "protonet", 1, interp_rng, config.interp_probability
-    )[0]:
-        ctx = _draw_context(config, task, dataset, interp_rng, sample_rng)
-
-    s = network.split_index
-    with Tape() as tape:
-        params = make_param_nodes(network.layers, tape)
-        prefix_params, head_params = params[:s], params[s:]
-
-        # the clean pass shares the centers of the boxes that the bound losses
-        # or a bound-mode interpolation read
-        interp_boxes = ctx is not None and mode in BOUND_MODES
-        qres = sres = None
-        if use_bounds or interp_boxes:
-            qres = propagate_prefix(network, task.query_x, eps_t, params=prefix_params)
-            query_prefix = qres.center
-        else:
-            query_prefix = forward(network.prefix, task.query_x, params=prefix_params)
-        if interp_boxes:
-            sres = propagate_prefix(network, task.support_x, eps_t, params=prefix_params)
-            support_prefix = sres.center
-        else:
-            support_prefix = forward(network.prefix, task.support_x, params=prefix_params)
-        l_ce = _protonet_loss(
-            network, head_params, support_prefix, query_prefix, task, config.distance
-        )
-
-        if ctx is not None:
-            support_h = make_interpolated_task(
-                mode, network, task.support_x, task.support_y, ctx.coeffs,
-                prefix_params, eps_t, bounds=sres,
-                pair_x=getattr(ctx.pair_task, "support_x", None),
-            )
-            query_h = make_interpolated_task(
-                mode, network, task.query_x, task.query_y, ctx.query_coeffs,
-                prefix_params, eps_t, bounds=qres,
-                pair_x=getattr(ctx.pair_task, "query_x", None),
-            )
-            l_ce2 = _protonet_loss(
-                network, head_params, support_h, query_h, task, config.distance
-            )
-            l_ce = mul(add(l_ce, l_ce2), 0.5)
-
-        if use_bounds:
-            l_lb, l_ub = bound_losses(qres.center, qres.box)
-        else:
-            l_lb, l_ub = 0.0, 0.0
-        losses = LossTriple(l_ce, l_lb, l_ub)
-        weights = _weights_for(config, losses)
-        total = total_loss(losses, weights)
-
-        flat = param_nodes_to_list(params)
-        grads = tape.backward(total, flat)
-    new_arrays, opt_state = optimizer_step(
-        network.parameter_arrays(), [grads[p] for p in flat], opt_state
-    )
-    network.set_parameter_arrays(new_arrays)
-    return {
-        "losses": losses.values(),
-        "weights": weights.as_tuple(),
-        "total": float(value_of(total)),
-    }, opt_state
-
-
 class _TaskMix(NamedTuple):
-    """The interpolation of one meta-batch, stacked on the task axis.
+    """The interpolation of one batch of tasks, stacked on the task axis.
 
     A task that did not fire has zero mixing weights and, for the mixup
     modes, its own sets as the pair, so its interpolated input is its own
@@ -212,17 +132,17 @@ def _stack_contexts(tasks, contexts) -> _TaskMix | None:
     if all(ctx is None for ctx in contexts):
         return None
     ways = tasks[0].ways
-    idle = MixCoefficients(np.zeros(ways), np.zeros(ways, dtype=int))
+    idle = MixCoefficients(np.zeros(ways), np.zeros(ways, dtype=int)) if None in contexts else None
 
     def stacked(field):
         rows = [idle if ctx is None else getattr(ctx, field) for ctx in contexts]
-        return MixCoefficients(np.stack([r.lam for r in rows]), np.stack([r.nu for r in rows]))
+        return MixCoefficients(np.array([r.lam for r in rows]), np.array([r.nu for r in rows]))
 
     pair_support_x = pair_query_x = None
     if any(ctx is not None and ctx.pair_task is not None for ctx in contexts):
         pairs = [task if ctx is None else ctx.pair_task for task, ctx in zip(tasks, contexts)]
-        pair_support_x = np.stack([pair.support_x for pair in pairs])
-        pair_query_x = np.stack([pair.query_x for pair in pairs])
+        pair_support_x = np.array([pair.support_x for pair in pairs])
+        pair_query_x = np.array([pair.query_x for pair in pairs])
     fired = np.array([ctx is not None for ctx in contexts])
     ce_weights = np.where(fired[:, None], 0.5, np.array([1.0, 0.0]))
     return _TaskMix(
@@ -230,26 +150,119 @@ def _stack_contexts(tasks, contexts) -> _TaskMix | None:
     )
 
 
-def _mixed_cross_entropy(network, l_ce, h, head_params, labels, mix: _TaskMix):
+def _draw_tasks(learner, n_tasks, dataset, config, sample_rng, interp_rng):
+    """A training step's tasks, then which of them interpolate, then how."""
+    tasks = [sample_task(dataset, config.train_spec(), sample_rng) for _ in range(n_tasks)]
+    contexts = [None] * n_tasks
+    if config.objective in MODES:
+        mask = should_interpolate(learner, n_tasks, interp_rng, config.interp_probability)
+        contexts = [
+            _draw_context(config, task, dataset, interp_rng, sample_rng) if fired else None
+            for task, fired in zip(tasks, mask)
+        ]
+    return tasks, _stack_contexts(tasks, contexts)
+
+
+def _mixed_cross_entropy(l_ce, l_ce2, mix: _TaskMix):
     """Per-task weighted sum of the plain and the interpolated cross-entropy."""
-    scores = forward(network.head, h, params=head_params, task_axis=True)
-    l_ce2 = cross_entropy(scores, labels)
     return add(mul(l_ce, mix.ce_weights[:, 0]), mul(l_ce2, mix.ce_weights[:, 1]))
+
+
+def _loss_tail(config: RunConfig, l_ce, qres):
+    """Per-task totals from per-task cross-entropies plus, for a bound
+    objective, the bound losses of the propagated queries ``qres``, each task
+    weighed by its own detached values; and the (7, tasks) diagnostics: the
+    three losses, the three weights and the total."""
+    if config.objective in BOUND_OBJECTIVES:
+        l_lb, l_ub = bound_losses(qres.center, qres.box)
+    else:
+        l_lb, l_ub = 0.0, 0.0
+    losses = LossTriple(l_ce, l_lb, l_ub)
+    values = [task.values() for task in losses.per_task(len(value_of(l_ce)))]
+    weights = [_weights_for(config, task) for task in values]
+    total = total_loss(losses, weights)
+    diagnostics = np.array(
+        [*zip(*values), *zip(*(w.as_tuple() for w in weights)), value_of(total).tolist()]
+    )
+    return total, diagnostics
+
+
+def _step_info(diagnostics):
+    """A step's logged means over its tasks, as ``np.mean`` of a list of each
+    row's values computes them: each row is contiguous and sums the same."""
+    means = (diagnostics.sum(axis=1) / diagnostics.shape[1]).tolist()
+    return {"losses": tuple(means[:3]), "weights": tuple(means[3:6]), "total": means[6]}
+
+
+def _protonet_step(network, dataset, config, eps_t, sample_rng, interp_rng, opt_state):
+    """One prototype-network update on the task axis, a batch of one task.
+    Each parameter is a (1, ...) leaf, so no shared weight's gradient is
+    summed over the task axis."""
+    tasks, mix = _draw_tasks("protonet", 1, dataset, config, sample_rng, interp_rng)
+    batch = TaskBatch.stack(tasks)
+    mode = config.objective
+    s = network.split_index
+    # the clean pass shares the centers of the boxes that the bound losses or
+    # a bound-mode interpolation read
+    support_boxes = mix is not None and mode in BOUND_MODES
+    query_boxes = support_boxes or mode in BOUND_OBJECTIVES
+    with Tape() as tape:
+        params = [
+            {name: tape.leaf(arr[None]) for name, arr in layer.param_items()}
+            for layer in network.layers
+        ]
+        prefix_params, head_params = params[:s], params[s:]
+
+        def embed(x, boxes):
+            if boxes:
+                res = propagate_prefix(network, x, eps_t, params=prefix_params)
+                return res, res.center
+            return None, forward(network.prefix, x, params=prefix_params)
+
+        def head_cross_entropy(support_h, query_h):
+            support_emb = forward(network.head, support_h, params=head_params)
+            query_emb = forward(network.head, query_h, params=head_params)
+            protos = compute_prototypes(support_emb, batch.support_y, tasks[0].ways)
+            scores = protonet_logits(query_emb, protos, config.distance)
+            return cross_entropy(scores, batch.query_y)
+
+        qres, query_h = embed(batch.query_x, query_boxes)
+        sres, support_h = embed(batch.support_x, support_boxes)
+        l_ce = head_cross_entropy(support_h, query_h)
+        if mix is not None:
+            support_h = make_interpolated_task(
+                mode, network, batch.support_x, batch.support_y, mix.coeffs,
+                prefix_params, eps_t, bounds=sres, pair_x=mix.pair_support_x,
+            )
+            query_h = make_interpolated_task(
+                mode, network, batch.query_x, batch.query_y, mix.query_coeffs,
+                prefix_params, eps_t, bounds=qres, pair_x=mix.pair_query_x,
+            )
+            l_ce = _mixed_cross_entropy(l_ce, head_cross_entropy(support_h, query_h), mix)
+        total, diagnostics = _loss_tail(config, l_ce, qres)
+        flat = param_nodes_to_list(params)
+        grads = tape.backward(total, flat)
+    new_arrays, opt_state = optimizer_step(
+        network.parameter_arrays(), [grads[p][0] for p in flat], opt_state
+    )
+    network.set_parameter_arrays(new_arrays)
+    return _step_info(diagnostics), opt_state
 
 
 def _maml_inner_loss(network, config, eps_t, mix: _TaskMix | None):
     s = network.split_index
 
     def inner_loss(batch, params):
-        logits = forward(network.layers, batch.support_x, params=params, task_axis=True)
+        logits = forward(network.layers, batch.support_x, params=params)
         l_ce = cross_entropy(logits, batch.support_y)
         if mix is None:
             return l_ce
         h = make_interpolated_task(
             config.objective, network, batch.support_x, batch.support_y, mix.coeffs,
-            params[:s], eps_t, pair_x=mix.pair_support_x, task_axis=True,
+            params[:s], eps_t, pair_x=mix.pair_support_x,
         )
-        return _mixed_cross_entropy(network, l_ce, h, params[s:], batch.support_y, mix)
+        scores = forward(network.head, h, params=params[s:])
+        return _mixed_cross_entropy(l_ce, cross_entropy(scores, batch.support_y), mix)
 
     return inner_loss
 
@@ -257,55 +270,30 @@ def _maml_inner_loss(network, config, eps_t, mix: _TaskMix | None):
 def _maml_query_loss(network, config, eps_t, mix: _TaskMix | None):
     s = network.split_index
     mode = config.objective
-    use_bounds = mode in BOUND_OBJECTIVES
+    query_boxes = mode in BOUND_OBJECTIVES or (mix is not None and mode in BOUND_MODES)
 
     def query_loss(batch, theta, phi):
-        logits = forward(network.layers, batch.query_x, params=phi, task_axis=True)
+        logits = forward(network.layers, batch.query_x, params=phi)
         l_ce = cross_entropy(logits, batch.query_y)
-
         qres = None
-        if use_bounds or (mix is not None and mode in BOUND_MODES):
+        if query_boxes:
             bound_params = phi if config.bounds_on_adapted else theta
-            qres = propagate_prefix(
-                network, batch.query_x, eps_t, params=bound_params[:s], task_axis=True
-            )
-
+            qres = propagate_prefix(network, batch.query_x, eps_t, params=bound_params[:s])
         if mix is not None:
             h = make_interpolated_task(
                 mode, network, batch.query_x, batch.query_y, mix.query_coeffs,
-                phi[:s], eps_t, bounds=qres, pair_x=mix.pair_query_x, task_axis=True,
+                phi[:s], eps_t, bounds=qres, pair_x=mix.pair_query_x,
             )
-            l_ce = _mixed_cross_entropy(network, l_ce, h, phi[s:], batch.query_y, mix)
-
-        if use_bounds:
-            l_lb, l_ub = bound_losses(qres.center, qres.box, task_axis=True)
-        else:
-            l_lb, l_ub = 0.0, 0.0
-        losses = LossTriple(l_ce, l_lb, l_ub)
-        per_task = losses.per_task(len(batch.query_y))
-        weights = [_weights_for(config, task_losses) for task_losses in per_task]
-        total = total_loss(losses, weights)
-        infos = [
-            {"losses": task_losses.values(), "weights": w.as_tuple(), "total": float(t)}
-            for task_losses, w, t in zip(per_task, weights, value_of(total))
-        ]
-        return total, infos
+            scores = forward(network.head, h, params=phi[s:])
+            l_ce = _mixed_cross_entropy(l_ce, cross_entropy(scores, batch.query_y), mix)
+        return _loss_tail(config, l_ce, qres)
 
     return query_loss
 
 
 def _maml_step(network, dataset, config, eps_t, sample_rng, interp_rng, opt_state):
-    b = config.meta_batch
-    tasks = [sample_task(dataset, config.train_spec(), sample_rng) for _ in range(b)]
-    contexts = [None] * b
-    if config.objective in MODES:
-        mask = should_interpolate("maml", b, interp_rng, config.interp_probability)
-        contexts = [
-            _draw_context(config, task, dataset, interp_rng, sample_rng) if fired else None
-            for task, fired in zip(tasks, mask)
-        ]
-    mix = _stack_contexts(tasks, contexts)
-    infos = maml_outer_step(
+    tasks, mix = _draw_tasks("maml", config.meta_batch, dataset, config, sample_rng, interp_rng)
+    diagnostics = maml_outer_step(
         network,
         tasks,
         _maml_inner_loss(network, config, eps_t, mix),
@@ -315,10 +303,7 @@ def _maml_step(network, dataset, config, eps_t, sample_rng, interp_rng, opt_stat
         config.inner_steps,
         first_order=config.first_order,
     )
-    losses = tuple(float(np.mean([i["losses"][k] for i in infos])) for k in range(3))
-    weights = tuple(float(np.mean([i["weights"][k] for i in infos])) for k in range(3))
-    total = float(np.mean([i["total"] for i in infos]))
-    return {"losses": losses, "weights": weights, "total": total}, opt_state
+    return _step_info(diagnostics), opt_state
 
 
 def _task_rngs(seed_entropy, n_tasks: int):
@@ -398,7 +383,7 @@ def compactness(
     means = []
     for chunk in task_chunks(tasks):
         query_y = np.stack([task.query_y for task in chunk])
-        emb = forward(network.prefix, np.stack([task.query_x for task in chunk]), task_axis=True)
+        emb = forward(network.prefix, np.stack([task.query_x for task in chunk]))
         order = np.argsort(query_y, axis=-1, kind="stable")
         rows = np.take_along_axis(emb.reshape(emb.shape[:2] + (-1,)), order[..., None], axis=1)
         # one task's rows grouped by class, (ways, per_class, dim), at a time:

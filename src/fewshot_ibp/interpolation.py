@@ -12,9 +12,10 @@ kept as ablation baselines.
 All four modes are one task-interpolation operator,
 :func:`make_interpolated_task`, the only code that branches on the mode: it
 maps one set of a task to the input of the classifier head, and both
-learners run the head on its result.  It also takes a stack of tasks on a
-leading task axis, with one row of coefficients per task; a task whose
-weights are all zero gets its own embeddings back bit for bit.
+learners run the head on its result.  An odd-rank input is a stack of tasks
+on a leading task axis (:func:`~fewshot_ibp.layers.has_task_axis`), with one
+row of coefficients per task; a task whose weights are all zero gets its own
+embeddings back bit for bit.
 """
 
 from __future__ import annotations
@@ -42,9 +43,10 @@ class MixCoefficients:
     nu: np.ndarray
 
     def __post_init__(self):
-        if np.any(self.lam < 0) or np.any(self.lam > 1):
+        lam, nu = np.asarray(self.lam), np.asarray(self.nu)
+        if not ((lam >= 0) & (lam <= 1)).all():  # NaN fails too
             raise ValueError("mixing weights must lie in [0, 1]")
-        if not np.all(np.isin(self.nu, (0, 1))):
+        if not ((nu == 0) | (nu == 1)).all():
             raise ValueError("face choices must be 0 or 1")
 
 
@@ -92,7 +94,6 @@ def make_interpolated_task(
     eps: float,
     bounds: BoundResult | None = None,
     pair_x=None,
-    task_axis: bool = False,
 ):
     """Classifier-head input of one set (support or query) of an artificial task.
 
@@ -102,13 +103,13 @@ def make_interpolated_task(
     embedding toward a face of its box: ``bounds``, when the caller has
     already propagated the set, otherwise a box propagated here at ``eps``.
     ``mixup_input`` embeds the mix of ``x`` with the aligned batch ``pair_x``;
-    ``mixup_embedding`` mixes the embeddings of the two batches.  With
-    ``task_axis`` the sets of several tasks are stacked on a leading axis and
-    ``coeffs`` holds one row per task.
+    ``mixup_embedding`` mixes the embeddings of the two batches.  When ``x``
+    stacks the sets of several tasks on a leading axis, ``y`` and ``coeffs``
+    hold one row per task.
     """
     if mode in BOUND_MODES:
         if bounds is None:
-            bounds = propagate_prefix(network, x, eps, params=params, task_axis=task_axis)
+            bounds = propagate_prefix(network, x, eps, params=params)
         return interpolate_batch(bounds.center, bounds.box, y, coeffs)
     if mode not in MODES:
         raise ValueError(f"unknown interpolation mode {mode!r}")
@@ -116,7 +117,7 @@ def make_interpolated_task(
         raise ValueError(f"mode {mode!r} requires a second batch to mix with")
 
     def embed(batch):
-        return forward(network.prefix, batch, params=params, task_axis=task_axis)
+        return forward(network.prefix, batch, params=params)
 
     if mode == "mixup_input":
         return embed(mix_batch(x, pair_x, y, coeffs))

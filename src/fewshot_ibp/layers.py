@@ -6,9 +6,12 @@ list plus a split index separating the embedding prefix from the classifier
 head.  Batchnorm normalizes with statistics of the current batch, detached
 from differentiation, so within one step it acts as a fixed affine map.
 
-With ``task_axis=True`` the forward pass runs T independent tasks at once:
-inputs carry a leading task axis, parameters are either shared or stacked
-per task (a leading axis of T), and batchnorm takes its statistics per task.
+The rank of the input says whether it carries a leading task axis
+(:func:`has_task_axis`).  Every layout without one has an even rank, (batch,
+features) or (batch, c, h, w), and every layer keeps the parity: flatten maps
+rank 4 to 2 and rank 5 to 3.  An odd rank is a stack of T independent tasks,
+run at once: parameters are either shared or stacked per task (a leading
+axis of T), and batchnorm takes its statistics per task.
 """
 
 from __future__ import annotations
@@ -193,11 +196,17 @@ def param_nodes_to_list(params) -> list:
     return [entry[name] for entry in params for name in ("weight", "bias") if name in entry]
 
 
-def batch_stats(x, layer: LayerSpec, task_axis: bool = False):
+def has_task_axis(x) -> bool:
+    """Whether ``x`` (an array or a tape node) is a stack of tasks on a
+    leading axis: an odd rank (see the module docstring)."""
+    return value_of(x).ndim % 2 == 1
+
+
+def batch_stats(x, layer: LayerSpec):
     """Detached per-channel batch mean and variance for a batchnorm layer,
     of shape (channels,), or (tasks, channels) with a leading task axis."""
     v = value_of(x)
-    b = int(task_axis)
+    b = int(has_task_axis(v))
     axes = (b,) if v.ndim == 2 + b else (b, b + 2, b + 3)
     mean = v.mean(axis=axes)
     var = v.var(axis=axes)
@@ -214,14 +223,14 @@ def bn_affine(layer: LayerSpec, mean, var, gamma=None, beta=None):
     return scale, shift
 
 
-def _bn_broadcast(x, per_channel, task_axis: bool = False):
+def _bn_broadcast(x, per_channel):
     """Align per-channel values, (channels,) or (tasks, channels), with the
     channel axis of ``x``."""
-    spatial = np.ndim(value_of(x)) - task_axis == 4
-    if task_axis:
-        lead = (np.shape(value_of(x))[0], 1, -1)
-        return reshape(per_channel, (lead + (1, 1)) if spatial else lead)
-    if spatial:
+    shape = value_of(x).shape
+    if has_task_axis(x):
+        lead = (shape[0], 1, -1)
+        return reshape(per_channel, (lead + (1, 1)) if len(shape) == 5 else lead)
+    if len(shape) == 4:
         return reshape(per_channel, (1, -1, 1, 1))
     return per_channel
 
@@ -233,44 +242,40 @@ def apply_layer(
     bias=None,
     frozen_stats=None,
     stats_out=None,
-    task_axis: bool = False,
 ):
     """Forward one layer.  ``weight``/``bias`` override the stored parameters
     (typically with tape nodes); ``frozen_stats`` supplies (mean, var) for a
-    batchnorm layer instead of computing them from the batch.  With
-    ``task_axis`` the first axis of ``x`` indexes tasks (see the module
-    docstring)."""
+    batchnorm layer instead of computing them from the batch.  An odd-rank
+    ``x`` is a stack of tasks (see the module docstring)."""
     w = layer.weight if weight is None else weight
     b = layer.bias if bias is None else bias
     kind = layer.kind
     if kind == "fully_connected":
         vx = value_of(x)
         in_dim = value_of(w).shape[-1]
-        if vx.ndim != 2 + task_axis or vx.shape[-1] != in_dim:
-            lead = "tasks, batch" if task_axis else "batch"
-            raise ValueError(f"fc expects ({lead}, {in_dim}), got {vx.shape}")
+        if vx.ndim not in (2, 3) or vx.shape[-1] != in_dim:
+            raise ValueError(
+                f"fc expects (batch, {in_dim}) or (tasks, batch, {in_dim}), got {vx.shape}"
+            )
         return linear(x, w, b)
     if kind == "conv2d":
         return conv2d(x, w, b, stride=layer.stride)
     if kind == "batchnorm":
         if frozen_stats is None:
-            mean, var = batch_stats(x, layer, task_axis)
+            mean, var = batch_stats(x, layer)
         else:
             mean, var = frozen_stats
         if stats_out is not None:
             stats_out.append((mean, var))
         scale, shift = bn_affine(layer, mean, var, gamma=w, beta=b)
-        return add(
-            mul(x, _bn_broadcast(x, scale, task_axis)),
-            _bn_broadcast(x, shift, task_axis),
-        )
+        return add(mul(x, _bn_broadcast(x, scale)), _bn_broadcast(x, shift))
     if kind == "relu":
         return relu_op(x)
     if kind == "maxpool2d":
         return maxpool2d(x, layer.window, layer.stride)
     if kind == "flatten":
-        v = value_of(x)
-        return reshape(x, v.shape[: 1 + task_axis] + (-1,))
+        lead = value_of(x).shape[: 1 + has_task_axis(x)]
+        return reshape(x, lead + (-1,))
     raise ValueError(f"unknown layer kind {kind!r}")
 
 
@@ -280,7 +285,6 @@ def forward(
     params=None,
     frozen_stats=None,
     stats_out=None,
-    task_axis: bool = False,
 ):
     """Run ``x`` through an ordered layer sequence.
 
@@ -288,9 +292,9 @@ def forward(
     replaces the layers' own parameters; tape nodes there make the result
     differentiable, and can be shared across several forward passes.
     ``frozen_stats`` replays previously collected batchnorm statistics;
-    ``stats_out`` collects them.  ``task_axis`` runs a stack of tasks at once
-    (see the module docstring).  Raises on shape mismatches and non-finite
-    intermediates.
+    ``stats_out`` collects them.  An odd-rank ``x`` is a stack of tasks, run
+    at once (see the module docstring).  Raises on shape mismatches and
+    non-finite intermediates.
     """
     check_finite(x, "forward input")
     stats_iter = iter(frozen_stats) if frozen_stats is not None else None
@@ -304,7 +308,6 @@ def forward(
             bias=entry.get("bias"),
             frozen_stats=next(stats_iter) if (stats_iter and layer.kind == "batchnorm") else None,
             stats_out=stats_out,
-            task_axis=task_axis,
         )
         check_finite(out, f"activation after layer {i} ({layer.kind})")
     return out

@@ -7,7 +7,8 @@ score in logits: :func:`protonet_logits` gives the negative distances and
 :func:`cross_entropy` takes logits, so no probability rows are formed.
 Prototypes, distances and logits also take a leading task axis, where each
 task's queries meet only that task's prototypes; evaluation scores its tasks
-that way, in chunks of bounded size (:func:`protonet_task_accuracies`).
+that way, in chunks of bounded size (:func:`protonet_task_accuracies`).  An
+odd-rank input stacks tasks (:func:`~fewshot_ibp.layers.has_task_axis`).
 
 The meta-learner adapts a copy of the parameters on each task's support set
 with full-batch gradient descent, then is judged on the query set.
@@ -50,6 +51,7 @@ from .tensor import (
     as_tensor,
     div,
     exp,
+    linear,
     matmul,
     mul,
     neg,
@@ -87,7 +89,7 @@ def pairwise_sqdist(a, b):
     or of each task's ``a`` (tasks,m,d) and ``b`` (tasks,k,d)."""
     aa = sum_(mul(a, a), axis=-1, keepdims=True)  # (..., m, 1)
     bb = sum_(mul(b, b), axis=-1, keepdims=True)  # (..., k, 1)
-    cross = matmul(a, transpose(b))  # (..., m, k)
+    cross = linear(a, b)  # a @ bᵀ, (..., m, k)
     return add(sub(aa, mul(cross, 2.0)), transpose(bb))
 
 
@@ -159,7 +161,7 @@ class TaskBatch(NamedTuple):
 
     @classmethod
     def stack(cls, tasks) -> "TaskBatch":
-        return cls(*(np.stack([getattr(task, name) for task in tasks]) for name in cls._fields))
+        return cls(*(np.array([getattr(task, name) for task in tasks]) for name in cls._fields))
 
 
 # Element budget of one chunk's stacked query input: 27 tasks of 75 x 8
@@ -255,7 +257,7 @@ def maml_task_accuracies(network: Network, tasks, inner_lr: float, steps: int) -
     support_y = np.stack([task.support_y for task in tasks])
 
     def inner_loss(params):
-        logits = forward(network.layers, support_x, params=params, task_axis=True)
+        logits = forward(network.layers, support_x, params=params)
         return sum_(cross_entropy(logits, support_y))
 
     adapted = maml_adapt(inner_loss, _tiled_arrays(network, len(tasks)), inner_lr, steps)
@@ -267,7 +269,7 @@ def maml_task_accuracies(network: Network, tasks, inner_lr: float, steps: int) -
             for entry in adapted
         ]
         batch = TaskBatch.stack(chunk)
-        scores = forward(network.layers, batch.query_x, params=params, task_axis=True)
+        scores = forward(network.layers, batch.query_x, params=params)
         accs.extend(_accuracy(scores, batch.query_y).tolist())
     return np.array(accs)
 
@@ -286,8 +288,8 @@ def protonet_task_accuracies(network: Network, tasks, distance: str = "sqeuclide
         if any(task.query_x.shape[0] == 0 for task in chunk):
             raise ValueError("task has an empty query set")
         batch = TaskBatch.stack(chunk)
-        support_emb = forward(network.layers, batch.support_x, task_axis=True)
-        query_emb = forward(network.layers, batch.query_x, task_axis=True)
+        support_emb = forward(network.layers, batch.support_x)
+        query_emb = forward(network.layers, batch.query_x)
         protos = compute_prototypes(support_emb, batch.support_y, chunk[0].ways)
         # plain floats: a list of per-chunk arrays would outgrow the chunks
         accs.extend(_accuracy(protonet_logits(query_emb, protos, distance), batch.query_y).tolist())
@@ -320,11 +322,11 @@ def maml_outer_step(
     per-task support losses, shape (tasks,); :func:`maml_adapt` descends on
     their sum once for every task, first-order from the tiled arrays or
     second-order on the tape from the tiled leaves.  ``query_loss(batch,
-    theta, phi)`` returns the per-task total losses, shape (tasks,), and a
-    list of per-task diagnostics.  One backward pass of their sum gives each
+    theta, phi)`` returns the per-task total losses, shape (tasks,), and
+    diagnostics of any form.  One backward pass of their sum gives each
     task's own gradient of θ; the gradients are averaged over the batch,
     adding in task order, and applied with one optimizer step.  The tape is
-    released once they are read.  Returns the per-task diagnostics.
+    released once they are read.  Returns the diagnostics.
     """
     from .optim import optimizer_step
 
@@ -345,7 +347,7 @@ def maml_outer_step(
         )
         if first_order:  # detached arrays become leaves of the outer tape
             phi = [{name: tape.leaf(arr) for name, arr in entry.items()} for entry in phi]
-        losses, infos = query_loss(batch, theta, phi)
+        losses, diagnostics = query_loss(batch, theta, phi)
         loss = sum_(losses)
         if first_order:
             phi_flat = param_nodes_to_list(phi)
@@ -358,7 +360,7 @@ def maml_outer_step(
     mean_grads = [np.sum(g, axis=0) * scale for g in task_grads]
     new_arrays, opt_state = optimizer_step(network.parameter_arrays(), mean_grads, opt_state)
     network.set_parameter_arrays(new_arrays)
-    return infos
+    return diagnostics
 
 
 def predict_accuracy(

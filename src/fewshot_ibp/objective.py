@@ -7,6 +7,8 @@ propagated box.  The total loss is a convex combination of classification and
 bound losses; in dynamic mode the weights are a softmax over the three loss
 values (temperature ``gamma``), recomputed every step and treated as
 constants of the step, so no gradient flows through the weighting.
+Odd-rank centers stack tasks (:func:`~fewshot_ibp.layers.has_task_axis`):
+each loss then holds one value per task, with one weight triple per task.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import IntervalTensor
+from .layers import has_task_axis
 from .tensor import (
     Node,
     NonFiniteError,
@@ -54,10 +57,9 @@ class LossTriple:
     def per_task(self, n_tasks: int) -> list["LossTriple"]:
         """Detached triples, one per task, of losses that hold one value per
         task; a plain number (an absent bound loss) counts for every task."""
-        cols = [
-            np.broadcast_to(value_of(x), (n_tasks,)) for x in (self.l_ce, self.l_lb, self.l_ub)
-        ]
-        return [LossTriple(*(float(c[t]) for c in cols)) for t in range(n_tasks)]
+        cols = [value_of(x) for x in (self.l_ce, self.l_lb, self.l_ub)]
+        cols = [c.tolist() if np.ndim(c) else [float(c)] * n_tasks for c in cols]
+        return [LossTriple(*row) for row in zip(*cols, strict=True)]
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,6 @@ class WeightTriple:
     w_ce: float
     w_lb: float
     w_ub: float
-    mode: str = "dynamic"
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.w_ce, self.w_lb, self.w_ub)
@@ -76,14 +77,14 @@ class WeightTriple:
             raise ValueError(f"weights {t} are not on the probability simplex")
 
 
-def bound_losses(centers, box: IntervalTensor, task_axis: bool = False):
+def bound_losses(centers, box: IntervalTensor):
     """Mean squared distance from each embedding row to the box faces.
 
     ``centers`` has one row per query instance; ``box`` faces are aligned
     row-for-row.  These losses apply to query instances only; support
-    instances never contribute.  Returns ``(l_lb, l_ub)``.  With
-    ``task_axis`` the first axis of ``centers`` indexes tasks and each loss
-    holds one value per task.  Each loss is one tape node, whose vjp
+    instances never contribute.  Returns ``(l_lb, l_ub)``.  Centers of odd
+    rank stack several tasks on their first axis, and each loss holds one
+    value per task.  Each loss is one tape node, whose vjp
     ``2(c - f) * g / n`` (and its negation for the face) is written with
     tape operations, so it can be differentiated again.
     """
@@ -94,9 +95,10 @@ def bound_losses(centers, box: IntervalTensor, task_axis: bool = False):
                 f"box face shape {np.shape(value_of(face))} does not match "
                 f"centers {shape}"
             )
-    n = shape[int(task_axis)]
-    axes = tuple(range(1, len(shape))) if task_axis else None
-    g_shape = shape[:1] + (1,) * (len(shape) - 1) if task_axis else ()
+    tasks = has_task_axis(centers)
+    n = shape[int(tasks)]
+    axes = tuple(range(1, len(shape))) if tasks else None
+    g_shape = shape[:1] + (1,) * (len(shape) - 1) if tasks else ()
 
     def mean_sq_distance(face):
         d = np.subtract(value_of(centers), value_of(face))
@@ -131,11 +133,11 @@ def dynamic_weights(losses, gamma: float) -> WeightTriple:
     shift = max(scaled)
     e = [math.exp(s - shift) for s in scaled]
     z = sum(e)
-    return WeightTriple(e[0] / z, e[1] / z, e[2] / z, mode="dynamic")
+    return WeightTriple(e[0] / z, e[1] / z, e[2] / z)
 
 
 def static_weights(w_ce: float, w_lb: float, w_ub: float) -> WeightTriple:
-    w = WeightTriple(w_ce, w_lb, w_ub, mode="static")
+    w = WeightTriple(w_ce, w_lb, w_ub)
     w.validate()
     return w
 

@@ -120,7 +120,7 @@ def value_of(x):
 
 
 def check_finite(x, context: str = "tensor") -> None:
-    if not np.all(np.isfinite(value_of(x))):
+    if not np.isfinite(value_of(x)).all():
         raise NonFiniteError(f"non-finite values in {context}")
 
 
@@ -293,7 +293,8 @@ def _node_only(pairs):
 
 
 def _shape_of(x):
-    return np.shape(value_of(x))
+    v = value_of(x)
+    return v.shape if isinstance(v, np.ndarray) else np.shape(v)
 
 
 def _unbroadcast(g, shape):

@@ -6,6 +6,7 @@ against Monte-Carlo sampling of the input box.
 """
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -265,7 +266,7 @@ class TestTaskAxisBounds:
         else:
             net, x = make_random_vector_net(rng, 4), rng.standard_normal((3, 5, 4))
         params = None if shared else self.per_task_params(net, 3, rng)
-        res = B.propagate_prefix(net, x, 0.1, params=params, task_axis=True).values()
+        res = B.propagate_prefix(net, x, 0.1, params=params).values()
         for t in range(3):
             task_params = None if shared else [
                 {name: arr[t] for name, arr in entry.items()} for entry in params
@@ -277,6 +278,70 @@ class TestTaskAxisBounds:
                 (res.box.upper[t], ref.box.upper),
             ):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+class TestRankRule:
+    """The input's rank says whether it stacks tasks: a 2-D (or 4-D) call is
+    bit for bit the one-task stack ``x[None]``, and a rank that fits
+    neither layout is rejected."""
+
+    @staticmethod
+    def network_and_input(conv, rng):
+        if conv:
+            return conv_batchnorm_prefix(rng), rng.standard_normal((5, 2, 6, 6))
+        return make_random_vector_net(rng, 4), rng.standard_normal((5, 4))
+
+    @staticmethod
+    def stacked_params(net):
+        return [{name: arr[None] for name, arr in layer.param_items()} for layer in net.layers]
+
+    @pytest.mark.parametrize("conv", [True, False])
+    def test_forward_equals_one_task_stack(self, conv):
+        net, x = self.network_and_input(conv, np.random.default_rng(70))
+        out = L.forward(net.layers, x)
+        np.testing.assert_array_equal(L.forward(net.layers, x[None])[0], out)
+        stacked = L.forward(net.layers, x[None], params=self.stacked_params(net))
+        np.testing.assert_array_equal(stacked[0], out)
+
+    @pytest.mark.parametrize("conv", [True, False])
+    def test_propagate_prefix_equals_one_task_stack(self, conv):
+        net, x = self.network_and_input(conv, np.random.default_rng(71))
+        res = B.propagate_prefix(net, x, 0.1)
+        for params in (None, self.stacked_params(net)):
+            stacked = B.propagate_prefix(net, x[None], 0.1, params=params)
+            for got, want in (
+                (stacked.center, res.center),
+                (stacked.box.lower, res.box.lower),
+                (stacked.box.upper, res.box.upper),
+            ):
+                assert got.shape == (1,) + want.shape
+                np.testing.assert_array_equal(got[0], want)
+
+    @pytest.mark.parametrize("conv", [True, False])
+    def test_bound_losses_equal_one_task_stack(self, conv):
+        from fewshot_ibp.objective import bound_losses
+
+        net, x = self.network_and_input(conv, np.random.default_rng(72))
+        res = B.propagate_prefix(net, x, 0.1)
+        stacked = B.IntervalTensor(res.box.lower[None], res.box.upper[None])
+        for got, want in zip(
+            bound_losses(res.center[None], stacked), bound_losses(res.center, res.box)
+        ):
+            assert got.shape == (1,)
+            assert got[0] == want
+
+    def test_wrong_rank_rejected_naming_the_shape(self):
+        rng = np.random.default_rng(73)
+        fc_net, _ = self.network_and_input(False, rng)
+        conv_net, _ = self.network_and_input(True, rng)
+        for net, shape in ((fc_net, (2, 1, 5, 4)), (conv_net, (5, 2, 6))):
+            x = rng.standard_normal(shape)
+            for call in (
+                lambda: L.forward(net.layers, x),
+                lambda: B.propagate_prefix(net, x, 0.1),
+            ):
+                with pytest.raises(ValueError, match=re.escape(str(shape))):
+                    call()
 
 
 class TestConvPrefixSoundness:
@@ -365,7 +430,7 @@ class TestAffineBoxRule:
             grads = tape.backward(loss, leaves)
             return [box.lower.value, box.upper.value] + [grads[n] for n in leaves]
 
-        got = run(lambda box, w, b: B.propagate_layer(layer, box, w, b, task_axis=per_task))
+        got = run(lambda box, w, b: B.propagate_layer(layer, box, w, b))
         want = run(lambda box, w, b: kernel_split_conv_box(layer, box, w, b))
         for g, ref in zip(got, want):
             np.testing.assert_allclose(g, ref, rtol=1e-12, atol=1e-12)

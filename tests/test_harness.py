@@ -393,6 +393,21 @@ class TestConfigValidation:
             ("inner_lr", math.nan),
             ("n_val_tasks", 0),
             ("n_eval_tasks", 0),
+            # counts, ways, shots, seed and split_index take an int, not a bool
+            ("n_eval_tasks", 1.5),
+            ("max_steps", 2.5),
+            ("seed", "a"),
+            ("meta_batch", True),
+            ("split_index", True),
+            ("train_ways", 5.0),
+            ("eval_query_shots", "15"),
+            ("inner_steps", None),
+            # the flags take a bool
+            ("first_order", "yes"),
+            ("shared_mix_coeffs", 1),
+            ("bounds_on_adapted", None),
+            ("static_weights", [0.5, 0.5, "x"]),
+            ("static_weights", [1.0, False, 0.0]),
         ],
     )
     def test_malformed_field_rejected_by_name(self, field, value):

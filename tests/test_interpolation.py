@@ -1,5 +1,7 @@
 """Bound-based task interpolation and the mixup ablation modes."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,13 @@ class TestInterpolate:
             with pytest.raises(ValueError):
                 one_row(lam, 0)
 
+    def test_nan_weight_and_bad_face_rejected(self):
+        with pytest.raises(ValueError, match="mixing weights"):
+            one_row(math.nan, 0)
+        for nu in (2, -1):
+            with pytest.raises(ValueError, match="face choices"):
+                one_row(0.5, nu)
+
 
 class TestMakeInterpolatedTask:
     def test_zero_eps_reproduces_embeddings(self):
@@ -145,7 +154,7 @@ class TestMakeInterpolatedTask:
         h = T.value_of(I.make_interpolated_task(
             mode, net, np.stack([t.query_x for t in tasks]),
             np.stack([t.query_y for t in tasks]), stacked, None, 0.3,
-            pair_x=np.stack([p.query_x for p in pairs]), task_axis=True,
+            pair_x=np.stack([p.query_x for p in pairs]),
         ))
         for t, (task, pair, c) in enumerate(zip(tasks, pairs, coeffs)):
             ref = T.value_of(head_input(mode, net, task, "query", c, 0.3, pair=pair))

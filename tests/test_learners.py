@@ -378,7 +378,7 @@ def batch_cross_entropy(net):
     """Per-task support cross-entropies of a stacked task batch."""
 
     def inner_loss(batch, params):
-        logits = L.forward(net.layers, batch.support_x, params=params, task_axis=True)
+        logits = L.forward(net.layers, batch.support_x, params=params)
         return LR.cross_entropy(logits, batch.support_y)
 
     return inner_loss
@@ -416,7 +416,7 @@ class TestMamlOuterStep:
             )
 
             def task_loss(stacked, theta, phi):
-                logits = L.forward(net.layers, stacked.query_x, params=phi, task_axis=True)
+                logits = L.forward(net.layers, stacked.query_x, params=phi)
                 loss = LR.cross_entropy(logits, stacked.query_y)
                 return loss, [{"total": float(v)} for v in T.value_of(loss)]
 
@@ -509,6 +509,83 @@ def reference_maml_step(network, dataset, config, eps_t, sample_rng, interp_rng,
     return infos, opt_state
 
 
+def reference_protonet_loss(network, head_params, support_h, query_h, task, distance):
+    support_emb = L.forward(network.head, support_h, params=head_params)
+    query_emb = L.forward(network.head, query_h, params=head_params)
+    protos = LR.compute_prototypes(support_emb, task.support_y, task.ways)
+    return LR.cross_entropy(LR.protonet_logits(query_emb, protos, distance), task.query_y)
+
+
+def reference_protonet_step(network, dataset, config, eps_t, sample_rng, interp_rng, opt_state):
+    """The prototype step on one task without a task axis, as it was before
+    it ran on the task axis: the semantics that step must keep bit for bit."""
+    task = sample_task(dataset, config.train_spec(), sample_rng)
+    mode = config.objective
+    use_bounds = mode in H.BOUND_OBJECTIVES
+    ctx = None
+    if mode in I.MODES and I.should_interpolate(
+        "protonet", 1, interp_rng, config.interp_probability
+    )[0]:
+        ctx = H._draw_context(config, task, dataset, interp_rng, sample_rng)
+
+    s = network.split_index
+    with T.Tape() as tape:
+        params = L.make_param_nodes(network.layers, tape)
+        prefix_params, head_params = params[:s], params[s:]
+
+        interp_boxes = ctx is not None and mode in I.BOUND_MODES
+        qres = sres = None
+        if use_bounds or interp_boxes:
+            qres = B.propagate_prefix(network, task.query_x, eps_t, params=prefix_params)
+            query_prefix = qres.center
+        else:
+            query_prefix = L.forward(network.prefix, task.query_x, params=prefix_params)
+        if interp_boxes:
+            sres = B.propagate_prefix(network, task.support_x, eps_t, params=prefix_params)
+            support_prefix = sres.center
+        else:
+            support_prefix = L.forward(network.prefix, task.support_x, params=prefix_params)
+        l_ce = reference_protonet_loss(
+            network, head_params, support_prefix, query_prefix, task, config.distance
+        )
+
+        if ctx is not None:
+            support_h = I.make_interpolated_task(
+                mode, network, task.support_x, task.support_y, ctx.coeffs,
+                prefix_params, eps_t, bounds=sres,
+                pair_x=getattr(ctx.pair_task, "support_x", None),
+            )
+            query_h = I.make_interpolated_task(
+                mode, network, task.query_x, task.query_y, ctx.query_coeffs,
+                prefix_params, eps_t, bounds=qres,
+                pair_x=getattr(ctx.pair_task, "query_x", None),
+            )
+            l_ce2 = reference_protonet_loss(
+                network, head_params, support_h, query_h, task, config.distance
+            )
+            l_ce = T.mul(T.add(l_ce, l_ce2), 0.5)
+
+        if use_bounds:
+            l_lb, l_ub = O.bound_losses(qres.center, qres.box)
+        else:
+            l_lb, l_ub = 0.0, 0.0
+        losses = O.LossTriple(l_ce, l_lb, l_ub)
+        weights = H._weights_for(config, losses)
+        total = O.total_loss(losses, weights)
+
+        flat = L.param_nodes_to_list(params)
+        grads = tape.backward(total, flat)
+    new_arrays, opt_state = optimizer_step(
+        network.parameter_arrays(), [grads[p] for p in flat], opt_state
+    )
+    network.set_parameter_arrays(new_arrays)
+    return {
+        "losses": losses.values(),
+        "weights": weights.as_tuple(),
+        "total": float(T.value_of(total)),
+    }, opt_state
+
+
 OBJECTIVES = ("vanilla", "ibp", "ibpi", "ibpi_no_bound_loss", "mixup_input", "mixup_embedding")
 
 
@@ -551,11 +628,12 @@ class TestBatchedMetaStep:
             eps_t = 0.05 * step
             _, opt = H._maml_step(batched, ds, cfg, eps_t, *rngs, opt)
             ref_infos, ref_opt = reference_maml_step(reference, ds, cfg, eps_t, *ref_rngs, ref_opt)
-            assert len(seen[-1]) == len(ref_infos) == cfg.meta_batch
-            for info, ref in zip(seen[-1], ref_infos):
-                for key in ("losses", "weights"):
-                    np.testing.assert_allclose(info[key], ref[key], rtol=0, atol=1e-12)
-                assert info["total"] == pytest.approx(ref["total"], rel=0, abs=1e-12)
+            # one diagnostics column per task: three losses, three weights, total
+            assert seen[-1].shape == (7, len(ref_infos)) and len(ref_infos) == cfg.meta_batch
+            for column, ref in zip(seen[-1].T, ref_infos):
+                np.testing.assert_allclose(column[:3], ref["losses"], rtol=0, atol=1e-12)
+                np.testing.assert_allclose(column[3:6], ref["weights"], rtol=0, atol=1e-12)
+                assert column[6] == pytest.approx(ref["total"], rel=0, abs=1e-12)
             for a, r in zip(batched.parameter_arrays(), reference.parameter_arrays()):
                 np.testing.assert_allclose(a, r, rtol=0, atol=1e-12)
         # the step moved the parameters, so the comparison is not vacuous
@@ -662,6 +740,54 @@ def fc_pool_network(seed):
 def conv_pool_network(seed):
     net = L.build_network(CONV_LAYERS, 4, np.random.default_rng(seed))
     return net, synth_dataset(12, 30, (1, 8, 8), 2.0, 1.0, seed=13, role="test")
+
+
+class TestProtonetStep:
+    """The prototype step, a batch of one task on the task axis, against the
+    2-D reference step: diagnostics and parameters bit-equal."""
+
+    @staticmethod
+    def check(make, objective, probability, distance="sqeuclidean", steps=3):
+        net, ds = make(0)
+        reference, _ = make(0)
+        cfg = RunConfig(
+            learner="protonet",
+            objective=objective,
+            # a config needs a layer list; the step uses the network it is given
+            layers=[{"kind": "relu"}] * len(net.layers),
+            split_index=net.split_index,
+            interp_probability=probability,
+            shared_mix_coeffs=False,  # support and query draw their own coefficients
+            distance=distance,
+        )
+        rngs = [np.random.default_rng(9), np.random.default_rng(10)]
+        ref_rngs = [np.random.default_rng(9), np.random.default_rng(10)]
+        opt, ref_opt = adam(0.01), adam(0.01)
+        for step in range(1, steps + 1):
+            eps_t = 0.05 * step
+            info, opt = H._protonet_step(net, ds, cfg, eps_t, *rngs, opt)
+            ref_info, ref_opt = reference_protonet_step(
+                reference, ds, cfg, eps_t, *ref_rngs, ref_opt
+            )
+            assert info == ref_info
+            for a, r in zip(net.parameter_arrays(), reference.parameter_arrays()):
+                np.testing.assert_array_equal(a, r)
+        # the steps moved the parameters, so the comparison is not vacuous
+        start, _ = make(0)
+        assert any(
+            not np.array_equal(a, r)
+            for a, r in zip(start.parameter_arrays(), net.parameter_arrays())
+        )
+
+    @pytest.mark.parametrize("probability", [1.0, 0.0])
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    @pytest.mark.parametrize("make", [fc_pool_network, conv_pool_network])
+    def test_equals_two_dimensional_step(self, make, objective, probability):
+        self.check(make, objective, probability)
+
+    @pytest.mark.parametrize("objective", ["ibpi", "mixup_embedding"])
+    def test_euclidean_distance_equals_two_dimensional_step(self, objective):
+        self.check(fc_pool_network, objective, 1.0, distance="euclidean")
 
 
 class TestTaskBatchedEvaluation:
@@ -774,7 +900,7 @@ class TestTapeRelease:
         batch = [sample_task(ds, TaskSpec(5, 1, 3), rng) for _ in range(2)]
 
         def task_loss(stacked, theta, phi):
-            logits = L.forward(net.layers, stacked.query_x, params=phi, task_axis=True)
+            logits = L.forward(net.layers, stacked.query_x, params=phi)
             return LR.cross_entropy(logits, stacked.query_y), [{}, {}]
 
         LR.maml_outer_step(

@@ -48,7 +48,7 @@ class TestBoundLosses:
         rng = np.random.default_rng(3)
         c = rng.standard_normal((3, 5, 4))
         box = B.IntervalTensor(c - rng.uniform(0, 1, c.shape), c + rng.uniform(0, 1, c.shape))
-        l_lb, l_ub = O.bound_losses(c, box, task_axis=True)
+        l_lb, l_ub = O.bound_losses(c, box)
         for t in range(3):
             ref = O.bound_losses(c[t], B.IntervalTensor(box.lower[t], box.upper[t]))
             assert l_lb[t] == ref[0] and l_ub[t] == ref[1]

@@ -781,6 +781,22 @@ class TestFusedNodes:
             lambda *p: T.linear(x, *p), lambda *p: chain_linear(x, *p), arrays[1:]
         )
 
+    @pytest.mark.parametrize("a_shape,b_shape", [((6, 4), (3, 4)), ((2, 6, 4), (2, 3, 4))])
+    def test_pairwise_sqdist(self, a_shape, b_shape):
+        # the cross term is linear(a, b), formerly matmul(a, transpose(b))
+        from fewshot_ibp.learners import pairwise_sqdist
+
+        def chain(a, b):
+            aa = T.sum_(T.mul(a, a), axis=-1, keepdims=True)
+            bb = T.sum_(T.mul(b, b), axis=-1, keepdims=True)
+            cross = T.matmul(a, T.transpose(b))
+            return T.add(T.sub(aa, T.mul(cross, 2.0)), T.transpose(bb))
+
+        rng = np.random.default_rng(48)
+        a, b = rng.standard_normal(a_shape), rng.standard_normal(b_shape)
+        fused_against_chain(pairwise_sqdist, chain, [a, b])
+        np.testing.assert_array_equal(pairwise_sqdist(a, b), chain(a, b))
+
     @pytest.mark.parametrize("shape", [(6, 4), (3, 6, 4)])
     def test_cross_entropy(self, shape):
         from fewshot_ibp.learners import cross_entropy
@@ -809,12 +825,12 @@ class TestFusedNodes:
         lower = centers - rng.uniform(0.1, 1.0, shape)
         upper = centers + rng.uniform(0.1, 1.0, shape)
         fused_against_chain(
-            lambda c, lo, up: bound_losses(c, IntervalTensor(lo, up), task_axis)[face],
+            lambda c, lo, up: bound_losses(c, IntervalTensor(lo, up))[face],
             lambda c, lo, up: chain_bound_losses(c, lo, up, task_axis)[face],
             [centers, lower, upper],
         )
         for got, want in zip(
-            bound_losses(centers, IntervalTensor(lower, upper), task_axis),
+            bound_losses(centers, IntervalTensor(lower, upper)),
             chain_bound_losses(centers, lower, upper, task_axis),
         ):
             np.testing.assert_array_equal(got, want)

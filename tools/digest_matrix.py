@@ -4,16 +4,17 @@ changes no result.
 Each run trains with ``fewshot_ibp.harness.train`` into a temporary
 directory.  Its digest is the SHA-256 of ``metrics.csv``, ``checkpoint.ckpt``
 and the summary's ``test_accuracy``, ``test_ci95`` and ``box_width``.  The
-runs cross five network/learner settings (ProtoNet on fc and on
+runs cross six network/learner settings (ProtoNet on fc and on
 conv/batchnorm, first-order MAML on fc and on conv, second-order MAML on
-fc) with the six objectives and with ``shared_mix_coeffs`` and
-``bounds_on_adapted`` both on or both off: 60 runs.
+fc, and ProtoNet on fc with the ``euclidean`` distance) with the six
+objectives and with ``shared_mix_coeffs`` and ``bounds_on_adapted`` both on
+or both off: 72 runs.
 
 The script imports ``fewshot_ibp`` from the ``src`` directory of the
 checkout it sits in.  To compare two checkouts, run a copy of it in each:
 the last line, a hash of the whole listing, must match.
 
-    python tools/digest_matrix.py              # all 60 runs
+    python tools/digest_matrix.py              # all 72 runs
     python tools/digest_matrix.py --only maml1-fc-ibpi-on
 """
 
@@ -53,13 +54,14 @@ CONV = (
     4,
     {"shape": [1, 8, 8], "class_separation": 2.0},
 )
-# name -> (learner, first_order, network)
+# name -> (learner, first_order, distance, network)
 SETTINGS = {
-    "protonet-fc": ("protonet", True, FC),
-    "protonet-conv": ("protonet", True, CONV),
-    "maml1-fc": ("maml", True, FC),
-    "maml1-conv": ("maml", True, CONV),
-    "maml2-fc": ("maml", False, FC),
+    "protonet-fc": ("protonet", True, "sqeuclidean", FC),
+    "protonet-conv": ("protonet", True, "sqeuclidean", CONV),
+    "maml1-fc": ("maml", True, "sqeuclidean", FC),
+    "maml1-conv": ("maml", True, "sqeuclidean", CONV),
+    "maml2-fc": ("maml", False, "sqeuclidean", FC),
+    "protonet-fc-euclidean": ("protonet", True, "euclidean", FC),
 }
 SUMMARY_KEYS = ("test_accuracy", "test_ci95", "box_width")
 OUTPUT_FILES = ("metrics.csv", "checkpoint.ckpt")
@@ -67,9 +69,10 @@ OUTPUT_FILES = ("metrics.csv", "checkpoint.ckpt")
 
 def run_configs():
     """(name, config) for every run of the matrix, in listing order."""
-    for (setting, (learner, first_order, (layers, split_index, pool))), objective, flags in (
-        itertools.product(SETTINGS.items(), OBJECTIVES, (True, False))
+    for (setting, setting_args), objective, flags in itertools.product(
+        SETTINGS.items(), OBJECTIVES, (True, False)
     ):
+        learner, first_order, distance, (layers, split_index, pool) = setting_args
         pool = {"n_classes": 12, "per_class": 30, "noise_scale": 1.0, **pool}
         splits = (("train", 11, "train"), ("val", 12, "validation"), ("test", 13, "test"))
         yield f"{setting}-{objective}-{'on' if flags else 'off'}", RunConfig(
@@ -90,6 +93,7 @@ def run_configs():
             inner_steps=2,
             eval_inner_steps=3,
             first_order=first_order,
+            distance=distance,
             shared_mix_coeffs=flags,
             bounds_on_adapted=flags,
             interp_probability=0.5,
