@@ -61,7 +61,6 @@ from .objective import (
     bound_losses,
     dynamic_weights,
     epsilon_schedule,
-    static_weights,
     total_loss,
 )
 from .optim import OptimizerState, adam, optimizer_step

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 from .episodes import Dataset, TaskSpec, check_supply, load_dataset, synth_dataset
@@ -34,6 +35,9 @@ DEFAULT_GAMMA = {"maml": 0.1, "protonet": 1.0}
 # fields annotated ``int`` or ``bool`` hold exactly that type: no bool for
 # an int, no float or string for either
 _EXACT_TYPES = {"int": (int, "an integer"), "bool": (bool, "true or false")}
+# fields annotated ``float`` hold a real number that is not a bool (an int
+# too: a JSON config may write 0 for 0.0); ``float | None`` may also hold None
+_REAL_TYPES = ("float", "float | None")
 
 
 @dataclass
@@ -79,9 +83,15 @@ class RunConfig:
         if self.distance not in DISTANCES:
             raise ValueError(f"distance must be one of {DISTANCES}")
         for f in fields(self):
+            value = getattr(self, f.name)
             kind, noun = _EXACT_TYPES.get(f.type, (None, None))
-            if kind is not None and type(getattr(self, f.name)) is not kind:
-                raise ValueError(f"{f.name} must be {noun}, got {getattr(self, f.name)!r}")
+            if kind is not None and type(value) is not kind:
+                raise ValueError(f"{f.name} must be {noun}, got {value!r}")
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if f.type in _REAL_TYPES and not (
+                real or (value is None and f.type == "float | None")
+            ):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
         for name in ("max_steps", "meta_batch", "eval_interval", "n_val_tasks", "n_eval_tasks"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -108,7 +118,7 @@ class RunConfig:
             if any(type(w) not in (int, float) for w in self.static_weights):
                 raise ValueError(f"static_weights must be numbers, got {self.static_weights!r}")
             try:
-                WeightTriple(*self.static_weights).validate()
+                WeightTriple(*self.static_weights)
             except ValueError as err:
                 raise ValueError(f"static_weights: {err}") from None
 

@@ -20,6 +20,7 @@ fingerprint, timing, and final measurements.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import os
@@ -56,7 +57,6 @@ from .objective import (
     bound_losses,
     dynamic_weights,
     epsilon_schedule,
-    static_weights,
     total_loss,
 )
 from .optim import adam, optimizer_step
@@ -83,11 +83,20 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+_CE_ONLY = WeightTriple(1.0, 0.0, 0.0)
+
+
+@functools.lru_cache(maxsize=8)
+def _static_triple(weights: tuple) -> WeightTriple:
+    """A run's constant ``static_weights`` triple, made once per run."""
+    return WeightTriple(*weights)
+
+
 def _weights_for(config: RunConfig, losses) -> WeightTriple:
     if config.objective not in BOUND_OBJECTIVES:
-        return WeightTriple(1.0, 0.0, 0.0)
+        return _CE_ONLY
     if config.static_weights is not None:
-        return static_weights(*config.static_weights)
+        return _static_triple(tuple(config.static_weights))
     return dynamic_weights(losses, config.gamma_value)
 
 

@@ -5,7 +5,9 @@ For each class k of a task, a coefficient pair is drawn: a mixing weight
 upper face.  Every instance of class k is then replaced by the convex
 combination ``(1 - lam_k) * embedding + lam_k * face`` of its own embedding
 and the chosen face of its own box, so interpolated instances always stay
-inside their boxes.  Labels are unchanged.  Two plain mixup variants (at the
+inside their boxes.  Labels are unchanged.  The interpolation of one set is
+one tape node (:func:`interpolate_batch`), which reads the box's stacked
+faces.  Two plain mixup variants (at the
 input or at the embedding layer) pair two tasks position-by-position and are
 kept as ablation baselines.
 
@@ -26,7 +28,7 @@ import numpy as np
 
 from .bounds import BoundResult, IntervalTensor, propagate_prefix
 from .layers import Network, forward
-from .tensor import add, mul, value_of
+from .tensor import Node, _node_only, _tape_of, add, mul, value_of
 
 
 MODES = ("ibpi", "ibpi_no_bound_loss", "mixup_input", "mixup_embedding")
@@ -69,11 +71,31 @@ def _per_row(coeff_values, labels, reference):
 
 
 def interpolate_batch(centers, box: IntervalTensor, labels, coeffs: MixCoefficients):
-    """Apply per-class coefficients row-wise over a labeled batch."""
+    """Apply per-class coefficients row-wise over a labeled batch.
+
+    One tape node over the centers and the box's stacked faces.  Its vjp,
+    written with tape operations, scales the output adjoint by each row's
+    weights: the centers' by ``1 - lam``, each face's by ``lam`` times that
+    face's choice weight.
+    """
     lam = _per_row(coeffs.lam, labels, centers)
     nu = _per_row(coeffs.nu, labels, centers)
-    face = add(mul(box.lower, 1.0 - nu), mul(box.upper, nu))
-    return add(mul(centers, 1.0 - lam), mul(face, lam))
+    stay, keep = 1.0 - lam, 1.0 - nu
+    faces = box.faces
+    vf = value_of(faces)
+    face = np.add(np.multiply(vf[0], keep), np.multiply(vf[1], nu))
+    out = np.add(np.multiply(value_of(centers), stay), np.multiply(face, lam))
+    tape = _tape_of(centers, faces)
+    if tape is None:
+        return out
+    face_weights = np.array((keep, nu))
+
+    def vjp(g, inputs, o):
+        g_centers = mul(g, stay) if isinstance(centers, Node) else None
+        g_faces = mul(mul(g, lam), face_weights) if isinstance(faces, Node) else None
+        return _node_only(((g_centers, centers), (g_faces, faces)))
+
+    return Node(tape, out, _node_only(((centers, centers), (faces, faces))), vjp)
 
 
 def mix_batch(first, second, labels, coeffs: MixCoefficients):

@@ -213,12 +213,25 @@ def batch_stats(x, layer: LayerSpec):
     return mean, var
 
 
+def bn_inv_std(layer: LayerSpec, var):
+    """``1 / sqrt(var + eps)``, the factor of the batchnorm scale ``gamma``."""
+    return 1.0 / np.sqrt(var + layer.eps)
+
+
+def check_pool_input(shape) -> None:
+    """Reject a max pooling input that is not (batch, c, h, w) or (tasks,
+    batch, c, h, w)."""
+    if len(shape) not in (4, 5):
+        raise ValueError(
+            f"maxpool2d expects (batch, c, h, w) or (tasks, batch, c, h, w), got {shape}"
+        )
+
+
 def bn_affine(layer: LayerSpec, mean, var, gamma=None, beta=None):
     """Per-channel (scale, shift) of the frozen batchnorm affine map."""
     gamma = layer.weight if gamma is None else gamma
     beta = layer.bias if beta is None else beta
-    inv_std = 1.0 / np.sqrt(var + layer.eps)
-    scale = mul(gamma, inv_std)
+    scale = mul(gamma, bn_inv_std(layer, var))
     shift = sub(beta, mul(mean, scale))
     return scale, shift
 
@@ -272,6 +285,7 @@ def apply_layer(
     if kind == "relu":
         return relu_op(x)
     if kind == "maxpool2d":
+        check_pool_input(value_of(x).shape)  # maxpool2d itself also takes box faces
         return maxpool2d(x, layer.window, layer.stride)
     if kind == "flatten":
         lead = value_of(x).shape[: 1 + has_task_axis(x)]

@@ -4,7 +4,10 @@ initializations with inner-loop adaptation.
 Prototypes are per-class means of support embeddings; queries are classified
 by a softmax over negative (squared) Euclidean distances.  Both learners
 score in logits: :func:`protonet_logits` gives the negative distances and
-:func:`cross_entropy` takes logits, so no probability rows are formed.
+:func:`cross_entropy` takes logits, so no probability rows are formed.  Each
+is one tape node (the ``euclidean`` root inside the scores' node), with a
+vjp written in tape operations that sums the adjoints of the primitive
+chain it replaced in that chain's order.
 Prototypes, distances and logits also take a leading task axis, where each
 task's queries meet only that task's prototypes; evaluation scores its tasks
 that way, in chunks of bounded size (:func:`protonet_task_accuracies`).  An
@@ -46,17 +49,18 @@ from .layers import Network, forward, param_nodes_to_list
 from .tensor import (
     Node,
     Tape,
+    _linear_input_grad,
+    _linear_weight_grad,
+    _node_only,
     _tape_of,
     add,
     as_tensor,
     div,
     exp,
-    linear,
     matmul,
     mul,
     neg,
     reshape,
-    sqrt,
     sub,
     sum_,
     transpose,
@@ -84,25 +88,68 @@ def compute_prototypes(embeddings, labels, ways: int):
     return matmul(member / counts[..., None], embeddings)
 
 
+def _sqdist_grads(g, a, b, inputs):
+    """Adjoints of ``a`` and ``b`` (those that are nodes) for adjoint ``g``
+    of their squared distances ``|a|² - 2 a bᵀ + |b|²ᵀ``: the sums of the
+    primitive chain's adjoints, in its order, written with tape ops."""
+    ops = iter(inputs)
+    xa = next(ops) if isinstance(a, Node) else a
+    xb = next(ops) if isinstance(b, Node) else b
+    g_cross = mul(neg(g), 2.0)
+    ga = gb = None
+    if isinstance(a, Node):
+        g_sq = mul(sum_(g, axis=-1, keepdims=True), xa)  # of each a·a product
+        ga = add(add(_linear_input_grad(g_cross, xb, a.shape), g_sq), g_sq)
+    if isinstance(b, Node):
+        g_sq = mul(transpose(sum_(g, axis=-2, keepdims=True)), xb)
+        gb = add(add(_linear_weight_grad(g_cross, xa, b.shape), g_sq), g_sq)
+    return _node_only(((ga, a), (gb, b)))
+
+
 def pairwise_sqdist(a, b):
     """Squared Euclidean distances between rows of ``a`` (m,d) and ``b`` (k,d),
-    or of each task's ``a`` (tasks,m,d) and ``b`` (tasks,k,d)."""
-    aa = sum_(mul(a, a), axis=-1, keepdims=True)  # (..., m, 1)
-    bb = sum_(mul(b, b), axis=-1, keepdims=True)  # (..., k, 1)
-    cross = linear(a, b)  # a @ bᵀ, (..., m, k)
-    return add(sub(aa, mul(cross, 2.0)), transpose(bb))
+    or of each task's ``a`` (tasks,m,d) and ``b`` (tasks,k,d).  One tape
+    node."""
+    va, vb = value_of(a), value_of(b)
+    aa = np.sum(np.multiply(va, va), axis=-1, keepdims=True)  # (..., m, 1)
+    bb = np.sum(np.multiply(vb, vb), axis=-1, keepdims=True)  # (..., k, 1)
+    cross = va @ vb.swapaxes(-1, -2)  # (..., m, k)
+    out = np.add(np.subtract(aa, np.multiply(cross, 2.0)), bb.swapaxes(-1, -2))
+    tape = _tape_of(a, b)
+    if tape is None:
+        return out
+    return Node(
+        tape, out, _node_only(((a, a), (b, b))),
+        lambda g, inputs, o: _sqdist_grads(g, a, b, inputs),
+    )
 
 
 def protonet_logits(query_embeddings, prototypes, distance: str = "sqeuclidean"):
-    """Negative distances, the classification scores of the prototype rule."""
-    qd = np.shape(value_of(query_embeddings))[-1]
-    pd = np.shape(value_of(prototypes))[-1]
+    """Negative distances, the classification scores of the prototype rule.
+
+    One tape node for either distance, the ``euclidean`` root included.
+    """
+    a, b = query_embeddings, prototypes
+    qd = np.shape(value_of(a))[-1]
+    pd = np.shape(value_of(b))[-1]
     if qd != pd:
         raise ValueError(f"embedding dim {qd} != prototype dim {pd}")
     if distance not in DISTANCES:
         raise ValueError(f"unknown distance {distance!r}")
-    d = pairwise_sqdist(query_embeddings, prototypes)
-    return neg(sqrt(d) if distance == "euclidean" else d)
+    d = pairwise_sqdist(value_of(a), value_of(b))
+    root = distance == "euclidean"
+    out = np.negative(np.sqrt(d) if root else d)
+    tape = _tape_of(a, b)
+    if tape is None:
+        return out
+
+    def vjp(g, inputs, o):
+        g_d = neg(g)
+        if root:  # the root is -o
+            g_d = div(mul(g_d, 0.5), neg(o))
+        return _sqdist_grads(g_d, a, b, inputs)
+
+    return Node(tape, out, _node_only(((a, a), (b, b))), vjp)
 
 
 def _onehot(labels, score_shape) -> np.ndarray:

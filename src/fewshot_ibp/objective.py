@@ -9,6 +9,11 @@ values (temperature ``gamma``), recomputed every step and treated as
 constants of the step, so no gradient flows through the weighting.
 Odd-rank centers stack tasks (:func:`~fewshot_ibp.layers.has_task_axis`):
 each loss then holds one value per task, with one weight triple per task.
+
+Each bound loss is one tape node reading the box's stacked faces, and the
+total is one node.  Their vjps are written with tape operations, so they
+can be differentiated again.  A :class:`WeightTriple` is checked to lie on
+the simplex when it is made, so the total trusts the triples it is given.
 """
 
 from __future__ import annotations
@@ -25,11 +30,13 @@ from .tensor import (
     NonFiniteError,
     _node_only,
     _tape_of,
-    add,
+    _unbroadcast,
     mul,
     neg,
     reshape,
+    stack,
     sub,
+    take,
     value_of,
 )
 
@@ -64,17 +71,20 @@ class LossTriple:
 
 @dataclass(frozen=True)
 class WeightTriple:
+    """Weights of the three losses, on the probability simplex (within
+    1e-9): checked once, when the triple is made."""
+
     w_ce: float
     w_lb: float
     w_ub: float
 
+    def __post_init__(self):
+        t = self.as_tuple()
+        if not (all(w >= -1e-9 for w in t) and abs(sum(t) - 1.0) <= 1e-9):
+            raise ValueError(f"weights {t} are not on the probability simplex")
+
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.w_ce, self.w_lb, self.w_ub)
-
-    def validate(self, tol: float = 1e-9) -> None:
-        t = self.as_tuple()
-        if not (all(w >= -tol for w in t) and abs(sum(t) - 1.0) <= tol):
-            raise ValueError(f"weights {t} are not on the probability simplex")
 
 
 def bound_losses(centers, box: IntervalTensor):
@@ -89,34 +99,36 @@ def bound_losses(centers, box: IntervalTensor):
     tape operations, so it can be differentiated again.
     """
     shape = np.shape(value_of(centers))
-    for face in (box.lower, box.upper):
-        if np.shape(value_of(face)) != shape:
-            raise ValueError(
-                f"box face shape {np.shape(value_of(face))} does not match "
-                f"centers {shape}"
-            )
+    faces = box.faces
+    vf = value_of(faces)
+    if vf.shape[1:] != shape:
+        raise ValueError(f"box face shape {vf.shape[1:]} does not match centers {shape}")
     tasks = has_task_axis(centers)
     n = shape[int(tasks)]
     axes = tuple(range(1, len(shape))) if tasks else None
     g_shape = shape[:1] + (1,) * (len(shape) - 1) if tasks else ()
 
-    def mean_sq_distance(face):
-        d = np.subtract(value_of(centers), value_of(face))
+    def mean_sq_distance(i):
+        d = np.subtract(value_of(centers), vf[i])
         out = np.sum(d * d, axis=axes) * (1.0 / n)
-        tape = _tape_of(centers, face)
+        tape = _tape_of(centers, faces)
         if tape is None:
             return out
 
         def vjp(g, inputs, o):
             ops = iter(inputs)
             c = next(ops) if isinstance(centers, Node) else centers
-            f = next(ops) if isinstance(face, Node) else face
+            f = take(next(ops), i) if isinstance(faces, Node) else vf[i]
             gc = mul(sub(c, f), reshape(mul(g, 2.0 / n), g_shape))
-            return _node_only(((gc, centers), (neg(gc), face)))
+            g_faces = None
+            if isinstance(faces, Node):  # the other face gets zeros
+                zeros = np.zeros(shape)
+                g_faces = stack((neg(gc), zeros) if i == 0 else (zeros, neg(gc)))
+            return _node_only(((gc, centers), (g_faces, faces)))
 
-        return Node(tape, out, _node_only(((centers, centers), (face, face))), vjp)
+        return Node(tape, out, _node_only(((centers, centers), (faces, faces))), vjp)
 
-    return mean_sq_distance(box.lower), mean_sq_distance(box.upper)
+    return mean_sq_distance(0), mean_sq_distance(1)
 
 
 def dynamic_weights(losses, gamma: float) -> WeightTriple:
@@ -136,29 +148,31 @@ def dynamic_weights(losses, gamma: float) -> WeightTriple:
     return WeightTriple(e[0] / z, e[1] / z, e[2] / z)
 
 
-def static_weights(w_ce: float, w_lb: float, w_ub: float) -> WeightTriple:
-    w = WeightTriple(w_ce, w_lb, w_ub)
-    w.validate()
-    return w
-
-
 def total_loss(losses: LossTriple, weights):
     """Convex combination of the three losses; weights are step constants.
 
     Losses holding one value per task take one :class:`WeightTriple` per
-    task, and the result holds each task's own combination.
+    task, and the result holds each task's own combination.  One tape node,
+    whose vjp scales the output adjoint by each loss's weight.
     """
     if isinstance(weights, WeightTriple):
-        weights.validate()
-        w_ce, w_lb, w_ub = weights.as_tuple()
+        w = weights.as_tuple()
     else:
-        for w in weights:
-            w.validate()
-        w_ce, w_lb, w_ub = np.array([w.as_tuple() for w in weights]).T
-    return add(
-        add(mul(losses.l_ce, w_ce), mul(losses.l_lb, w_lb)),
-        mul(losses.l_ub, w_ub),
-    )
+        w = np.array([t.as_tuple() for t in weights]).T
+    terms = (losses.l_ce, losses.l_lb, losses.l_ub)
+    v = [value_of(t) for t in terms]
+    out = np.add(np.add(np.multiply(v[0], w[0]), np.multiply(v[1], w[1])), np.multiply(v[2], w[2]))
+    tape = _tape_of(*terms)
+    if tape is None:
+        return out
+    shapes = [np.shape(x) for x in v]
+
+    def vjp(g, inputs, o):
+        return _node_only(
+            tuple((_unbroadcast(mul(g, wi), s), t) for t, wi, s in zip(terms, w, shapes))
+        )
+
+    return Node(tape, out, _node_only(tuple((t, t) for t in terms)), vjp)
 
 
 def epsilon_schedule(t: int, max_steps: int, eps: float) -> float:

@@ -45,7 +45,7 @@ def optimizer_step(params, grads, state: OptimizerState):
     for p, g in zip(params, grads):
         if np.shape(p) != np.shape(g):
             raise ValueError(f"gradient shape {np.shape(g)} != parameter shape {np.shape(p)}")
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NonFiniteError("non-finite gradient")
 
     if not state.m:

@@ -4,14 +4,23 @@ All numeric values in this package are 64-bit float numpy arrays created
 through :func:`as_tensor`, which validates finiteness and freezes the buffer.
 Differentiable computations happen on a :class:`Tape`: operations accept a mix
 of plain arrays (constants) and :class:`Node` handles, and return a ``Node``
-whenever a node participates.  The backward pass expresses adjoints with the
-same operation set, so gradients are themselves tape nodes and can be
-differentiated again (used for exact second-order meta-updates).
+whenever a node participates.  A node has no arithmetic operators; values
+combine only through these functions, which record them.  The backward pass
+expresses adjoints with the same operation set, so gradients are themselves
+tape nodes and can be differentiated again (used for exact second-order
+meta-updates).
 
 Hot chains of primitives are single fused nodes with analytic
 vector-Jacobian products: ``sub`` (one node, not ``add`` of ``neg``) and
-``linear`` (``x @ wᵀ + b``); the learners and the objective fuse their
-cross-entropy and bound losses the same way.  ``conv2d`` and ``maxpool2d``
+``linear`` (``x @ wᵀ + b``) here; elsewhere each interval box layer
+(``bounds``), the prototype scores and cross-entropy (``learners``), each
+set's interpolation (``interpolation``), and the bound losses and the total
+loss (``objective``).  The box, score, interpolation and total-loss nodes
+keep the numpy expressions of the chains they replaced, so their values are
+the chains' bit for bit, and their vjps sum the chains' adjoints in the
+chains' order.  ``stack`` and ``take`` carry a box's two faces as one value
+on a leading axis; each is the other's vjp.
+``conv2d`` and ``maxpool2d``
 are numpy kernels whose vjps are private tape ops: a transposed
 convolution and a kernel gradient, and a scatter into the argmax
 positions, each differentiable again.  Every vjp is written with tape
@@ -20,7 +29,8 @@ derivative, and second-order meta-updates differentiate through it.
 
 ``matmul``, ``transpose``, ``linear``, ``conv2d`` and ``maxpool2d`` accept a
 leading task axis: a stack of T independent problems, each with its own
-operands or sharing a weight, evaluated in one call.
+operands or sharing a weight, evaluated in one call.  ``maxpool2d`` also
+takes a box's stacked faces, one more leading axis.
 
 Every node points at its tape and the tape lists every node, so a tape is a
 reference cycle.  :meth:`Tape.release` (or leaving a ``with Tape()`` block)
@@ -64,6 +74,8 @@ __all__ = [
     "log",
     "sqrt",
     "sum_",
+    "stack",
+    "take",
     "linear",
     "conv2d",
     "maxpool2d",
@@ -108,7 +120,7 @@ def as_tensor(values, shape=None) -> np.ndarray:
                 f"data length {arr.size} does not match shape {tuple(shape)}"
             )
         arr = arr.reshape(shape)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError("tensor contains non-finite values")
     arr.flags.writeable = False
     return arr
@@ -135,7 +147,9 @@ class Node:
 
     __slots__ = ("tape", "value", "parents", "vjp")
 
-    # make ndarray <op> Node defer to the reflected Node operators
+    # a node has no arithmetic operators: values combine through the tape
+    # ops, and this makes ``ndarray <op> Node`` raise TypeError as well
+    # instead of broadcasting over the node as an object
     __array_ufunc__ = None
 
     def __init__(self, tape, value, parents=(), vjp=None):
@@ -148,34 +162,6 @@ class Node:
     @property
     def shape(self):
         return self.value.shape
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         return f"Node(shape={self.value.shape})"
@@ -442,14 +428,29 @@ def linear(x, w, b=None):
         ops = iter(inputs)
         xx = next(ops) if isinstance(x, Node) else x
         xw = next(ops) if isinstance(w, Node) else w
-        gx = _unbroadcast(matmul(g, xw), sx) if isinstance(x, Node) else None
-        gw = _unbroadcast(matmul(transpose(g), xx), sw) if isinstance(w, Node) else None
-        gb = None
-        if isinstance(b, Node):  # a per-task bias sums over its own rows only
-            gb = sum_(g, axis=-2) if len(b.shape) == 2 else _unbroadcast(g, b.shape)
+        gx = _linear_input_grad(g, xw, sx) if isinstance(x, Node) else None
+        gw = _linear_weight_grad(g, xx, sw) if isinstance(w, Node) else None
+        gb = _linear_bias_grad(g, b.shape) if isinstance(b, Node) else None
         return _node_only(((gx, x), (gw, w), (gb, b)))
 
     return Node(tape, out, _node_only(((x, x), (w, w), (b, b))), vjp)
+
+
+# The adjoints of ``linear``'s input, weight and bias for output adjoint
+# ``g``, shared with the fused interval node of a fully connected layer.
+
+
+def _linear_input_grad(g, w, x_shape):
+    return _unbroadcast(matmul(g, w), x_shape)
+
+
+def _linear_weight_grad(g, x, w_shape):
+    return _unbroadcast(matmul(transpose(g), x), w_shape)
+
+
+def _linear_bias_grad(g, b_shape):
+    # a per-task bias sums over its own rows only
+    return sum_(g, axis=-2) if len(b_shape) == 2 else _unbroadcast(g, b_shape)
 
 
 def reshape(a, shape):
@@ -509,7 +510,7 @@ def sqrt(a):
 def sum_(a, axis=None, keepdims=False):
     tape = _tape_of(a)
     va = value_of(a)
-    out = np.sum(va, axis=axis, keepdims=keepdims)
+    out = np.add.reduce(va, axis=axis, keepdims=keepdims)  # np.sum, without its wrapper
     if tape is None:
         return out
     shape = va.shape
@@ -522,6 +523,37 @@ def sum_(a, axis=None, keepdims=False):
                 kept.insert(ax, 1)
             g = reshape(g, tuple(kept))
         return (mul(g, np.ones(shape)),)
+
+    return Node(tape, out, (a,), vjp)
+
+
+def stack(values):
+    """``values`` (equal shapes) stacked on a new leading axis.  Each node
+    operand's adjoint is its slice of the output adjoint (:func:`take`)."""
+    tape = _tape_of(*values)
+    out = np.array([value_of(v) for v in values])  # np.stack, without its wrapper
+    if tape is None:
+        return out
+
+    def vjp(g, inputs, o):
+        return tuple(take(g, i) for i, v in enumerate(values) if isinstance(v, Node))
+
+    return Node(tape, out, tuple(v for v in values if isinstance(v, Node)), vjp)
+
+
+def take(a, index: int):
+    """Entry ``index`` of ``a``'s leading axis.  The adjoint is the output
+    adjoint at that entry and zeros at the others (:func:`stack`)."""
+    tape = _tape_of(a)
+    va = value_of(a)
+    out = va[index]
+    if tape is None:
+        return out
+    n = va.shape[0]
+
+    def vjp(g, inputs, o):
+        zeros = np.zeros(out.shape)
+        return (stack([g if i == index else zeros for i in range(n)]),)
 
     return Node(tape, out, (a,), vjp)
 
@@ -660,6 +692,11 @@ def _conv_weight_grad(g, x, w_shape, stride, cols=None):
     )
 
 
+def _conv_bias_grad(g, b_shape):
+    """Adjoint of a convolution's bias for output adjoint ``g``."""
+    return _unbroadcast(sum_(g, axis=(-4, -2, -1)), b_shape)
+
+
 def conv2d(x, weight, bias, stride: int = 1):
     """2-D cross correlation with no padding.
 
@@ -700,9 +737,7 @@ def conv2d(x, weight, bias, stride: int = 1):
         xw = next(ops) if isinstance(weight, Node) else weight
         gx = _conv_input_grad(g, xw, x_shape, stride) if isinstance(x, Node) else None
         gw = _conv_weight_grad(g, xx, w_shape, stride, cols) if isinstance(weight, Node) else None
-        gb = None
-        if isinstance(bias, Node):
-            gb = _unbroadcast(sum_(g, axis=(-4, -2, -1)), bias.shape)
+        gb = _conv_bias_grad(g, bias.shape) if isinstance(bias, Node) else None
         return _node_only(((gx, x), (gw, weight), (gb, bias)))
 
     return Node(tape, out, _node_only(((x, x), (weight, weight), (bias, bias))), vjp)
@@ -744,9 +779,9 @@ def maxpool2d(x, window: int, stride: int | None = None):
     """Max pooling over (window, window) patches with the given stride.
 
     Stride defaults to the window size (non-overlapping pooling).  ``x`` is
-    (batch, c, h, w), or (tasks, batch, c, h, w) with a leading task axis.
-    The gradient goes to the first maximum of each window, in row-major
-    order.
+    (batch, c, h, w), or (tasks, batch, c, h, w) with a leading task axis,
+    and may carry one more leading axis: the two faces of a box.  The
+    gradient goes to the first maximum of each window, in row-major order.
     """
     if window <= 0:
         raise ValueError("pool window must be positive")
@@ -755,9 +790,9 @@ def maxpool2d(x, window: int, stride: int | None = None):
         raise ValueError("pool stride must be positive")
     tape = _tape_of(x)
     vx = value_of(x)
-    if vx.ndim not in (4, 5):
+    if vx.ndim not in (4, 5, 6):
         raise ValueError(
-            f"maxpool2d expects (batch, c, h, w) or (tasks, batch, c, h, w), got {vx.shape}"
+            f"maxpool2d expects (batch, c, h, w) with up to two leading axes, got {vx.shape}"
         )
     out_hw = _out_hw(*vx.shape[-2:], window, window, stride)
     first, *rest = _offset_views(vx, window, window, stride, out_hw)

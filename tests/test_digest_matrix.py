@@ -10,8 +10,8 @@ from pathlib import Path
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "digest_matrix.py"
 
 
-def digest_listing(*runs):
-    argv = [sys.executable, str(SCRIPT)] + [a for run in runs for a in ("--only", run)]
+def digest_listing(*runs, flags=()):
+    argv = [sys.executable, str(SCRIPT), *flags] + [a for run in runs for a in ("--only", run)]
     out = subprocess.run(argv, capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr[-2000:]
     return out.stdout
@@ -25,6 +25,17 @@ def test_one_run_digest_is_stable_and_listed():
     listing = hashlib.sha256((lines[0] + "\n").encode("utf-8")).hexdigest()
     assert lines[1] == f"listing {listing}"
     assert digest_listing("maml1-fc-ibpi-on") == first
+
+
+def test_values_follow_the_digest_and_keep_the_listing():
+    plain = digest_listing("protonet-fc-ibpi-on").splitlines()
+    lines = digest_listing("protonet-fc-ibpi-on", flags=("--values",)).splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith(plain[0] + " ")
+    assert re.fullmatch(
+        r"\S+ \S+ test_accuracy=0\.\d+ test_ci95=0\.\d+ box_width=\d+\.\d+", lines[0]
+    )
+    assert lines[1] == plain[1]  # the listing hash covers names and digests only
 
 
 def test_unknown_run_rejected():

@@ -408,6 +408,14 @@ class TestConfigValidation:
             ("bounds_on_adapted", None),
             ("static_weights", [0.5, 0.5, "x"]),
             ("static_weights", [1.0, False, 0.0]),
+            # the float fields take a real number that is not a bool
+            ("epsilon", True),
+            ("interp_probability", True),
+            ("alpha", True),
+            ("epsilon", "0.1"),
+            ("meta_lr", None),
+            ("gamma", "1"),
+            ("inner_lr", [0.1]),
         ],
     )
     def test_malformed_field_rejected_by_name(self, field, value):
@@ -446,6 +454,8 @@ class TestConfigValidation:
             static_weights=[1.0, 0.0, 0.0], distance="euclidean", n_val_tasks=1,
         )
         make_config(interp_probability=1.0, gamma=1e-3, meta_lr=1e80)
+        # JSON writes a whole number as an int
+        make_config(epsilon=0, interp_probability=1, alpha=2, gamma=1, meta_lr=0)
 
 
 class TestReport:

@@ -1011,16 +1011,20 @@ class TestTapeBudget:
 
     def test_protonet_step(self, node_count):
         self.one_step(H._protonet_step)
-        assert node_count[0] <= 69  # 115 before fusing
+        assert node_count[0] <= 26  # 115 before the first fusion round, 68 before the second
+
+    def test_protonet_step_without_interpolation(self, node_count):
+        self.one_step(H._protonet_step, interp_probability=0.0)
+        assert node_count[0] <= 14  # 32 before the second fusion round
 
     def test_protonet_conv_step(self, node_count):
         # the conv, batchnorm, relu, maxpool prefix with its conv boxes
         self.one_step(H._protonet_step, conv_pool_network, objective="ibp",
                       layers=[{"kind": "relu"}] * 6, split_index=4)
-        assert node_count[0] <= 69
+        assert node_count[0] <= 34  # 68 before the second fusion round
 
-    # 363 and 708 before fusing
-    @pytest.mark.parametrize("first_order,budget", [(True, 157), (False, 463)])
+    # 363 and 708 before the first fusion round, 157 and 463 before the second
+    @pytest.mark.parametrize("first_order,budget", [(True, 93), (False, 394)])
     def test_maml_step(self, node_count, first_order, budget):
         self.one_step(H._maml_step, learner="maml", meta_batch=4, inner_steps=5,
                       first_order=first_order)

@@ -142,6 +142,16 @@ class TestBackward:
         with pytest.raises(ValueError):
             tape.backward(T.mul(x, x), [w])
 
+    def test_nodes_have_no_arithmetic_operators(self):
+        # values combine only through the tape ops, which record them
+        tape = T.Tape()
+        a, b = tape.leaf(np.ones(3)), tape.leaf(np.ones(3))
+        with pytest.raises(TypeError):
+            a + b
+        with pytest.raises(TypeError):
+            np.ones(3) * a
+        assert len(tape) == 2
+
     def test_unreached_parameter_gets_zero_gradient(self):
         tape = T.Tape()
         x = tape.leaf(np.array(1.0))
@@ -693,6 +703,45 @@ def chain_bound_losses(centers, lower, upper, task_axis=False):
     return losses
 
 
+def chain_box_layer(layer, lower, upper, weight=None, bias=None, frozen_stats=None):
+    """The primitive chain of one box layer that the fused box nodes
+    replace, face by face; returns the stacked output faces."""
+    w = layer.weight if weight is None else weight
+    b = layer.bias if bias is None else bias
+
+    def affine(apply_center, apply_radius):
+        mu = T.mul(T.add(lower, upper), 0.5)
+        psi = T.mul(T.sub(upper, lower), 0.5)
+        mu_out, psi_out = apply_center(mu), apply_radius(psi)
+        return T.sub(mu_out, psi_out), T.add(mu_out, psi_out)
+
+    if layer.kind == "fully_connected":
+        faces = affine(lambda mu: T.linear(mu, w, b), lambda psi: T.linear(psi, T.abs_(w)))
+    elif layer.kind == "conv2d":
+        s = layer.stride
+        faces = affine(
+            lambda mu: T.conv2d(mu, w, b, stride=s),
+            lambda psi: T.conv2d(psi, T.abs_(w), None, stride=s),
+        )
+    elif layer.kind == "batchnorm":
+        scale, shift = L.bn_affine(layer, *frozen_stats, gamma=w, beta=b)
+        scale_b = L._bn_broadcast(lower, scale)
+        shift_b = L._bn_broadcast(lower, shift)
+        abs_scale_b = L._bn_broadcast(lower, T.abs_(scale))
+        faces = affine(
+            lambda mu: T.add(T.mul(mu, scale_b), shift_b),
+            lambda psi: T.mul(psi, abs_scale_b),
+        )
+    elif layer.kind == "relu":
+        faces = T.relu(lower), T.relu(upper)
+    elif layer.kind == "maxpool2d":
+        faces = tuple(T.maxpool2d(f, layer.window, layer.stride) for f in (lower, upper))
+    else:  # flatten
+        lead = np.shape(T.value_of(lower))[: 1 + L.has_task_axis(lower)]
+        faces = T.reshape(lower, lead + (-1,)), T.reshape(upper, lead + (-1,))
+    return T.stack(faces)
+
+
 def fused_against_chain(fused, chain, arrays):
     """Check a fused node against the primitive chain it replaces.
 
@@ -745,7 +794,10 @@ def fused_against_chain(fused, chain, arrays):
 
 
 class TestFusedNodes:
-    """Every fused node against the primitive chain it replaces."""
+    """Every fused node against the primitive chain it replaces: values to
+    1e-12, and bit-equal where the fused node kept the chain's expressions;
+    gradients to 1e-12 in both backward modes and to finite differences
+    (``fused_against_chain``); on 2-D (or 4-D) input and on a task axis."""
 
     @pytest.mark.parametrize("a_shape,b_shape", [((3, 4), (3, 4)), ((2, 3, 4), (4,)), ((4,), (3, 4))])
     def test_sub(self, a_shape, b_shape):
@@ -834,6 +886,132 @@ class TestFusedNodes:
             chain_bound_losses(centers, lower, upper, task_axis),
         ):
             np.testing.assert_array_equal(got, want)
+
+    # (kind, box face shape, then the shapes of the weight and bias): plain
+    # layouts, then the task axis with parameters per task or shared
+    BOX_LAYOUTS = [
+        ("fully_connected", (5, 4), (3, 4), (3,)),
+        ("fully_connected", (2, 5, 4), (2, 3, 4), (2, 3)),
+        ("fully_connected", (2, 5, 4), (3, 4), (3,)),
+        ("conv2d", (2, 2, 5, 5), (3, 2, 3, 3), (3,)),
+        ("conv2d", (2, 2, 2, 5, 5), (2, 3, 2, 3, 3), (2, 3)),
+        ("conv2d", (2, 2, 2, 5, 5), (3, 2, 3, 3), (3,)),
+        ("batchnorm", (4, 3), (3,), (3,)),
+        ("batchnorm", (4, 3, 2, 2), (3,), (3,)),
+        ("batchnorm", (2, 4, 3, 2, 2), (2, 3), (2, 3)),
+        ("batchnorm", (2, 4, 3, 2, 2), (3,), (3,)),
+        ("relu", (5, 4)),
+        ("relu", (2, 5, 4)),
+        ("maxpool2d", (2, 2, 4, 4)),
+        ("maxpool2d", (2, 2, 2, 4, 4)),
+        ("flatten", (2, 2, 3, 3)),
+        ("flatten", (2, 2, 2, 3, 3)),
+    ]
+    LAYERS = {
+        "fully_connected": L.LayerSpec("fully_connected"),
+        "conv2d": L.LayerSpec("conv2d", stride=2),
+        "batchnorm": L.LayerSpec("batchnorm"),
+        "relu": L.relu(),
+        "maxpool2d": L.maxpool(2),
+        "flatten": L.flatten(),
+    }
+
+    @pytest.mark.parametrize("layout", range(len(BOX_LAYOUTS)))
+    def test_box_layer(self, layout):
+        from fewshot_ibp import bounds as B
+
+        kind, face_shape, *param_shapes = self.BOX_LAYOUTS[layout]
+        layer = self.LAYERS[kind]
+        rng = np.random.default_rng(70 + layout)
+        x = rng.standard_normal(face_shape)
+        radius = rng.uniform(0.05, 0.5, face_shape)
+        arrays = [x - radius, x + radius] + [rng.standard_normal(s) for s in param_shapes]
+        frozen = L.batch_stats(x, layer) if kind == "batchnorm" else None
+
+        def fused(lower, upper, *params):
+            box = B.propagate_layer(layer, B.IntervalTensor(lower, upper), *params, frozen_stats=frozen)
+            return box.faces
+
+        def chain(lower, upper, *params):
+            return chain_box_layer(layer, lower, upper, *params, frozen_stats=frozen)
+
+        fused_against_chain(fused, chain, arrays)
+        np.testing.assert_array_equal(fused(*arrays), chain(*arrays))
+        # one node per box layer, whatever the parameters
+        tape = T.Tape()
+        box = B.IntervalTensor.of(tape.leaf(np.stack(arrays[:2])))
+        B.propagate_layer(layer, box, *[tape.leaf(a) for a in arrays[2:]], frozen_stats=frozen)
+        assert len(tape) == 2 + len(param_shapes)
+
+    @pytest.mark.parametrize("distance", ["sqeuclidean", "euclidean"])
+    @pytest.mark.parametrize("a_shape,b_shape", [((6, 4), (3, 4)), ((2, 6, 4), (2, 3, 4))])
+    def test_protonet_logits(self, a_shape, b_shape, distance):
+        from fewshot_ibp.learners import protonet_logits
+
+        def chain(a, b):
+            aa = T.sum_(T.mul(a, a), axis=-1, keepdims=True)
+            bb = T.sum_(T.mul(b, b), axis=-1, keepdims=True)
+            d = T.add(T.sub(aa, T.mul(T.linear(a, b), 2.0)), T.transpose(bb))
+            return T.neg(T.sqrt(d) if distance == "euclidean" else d)
+
+        rng = np.random.default_rng(49)
+        a, b = rng.standard_normal(a_shape), rng.standard_normal(b_shape)
+        fused_against_chain(lambda a, b: protonet_logits(a, b, distance), chain, [a, b])
+        np.testing.assert_array_equal(protonet_logits(a, b, distance), chain(a, b))
+
+    @pytest.mark.parametrize("shape", [(6, 4), (2, 6, 4)])
+    def test_interpolate_batch(self, shape):
+        from fewshot_ibp.bounds import IntervalTensor
+        from fewshot_ibp.interpolation import MixCoefficients, interpolate_batch
+
+        rng = np.random.default_rng(50)
+        lead = shape[:-2]
+        labels = rng.integers(0, 3, size=shape[:-1])
+        coeffs = MixCoefficients(rng.uniform(0, 1, lead + (3,)), rng.integers(0, 2, lead + (3,)))
+        lam = np.take_along_axis(coeffs.lam, labels, axis=-1)[..., None]
+        nu = np.take_along_axis(coeffs.nu, labels, axis=-1)[..., None].astype(np.float64)
+
+        def chain(c, lower, upper):
+            face = T.add(T.mul(lower, 1.0 - nu), T.mul(upper, nu))
+            return T.add(T.mul(c, 1.0 - lam), T.mul(face, lam))
+
+        def fused(c, lower, upper):
+            return interpolate_batch(c, IntervalTensor(lower, upper), labels, coeffs)
+
+        c = rng.standard_normal(shape)
+        arrays = [c, c - rng.uniform(0.1, 1, shape), c + rng.uniform(0.1, 1, shape)]
+        fused_against_chain(fused, chain, arrays)
+        np.testing.assert_array_equal(fused(*arrays), chain(*arrays))
+
+    @pytest.mark.parametrize("per_task", [False, True])
+    def test_total_loss(self, per_task):
+        from fewshot_ibp.objective import LossTriple, WeightTriple, total_loss
+
+        rng = np.random.default_rng(51)
+        shape = (3,) if per_task else ()
+        triples = [WeightTriple(*(w / w.sum())) for w in rng.uniform(0.1, 1, (3, 3))]
+        weights = triples if per_task else triples[0]
+        w = np.array([t.as_tuple() for t in triples]).T if per_task else triples[0].as_tuple()
+
+        def chain(l_ce, l_lb, l_ub):
+            return T.add(T.add(T.mul(l_ce, w[0]), T.mul(l_lb, w[1])), T.mul(l_ub, w[2]))
+
+        def fused(*losses):
+            return total_loss(LossTriple(*losses), weights)
+
+        arrays = [rng.uniform(0.1, 2, shape) for _ in range(3)]
+        fused_against_chain(fused, chain, arrays)
+        np.testing.assert_array_equal(fused(*arrays), chain(*arrays))
+
+    def test_stack_and_take(self):
+        rng = np.random.default_rng(52)
+        a, b = rng.standard_normal((2, 3, 4))
+        fused_against_chain(
+            lambda a, b: T.mul(T.take(T.stack((a, b)), 1), T.take(T.stack((b, a)), 1)),
+            T.mul, [b, a],
+        )
+        np.testing.assert_array_equal(T.stack((a, b)), np.stack((a, b)))
+        np.testing.assert_array_equal(T.take(np.stack((a, b)), 1), b)
 
 
 # The convolution and max pooling that the matmul and strided-view kernels

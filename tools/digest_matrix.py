@@ -12,10 +12,15 @@ or both off: 72 runs.
 
 The script imports ``fewshot_ibp`` from the ``src`` directory of the
 checkout it sits in.  To compare two checkouts, run a copy of it in each:
-the last line, a hash of the whole listing, must match.
+the last line, a hash of the whole listing, must match.  ``--values``
+appends each run's ``test_accuracy``, ``test_ci95`` and ``box_width`` to
+its line, to show how far a run that moved has moved; the listing hash
+covers only the run names and digests, so it is the same with or without
+``--values``.
 
     python tools/digest_matrix.py              # all 72 runs
     python tools/digest_matrix.py --only maml1-fc-ibpi-on
+    python tools/digest_matrix.py --values
 """
 
 from __future__ import annotations
@@ -104,7 +109,8 @@ def run_configs():
         )
 
 
-def run_digest(config: RunConfig, out_dir: str) -> str:
+def run_digest(config: RunConfig, out_dir: str) -> tuple[str, dict]:
+    """The run's digest and its summary."""
     config.out_dir = out_dir
     _, _, summary = train(config)
     digest = hashlib.sha256()
@@ -112,13 +118,15 @@ def run_digest(config: RunConfig, out_dir: str) -> str:
         with open(os.path.join(out_dir, name), "rb") as fh:
             digest.update(fh.read())
     digest.update(json.dumps([summary[k] for k in SUMMARY_KEYS]).encode("utf-8"))
-    return digest.hexdigest()
+    return digest.hexdigest(), summary
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--only", action="append", metavar="RUN",
                         help="run only this run name (repeatable)")
+    parser.add_argument("--values", action="store_true",
+                        help="append each run's " + ", ".join(SUMMARY_KEYS))
     args = parser.parse_args(argv)
     runs = [(name, cfg) for name, cfg in run_configs() if not args.only or name in args.only]
     if not runs:
@@ -126,9 +134,12 @@ def main(argv=None) -> int:
     listing = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         for name, cfg in runs:
-            line = f"{name} {run_digest(cfg, os.path.join(tmp, name))}"
-            print(line, flush=True)
+            digest, summary = run_digest(cfg, os.path.join(tmp, name))
+            line = f"{name} {digest}"
             listing.update((line + "\n").encode("utf-8"))
+            if args.values:
+                line += "".join(f" {key}={summary[key]!r}" for key in SUMMARY_KEYS)
+            print(line, flush=True)
     print(f"listing {listing.hexdigest()}")
     return 0
 
