@@ -1,9 +1,19 @@
 """Datasets, N-way K-shot task sampling, and a portable dataset file format.
 
 A dataset is a list of classes, each holding a stack of equally shaped
-float64 instances.  Episodic sampling draws N distinct classes and K+Q
+float64 instances.  When a :class:`Dataset` is made, it copies every class
+into one read-only, contiguous pool of instances, class after class, and
+each class's ``instances`` becomes a view of its rows there, so nothing is
+stored twice.
+
+Episodic sampling (:func:`sample_task`) draws N distinct classes and K+Q
 distinct instances per class, remapping global class ids to local labels
-0..N-1 in selection order so learners cannot exploit global identity.
+0..N-1 in selection order so learners cannot exploit global identity.  The
+supply of a task spec is checked the first time the dataset is asked for
+it, and its label arrays are built then too: every task of that spec shares
+the same two read-only arrays.  Each draw makes the same ``rng.choice``
+calls, in the same order, that drawing class by class would, and fetches
+its support and its query set with one gather each from the pool.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ ROLES = ("train", "validation", "test")
 @dataclass
 class ClassRecord:
     class_id: int
-    instances: np.ndarray  # (count, *instance_shape)
+    instances: np.ndarray  # (count, *instance_shape); in a Dataset, a view of its pool
 
     def __post_init__(self):
         self.instances = as_tensor(self.instances)
@@ -37,8 +47,20 @@ class ClassRecord:
 
 @dataclass
 class Dataset:
+    """Classes of equally shaped instances, pooled once when made.
+
+    ``pool`` holds every instance, class after class, read-only and
+    contiguous; ``offsets[i]`` is the first row of class ``i`` there, and
+    ``classes[i].instances`` is a view of that class's rows.  A dataset is
+    fixed once made: :func:`sample_task` caches per task spec what it has
+    checked and built.
+    """
+
     classes: list[ClassRecord]
     role: str = "train"
+    pool: np.ndarray = field(init=False, repr=False, compare=False)
+    offsets: np.ndarray = field(init=False, repr=False, compare=False)
+    _label_cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         if not self.classes:
@@ -51,10 +73,17 @@ class Dataset:
         shapes = {c.instances.shape[1:] for c in self.classes}
         if len(shapes) != 1:
             raise ValueError(f"instances have mixed shapes: {sorted(shapes)}")
+        self.pool = np.concatenate([c.instances for c in self.classes])
+        self.pool.flags.writeable = False
+        counts = [c.instances.shape[0] for c in self.classes]
+        self.offsets = np.cumsum([0] + counts[:-1])
+        self.offsets.flags.writeable = False
+        for record, start, count in zip(self.classes, self.offsets.tolist(), counts):
+            record.instances = self.pool[start : start + count]
 
     @property
     def instance_shape(self) -> tuple:
-        return self.classes[0].instances.shape[1:]
+        return self.pool.shape[1:]
 
     @property
     def n_classes(self) -> int:
@@ -83,6 +112,8 @@ class Task:
     Rows are grouped class-major: instances of local class k occupy the
     contiguous block k*K..(k+1)*K in the support and k*Q..(k+1)*Q in the
     query.  ``class_ids`` records the source class of each local label.
+    Tasks drawn by :func:`sample_task` share their read-only label arrays
+    with every task of their spec.
     """
 
     support_x: np.ndarray
@@ -110,27 +141,48 @@ def check_supply(dataset: Dataset, spec: TaskSpec, name: str = "dataset") -> Non
             )
 
 
+def _spec_labels(dataset: Dataset, spec: TaskSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only support and query labels of every task of ``spec``,
+    built, and the supply checked, on the first call for ``spec``.  A spec
+    the dataset cannot supply is not cached, so it raises on every call."""
+    labels = dataset._label_cache.get(spec)
+    if labels is None:
+        check_supply(dataset, spec)
+        labels = (
+            np.repeat(np.arange(spec.ways), spec.shots),
+            np.repeat(np.arange(spec.ways), spec.query_shots),
+        )
+        for arr in labels:
+            arr.flags.writeable = False
+        dataset._label_cache[spec] = labels
+    return labels
+
+
 def sample_task(dataset: Dataset, spec: TaskSpec, rng: np.random.Generator) -> Task:
     """Draw one episode: N classes without replacement, K+Q distinct
-    instances each, first K to the support set."""
-    check_supply(dataset, spec)
+    instances each, first K to the support set.
+
+    The classes come from one ``rng.choice`` call, then each class's
+    instances from one call of its own, in the order the classes were
+    chosen.  The support and the query set are each one gather of those
+    rows from ``dataset.pool``, a fresh array the caller may write to.  The
+    labels are read-only arrays, built once per spec and shared by all its
+    tasks, and the spec's supply is checked once, on its first draw.
+    """
+    support_y, query_y = _spec_labels(dataset, spec)
     need = spec.shots + spec.query_shots
     chosen = rng.choice(dataset.n_classes, size=spec.ways, replace=False)
-    support, query, class_ids = [], [], []
-    for local, ci in enumerate(chosen):
-        record = dataset.classes[int(ci)]
-        picks = rng.choice(record.instances.shape[0], size=need, replace=False)
-        support.append(record.instances[picks[: spec.shots]])
-        query.append(record.instances[picks[spec.shots :]])
-        class_ids.append(record.class_id)
-    support_y = np.repeat(np.arange(spec.ways), spec.shots)
-    query_y = np.repeat(np.arange(spec.ways), spec.query_shots)
+    records = [dataset.classes[ci] for ci in chosen.tolist()]
+    rows = np.array(
+        [rng.choice(record.instances.shape[0], size=need, replace=False) for record in records]
+    )
+    rows += dataset.offsets[chosen][:, None]
     return Task(
-        support_x=np.concatenate(support),
+        support_x=dataset.pool.take(rows[:, : spec.shots].ravel(), axis=0),
         support_y=support_y,
-        query_x=np.concatenate(query),
+        query_x=dataset.pool.take(rows[:, spec.shots :].ravel(), axis=0),
         query_y=query_y,
-        class_ids=class_ids,
+        class_ids=[record.class_id for record in records],
     )
 
 
@@ -204,23 +256,32 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return buf
 
 
+def _is_int(value) -> bool:
+    """Whether a header value is a JSON integer; ``true`` and ``false`` are
+    Python ints too, and are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_header(header) -> None:
     if not isinstance(header, dict) or any(k not in header for k in _HEADER_KEYS):
         raise ValueError(f"dataset header must be an object with keys {_HEADER_KEYS}")
     ids, counts, shape = header["class_ids"], header["per_class_counts"], header["instance_shape"]
     if not all(isinstance(v, list) for v in (ids, counts, shape)):
         raise ValueError("class_ids, per_class_counts and instance_shape must be lists")
+    if not _is_int(header["n_classes"]):
+        raise ValueError(f"n_classes {header['n_classes']!r} in dataset header is not an integer")
     if not header["n_classes"] == len(ids) == len(counts):
         raise ValueError(
             f"dataset header lists n_classes={header['n_classes']}, "
             f"{len(ids)} class ids and {len(counts)} per-class counts"
         )
-    for value in [*counts, *shape]:
-        if not isinstance(value, int) or value < 0:
-            raise ValueError(f"bad count or extent {value!r} in dataset header")
+    for name, values in (("per_class_counts", counts), ("instance_shape", shape)):
+        for value in values:
+            if not _is_int(value) or value < 0:
+                raise ValueError(f"bad count or extent {value!r} in dataset header {name}")
     for cid in ids:
-        if not isinstance(cid, int):
-            raise ValueError(f"class id {cid!r} in dataset header is not an integer")
+        if not _is_int(cid):
+            raise ValueError(f"class id {cid!r} in dataset header class_ids is not an integer")
 
 
 def load_dataset(path) -> Dataset:
@@ -250,9 +311,13 @@ def load_dataset(path) -> Dataset:
             )
         if payload < left:
             raise ValueError("trailing bytes after dataset payload")
-        classes = []
-        for cid, count in zip(header["class_ids"], header["per_class_counts"]):
-            buf = _read_exact(fh, count * item_bytes, "payload")
-            arr = np.frombuffer(buf, dtype="<f8").reshape((count, *shape))
-            classes.append(ClassRecord(cid, arr))
+        counts = header["per_class_counts"]
+        rows = np.frombuffer(_read_exact(fh, payload, "payload"), dtype="<f8")
+        rows = rows.reshape((sum(counts), *shape))
+    starts = np.cumsum([0] + counts).tolist()
+    classes = [
+        ClassRecord(cid, rows[start:stop])
+        for cid, start, stop in zip(header["class_ids"], starts, starts[1:])
+    ]
+    del rows  # each record holds a copy: free the file's bytes before pooling
     return Dataset(classes, role=header["role"])

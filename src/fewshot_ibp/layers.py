@@ -181,17 +181,6 @@ class Network:
         )
 
 
-def make_param_nodes(layers, tape) -> list[dict]:
-    """One leaf node per parameter, aligned with ``layers``."""
-    params = []
-    for layer in layers:
-        entry = {}
-        for name, arr in layer.param_items():
-            entry[name] = tape.leaf(arr)
-        params.append(entry)
-    return params
-
-
 def param_nodes_to_list(params) -> list:
     return [entry[name] for entry in params for name in ("weight", "bias") if name in entry]
 
@@ -208,9 +197,12 @@ def batch_stats(x, layer: LayerSpec):
     v = value_of(x)
     b = int(has_task_axis(v))
     axes = (b,) if v.ndim == 2 + b else (b, b + 2, b + 3)
-    mean = v.mean(axis=axes)
-    var = v.var(axis=axes)
-    return mean, var
+    # the mean is summed once and reused for the variance, as np.var does:
+    # bit-equal to np.mean and np.var
+    n = math.prod(v.shape[ax] for ax in axes)
+    mean = np.add.reduce(v, axis=axes, keepdims=True) / n
+    var = np.add.reduce(np.square(v - mean), axis=axes) / n
+    return mean.reshape(var.shape), var
 
 
 def bn_inv_std(layer: LayerSpec, var):
@@ -302,9 +294,10 @@ def forward(
 ):
     """Run ``x`` through an ordered layer sequence.
 
-    ``params``, one dict per layer as from :func:`make_param_nodes`,
-    replaces the layers' own parameters; tape nodes there make the result
-    differentiable, and can be shared across several forward passes.
+    ``params``, one dict per layer keyed by the names of
+    :meth:`LayerSpec.param_items`, replaces the layers' own parameters;
+    tape nodes there make the result differentiable, and can be shared
+    across several forward passes.
     ``frozen_stats`` replays previously collected batchnorm statistics;
     ``stats_out`` collects them.  An odd-rank ``x`` is a stack of tasks, run
     at once (see the module docstring).  Raises on shape mismatches and

@@ -15,8 +15,9 @@ odd-rank input stacks tasks (:func:`~fewshot_ibp.layers.has_task_axis`).
 
 The meta-learner adapts a copy of the parameters on each task's support set
 with full-batch gradient descent, then is judged on the query set.
-:func:`maml_adapt` is that descent, on any loss of the parameters, in the
-layout of :func:`~fewshot_ibp.layers.make_param_nodes`.  The order follows
+:func:`maml_adapt` is that descent, on any loss of the parameters, given
+as one dict per layer keyed by the names of
+:meth:`~fewshot_ibp.layers.LayerSpec.param_items`.  The order follows
 from what it is given: from arrays it adapts first-order, the inner update
 detached, so the outer gradient is the query gradient at the adapted
 parameters applied to the initial slots; from tape nodes it adapts
@@ -240,12 +241,13 @@ def _tiled_arrays(network: Network, n_tasks: int) -> list[dict]:
 def maml_adapt(inner_loss, params: list[dict], inner_lr: float, steps: int) -> list[dict]:
     """``steps`` steps of full-batch gradient descent on ``inner_loss(params)``.
 
-    ``params`` is one dict per layer, the layout of
-    :func:`~fewshot_ibp.layers.make_param_nodes`, and so is the result.  The
-    order follows from ``params``: arrays adapt first-order, each step on a
-    throwaway tape released once its gradients are read, and give detached
-    arrays; tape nodes adapt second-order, every update recorded on their
-    tape so the outer gradient runs through it, and the caller releases it.
+    ``params`` is one dict per layer, keyed by the names of
+    :meth:`~fewshot_ibp.layers.LayerSpec.param_items`, and so is the
+    result.  The order follows from ``params``: arrays adapt first-order,
+    each step on a throwaway tape released once its gradients are read, and
+    give detached arrays; tape nodes adapt second-order, every update
+    recorded on their tape so the outer gradient runs through it, and the
+    caller releases it.
     """
     if not 0 <= inner_lr < math.inf:
         raise ValueError(f"inner_lr must be non-negative and finite, got {inner_lr!r}")

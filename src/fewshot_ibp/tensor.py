@@ -71,7 +71,6 @@ __all__ = [
     "relu",
     "abs_",
     "exp",
-    "log",
     "sqrt",
     "sum_",
     "stack",
@@ -489,14 +488,6 @@ def exp(a):
     if tape is None:
         return out
     return Node(tape, out, (a,), lambda g, inputs, o: (mul(g, o),))
-
-
-def log(a):
-    tape = _tape_of(a)
-    out = np.log(value_of(a))
-    if tape is None:
-        return out
-    return Node(tape, out, (a,), lambda g, inputs, o: (div(g, inputs[0]),))
 
 
 def sqrt(a):

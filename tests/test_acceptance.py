@@ -210,7 +210,10 @@ class TestCriterion3GradientSuite:
                 return float(T.value_of(objective(tn)))
 
             tape = T.Tape()
-            params = L.make_param_nodes(net.layers, tape)
+            params = [
+                {name: tape.leaf(arr) for name, arr in layer.param_items()}
+                for layer in net.layers
+            ]
             loss = objective(net, params=params)
             flat = L.param_nodes_to_list(params)
             grads = tape.backward(loss, flat)

@@ -45,3 +45,20 @@ def test_unknown_run_rejected():
     )
     assert out.returncode == 2
     assert "no run named" in out.stderr
+
+
+def test_sampler_digest_is_stable_and_listed():
+    first = digest_listing("sample_task")
+    lines = first.splitlines()
+    assert len(lines) == 2
+    assert re.fullmatch(r"sample_task [0-9a-f]{64}", lines[0])
+    listing = hashlib.sha256((lines[0] + "\n").encode("utf-8")).hexdigest()
+    assert lines[1] == f"listing {listing}"
+    assert digest_listing("sample_task", flags=("--values",)) == first
+
+
+def test_sampler_line_follows_the_runs():
+    lines = digest_listing("protonet-fc-ibpi-on", "sample_task").splitlines()
+    assert [line.split()[0] for line in lines] == ["protonet-fc-ibpi-on", "sample_task", "listing"]
+    listing = hashlib.sha256("".join(line + "\n" for line in lines[:2]).encode("utf-8"))
+    assert lines[2] == f"listing {listing.hexdigest()}"

@@ -83,6 +83,121 @@ class TestSampleTask:
             assert abs(c / n - 1 / 6) < 0.02, (key, c / n)
 
 
+def reference_sample_task(dataset, spec, rng):
+    """The sampler before the pool, verbatim: it checks the supply on every
+    draw, takes each class's rows from its own array and builds the labels
+    anew."""
+    E.check_supply(dataset, spec)
+    need = spec.shots + spec.query_shots
+    chosen = rng.choice(dataset.n_classes, size=spec.ways, replace=False)
+    support, query, class_ids = [], [], []
+    for local, ci in enumerate(chosen):
+        record = dataset.classes[int(ci)]
+        picks = rng.choice(record.instances.shape[0], size=need, replace=False)
+        support.append(record.instances[picks[: spec.shots]])
+        query.append(record.instances[picks[spec.shots :]])
+        class_ids.append(record.class_id)
+    support_y = np.repeat(np.arange(spec.ways), spec.shots)
+    query_y = np.repeat(np.arange(spec.ways), spec.query_shots)
+    return E.Task(
+        support_x=np.concatenate(support),
+        support_y=support_y,
+        query_x=np.concatenate(query),
+        query_y=query_y,
+        class_ids=class_ids,
+    )
+
+
+def unequal_dataset():
+    """Six classes of 5 to 12 instances, with ids that are not 0..5."""
+    rng = np.random.default_rng(9)
+    return E.Dataset(
+        [
+            E.ClassRecord(cid, rng.standard_normal((count, 3)))
+            for cid, count in zip((7, 3, 40, 11, 0, 25), (5, 9, 7, 12, 6, 8))
+        ]
+    )
+
+
+def conv_pool_from_disk(tmp_path):
+    path = tmp_path / "conv.fsds"
+    E.save_dataset(E.synth_dataset(12, 30, (1, 10, 10), 2.0, 1.0, seed=13, role="test"), path)
+    return E.load_dataset(path)
+
+
+class TestPool:
+    @pytest.mark.parametrize(
+        "pool,spec",
+        [
+            ("fc", E.TaskSpec(5, 1, 15)),
+            ("conv", E.TaskSpec(5, 1, 15)),
+            ("unequal", E.TaskSpec(3, 2, 3)),  # K+Q is the smallest class, 5
+        ],
+    )
+    def test_tasks_bit_equal_to_the_reference_sampler(self, tmp_path, pool, spec):
+        ds = {
+            "fc": lambda: E.synth_dataset(12, 30, (8,), 3.0, 1.0, seed=11),
+            "conv": lambda: conv_pool_from_disk(tmp_path),
+            "unequal": unequal_dataset,
+        }[pool]()
+        for seed in range(1000):
+            got = E.sample_task(ds, spec, np.random.default_rng(seed))
+            want = reference_sample_task(ds, spec, np.random.default_rng(seed))
+            for name in ("support_x", "support_y", "query_x", "query_y"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+                assert a.tobytes() == b.tobytes(), (seed, name)
+            assert got.class_ids == want.class_ids
+            assert [type(c) for c in got.class_ids] == [type(c) for c in want.class_ids]
+
+    def test_one_read_only_pool_and_class_views(self, tmp_path):
+        for ds in (unequal_dataset(), conv_pool_from_disk(tmp_path)):
+            assert ds.pool.flags.c_contiguous and not ds.pool.flags.writeable
+            assert ds.pool.shape == (
+                sum(c.instances.shape[0] for c in ds.classes), *ds.instance_shape
+            )
+            for record, start in zip(ds.classes, ds.offsets.tolist()):
+                assert record.instances.base is ds.pool
+                count = record.instances.shape[0]
+                assert record.instances.tobytes() == ds.pool[start : start + count].tobytes()
+                assert not record.instances.flags.writeable
+
+    def test_under_supplied_spec_raises_on_every_call(self):
+        ds = unequal_dataset()
+        spec = E.TaskSpec(3, 2, 4)  # class 7 has 5 instances, tasks need 6
+        messages = []
+        for _ in range(3):
+            with pytest.raises(ValueError) as err:
+                E.sample_task(ds, spec, np.random.default_rng(0))
+            messages.append(str(err.value))
+        assert messages == ["dataset class 7 has 5 instances, tasks need 6"] * 3
+        with pytest.raises(ValueError, match="6 classes, tasks need 7"):
+            E.sample_task(ds, E.TaskSpec(7, 1, 1), np.random.default_rng(0))
+        # a spec that fits is unaffected by the ones that failed
+        E.sample_task(ds, E.TaskSpec(3, 2, 3), np.random.default_rng(0))
+
+    def test_labels_are_shared_and_read_only(self):
+        ds = small_dataset()
+        spec = E.TaskSpec(3, 2, 2)
+        a, b = (E.sample_task(ds, spec, np.random.default_rng(s)) for s in (0, 1))
+        assert a.support_y is b.support_y and a.query_y is b.query_y
+        for labels in (a.support_y, a.query_y):
+            assert not labels.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                labels[0] = 1
+        np.testing.assert_array_equal(a.support_y, [0, 0, 1, 1, 2, 2])
+
+    def test_writing_into_a_task_leaves_the_dataset_unchanged(self):
+        ds = small_dataset()
+        before = ds.pool.copy()
+        task = E.sample_task(ds, E.TaskSpec(3, 2, 2), np.random.default_rng(0))
+        task.support_x[:] = np.nan
+        task.query_x += 1.0
+        assert ds.pool.tobytes() == before.tobytes()
+        again = E.sample_task(ds, E.TaskSpec(3, 2, 2), np.random.default_rng(0))
+        assert np.all(np.isfinite(again.support_x))
+
+
 class TestSynthDataset:
     def test_deterministic_in_seed(self):
         a = small_dataset(seed=7)
@@ -261,6 +376,26 @@ class TestFileFormat:
         raw[8:12] = (2**32 - 1).to_bytes(4, "little")
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="truncated dataset header"):
+            E.load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "changes,field",
+        [
+            ({"class_ids": [False, True, 2]}, "class_ids"),
+            ({"per_class_counts": [True, 2, 3]}, "per_class_counts"),
+            ({"instance_shape": [True]}, "instance_shape"),
+            ({"n_classes": True, "class_ids": [0], "per_class_counts": [1]}, "n_classes"),
+        ],
+    )
+    def test_boolean_header_values_rejected(self, tmp_path, changes, field):
+        # JSON true and false are Python ints, so each of these headers
+        # agrees with its payload and used to load: with class ids
+        # [false, true, 2], tasks reported class id True
+        ds = E.Dataset([E.ClassRecord(i, np.full((i + 1, 1), float(i))) for i in range(3)])
+        path = tmp_path / "pool.fsds"
+        keep = 1 if "n_classes" in changes else None
+        self.write_with_header(path, ds, keep=keep, **changes)
+        with pytest.raises(ValueError, match=field):
             E.load_dataset(path)
 
     def test_non_integer_class_id_rejected(self, tmp_path):

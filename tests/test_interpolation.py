@@ -234,7 +234,10 @@ class TestMakeInterpolatedTask:
         results = []
         for reuse in (False, True):
             tape = T.Tape()
-            params = L.make_param_nodes(net.prefix, tape)
+            params = [
+                {name: tape.leaf(arr) for name, arr in layer.param_items()}
+                for layer in net.prefix
+            ]
             bounds = B.propagate_prefix(net, task.query_x, 0.3, params=params) if reuse else None
             h = I.make_interpolated_task(
                 "ibpi", net, task.query_x, task.query_y, coeffs, params, 0.3, bounds=bounds

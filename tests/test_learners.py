@@ -175,6 +175,12 @@ def layer_arrays(net):
     return [dict(layer.param_items()) for layer in net.layers]
 
 
+def param_leaves(layers, tape) -> list[dict]:
+    """One tape leaf per parameter, one dict per layer, as the training
+    steps make them."""
+    return [{name: tape.leaf(arr) for name, arr in layer.param_items()} for layer in layers]
+
+
 def tiny_linear_network(w0):
     return L.Network(
         [L.fully_connected(np.array([[w0]]), np.zeros(1))], split_index=1
@@ -210,7 +216,7 @@ class TestMamlAdapt:
         )
         loss = support_cross_entropy(net, rng.standard_normal((6, 3)), rng.integers(0, 2, 6))
         with T.Tape() as tape:
-            theta = L.make_param_nodes(net.layers, tape)
+            theta = param_leaves(net.layers, tape)
             adapted = LR.maml_adapt(loss, theta, 0.1, 2)
             flat = L.param_nodes_to_list(adapted)
             assert len(flat) == 4
@@ -273,7 +279,7 @@ class TestMamlAdapt:
 
         net = tiny_linear_network(w0)
         tape = T.Tape()
-        theta = L.make_param_nodes(net.layers, tape)
+        theta = param_leaves(net.layers, tape)
         adapted = LR.maml_adapt(linear_model_inner_loss(x_s, y_s), theta, lr, 1)
         r = T.sub(T.mul(adapted[0]["weight"], x_q), y_q)
         loss = T.sum_(T.mul(r, r))
@@ -297,7 +303,7 @@ class TestMamlAdapt:
 
         net = tiny_linear_network(w0)
         with T.Tape() as tape:
-            theta = L.make_param_nodes(net.layers, tape)
+            theta = param_leaves(net.layers, tape)
             adapted = LR.maml_adapt(linear_model_inner_loss(x_s, y_s), theta, lr, steps)
             r = T.sub(T.mul(adapted[0]["weight"], x_q), y_q)
             grads = tape.backward(T.sum_(T.mul(r, r)), [theta[0]["weight"]])
@@ -346,7 +352,7 @@ class TestMamlAdapt:
 
         theta0 = net.parameter_arrays()
         with T.Tape() as tape:
-            theta = L.make_param_nodes(net.layers, tape)
+            theta = param_leaves(net.layers, tape)
             adapted = LR.maml_adapt(inner_loss, theta, lr, steps)
             flat = L.param_nodes_to_list(theta)
             grads = tape.backward(loss(adapted, query_x, query_y), flat)
@@ -369,7 +375,7 @@ class TestMamlAdapt:
         loss = support_cross_entropy(net, x, y)
         first = LR.maml_adapt(loss, layer_arrays(net), 0.5, 3)
         tape = T.Tape()
-        second = LR.maml_adapt(loss, L.make_param_nodes(net.layers, tape), 0.5, 3)
+        second = LR.maml_adapt(loss, param_leaves(net.layers, tape), 0.5, 3)
         for a, b in zip(arrays(first), arrays(second)):
             np.testing.assert_allclose(b, a, rtol=0, atol=1e-12)
 
@@ -461,7 +467,7 @@ def reference_maml_step(network, dataset, config, eps_t, sample_rng, interp_rng,
             return T.mul(T.add(l_ce, l_ce2), 0.5)
 
         with T.Tape() as tape:
-            theta = L.make_param_nodes(network.layers, tape)
+            theta = param_leaves(network.layers, tape)
             if config.first_order:
                 adapted = LR.maml_adapt(
                     inner_loss, layer_arrays(network), config.inner_lr, config.inner_steps
@@ -530,7 +536,7 @@ def reference_protonet_step(network, dataset, config, eps_t, sample_rng, interp_
 
     s = network.split_index
     with T.Tape() as tape:
-        params = L.make_param_nodes(network.layers, tape)
+        params = param_leaves(network.layers, tape)
         prefix_params, head_params = params[:s], params[s:]
 
         interp_boxes = ctx is not None and mode in I.BOUND_MODES

@@ -160,7 +160,10 @@ class TestTotalLoss:
         def compute(arrays_or_params, taped):
             if taped:
                 tape = T.Tape()
-                params = L.make_param_nodes(net.layers, tape)
+                params = [
+                    {name: tape.leaf(arr) for name, arr in layer.param_items()}
+                    for layer in net.layers
+                ]
             else:
                 tape, params = None, arrays_or_params
             res = B.propagate_prefix(net, x, eps, params=params[: net.split_index] if params else None)

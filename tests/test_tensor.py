@@ -58,6 +58,12 @@ def randomize_biases(net, rng, scale=0.1):
     net.set_parameter_arrays(arrays)
 
 
+def param_leaves(layers, tape) -> list[dict]:
+    """One tape leaf per parameter, one dict per layer, as the training
+    steps make them."""
+    return [{name: tape.leaf(arr) for name, arr in layer.param_items()} for layer in layers]
+
+
 class TestAsTensor:
     def test_validates_length_against_shape(self):
         with pytest.raises(ValueError):
@@ -177,7 +183,7 @@ class TestBackward:
             return float(T.value_of(cross_entropy(logits, labels)))
 
         tape = T.Tape()
-        params = L.make_param_nodes(net.layers, tape)
+        params = param_leaves(net.layers, tape)
         logits = L.forward(net.layers, x, params=params)
         loss = cross_entropy(logits, labels)
         flat = L.param_nodes_to_list(params)
@@ -216,7 +222,7 @@ class TestGradientProperty:
                 return float(T.value_of(cross_entropy(L.forward(trial_net.layers, x), labels)))
 
             tape = T.Tape()
-            params = L.make_param_nodes(net.layers, tape)
+            params = param_leaves(net.layers, tape)
             loss = cross_entropy(L.forward(net.layers, x, params=params), labels)
             flat = L.param_nodes_to_list(params)
             grads = tape.backward(loss, flat)
@@ -237,7 +243,7 @@ class TestDeterminism:
             )
             x = rng.standard_normal((4, 3))
             tape = T.Tape()
-            params = L.make_param_nodes(net.layers, tape)
+            params = param_leaves(net.layers, tape)
             out = L.forward(net.layers, x, params=params)
             loss = T.sum_(T.mul(out, out))
             grads = tape.backward(loss, L.param_nodes_to_list(params))
@@ -439,7 +445,7 @@ class TestMaxpoolAndBatchnorm:
 
         layer.weight, layer.bias = T.as_tensor(gamma0), T.as_tensor(beta0)
         tape = T.Tape()
-        params = L.make_param_nodes([layer], tape)
+        params = param_leaves([layer], tape)
         out = L.forward([layer], x, params=params)
         loss = T.sum_(T.mul(out, out))
         flat = L.param_nodes_to_list(params)
@@ -679,6 +685,14 @@ def chain_linear(x, w, b=None):
     return out if b is None else T.add(out, b)
 
 
+def chain_log(a):
+    """``log a`` as a primitive tape node, for the chain below."""
+    out = np.log(T.value_of(a))
+    if not isinstance(a, T.Node):
+        return out
+    return T.Node(a.tape, out, (a,), lambda g, inputs, o: (T.div(g, inputs[0]),))
+
+
 def chain_cross_entropy(scores, labels):
     """The primitive cross-entropy chain that ``cross_entropy`` replaces."""
     shape = T.value_of(scores).shape
@@ -686,7 +700,7 @@ def chain_cross_entropy(scores, labels):
     np.put_along_axis(onehot, np.asarray(labels)[..., None], 1.0, axis=-1)
     shift = T.value_of(scores).max(axis=-1, keepdims=True)
     z = T.add(scores, T.neg(shift))
-    logp = T.add(z, T.neg(T.log(T.sum_(T.exp(z), axis=-1, keepdims=True))))
+    logp = T.add(z, T.neg(chain_log(T.sum_(T.exp(z), axis=-1, keepdims=True))))
     axes = (-2, -1) if len(shape) == 3 else None
     return T.mul(T.sum_(T.mul(logp, onehot), axis=axes), -1.0 / shape[-2])
 
@@ -1168,3 +1182,29 @@ class TestSpatialKernelsMatchReference:
         assert np.sum(scattered * x) == pytest.approx(
             np.sum(gp * T._pool_gather(x, arg, 3, stride)), rel=1e-12
         )
+
+
+# (input shape, reduced axes): fc, fc on a task axis, conv, conv on a task
+# axis, at the sizes of the training, evaluation and interpolation batches
+BATCH_STATS_SHAPES = [
+    ((75, 16), (0,)),
+    ((5, 32), (0,)),
+    ((27, 75, 16), (1,)),
+    ((75, 8, 8, 8), (0, 2, 3)),
+    ((5, 4, 6, 6), (0, 2, 3)),
+    ((2, 75, 8, 8, 8), (1, 3, 4)),
+    ((3, 5, 4, 6, 6), (1, 3, 4)),
+]
+
+
+def test_batch_stats_bit_equal_to_numpy_mean_and_var():
+    # one sum for the mean, as np.var computes its own: 300 random arrays
+    layer = L.batchnorm(8)
+    rng = np.random.default_rng(71)
+    for i in range(300):
+        shape, axes = BATCH_STATS_SHAPES[i % len(BATCH_STATS_SHAPES)]
+        x = rng.uniform(0.1, 50.0) * rng.standard_normal(shape) + rng.uniform(-20.0, 20.0)
+        mean, var = L.batch_stats(x, layer)
+        for got, want in ((mean, x.mean(axis=axes)), (var, x.var(axis=axes))):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes(), (shape, i)

@@ -8,7 +8,10 @@ runs cross six network/learner settings (ProtoNet on fc and on
 conv/batchnorm, first-order MAML on fc and on conv, second-order MAML on
 fc, and ProtoNet on fc with the ``euclidean`` distance) with the six
 objectives and with ``shared_mix_coeffs`` and ``bounds_on_adapted`` both on
-or both off: 72 runs.
+or both off: 72 runs.  One more line, ``sample_task``, hashes the tasks
+``fewshot_ibp.episodes.sample_task`` draws from the fc and the conv pool on
+the matrix's train spec, eval spec and a ``compactness`` spec, 200 seeds
+each, so the listing checks the sampler directly as well.
 
 The script imports ``fewshot_ibp`` from the ``src`` directory of the
 checkout it sits in.  To compare two checkouts, run a copy of it in each:
@@ -18,8 +21,9 @@ its line, to show how far a run that moved has moved; the listing hash
 covers only the run names and digests, so it is the same with or without
 ``--values``.
 
-    python tools/digest_matrix.py              # all 72 runs
+    python tools/digest_matrix.py              # all 72 runs, then sample_task
     python tools/digest_matrix.py --only maml1-fc-ibpi-on
+    python tools/digest_matrix.py --only sample_task
     python tools/digest_matrix.py --values
 """
 
@@ -35,7 +39,10 @@ import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
-from fewshot_ibp.config import OBJECTIVES, RunConfig  # noqa: E402
+import numpy as np  # noqa: E402
+
+from fewshot_ibp.config import OBJECTIVES, RunConfig, resolve_dataset  # noqa: E402
+from fewshot_ibp.episodes import TaskSpec, sample_task  # noqa: E402
 from fewshot_ibp.harness import train  # noqa: E402
 
 FC = (
@@ -70,6 +77,16 @@ SETTINGS = {
 }
 SUMMARY_KEYS = ("test_accuracy", "test_ci95", "box_width")
 OUTPUT_FILES = ("metrics.csv", "checkpoint.ckpt")
+SAMPLER_RUN = "sample_task"
+SAMPLER_SEEDS = 200
+COMPACTNESS_QUERIES = 100  # compactness's default queries_per_task
+
+
+def pool_data(pool: dict) -> dict:
+    """The ``data`` section of a run on a network's synthetic pool."""
+    pool = {"n_classes": 12, "per_class": 30, "noise_scale": 1.0, **pool}
+    splits = (("train", 11, "train"), ("val", 12, "validation"), ("test", 13, "test"))
+    return {split: {"synth": {**pool, "seed": seed, "role": role}} for split, seed, role in splits}
 
 
 def run_configs():
@@ -78,17 +95,12 @@ def run_configs():
         SETTINGS.items(), OBJECTIVES, (True, False)
     ):
         learner, first_order, distance, (layers, split_index, pool) = setting_args
-        pool = {"n_classes": 12, "per_class": 30, "noise_scale": 1.0, **pool}
-        splits = (("train", 11, "train"), ("val", 12, "validation"), ("test", 13, "test"))
         yield f"{setting}-{objective}-{'on' if flags else 'off'}", RunConfig(
             learner=learner,
             objective=objective,
             layers=layers,
             split_index=split_index,
-            data={
-                split: {"synth": {**pool, "seed": seed, "role": role}}
-                for split, seed, role in splits
-            },
+            data=pool_data(pool),
             train_query_shots=3,
             eval_query_shots=5,
             max_steps=6,
@@ -121,6 +133,35 @@ def run_digest(config: RunConfig, out_dir: str) -> tuple[str, dict]:
     return digest.hexdigest(), summary
 
 
+def sampler_digest() -> str:
+    """SHA-256 of the tasks drawn from the fc and the conv pool, each from
+    ``SAMPLER_SEEDS`` seeds: on the train split with the train spec, and on
+    the test split with the eval spec and with the spec ``compactness``
+    draws for its default query count.  It covers every array's dtype,
+    shape and bytes, and the class ids."""
+    config = next(run_configs())[1]
+    eval_spec = config.eval_spec()
+    compact_spec = TaskSpec(
+        eval_spec.ways, eval_spec.shots, COMPACTNESS_QUERIES // eval_spec.ways
+    )
+    digest = hashlib.sha256()
+    for _, _, pool in (FC, CONV):
+        data = pool_data(pool)
+        train_split, test_split = (resolve_dataset(data[s]) for s in ("train", "test"))
+        for dataset, spec in (
+            (train_split, config.train_spec()),
+            (test_split, eval_spec),
+            (test_split, compact_spec),
+        ):
+            for seed in range(SAMPLER_SEEDS):
+                task = sample_task(dataset, spec, np.random.default_rng(seed))
+                for arr in (task.support_x, task.support_y, task.query_x, task.query_y):
+                    digest.update(f"{arr.dtype.str} {arr.shape}".encode("utf-8"))
+                    digest.update(arr.tobytes())
+                digest.update(json.dumps(task.class_ids).encode("utf-8"))
+    return digest.hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--only", action="append", metavar="RUN",
@@ -129,17 +170,22 @@ def main(argv=None) -> int:
                         help="append each run's " + ", ".join(SUMMARY_KEYS))
     args = parser.parse_args(argv)
     runs = [(name, cfg) for name, cfg in run_configs() if not args.only or name in args.only]
-    if not runs:
+    sampler = not args.only or SAMPLER_RUN in args.only
+    if not runs and not sampler:
         parser.error(f"no run named {args.only}")
     listing = hashlib.sha256()
+
+    def emit(line, extra=""):
+        listing.update((line + "\n").encode("utf-8"))
+        print(line + extra, flush=True)
+
     with tempfile.TemporaryDirectory() as tmp:
         for name, cfg in runs:
             digest, summary = run_digest(cfg, os.path.join(tmp, name))
-            line = f"{name} {digest}"
-            listing.update((line + "\n").encode("utf-8"))
-            if args.values:
-                line += "".join(f" {key}={summary[key]!r}" for key in SUMMARY_KEYS)
-            print(line, flush=True)
+            values = "".join(f" {key}={summary[key]!r}" for key in SUMMARY_KEYS)
+            emit(f"{name} {digest}", values if args.values else "")
+    if sampler:
+        emit(f"{SAMPLER_RUN} {sampler_digest()}")
     print(f"listing {listing.hexdigest()}")
     return 0
 
