@@ -54,7 +54,6 @@ from .tensor import (
     _linear_bias_grad,
     _linear_input_grad,
     _linear_weight_grad,
-    _node_only,
     _tape_of,
     _unbroadcast,
     abs_,
@@ -187,9 +186,7 @@ def _affine_interval(faces, w, b, apply, input_grad, weight_grad, bias_grad):
     sign = np.sign(vw)
 
     def vjp(g, inputs, o):
-        ops = iter(inputs)
-        f = next(ops) if isinstance(faces, Node) else faces
-        xw = next(ops) if isinstance(w, Node) else w
+        f, xw, _, _ = inputs
         g_mu, g_psi = _image_adjoints(g)
         g_faces = g_w_radius = g_w_center = g_b = None
         if isinstance(faces, Node):
@@ -203,9 +200,9 @@ def _affine_interval(faces, w, b, apply, input_grad, weight_grad, bias_grad):
             g_w_center = weight_grad(g_mu, x_mu, vw.shape)
         if isinstance(b, Node):
             g_b = bias_grad(g_mu, b.shape)
-        return _node_only(((g_faces, faces), (g_w_radius, w), (g_w_center, w), (g_b, b)))
+        return g_faces, g_w_radius, g_w_center, g_b
 
-    return Node(tape, out, _node_only(((faces, faces), (w, w), (w, w), (b, b))), vjp)
+    return Node(tape, out, (faces, w, w, b), vjp)
 
 
 def _batchnorm_interval(faces, layer: LayerSpec, gamma, beta, frozen_stats):
@@ -228,9 +225,7 @@ def _batchnorm_interval(faces, layer: LayerSpec, gamma, beta, frozen_stats):
     sign = np.sign(scale)
 
     def vjp(g, inputs, o):
-        ops = iter(inputs)
-        f = next(ops) if isinstance(faces, Node) else faces
-        xg = next(ops) if isinstance(gamma, Node) else gamma
+        f, xg, _ = inputs
         g_mu, g_psi = _image_adjoints(g)
         s_b, abs_s_b = scale_b, abs_scale_b
         if isinstance(xg, Node):  # building a graph: the scale as a node of gamma
@@ -251,9 +246,9 @@ def _batchnorm_interval(faces, layer: LayerSpec, gamma, beta, frozen_stats):
             g_gamma = _unbroadcast(mul(g_scale, inv_std), gamma.shape)
         if isinstance(beta, Node):
             g_beta = _unbroadcast(g_shift, beta.shape)
-        return _node_only(((g_faces, faces), (g_gamma, gamma), (g_beta, beta)))
+        return g_faces, g_gamma, g_beta
 
-    return Node(tape, out, _node_only(((faces, faces), (gamma, gamma), (beta, beta))), vjp)
+    return Node(tape, out, (faces, gamma, beta), vjp)
 
 
 def propagate_layer(

@@ -3,15 +3,18 @@
 Configs load from JSON files whose keys mirror the field names.  Dataset
 entries under ``data`` are either ``{"path": ...}`` (the portable dataset
 format) or ``{"synth": {...}}`` with :func:`fewshot_ibp.episodes.synth_dataset`
-keyword arguments.
+keyword arguments.  Each entry is checked when the config is built, so a
+malformed one fails naming its split and field before any file is opened.
 """
 
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
 import numbers
+import os
 from dataclasses import asdict, dataclass, field, fields
 
 from .episodes import Dataset, TaskSpec, check_supply, load_dataset, synth_dataset
@@ -32,12 +35,51 @@ SCHEMA_VERSION = 1
 
 # tuned defaults: softmax temperature differs per learner
 DEFAULT_GAMMA = {"maml": 0.1, "protonet": 1.0}
-# fields annotated ``int`` or ``bool`` hold exactly that type: no bool for
-# an int, no float or string for either
-_EXACT_TYPES = {"int": (int, "an integer"), "bool": (bool, "true or false")}
+# fields annotated ``int``, ``bool`` or ``str`` hold exactly that type: no
+# bool for an int, no float or string for either
+_EXACT_TYPES = {"int": (int, "an integer"), "bool": (bool, "true or false"), "str": (str, "text")}
 # fields annotated ``float`` hold a real number that is not a bool (an int
 # too: a JSON config may write 0 for 0.0); ``float | None`` may also hold None
 _REAL_TYPES = ("float", "float | None")
+
+
+def _type_fault(annotation, value):
+    """What ``value`` must be and is not, for a field annotated
+    ``annotation`` (see above), or None."""
+    kind, noun = _EXACT_TYPES.get(annotation, (None, None))
+    if kind is not None and type(value) is not kind:
+        return noun
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if annotation in _REAL_TYPES and not (real or (value is None and annotation == "float | None")):
+        return "a number"
+    return None
+
+
+def _check_data_entry(split, entry) -> None:
+    """Raise ``ValueError`` naming the split and the field unless ``entry``
+    is ``{"path": <file path>}`` or ``{"synth": {<synth_dataset arguments>}}``."""
+    where = f"data.{split}"
+    if not isinstance(entry, dict) or set(entry) not in ({"path"}, {"synth"}):
+        raise ValueError(f"{where} must be {{'path': ...}} or {{'synth': {{...}}}}, got {entry!r}")
+    if "path" in entry:  # an int would open, and then close, that file descriptor
+        if not isinstance(entry["path"], (str, os.PathLike)):
+            raise ValueError(f"{where}.path must be a file path, got {entry['path']!r}")
+        return
+    synth, params = entry["synth"], inspect.signature(synth_dataset).parameters
+    if not isinstance(synth, dict):
+        raise ValueError(f"{where}.synth must be an object, got {synth!r}")
+    unknown = sorted(map(str, synth.keys() - params.keys()))
+    if unknown:
+        raise ValueError(f"{where}.synth: unknown keys {unknown}")
+    for name, param in params.items():
+        value = synth.get(name, param.default)
+        if value is param.empty:
+            raise ValueError(f"{where}.synth needs '{name}'")
+        fault = _type_fault(param.annotation, value)
+        if name == "shape" and not (isinstance(value, (list, tuple)) and all(type(n) is int for n in value)):
+            fault = "a list of integers"  # not annotated
+        if fault is not None:
+            raise ValueError(f"{where}.synth.{name} must be {fault}, got {value!r}")
 
 
 @dataclass
@@ -84,14 +126,9 @@ class RunConfig:
             raise ValueError(f"distance must be one of {DISTANCES}")
         for f in fields(self):
             value = getattr(self, f.name)
-            kind, noun = _EXACT_TYPES.get(f.type, (None, None))
-            if kind is not None and type(value) is not kind:
+            noun = _type_fault(f.type, value)
+            if noun is not None:
                 raise ValueError(f"{f.name} must be {noun}, got {value!r}")
-            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if f.type in _REAL_TYPES and not (
-                real or (value is None and f.type == "float | None")
-            ):
-                raise ValueError(f"{f.name} must be a number, got {value!r}")
         for name in ("max_steps", "meta_batch", "eval_interval", "n_val_tasks", "n_eval_tasks"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -107,6 +144,10 @@ class RunConfig:
         p = self.interp_probability
         if p is not None and not 0 <= p <= 1:
             raise ValueError("interp_probability must lie in [0, 1]")
+        if not isinstance(self.data, dict):
+            raise ValueError(f"data must be an object of dataset entries, got {self.data!r}")
+        for split, entry in self.data.items():
+            _check_data_entry(split, entry)
         if not self.layers:
             raise ValueError("config needs a network layer list")
         check_layer_descs(self.layers)
@@ -163,12 +204,10 @@ class RunConfig:
 
 
 def resolve_dataset(entry: dict) -> Dataset:
-    """Materialize one ``data`` entry: a file path or synth parameters."""
+    """Materialize one checked ``data`` entry: a file path or synth parameters."""
     if "path" in entry:
         return load_dataset(entry["path"])
-    if "synth" in entry:
-        return synth_dataset(**entry["synth"])
-    raise ValueError(f"dataset entry needs 'path' or 'synth', got {sorted(entry)}")
+    return synth_dataset(**entry["synth"])
 
 
 def resolve_data(config: RunConfig) -> dict[str, Dataset]:

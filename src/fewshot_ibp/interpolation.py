@@ -28,7 +28,7 @@ import numpy as np
 
 from .bounds import BoundResult, IntervalTensor, propagate_prefix
 from .layers import Network, forward
-from .tensor import Node, _node_only, _tape_of, add, mul, value_of
+from .tensor import Node, _tape_of, add, mul, value_of
 
 
 MODES = ("ibpi", "ibpi_no_bound_loss", "mixup_input", "mixup_embedding")
@@ -93,9 +93,9 @@ def interpolate_batch(centers, box: IntervalTensor, labels, coeffs: MixCoefficie
     def vjp(g, inputs, o):
         g_centers = mul(g, stay) if isinstance(centers, Node) else None
         g_faces = mul(mul(g, lam), face_weights) if isinstance(faces, Node) else None
-        return _node_only(((g_centers, centers), (g_faces, faces)))
+        return g_centers, g_faces
 
-    return Node(tape, out, _node_only(((centers, centers), (faces, faces))), vjp)
+    return Node(tape, out, (centers, faces), vjp)
 
 
 def mix_batch(first, second, labels, coeffs: MixCoefficients):

@@ -20,7 +20,7 @@ import json
 import math
 import struct
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -163,22 +163,6 @@ class Network:
                 layer.weight = as_tensor(next(it))
             if layer.bias is not None:
                 layer.bias = as_tensor(next(it))
-
-    def copy(self) -> "Network":
-        return Network(
-            [
-                LayerSpec(
-                    l.kind,
-                    weight=l.weight,
-                    bias=l.bias,
-                    stride=l.stride,
-                    window=l.window,
-                    eps=l.eps,
-                )
-                for l in self.layers
-            ],
-            self.split_index,
-        )
 
 
 def param_nodes_to_list(params) -> list:

@@ -47,12 +47,12 @@ import numpy as np
 
 from .episodes import Task
 from .layers import Network, forward, param_nodes_to_list
+from .optim import optimizer_step
 from .tensor import (
     Node,
     Tape,
     _linear_input_grad,
     _linear_weight_grad,
-    _node_only,
     _tape_of,
     add,
     as_tensor,
@@ -90,12 +90,10 @@ def compute_prototypes(embeddings, labels, ways: int):
 
 
 def _sqdist_grads(g, a, b, inputs):
-    """Adjoints of ``a`` and ``b`` (those that are nodes) for adjoint ``g``
+    """Adjoints of ``a`` and ``b`` (None for a constant) for adjoint ``g``
     of their squared distances ``|a|² - 2 a bᵀ + |b|²ᵀ``: the sums of the
     primitive chain's adjoints, in its order, written with tape ops."""
-    ops = iter(inputs)
-    xa = next(ops) if isinstance(a, Node) else a
-    xb = next(ops) if isinstance(b, Node) else b
+    xa, xb = inputs
     g_cross = mul(neg(g), 2.0)
     ga = gb = None
     if isinstance(a, Node):
@@ -104,7 +102,7 @@ def _sqdist_grads(g, a, b, inputs):
     if isinstance(b, Node):
         g_sq = mul(transpose(sum_(g, axis=-2, keepdims=True)), xb)
         gb = add(add(_linear_weight_grad(g_cross, xa, b.shape), g_sq), g_sq)
-    return _node_only(((ga, a), (gb, b)))
+    return ga, gb
 
 
 def pairwise_sqdist(a, b):
@@ -119,10 +117,7 @@ def pairwise_sqdist(a, b):
     tape = _tape_of(a, b)
     if tape is None:
         return out
-    return Node(
-        tape, out, _node_only(((a, a), (b, b))),
-        lambda g, inputs, o: _sqdist_grads(g, a, b, inputs),
-    )
+    return Node(tape, out, (a, b), lambda g, inputs, o: _sqdist_grads(g, a, b, inputs))
 
 
 def protonet_logits(query_embeddings, prototypes, distance: str = "sqeuclidean"):
@@ -150,7 +145,7 @@ def protonet_logits(query_embeddings, prototypes, distance: str = "sqeuclidean")
             g_d = div(mul(g_d, 0.5), neg(o))
         return _sqdist_grads(g_d, a, b, inputs)
 
-    return Node(tape, out, _node_only(((a, a), (b, b))), vjp)
+    return Node(tape, out, (a, b), vjp)
 
 
 def _onehot(labels, score_shape) -> np.ndarray:
@@ -377,8 +372,6 @@ def maml_outer_step(
     adding in task order, and applied with one optimizer step.  The tape is
     released once they are read.  Returns the diagnostics.
     """
-    from .optim import optimizer_step
-
     tasks = list(tasks)
     if not tasks:
         raise ValueError("task batch is empty")

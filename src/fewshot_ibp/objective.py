@@ -28,7 +28,6 @@ from .layers import has_task_axis
 from .tensor import (
     Node,
     NonFiniteError,
-    _node_only,
     _tape_of,
     _unbroadcast,
     mul,
@@ -116,17 +115,15 @@ def bound_losses(centers, box: IntervalTensor):
             return out
 
         def vjp(g, inputs, o):
-            ops = iter(inputs)
-            c = next(ops) if isinstance(centers, Node) else centers
-            f = take(next(ops), i) if isinstance(faces, Node) else vf[i]
+            c, f = inputs[0], take(inputs[1], i)
             gc = mul(sub(c, f), reshape(mul(g, 2.0 / n), g_shape))
             g_faces = None
             if isinstance(faces, Node):  # the other face gets zeros
                 zeros = np.zeros(shape)
                 g_faces = stack((neg(gc), zeros) if i == 0 else (zeros, neg(gc)))
-            return _node_only(((gc, centers), (g_faces, faces)))
+            return (gc if isinstance(centers, Node) else None), g_faces
 
-        return Node(tape, out, _node_only(((centers, centers), (faces, faces))), vjp)
+        return Node(tape, out, (centers, faces), vjp)
 
     return mean_sq_distance(0), mean_sq_distance(1)
 
@@ -168,11 +165,12 @@ def total_loss(losses: LossTriple, weights):
     shapes = [np.shape(x) for x in v]
 
     def vjp(g, inputs, o):
-        return _node_only(
-            tuple((_unbroadcast(mul(g, wi), s), t) for t, wi, s in zip(terms, w, shapes))
+        return tuple(
+            _unbroadcast(mul(g, wi), s) if isinstance(t, Node) else None
+            for t, wi, s in zip(terms, w, shapes)
         )
 
-    return Node(tape, out, _node_only(tuple((t, t) for t in terms)), vjp)
+    return Node(tape, out, terms, vjp)
 
 
 def epsilon_schedule(t: int, max_steps: int, eps: float) -> float:

@@ -8,17 +8,17 @@ import numpy as np
 
 from .tensor import NonFiniteError, as_tensor
 
+# Adam's moment decay rates, and the stabilizer added to the second moment's root
+BETA1, BETA2, STABILIZER = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class OptimizerState:
-    """Adam's settings plus its running moments: first and second moments
+    """Adam's learning rate plus its running moments: first and second moments
     per parameter and a non-decreasing step counter used for bias correction.
     """
 
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    stabilizer: float = 1e-8
     step: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
@@ -28,8 +28,8 @@ class OptimizerState:
             raise ValueError("learning rate must be non-negative")
 
 
-def adam(lr: float, beta1: float = 0.9, beta2: float = 0.999, stabilizer: float = 1e-8) -> OptimizerState:
-    return OptimizerState(lr, beta1=beta1, beta2=beta2, stabilizer=stabilizer)
+def adam(lr: float) -> OptimizerState:
+    return OptimizerState(lr)
 
 
 def optimizer_step(params, grads, state: OptimizerState):
@@ -57,11 +57,9 @@ def optimizer_step(params, grads, state: OptimizerState):
     t = state.step
     new_params = []
     for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * g * g
-        m_hat = state.m[i] / (1.0 - state.beta1**t)
-        v_hat = state.v[i] / (1.0 - state.beta2**t)
-        new_params.append(
-            as_tensor(p - state.lr * m_hat / (np.sqrt(v_hat) + state.stabilizer))
-        )
+        state.m[i] = BETA1 * state.m[i] + (1.0 - BETA1) * g
+        state.v[i] = BETA2 * state.v[i] + (1.0 - BETA2) * g * g
+        m_hat = state.m[i] / (1.0 - BETA1**t)
+        v_hat = state.v[i] / (1.0 - BETA2**t)
+        new_params.append(as_tensor(p - state.lr * m_hat / (np.sqrt(v_hat) + STABILIZER)))
     return new_params, state

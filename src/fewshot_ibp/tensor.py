@@ -10,6 +10,11 @@ expresses adjoints with the same operation set, so gradients are themselves
 tape nodes and can be differentiated again (used for exact second-order
 meta-updates).
 
+A node's ``parents`` are its op's operands in call order, constants included
+(arrays, floats, ``None``), and its vjp returns one adjoint per operand,
+``None`` for a constant.  :meth:`Tape.backward` pairs them strictly: a vjp
+that returns too few or too many raises ``ValueError``.
+
 Hot chains of primitives are single fused nodes with analytic
 vector-Jacobian products: ``sub`` (one node, not ``add`` of ``neg``) and
 ``linear`` (``x @ wᵀ + b``) here; elsewhere each interval box layer
@@ -19,8 +24,7 @@ loss (``objective``).  The box, score, interpolation and total-loss nodes
 keep the numpy expressions of the chains they replaced, so their values are
 the chains' bit for bit, and their vjps sum the chains' adjoints in the
 chains' order.  ``stack`` and ``take`` carry a box's two faces as one value
-on a leading axis; each is the other's vjp.
-``conv2d`` and ``maxpool2d``
+on a leading axis; each is the other's vjp.  ``conv2d`` and ``maxpool2d``
 are numpy kernels whose vjps are private tape ops: a transposed
 convolution and a kernel gradient, and a scatter into the argmax
 positions, each differentiable again.  Every vjp is written with tape
@@ -138,9 +142,10 @@ def check_finite(x, context: str = "tensor") -> None:
 class Node:
     """One recorded value on a tape.
 
-    ``parents`` lists the node operands; ``vjp(g, inputs, out)`` maps the
-    output adjoint to one adjoint per parent.  ``inputs`` and ``out`` are the
-    parent nodes and the node itself when the backward pass builds a graph,
+    ``parents`` lists the op's operands in call order, nodes and constants
+    alike; ``vjp(g, inputs, out)`` maps the output adjoint to exactly one
+    adjoint per parent, ``None`` for a constant.  ``inputs`` and ``out`` are
+    the operands and the node itself when the backward pass builds a graph,
     or their raw values otherwise, so a single vjp body serves both modes.
     """
 
@@ -203,10 +208,11 @@ class Tape:
         topological order because recording order is execution order.  With
         ``build_graph=True`` the adjoints are created as tape nodes (enabling
         differentiation through the gradients), and only nodes computed from a
-        requested parameter are walked.  Returns ``{param: gradient}``;
-        parameters that do not reach the loss get zero gradients.  A parameter may be a computed node
-        rather than a leaf (a parameter after an inner update); its gradient
-        is its full adjoint.
+        requested parameter are walked.  Each vjp must return one adjoint per
+        operand, or this raises ``ValueError``.  Returns ``{param: gradient}``;
+        parameters that do not reach the loss get zero gradients.  A parameter
+        may be a computed node rather than a leaf (a parameter after an inner
+        update); its gradient is its full adjoint.
         """
         if not isinstance(loss, Node) or loss.tape is not self:
             raise ValueError("loss must be a node recorded on this tape")
@@ -243,8 +249,8 @@ class Tape:
             if build_graph:
                 inputs, out = node.parents, node
             else:
-                inputs, out = tuple(p.value for p in node.parents), node.value
-            for parent, pg in zip(node.parents, node.vjp(g, inputs, out)):
+                inputs, out = tuple(map(value_of, node.parents)), node.value
+            for parent, pg in zip(node.parents, node.vjp(g, inputs, out), strict=True):
                 if pg is None:
                     continue
                 acc = adjoints.get(id(parent))
@@ -270,11 +276,6 @@ def _tape_of(*operands):
             elif x.tape is not tape:
                 raise ValueError("operands recorded on different tapes")
     return tape
-
-
-def _node_only(pairs):
-    """Keep gradients for node operands, aligned with Node.parents order."""
-    return tuple(g for g, op in pairs if isinstance(op, Node))
 
 
 def _shape_of(x):
@@ -303,9 +304,11 @@ def add(a, b):
     sa, sb = _shape_of(a), _shape_of(b)
 
     def vjp(g, inputs, o):
-        return _node_only(((_unbroadcast(g, sa), a), (_unbroadcast(g, sb), b)))
+        ga = _unbroadcast(g, sa) if isinstance(a, Node) else None
+        gb = _unbroadcast(g, sb) if isinstance(b, Node) else None
+        return ga, gb
 
-    return Node(tape, out, _node_only(((a, a), (b, b))), vjp)
+    return Node(tape, out, (a, b), vjp)
 
 
 def sub(a, b):
@@ -318,9 +321,9 @@ def sub(a, b):
     def vjp(g, inputs, o):
         ga = _unbroadcast(g, sa) if isinstance(a, Node) else None
         gb = _unbroadcast(neg(g), sb) if isinstance(b, Node) else None
-        return _node_only(((ga, a), (gb, b)))
+        return ga, gb
 
-    return Node(tape, out, _node_only(((a, a), (b, b))), vjp)
+    return Node(tape, out, (a, b), vjp)
 
 
 def neg(a):
@@ -339,14 +342,12 @@ def mul(a, b):
     sa, sb = _shape_of(a), _shape_of(b)
 
     def vjp(g, inputs, o):
-        ops = iter(inputs)
-        xa = next(ops) if isinstance(a, Node) else a
-        xb = next(ops) if isinstance(b, Node) else b
+        xa, xb = inputs
         ga = _unbroadcast(mul(g, xb), sa) if isinstance(a, Node) else None
         gb = _unbroadcast(mul(g, xa), sb) if isinstance(b, Node) else None
-        return _node_only(((ga, a), (gb, b)))
+        return ga, gb
 
-    return Node(tape, out, _node_only(((a, a), (b, b))), vjp)
+    return Node(tape, out, (a, b), vjp)
 
 
 def div(a, b):
@@ -357,18 +358,16 @@ def div(a, b):
     sa, sb = _shape_of(a), _shape_of(b)
 
     def vjp(g, inputs, o):
-        ops = iter(inputs)
-        xa = next(ops) if isinstance(a, Node) else a
-        xb = next(ops) if isinstance(b, Node) else b
+        xa, xb = inputs
         ga = _unbroadcast(div(g, xb), sa) if isinstance(a, Node) else None
         gb = (
             _unbroadcast(neg(div(mul(g, xa), mul(xb, xb))), sb)
             if isinstance(b, Node)
             else None
         )
-        return _node_only(((ga, a), (gb, b)))
+        return ga, gb
 
-    return Node(tape, out, _node_only(((a, a), (b, b))), vjp)
+    return Node(tape, out, (a, b), vjp)
 
 
 def matmul(a, b):
@@ -383,17 +382,15 @@ def matmul(a, b):
         return out
 
     def vjp(g, inputs, o):
-        ops = iter(inputs)
-        xa = next(ops) if isinstance(a, Node) else a
-        xb = next(ops) if isinstance(b, Node) else b
+        xa, xb = inputs
         ga = matmul(g, transpose(xb)) if isinstance(a, Node) else None
         gb = matmul(transpose(xa), g) if isinstance(b, Node) else None
         if np.ndim(value_of(g)) > 2:
             ga = None if ga is None else _unbroadcast(ga, _shape_of(xa))
             gb = None if gb is None else _unbroadcast(gb, _shape_of(xb))
-        return _node_only(((ga, a), (gb, b)))
+        return ga, gb
 
-    return Node(tape, out, _node_only(((a, a), (b, b))), vjp)
+    return Node(tape, out, (a, b), vjp)
 
 
 def transpose(a):
@@ -424,15 +421,13 @@ def linear(x, w, b=None):
     sx, sw = vx.shape, vw.shape
 
     def vjp(g, inputs, o):
-        ops = iter(inputs)
-        xx = next(ops) if isinstance(x, Node) else x
-        xw = next(ops) if isinstance(w, Node) else w
+        xx, xw, _ = inputs
         gx = _linear_input_grad(g, xw, sx) if isinstance(x, Node) else None
         gw = _linear_weight_grad(g, xx, sw) if isinstance(w, Node) else None
         gb = _linear_bias_grad(g, b.shape) if isinstance(b, Node) else None
-        return _node_only(((gx, x), (gw, w), (gb, b)))
+        return gx, gw, gb
 
-    return Node(tape, out, _node_only(((x, x), (w, w), (b, b))), vjp)
+    return Node(tape, out, (x, w, b), vjp)
 
 
 # The adjoints of ``linear``'s input, weight and bias for output adjoint
@@ -527,9 +522,9 @@ def stack(values):
         return out
 
     def vjp(g, inputs, o):
-        return tuple(take(g, i) for i, v in enumerate(values) if isinstance(v, Node))
+        return tuple(take(g, i) if isinstance(v, Node) else None for i, v in enumerate(values))
 
-    return Node(tape, out, tuple(v for v in values if isinstance(v, Node)), vjp)
+    return Node(tape, out, tuple(values), vjp)
 
 
 def take(a, index: int):
@@ -586,14 +581,12 @@ def _bilinear(tape, out, a, b, grad_a, grad_b):
     ``grad_b(h, a)`` map the output adjoint ``h`` to each operand's."""
 
     def vjp(h, inputs, o):
-        ops = iter(inputs)
-        xa = next(ops) if isinstance(a, Node) else a
-        xb = next(ops) if isinstance(b, Node) else b
+        xa, xb = inputs
         ga = grad_a(h, xb) if isinstance(a, Node) else None
         gb = grad_b(h, xa) if isinstance(b, Node) else None
-        return _node_only(((ga, a), (gb, b)))
+        return ga, gb
 
-    return Node(tape, out, _node_only(((a, a), (b, b))), vjp)
+    return Node(tape, out, (a, b), vjp)
 
 
 def _im2col(vx, kh, kw, stride):
@@ -723,15 +716,13 @@ def conv2d(x, weight, bias, stride: int = 1):
     cols = cols if isinstance(weight, Node) else None  # only the weight gradient reads it
 
     def vjp(g, inputs, o):
-        ops = iter(inputs)
-        xx = next(ops) if isinstance(x, Node) else x
-        xw = next(ops) if isinstance(weight, Node) else weight
+        xx, xw, _ = inputs
         gx = _conv_input_grad(g, xw, x_shape, stride) if isinstance(x, Node) else None
         gw = _conv_weight_grad(g, xx, w_shape, stride, cols) if isinstance(weight, Node) else None
         gb = _conv_bias_grad(g, bias.shape) if isinstance(bias, Node) else None
-        return _node_only(((gx, x), (gw, weight), (gb, bias)))
+        return gx, gw, gb
 
-    return Node(tape, out, _node_only(((x, x), (weight, weight), (bias, bias))), vjp)
+    return Node(tape, out, (x, weight, bias), vjp)
 
 
 def _pool_scatter(g, arg, x_shape, window, stride):

@@ -6,6 +6,7 @@ directional synthetic benchmarks (learning sanity, compactness direction,
 non-inferiority of the bound-augmented variants, ablation parity).
 """
 
+import copy
 import itertools
 import json
 import math
@@ -205,7 +206,7 @@ class TestCriterion3GradientSuite:
                 return O.total_loss(O.LossTriple(l_ce, l_lb, l_ub), frozen)
 
             def loss_fn(arrays):
-                tn = net.copy()
+                tn = copy.deepcopy(net)
                 tn.set_parameter_arrays(arrays)
                 return float(T.value_of(objective(tn)))
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -421,6 +422,40 @@ class TestConfigValidation:
     def test_malformed_field_rejected_by_name(self, field, value):
         with pytest.raises(ValueError, match=field):
             make_config(**{field: value})
+
+    @pytest.mark.parametrize(
+        "split,entry,message",
+        [
+            # an int or a bool would open that file descriptor
+            ("train", {"path": 3}, r"data\.train\.path must be a file path, got 3"),
+            ("train", {"path": True}, r"data\.train\.path .*got True"),
+            ("train", {"path": None}, r"data\.train\.path"),
+            ("train", "x.fsds", r"data\.train must be .*got 'x\.fsds'"),
+            ("val", {"path": "x.fsds", "synth": SYNTH}, r"data\.val must be"),
+            ("test", {"synth": [SYNTH]}, r"data\.test\.synth must be an object"),
+            ("train", {"synth": {**SYNTH, "seed": 1, "colour": 2}}, r"data\.train\.synth: unknown keys \['colour'\]"),
+            ("train", {"synth": {**SYNTH, "seed": 1, "n_classes": "5"}}, r"data\.train\.synth\.n_classes must be an integer"),
+            ("val", {"synth": {**SYNTH, "seed": True}}, r"data\.val\.synth\.seed"),
+            ("train", {"synth": {**SYNTH, "seed": 1, "shape": 6}}, r"data\.train\.synth\.shape"),
+            ("train", {"synth": {**SYNTH, "seed": 1, "noise_scale": "1"}}, r"data\.train\.synth\.noise_scale"),
+            ("train", {"synth": {**SYNTH, "seed": 1, "role": 0}}, r"data\.train\.synth\.role"),
+            ("train", {"synth": SYNTH}, r"data\.train\.synth needs 'seed'"),
+        ],
+    )
+    def test_malformed_data_entry_rejected_by_split_and_field(self, split, entry, message):
+        data = {"train": {"synth": {**SYNTH, "seed": 1}}, split: entry}
+        with pytest.raises(ValueError, match=message):
+            make_config(data=data)
+
+    def test_descriptor_as_path_is_left_open(self):
+        read_fd, write_fd = os.pipe()
+        try:
+            with pytest.raises(ValueError, match=r"data\.train\.path"):
+                make_config(data={"train": {"path": read_fd}})
+            os.fstat(read_fd)  # OSError if the descriptor was closed
+        finally:
+            os.close(read_fd)
+            os.close(write_fd)
 
     @pytest.mark.parametrize(
         "layers,message",

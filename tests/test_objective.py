@@ -1,5 +1,6 @@
 """Bound losses, dynamic weighting, total loss, and the radius schedule."""
 
+import copy
 import math
 
 import numpy as np
@@ -174,7 +175,7 @@ class TestTotalLoss:
             return total, tape, params
 
         def loss_fn(arrays):
-            trial = net.copy()
+            trial = copy.deepcopy(net)
             trial.set_parameter_arrays(arrays)
             res = B.propagate_prefix(trial, x, eps)
             emb = L.forward(trial.head, res.center)

@@ -4,6 +4,7 @@ Gradient checks use an independent central finite-difference oracle; the
 convolution is checked against a quadruple-loop reference.
 """
 
+import copy
 import os
 import platform
 import subprocess
@@ -16,7 +17,7 @@ import pytest
 
 from fewshot_ibp import layers as L
 from fewshot_ibp import tensor as T
-from fewshot_ibp.optim import adam, optimizer_step
+from fewshot_ibp.optim import STABILIZER, adam, optimizer_step
 
 
 def fd_gradient(loss_fn, arrays, index, step=1e-5):
@@ -135,6 +136,24 @@ class TestBackward:
         (g,) = tape.backward(y, [x]).values()
         assert g == pytest.approx(8.0)
 
+    def test_parents_are_the_operands_in_call_order(self):
+        tape = T.Tape()
+        x, b = tape.leaf(np.ones((2, 3))), tape.leaf(np.ones(4))
+        w = np.ones((4, 3))
+        assert all(p is q for p, q in zip(T.linear(x, w, b).parents, (x, w, b), strict=True))
+        assert all(p is q for p, q in zip(T.linear(x, w).parents, (x, w, None), strict=True))
+        assert all(p is q for p, q in zip(T.mul(x, 2.0).parents, (x, 2.0), strict=True))
+
+    @pytest.mark.parametrize("build_graph", [False, True])
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_vjp_returning_the_wrong_adjoint_count_raises(self, count, build_graph):
+        # a node of two operands whose vjp returns one adjoint too few or too many
+        tape = T.Tape()
+        x, y = tape.leaf(np.ones(2)), tape.leaf(np.ones(2))
+        out = T.Node(tape, np.ones(2), (x, y), lambda g, inputs, o: (g,) * count)
+        with pytest.raises(ValueError):
+            tape.backward(T.sum_(out), [x, y], build_graph=build_graph)
+
     def test_non_scalar_loss_rejected(self):
         tape = T.Tape()
         x = tape.leaf(np.ones(3))
@@ -177,7 +196,7 @@ class TestBackward:
         from fewshot_ibp.learners import cross_entropy
 
         def loss_fn(arrays):
-            trial = net.copy()
+            trial = copy.deepcopy(net)
             trial.set_parameter_arrays(arrays)
             logits = L.forward(trial.layers, x)
             return float(T.value_of(cross_entropy(logits, labels)))
@@ -217,7 +236,7 @@ class TestGradientProperty:
             labels = rng.integers(0, dims[-1], size=4)
 
             def loss_fn(arrays):
-                trial_net = net.copy()
+                trial_net = copy.deepcopy(net)
                 trial_net.set_parameter_arrays(arrays)
                 return float(T.value_of(cross_entropy(L.forward(trial_net.layers, x), labels)))
 
@@ -628,7 +647,7 @@ class TestOptimizers:
         g = 0.5
         state = adam(0.001)
         new, state = optimizer_step([np.array([0.0])], [np.array([g])], state)
-        expected = -0.001 * g / (abs(g) + state.stabilizer)
+        expected = -0.001 * g / (abs(g) + STABILIZER)
         assert new[0][0] == pytest.approx(expected, rel=1e-12)
         assert new[0][0] == pytest.approx(-0.001, rel=1e-6)
         assert state.step == 1
@@ -846,6 +865,24 @@ class TestFusedNodes:
         fused_against_chain(
             lambda *p: T.linear(x, *p), lambda *p: chain_linear(x, *p), arrays[1:]
         )
+        if shapes[2] is not None:  # a constant weight between two nodes
+            w = arrays[1]
+            fused_against_chain(
+                lambda x, b: T.linear(x, w, b), lambda x, b: chain_linear(x, w, b),
+                [x, arrays[2]],
+            )
+
+    @pytest.mark.parametrize("layout", [3, 4, 5])
+    def test_conv2d_with_a_constant_kernel(self, layout):
+        # the input and the bias are nodes, the kernel between them a constant
+        _, x_shape, w_shape, b_shape = self.BOX_LAYOUTS[layout]
+        rng = np.random.default_rng(53 + layout)
+        x, w, b = (rng.standard_normal(s) for s in (x_shape, w_shape, b_shape))
+
+        def chain(x, b):
+            return T.add(T.conv2d(x, w, None, 2), T.reshape(b, b_shape[:-1] + (1, -1, 1, 1)))
+
+        fused_against_chain(lambda x, b: T.conv2d(x, w, b, 2), chain, [x, b])
 
     @pytest.mark.parametrize("a_shape,b_shape", [((6, 4), (3, 4)), ((2, 6, 4), (2, 3, 4))])
     def test_pairwise_sqdist(self, a_shape, b_shape):
@@ -951,6 +988,13 @@ class TestFusedNodes:
 
         fused_against_chain(fused, chain, arrays)
         np.testing.assert_array_equal(fused(*arrays), chain(*arrays))
+        if param_shapes:  # a constant weight between the faces and the bias
+            w = arrays[2]
+            fused_against_chain(
+                lambda lower, upper, b: fused(lower, upper, w, b),
+                lambda lower, upper, b: chain(lower, upper, w, b),
+                arrays[:2] + arrays[3:],
+            )
         # one node per box layer, whatever the parameters
         tape = T.Tape()
         box = B.IntervalTensor.of(tape.leaf(np.stack(arrays[:2])))
@@ -1016,6 +1060,12 @@ class TestFusedNodes:
         arrays = [rng.uniform(0.1, 2, shape) for _ in range(3)]
         fused_against_chain(fused, chain, arrays)
         np.testing.assert_array_equal(fused(*arrays), chain(*arrays))
+        # a float bound loss between two node losses
+        fused_against_chain(
+            lambda l_ce, l_ub: fused(l_ce, 0.7, l_ub),
+            lambda l_ce, l_ub: chain(l_ce, 0.7, l_ub),
+            [arrays[0], arrays[2]],
+        )
 
     def test_stack_and_take(self):
         rng = np.random.default_rng(52)
@@ -1026,6 +1076,14 @@ class TestFusedNodes:
         )
         np.testing.assert_array_equal(T.stack((a, b)), np.stack((a, b)))
         np.testing.assert_array_equal(T.take(np.stack((a, b)), 1), b)
+        # a constant between two nodes, against the sum of one-hot products
+        k = rng.standard_normal((3, 4))
+        e = np.eye(3)[:, :, None, None]
+        fused_against_chain(
+            lambda a, b: T.stack((a, k, b)),
+            lambda a, b: T.add(T.add(T.mul(a, e[0]), k * e[1]), T.mul(b, e[2])),
+            [a, b],
+        )
 
 
 # The convolution and max pooling that the matmul and strided-view kernels
