@@ -43,6 +43,7 @@ from .layers import (
     batch_stats,
     bn_affine,
     bn_inv_std,
+    check_batchnorm_input,
     check_pool_input,
     has_task_axis,
 )
@@ -286,6 +287,7 @@ def propagate_layer(
             _conv_bias_grad,
         )
     elif kind == "batchnorm":
+        check_batchnorm_input(value_of(w).shape[-1], value_of(faces).shape[1:])
         out = _batchnorm_interval(faces, layer, w, b, frozen_stats)
     elif kind == "relu":
         out = relu(faces)

@@ -1,10 +1,11 @@
 """Run configuration: one dataclass describing a full experiment.
 
 Configs load from JSON files whose keys mirror the field names.  Dataset
-entries under ``data`` are either ``{"path": ...}`` (the portable dataset
-format) or ``{"synth": {...}}`` with :func:`fewshot_ibp.episodes.synth_dataset`
-keyword arguments.  Each entry is checked when the config is built, so a
-malformed one fails naming its split and field before any file is opened.
+entries under ``data``, keyed by split (``train``, ``val``, ``test``), are
+either ``{"path": ...}`` (the portable dataset format) or ``{"synth":
+{...}}`` with :func:`fewshot_ibp.episodes.synth_dataset` keyword arguments.
+Each entry is checked when the config is built, so an unknown split or a
+malformed entry fails naming its split and field before any file is opened.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ OBJECTIVES = (
     "mixup_embedding",
 )
 SCHEMA_VERSION = 1
+# the dataset splits a run reads; any other name under ``data`` would be
+# materialized and then ignored
+SPLITS = ("train", "val", "test")
 
 # tuned defaults: softmax temperature differs per learner
 DEFAULT_GAMMA = {"maml": 0.1, "protonet": 1.0}
@@ -56,8 +60,11 @@ def _type_fault(annotation, value):
 
 
 def _check_data_entry(split, entry) -> None:
-    """Raise ``ValueError`` naming the split and the field unless ``entry``
-    is ``{"path": <file path>}`` or ``{"synth": {<synth_dataset arguments>}}``."""
+    """Raise ``ValueError`` naming the split and the field unless ``split``
+    is one of :data:`SPLITS` and ``entry`` is ``{"path": <file path>}`` or
+    ``{"synth": {<synth_dataset arguments>}}``."""
+    if split not in SPLITS:
+        raise ValueError(f"unknown data split {split!r}, expected one of {SPLITS}")
     where = f"data.{split}"
     if not isinstance(entry, dict) or set(entry) not in ({"path"}, {"synth"}):
         raise ValueError(f"{where} must be {{'path': ...}} or {{'synth': {{...}}}}, got {entry!r}")

@@ -4,7 +4,9 @@ Supported layer kinds: ``fully_connected``, ``conv2d``, ``batchnorm``,
 ``relu``, ``maxpool2d``, ``flatten``.  A :class:`Network` is an ordered layer
 list plus a split index separating the embedding prefix from the classifier
 head.  Batchnorm normalizes with statistics of the current batch, detached
-from differentiation, so within one step it acts as a fixed affine map.
+from differentiation, so within one step it acts as a fixed affine map;
+a batchnorm activation ``x·scale + shift`` is one tape node, with ``gamma``
+and ``beta`` reaching it through the scale and shift.
 
 The rank of the input says whether it carries a leading task axis
 (:func:`has_task_axis`).  Every layout without one has an even rank, (batch,
@@ -25,6 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import (
+    Node,
+    _tape_of,
+    _unbroadcast,
     add,
     as_tensor,
     check_finite,
@@ -32,6 +37,7 @@ from .tensor import (
     linear,
     maxpool2d,
     mul,
+    neg,
     relu as relu_op,
     reshape,
     sub,
@@ -203,6 +209,16 @@ def check_pool_input(shape) -> None:
         )
 
 
+def check_batchnorm_input(channels: int, shape) -> None:
+    """Reject a batchnorm input that is not (batch, channels) or (batch,
+    channels, h, w), with or without a leading task axis."""
+    if len(shape) not in (2, 3, 4, 5) or shape[1 + len(shape) % 2] != channels:
+        raise ValueError(
+            f"batchnorm over {channels} channels expects (batch, {channels}) or "
+            f"(batch, {channels}, h, w), with or without a leading task axis, got {shape}"
+        )
+
+
 def bn_affine(layer: LayerSpec, mean, var, gamma=None, beta=None):
     """Per-channel (scale, shift) of the frozen batchnorm affine map."""
     gamma = layer.weight if gamma is None else gamma
@@ -222,6 +238,44 @@ def _bn_broadcast(x, per_channel):
     if len(shape) == 4:
         return reshape(per_channel, (1, -1, 1, 1))
     return per_channel
+
+
+def _batchnorm(x, layer: LayerSpec, mean, var, gamma, beta):
+    """``x·scale + shift`` with the scale and shift of :func:`bn_affine` as
+    one node, ``gamma``/``beta`` through them.  Its value is that of the
+    primitive chain bit for bit, and its vjp sums the chain's adjoints in the
+    chain's order, as the batchnorm box node does."""
+    vx = value_of(x)
+    inv_std = bn_inv_std(layer, var)
+    scale, shift = bn_affine(layer, mean, var, gamma=value_of(gamma), beta=value_of(beta))
+    scale_b, shift_b = _bn_broadcast(vx, scale), _bn_broadcast(vx, shift)
+    out = np.multiply(vx, scale_b)
+    out += shift_b
+    tape = _tape_of(x, gamma, beta)
+    if tape is None:
+        return out
+
+    def vjp(g, inputs, o):
+        xx, xg, _ = inputs
+        s_b = scale_b
+        if isinstance(xg, Node):  # building a graph: the scale as a node of gamma
+            s_b = _bn_broadcast(vx, mul(xg, inv_std))
+        g_x = g_gamma = g_beta = None
+        if isinstance(x, Node):
+            g_x = mul(g, s_b)
+        if isinstance(gamma, Node) or isinstance(beta, Node):
+            g_shift = reshape(_unbroadcast(g, shift_b.shape), shift.shape)
+        if isinstance(gamma, Node):
+            g_scale = add(
+                reshape(_unbroadcast(mul(g, xx), scale_b.shape), scale.shape),
+                _unbroadcast(mul(neg(g_shift), mean), scale.shape),
+            )
+            g_gamma = _unbroadcast(mul(g_scale, inv_std), gamma.shape)
+        if isinstance(beta, Node):
+            g_beta = _unbroadcast(g_shift, beta.shape)
+        return g_x, g_gamma, g_beta
+
+    return Node(tape, out, (x, gamma, beta), vjp)
 
 
 def apply_layer(
@@ -250,14 +304,14 @@ def apply_layer(
     if kind == "conv2d":
         return conv2d(x, w, b, stride=layer.stride)
     if kind == "batchnorm":
+        check_batchnorm_input(value_of(w).shape[-1], value_of(x).shape)
         if frozen_stats is None:
             mean, var = batch_stats(x, layer)
         else:
             mean, var = frozen_stats
         if stats_out is not None:
             stats_out.append((mean, var))
-        scale, shift = bn_affine(layer, mean, var, gamma=w, beta=b)
-        return add(mul(x, _bn_broadcast(x, scale)), _bn_broadcast(x, shift))
+        return _batchnorm(x, layer, mean, var, w, b)
     if kind == "relu":
         return relu_op(x)
     if kind == "maxpool2d":

@@ -17,17 +17,21 @@ that returns too few or too many raises ``ValueError``.
 
 Hot chains of primitives are single fused nodes with analytic
 vector-Jacobian products: ``sub`` (one node, not ``add`` of ``neg``) and
-``linear`` (``x @ wᵀ + b``) here; elsewhere each interval box layer
-(``bounds``), the prototype scores and cross-entropy (``learners``), each
-set's interpolation (``interpolation``), and the bound losses and the total
-loss (``objective``).  The box, score, interpolation and total-loss nodes
-keep the numpy expressions of the chains they replaced, so their values are
-the chains' bit for bit, and their vjps sum the chains' adjoints in the
-chains' order.  ``stack`` and ``take`` carry a box's two faces as one value
-on a leading axis; each is the other's vjp.  ``conv2d`` and ``maxpool2d``
-are numpy kernels whose vjps are private tape ops: a transposed
-convolution and a kernel gradient, and a scatter into the argmax
-positions, each differentiable again.  Every vjp is written with tape
+``linear`` (``x @ wᵀ + b``) here; elsewhere each batchnorm activation
+(``layers``), each interval box layer (``bounds``), the prototype scores
+and cross-entropy (``learners``), each set's interpolation
+(``interpolation``), and the bound losses and the total loss
+(``objective``).  The batchnorm, box, score, interpolation and total-loss
+nodes keep the numpy expressions of the chains they replaced, so their
+values are the chains' bit for bit, and their vjps sum the chains' adjoints
+in the chains' order.  ``stack`` and ``take`` carry a box's two faces as
+one value on a leading axis; each is the other's vjp.  ``conv2d`` and
+``maxpool2d`` are numpy kernels whose vjps are private tape ops, each
+differentiable again: a transposed convolution and a kernel gradient; and
+for pooling, whose taped forward records the flat index into its input of
+each window's first maximum, a scatter of the adjoint to those indices (one
+``np.bincount``) whose vjp is the gather at them (one fancy index of the
+flattened adjoint), and the other way round.  Every vjp is written with tape
 operations, so with ``build_graph=True`` it records the nodes of its own
 derivative, and second-order meta-updates differentiate through it.
 
@@ -53,6 +57,7 @@ the next step.
 from __future__ import annotations
 
 import ctypes
+import math
 import platform
 
 import numpy as np
@@ -549,10 +554,11 @@ def take(a, index: int):
 # gradients: the input gradient (a transposed convolution) and the weight
 # gradient.  Each one's vjp is written with the other two, so the three are
 # closed under differentiation and gradients of gradients are tape nodes.
-# Max pooling's vjp scatters into the argmax positions; the scatter's vjp is
-# the matching gather, and the gather's the scatter.  Each public op defines
-# its vjp inside itself, so its nodes carry its name; vjps call only the
-# private kernels, so a wrapper around a public op sees forward calls only.
+# Max pooling's vjp scatters into the flat indices of the window maxima; the
+# scatter's vjp is the gather at them, and the gather's the scatter.  Each
+# public op defines its vjp inside itself, so its nodes carry its name; vjps
+# call only the private kernels, so a wrapper around a public op sees forward
+# calls only.
 # ---------------------------------------------------------------------------
 
 
@@ -725,36 +731,39 @@ def conv2d(x, weight, bias, stride: int = 1):
     return Node(tape, out, (x, weight, bias), vjp)
 
 
-def _pool_scatter(g, arg, x_shape, window, stride):
-    """Adjoint of max pooling: ``g`` added at each window's argmax offset
-    ``arg`` in a zero array of ``x_shape``."""
+def _pool_scatter(g, idx, x_shape):
+    """Adjoint of max pooling: each entry of ``g`` added into a zero array of
+    ``x_shape`` at its flat index ``idx`` (one ``np.bincount``, which sums
+    entries sharing an index in the row-major order of ``idx``)."""
     tape = _tape_of(g)
     vg = value_of(g)
-    dx = np.zeros(x_shape)
-    for k, view in enumerate(_offset_views(dx, window, window, stride, arg.shape[-2:])):
-        view += np.where(arg == k, vg, 0.0)
+    dx = np.bincount(idx.ravel(), weights=vg.ravel(), minlength=math.prod(x_shape))
+    dx = dx.reshape(x_shape)
     if tape is None:
         return dx
-    return Node(
-        tape, dx, (g,), lambda h, inputs, o: (_pool_gather(h, arg, window, stride),)
-    )
+    return Node(tape, dx, (g,), lambda h, inputs, o: (_pool_gather(h, idx),))
 
 
-def _pool_gather(h, arg, window, stride):
-    """Each window's entry of ``h`` at its argmax offset ``arg``: the adjoint
-    of :func:`_pool_scatter`."""
+def _pool_gather(h, idx):
+    """The entries of ``h`` at the flat indices ``idx``: the adjoint of
+    :func:`_pool_scatter`."""
     tape = _tape_of(h)
     vh = value_of(h)
-    out = np.zeros(arg.shape)
-    for k, view in enumerate(_offset_views(vh, window, window, stride, arg.shape[-2:])):
-        np.copyto(out, view, where=arg == k)
+    out = vh.reshape(-1)[idx]
     if tape is None:
         return out
     x_shape = vh.shape
-    return Node(
-        tape, out, (h,),
-        lambda g, inputs, o: (_pool_scatter(g, arg, x_shape, window, stride),),
-    )
+    return Node(tape, out, (h,), lambda g, inputs, o: (_pool_scatter(g, idx, x_shape),))
+
+
+def _window_starts(x_shape, out_hw, stride):
+    """Flat index into an array of ``x_shape`` (..., h, w) of each pooling
+    window's top-left entry, as an array (..., oh, ow)."""
+    *lead, h, w = x_shape
+    (in_image,) = _offset_views(np.arange(h * w).reshape(h, w), 1, 1, stride, out_hw)
+    images = np.arange(0, math.prod(x_shape), h * w)
+    # one row per image keeps the inner loop of the broadcast add oh·ow long
+    return (images[:, None] + in_image.ravel()).reshape(tuple(lead) + out_hw)
 
 
 def maxpool2d(x, window: int, stride: int | None = None):
@@ -763,7 +772,11 @@ def maxpool2d(x, window: int, stride: int | None = None):
     Stride defaults to the window size (non-overlapping pooling).  ``x`` is
     (batch, c, h, w), or (tasks, batch, c, h, w) with a leading task axis,
     and may carry one more leading axis: the two faces of a box.  The
-    gradient goes to the first maximum of each window, in row-major order.
+    gradient goes to the first maximum of each window, in row-major order:
+    a taped call records that entry's flat index into ``x`` for every
+    window, so the vjp is one ``np.bincount`` of the output adjoint over
+    those indices, and its own vjp one fancy index at them.  One index
+    array serves every window, stride and leading axis.
     """
     if window <= 0:
         raise ValueError("pool window must be positive")
@@ -784,13 +797,22 @@ def maxpool2d(x, window: int, stride: int | None = None):
         for view in rest:
             np.maximum(view, out, out=out)
         return out
-    arg = np.zeros(out.shape, dtype=np.min_scalar_type(window * window - 1))
+    # flat offset of each window entry from the window's top-left, row-major:
+    # increasing, so the offset of the last strict maximum is the largest
+    w = vx.shape[-1]
+    offsets = [i * w + j for i in range(window) for j in range(window)]
+    off_type = np.min_scalar_type(offsets[-1])
+    off = np.zeros(out.shape, dtype=off_type)
+    above = np.empty(out.shape, dtype=bool)
     for k, view in enumerate(rest, 1):
-        np.putmask(arg, view > out, k)  # strict: ties keep the first max, as argmax does
+        np.greater(view, out, out=above)  # strict: ties keep the first max, as argmax does
+        np.maximum(off, np.multiply(above, offsets[k], dtype=off_type), out=off)
         np.maximum(view, out, out=out)
+    idx = _window_starts(vx.shape, out_hw, stride)
+    idx += off
     x_shape = vx.shape
 
     def vjp(g, inputs, o):
-        return (_pool_scatter(g, arg, x_shape, window, stride),)
+        return (_pool_scatter(g, idx, x_shape),)
 
     return Node(tape, out, (x,), vjp)

@@ -1,9 +1,14 @@
 """Training orchestration, evaluation, reporting, and the CLI surface."""
 
+import ast
+import importlib.util
+import itertools
 import json
 import math
 import os
+import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -456,6 +461,38 @@ class TestConfigValidation:
         finally:
             os.close(read_fd)
             os.close(write_fd)
+
+    @pytest.mark.parametrize("split", ["tset", "validation", "Train", "train "])
+    def test_unknown_split_rejected_by_name(self, split):
+        # a misspelled split was materialized and then ignored by the run
+        data = {"train": {"synth": {**SYNTH, "seed": 1}}, split: {"synth": {**SYNTH, "seed": 3}}}
+        with pytest.raises(ValueError, match=re.escape(f"unknown data split {split!r}")):
+            make_config(data=data)
+
+    def test_every_config_in_the_repo_names_known_splits(self, tmp_path, monkeypatch):
+        # the benchmark workloads, the digest matrix and the demo; the tests'
+        # own configs are built by the tests that use them
+        root = Path(__file__).resolve().parents[1]
+
+        def load(path):
+            spec = importlib.util.spec_from_file_location(path.stem, path)
+            module = importlib.util.module_from_spec(spec)
+            monkeypatch.setitem(sys.modules, path.stem, module)  # dataclasses look it up
+            spec.loader.exec_module(module)
+            return module
+
+        for workload in load(root / "bench" / "workloads.py").WORKLOADS.values():
+            workload.config(0, str(tmp_path), tiny=True)
+        assert len(list(load(root / "tools" / "digest_matrix.py").run_configs())) == 72
+        # the demo's imports and config, up to its first training run
+        demo = ast.parse((root / "demos" / "02_prototype_learning.py").read_text())
+        head = list(itertools.takewhile(
+            lambda node: isinstance(node, (ast.Import, ast.ImportFrom, ast.Assign, ast.Expr)),
+            demo.body,
+        ))
+        namespace = {}
+        exec(compile(ast.Module(head, type_ignores=[]), "demo", "exec"), namespace)
+        RunConfig(learner="protonet", objective="ibp", **namespace["config"])
 
     @pytest.mark.parametrize(
         "layers,message",

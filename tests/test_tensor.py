@@ -7,6 +7,7 @@ convolution is checked against a quadruple-loop reference.
 import copy
 import os
 import platform
+import re
 import subprocess
 import sys
 import types
@@ -451,6 +452,23 @@ class TestMaxpoolAndBatchnorm:
         np.testing.assert_allclose(mean, 0.0, atol=1e-9)
         np.testing.assert_allclose(var, 1.0, atol=1e-9)
 
+    # channel axis 1, or 2 on a task axis; the last two have no channel axis
+    @pytest.mark.parametrize(
+        "shape", [(4, 2), (2, 4, 2), (4, 2, 5, 5), (2, 4, 2, 5, 5), (2, 3, 5), (3,), (2, 4, 3, 5, 5, 1)]
+    )
+    @pytest.mark.parametrize("through", ["apply_layer", "propagate_layer"])
+    def test_batchnorm_names_a_channel_mismatch(self, shape, through):
+        # numpy's broadcast error named neither the layer nor the input
+        from fewshot_ibp import bounds as B
+
+        layer, x = L.batchnorm(3), np.ones(shape)
+        message = r"batchnorm over 3 channels .*got " + re.escape(str(shape))
+        with pytest.raises(ValueError, match=message):
+            if through == "apply_layer":
+                L.apply_layer(layer, x)
+            else:
+                B.propagate_layer(layer, B.epsilon_box(x, 0.1))
+
     def test_batchnorm_gradients_match_finite_differences(self):
         rng = np.random.default_rng(10)
         x = rng.standard_normal((6, 4))
@@ -775,6 +793,14 @@ def chain_box_layer(layer, lower, upper, weight=None, bias=None, frozen_stats=No
     return T.stack(faces)
 
 
+def chain_batchnorm(layer, x, mean, var, gamma, beta):
+    """The primitive chain of a batchnorm activation that its fused node
+    replaces: ``bn_affine``'s scale and shift, each reshaped onto the channel
+    axis, then ``x·scale + shift`` (up to 7 nodes)."""
+    scale, shift = L.bn_affine(layer, mean, var, gamma=gamma, beta=beta)
+    return T.add(T.mul(x, L._bn_broadcast(x, scale)), L._bn_broadcast(x, shift))
+
+
 def fused_against_chain(fused, chain, arrays):
     """Check a fused node against the primitive chain it replaces.
 
@@ -883,6 +909,58 @@ class TestFusedNodes:
             return T.add(T.conv2d(x, w, None, 2), T.reshape(b, b_shape[:-1] + (1, -1, 1, 1)))
 
         fused_against_chain(lambda x, b: T.conv2d(x, w, b, 2), chain, [x, b])
+
+    # (x shape, gamma and beta shape): ranks 2 to 5, parameters shared by the
+    # tasks or one row per task on a task axis
+    BATCHNORM_LAYOUTS = [
+        ((6, 3), (3,)),
+        ((2, 6, 3), (3,)),
+        ((2, 6, 3), (2, 3)),
+        ((6, 3, 2, 2), (3,)),
+        ((2, 6, 3, 2, 2), (3,)),
+        ((2, 6, 3, 2, 2), (2, 3)),
+    ]
+
+    @pytest.mark.parametrize("layout", range(len(BATCHNORM_LAYOUTS)))
+    @pytest.mark.parametrize("leaves", ["all", "params", "input"])
+    def test_batchnorm_activation(self, layout, leaves):
+        # bit-equal to the chain in value and gradients, in both backward
+        # modes; the second-order gradients to 1e-12 (fused_against_chain)
+        x_shape, p_shape = self.BATCHNORM_LAYOUTS[layout]
+        rng = np.random.default_rng(80 + layout)
+        layer = L.batchnorm(3)
+        x = 2.0 * rng.standard_normal(x_shape) + 1.0
+        gamma, beta = rng.standard_normal(p_shape), rng.standard_normal(p_shape)
+        stats = L.batch_stats(x, layer)
+
+        def fused(x, gamma, beta):
+            return L.apply_layer(layer, x, weight=gamma, bias=beta, frozen_stats=stats)
+
+        def chain(x, gamma, beta):
+            return chain_batchnorm(layer, x, *stats, gamma, beta)
+
+        arrays = {"all": [x, gamma, beta], "params": [gamma, beta], "input": [x]}[leaves]
+        if leaves == "params":  # a constant input, as a network's first layer has
+            fused, chain = (lambda g, b, f=f: f(x, g, b) for f in (fused, chain))
+        elif leaves == "input":  # constant gamma and beta, as the layer stores them
+            fused, chain = (lambda x, f=f: f(x, gamma, beta) for f in (fused, chain))
+
+        def run(fn, build_graph):
+            tape = T.Tape()
+            nodes = [tape.leaf(a) for a in arrays]
+            out = fn(*nodes)
+            c = np.random.default_rng(41).standard_normal(out.shape)
+            grads = tape.backward(T.sum_(T.mul(T.mul(out, out), c)), nodes, build_graph=build_graph)
+            return [out.value] + [T.value_of(grads[n]) for n in nodes]
+
+        for build_graph in (False, True):
+            for got, want in zip(run(fused, build_graph), run(chain, build_graph)):
+                assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+        np.testing.assert_array_equal(fused(*arrays), chain(*arrays))
+        fused_against_chain(fused, chain, arrays)
+        tape = T.Tape()
+        fused(*[tape.leaf(a) for a in arrays])
+        assert len(tape) == len(arrays) + 1  # the leaves and one batchnorm node
 
     @pytest.mark.parametrize("a_shape,b_shape", [((6, 4), (3, 4)), ((2, 6, 4), (2, 3, 4))])
     def test_pairwise_sqdist(self, a_shape, b_shape):
@@ -1213,10 +1291,11 @@ class TestSpatialKernelsMatchReference:
         g = rng.standard_normal(want.shape)
         untaped = T.maxpool2d(x, window, stride)
         out, (grad,) = tape_vjp(lambda a: T.maxpool2d(a, window, stride), [x], g)
-        for got in (untaped, out):
-            np.testing.assert_array_equal(got, want)
-            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
-        close(grad, ref_vjp(g))
+        ref_grad = ref_vjp(g)
+        # overlapping windows sum into an entry in the reference's order too
+        for got, ref in ((untaped, want), (out, want), (grad, ref_grad)):
+            np.testing.assert_array_equal(got, ref)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
 
     @pytest.mark.parametrize("layout", range(3))
     @pytest.mark.parametrize("stride", [1, 2])
@@ -1234,11 +1313,12 @@ class TestSpatialKernelsMatchReference:
         assert np.sum(x * T._conv_input_grad(g, w, x.shape, stride)) == pytest.approx(dot, rel=1e-12)
         assert np.sum(w * T._conv_weight_grad(g, x, w.shape, stride)) == pytest.approx(dot, rel=1e-12)
 
-        arg = rng.integers(0, 9, size=(x_shape[:-2] + (3, 3)), dtype=np.uint8)
-        gp = rng.standard_normal(arg.shape)
-        scattered = T._pool_scatter(gp, arg, x.shape, 3, stride)
+        # flat indices into x, repeats included, as overlapping windows make
+        idx = rng.integers(0, x.size, size=(x_shape[:-2] + (3, 3)))
+        gp = rng.standard_normal(idx.shape)
+        scattered = T._pool_scatter(gp, idx, x.shape)
         assert np.sum(scattered * x) == pytest.approx(
-            np.sum(gp * T._pool_gather(x, arg, 3, stride)), rel=1e-12
+            np.sum(gp * T._pool_gather(x, idx)), rel=1e-12
         )
 
 
