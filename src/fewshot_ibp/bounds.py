@@ -15,7 +15,9 @@ each layer maps the box with one tape node:
 
 The propagated box is guaranteed to contain the image of every point of the
 input box, and for a single affine, relu, or maxpool layer each output face
-is attained by some input point.
+is attained by some input point.  Each box is validated once (finite faces,
+lower below upper): an intermediate box when the next layer takes it, the
+last one, with its center, when the result is made.
 
 All entry points accept tape nodes as well as plain arrays, so bound
 computations are differentiable with respect to the network parameters.  An
@@ -125,6 +127,7 @@ class BoundResult:
     def validate(self, tol: float = 1e-9) -> None:
         self.box.validate(tol=tol)
         c = value_of(self.center)
+        check_finite(c, "box center")  # NaN compares false against both faces
         faces = value_of(self.box.faces)
         if (c < faces[0] - tol).any() or (c > faces[1] + tol).any():
             raise ValueError("center outside propagated box")
@@ -310,7 +313,9 @@ def propagate_prefix(network: Network, x, eps: float, params=None) -> BoundResul
     Batchnorm statistics come from the center activations and are reused for
     the box, so both passes see the identical per-step affine map.  An
     odd-rank ``x`` is a stack of tasks, and each task's batchnorm statistics
-    are its own.
+    are its own.  Each box is validated once: every intermediate one by the
+    next :func:`propagate_layer`, the last with the center by
+    :meth:`BoundResult.validate`.
     """
     check_finite(x, "bound propagation input")
     center = x
@@ -323,7 +328,6 @@ def propagate_prefix(network: Network, x, eps: float, params=None) -> BoundResul
             frozen = batch_stats(center, layer)
         center = apply_layer(layer, center, weight=w, bias=b, frozen_stats=frozen)
         box = propagate_layer(layer, box, weight=w, bias=b, frozen_stats=frozen)
-        check_finite(box.faces, f"box after layer {i}")
     result = BoundResult(center, box)
     result.validate()
     return result

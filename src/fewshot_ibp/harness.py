@@ -9,8 +9,13 @@ its tasks (a MAML meta-batch, or one ProtoNet task) and the interpolation of
 the tasks that fired, then scores all tasks at once: the cross-entropies
 give one value per task, tasks that did not fire interpolate with zero
 weight, and one loss tail adds the bound losses and weighs each task's
-losses with weights computed from its own detached values.  Every derived
-random stream is seeded from the run seed, and evaluation tasks use
+losses with weights computed from its own detached values.  Where a set's
+box is propagated with the parameters of its clean pass, both learners read
+the clean embeddings from the box centers instead of running the prefix
+again: ProtoNet for each set it propagates, and MAML for the support set of
+every inner step that interpolates toward bounds and for the query set when
+its boxes are taken under the adapted parameters.  Every derived random
+stream is seeded from the run seed, and evaluation tasks use
 per-task streams seeded by (run seed, task index), so a (config, seed) pair
 fully determines the metrics stream.  Metrics are written as CSV (one row
 per step, byte-stable across reruns) plus a JSON summary holding config,
@@ -60,7 +65,7 @@ from .objective import (
     total_loss,
 )
 from .optim import adam, optimizer_step
-from .tensor import NonFiniteError, Tape, add, mul, value_of
+from .tensor import Node, NonFiniteError, Tape, _tape_of, mul, value_of
 
 METRICS_COLUMNS = [
     "step",
@@ -173,8 +178,21 @@ def _draw_tasks(learner, n_tasks, dataset, config, sample_rng, interp_rng):
 
 
 def _mixed_cross_entropy(l_ce, l_ce2, mix: _TaskMix):
-    """Per-task weighted sum of the plain and the interpolated cross-entropy."""
-    return add(mul(l_ce, mix.ce_weights[:, 0]), mul(l_ce2, mix.ce_weights[:, 1]))
+    """Per-task weighted sum of the plain and the interpolated cross-entropy,
+    as one node whose vjp scales the output adjoint by each weight."""
+    w0, w1 = mix.ce_weights[:, 0], mix.ce_weights[:, 1]
+    out = np.add(np.multiply(value_of(l_ce), w0), np.multiply(value_of(l_ce2), w1))
+    tape = _tape_of(l_ce, l_ce2)
+    if tape is None:
+        return out
+
+    def vjp(g, inputs, o):
+        return (
+            mul(g, w0) if isinstance(l_ce, Node) else None,
+            mul(g, w1) if isinstance(l_ce2, Node) else None,
+        )
+
+    return Node(tape, out, (l_ce, l_ce2), vjp)
 
 
 def _loss_tail(config: RunConfig, l_ce, qres):
@@ -203,6 +221,16 @@ def _step_info(diagnostics):
     return {"losses": tuple(means[:3]), "weights": tuple(means[3:6]), "total": means[6]}
 
 
+def _embed(network, x, eps_t, prefix_params, boxes: bool):
+    """``(box, embedding)`` of ``x`` through the prefix: with ``boxes`` its
+    propagated box and the box center, one prefix pass for both; otherwise
+    None and the forward pass."""
+    if boxes:
+        res = propagate_prefix(network, x, eps_t, params=prefix_params)
+        return res, res.center
+    return None, forward(network.prefix, x, params=prefix_params)
+
+
 def _protonet_step(network, dataset, config, eps_t, sample_rng, interp_rng, opt_state):
     """One prototype-network update on the task axis, a batch of one task.
     Each parameter is a (1, ...) leaf, so no shared weight's gradient is
@@ -222,12 +250,6 @@ def _protonet_step(network, dataset, config, eps_t, sample_rng, interp_rng, opt_
         ]
         prefix_params, head_params = params[:s], params[s:]
 
-        def embed(x, boxes):
-            if boxes:
-                res = propagate_prefix(network, x, eps_t, params=prefix_params)
-                return res, res.center
-            return None, forward(network.prefix, x, params=prefix_params)
-
         def head_cross_entropy(support_h, query_h):
             support_emb = forward(network.head, support_h, params=head_params)
             query_emb = forward(network.head, query_h, params=head_params)
@@ -235,8 +257,8 @@ def _protonet_step(network, dataset, config, eps_t, sample_rng, interp_rng, opt_
             scores = protonet_logits(query_emb, protos, config.distance)
             return cross_entropy(scores, batch.query_y)
 
-        qres, query_h = embed(batch.query_x, query_boxes)
-        sres, support_h = embed(batch.support_x, support_boxes)
+        qres, query_h = _embed(network, batch.query_x, eps_t, prefix_params, query_boxes)
+        sres, support_h = _embed(network, batch.support_x, eps_t, prefix_params, support_boxes)
         l_ce = head_cross_entropy(support_h, query_h)
         if mix is not None:
             support_h = make_interpolated_task(
@@ -260,15 +282,19 @@ def _protonet_step(network, dataset, config, eps_t, sample_rng, interp_rng, opt_
 
 def _maml_inner_loss(network, config, eps_t, mix: _TaskMix | None):
     s = network.split_index
+    mode = config.objective
+    # a bound-mode interpolation propagates the support boxes with the
+    # parameters of the clean pass, which then reads their centers
+    support_boxes = mix is not None and mode in BOUND_MODES
 
     def inner_loss(batch, params):
-        logits = forward(network.layers, batch.support_x, params=params)
-        l_ce = cross_entropy(logits, batch.support_y)
+        sres, h = _embed(network, batch.support_x, eps_t, params[:s], support_boxes)
+        l_ce = cross_entropy(forward(network.head, h, params=params[s:]), batch.support_y)
         if mix is None:
             return l_ce
         h = make_interpolated_task(
-            config.objective, network, batch.support_x, batch.support_y, mix.coeffs,
-            params[:s], eps_t, pair_x=mix.pair_support_x,
+            mode, network, batch.support_x, batch.support_y, mix.coeffs,
+            params[:s], eps_t, bounds=sres, pair_x=mix.pair_support_x,
         )
         scores = forward(network.head, h, params=params[s:])
         return _mixed_cross_entropy(l_ce, cross_entropy(scores, batch.support_y), mix)
@@ -280,14 +306,15 @@ def _maml_query_loss(network, config, eps_t, mix: _TaskMix | None):
     s = network.split_index
     mode = config.objective
     query_boxes = mode in BOUND_OBJECTIVES or (mix is not None and mode in BOUND_MODES)
+    # boxes taken under the adapted parameters share their centers with the
+    # clean pass; boxes taken under θ do not
+    shared = query_boxes and config.bounds_on_adapted
 
     def query_loss(batch, theta, phi):
-        logits = forward(network.layers, batch.query_x, params=phi)
-        l_ce = cross_entropy(logits, batch.query_y)
-        qres = None
-        if query_boxes:
-            bound_params = phi if config.bounds_on_adapted else theta
-            qres = propagate_prefix(network, batch.query_x, eps_t, params=bound_params[:s])
+        qres, h = _embed(network, batch.query_x, eps_t, phi[:s], shared)
+        if query_boxes and not shared:
+            qres = propagate_prefix(network, batch.query_x, eps_t, params=theta[:s])
+        l_ce = cross_entropy(forward(network.head, h, params=phi[s:]), batch.query_y)
         if mix is not None:
             h = make_interpolated_task(
                 mode, network, batch.query_x, batch.query_y, mix.query_coeffs,

@@ -149,19 +149,19 @@ def protonet_logits(query_embeddings, prototypes, distance: str = "sqeuclidean")
 
 
 def _onehot(labels, score_shape) -> np.ndarray:
-    """One-hot rows of ``labels``, laid out like scores of ``score_shape``."""
+    """One-hot rows of integer ``labels``, laid out like scores of
+    ``score_shape``."""
     labels = np.asarray(labels)
     classes = score_shape[-1]
     if len(score_shape) not in (2, 3) or labels.shape != score_shape[:-1]:
         raise ValueError(
             f"labels of shape {labels.shape} do not match scores {score_shape}"
         )
+    if labels.dtype.kind not in "iu":  # signed or unsigned integers; not bool
+        raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= classes:
         raise ValueError(f"labels outside 0..{classes - 1}")
-    flat = labels.reshape(-1)
-    out = np.zeros((flat.shape[0], classes))
-    out[np.arange(flat.shape[0]), flat] = 1.0
-    return out.reshape(score_shape)
+    return (labels[..., None] == np.arange(classes)).astype(np.float64)
 
 
 def cross_entropy(scores, labels):
@@ -169,8 +169,9 @@ def cross_entropy(scores, labels):
 
     Scores (tasks, n, k) with labels (tasks, n) give one mean per task, so
     each task's gradient is its own; callers sum them.  One tape node, whose
-    vjp ``(softmax - onehot) * g / n`` is written with tape operations, so
-    it can be differentiated again.
+    vjp is ``(softmax - onehot) * g / n``: from the forward pass's
+    exponentials in value mode, and written with tape operations when the
+    backward pass builds a graph, so it can be differentiated again.
     """
     vs = value_of(scores)
     shape = vs.shape
@@ -178,7 +179,9 @@ def cross_entropy(scores, labels):
     n = shape[-2]
     shift = vs.max(axis=-1, keepdims=True)  # detached; softmax ignores it
     z = vs - shift
-    logp = z - np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
+    e = np.exp(z)
+    row_sum = np.sum(e, axis=-1, keepdims=True)
+    logp = z - np.log(row_sum)
     axes = (-2, -1) if len(shape) == 3 else None
     out = np.sum(logp * onehot, axis=axes) * (-1.0 / n)
     if not isinstance(scores, Node):
@@ -186,8 +189,12 @@ def cross_entropy(scores, labels):
     g_shape = shape[:-2] + (1, 1)
 
     def vjp(g, inputs, o):
-        e = exp(sub(inputs[0], shift))
-        probs = div(e, sum_(e, axis=-1, keepdims=True))
+        (x,) = inputs
+        if isinstance(x, Node):  # building a graph: the softmax as nodes of the scores
+            ex = exp(sub(x, shift))
+            probs = div(ex, sum_(ex, axis=-1, keepdims=True))
+        else:
+            probs = np.divide(e, row_sum)
         return (mul(sub(probs, onehot), reshape(mul(g, 1.0 / n), g_shape)),)
 
     return Node(scores.tape, out, (scores,), vjp)

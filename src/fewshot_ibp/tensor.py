@@ -20,8 +20,9 @@ vector-Jacobian products: ``sub`` (one node, not ``add`` of ``neg``) and
 ``linear`` (``x @ wᵀ + b``) here; elsewhere each batchnorm activation
 (``layers``), each interval box layer (``bounds``), the prototype scores
 and cross-entropy (``learners``), each set's interpolation
-(``interpolation``), and the bound losses and the total loss
-(``objective``).  The batchnorm, box, score, interpolation and total-loss
+(``interpolation``), the bound losses and the total loss (``objective``),
+and the mixed cross-entropy of a training step (``harness``).  The
+batchnorm, box, score, interpolation, total-loss and mixed cross-entropy
 nodes keep the numpy expressions of the chains they replaced, so their
 values are the chains' bit for bit, and their vjps sum the chains' adjoints
 in the chains' order.  ``stack`` and ``take`` carry a box's two faces as

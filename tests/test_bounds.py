@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from fewshot_ibp import bounds as B
 from fewshot_ibp import layers as L
+from fewshot_ibp.tensor import NonFiniteError
 
 
 def corner_images(fn, lower, upper):
@@ -203,6 +204,32 @@ class TestPropagatePrefix:
             x = rng.standard_normal((3, 4))
             res = B.propagate_prefix(net, x, float(rng.uniform(0, 0.5)))
             res.validate()  # raises if the center escapes
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_center_rejected(self, bad):
+        # a NaN center compares false against both faces, so the box check
+        # alone would let it through
+        box = B.IntervalTensor(np.zeros((1, 1)), np.ones((1, 1)))
+        with pytest.raises(NonFiniteError, match="box center"):
+            B.BoundResult(np.array([[bad]]), box).validate()
+
+    def test_intermediate_box_overflow_rejected(self):
+        # the box after the second fc overflows (1e300 · 1e300 weights), and
+        # the relu after it rejects it before any result is made
+        net = L.Network(
+            [
+                L.fully_connected(np.full((4, 4), 1e300), np.zeros(4)),
+                L.fully_connected(np.full((4, 4), 1e300), np.zeros(4)),
+                L.relu(),
+            ],
+            split_index=3,
+        )
+        x = np.random.default_rng(9).standard_normal((2, 4))
+        with pytest.raises(NonFiniteError, match="box faces") as excinfo:
+            with np.errstate(over="ignore", invalid="ignore"):
+                B.propagate_prefix(net, x, 0.1)
+        assert excinfo.traceback[-1].name == "check_finite"
+        assert "propagate_layer" in [entry.name for entry in excinfo.traceback]
 
 
 class TestTaskBounds:
