@@ -107,9 +107,9 @@ class IntervalTensor:
     def values(self) -> "IntervalTensor":
         return IntervalTensor.of(value_of(self.faces))
 
-    def validate(self, tol: float = 0.0) -> None:
+    def validate(self, tol: float = 0.0, context: str = "box faces") -> None:
         faces = value_of(self.faces)
-        check_finite(faces, "box faces")
+        check_finite(faces, context)
         if (faces[0] > faces[1] + tol).any():
             raise ValueError("box has lower > upper")
 
@@ -125,7 +125,7 @@ class BoundResult:
         return BoundResult(value_of(self.center), self.box.values())
 
     def validate(self, tol: float = 1e-9) -> None:
-        self.box.validate(tol=tol)
+        self.box.validate(tol=tol, context="box faces of the result")
         c = value_of(self.center)
         check_finite(c, "box center")  # NaN compares false against both faces
         faces = value_of(self.box.faces)
@@ -270,11 +270,11 @@ def propagate_layer(
     treatment of batchnorm.  A box of odd face rank is a stack of tasks (see
     the module docstring).
     """
-    box.validate()
+    kind = layer.kind
+    box.validate(context=f"box faces into a {kind} layer")
     w = layer.weight if weight is None else weight
     b = layer.bias if bias is None else bias
     faces = box.faces
-    kind = layer.kind
 
     if kind == "fully_connected":
         out = _affine_interval(

@@ -213,23 +213,20 @@ class TestPropagatePrefix:
         with pytest.raises(NonFiniteError, match="box center"):
             B.BoundResult(np.array([[bad]]), box).validate()
 
-    def test_intermediate_box_overflow_rejected(self):
-        # the box after the second fc overflows (1e300 · 1e300 weights), and
-        # the relu after it rejects it before any result is made
-        net = L.Network(
-            [
-                L.fully_connected(np.full((4, 4), 1e300), np.zeros(4)),
-                L.fully_connected(np.full((4, 4), 1e300), np.zeros(4)),
-                L.relu(),
-            ],
-            split_index=3,
-        )
+    @pytest.mark.parametrize(
+        "tail,where", [([L.relu()], "box faces into a relu layer"), ([], "box faces of the result")]
+    )
+    def test_intermediate_box_overflow_rejected(self, tail, where):
+        # the box after the second fc overflows (1e300 · 1e300 weights); the
+        # layer after it, or the result's check, rejects it and says which
+        layers = [L.fully_connected(np.full((4, 4), 1e300), np.zeros(4)) for _ in range(2)]
+        net = L.Network(layers + tail, split_index=2 + len(tail))
         x = np.random.default_rng(9).standard_normal((2, 4))
-        with pytest.raises(NonFiniteError, match="box faces") as excinfo:
+        with pytest.raises(NonFiniteError, match=where) as excinfo:
             with np.errstate(over="ignore", invalid="ignore"):
                 B.propagate_prefix(net, x, 0.1)
         assert excinfo.traceback[-1].name == "check_finite"
-        assert "propagate_layer" in [entry.name for entry in excinfo.traceback]
+        assert "validate" in [entry.name for entry in excinfo.traceback]
 
 
 class TestTaskBounds:

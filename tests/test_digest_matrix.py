@@ -38,23 +38,6 @@ def test_values_follow_the_digest_and_keep_the_listing():
     assert lines[1] == plain[1]  # the listing hash covers names and digests only
 
 
-def test_diff_shows_the_old_and_new_values_of_moved_runs(tmp_path):
-    runs = ("protonet-fc-ibpi-on", "sample_task")
-    plain = digest_listing(*runs).splitlines()
-    saved = digest_listing(*runs, flags=("--values",)).splitlines()
-    # another checkout: the first run moved, with another accuracy
-    name, digest, accuracy, *rest = saved[0].split()
-    other = " ".join([name, "0" * 64, "test_accuracy=0.25", *rest])
-    listing = tmp_path / "parent.txt"
-    listing.write_text("\n".join([other, *saved[1:]]) + "\n", encoding="utf-8")
-    lines = digest_listing(*runs, flags=("--diff", str(listing))).splitlines()
-    assert lines[:3] == plain  # the listing and its hash are unchanged
-    new_accuracy = accuracy.split("=")[1]
-    assert lines[3].startswith(f"moved {name}: test_accuracy 0.25 -> {new_accuracy}, test_ci95 ")
-    assert "box_width " in lines[3]
-    assert lines[4:] == ["moved 1 of 2"]
-
-
 def test_unknown_run_rejected():
     out = subprocess.run(
         [sys.executable, str(SCRIPT), "--only", "no-such-run"],

@@ -3,9 +3,10 @@ replaced, as ``chain_batchnorm`` is kept for the batchnorm activation.
 
 Where a set's box is propagated with the parameters of its clean pass, the
 MAML losses read the clean logits from the box centers instead of running
-the prefix a second time; the mixed cross-entropy is one node; and the
-value-mode vjp of ``cross_entropy`` reuses the forward pass's exponentials.
-Loss values are those of the replaced code bit for bit.  Gradients through
+the prefix a second time.  The replaced losses run on the replaced
+``cross_entropy`` and mixed cross-entropy chain, which ``TestFusedNodes`` in
+``test_tensor`` checks bit for bit against the current nodes.  Loss values
+are those of the replaced code bit for bit.  Gradients through
 shared centers sum a prefix weight's adjoints before one product instead of
 adding two products, so they agree to 1e-12, and to finite differences.
 """
@@ -25,63 +26,15 @@ from fewshot_ibp.harness import BOUND_OBJECTIVES, _loss_tail, _TaskMix
 from fewshot_ibp.interpolation import BOUND_MODES, make_interpolated_task
 from fewshot_ibp.layers import forward
 from fewshot_ibp.optim import adam
-from fewshot_ibp.tensor import Node, add, div, exp, mul, reshape, sub, sum_, value_of
+from fewshot_ibp.tensor import value_of
 from test_learners import conv_pool_network, fc_pool_network
+from test_tensor import chain_mixed_cross_entropy as _mixed_cross_entropy
 from test_tensor import fd_gradient
+from test_tensor import replaced_cross_entropy as cross_entropy
 
 # ---------------------------------------------------------------------------
 # The replaced code, verbatim.
 # ---------------------------------------------------------------------------
-
-
-def _onehot(labels, score_shape) -> np.ndarray:
-    """One-hot rows of ``labels``, laid out like scores of ``score_shape``."""
-    labels = np.asarray(labels)
-    classes = score_shape[-1]
-    if len(score_shape) not in (2, 3) or labels.shape != score_shape[:-1]:
-        raise ValueError(
-            f"labels of shape {labels.shape} do not match scores {score_shape}"
-        )
-    if labels.min(initial=0) < 0 or labels.max(initial=0) >= classes:
-        raise ValueError(f"labels outside 0..{classes - 1}")
-    flat = labels.reshape(-1)
-    out = np.zeros((flat.shape[0], classes))
-    out[np.arange(flat.shape[0]), flat] = 1.0
-    return out.reshape(score_shape)
-
-
-def cross_entropy(scores, labels):
-    """Mean negative log softmax probability of the true class, from logits.
-
-    Scores (tasks, n, k) with labels (tasks, n) give one mean per task, so
-    each task's gradient is its own; callers sum them.  One tape node, whose
-    vjp ``(softmax - onehot) * g / n`` is written with tape operations, so
-    it can be differentiated again.
-    """
-    vs = value_of(scores)
-    shape = vs.shape
-    onehot = _onehot(labels, shape)
-    n = shape[-2]
-    shift = vs.max(axis=-1, keepdims=True)  # detached; softmax ignores it
-    z = vs - shift
-    logp = z - np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
-    axes = (-2, -1) if len(shape) == 3 else None
-    out = np.sum(logp * onehot, axis=axes) * (-1.0 / n)
-    if not isinstance(scores, Node):
-        return out
-    g_shape = shape[:-2] + (1, 1)
-
-    def vjp(g, inputs, o):
-        e = exp(sub(inputs[0], shift))
-        probs = div(e, sum_(e, axis=-1, keepdims=True))
-        return (mul(sub(probs, onehot), reshape(mul(g, 1.0 / n), g_shape)),)
-
-    return Node(scores.tape, out, (scores,), vjp)
-
-
-def _mixed_cross_entropy(l_ce, l_ce2, mix: _TaskMix):
-    """Per-task weighted sum of the plain and the interpolated cross-entropy."""
-    return add(mul(l_ce, mix.ce_weights[:, 0]), mul(l_ce2, mix.ce_weights[:, 1]))
 
 
 def _maml_inner_loss(network, config, eps_t, mix: _TaskMix | None):
@@ -288,62 +241,3 @@ class TestSharedCenters:
         for index, g in enumerate(grads):
             fd = fd_gradient(meta_loss, arrays, index, step=1e-6)
             assert np.max(np.abs(g - fd)) <= 1e-5 * max(np.max(np.abs(fd)), 1.0)
-
-
-def graph_run(fn, arrays, build_graph):
-    """Value, gradients and, when building a graph, the gradients of
-    ``<gradients, r>`` of ``sum(c * fn(...)**2)`` on tape leaves."""
-    with T.Tape() as tape:
-        leaves = [tape.leaf(a) for a in arrays]
-        out = fn(*leaves)
-        c = np.random.default_rng(41).standard_normal(out.shape)
-        grads = tape.backward(T.sum_(T.mul(T.mul(out, out), c)), leaves, build_graph=build_graph)
-        results = [out.value] + [value_of(grads[n]) for n in leaves]
-        if build_graph:
-            rng = np.random.default_rng(42)
-            h = 0.0
-            for n in leaves:
-                h = T.add(h, T.sum_(T.mul(grads[n], rng.standard_normal(n.shape))))
-            second = tape.backward(h, leaves)
-            results += [second[n] for n in leaves]
-    return results
-
-
-def assert_runs_bit_equal(fused, chain, arrays):
-    for build_graph in (False, True):
-        got, want = graph_run(fused, arrays, build_graph), graph_run(chain, arrays, build_graph)
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert_bit_equal(g, w)
-
-
-class TestCrossEntropyNodes:
-    @pytest.mark.parametrize("shape", [(6, 4), (3, 6, 4)])
-    def test_cross_entropy_bit_equal_to_the_replaced_code(self, shape):
-        rng = np.random.default_rng(7)
-        scores = 3.0 * rng.standard_normal(shape)
-        labels = rng.integers(0, shape[-1], size=shape[:-1])
-        assert_bit_equal(LR.cross_entropy(scores, labels), cross_entropy(scores, labels))
-        assert_runs_bit_equal(
-            lambda s: LR.cross_entropy(s, labels), lambda s: cross_entropy(s, labels), [scores]
-        )
-
-    def test_mixed_cross_entropy_bit_equal_to_the_chain(self):
-        rng = np.random.default_rng(8)
-        ce_weights = np.where(np.array([True, False, True, False])[:, None], 0.5, [1.0, 0.0])
-        mix = _TaskMix(None, None, None, None, ce_weights)
-        l_ce, l_ce2 = rng.uniform(0.5, 2.0, size=(2, 4))
-        assert_bit_equal(
-            H._mixed_cross_entropy(l_ce, l_ce2, mix), _mixed_cross_entropy(l_ce, l_ce2, mix)
-        )
-        assert_runs_bit_equal(
-            lambda a, b: H._mixed_cross_entropy(a, b, mix),
-            lambda a, b: _mixed_cross_entropy(a, b, mix),
-            [l_ce, l_ce2],
-        )
-        # one operand a constant
-        assert_runs_bit_equal(
-            lambda a: H._mixed_cross_entropy(a, l_ce2, mix),
-            lambda a: _mixed_cross_entropy(a, l_ce2, mix),
-            [l_ce],
-        )

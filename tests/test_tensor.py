@@ -742,6 +742,52 @@ def chain_cross_entropy(scores, labels):
     return T.mul(T.sum_(T.mul(logp, onehot), axis=axes), -1.0 / shape[-2])
 
 
+def _replaced_onehot(labels, score_shape) -> np.ndarray:
+    """One-hot rows of ``labels``, laid out like scores of ``score_shape``."""
+    labels = np.asarray(labels)
+    classes = score_shape[-1]
+    if len(score_shape) not in (2, 3) or labels.shape != score_shape[:-1]:
+        raise ValueError(
+            f"labels of shape {labels.shape} do not match scores {score_shape}"
+        )
+    if labels.min(initial=0) < 0 or labels.max(initial=0) >= classes:
+        raise ValueError(f"labels outside 0..{classes - 1}")
+    flat = labels.reshape(-1)
+    out = np.zeros((flat.shape[0], classes))
+    out[np.arange(flat.shape[0]), flat] = 1.0
+    return out.reshape(score_shape)
+
+
+def replaced_cross_entropy(scores, labels):
+    """The one-node ``cross_entropy`` that scattered its one-hot and
+    recomputed ``exp(z)`` in its vjp, verbatim but for the names."""
+    vs = T.value_of(scores)
+    shape = vs.shape
+    onehot = _replaced_onehot(labels, shape)
+    n = shape[-2]
+    shift = vs.max(axis=-1, keepdims=True)  # detached; softmax ignores it
+    z = vs - shift
+    logp = z - np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
+    axes = (-2, -1) if len(shape) == 3 else None
+    out = np.sum(logp * onehot, axis=axes) * (-1.0 / n)
+    if not isinstance(scores, T.Node):
+        return out
+    g_shape = shape[:-2] + (1, 1)
+
+    def vjp(g, inputs, o):
+        e = T.exp(T.sub(inputs[0], shift))
+        probs = T.div(e, T.sum_(e, axis=-1, keepdims=True))
+        return (T.mul(T.sub(probs, onehot), T.reshape(T.mul(g, 1.0 / n), g_shape)),)
+
+    return T.Node(scores.tape, out, (scores,), vjp)
+
+
+def chain_mixed_cross_entropy(l_ce, l_ce2, mix):
+    """The chain that ``harness._mixed_cross_entropy`` replaces: the per-task
+    weighted sum of the plain and the interpolated cross-entropy."""
+    return T.add(T.mul(l_ce, mix.ce_weights[:, 0]), T.mul(l_ce2, mix.ce_weights[:, 1]))
+
+
 def chain_bound_losses(centers, lower, upper, task_axis=False):
     """The primitive bound-loss chain that ``bound_losses`` replaces."""
     shape = np.shape(T.value_of(centers))
@@ -801,13 +847,14 @@ def chain_batchnorm(layer, x, mean, var, gamma, beta):
     return T.add(T.mul(x, L._bn_broadcast(x, scale)), L._bn_broadcast(x, shift))
 
 
-def fused_against_chain(fused, chain, arrays):
+def fused_against_chain(fused, chain, arrays, bit_equal=False):
     """Check a fused node against the primitive chain it replaces.
 
     Both are differentiated through ``sum(c * out**2)``: value, first-order
     gradients, graph-mode gradients and the gradient of ``<graph gradients,
-    r>`` (which runs through the recorded vjp) agree within 1e-12, and the
-    fused gradients match central finite differences within 1e-5.
+    r>`` (which runs through the recorded vjp) agree within 1e-12, or bit
+    for bit with ``bit_equal``, and the fused gradients match central finite
+    differences within 1e-5.
     """
 
     def run(fn, arrs, build_graph):
@@ -828,7 +875,11 @@ def fused_against_chain(fused, chain, arrays):
         return T.value_of(out), first, second
 
     def close(got, want):
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        if bit_equal:
+            got, want = np.asarray(got), np.asarray(want)
+            assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     value, grads, _ = run(fused, arrays, False)
     ref_value, ref_grads, _ = run(chain, arrays, False)
@@ -992,6 +1043,41 @@ class TestFusedNodes:
         )
         np.testing.assert_array_equal(
             cross_entropy(scores, labels), chain_cross_entropy(scores, labels)
+        )
+        # the one-comparison one-hot and the reused exp(z) change no bit of
+        # the node it replaced, in either backward mode
+        fused_against_chain(
+            lambda s: cross_entropy(s, labels),
+            lambda s: replaced_cross_entropy(s, labels),
+            [scores],
+            bit_equal=True,
+        )
+        np.testing.assert_array_equal(
+            cross_entropy(scores, labels), replaced_cross_entropy(scores, labels)
+        )
+
+    def test_mixed_cross_entropy(self):
+        from fewshot_ibp.harness import _mixed_cross_entropy, _TaskMix
+
+        rng = np.random.default_rng(8)
+        ce_weights = np.where(np.array([True, False, True, False])[:, None], 0.5, [1.0, 0.0])
+        mix = _TaskMix(None, None, None, None, ce_weights)
+        l_ce, l_ce2 = rng.uniform(0.5, 2.0, size=(2, 4))
+        np.testing.assert_array_equal(
+            _mixed_cross_entropy(l_ce, l_ce2, mix), chain_mixed_cross_entropy(l_ce, l_ce2, mix)
+        )
+        fused_against_chain(
+            lambda a, b: _mixed_cross_entropy(a, b, mix),
+            lambda a, b: chain_mixed_cross_entropy(a, b, mix),
+            [l_ce, l_ce2],
+            bit_equal=True,
+        )
+        # one operand a constant
+        fused_against_chain(
+            lambda a: _mixed_cross_entropy(a, l_ce2, mix),
+            lambda a: chain_mixed_cross_entropy(a, l_ce2, mix),
+            [l_ce],
+            bit_equal=True,
         )
 
     @pytest.mark.parametrize("task_axis", [False, True])

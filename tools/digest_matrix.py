@@ -19,15 +19,15 @@ the last line, a hash of the whole listing, must match.  ``--values``
 appends each run's ``test_accuracy``, ``test_ci95`` and ``box_width`` to
 its line, to show how far a run that moved has moved; the listing hash
 covers only the run names and digests, so it is the same with or without
-``--values``.  ``--diff FILE`` reads a listing saved with ``--values`` from
-another checkout and, after the listing hash, prints one ``moved`` line for
-each run whose digest differs from the file's, with the old and new values.
+``--values``.  To see which runs moved between two checkouts, and by how
+much, save a ``--values`` listing from each and ``diff`` the two files: a
+moved run's line shows its old and its new digest and values.
 
     python tools/digest_matrix.py              # all 72 runs, then sample_task
     python tools/digest_matrix.py --only maml1-fc-ibpi-on
     python tools/digest_matrix.py --only sample_task
     python tools/digest_matrix.py --values
-    python tools/digest_matrix.py --diff parent-values.txt
+    diff parent-values.txt change-values.txt    # two saved --values listings
 """
 
 from __future__ import annotations
@@ -165,61 +165,31 @@ def sampler_digest() -> str:
     return digest.hexdigest()
 
 
-def read_listing(path) -> dict:
-    """Run name -> (digest, {key: value text}) of a listing this script
-    printed; the values are those ``--values`` appended."""
-    runs = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            name, digest, *fields = line.split()
-            if name != "listing":
-                runs[name] = (digest, dict(field.split("=", 1) for field in fields))
-    return runs
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--only", action="append", metavar="RUN",
                         help="run only this run name (repeatable)")
     parser.add_argument("--values", action="store_true",
                         help="append each run's " + ", ".join(SUMMARY_KEYS))
-    parser.add_argument("--diff", metavar="FILE",
-                        help="after the listing, show the old and new values of each run "
-                        "whose digest differs from FILE, a listing saved with --values")
     args = parser.parse_args(argv)
     runs = [(name, cfg) for name, cfg in run_configs() if not args.only or name in args.only]
     sampler = not args.only or SAMPLER_RUN in args.only
     if not runs and not sampler:
         parser.error(f"no run named {args.only}")
-    old = read_listing(args.diff) if args.diff else None
     listing = hashlib.sha256()
-    moved = []
 
-    def emit(name, digest, values):
-        line = f"{name} {digest}"
+    def emit(line, extra=""):
         listing.update((line + "\n").encode("utf-8"))
-        fields = "".join(f" {key}={value}" for key, value in values.items())
-        print(line + (fields if args.values else ""), flush=True)
-        if old is None:
-            return
-        old_digest, old_values = old.get(name, (None, {}))
-        if digest != old_digest:
-            changes = ", ".join(
-                f"{key} {old_values.get(key, '?')} -> {value}" for key, value in values.items()
-            )
-            moved.append(f"moved {name}" + (f": {changes}" if changes else ""))
+        print(line + extra, flush=True)
 
     with tempfile.TemporaryDirectory() as tmp:
         for name, cfg in runs:
             digest, summary = run_digest(cfg, os.path.join(tmp, name))
-            emit(name, digest, {key: repr(summary[key]) for key in SUMMARY_KEYS})
+            values = "".join(f" {key}={summary[key]!r}" for key in SUMMARY_KEYS)
+            emit(f"{name} {digest}", values if args.values else "")
     if sampler:
-        emit(SAMPLER_RUN, sampler_digest(), {})
+        emit(f"{SAMPLER_RUN} {sampler_digest()}")
     print(f"listing {listing.hexdigest()}")
-    for line in moved:
-        print(line)
-    if old is not None:
-        print(f"moved {len(moved)} of {len(runs) + sampler}")
     return 0
 
 
