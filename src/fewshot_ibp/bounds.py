@@ -110,7 +110,7 @@ class IntervalTensor:
     def validate(self, tol: float = 0.0, context: str = "box faces") -> None:
         faces = value_of(self.faces)
         check_finite(faces, context)
-        if (faces[0] > faces[1] + tol).any():
+        if np.logical_or.reduce(faces[0] > faces[1] + tol, axis=None):
             raise ValueError("box has lower > upper")
 
 
@@ -129,7 +129,8 @@ class BoundResult:
         c = value_of(self.center)
         check_finite(c, "box center")  # NaN compares false against both faces
         faces = value_of(self.box.faces)
-        if (c < faces[0] - tol).any() or (c > faces[1] + tol).any():
+        below = np.logical_or.reduce(c < faces[0] - tol, axis=None)
+        if below or np.logical_or.reduce(c > faces[1] + tol, axis=None):
             raise ValueError("center outside propagated box")
 
 

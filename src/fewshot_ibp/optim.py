@@ -45,7 +45,7 @@ def optimizer_step(params, grads, state: OptimizerState):
     for p, g in zip(params, grads):
         if np.shape(p) != np.shape(g):
             raise ValueError(f"gradient shape {np.shape(g)} != parameter shape {np.shape(p)}")
-        if not np.isfinite(g).all():
+        if not np.logical_and.reduce(np.isfinite(g), axis=None):
             raise NonFiniteError("non-finite gradient")
 
     if not state.m:

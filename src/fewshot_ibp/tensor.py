@@ -15,6 +15,16 @@ A node's ``parents`` are its op's operands in call order, constants included
 ``None`` for a constant.  :meth:`Tape.backward` pairs them strictly: a vjp
 that returns too few or too many raises ``ValueError``.
 
+Value mode.  A backward pass that builds no graph (``build_graph=False``,
+every first-order and ProtoNet step) hands each vjp plain arrays, so the
+tape ops it calls have no node among their operands.  Every tape op tests
+each operand once with ``type(x) is Node`` and, when none is a node,
+returns its numpy result straight away: it touches no tape and records
+nothing.  The same vjp body therefore serves both modes, runs the same
+numpy calls in the same order in each, and a value-mode pass pays one type
+test per operand for each op, not a tape lookup.  :meth:`Tape.backward`
+sums value-mode adjoints with ``np.add``.
+
 Hot chains of primitives are single fused nodes with analytic
 vector-Jacobian products: ``sub`` (one node, not ``add`` of ``neg``) and
 ``linear`` (``x @ wᵀ + b``) here; elsewhere each batchnorm activation
@@ -44,6 +54,8 @@ takes a box's stacked faces, one more leading axis.
 Every node points at its tape and the tape lists every node, so a tape is a
 reference cycle.  :meth:`Tape.release` (or leaving a ``with Tape()`` block)
 breaks it, so the graph is freed at once instead of by the cyclic collector.
+A released tape is spent: recording a node on it or running its backward
+pass raises ``ValueError``.
 Every training tape is recorded in a ``with Tape()`` block, so a step's
 graph is freed when the step ends.  Under glibc's default allocator
 thresholds that made each step costlier: the 300-700 KB conv, im2col and
@@ -129,7 +141,7 @@ def as_tensor(values, shape=None) -> np.ndarray:
                 f"data length {arr.size} does not match shape {tuple(shape)}"
             )
         arr = arr.reshape(shape)
-    if not np.isfinite(arr).all():
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise NonFiniteError("tensor contains non-finite values")
     arr.flags.writeable = False
     return arr
@@ -137,11 +149,11 @@ def as_tensor(values, shape=None) -> np.ndarray:
 
 def value_of(x):
     """Underlying ndarray of a node, or ``x`` itself if already plain data."""
-    return x.value if isinstance(x, Node) else x
+    return x.value if type(x) is Node else x
 
 
 def check_finite(x, context: str = "tensor") -> None:
-    if not np.isfinite(value_of(x)).all():
+    if not np.logical_and.reduce(np.isfinite(value_of(x)), axis=None):
         raise NonFiniteError(f"non-finite values in {context}")
 
 
@@ -153,6 +165,11 @@ class Node:
     adjoint per parent, ``None`` for a constant.  ``inputs`` and ``out`` are
     the operands and the node itself when the backward pass builds a graph,
     or their raw values otherwise, so a single vjp body serves both modes.
+    In value mode every tape op the vjp calls sees plain arrays only and
+    returns its numpy result without a tape, so the adjoints are arrays.
+
+    ``Node`` has no subclasses: the tape ops tell a node from plain data with
+    ``type(x) is Node``.
     """
 
     __slots__ = ("tape", "value", "parents", "vjp")
@@ -177,6 +194,25 @@ class Node:
         return f"Node(shape={self.value.shape})"
 
 
+_RELEASED_MESSAGE = "tape was released (Tape.release, or the end of its with block)"
+
+
+class _Released:
+    """The node list of a released tape: empty, and recording on it raises,
+    so a node made after the release fails instead of reusing the tape."""
+
+    __slots__ = ()
+
+    def __len__(self):
+        return 0
+
+    def append(self, node):
+        raise ValueError(f"cannot record a node: {_RELEASED_MESSAGE}")
+
+
+_RELEASED = _Released()
+
+
 class Tape:
     """Single-writer record of operations, consumed in reverse by backward.
 
@@ -198,10 +234,11 @@ class Tape:
     def release(self) -> None:
         """Forget the recorded nodes, breaking the node/tape reference cycle.
 
-        Nodes still held elsewhere stay valid as values, but the tape must
-        not be used for another backward pass.
+        Nodes still held elsewhere stay valid as values, but the tape is
+        spent: recording on it or calling :meth:`backward` raises
+        ``ValueError``.
         """
-        self._nodes.clear()
+        self._nodes = _RELEASED
 
     def leaf(self, value) -> Node:
         """Record an independent variable (typically a parameter)."""
@@ -220,6 +257,8 @@ class Tape:
         may be a computed node rather than a leaf (a parameter after an inner
         update); its gradient is its full adjoint.
         """
+        if self._nodes is _RELEASED:
+            raise ValueError(f"cannot run backward: {_RELEASED_MESSAGE}")
         if not isinstance(loss, Node) or loss.tape is not self:
             raise ValueError("loss must be a node recorded on this tape")
         if np.size(loss.value) != 1:
@@ -239,7 +278,7 @@ class Tape:
             # and their gradients) is not walked
             live = set(wanted)
             for node in order:
-                if any(id(p) in live for p in node.parents):
+                if not live.isdisjoint(map(id, node.parents)):
                     live.add(id(node))
         for node in reversed(order):
             if node.vjp is None:
@@ -255,12 +294,15 @@ class Tape:
             if build_graph:
                 inputs, out = node.parents, node
             else:
-                inputs, out = tuple(map(value_of, node.parents)), node.value
+                inputs = [p.value if type(p) is Node else p for p in node.parents]
+                out = node.value
             for parent, pg in zip(node.parents, node.vjp(g, inputs, out), strict=True):
                 if pg is None:
                     continue
                 acc = adjoints.get(id(parent))
-                adjoints[id(parent)] = pg if acc is None else add(acc, pg)
+                if acc is not None:
+                    pg = add(acc, pg) if build_graph else np.add(acc, pg)
+                adjoints[id(parent)] = pg
 
         result = {}
         for p in params:
@@ -274,9 +316,11 @@ class Tape:
 
 
 def _tape_of(*operands):
+    """The tape the node operands were recorded on, or None if no operand is
+    a node."""
     tape = None
     for x in operands:
-        if isinstance(x, Node):
+        if type(x) is Node:
             if tape is None:
                 tape = x.tape
             elif x.tape is not tape:
@@ -285,95 +329,94 @@ def _tape_of(*operands):
 
 
 def _shape_of(x):
-    v = value_of(x)
-    return v.shape if isinstance(v, np.ndarray) else np.shape(v)
+    if type(x) is Node:
+        return x.value.shape
+    return x.shape if type(x) is np.ndarray else np.shape(x)
 
 
 def _unbroadcast(g, shape):
-    """Sum ``g`` down to ``shape``, undoing numpy broadcasting."""
+    """Sum ``g`` down to ``shape``, undoing numpy broadcasting: with
+    :func:`sum_` on a node, with ``np.add.reduce`` on an array."""
     shape = tuple(shape)
-    if _shape_of(g) == shape:
+    g_shape = _shape_of(g)
+    if g_shape == shape:
         return g
-    while len(_shape_of(g)) > len(shape):
-        g = sum_(g, axis=0)
+    reduce = sum_ if type(g) is Node else np.add.reduce
+    while len(g_shape) > len(shape):
+        g = reduce(g, axis=0)
+        g_shape = g_shape[1:]
     for axis, extent in enumerate(shape):
-        if extent == 1 and _shape_of(g)[axis] != 1:
-            g = sum_(g, axis=axis, keepdims=True)
+        if extent == 1 and g_shape[axis] != 1:
+            g = reduce(g, axis=axis, keepdims=True)
     return g
 
 
 def add(a, b):
-    tape = _tape_of(a, b)
+    if type(a) is not Node and type(b) is not Node:
+        return np.add(a, b)
     out = np.add(value_of(a), value_of(b))
-    if tape is None:
-        return out
     sa, sb = _shape_of(a), _shape_of(b)
 
     def vjp(g, inputs, o):
-        ga = _unbroadcast(g, sa) if isinstance(a, Node) else None
-        gb = _unbroadcast(g, sb) if isinstance(b, Node) else None
+        ga = _unbroadcast(g, sa) if type(a) is Node else None
+        gb = _unbroadcast(g, sb) if type(b) is Node else None
         return ga, gb
 
-    return Node(tape, out, (a, b), vjp)
+    return Node(_tape_of(a, b), out, (a, b), vjp)
 
 
 def sub(a, b):
-    tape = _tape_of(a, b)
+    if type(a) is not Node and type(b) is not Node:
+        return np.subtract(a, b)
     out = np.subtract(value_of(a), value_of(b))  # bit-equal to a + (-b)
-    if tape is None:
-        return out
     sa, sb = _shape_of(a), _shape_of(b)
 
     def vjp(g, inputs, o):
-        ga = _unbroadcast(g, sa) if isinstance(a, Node) else None
-        gb = _unbroadcast(neg(g), sb) if isinstance(b, Node) else None
+        ga = _unbroadcast(g, sa) if type(a) is Node else None
+        gb = _unbroadcast(neg(g), sb) if type(b) is Node else None
         return ga, gb
 
-    return Node(tape, out, (a, b), vjp)
+    return Node(_tape_of(a, b), out, (a, b), vjp)
 
 
 def neg(a):
-    tape = _tape_of(a)
-    out = np.negative(value_of(a))
-    if tape is None:
-        return out
-    return Node(tape, out, (a,), lambda g, inputs, o: (neg(g),))
+    if type(a) is not Node:
+        return np.negative(a)
+    return Node(a.tape, np.negative(a.value), (a,), lambda g, inputs, o: (neg(g),))
 
 
 def mul(a, b):
-    tape = _tape_of(a, b)
+    if type(a) is not Node and type(b) is not Node:
+        return np.multiply(a, b)
     out = np.multiply(value_of(a), value_of(b))
-    if tape is None:
-        return out
     sa, sb = _shape_of(a), _shape_of(b)
 
     def vjp(g, inputs, o):
         xa, xb = inputs
-        ga = _unbroadcast(mul(g, xb), sa) if isinstance(a, Node) else None
-        gb = _unbroadcast(mul(g, xa), sb) if isinstance(b, Node) else None
+        ga = _unbroadcast(mul(g, xb), sa) if type(a) is Node else None
+        gb = _unbroadcast(mul(g, xa), sb) if type(b) is Node else None
         return ga, gb
 
-    return Node(tape, out, (a, b), vjp)
+    return Node(_tape_of(a, b), out, (a, b), vjp)
 
 
 def div(a, b):
-    tape = _tape_of(a, b)
+    if type(a) is not Node and type(b) is not Node:
+        return np.divide(a, b)
     out = np.divide(value_of(a), value_of(b))
-    if tape is None:
-        return out
     sa, sb = _shape_of(a), _shape_of(b)
 
     def vjp(g, inputs, o):
         xa, xb = inputs
-        ga = _unbroadcast(div(g, xb), sa) if isinstance(a, Node) else None
+        ga = _unbroadcast(div(g, xb), sa) if type(a) is Node else None
         gb = (
             _unbroadcast(neg(div(mul(g, xa), mul(xb, xb))), sb)
-            if isinstance(b, Node)
+            if type(b) is Node
             else None
         )
         return ga, gb
 
-    return Node(tape, out, (a, b), vjp)
+    return Node(_tape_of(a, b), out, (a, b), vjp)
 
 
 def matmul(a, b):
@@ -382,30 +425,27 @@ def matmul(a, b):
     An operand without the leading axes of the other (a weight shared by
     every task) receives the sum of the per-task gradients.
     """
-    tape = _tape_of(a, b)
+    if type(a) is not Node and type(b) is not Node:
+        return a @ b
     out = value_of(a) @ value_of(b)
-    if tape is None:
-        return out
 
     def vjp(g, inputs, o):
         xa, xb = inputs
-        ga = matmul(g, transpose(xb)) if isinstance(a, Node) else None
-        gb = matmul(transpose(xa), g) if isinstance(b, Node) else None
-        if np.ndim(value_of(g)) > 2:
+        ga = matmul(g, transpose(xb)) if type(a) is Node else None
+        gb = matmul(transpose(xa), g) if type(b) is Node else None
+        if len(_shape_of(g)) > 2:
             ga = None if ga is None else _unbroadcast(ga, _shape_of(xa))
             gb = None if gb is None else _unbroadcast(gb, _shape_of(xb))
         return ga, gb
 
-    return Node(tape, out, (a, b), vjp)
+    return Node(_tape_of(a, b), out, (a, b), vjp)
 
 
 def transpose(a):
     """Swap the last two axes; leading (task) axes stay in place."""
-    tape = _tape_of(a)
-    out = value_of(a).swapaxes(-1, -2)
-    if tape is None:
-        return out
-    return Node(tape, out, (a,), lambda g, inputs, o: (transpose(g),))
+    if type(a) is not Node:
+        return a.swapaxes(-1, -2)
+    return Node(a.tape, a.value.swapaxes(-1, -2), (a,), lambda g, inputs, o: (transpose(g),))
 
 
 def linear(x, w, b=None):
@@ -416,24 +456,23 @@ def linear(x, w, b=None):
     shared or stacked per task as (tasks, out, in) / (tasks, out); a shared
     operand receives the sum of the per-task gradients.
     """
-    tape = _tape_of(x, w, b)
-    vx, vw = value_of(x), value_of(w)
-    out = vx @ vw.swapaxes(-1, -2)
-    if b is not None:
-        vb = value_of(b)
-        out += vb[:, None, :] if vb.ndim == 2 else vb
-    if tape is None:
+    if type(x) is not Node and type(w) is not Node and type(b) is not Node:
+        out = x @ w.swapaxes(-1, -2)
+        if b is not None:
+            out += b[:, None, :] if b.ndim == 2 else b
         return out
+    vx, vw = value_of(x), value_of(w)
+    out = linear(vx, vw, value_of(b))
     sx, sw = vx.shape, vw.shape
 
     def vjp(g, inputs, o):
         xx, xw, _ = inputs
-        gx = _linear_input_grad(g, xw, sx) if isinstance(x, Node) else None
-        gw = _linear_weight_grad(g, xx, sw) if isinstance(w, Node) else None
-        gb = _linear_bias_grad(g, b.shape) if isinstance(b, Node) else None
+        gx = _linear_input_grad(g, xw, sx) if type(x) is Node else None
+        gw = _linear_weight_grad(g, xx, sw) if type(w) is Node else None
+        gb = _linear_bias_grad(g, b.shape) if type(b) is Node else None
         return gx, gw, gb
 
-    return Node(tape, out, (x, w, b), vjp)
+    return Node(_tape_of(x, w, b), out, (x, w, b), vjp)
 
 
 # The adjoints of ``linear``'s input, weight and bias for output adjoint
@@ -454,58 +493,45 @@ def _linear_bias_grad(g, b_shape):
 
 
 def reshape(a, shape):
-    tape = _tape_of(a)
-    va = value_of(a)
-    out = va.reshape(shape)
-    if tape is None:
-        return out
-    orig = va.shape
-    return Node(tape, out, (a,), lambda g, inputs, o: (reshape(g, orig),))
+    if type(a) is not Node:
+        return a.reshape(shape)
+    orig = a.value.shape
+    return Node(a.tape, a.value.reshape(shape), (a,), lambda g, inputs, o: (reshape(g, orig),))
 
 
 def relu(a):
-    tape = _tape_of(a)
-    va = value_of(a)
-    out = np.maximum(va, 0.0)
-    if tape is None:
-        return out
-    mask = (va > 0.0).astype(np.float64)
-    return Node(tape, out, (a,), lambda g, inputs, o: (mul(g, mask),))
+    if type(a) is not Node:
+        return np.maximum(a, 0.0)
+    out = np.maximum(a.value, 0.0)
+    mask = (a.value > 0.0).astype(np.float64)
+    return Node(a.tape, out, (a,), lambda g, inputs, o: (mul(g, mask),))
 
 
 def abs_(a):
-    tape = _tape_of(a)
-    va = value_of(a)
-    out = np.abs(va)
-    if tape is None:
-        return out
-    sign = np.sign(va)
-    return Node(tape, out, (a,), lambda g, inputs, o: (mul(g, sign),))
+    if type(a) is not Node:
+        return np.abs(a)
+    out = np.abs(a.value)
+    sign = np.sign(a.value)
+    return Node(a.tape, out, (a,), lambda g, inputs, o: (mul(g, sign),))
 
 
 def exp(a):
-    tape = _tape_of(a)
-    out = np.exp(value_of(a))
-    if tape is None:
-        return out
-    return Node(tape, out, (a,), lambda g, inputs, o: (mul(g, o),))
+    if type(a) is not Node:
+        return np.exp(a)
+    return Node(a.tape, np.exp(a.value), (a,), lambda g, inputs, o: (mul(g, o),))
 
 
 def sqrt(a):
-    tape = _tape_of(a)
-    out = np.sqrt(value_of(a))
-    if tape is None:
-        return out
-    return Node(tape, out, (a,), lambda g, inputs, o: (div(mul(g, 0.5), o),))
+    if type(a) is not Node:
+        return np.sqrt(a)
+    return Node(a.tape, np.sqrt(a.value), (a,), lambda g, inputs, o: (div(mul(g, 0.5), o),))
 
 
 def sum_(a, axis=None, keepdims=False):
-    tape = _tape_of(a)
-    va = value_of(a)
-    out = np.add.reduce(va, axis=axis, keepdims=keepdims)  # np.sum, without its wrapper
-    if tape is None:
-        return out
-    shape = va.shape
+    if type(a) is not Node:
+        return np.add.reduce(a, axis=axis, keepdims=keepdims)  # np.sum, without its wrapper
+    shape = a.value.shape
+    out = np.add.reduce(a.value, axis=axis, keepdims=keepdims)
 
     def vjp(g, inputs, o):
         if axis is not None and not keepdims:
@@ -516,38 +542,35 @@ def sum_(a, axis=None, keepdims=False):
             g = reshape(g, tuple(kept))
         return (mul(g, np.ones(shape)),)
 
-    return Node(tape, out, (a,), vjp)
+    return Node(a.tape, out, (a,), vjp)
 
 
 def stack(values):
     """``values`` (equal shapes) stacked on a new leading axis.  Each node
     operand's adjoint is its slice of the output adjoint (:func:`take`)."""
-    tape = _tape_of(*values)
-    out = np.array([value_of(v) for v in values])  # np.stack, without its wrapper
-    if tape is None:
-        return out
+    if Node not in map(type, values):  # one type test per operand
+        return np.array(values)  # np.stack, without its wrapper
+    out = np.array([value_of(v) for v in values])
 
     def vjp(g, inputs, o):
-        return tuple(take(g, i) if isinstance(v, Node) else None for i, v in enumerate(values))
+        return tuple(take(g, i) if type(v) is Node else None for i, v in enumerate(values))
 
-    return Node(tape, out, tuple(values), vjp)
+    return Node(_tape_of(*values), out, tuple(values), vjp)
 
 
 def take(a, index: int):
     """Entry ``index`` of ``a``'s leading axis.  The adjoint is the output
     adjoint at that entry and zeros at the others (:func:`stack`)."""
-    tape = _tape_of(a)
-    va = value_of(a)
-    out = va[index]
-    if tape is None:
-        return out
-    n = va.shape[0]
+    if type(a) is not Node:
+        return a[index]
+    out = a.value[index]
+    n = a.value.shape[0]
 
     def vjp(g, inputs, o):
         zeros = np.zeros(out.shape)
         return (stack([g if i == index else zeros for i in range(n)]),)
 
-    return Node(tape, out, (a,), vjp)
+    return Node(a.tape, out, (a,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -589,8 +612,8 @@ def _bilinear(tape, out, a, b, grad_a, grad_b):
 
     def vjp(h, inputs, o):
         xa, xb = inputs
-        ga = grad_a(h, xb) if isinstance(a, Node) else None
-        gb = grad_b(h, xa) if isinstance(b, Node) else None
+        ga = grad_a(h, xb) if type(a) is Node else None
+        gb = grad_b(h, xa) if type(b) is Node else None
         return ga, gb
 
     return Node(tape, out, (a, b), vjp)
@@ -625,14 +648,11 @@ def _conv_value(cols, out_hw, vw):
 
 def _conv(x, w, stride):
     """``conv2d`` without bias, as a tape op of its own."""
-    tape = _tape_of(x, w)
-    vx, vw = value_of(x), value_of(w)
-    out = _conv_value(*_im2col(vx, *vw.shape[-2:], stride), vw)
-    if tape is None:
-        return out
-    x_shape, w_shape = vx.shape, vw.shape
+    if type(x) is not Node and type(w) is not Node:
+        return _conv_value(*_im2col(x, *w.shape[-2:], stride), w)
+    x_shape, w_shape = _shape_of(x), _shape_of(w)
     return _bilinear(
-        tape, out, x, w,
+        _tape_of(x, w), _conv(value_of(x), value_of(w), stride), x, w,
         lambda g, w_: _conv_input_grad(g, w_, x_shape, stride),
         lambda g, x_: _conv_weight_grad(g, x_, w_shape, stride),
     )
@@ -642,23 +662,22 @@ def _conv_input_grad(g, w, x_shape, stride):
     """Adjoint of a convolution's input for output adjoint ``g``: the
     transposed convolution ``w_matᵀ @ g``, folded back onto ``x_shape`` one
     kernel offset at a time."""
-    tape = _tape_of(g, w)
-    vg, vw = value_of(g), value_of(w)
-    in_c, kh, kw = vw.shape[-3:]
-    out_hw = vg.shape[-2:]
-    g_mat = vg.reshape(vg.shape[:-2] + (-1,))
-    dcols = (np.swapaxes(_kernel_matrix(vw), -1, -2) @ g_mat).reshape(
-        vg.shape[:-3] + (in_c, kh * kw) + out_hw
-    )
-    dx = np.zeros(x_shape)
-    for k, view in enumerate(_offset_views(dx, kh, kw, stride, out_hw)):
-        view += dcols[..., k, :, :]
-    if tape is None:
+    if type(g) is not Node and type(w) is not Node:
+        in_c, kh, kw = w.shape[-3:]
+        out_hw = g.shape[-2:]
+        g_mat = g.reshape(g.shape[:-2] + (-1,))
+        dcols = (np.swapaxes(_kernel_matrix(w), -1, -2) @ g_mat).reshape(
+            g.shape[:-3] + (in_c, kh * kw) + out_hw
+        )
+        dx = np.zeros(x_shape)
+        for k, view in enumerate(_offset_views(dx, kh, kw, stride, out_hw)):
+            view += dcols[..., k, :, :]
         return dx
+    w_shape = _shape_of(w)
     return _bilinear(
-        tape, dx, g, w,
+        _tape_of(g, w), _conv_input_grad(value_of(g), value_of(w), x_shape, stride), g, w,
         lambda h, w_: _conv(h, w_, stride),
-        lambda h, g_: _conv_weight_grad(g_, h, vw.shape, stride),
+        lambda h, g_: _conv_weight_grad(g_, h, w_shape, stride),
     )
 
 
@@ -666,18 +685,17 @@ def _conv_weight_grad(g, x, w_shape, stride, cols=None):
     """Adjoint of a convolution's kernel for output adjoint ``g`` and input
     ``x``: ``g @ colsᵀ`` summed over the batch, and over the tasks when the
     kernel is shared.  ``cols`` is the column matrix of ``x`` if known."""
-    tape = _tape_of(g, x)
-    vg, vx = value_of(g), value_of(x)
-    if cols is None:
-        cols, _ = _im2col(vx, *w_shape[-2:], stride)
-    g_mat = vg.reshape(vg.shape[:-2] + (-1,))
-    prod = g_mat @ np.swapaxes(cols, -1, -2)  # (..., n, out_c, in_c·kh·kw)
-    dw = _unbroadcast(prod.sum(axis=-3), w_shape[:-3] + prod.shape[-1:]).reshape(w_shape)
-    if tape is None:
-        return dw
-    x_shape = vx.shape
+    if type(g) is not Node and type(x) is not Node:
+        if cols is None:
+            cols, _ = _im2col(x, *w_shape[-2:], stride)
+        g_mat = g.reshape(g.shape[:-2] + (-1,))
+        prod = g_mat @ np.swapaxes(cols, -1, -2)  # (..., n, out_c, in_c·kh·kw)
+        dw = np.add.reduce(prod, axis=-3)  # prod.sum, without its wrapper
+        return _unbroadcast(dw, w_shape[:-3] + prod.shape[-1:]).reshape(w_shape)
+    x_shape = _shape_of(x)
+    dw = _conv_weight_grad(value_of(g), value_of(x), w_shape, stride, cols)
     return _bilinear(
-        tape, dw, g, x,
+        _tape_of(g, x), dw, g, x,
         lambda k, x_: _conv(x_, k, stride),
         lambda k, g_: _conv_input_grad(g_, k, x_shape, stride),
     )
@@ -699,9 +717,7 @@ def conv2d(x, weight, bias, stride: int = 1):
     """
     if stride <= 0:
         raise ValueError("conv stride must be positive")
-    tape = _tape_of(x, weight, bias)
-    vx, vw = value_of(x), value_of(weight)
-    vb = None if bias is None else value_of(bias)
+    vx, vw, vb = value_of(x), value_of(weight), value_of(bias)
     if (
         vx.ndim not in (4, 5)
         or vw.ndim not in (4, 5)
@@ -717,44 +733,40 @@ def conv2d(x, weight, bias, stride: int = 1):
     out = _conv_value(cols, out_hw, vw)
     if vb is not None:
         out += vb.reshape(vb.shape[:-1] + (1, -1, 1, 1))
-    if tape is None:
+    if type(x) is not Node and type(weight) is not Node and type(bias) is not Node:
         return out
     x_shape, w_shape = vx.shape, vw.shape
-    cols = cols if isinstance(weight, Node) else None  # only the weight gradient reads it
+    cols = cols if type(weight) is Node else None  # only the weight gradient reads it
 
     def vjp(g, inputs, o):
         xx, xw, _ = inputs
-        gx = _conv_input_grad(g, xw, x_shape, stride) if isinstance(x, Node) else None
-        gw = _conv_weight_grad(g, xx, w_shape, stride, cols) if isinstance(weight, Node) else None
-        gb = _conv_bias_grad(g, bias.shape) if isinstance(bias, Node) else None
+        gx = _conv_input_grad(g, xw, x_shape, stride) if type(x) is Node else None
+        gw = _conv_weight_grad(g, xx, w_shape, stride, cols) if type(weight) is Node else None
+        gb = _conv_bias_grad(g, bias.shape) if type(bias) is Node else None
         return gx, gw, gb
 
-    return Node(tape, out, (x, weight, bias), vjp)
+    return Node(_tape_of(x, weight, bias), out, (x, weight, bias), vjp)
 
 
 def _pool_scatter(g, idx, x_shape):
     """Adjoint of max pooling: each entry of ``g`` added into a zero array of
     ``x_shape`` at its flat index ``idx`` (one ``np.bincount``, which sums
     entries sharing an index in the row-major order of ``idx``)."""
-    tape = _tape_of(g)
-    vg = value_of(g)
-    dx = np.bincount(idx.ravel(), weights=vg.ravel(), minlength=math.prod(x_shape))
-    dx = dx.reshape(x_shape)
-    if tape is None:
-        return dx
-    return Node(tape, dx, (g,), lambda h, inputs, o: (_pool_gather(h, idx),))
+    if type(g) is not Node:
+        dx = np.bincount(idx.ravel(), weights=g.ravel(), minlength=math.prod(x_shape))
+        return dx.reshape(x_shape)
+    dx = _pool_scatter(g.value, idx, x_shape)
+    return Node(g.tape, dx, (g,), lambda h, inputs, o: (_pool_gather(h, idx),))
 
 
 def _pool_gather(h, idx):
     """The entries of ``h`` at the flat indices ``idx``: the adjoint of
     :func:`_pool_scatter`."""
-    tape = _tape_of(h)
-    vh = value_of(h)
-    out = vh.reshape(-1)[idx]
-    if tape is None:
-        return out
-    x_shape = vh.shape
-    return Node(tape, out, (h,), lambda g, inputs, o: (_pool_scatter(g, idx, x_shape),))
+    if type(h) is not Node:
+        return h.reshape(-1)[idx]
+    x_shape = h.value.shape
+    out = h.value.reshape(-1)[idx]
+    return Node(h.tape, out, (h,), lambda g, inputs, o: (_pool_scatter(g, idx, x_shape),))
 
 
 def _window_starts(x_shape, out_hw, stride):
@@ -784,7 +796,6 @@ def maxpool2d(x, window: int, stride: int | None = None):
     stride = window if stride is None else stride
     if stride <= 0:
         raise ValueError("pool stride must be positive")
-    tape = _tape_of(x)
     vx = value_of(x)
     if vx.ndim not in (4, 5, 6):
         raise ValueError(
@@ -794,7 +805,7 @@ def maxpool2d(x, window: int, stride: int | None = None):
     first, *rest = _offset_views(vx, window, window, stride, out_hw)
     out = first.copy()
     # on a tie np.maximum returns its second operand, the earlier max
-    if tape is None:
+    if type(x) is not Node:
         for view in rest:
             np.maximum(view, out, out=out)
         return out
@@ -816,4 +827,4 @@ def maxpool2d(x, window: int, stride: int | None = None):
     def vjp(g, inputs, o):
         return (_pool_scatter(g, idx, x_shape),)
 
-    return Node(tape, out, (x,), vjp)
+    return Node(x.tape, out, (x,), vjp)

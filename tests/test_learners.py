@@ -1040,6 +1040,33 @@ class TestTapeBudget:
         # the mixed cross-entropy became one node
         assert node_count[0] <= 24
 
+    def test_value_mode_backward_looks_up_no_tape(self, monkeypatch):
+        # a value-mode backward hands its vjps plain arrays, so no tape op
+        # they call, in any module, looks for a tape
+        counts = {"backward": 0, "_tape_of": 0}
+        in_backward = [False]
+        backward, tape_of = T.Tape.backward, T._tape_of
+
+        def counting_tape_of(*operands):
+            counts["_tape_of"] += in_backward[0]
+            return tape_of(*operands)
+
+        def counting_backward(tape, loss, params, build_graph=False):
+            assert not build_graph
+            counts["backward"] += 1
+            in_backward[0] = True
+            try:
+                return backward(tape, loss, params, build_graph=build_graph)
+            finally:
+                in_backward[0] = False
+
+        for module in (T, B, H, I, L, LR, O):
+            if getattr(module, "_tape_of", None) is tape_of:
+                monkeypatch.setattr(module, "_tape_of", counting_tape_of)
+        monkeypatch.setattr(T.Tape, "backward", counting_backward)
+        self.one_step(H._protonet_step)
+        assert counts == {"backward": 1, "_tape_of": 0}
+
     def test_protonet_step_without_interpolation(self, node_count):
         self.one_step(H._protonet_step, interp_probability=0.0)
         assert node_count[0] <= 14  # 32 before the second fusion round

@@ -178,6 +178,25 @@ class TestBackward:
             np.ones(3) * a
         assert len(tape) == 2
 
+    def test_backward_on_a_released_tape_raises(self):
+        # once gave silent zero gradients: the released tape had no nodes to walk
+        with T.Tape() as tape:
+            x = tape.leaf(np.ones(3))
+            y = T.sum_(T.mul(x, x))
+        with pytest.raises(ValueError, match="released"):
+            tape.backward(y, [x])
+
+    def test_recording_on_a_released_tape_raises(self):
+        tape = T.Tape()
+        x = tape.leaf(np.ones(3))
+        tape.release()
+        with pytest.raises(ValueError, match="released"):
+            T.mul(x, x)
+        with pytest.raises(ValueError, match="released"):
+            tape.leaf(np.ones(3))
+        assert len(tape) == 0
+        np.testing.assert_array_equal(T.mul(T.value_of(x), 2.0), np.full(3, 2.0))
+
     def test_unreached_parameter_gets_zero_gradient(self):
         tape = T.Tape()
         x = tape.leaf(np.array(1.0))
@@ -1432,3 +1451,104 @@ def test_batch_stats_bit_equal_to_numpy_mean_and_var():
         for got, want in ((mean, x.mean(axis=axes)), (var, x.var(axis=axes))):
             assert (got.dtype, got.shape) == (want.dtype, want.shape)
             assert got.tobytes() == want.tobytes(), (shape, i)
+
+
+# Every public tape op, called on arrays (the value-mode fast path) and on
+# nodes.  Each case is (op, function of the operands, operand shapes); a
+# shape of None is a None operand, and ``const`` lists the operands that
+# stay plain arrays on the tape.  The shapes broadcast and carry a task axis.
+FAST_PATH_CASES = [
+    ("add", T.add, [(2, 3, 4), (3, 1)], ()),
+    ("add", T.add, [(4,), (2, 3, 4)], (1,)),
+    ("sub", T.sub, [(2, 3, 4), (1, 4)], ()),
+    ("sub", T.sub, [(3, 1), (2, 3, 4)], (0,)),
+    ("neg", T.neg, [(2, 3, 4)], ()),
+    ("mul", T.mul, [(2, 3, 4), (3, 1)], ()),
+    ("mul", T.mul, [(2, 1, 4), (2, 3, 4)], (1,)),
+    ("div", T.div, [(2, 3, 4), (3, 1)], ()),
+    ("div", T.div, [(4,), (2, 3, 4)], (0,)),
+    ("matmul", T.matmul, [(2, 3, 4), (4, 5)], ()),
+    ("matmul", T.matmul, [(3, 4), (2, 4, 5)], ()),
+    ("transpose", T.transpose, [(2, 3, 4)], ()),
+    ("reshape", lambda a: T.reshape(a, (2, 12)), [(2, 3, 4)], ()),
+    ("relu", T.relu, [(2, 3, 4)], ()),
+    ("abs_", T.abs_, [(2, 3, 4)], ()),
+    ("exp", T.exp, [(2, 3, 4)], ()),
+    ("sqrt", T.sqrt, [(2, 3, 4)], ()),
+    ("sum_", T.sum_, [(2, 3, 4)], ()),
+    ("sum_", lambda a: T.sum_(a, axis=(0, 2)), [(2, 3, 4)], ()),
+    ("sum_", lambda a: T.sum_(a, axis=-2, keepdims=True), [(2, 3, 4)], ()),
+    ("stack", lambda a, b: T.stack((a, b)), [(2, 3), (2, 3)], ()),
+    ("stack", lambda a, b: T.stack([a, b]), [(2, 3), (2, 3)], (0,)),
+    ("take", lambda a: T.take(a, 1), [(2, 3, 4)], ()),
+    ("linear", T.linear, [(2, 3, 4), (5, 4), (5,)], ()),
+    ("linear", T.linear, [(2, 3, 4), (2, 5, 4), (2, 5)], ()),
+    ("linear", T.linear, [(3, 4), (5, 4), None], ()),
+    ("conv2d", lambda x, w, b: T.conv2d(x, w, b, stride=2), [(2, 1, 7, 7), (3, 1, 3, 3), (3,)], ()),
+    ("conv2d", T.conv2d, [(2, 2, 1, 6, 6), (3, 1, 3, 3), (3,)], ()),
+    ("conv2d", T.conv2d, [(2, 2, 1, 6, 6), (2, 3, 1, 3, 3), None], (0,)),
+    ("maxpool2d", lambda x: T.maxpool2d(x, 2), [(2, 2, 1, 4, 4)], ()),
+    ("maxpool2d", lambda x: T.maxpool2d(x, 3, 1), [(2, 3, 5, 5)], ()),
+]
+# The names of tensor.__all__ that are not tape ops.
+NOT_OPS = {"NonFiniteError", "Tape", "Node", "as_tensor", "value_of", "check_finite"}
+POSITIVE_OPS = {"div", "sqrt"}  # operands kept away from zero
+
+
+def assert_same_bytes(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+class TestFastPath:
+    """Each op on plain arrays returns its numpy result without a tape; on
+    nodes it records one.  The two must agree bit for bit, and so must a
+    value-mode backward pass and a graph-mode one, whose vjps run the same
+    numpy calls on arrays and on nodes."""
+
+    def test_every_public_op_has_a_case(self):
+        assert {case[0] for case in FAST_PATH_CASES} == set(T.__all__) - NOT_OPS
+
+    @staticmethod
+    def operands(name, shapes, seed):
+        rng = np.random.default_rng(seed)
+        arrays = []
+        for shape in shapes:
+            a = None if shape is None else rng.standard_normal(shape)
+            if a is not None and name in POSITIVE_OPS:
+                a = np.abs(a) + 0.5
+            arrays.append(a)
+        return arrays
+
+    @staticmethod
+    def taped(fn, arrays, const, build_graph):
+        """The taped value and each leaf's gradient of ``sum(fn(...) · c)``."""
+        with T.Tape() as tape:
+            ops = [
+                a if a is None or i in const else tape.leaf(a) for i, a in enumerate(arrays)
+            ]
+            out = fn(*ops)
+            c = np.random.default_rng(99).standard_normal(out.shape)
+            loss = T.sum_(T.mul(out, c))
+            leaves = [op for op in ops if type(op) is T.Node]
+            grads = tape.backward(loss, leaves, build_graph=build_graph)
+            return out.value, [T.value_of(grads[leaf]) for leaf in leaves]
+
+    @pytest.mark.parametrize(
+        "index", range(len(FAST_PATH_CASES)),
+        ids=[f"{case[0]}-{i}" for i, case in enumerate(FAST_PATH_CASES)],
+    )
+    def test_arrays_and_nodes_agree_bit_for_bit(self, index):
+        name, fn, shapes, const = FAST_PATH_CASES[index]
+        arrays = self.operands(name, shapes, seed=index)
+        plain = fn(*arrays)
+        assert type(plain) is not T.Node
+        value, value_grads = self.taped(fn, arrays, const, build_graph=False)
+        graph_value, graph_grads = self.taped(fn, arrays, const, build_graph=True)
+        assert_same_bytes(plain, value)
+        assert_same_bytes(plain, graph_value)
+        assert len(value_grads) == len(graph_grads) > 0
+        for got, want in zip(value_grads, graph_grads):
+            assert type(got) is not T.Node
+            assert_same_bytes(got, want)

@@ -4,11 +4,13 @@ changes no result.
 Each run trains with ``fewshot_ibp.harness.train`` into a temporary
 directory.  Its digest is the SHA-256 of ``metrics.csv``, ``checkpoint.ckpt``
 and the summary's ``test_accuracy``, ``test_ci95`` and ``box_width``.  The
-runs cross six network/learner settings (ProtoNet on fc and on
+runs cross seven network/learner settings (ProtoNet on fc and on
 conv/batchnorm, first-order MAML on fc and on conv, second-order MAML on
-fc, and ProtoNet on fc with the ``euclidean`` distance) with the six
-objectives and with ``shared_mix_coeffs`` and ``bounds_on_adapted`` both on
-or both off: 72 runs.  One more line, ``sample_task``, hashes the tasks
+fc and on conv, and ProtoNet on fc with the ``euclidean`` distance) with
+the six objectives and with ``shared_mix_coeffs`` and ``bounds_on_adapted``
+both on or both off: 84 runs.  Second-order MAML on conv is the only
+setting that differentiates through the gradients of the conv, batchnorm
+and max-pool nodes.  One more line, ``sample_task``, hashes the tasks
 ``fewshot_ibp.episodes.sample_task`` draws from the fc and the conv pool on
 the matrix's train spec, eval spec and a ``compactness`` spec, 200 seeds
 each, so the listing checks the sampler directly as well.
@@ -23,7 +25,7 @@ covers only the run names and digests, so it is the same with or without
 much, save a ``--values`` listing from each and ``diff`` the two files: a
 moved run's line shows its old and its new digest and values.
 
-    python tools/digest_matrix.py              # all 72 runs, then sample_task
+    python tools/digest_matrix.py              # all 84 runs, then sample_task
     python tools/digest_matrix.py --only maml1-fc-ibpi-on
     python tools/digest_matrix.py --only sample_task
     python tools/digest_matrix.py --values
@@ -76,6 +78,7 @@ SETTINGS = {
     "maml1-fc": ("maml", True, "sqeuclidean", FC),
     "maml1-conv": ("maml", True, "sqeuclidean", CONV),
     "maml2-fc": ("maml", False, "sqeuclidean", FC),
+    "maml2-conv": ("maml", False, "sqeuclidean", CONV),
     "protonet-fc-euclidean": ("protonet", True, "euclidean", FC),
 }
 SUMMARY_KEYS = ("test_accuracy", "test_ci95", "box_width")
