@@ -2,20 +2,21 @@
 intervals (on the training distribution or, for transfer, another dataset),
 compactness analysis, and consolidated reports.
 
-Training is sequential over steps, and both learners train on one layout:
-a stack of tasks on a leading task axis, which every layer reads from the
+Training is sequential over steps, and both learners train on one layout: a
+stack of tasks on a leading task axis, which every layer reads from the
 input's odd rank (:func:`~fewshot_ibp.layers.has_task_axis`).  A step draws
 its tasks (a MAML meta-batch, or one ProtoNet task) and the interpolation of
 the tasks that fired, then scores all tasks at once: the cross-entropies
 give one value per task, tasks that did not fire interpolate with zero
 weight, and one loss tail adds the bound losses and weighs each task's
-losses with weights computed from its own detached values.  Where a set's
-box is propagated with the parameters of its clean pass, both learners read
-the clean embeddings from the box centers instead of running the prefix
-again: ProtoNet for each set it propagates, and MAML for the support set of
-every inner step that interpolates toward bounds and for the query set when
-its boxes are taken under the adapted parameters.  Every derived random
-stream is seeded from the run seed, and evaluation tasks use
+losses with weights computed from its own detached values (one
+:func:`~fewshot_ibp.tensor.weighted_sum` node, as each mixed cross-entropy
+is).  Where a set's box is propagated with the parameters of its clean pass,
+both learners read the clean embeddings from the box centers instead of
+running the prefix again: ProtoNet for each set it propagates, and MAML for
+the support set of every inner step that interpolates toward bounds and for
+the query set when its boxes are taken under the adapted parameters.  Every
+derived random stream is seeded from the run seed, and evaluation tasks use
 per-task streams seeded by (run seed, task index), so a (config, seed) pair
 fully determines the metrics stream.  Metrics are written as CSV (one row
 per step, byte-stable across reruns) plus a JSON summary holding config,
@@ -36,7 +37,7 @@ import numpy as np
 
 from .bounds import propagate_prefix
 from .config import SCHEMA_VERSION, RunConfig, resolve_data
-from .episodes import Dataset, Task, TaskSpec, sample_task
+from .episodes import Dataset, TaskSpec, sample_task
 from .interpolation import (
     BOUND_MODES,
     MODES,
@@ -65,7 +66,7 @@ from .objective import (
     total_loss,
 )
 from .optim import adam, optimizer_step
-from .tensor import Node, NonFiniteError, Tape, _tape_of, mul, value_of
+from .tensor import NonFiniteError, Tape, value_of, weighted_sum
 
 METRICS_COLUMNS = [
     "step",
@@ -105,27 +106,6 @@ def _weights_for(config: RunConfig, losses) -> WeightTriple:
     return dynamic_weights(losses, config.gamma_value)
 
 
-class _InterpContext(NamedTuple):
-    """Coefficients and optional pair task, fixed for one training task."""
-
-    coeffs: MixCoefficients
-    query_coeffs: MixCoefficients
-    pair_task: Task | None
-
-
-def _draw_context(config: RunConfig, task, dataset, interp_rng, sample_rng):
-    coeffs = sample_mix(task.ways, config.alpha, config.beta, interp_rng)
-    query_coeffs = (
-        coeffs
-        if config.shared_mix_coeffs
-        else sample_mix(task.ways, config.alpha, config.beta, interp_rng)
-    )
-    pair_task = None
-    if config.objective not in BOUND_MODES:  # a mixup mode
-        pair_task = sample_task(dataset, config.train_spec(), sample_rng)
-    return _InterpContext(coeffs, query_coeffs, pair_task)
-
-
 class _TaskMix(NamedTuple):
     """The interpolation of one batch of tasks, stacked on the task axis.
 
@@ -142,57 +122,36 @@ class _TaskMix(NamedTuple):
     ce_weights: np.ndarray  # (tasks, 2)
 
 
-def _stack_contexts(tasks, contexts) -> _TaskMix | None:
-    if all(ctx is None for ctx in contexts):
-        return None
-    ways = tasks[0].ways
-    idle = MixCoefficients(np.zeros(ways), np.zeros(ways, dtype=int)) if None in contexts else None
-
-    def stacked(field):
-        rows = [idle if ctx is None else getattr(ctx, field) for ctx in contexts]
-        return MixCoefficients(np.array([r.lam for r in rows]), np.array([r.nu for r in rows]))
-
-    pair_support_x = pair_query_x = None
-    if any(ctx is not None and ctx.pair_task is not None for ctx in contexts):
-        pairs = [task if ctx is None else ctx.pair_task for task, ctx in zip(tasks, contexts)]
-        pair_support_x = np.array([pair.support_x for pair in pairs])
-        pair_query_x = np.array([pair.query_x for pair in pairs])
-    fired = np.array([ctx is not None for ctx in contexts])
-    ce_weights = np.where(fired[:, None], 0.5, np.array([1.0, 0.0]))
-    return _TaskMix(
-        stacked("coeffs"), stacked("query_coeffs"), pair_support_x, pair_query_x, ce_weights
-    )
-
-
 def _draw_tasks(learner, n_tasks, dataset, config, sample_rng, interp_rng):
-    """A training step's tasks, then which of them interpolate, then how."""
-    tasks = [sample_task(dataset, config.train_spec(), sample_rng) for _ in range(n_tasks)]
-    contexts = [None] * n_tasks
-    if config.objective in MODES:
-        mask = should_interpolate(learner, n_tasks, interp_rng, config.interp_probability)
-        contexts = [
-            _draw_context(config, task, dataset, interp_rng, sample_rng) if fired else None
-            for task, fired in zip(tasks, mask)
-        ]
-    return tasks, _stack_contexts(tasks, contexts)
-
-
-def _mixed_cross_entropy(l_ce, l_ce2, mix: _TaskMix):
-    """Per-task weighted sum of the plain and the interpolated cross-entropy,
-    as one node whose vjp scales the output adjoint by each weight."""
-    w0, w1 = mix.ce_weights[:, 0], mix.ce_weights[:, 1]
-    out = np.add(np.multiply(value_of(l_ce), w0), np.multiply(value_of(l_ce2), w1))
-    tape = _tape_of(l_ce, l_ce2)
-    if tape is None:
-        return out
-
-    def vjp(g, inputs, o):
-        return (
-            mul(g, w0) if isinstance(l_ce, Node) else None,
-            mul(g, w1) if isinstance(l_ce2, Node) else None,
-        )
-
-    return Node(tape, out, (l_ce, l_ce2), vjp)
+    """A training step's tasks, then which of them interpolate, then how:
+    each task that fired draws, in task order, its support coefficients, its
+    query coefficients (the support ones when shared) and, for a mixup mode,
+    its pair task.  The mix is None when no task fired."""
+    spec = config.train_spec()
+    tasks = [sample_task(dataset, spec, sample_rng) for _ in range(n_tasks)]
+    if config.objective not in MODES:
+        return tasks, None
+    fired = should_interpolate(learner, n_tasks, interp_rng, config.interp_probability)
+    if not fired.any():
+        return tasks, None
+    ways = tasks[0].ways
+    lam = np.zeros((2, n_tasks, ways))  # the support rows, then the query rows
+    nu = np.zeros((2, n_tasks, ways), dtype=int)
+    mixup = config.objective not in BOUND_MODES
+    pair_support_x = np.array([task.support_x for task in tasks]) if mixup else None
+    pair_query_x = np.array([task.query_x for task in tasks]) if mixup else None
+    for t in np.flatnonzero(fired):
+        drawn = [sample_mix(ways, config.alpha, config.beta, interp_rng)]
+        if not config.shared_mix_coeffs:
+            drawn.append(sample_mix(ways, config.alpha, config.beta, interp_rng))
+        lam[:, t], nu[:, t] = [c.lam for c in drawn], [c.nu for c in drawn]
+        if mixup:
+            pair = sample_task(dataset, spec, sample_rng)
+            pair_support_x[t], pair_query_x[t] = pair.support_x, pair.query_x
+    return tasks, _TaskMix(
+        MixCoefficients(lam[0], nu[0]), MixCoefficients(lam[1], nu[1]), pair_support_x,
+        pair_query_x, np.where(fired[:, None], 0.5, np.array([1.0, 0.0])),
+    )
 
 
 def _loss_tail(config: RunConfig, l_ce, qres):
@@ -269,7 +228,7 @@ def _protonet_step(network, dataset, config, eps_t, sample_rng, interp_rng, opt_
                 mode, network, batch.query_x, batch.query_y, mix.query_coeffs,
                 prefix_params, eps_t, bounds=qres, pair_x=mix.pair_query_x,
             )
-            l_ce = _mixed_cross_entropy(l_ce, head_cross_entropy(support_h, query_h), mix)
+            l_ce = weighted_sum((l_ce, head_cross_entropy(support_h, query_h)), mix.ce_weights.T)
         total, diagnostics = _loss_tail(config, l_ce, qres)
         flat = param_nodes_to_list(params)
         grads = tape.backward(total, flat)
@@ -297,7 +256,7 @@ def _maml_inner_loss(network, config, eps_t, mix: _TaskMix | None):
             params[:s], eps_t, bounds=sres, pair_x=mix.pair_support_x,
         )
         scores = forward(network.head, h, params=params[s:])
-        return _mixed_cross_entropy(l_ce, cross_entropy(scores, batch.support_y), mix)
+        return weighted_sum((l_ce, cross_entropy(scores, batch.support_y)), mix.ce_weights.T)
 
     return inner_loss
 
@@ -321,7 +280,7 @@ def _maml_query_loss(network, config, eps_t, mix: _TaskMix | None):
                 phi[:s], eps_t, bounds=qres, pair_x=mix.pair_query_x,
             )
             scores = forward(network.head, h, params=phi[s:])
-            l_ce = _mixed_cross_entropy(l_ce, cross_entropy(scores, batch.query_y), mix)
+            l_ce = weighted_sum((l_ce, cross_entropy(scores, batch.query_y)), mix.ce_weights.T)
         return _loss_tail(config, l_ce, qres)
 
     return query_loss

@@ -28,7 +28,7 @@ import numpy as np
 
 from .bounds import BoundResult, IntervalTensor, propagate_prefix
 from .layers import Network, forward
-from .tensor import Node, _tape_of, add, mul, value_of
+from .tensor import Node, _tape_of, mul, value_of, weighted_sum
 
 
 MODES = ("ibpi", "ibpi_no_bound_loss", "mixup_input", "mixup_embedding")
@@ -54,8 +54,9 @@ class MixCoefficients:
 
 def sample_mix(n_classes: int, alpha: float, beta: float, rng) -> MixCoefficients:
     """Independent Beta(alpha, beta) weight and fair face choice per class."""
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("Beta parameters must be positive")
+    for name, value in (("alpha", alpha), ("beta", beta)):
+        if not 0 < value < np.inf:  # NaN fails too
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     lam = rng.beta(alpha, beta, size=n_classes)
     nu = rng.integers(0, 2, size=n_classes)
     return MixCoefficients(lam, nu)
@@ -99,11 +100,11 @@ def interpolate_batch(centers, box: IntervalTensor, labels, coeffs: MixCoefficie
 
 
 def mix_batch(first, second, labels, coeffs: MixCoefficients):
-    """Per-class convex combination of two aligned batches."""
+    """Per-class convex combination of two aligned batches: one ``weighted_sum`` node."""
     if np.shape(value_of(first)) != np.shape(value_of(second)):
         raise ValueError("mixed batches must have identical shapes")
     lam = _per_row(coeffs.lam, labels, first)
-    return add(mul(first, 1.0 - lam), mul(second, lam))
+    return weighted_sum((first, second), (1.0 - lam, lam))
 
 
 def make_interpolated_task(
@@ -155,6 +156,8 @@ def should_interpolate(learner: str, batch_size: int, rng, probability: float | 
     """
     if batch_size < 1:
         raise ValueError("batch size must be at least 1")
+    if probability is not None and not 0 <= probability <= 1:  # NaN fails too
+        raise ValueError(f"probability must lie in [0, 1], got {probability}")
     mask = np.zeros(batch_size, dtype=bool)
     if learner == "maml":
         p = 1.0 if probability is None else probability

@@ -180,10 +180,10 @@ def cross_entropy(scores, labels):
     shift = vs.max(axis=-1, keepdims=True)  # detached; softmax ignores it
     z = vs - shift
     e = np.exp(z)
-    row_sum = np.sum(e, axis=-1, keepdims=True)
+    row_sum = np.add.reduce(e, axis=-1, keepdims=True)  # np.sum, without its wrapper
     logp = z - np.log(row_sum)
     axes = (-2, -1) if len(shape) == 3 else None
-    out = np.sum(logp * onehot, axis=axes) * (-1.0 / n)
+    out = np.add.reduce(logp * onehot, axis=axes) * (-1.0 / n)
     if not isinstance(scores, Node):
         return out
     g_shape = shape[:-2] + (1, 1)
@@ -406,7 +406,7 @@ def maml_outer_step(
             grads = tape.backward(loss, theta_flat)
             task_grads = [grads[t] for t in theta_flat]
     scale = 1.0 / len(tasks)
-    mean_grads = [np.sum(g, axis=0) * scale for g in task_grads]
+    mean_grads = [np.add.reduce(g, axis=0) * scale for g in task_grads]
     new_arrays, opt_state = optimizer_step(network.parameter_arrays(), mean_grads, opt_state)
     network.set_parameter_arrays(new_arrays)
     return diagnostics

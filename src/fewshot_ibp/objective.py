@@ -11,9 +11,9 @@ Odd-rank centers stack tasks (:func:`~fewshot_ibp.layers.has_task_axis`):
 each loss then holds one value per task, with one weight triple per task.
 
 Each bound loss is one tape node reading the box's stacked faces, and the
-total is one node.  Their vjps are written with tape operations, so they
-can be differentiated again.  A :class:`WeightTriple` is checked to lie on
-the simplex when it is made, so the total trusts the triples it is given.
+total is one ``tensor.weighted_sum`` node.  Their vjps are written with tape
+operations, so they can be differentiated again.  A :class:`WeightTriple` is
+checked to lie on the simplex when made, so the total trusts its triples.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .tensor import (
     Node,
     NonFiniteError,
     _tape_of,
-    _unbroadcast,
     mul,
     neg,
     reshape,
@@ -37,6 +36,7 @@ from .tensor import (
     sub,
     take,
     value_of,
+    weighted_sum,
 )
 
 
@@ -109,7 +109,7 @@ def bound_losses(centers, box: IntervalTensor):
 
     def mean_sq_distance(i):
         d = np.subtract(value_of(centers), vf[i])
-        out = np.sum(d * d, axis=axes) * (1.0 / n)
+        out = np.add.reduce(d * d, axis=axes) * (1.0 / n)  # np.sum, without its wrapper
         tape = _tape_of(centers, faces)
         if tape is None:
             return out
@@ -149,28 +149,14 @@ def total_loss(losses: LossTriple, weights):
     """Convex combination of the three losses; weights are step constants.
 
     Losses holding one value per task take one :class:`WeightTriple` per
-    task, and the result holds each task's own combination.  One tape node,
-    whose vjp scales the output adjoint by each loss's weight.
+    task, and the result holds each task's own combination.  One
+    :func:`~fewshot_ibp.tensor.weighted_sum` node.
     """
     if isinstance(weights, WeightTriple):
         w = weights.as_tuple()
     else:
         w = np.array([t.as_tuple() for t in weights]).T
-    terms = (losses.l_ce, losses.l_lb, losses.l_ub)
-    v = [value_of(t) for t in terms]
-    out = np.add(np.add(np.multiply(v[0], w[0]), np.multiply(v[1], w[1])), np.multiply(v[2], w[2]))
-    tape = _tape_of(*terms)
-    if tape is None:
-        return out
-    shapes = [np.shape(x) for x in v]
-
-    def vjp(g, inputs, o):
-        return tuple(
-            _unbroadcast(mul(g, wi), s) if isinstance(t, Node) else None
-            for t, wi, s in zip(terms, w, shapes)
-        )
-
-    return Node(tape, out, terms, vjp)
+    return weighted_sum((losses.l_ce, losses.l_lb, losses.l_ub), w)
 
 
 def epsilon_schedule(t: int, max_steps: int, eps: float) -> float:
@@ -183,8 +169,8 @@ def epsilon_schedule(t: int, max_steps: int, eps: float) -> float:
         raise ValueError("max_steps must be positive")
     if t < 0 or t > max_steps:
         raise ValueError(f"step {t} outside 0..{max_steps}")
-    if eps < 0:
-        raise ValueError("epsilon must be non-negative")
+    if not 0 <= eps < math.inf:  # NaN fails too
+        raise ValueError(f"epsilon must be finite and non-negative, got {eps}")
     if t > math.ceil(0.9 * max_steps):
         return eps
     return min(t / (0.9 * max_steps), 1.0) * eps

@@ -25,26 +25,25 @@ numpy calls in the same order in each, and a value-mode pass pays one type
 test per operand for each op, not a tape lookup.  :meth:`Tape.backward`
 sums value-mode adjoints with ``np.add``.
 
-Hot chains of primitives are single fused nodes with analytic
-vector-Jacobian products: ``sub`` (one node, not ``add`` of ``neg``) and
-``linear`` (``x @ wᵀ + b``) here; elsewhere each batchnorm activation
-(``layers``), each interval box layer (``bounds``), the prototype scores
-and cross-entropy (``learners``), each set's interpolation
-(``interpolation``), the bound losses and the total loss (``objective``),
-and the mixed cross-entropy of a training step (``harness``).  The
-batchnorm, box, score, interpolation, total-loss and mixed cross-entropy
-nodes keep the numpy expressions of the chains they replaced, so their
-values are the chains' bit for bit, and their vjps sum the chains' adjoints
-in the chains' order.  ``stack`` and ``take`` carry a box's two faces as
-one value on a leading axis; each is the other's vjp.  ``conv2d`` and
-``maxpool2d`` are numpy kernels whose vjps are private tape ops, each
-differentiable again: a transposed convolution and a kernel gradient; and
-for pooling, whose taped forward records the flat index into its input of
-each window's first maximum, a scatter of the adjoint to those indices (one
-``np.bincount``) whose vjp is the gather at them (one fancy index of the
-flattened adjoint), and the other way round.  Every vjp is written with tape
-operations, so with ``build_graph=True`` it records the nodes of its own
-derivative, and second-order meta-updates differentiate through it.
+Hot chains of primitives are single fused nodes with analytic vector-Jacobian
+products: ``sub`` (one node, not ``add`` of ``neg``), ``linear`` (``x @ wᵀ +
+b``) and ``weighted_sum`` (the total loss, a mixed cross-entropy, a mixup)
+here; elsewhere each batchnorm activation (``layers``), each interval box
+layer (``bounds``), the prototype scores and cross-entropy (``learners``),
+each set's interpolation (``interpolation``) and the bound losses
+(``objective``).  The batchnorm, box, score, interpolation and weighted-sum
+nodes keep the numpy expressions of the chains they replaced, so their values
+are the chains' bit for bit, and their vjps sum the chains' adjoints in the
+chains' order.  ``stack`` and ``take`` carry a box's two faces as one value
+on a leading axis; each is the other's vjp.  ``conv2d`` and ``maxpool2d`` are
+numpy kernels whose vjps are private tape ops, each differentiable again: a
+transposed convolution and a kernel gradient; and for pooling, whose taped
+forward records the flat index into its input of each window's first maximum,
+a scatter of the adjoint to those indices (one ``np.bincount``) whose vjp is
+the gather at them (one fancy index of the flattened adjoint), and the other
+way round.  Every vjp is written with tape operations, so with
+``build_graph=True`` it records the nodes of its own derivative, and
+second-order meta-updates differentiate through it.
 
 ``matmul``, ``transpose``, ``linear``, ``conv2d`` and ``maxpool2d`` accept a
 leading task axis: a stack of T independent problems, each with its own
@@ -97,6 +96,7 @@ __all__ = [
     "sum_",
     "stack",
     "take",
+    "weighted_sum",
     "linear",
     "conv2d",
     "maxpool2d",
@@ -571,6 +571,28 @@ def take(a, index: int):
         return (stack([g if i == index else zeros for i in range(n)]),)
 
     return Node(a.tape, out, (a,), vjp)
+
+
+def weighted_sum(terms, weights):
+    """``terms[0]·weights[0] + terms[1]·weights[1] + …`` as one node, added
+    left to right, with constant weights.  A node term's adjoint is the
+    output adjoint times its weight, summed down to the term's shape."""
+    if len(terms) != len(weights):
+        raise ValueError(f"{len(terms)} terms but {len(weights)} weights")
+    values = [value_of(t) for t in terms]
+    out = np.multiply(values[0], weights[0])
+    for v, w in zip(values[1:], weights[1:]):
+        out = np.add(out, np.multiply(v, w))
+    if Node not in map(type, terms):
+        return out
+
+    def vjp(g, inputs, o):
+        return tuple(
+            _unbroadcast(mul(g, w), v.shape) if type(t) is Node else None
+            for t, v, w in zip(terms, values, weights)
+        )
+
+    return Node(_tape_of(*terms), out, tuple(terms), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,13 @@ def interp_config(**overrides):
     return RunConfig(learner="maml", objective="ibpi", layers=layers, **overrides)
 
 
+def draw_tasks(cfg, seed, n_tasks=3):
+    """One MAML training step's tasks and interpolation, drawn by the harness."""
+    ds = synth_dataset(6, 16, (4,), 2.0, 0.6, seed=seed)
+    rngs = np.random.default_rng(seed), np.random.default_rng(seed + 1)
+    return H._draw_tasks("maml", n_tasks, ds, cfg, *rngs)
+
+
 class TestSampleMix:
     @pytest.mark.parametrize("alpha,beta", [(0.1, 1.0), (0.25, 1.0), (0.5, 0.5)])
     def test_beta_mean_for_recommended_pairs(self, alpha, beta):
@@ -60,6 +67,15 @@ class TestSampleMix:
         for alpha, beta in ((0.0, 1.0), (1.0, -2.0)):
             with pytest.raises(ValueError):
                 I.sample_mix(3, alpha, beta, rng)
+
+    @pytest.mark.parametrize(
+        "alpha,beta,name",
+        [(math.nan, 0.5, "alpha"), (0.5, math.nan, "beta"), (math.inf, 0.5, "alpha"),
+         (0.5, math.inf, "beta")],
+    )
+    def test_non_finite_parameter_rejected_by_name(self, alpha, beta, name):
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            I.sample_mix(3, alpha, beta, np.random.default_rng(0))
 
 
 def one_row(lam, nu):
@@ -191,22 +207,22 @@ class TestMakeInterpolatedTask:
 
     def test_class_shares_coefficients_across_support_and_query(self):
         cfg = interp_config(shared_mix_coeffs=True)
-        task = make_task(seed=9, ways=2, shots=3, queries=3)
-        ctx = H._draw_context(cfg, task, None, np.random.default_rng(8), None)
-        assert ctx.query_coeffs is ctx.coeffs
-        assert ctx.pair_task is None
+        _, mix = draw_tasks(cfg, seed=8)
+        np.testing.assert_array_equal(mix.query_coeffs.lam, mix.coeffs.lam)
+        np.testing.assert_array_equal(mix.query_coeffs.nu, mix.coeffs.nu)
+        assert mix.pair_support_x is None and mix.pair_query_x is None
 
     def test_independent_query_coefficients_differ(self):
-        task = make_task(seed=11, ways=2, shots=2, queries=2)
         shared, split = (
-            H._draw_context(
-                interp_config(shared_mix_coeffs=flag), task, None,
-                np.random.default_rng(3), None,
-            )
-            for flag in (True, False)
+            draw_tasks(interp_config(shared_mix_coeffs=flag), seed=3)[1] for flag in (True, False)
         )
+        fired = shared.ce_weights[:, 1] > 0
+        np.testing.assert_array_equal(shared.ce_weights, split.ce_weights)
+        # the task that fired draws its support row first, so the two agree
         np.testing.assert_array_equal(shared.coeffs.lam, split.coeffs.lam)
-        assert not np.array_equal(shared.query_coeffs.lam, split.query_coeffs.lam)
+        assert not np.array_equal(shared.query_coeffs.lam[fired], split.query_coeffs.lam[fired])
+        for mix in (shared, split):  # the other tasks keep zero weights
+            assert not mix.coeffs.lam[~fired].any() and not mix.query_coeffs.lam[~fired].any()
 
     def test_spread_grows_with_eps(self):
         rng = np.random.default_rng(12)
@@ -322,3 +338,9 @@ class TestShouldInterpolate:
     def test_invalid_batch_rejected(self):
         with pytest.raises(ValueError):
             I.should_interpolate("maml", 0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("learner", ["maml", "protonet"])
+    @pytest.mark.parametrize("probability", [math.nan, -0.5, 1.5])
+    def test_probability_outside_unit_interval_rejected(self, learner, probability):
+        with pytest.raises(ValueError, match="probability must lie in"):
+            I.should_interpolate(learner, 4, np.random.default_rng(0), probability=probability)

@@ -3,6 +3,7 @@
 import gc
 import math
 import weakref
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -456,6 +457,30 @@ class TestMamlOuterStep:
             np.testing.assert_array_equal(x, y)
 
 
+class ReferenceContext(NamedTuple):
+    """One fired task's coefficients and optional pair task."""
+
+    coeffs: I.MixCoefficients
+    query_coeffs: I.MixCoefficients
+    pair_task: Task | None
+
+
+def reference_draw(config, task, dataset, interp_rng, sample_rng):
+    """The interpolation of one task that fired, drawn on its own in the
+    harness's order: its support coefficients, its query coefficients (the
+    same ones when shared), then for a mixup mode its pair task."""
+    coeffs = I.sample_mix(task.ways, config.alpha, config.beta, interp_rng)
+    query_coeffs = (
+        coeffs
+        if config.shared_mix_coeffs
+        else I.sample_mix(task.ways, config.alpha, config.beta, interp_rng)
+    )
+    pair_task = None
+    if config.objective not in I.BOUND_MODES:  # a mixup mode
+        pair_task = sample_task(dataset, config.train_spec(), sample_rng)
+    return ReferenceContext(coeffs, query_coeffs, pair_task)
+
+
 def reference_maml_step(network, dataset, config, eps_t, sample_rng, interp_rng, opt_state):
     """The meta-step as a loop over tasks, each adapted and scored on its own
     tape with per-task closures: the semantics the batched step must keep."""
@@ -466,7 +491,7 @@ def reference_maml_step(network, dataset, config, eps_t, sample_rng, interp_rng,
     if mode in I.MODES:
         mask = I.should_interpolate("maml", b, interp_rng, config.interp_probability)
         contexts = [
-            H._draw_context(config, task, dataset, interp_rng, sample_rng) if fired else None
+            reference_draw(config, task, dataset, interp_rng, sample_rng) if fired else None
             for task, fired in zip(tasks, mask)
         ]
     arrays = network.parameter_arrays()
@@ -551,7 +576,7 @@ def reference_protonet_step(network, dataset, config, eps_t, sample_rng, interp_
     if mode in I.MODES and I.should_interpolate(
         "protonet", 1, interp_rng, config.interp_probability
     )[0]:
-        ctx = H._draw_context(config, task, dataset, interp_rng, sample_rng)
+        ctx = reference_draw(config, task, dataset, interp_rng, sample_rng)
 
     s = network.split_index
     with T.Tape() as tape:
@@ -1089,4 +1114,18 @@ class TestTapeBudget:
     def test_maml_step(self, node_count, objective, first_order, budget):
         self.one_step(H._maml_step, learner="maml", objective=objective, meta_batch=4,
                       inner_steps=5, first_order=first_order)
+        assert node_count[0] <= budget
+
+    # 30, 91 and 347 before the mix of the two embeddings became one
+    # weighted-sum node
+    @pytest.mark.parametrize(
+        "learner,first_order,budget",
+        [("protonet", True, 26), ("maml", True, 79), ("maml", False, 335)],
+    )
+    def test_mixup_embedding_step(self, node_count, learner, first_order, budget):
+        if learner == "protonet":
+            self.one_step(H._protonet_step, objective="mixup_embedding")
+        else:
+            self.one_step(H._maml_step, learner="maml", objective="mixup_embedding",
+                          meta_batch=4, inner_steps=5, first_order=first_order)
         assert node_count[0] <= budget

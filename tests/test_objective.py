@@ -217,6 +217,11 @@ class TestEpsilonSchedule:
         with pytest.raises(ValueError):
             O.epsilon_schedule(0, 0, 0.1)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            O.epsilon_schedule(1, 10, eps)
+
     @given(t_max=st.integers(min_value=1, max_value=5000),
            eps=st.floats(min_value=0.0, max_value=10.0))
     @settings(max_examples=100, deadline=None)

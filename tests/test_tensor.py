@@ -18,6 +18,7 @@ import pytest
 
 from fewshot_ibp import layers as L
 from fewshot_ibp import tensor as T
+from fewshot_ibp.objective import WeightTriple
 from fewshot_ibp.optim import STABILIZER, adam, optimizer_step
 
 
@@ -807,6 +808,30 @@ def chain_mixed_cross_entropy(l_ce, l_ce2, mix):
     return T.add(T.mul(l_ce, mix.ce_weights[:, 0]), T.mul(l_ce2, mix.ce_weights[:, 1]))
 
 
+def replaced_total_loss(losses, weights):
+    """The one-node ``total_loss`` that ``weighted_sum`` replaced, verbatim
+    but for the module prefixes."""
+    if isinstance(weights, WeightTriple):
+        w = weights.as_tuple()
+    else:
+        w = np.array([t.as_tuple() for t in weights]).T
+    terms = (losses.l_ce, losses.l_lb, losses.l_ub)
+    v = [T.value_of(t) for t in terms]
+    out = np.add(np.add(np.multiply(v[0], w[0]), np.multiply(v[1], w[1])), np.multiply(v[2], w[2]))
+    tape = T._tape_of(*terms)
+    if tape is None:
+        return out
+    shapes = [np.shape(x) for x in v]
+
+    def vjp(g, inputs, o):
+        return tuple(
+            T._unbroadcast(T.mul(g, wi), s) if isinstance(t, T.Node) else None
+            for t, wi, s in zip(terms, w, shapes)
+        )
+
+    return T.Node(tape, out, terms, vjp)
+
+
 def chain_bound_losses(centers, lower, upper, task_axis=False):
     """The primitive bound-loss chain that ``bound_losses`` replaces."""
     shape = np.shape(T.value_of(centers))
@@ -1076,28 +1101,81 @@ class TestFusedNodes:
         )
 
     def test_mixed_cross_entropy(self):
-        from fewshot_ibp.harness import _mixed_cross_entropy, _TaskMix
+        # the training steps weigh the plain and the interpolated
+        # cross-entropy with ``weighted_sum`` and the mix's ``ce_weights``
+        from fewshot_ibp.harness import _TaskMix
 
         rng = np.random.default_rng(8)
         ce_weights = np.where(np.array([True, False, True, False])[:, None], 0.5, [1.0, 0.0])
         mix = _TaskMix(None, None, None, None, ce_weights)
         l_ce, l_ce2 = rng.uniform(0.5, 2.0, size=(2, 4))
+
+        def fused(a, b):
+            return T.weighted_sum((a, b), mix.ce_weights.T)
+
         np.testing.assert_array_equal(
-            _mixed_cross_entropy(l_ce, l_ce2, mix), chain_mixed_cross_entropy(l_ce, l_ce2, mix)
+            fused(l_ce, l_ce2), chain_mixed_cross_entropy(l_ce, l_ce2, mix)
         )
         fused_against_chain(
-            lambda a, b: _mixed_cross_entropy(a, b, mix),
-            lambda a, b: chain_mixed_cross_entropy(a, b, mix),
-            [l_ce, l_ce2],
+            fused, lambda a, b: chain_mixed_cross_entropy(a, b, mix), [l_ce, l_ce2],
             bit_equal=True,
         )
         # one operand a constant
         fused_against_chain(
-            lambda a: _mixed_cross_entropy(a, l_ce2, mix),
+            lambda a: fused(a, l_ce2),
             lambda a: chain_mixed_cross_entropy(a, l_ce2, mix),
             [l_ce],
             bit_equal=True,
         )
+
+    @pytest.mark.parametrize("shape", [(6, 4), (2, 6, 4)])
+    def test_mix_batch(self, shape):
+        from fewshot_ibp.interpolation import MixCoefficients, mix_batch
+
+        rng = np.random.default_rng(54)
+        lead = shape[:-2]
+        labels = rng.integers(0, 3, size=shape[:-1])
+        coeffs = MixCoefficients(rng.uniform(0, 1, lead + (3,)), np.zeros(lead + (3,), dtype=int))
+        lam = np.take_along_axis(coeffs.lam, labels, axis=-1)[..., None]
+
+        def chain(first, second):
+            return T.add(T.mul(first, 1.0 - lam), T.mul(second, lam))
+
+        def fused(first, second):
+            return mix_batch(first, second, labels, coeffs)
+
+        arrays = [rng.standard_normal(shape), rng.standard_normal(shape)]
+        fused_against_chain(fused, chain, arrays, bit_equal=True)
+        fused_against_chain(  # the first batch a constant, as mixup at the input
+            lambda b: fused(arrays[0], b), lambda b: chain(arrays[0], b), arrays[1:],
+            bit_equal=True,
+        )
+        np.testing.assert_array_equal(fused(*arrays), chain(*arrays))
+        tape = T.Tape()
+        fused(*[tape.leaf(a) for a in arrays])
+        assert len(tape) == 3  # the two leaves and one weighted-sum node
+
+    def test_weighted_sum_broadcasts(self):
+        # terms and weights of different shapes: each term's adjoint is
+        # summed down to its own shape
+        rng = np.random.default_rng(55)
+        w = (0.25, rng.standard_normal((3, 1)), rng.standard_normal((2, 1, 4)))
+        arrays = [rng.standard_normal(s) for s in ((2, 3, 4), (3, 4), (2, 3, 1))]
+
+        def chain(a, b, c):
+            return T.add(T.add(T.mul(a, w[0]), T.mul(b, w[1])), T.mul(c, w[2]))
+
+        fused_against_chain(lambda *terms: T.weighted_sum(terms, w), chain, arrays)
+        np.testing.assert_array_equal(T.weighted_sum(arrays, w), chain(*arrays))
+
+    def test_weighted_sum_needs_one_weight_per_term(self):
+        a, b = np.ones(3), np.zeros(3)
+        for terms, weights in (((a, b), (1.0,)), ((a,), (1.0, 2.0)), ((a, b), ())):
+            with pytest.raises(ValueError, match="terms but"):
+                T.weighted_sum(terms, weights)
+        tape = T.Tape()
+        with pytest.raises(ValueError, match="2 terms but 3 weights"):
+            T.weighted_sum((tape.leaf(a), b), (1.0, 2.0, 3.0))
 
     @pytest.mark.parametrize("task_axis", [False, True])
     @pytest.mark.parametrize("face", [0, 1])
@@ -1226,7 +1304,7 @@ class TestFusedNodes:
 
     @pytest.mark.parametrize("per_task", [False, True])
     def test_total_loss(self, per_task):
-        from fewshot_ibp.objective import LossTriple, WeightTriple, total_loss
+        from fewshot_ibp.objective import LossTriple, total_loss
 
         rng = np.random.default_rng(51)
         shape = (3,) if per_task else ()
@@ -1249,6 +1327,19 @@ class TestFusedNodes:
             lambda l_ce, l_ub: chain(l_ce, 0.7, l_ub),
             [arrays[0], arrays[2]],
         )
+
+        # byte for byte the one-node total it replaced, in both modes
+        def replaced(*losses):
+            return replaced_total_loss(LossTriple(*losses), weights)
+
+        fused_against_chain(fused, replaced, arrays, bit_equal=True)
+        fused_against_chain(
+            lambda l_ce, l_ub: fused(l_ce, 0.7, l_ub),
+            lambda l_ce, l_ub: replaced(l_ce, 0.7, l_ub),
+            [arrays[0], arrays[2]],
+            bit_equal=True,
+        )
+        np.testing.assert_array_equal(fused(*arrays), replaced(*arrays))
 
     def test_stack_and_take(self):
         rng = np.random.default_rng(52)
@@ -1489,6 +1580,13 @@ FAST_PATH_CASES = [
     ("conv2d", T.conv2d, [(2, 2, 1, 6, 6), (2, 3, 1, 3, 3), None], (0,)),
     ("maxpool2d", lambda x: T.maxpool2d(x, 2), [(2, 2, 1, 4, 4)], ()),
     ("maxpool2d", lambda x: T.maxpool2d(x, 3, 1), [(2, 3, 5, 5)], ()),
+    (
+        "weighted_sum",
+        lambda a, b, c: T.weighted_sum((a, b, c), (0.25, np.array([[2.0], [-1.0], [0.5]]), 1.5)),
+        [(2, 3, 4), (3, 4), (2, 3, 1)],
+        (),
+    ),
+    ("weighted_sum", lambda a, b: T.weighted_sum((a, b), (0.7, 0.3)), [(2, 3), (2, 3)], (1,)),
 ]
 # The names of tensor.__all__ that are not tape ops.
 NOT_OPS = {"NonFiniteError", "Tape", "Node", "as_tensor", "value_of", "check_finite"}
