@@ -84,7 +84,7 @@ class IntervalTensor:
     __slots__ = ("faces",)
 
     def __init__(self, lower, upper):
-        lo_shape, up_shape = np.shape(value_of(lower)), np.shape(value_of(upper))
+        lo_shape, up_shape = value_of(lower).shape, value_of(upper).shape
         if lo_shape != up_shape:
             raise ValueError(f"box face shapes differ: {lo_shape} vs {up_shape}")
         self.faces = stack((lower, upper))

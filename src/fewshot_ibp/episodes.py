@@ -4,7 +4,9 @@ A dataset is a list of classes, each holding a stack of equally shaped
 float64 instances.  When a :class:`Dataset` is made, it copies every class
 into one read-only, contiguous pool of instances, class after class, and
 each class's ``instances`` becomes a view of its rows there, so nothing is
-stored twice.
+stored twice.  Classes that already tile one read-only array that way
+(:func:`load_dataset` reads a file's rows straight into one) keep it as
+their pool, uncopied.
 
 Episodic sampling (:func:`sample_task`) draws N distinct classes and K+Q
 distinct instances per class, remapping global class ids to local labels
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import as_tensor
+from .tensor import check_finite
 
 DATASET_MAGIC = b"FSDS"
 DATASET_VERSION = 1
@@ -40,7 +42,7 @@ class ClassRecord:
     instances: np.ndarray  # (count, *instance_shape); in a Dataset, a view of its pool
 
     def __post_init__(self):
-        self.instances = as_tensor(self.instances)
+        self.instances = np.asarray(self.instances, dtype=np.float64)
         if self.instances.shape[0] < 1:
             raise ValueError(f"class {self.class_id} has no instances")
 
@@ -51,9 +53,12 @@ class Dataset:
 
     ``pool`` holds every instance, class after class, read-only and
     contiguous; ``offsets[i]`` is the first row of class ``i`` there, and
-    ``classes[i].instances`` is a view of that class's rows.  A dataset is
-    fixed once made: :func:`sample_task` caches per task spec what it has
-    checked and built.
+    ``classes[i].instances`` is a view of that class's rows.  The pool is a
+    copy of the classes' rows, unless they already tile one read-only
+    float64 array exactly, class after class: that array is the pool.  A
+    non-finite instance raises ``NonFiniteError``.  A dataset is fixed once
+    made: :func:`sample_task` caches per task spec what it has checked and
+    built.
     """
 
     classes: list[ClassRecord]
@@ -73,8 +78,13 @@ class Dataset:
         shapes = {c.instances.shape[1:] for c in self.classes}
         if len(shapes) != 1:
             raise ValueError(f"instances have mixed shapes: {sorted(shapes)}")
-        self.pool = np.concatenate([c.instances for c in self.classes])
-        self.pool.flags.writeable = False
+        rows = [c.instances for c in self.classes]
+        pool = _tiled_array(rows)
+        if pool is None:
+            pool = np.concatenate(rows)
+            pool.flags.writeable = False
+        check_finite(pool, "dataset instances")
+        self.pool = pool
         counts = [c.instances.shape[0] for c in self.classes]
         self.offsets = np.cumsum([0] + counts[:-1])
         self.offsets.flags.writeable = False
@@ -88,6 +98,26 @@ class Dataset:
     @property
     def n_classes(self) -> int:
         return len(self.classes)
+
+
+def _tiled_array(rows: list[np.ndarray]) -> np.ndarray | None:
+    """The read-only, contiguous float64 array that ``rows`` are consecutive
+    views of, in order and with no row left over, or None."""
+    base = rows[0].base
+    if not (
+        isinstance(base, np.ndarray)
+        and base.dtype == np.float64
+        and base.flags.c_contiguous
+        and not base.flags.writeable
+    ):
+        return None
+    start = 0
+    for part in rows:
+        stop = start + part.shape[0]
+        if part.__array_interface__ != base[start:stop].__array_interface__:
+            return None
+        start = stop
+    return base if start == base.shape[0] else None
 
 
 @dataclass(frozen=True)
@@ -288,7 +318,9 @@ def load_dataset(path) -> Dataset:
     """Read a dataset file; a malformed or truncated file raises ``ValueError``.
 
     The payload size the header implies is checked against the bytes left in
-    the file before any of it is read.
+    the file before any of it is read.  The payload is read straight into
+    the dataset's pool, so the rows are held once, and each class's
+    ``instances`` is a view of its rows there.
     """
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 4, "magic")
@@ -312,12 +344,15 @@ def load_dataset(path) -> Dataset:
         if payload < left:
             raise ValueError("trailing bytes after dataset payload")
         counts = header["per_class_counts"]
-        rows = np.frombuffer(_read_exact(fh, payload, "payload"), dtype="<f8")
-        rows = rows.reshape((sum(counts), *shape))
+        pool = np.empty((sum(counts), *shape), dtype="<f8")
+        got = fh.readinto(pool.reshape(-1).view(np.uint8))
+        if got != payload:
+            raise ValueError(f"truncated dataset payload: {got} of {payload} bytes")
+    pool = pool.astype(np.float64, copy=False)  # a copy only on a big-endian machine
+    pool.flags.writeable = False
     starts = np.cumsum([0] + counts).tolist()
     classes = [
-        ClassRecord(cid, rows[start:stop])
+        ClassRecord(cid, pool[start:stop])
         for cid, start, stop in zip(header["class_ids"], starts, starts[1:])
     ]
-    del rows  # each record holds a copy: free the file's bytes before pooling
     return Dataset(classes, role=header["role"])

@@ -322,14 +322,15 @@ def evaluate(
     """Mean task accuracy with a normal-approximation 95% confidence
     half-width (zero for a single task, where the sample std is undefined).
 
-    Task ``i`` is drawn from its own stream seeded by (entropy, i).  The
-    meta-learner adapts all ``n_tasks`` tasks at once on a task axis,
-    recording one tape per inner step for all of them, each released after
-    its backward pass, and scores each task's queries with its own adapted
-    parameters, one forward pass per chunk of tasks
-    (:func:`~fewshot_ibp.learners.maml_task_accuracies`); the prototype
-    learner scores them on a task axis, one chunk of tasks at a time as they
-    are drawn (:func:`~fewshot_ibp.learners.protonet_task_accuracies`).
+    Task ``i`` is drawn from its own stream seeded by (entropy, i), and
+    both learners take the tasks a chunk at a time as they are drawn, so
+    memory does not grow with ``n_tasks``.  The meta-learner adapts each
+    chunk on a task axis, recording one tape per inner step for the whole
+    chunk, each released after its backward pass, and scores each task's
+    queries with its own adapted parameters, one forward pass per smaller
+    chunk of tasks (:func:`~fewshot_ibp.learners.maml_task_accuracies`); the
+    prototype learner scores them on a task axis
+    (:func:`~fewshot_ibp.learners.protonet_task_accuracies`).
     Transfer is this call on a dataset other than the one trained on: the
     meta-learner still fine-tunes on each task's support set, and shape
     incompatibilities surface as ``ValueError`` from the forward pass.

@@ -66,7 +66,7 @@ def _per_row(coeff_values, labels, reference):
     """Each row's class coefficient, shaped to broadcast over ``reference``;
     labels (tasks, n) pick from coefficients (tasks, ways) task by task."""
     labels = np.asarray(labels)
-    trail = (1,) * (np.ndim(value_of(reference)) - labels.ndim)
+    trail = (1,) * (value_of(reference).ndim - labels.ndim)
     rows = np.take_along_axis(np.asarray(coeff_values), labels, axis=-1)
     return rows.astype(np.float64).reshape(labels.shape + trail)
 
@@ -101,7 +101,7 @@ def interpolate_batch(centers, box: IntervalTensor, labels, coeffs: MixCoefficie
 
 def mix_batch(first, second, labels, coeffs: MixCoefficients):
     """Per-class convex combination of two aligned batches: one ``weighted_sum`` node."""
-    if np.shape(value_of(first)) != np.shape(value_of(second)):
+    if value_of(first).shape != value_of(second).shape:
         raise ValueError("mixed batches must have identical shapes")
     lam = _per_row(coeffs.lam, labels, first)
     return weighted_sum((first, second), (1.0 - lam, lam))

@@ -28,11 +28,15 @@ Tasks are adapted together on a leading task axis: their sets are stacked
 into a :class:`TaskBatch`, the parameters tiled to one copy per task, and
 the inner loss is the sum of the per-task losses (:func:`cross_entropy`
 gives one value per task), so each task's gradient is exactly its own and
-one backward pass per step serves every task.  Evaluation adapts the tiled
-arrays and scores the queries one forward pass per chunk of tasks
-(:func:`maml_task_accuracies`); training, in :func:`maml_outer_step`, tiles
-θ into one tape leaf per task and adapts the arrays or the leaves, and one
-backward pass of the summed query losses gives every task's gradient of θ.
+one backward pass per step serves every task.  Evaluation draws, adapts
+and scores its tasks a chunk at a time, so its memory is bounded by two
+element budgets, one for adaptation and a smaller one for scoring the
+queries (:func:`maml_task_accuracies`).  Training, in
+:func:`maml_outer_step`, tiles θ into one tape leaf per task and adapts the
+arrays or the leaves, and one backward pass of the summed query losses
+gives every task's gradient of θ.  A first-order inner update makes one
+fresh array per parameter and never writes into a gradient, which the tape
+may share between parameters.
 Every tape the meta-learner records is released as soon as its gradients
 have been read, so no graph waits for the cyclic collector.
 """
@@ -55,7 +59,7 @@ from .tensor import (
     _linear_weight_grad,
     _tape_of,
     add,
-    as_tensor,
+    check_finite,
     div,
     exp,
     matmul,
@@ -126,8 +130,8 @@ def protonet_logits(query_embeddings, prototypes, distance: str = "sqeuclidean")
     One tape node for either distance, the ``euclidean`` root included.
     """
     a, b = query_embeddings, prototypes
-    qd = np.shape(value_of(a))[-1]
-    pd = np.shape(value_of(b))[-1]
+    qd = value_of(a).shape[-1]
+    pd = value_of(b).shape[-1]
     if qd != pd:
         raise ValueError(f"embedding dim {qd} != prototype dim {pd}")
     if distance not in DISTANCES:
@@ -218,18 +222,36 @@ class TaskBatch(NamedTuple):
 # queries, or 2 of 75 x 1 x 10 x 10.  Set from the benchmark's peak RSS and
 # eval speed: 2**13 (13 fc tasks, 1 conv task) left conv evaluation 5%
 # slower than the per-task loop, and 2**15 (54 fc tasks) raised fc peak RSS
-# by 4.5% where 2**14 raises it by 2%.
+# by 4.5% where 2**14 raises it by 2%.  Scoring only runs a forward pass per
+# chunk, so small chunks cost little; adaptation has its own budget below.
 _CHUNK_ELEMENTS = 2**14
+
+# Element budget of one adaptation chunk: each task's tiled parameter
+# elements plus its support elements, 153 tasks of the benchmark's fc
+# network (816 + 5 x 8) or 49 of its conv pool network (2,160 + 5 x 100).
+# Every chunk pays each inner step's tape dispatch, so these chunks are
+# larger than scoring chunks.  Set from a 240-task evaluate with 10 inner
+# steps (CPU ms, median of 15): fc 34.5 here, 35.4 at 2**16 and 34.0 at
+# 2**18; conv 300-304 here, 316-326 at 2**16 and 308 at 2**18.  One stack
+# of all the tasks took 38 and 456 ms.  The traced peak of 600 conv tasks
+# is 18.6 MB here and 37.0 MB at 2**18.
+_ADAPT_ELEMENTS = 2**17
+
+
+def _chunks(tasks, budget: int, elements):
+    """Consecutive lists of ``tasks``, drawn lazily from the iterable, each
+    of as many tasks (at least one) as fit ``budget`` at ``elements(task)``
+    elements per task, counted on the chunk's first task."""
+    tasks = iter(tasks)
+    for first in tasks:
+        size = max(1, budget // max(1, elements(first)))
+        yield [first, *itertools.islice(tasks, size - 1)]
 
 
 def task_chunks(tasks):
-    """Consecutive lists of ``tasks``, drawn lazily from the iterable, each
-    of as many tasks (at least one) as fit their stacked query inputs into
-    the chunk budget."""
-    tasks = iter(tasks)
-    for first in tasks:
-        size = max(1, _CHUNK_ELEMENTS // max(1, first.query_x.size))
-        yield [first, *itertools.islice(tasks, size - 1)]
+    """Chunks of ``tasks`` (:func:`_chunks`) whose stacked query inputs fit
+    the scoring budget, ``_CHUNK_ELEMENTS``."""
+    return _chunks(tasks, _CHUNK_ELEMENTS, lambda task: task.query_x.size)
 
 
 def _tiled_arrays(network: Network, n_tasks: int) -> list[dict]:
@@ -238,6 +260,21 @@ def _tiled_arrays(network: Network, n_tasks: int) -> list[dict]:
         {name: np.broadcast_to(arr, (n_tasks,) + arr.shape) for name, arr in layer.param_items()}
         for layer in network.layers
     ]
+
+
+def _descended(value: np.ndarray, grad: np.ndarray, inner_lr: float) -> np.ndarray:
+    """``value - inner_lr * grad`` as one fresh read-only array.
+
+    The product is allocated once and the difference written into it.
+    ``grad`` is never written: :meth:`~fewshot_ibp.tensor.Tape.backward` may
+    hand one adjoint array to two parameters.  Raises ``NonFiniteError`` if
+    the update overflows.
+    """
+    out = np.multiply(grad, inner_lr)
+    np.subtract(value, out, out=out)
+    check_finite(out, "inner update")
+    out.flags.writeable = False
+    return out
 
 
 def maml_adapt(inner_loss, params: list[dict], inner_lr: float, steps: int) -> list[dict]:
@@ -267,10 +304,7 @@ def maml_adapt(inner_loss, params: list[dict], inner_lr: float, steps: int) -> l
                 loss = inner_loss(nodes)
                 grads = step_tape.backward(loss, param_nodes_to_list(nodes))
             current = [
-                {
-                    name: as_tensor(value_of(node) - inner_lr * grads[node])
-                    for name, node in entry.items()
-                }
+                {name: _descended(node.value, grads[node], inner_lr) for name, node in entry.items()}
                 for entry in nodes
             ]
         else:
@@ -288,40 +322,45 @@ def maml_task_accuracies(network: Network, tasks, inner_lr: float, steps: int) -
     """Query accuracy of each task after first-order adaptation on its
     support set.
 
-    The support sets (equal shapes, as drawn from one task spec) are stacked
-    on a leading task axis and the network's parameters tiled to one copy
-    per task.  :func:`maml_adapt` descends on the sum of the per-task
-    support cross-entropies, so every task follows exactly its own gradient.
-    The queries are then scored a chunk of tasks at a time
-    (:func:`task_chunks`), each chunk by one forward pass on the task axis
-    with those tasks' adapted parameters; batchnorm takes its statistics per
-    task.  Scoring every task at once would hold all the query activations:
-    for 240 tasks of the benchmark's conv pool network it raised the peak
-    memory of evaluation from 94 to 262 MB.
+    The tasks (equal shapes, as drawn from one task spec) are drawn lazily
+    and adapted a chunk at a time, as many as fit the adaptation budget
+    (``_ADAPT_ELEMENTS``).  A chunk's support sets are stacked on a leading
+    task axis and the network's parameters tiled to one copy per task, and
+    :func:`maml_adapt` descends on the sum of the per-task support
+    cross-entropies, so every task follows exactly its own gradient.  The
+    chunk's queries are then scored in smaller chunks (:func:`task_chunks`),
+    each by one forward pass on the task axis with those tasks' adapted
+    parameters; batchnorm takes its statistics per task.  Each task's
+    result is the same, bit for bit, in any chunk.  One stack of every task
+    holds all their tiled parameters and inner-loop activations at once:
+    for 600 tasks of the benchmark's conv pool network the traced peak of
+    evaluation was 214 MB, against 18.6 MB in chunks.
     """
-    tasks = list(tasks)
-    if not tasks:
-        raise ValueError("no tasks to adapt")
-    if any(task.query_x.shape[0] == 0 for task in tasks):
-        raise ValueError("task has an empty query set")
-    support_x = np.stack([task.support_x for task in tasks])
-    support_y = np.stack([task.support_y for task in tasks])
-
-    def inner_loss(params):
-        logits = forward(network.layers, support_x, params=params)
-        return sum_(cross_entropy(logits, support_y))
-
-    adapted = maml_adapt(inner_loss, _tiled_arrays(network, len(tasks)), inner_lr, steps)
+    n_params = sum(arr.size for arr in network.parameter_arrays())
     accs = []
-    for chunk in task_chunks(tasks):
-        done = len(accs)
-        params = [
-            {name: arr[done : done + len(chunk)] for name, arr in entry.items()}
-            for entry in adapted
-        ]
-        batch = TaskBatch.stack(chunk)
-        scores = forward(network.layers, batch.query_x, params=params)
-        accs.extend(_accuracy(scores, batch.query_y).tolist())
+    for chunk in _chunks(tasks, _ADAPT_ELEMENTS, lambda task: n_params + task.support_x.size):
+        if any(task.query_x.shape[0] == 0 for task in chunk):
+            raise ValueError("task has an empty query set")
+        support_x = np.stack([task.support_x for task in chunk])
+        support_y = np.stack([task.support_y for task in chunk])
+
+        def inner_loss(params):
+            logits = forward(network.layers, support_x, params=params)
+            return sum_(cross_entropy(logits, support_y))
+
+        adapted = maml_adapt(inner_loss, _tiled_arrays(network, len(chunk)), inner_lr, steps)
+        done = 0
+        for part in task_chunks(chunk):
+            params = [
+                {name: arr[done : done + len(part)] for name, arr in entry.items()}
+                for entry in adapted
+            ]
+            batch = TaskBatch.stack(part)
+            scores = forward(network.layers, batch.query_x, params=params)
+            accs.extend(_accuracy(scores, batch.query_y).tolist())
+            done += len(part)
+    if not accs:
+        raise ValueError("no tasks to adapt")
     return np.array(accs)
 
 

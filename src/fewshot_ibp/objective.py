@@ -64,7 +64,10 @@ class LossTriple:
         """Detached triples, one per task, of losses that hold one value per
         task; a plain number (an absent bound loss) counts for every task."""
         cols = [value_of(x) for x in (self.l_ce, self.l_lb, self.l_ub)]
-        cols = [c.tolist() if np.ndim(c) else [float(c)] * n_tasks for c in cols]
+        cols = [
+            c.tolist() if isinstance(c, np.ndarray) and c.ndim else [float(c)] * n_tasks
+            for c in cols
+        ]
         return [LossTriple(*row) for row in zip(*cols, strict=True)]
 
 
@@ -97,7 +100,7 @@ def bound_losses(centers, box: IntervalTensor):
     ``2(c - f) * g / n`` (and its negation for the face) is written with
     tape operations, so it can be differentiated again.
     """
-    shape = np.shape(value_of(centers))
+    shape = value_of(centers).shape
     faces = box.faces
     vf = value_of(faces)
     if vf.shape[1:] != shape:

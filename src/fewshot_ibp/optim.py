@@ -43,8 +43,8 @@ def optimizer_step(params, grads, state: OptimizerState):
     if len(params) != len(grads):
         raise ValueError(f"{len(grads)} gradients for {len(params)} parameters")
     for p, g in zip(params, grads):
-        if np.shape(p) != np.shape(g):
-            raise ValueError(f"gradient shape {np.shape(g)} != parameter shape {np.shape(p)}")
+        if p.shape != g.shape:
+            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
         if not np.logical_and.reduce(np.isfinite(g), axis=None):
             raise NonFiniteError("non-finite gradient")
 

@@ -57,8 +57,20 @@ def test_sampler_digest_is_stable_and_listed():
     assert digest_listing("sample_task", flags=("--values",)) == first
 
 
+def test_evaluate_digest_is_stable_and_listed():
+    # 600 tasks: several adaptation chunks on both networks
+    first = digest_listing("evaluate")
+    lines = first.splitlines()
+    assert len(lines) == 2
+    assert re.fullmatch(r"evaluate [0-9a-f]{64}", lines[0])
+    listing = hashlib.sha256((lines[0] + "\n").encode("utf-8")).hexdigest()
+    assert lines[1] == f"listing {listing}"
+    assert digest_listing("evaluate", flags=("--values",)) == first
+
+
 def test_sampler_line_follows_the_runs():
-    lines = digest_listing("protonet-fc-ibpi-on", "sample_task").splitlines()
-    assert [line.split()[0] for line in lines] == ["protonet-fc-ibpi-on", "sample_task", "listing"]
-    listing = hashlib.sha256("".join(line + "\n" for line in lines[:2]).encode("utf-8"))
-    assert lines[2] == f"listing {listing.hexdigest()}"
+    lines = digest_listing("evaluate", "protonet-fc-ibpi-on", "sample_task").splitlines()
+    names = [line.split()[0] for line in lines]
+    assert names == ["protonet-fc-ibpi-on", "sample_task", "evaluate", "listing"]
+    listing = hashlib.sha256("".join(line + "\n" for line in lines[:3]).encode("utf-8"))
+    assert lines[3] == f"listing {listing.hexdigest()}"

@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fewshot_ibp import episodes as E
+from fewshot_ibp.tensor import NonFiniteError
 
 
 def small_dataset(n_classes=4, per_class=10, dim=3, seed=0):
@@ -161,6 +163,51 @@ class TestPool:
                 count = record.instances.shape[0]
                 assert record.instances.tobytes() == ds.pool[start : start + count].tobytes()
                 assert not record.instances.flags.writeable
+
+    def test_loading_holds_the_rows_once(self, tmp_path):
+        ds = E.synth_dataset(12, 30, (1, 10, 10), 2.0, 1.0, seed=11)
+        path = tmp_path / "train.fsds"
+        E.save_dataset(ds, path)
+        E.load_dataset(path)  # warm caches
+        tracemalloc.start()
+        try:
+            loaded = E.load_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.pool.tobytes() == ds.pool.tobytes()
+        # the rows once, plus a little; a copy per class, then the pool, took 2x
+        assert peak < 1.5 * ds.pool.nbytes
+
+    def test_rows_tiling_a_read_only_array_become_the_pool_uncopied(self):
+        rows = np.arange(12.0).reshape(6, 2).copy()  # owns its data
+        rows.flags.writeable = False
+        ds = E.Dataset([E.ClassRecord(0, rows[:2]), E.ClassRecord(1, rows[2:])])
+        assert ds.pool is rows
+        assert all(record.instances.base is rows for record in ds.classes)
+        writeable = rows.copy()
+        for parts in (
+            [rows[:2], rows[3:]],  # a row left out
+            [rows[2:], rows[:2]],  # out of order
+            [rows[:2], rows[2:4]],  # rows left over
+            [rows[:2, :1], rows[2:, :1]],  # not whole rows
+            [writeable[:2], writeable[2:]],  # the caller may still write
+        ):
+            ds = E.Dataset([E.ClassRecord(i, part) for i, part in enumerate(parts)])
+            assert not any(np.shares_memory(ds.pool, part) for part in parts)
+            assert ds.pool.tobytes() == np.concatenate(parts).tobytes()
+
+    def test_non_finite_instances_rejected(self, tmp_path):
+        with pytest.raises(NonFiniteError):
+            E.Dataset([E.ClassRecord(0, np.array([[0.0], [np.nan]]))])
+        ds = E.Dataset([E.ClassRecord(i, np.full((2, 1), float(i))) for i in range(2)])
+        path = tmp_path / "pool.fsds"
+        E.save_dataset(ds, path)
+        raw = bytearray(path.read_bytes())
+        raw[-8:] = np.array([np.inf]).tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(NonFiniteError):
+            E.load_dataset(path)
 
     def test_under_supplied_spec_raises_on_every_call(self):
         ds = unequal_dataset()

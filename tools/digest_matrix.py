@@ -13,7 +13,13 @@ setting that differentiates through the gradients of the conv, batchnorm
 and max-pool nodes.  One more line, ``sample_task``, hashes the tasks
 ``fewshot_ibp.episodes.sample_task`` draws from the fc and the conv pool on
 the matrix's train spec, eval spec and a ``compactness`` spec, 200 seeds
-each, so the listing checks the sampler directly as well.
+each, so the listing checks the sampler directly as well.  The last line,
+``evaluate``, hashes the per-task accuracies of first-order MAML
+evaluation (``fewshot_ibp.learners.maml_task_accuracies``) of 600 test
+tasks, on the fc and the conv network at their initialization, with the
+matrix's eval spec, inner learning rate and eval inner steps.  The runs
+evaluate only 12 tasks, one adaptation chunk, so this line is the one that
+covers evaluation over several chunks.
 
 The script imports ``fewshot_ibp`` from the ``src`` directory of the
 checkout it sits in.  To compare two checkouts, run a copy of it in each:
@@ -25,9 +31,10 @@ covers only the run names and digests, so it is the same with or without
 much, save a ``--values`` listing from each and ``diff`` the two files: a
 moved run's line shows its old and its new digest and values.
 
-    python tools/digest_matrix.py              # all 84 runs, then sample_task
+    python tools/digest_matrix.py              # all 84 runs, sample_task, evaluate
     python tools/digest_matrix.py --only maml1-fc-ibpi-on
     python tools/digest_matrix.py --only sample_task
+    python tools/digest_matrix.py --only evaluate
     python tools/digest_matrix.py --values
     diff parent-values.txt change-values.txt    # two saved --values listings
 """
@@ -49,6 +56,8 @@ import numpy as np  # noqa: E402
 from fewshot_ibp.config import OBJECTIVES, RunConfig, resolve_dataset  # noqa: E402
 from fewshot_ibp.episodes import TaskSpec, sample_task  # noqa: E402
 from fewshot_ibp.harness import train  # noqa: E402
+from fewshot_ibp.layers import build_network  # noqa: E402
+from fewshot_ibp.learners import maml_task_accuracies  # noqa: E402
 
 FC = (
     [
@@ -86,6 +95,8 @@ OUTPUT_FILES = ("metrics.csv", "checkpoint.ckpt")
 SAMPLER_RUN = "sample_task"
 SAMPLER_SEEDS = 200
 COMPACTNESS_QUERIES = 100  # compactness's default queries_per_task
+EVAL_RUN = "evaluate"
+EVAL_TASKS = 600  # the default n_eval_tasks: several adaptation chunks
 
 
 def pool_data(pool: dict) -> dict:
@@ -168,6 +179,31 @@ def sampler_digest() -> str:
     return digest.hexdigest()
 
 
+def evaluate_digest() -> str:
+    """SHA-256 of the per-task accuracies of first-order MAML evaluation of
+    ``EVAL_TASKS`` tasks of the test split, drawn as ``evaluate`` draws them,
+    on the fc and on the conv network as the matrix's seed initializes
+    them.  It covers the accuracy arrays' dtype, shape and bytes."""
+    config = dict(run_configs())["maml1-fc-ibpi-on"]
+    spec = config.eval_spec()
+    digest = hashlib.sha256()
+    for layers, split_index, pool in (FC, CONV):
+        network = build_network(layers, split_index, np.random.default_rng(config.seed))
+        dataset = resolve_dataset(pool_data(pool)["test"])
+        tasks = (
+            sample_task(dataset, spec, np.random.default_rng(np.random.SeedSequence((0, i))))
+            for i in range(EVAL_TASKS)
+        )
+        accs = maml_task_accuracies(network, tasks, config.inner_lr, config.eval_inner_steps)
+        digest.update(f"{accs.dtype.str} {accs.shape}".encode("utf-8"))
+        digest.update(accs.tobytes())
+    return digest.hexdigest()
+
+
+# lines after the runs, each the digest of one direct check
+CHECKS = {SAMPLER_RUN: sampler_digest, EVAL_RUN: evaluate_digest}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--only", action="append", metavar="RUN",
@@ -176,8 +212,8 @@ def main(argv=None) -> int:
                         help="append each run's " + ", ".join(SUMMARY_KEYS))
     args = parser.parse_args(argv)
     runs = [(name, cfg) for name, cfg in run_configs() if not args.only or name in args.only]
-    sampler = not args.only or SAMPLER_RUN in args.only
-    if not runs and not sampler:
+    checks = [name for name in CHECKS if not args.only or name in args.only]
+    if not runs and not checks:
         parser.error(f"no run named {args.only}")
     listing = hashlib.sha256()
 
@@ -190,8 +226,8 @@ def main(argv=None) -> int:
             digest, summary = run_digest(cfg, os.path.join(tmp, name))
             values = "".join(f" {key}={summary[key]!r}" for key in SUMMARY_KEYS)
             emit(f"{name} {digest}", values if args.values else "")
-    if sampler:
-        emit(f"{SAMPLER_RUN} {sampler_digest()}")
+    for name in checks:
+        emit(f"{name} {CHECKS[name]()}")
     print(f"listing {listing.hexdigest()}")
     return 0
 
