@@ -22,7 +22,7 @@ from what it is given: from arrays it adapts first-order, the inner update
 detached, so the outer gradient is the query gradient at the adapted
 parameters applied to the initial slots; from tape nodes it adapts
 second-order, re-recording the inner updates on their tape, for every layer
-kind.
+kind.  One update op, :func:`_descended`, serves both orders.
 
 Tasks are adapted together on a leading task axis: their sets are stacked
 into a :class:`TaskBatch`, the parameters tiled to one copy per task, and
@@ -262,19 +262,28 @@ def _tiled_arrays(network: Network, n_tasks: int) -> list[dict]:
     ]
 
 
-def _descended(value: np.ndarray, grad: np.ndarray, inner_lr: float) -> np.ndarray:
-    """``value - inner_lr * grad`` as one fresh read-only array.
+def _descended(value, grad, inner_lr: float):
+    """``value - inner_lr * grad``, the inner update of both orders.
 
-    The product is allocated once and the difference written into it.
-    ``grad`` is never written: :meth:`~fewshot_ibp.tensor.Tape.backward` may
-    hand one adjoint array to two parameters.  Raises ``NonFiniteError`` if
-    the update overflows.
+    On arrays, one fresh read-only array: the product is allocated once and
+    the difference written into it, never into ``grad``, which
+    :meth:`~fewshot_ibp.tensor.Tape.backward` may hand to two parameters.
+    On nodes, one tape node of the same value, whose vjp ``(g, -g·inner_lr)``
+    sums the adjoints of the ``sub(value, mul(grad, inner_lr))`` chain it
+    replaces.  Raises ``NonFiniteError`` if the update overflows.
     """
-    out = np.multiply(grad, inner_lr)
-    np.subtract(value, out, out=out)
+    out = np.multiply(value_of(grad), inner_lr)
+    np.subtract(value_of(value), out, out=out)
     check_finite(out, "inner update")
     out.flags.writeable = False
-    return out
+    value_node, grad_node = type(value) is Node, type(grad) is Node
+    if not (value_node or grad_node):
+        return out
+
+    def vjp(g, inputs, o):
+        return (g if value_node else None), (mul(neg(g), inner_lr) if grad_node else None)
+
+    return Node(_tape_of(value, grad), out, (value, grad), vjp)
 
 
 def maml_adapt(inner_loss, params: list[dict], inner_lr: float, steps: int) -> list[dict]:
@@ -284,9 +293,9 @@ def maml_adapt(inner_loss, params: list[dict], inner_lr: float, steps: int) -> l
     :meth:`~fewshot_ibp.layers.LayerSpec.param_items`, and so is the
     result.  The order follows from ``params``: arrays adapt first-order,
     each step on a throwaway tape released once its gradients are read, and
-    give detached arrays; tape nodes adapt second-order, every update
-    recorded on their tape so the outer gradient runs through it, and the
-    caller releases it.
+    give detached arrays; tape nodes adapt second-order, every update one
+    node on their tape so the outer gradient runs through it, and the
+    caller releases it.  Both orders update with :func:`_descended`.
     """
     if not 0 <= inner_lr < math.inf:
         raise ValueError(f"inner_lr must be non-negative and finite, got {inner_lr!r}")
@@ -301,20 +310,17 @@ def maml_adapt(inner_loss, params: list[dict], inner_lr: float, steps: int) -> l
                     {name: step_tape.leaf(arr) for name, arr in entry.items()}
                     for entry in current
                 ]
-                loss = inner_loss(nodes)
-                grads = step_tape.backward(loss, param_nodes_to_list(nodes))
-            current = [
-                {name: _descended(node.value, grads[node], inner_lr) for name, node in entry.items()}
-                for entry in nodes
-            ]
+                grads = step_tape.backward(inner_loss(nodes), param_nodes_to_list(nodes))
         else:
-            loss = inner_loss(current)
-            flat = param_nodes_to_list(current)
-            grads = tape.backward(loss, flat, build_graph=True)
-            current = [
-                {name: sub(node, mul(grads[node], inner_lr)) for name, node in entry.items()}
-                for entry in current
-            ]
+            nodes = current
+            grads = tape.backward(inner_loss(nodes), param_nodes_to_list(nodes), build_graph=True)
+        current = [
+            {
+                name: _descended(node.value if tape is None else node, grads[node], inner_lr)
+                for name, node in entry.items()
+            }
+            for entry in nodes
+        ]
     return current
 
 

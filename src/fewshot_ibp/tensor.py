@@ -23,7 +23,10 @@ returns its numpy result straight away: it touches no tape and records
 nothing.  The same vjp body therefore serves both modes, runs the same
 numpy calls in the same order in each, and a value-mode pass pays one type
 test per operand for each op, not a tape lookup.  :meth:`Tape.backward`
-sums value-mode adjoints with ``np.add``.
+sums value-mode adjoints with ``np.add``, keys adjoints by node, and starts
+its walk at the first requested parameter on the tape: nothing recorded
+earlier is computed from one.  In graph mode it walks only the nodes with a
+requested or walked parent, so a requested parameter's own vjp never runs.
 
 Hot chains of primitives are single fused nodes with analytic vector-Jacobian
 products: ``sub`` (one node, not ``add`` of ``neg``), ``linear`` (``x @ wᵀ +
@@ -248,14 +251,17 @@ class Tape:
         """Reverse-mode gradients of a scalar ``loss`` for each of ``params``.
 
         Walks the recorded nodes once in reverse order, which is a reverse
-        topological order because recording order is execution order.  With
+        topological order because recording order is execution order, from
+        the last node to the first requested parameter on the tape.  With
         ``build_graph=True`` the adjoints are created as tape nodes (enabling
-        differentiation through the gradients), and only nodes computed from a
-        requested parameter are walked.  Each vjp must return one adjoint per
-        operand, or this raises ``ValueError``.  Returns ``{param: gradient}``;
-        parameters that do not reach the loss get zero gradients.  A parameter
-        may be a computed node rather than a leaf (a parameter after an inner
-        update); its gradient is its full adjoint.
+        differentiation through the gradients), and only nodes with a
+        requested or walked parent are walked, so a requested parameter's
+        own vjp does not run.  Adjoints are keyed by node.  Each vjp must
+        return one adjoint per operand, or this raises ``ValueError``.
+        Returns ``{param: gradient}``; parameters that do not reach the loss
+        get zero gradients.  A parameter may be a computed node rather than a
+        leaf (a parameter after an inner update); its gradient is its full
+        adjoint.
         """
         if self._nodes is _RELEASED:
             raise ValueError(f"cannot run backward: {_RELEASED_MESSAGE}")
@@ -267,28 +273,28 @@ class Tape:
         for p in params:
             if not isinstance(p, Node) or p.tape is not self:
                 raise ValueError("every parameter must be a node on this tape")
-        wanted = {id(p) for p in params}
-
-        adjoints: dict[int, object] = {id(loss): np.ones_like(loss.value)}
-        order = list(self._nodes)  # snapshot: graph mode appends while walking
-        live = None
-        if build_graph:
-            # only nodes computed from a requested parameter carry its
-            # gradient; the graph recorded before it (earlier inner updates
-            # and their gradients) is not walked
-            live = set(wanted)
-            for node in order:
+        if not params:
+            return {}
+        wanted = set(params)
+        # nothing recorded before the first requested parameter is computed from one
+        start = next(i for i, node in enumerate(self._nodes) if node in wanted)
+        if build_graph:  # only nodes computed from a requested parameter carry its gradient
+            live, walk = {id(p) for p in params}, []  # ids: operand lists hold arrays
+            for node in self._nodes[start:]:
                 if not live.isdisjoint(map(id, node.parents)):
                     live.add(id(node))
-        for node in reversed(order):
+                    walk.append(node)
+        else:
+            walk = self._nodes[start:]
+
+        adjoints = {loss: np.ones_like(loss.value)}
+        for node in reversed(walk):
             if node.vjp is None:
                 continue  # leaves keep their accumulated adjoints
-            if live is not None and id(node) not in live:
-                continue
-            if id(node) in wanted:  # a computed parameter keeps its adjoint
-                g = adjoints.get(id(node))
+            if node in wanted:  # a computed parameter keeps its adjoint
+                g = adjoints.get(node)
             else:
-                g = adjoints.pop(id(node), None)
+                g = adjoints.pop(node, None)
             if g is None:
                 continue
             if build_graph:
@@ -299,20 +305,20 @@ class Tape:
             for parent, pg in zip(node.parents, node.vjp(g, inputs, out), strict=True):
                 if pg is None:
                     continue
-                acc = adjoints.get(id(parent))
+                acc = adjoints.get(parent)
                 if acc is not None:
                     pg = add(acc, pg) if build_graph else np.add(acc, pg)
-                adjoints[id(parent)] = pg
+                adjoints[parent] = pg
 
         result = {}
         for p in params:
-            g = adjoints.get(id(p))
+            g = adjoints.get(p)
             if g is None:
                 g = np.zeros_like(p.value)
                 if build_graph:
                     g = Node(self, g)
-            result[id(p)] = g
-        return {p: result[id(p)] for p in params}
+            result[p] = g
+        return result
 
 
 def _tape_of(*operands):
@@ -503,7 +509,7 @@ def relu(a):
     if type(a) is not Node:
         return np.maximum(a, 0.0)
     out = np.maximum(a.value, 0.0)
-    mask = (a.value > 0.0).astype(np.float64)
+    mask = np.greater(a.value, 0.0)  # g·mask is g·1.0 or g·0.0, bit for bit
     return Node(a.tape, out, (a,), lambda g, inputs, o: (mul(g, mask),))
 
 

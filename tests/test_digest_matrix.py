@@ -38,13 +38,28 @@ def test_values_follow_the_digest_and_keep_the_listing():
     assert lines[1] == plain[1]  # the listing hash covers names and digests only
 
 
-def test_unknown_run_rejected():
+def test_pattern_selects_every_run_it_matches():
+    lines = digest_listing("protonet-fc-ibpi-o*").splitlines()
+    assert [line.split()[0] for line in lines] == [
+        "protonet-fc-ibpi-on", "protonet-fc-ibpi-off", "listing"
+    ]
+    assert lines[:2] == digest_listing("protonet-fc-ibpi-on", "protonet-fc-ibpi-off").splitlines()[:2]
+
+
+def rejected(name):
     out = subprocess.run(
-        [sys.executable, str(SCRIPT), "--only", "no-such-run"],
+        [sys.executable, str(SCRIPT), "--only", name],
         capture_output=True, text=True, timeout=300,
     )
-    assert out.returncode == 2
-    assert "no run named" in out.stderr
+    return out.returncode == 2 and "no run named" in out.stderr
+
+
+def test_unknown_run_rejected():
+    assert rejected("no-such-run")
+
+
+def test_pattern_matching_nothing_rejected():
+    assert rejected("maml3-*")
 
 
 def test_sampler_digest_is_stable_and_listed():

@@ -214,7 +214,7 @@ def test_maml_evaluate_memory_is_bounded_by_chunks():
 class TestInnerUpdate:
     """First-order ``maml_adapt`` makes one fresh array per parameter and
     step, and never writes into a gradient, which the tape may share
-    between parameters."""
+    between parameters.  Both orders reject an overflowing update."""
 
     WEIGHTS = np.array([[0.5, -2.0, 3.0], [1.5, 0.25, -1.0]])
 
@@ -247,3 +247,10 @@ class TestInnerUpdate:
         with np.errstate(over="ignore"):  # 3.0 * 1e308 is inf
             with pytest.raises(T.NonFiniteError, match="inner update"):
                 LR.maml_adapt(self.shared_adjoint_loss, [{"weight": zeros, "bias": zeros}], 1e308, 1)
+
+    def test_overflowing_second_order_update_raises(self):
+        with T.Tape() as tape:
+            params = [{"weight": tape.leaf(np.zeros((2, 3))), "bias": tape.leaf(np.zeros((2, 3)))}]
+            with np.errstate(over="ignore"):
+                with pytest.raises(T.NonFiniteError, match="inner update"):
+                    LR.maml_adapt(self.shared_adjoint_loss, params, 1e308, 1)

@@ -205,6 +205,51 @@ class TestBackward:
         grads = tape.backward(T.mul(x, x), [x, w])
         np.testing.assert_array_equal(grads[w], np.zeros(4))
 
+    def test_no_parameters_give_no_gradients(self):
+        tape = T.Tape()
+        x = tape.leaf(np.ones(3))
+        loss = T.sum_(T.mul(x, x))
+        for build_graph in (False, True):
+            assert tape.backward(loss, [], build_graph=build_graph) == {}
+
+    @staticmethod
+    def computed_parameter_tape():
+        """A leaf ``x``, a parameter ``y = (x·2)·x`` computed from it through
+        a node that is not requested, and the loss ``sum(y·c)``: ``c`` is
+        the adjoint of ``y``, ``4·x·c`` the full adjoint of ``x``."""
+        tape = T.Tape()
+        x0, c = np.array([1.5, -2.0, 0.5]), np.array([0.25, 3.0, -1.0])
+        x = tape.leaf(x0)
+        y = T.mul(T.mul(x, 2.0), x)
+        return tape, x, y, T.sum_(T.mul(y, c)), {"x": 4.0 * x0 * c, "y": c}
+
+    @pytest.mark.parametrize("build_graph", [False, True])
+    @pytest.mark.parametrize("names", [("x", "y"), ("y", "x")])
+    def test_a_parameter_computed_from_another_keeps_both_adjoints(self, names, build_graph):
+        # in either order: the walk starts at the first requested parameter
+        # on the tape, wherever it stands in the list
+        tape, x, y, loss, want = self.computed_parameter_tape()
+        params = {"x": x, "y": y}
+        grads = tape.backward(loss, [params[n] for n in names], build_graph=build_graph)
+        assert list(grads) == [params[n] for n in names]
+        for name in names:
+            np.testing.assert_array_equal(T.value_of(grads[params[name]]), want[name])
+
+    def test_graph_mode_differentiates_through_a_computed_parameter(self):
+        tape, x, y, loss, _ = self.computed_parameter_tape()
+        grads = tape.backward(loss, [y, x], build_graph=True)
+        h = tape.backward(T.sum_(grads[x]), [x])  # d/dx sum(4·x·c) = 4·c
+        np.testing.assert_array_equal(h[x], [1.0, 12.0, -4.0])
+
+    def test_graph_mode_runs_no_vjp_of_a_requested_parameter(self):
+        # y is requested and x is not: only nodes computed from y are
+        # walked, so no adjoint of x or of x·2 is recorded
+        tape, x, y, loss, want = self.computed_parameter_tape()
+        before = len(tape)
+        grads = tape.backward(loss, [y], build_graph=True)
+        assert len(tape) == before
+        np.testing.assert_array_equal(T.value_of(grads[y]), want["y"])
+
     def test_two_layer_net_cross_entropy_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((5, 4))
@@ -1126,6 +1171,28 @@ class TestFusedNodes:
             lambda a: chain_mixed_cross_entropy(a, l_ce2, mix),
             [l_ce],
             bit_equal=True,
+        )
+
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 4)])
+    def test_inner_update(self, shape):
+        # maml_adapt's update, one node per parameter and inner step
+        from fewshot_ibp.learners import _descended
+
+        rng = np.random.default_rng(47)
+        v, g = rng.standard_normal(shape), rng.standard_normal(shape)
+        lr = 0.3
+        fused_against_chain(
+            lambda v, g: _descended(v, g, lr), lambda v, g: T.sub(v, T.mul(g, lr)),
+            [v, g], bit_equal=True,
+        )
+        # one operand a constant
+        fused_against_chain(
+            lambda v: _descended(v, g, lr), lambda v: T.sub(v, T.mul(g, lr)),
+            [v], bit_equal=True,
+        )
+        fused_against_chain(
+            lambda g: _descended(v, g, lr), lambda g: T.sub(v, T.mul(g, lr)),
+            [g], bit_equal=True,
         )
 
     @pytest.mark.parametrize("shape", [(6, 4), (2, 6, 4)])

@@ -33,6 +33,7 @@ moved run's line shows its old and its new digest and values.
 
     python tools/digest_matrix.py              # all 84 runs, sample_task, evaluate
     python tools/digest_matrix.py --only maml1-fc-ibpi-on
+    python tools/digest_matrix.py --only 'maml2-*'    # shell-style: the 24 second-order runs
     python tools/digest_matrix.py --only sample_task
     python tools/digest_matrix.py --only evaluate
     python tools/digest_matrix.py --values
@@ -42,6 +43,7 @@ moved run's line shows its old and its new digest and values.
 from __future__ import annotations
 
 import argparse
+import fnmatch
 import hashlib
 import itertools
 import json
@@ -207,12 +209,17 @@ CHECKS = {SAMPLER_RUN: sampler_digest, EVAL_RUN: evaluate_digest}
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--only", action="append", metavar="RUN",
-                        help="run only this run name (repeatable)")
+                        help="run only the runs this name or shell-style pattern "
+                             "matches (repeatable)")
     parser.add_argument("--values", action="store_true",
                         help="append each run's " + ", ".join(SUMMARY_KEYS))
     args = parser.parse_args(argv)
-    runs = [(name, cfg) for name, cfg in run_configs() if not args.only or name in args.only]
-    checks = [name for name in CHECKS if not args.only or name in args.only]
+
+    def selected(name):
+        return not args.only or any(fnmatch.fnmatchcase(name, pat) for pat in args.only)
+
+    runs = [(name, cfg) for name, cfg in run_configs() if selected(name)]
+    checks = [name for name in CHECKS if selected(name)]
     if not runs and not checks:
         parser.error(f"no run named {args.only}")
     listing = hashlib.sha256()
