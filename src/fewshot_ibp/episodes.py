@@ -234,9 +234,12 @@ def synth_dataset(
     """
     if n_classes < 1 or per_class < 1:
         raise ValueError("class and instance counts must be positive")
-    if class_separation < 0 or noise_scale < 0:
-        raise ValueError("separation and noise must be non-negative")
+    for name, value in (("class_separation", class_separation), ("noise_scale", noise_scale)):
+        if not 0 <= value < math.inf:
+            raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
     shape = tuple(shape)
+    if not shape or min(shape) < 1:
+        raise ValueError(f"shape must be one or more positive sizes, got {list(shape)}")
     rng = np.random.default_rng(seed)
     classes = []
     for cid in range(n_classes):

@@ -174,10 +174,11 @@ def _loss_tail(config: RunConfig, l_ce, qres):
 
 
 def _step_info(diagnostics):
-    """A step's logged means over its tasks, as ``np.mean`` of a list of each
-    row's values computes them: each row is contiguous and sums the same."""
+    """A step's metric columns ``l_ce`` … ``total``: the means over its tasks,
+    as ``np.mean`` of a list of each row's values computes them (each row is
+    contiguous and sums the same)."""
     means = (diagnostics.sum(axis=1) / diagnostics.shape[1]).tolist()
-    return {"losses": tuple(means[:3]), "weights": tuple(means[3:6]), "total": means[6]}
+    return dict(zip(METRICS_COLUMNS[2:9], means, strict=True))
 
 
 def _embed(network, x, eps_t, prefix_params, boxes: bool):
@@ -457,32 +458,12 @@ def train(config: RunConfig, progress=None):
                     network, ds_train, config, eps_t, sample_rng, interp_rng, opt_state
                 )
 
-            row = {
-                "step": step,
-                "epsilon": eps_t,
-                "l_ce": info["losses"][0],
-                "l_lb": info["losses"][1],
-                "l_ub": info["losses"][2],
-                "w_ce": info["weights"][0],
-                "w_lb": info["weights"][1],
-                "w_ub": info["weights"][2],
-                "total": info["total"],
-                "val_accuracy": None,
-                "val_ci": None,
-            }
+            row = {"step": step, "epsilon": eps_t, **info, "val_accuracy": None, "val_ci": None}
             if "val" in data and (
                 step % config.eval_interval == 0 or step == config.max_steps
             ):
-                acc, ci = evaluate(
-                    network,
-                    config.learner,
-                    data["val"],
-                    config.eval_spec(),
-                    config.n_val_tasks,
-                    (config.seed, 101, step),
-                    eval_inner_steps=config.eval_inner_steps,
-                    inner_lr=config.inner_lr,
-                    distance=config.distance,
+                acc, ci = _evaluate_split(
+                    network, config, data["val"], config.n_val_tasks, (config.seed, 101, step)
                 )
                 row["val_accuracy"], row["val_ci"] = acc, ci
                 if acc > best_val[1]:
@@ -503,16 +484,8 @@ def train(config: RunConfig, progress=None):
     summary["status"] = "completed"
 
     if "test" in data:
-        acc, ci = evaluate(
-            network,
-            config.learner,
-            data["test"],
-            config.eval_spec(),
-            config.n_eval_tasks,
-            (config.seed, 202),
-            eval_inner_steps=config.eval_inner_steps,
-            inner_lr=config.inner_lr,
-            distance=config.distance,
+        acc, ci = _evaluate_split(
+            network, config, data["test"], config.n_eval_tasks, (config.seed, 202)
         )
         summary["test_accuracy"] = acc
         summary["test_ci95"] = ci
@@ -527,6 +500,22 @@ def train(config: RunConfig, progress=None):
     if config.out_dir:
         _write_outputs(config, network, rows, summary)
     return network, rows, summary
+
+
+def _evaluate_split(network, config: RunConfig, dataset, n_tasks: int, seed_entropy):
+    """:func:`evaluate` on one of a run's splits, with the run's learner,
+    eval spec and evaluation settings."""
+    return evaluate(
+        network,
+        config.learner,
+        dataset,
+        config.eval_spec(),
+        n_tasks,
+        seed_entropy,
+        eval_inner_steps=config.eval_inner_steps,
+        inner_lr=config.inner_lr,
+        distance=config.distance,
+    )
 
 
 def _summary(config: RunConfig, rows, best_val, wall_clock: float) -> dict:

@@ -26,14 +26,14 @@ kind.  One update op, :func:`_descended`, serves both orders.
 
 Tasks are adapted together on a leading task axis: their sets are stacked
 into a :class:`TaskBatch`, the parameters tiled to one copy per task, and
-the inner loss is the sum of the per-task losses (:func:`cross_entropy`
-gives one value per task), so each task's gradient is exactly its own and
-one backward pass per step serves every task.  Evaluation draws, adapts
+the inner loss gives one value per task (as :func:`cross_entropy` does)
+and backward differentiates their sum, so each task's gradient is its own
+and one backward pass per step serves every task.  Evaluation draws, adapts
 and scores its tasks a chunk at a time, so its memory is bounded by two
 element budgets, one for adaptation and a smaller one for scoring the
 queries (:func:`maml_task_accuracies`).  Training, in
 :func:`maml_outer_step`, tiles θ into one tape leaf per task and adapts the
-arrays or the leaves, and one backward pass of the summed query losses
+arrays or the leaves, and one backward pass of the per-task query losses
 gives every task's gradient of θ.  A first-order inner update makes one
 fresh array per parameter and never writes into a gradient, which the tape
 may share between parameters.
@@ -110,18 +110,12 @@ def _sqdist_grads(g, a, b, inputs):
 
 
 def pairwise_sqdist(a, b):
-    """Squared Euclidean distances between rows of ``a`` (m,d) and ``b`` (k,d),
-    or of each task's ``a`` (tasks,m,d) and ``b`` (tasks,k,d).  One tape
-    node."""
-    va, vb = value_of(a), value_of(b)
-    aa = np.sum(np.multiply(va, va), axis=-1, keepdims=True)  # (..., m, 1)
-    bb = np.sum(np.multiply(vb, vb), axis=-1, keepdims=True)  # (..., k, 1)
-    cross = va @ vb.swapaxes(-1, -2)  # (..., m, k)
-    out = np.add(np.subtract(aa, np.multiply(cross, 2.0)), bb.swapaxes(-1, -2))
-    tape = _tape_of(a, b)
-    if tape is None:
-        return out
-    return Node(tape, out, (a, b), lambda g, inputs, o: _sqdist_grads(g, a, b, inputs))
+    """Squared Euclidean distances between the rows of arrays ``a`` (m,d) and
+    ``b`` (k,d), or of each task's ``a`` (tasks,m,d) and ``b`` (tasks,k,d)."""
+    aa = np.sum(np.multiply(a, a), axis=-1, keepdims=True)  # (..., m, 1)
+    bb = np.sum(np.multiply(b, b), axis=-1, keepdims=True)  # (..., k, 1)
+    cross = a @ b.swapaxes(-1, -2)  # (..., m, k)
+    return np.add(np.subtract(aa, np.multiply(cross, 2.0)), bb.swapaxes(-1, -2))
 
 
 def protonet_logits(query_embeddings, prototypes, distance: str = "sqeuclidean"):
@@ -172,7 +166,7 @@ def cross_entropy(scores, labels):
     """Mean negative log softmax probability of the true class, from logits.
 
     Scores (tasks, n, k) with labels (tasks, n) give one mean per task, so
-    each task's gradient is its own; callers sum them.  One tape node, whose
+    each task's gradient is its own; backward sums them.  One tape node, whose
     vjp is ``(softmax - onehot) * g / n``: from the forward pass's
     exponentials in value mode, and written with tape operations when the
     backward pass builds a graph, so it can be differentiated again.
@@ -352,7 +346,7 @@ def maml_task_accuracies(network: Network, tasks, inner_lr: float, steps: int) -
 
         def inner_loss(params):
             logits = forward(network.layers, support_x, params=params)
-            return sum_(cross_entropy(logits, support_y))
+            return cross_entropy(logits, support_y)
 
         adapted = maml_adapt(inner_loss, _tiled_arrays(network, len(chunk)), inner_lr, steps)
         done = 0
@@ -415,14 +409,14 @@ def maml_outer_step(
     The tasks are stacked into a :class:`TaskBatch` and the parameters θ
     tiled into one leaf per task, ``tape.leaf(broadcast_to(a, (T,) +
     a.shape))``, on a single tape.  ``inner_loss(batch, params)`` returns the
-    per-task support losses, shape (tasks,); :func:`maml_adapt` descends on
-    their sum once for every task, first-order from the tiled arrays or
-    second-order on the tape from the tiled leaves.  ``query_loss(batch,
-    theta, phi)`` returns the per-task total losses, shape (tasks,), and
-    diagnostics of any form.  One backward pass of their sum gives each
-    task's own gradient of θ; the gradients are averaged over the batch,
-    adding in task order, and applied with one optimizer step.  The tape is
-    released once they are read.  Returns the diagnostics.
+    per-task support losses, shape (tasks,), which :func:`maml_adapt` takes
+    as they are, first-order from the tiled arrays or second-order on the
+    tape from the tiled leaves.  ``query_loss(batch, theta, phi)`` returns
+    the per-task total losses, shape (tasks,), and diagnostics of any form;
+    one backward pass of them gives each task's own gradient of θ.  The
+    gradients are averaged over the batch, adding in task order, and applied
+    with one optimizer step; the tape is released once they are read.
+    Returns the diagnostics.
     """
     tasks = list(tasks)
     if not tasks:
@@ -434,7 +428,7 @@ def maml_outer_step(
         theta = [{name: tape.leaf(arr) for name, arr in entry.items()} for entry in tiled]
         theta_flat = param_nodes_to_list(theta)
         phi = maml_adapt(
-            lambda params: sum_(inner_loss(batch, params)),
+            lambda params: inner_loss(batch, params),
             tiled if first_order else theta,
             inner_lr,
             inner_steps,
@@ -442,13 +436,12 @@ def maml_outer_step(
         if first_order:  # detached arrays become leaves of the outer tape
             phi = [{name: tape.leaf(arr) for name, arr in entry.items()} for entry in phi]
         losses, diagnostics = query_loss(batch, theta, phi)
-        loss = sum_(losses)
         if first_order:
             phi_flat = param_nodes_to_list(phi)
-            grads = tape.backward(loss, phi_flat + theta_flat)
+            grads = tape.backward(losses, phi_flat + theta_flat)
             task_grads = [grads[p] + grads[t] for p, t in zip(phi_flat, theta_flat)]
         else:
-            grads = tape.backward(loss, theta_flat)
+            grads = tape.backward(losses, theta_flat)
             task_grads = [grads[t] for t in theta_flat]
     scale = 1.0 / len(tasks)
     mean_grads = [np.add.reduce(g, axis=0) * scale for g in task_grads]

@@ -23,10 +23,12 @@ returns its numpy result straight away: it touches no tape and records
 nothing.  The same vjp body therefore serves both modes, runs the same
 numpy calls in the same order in each, and a value-mode pass pays one type
 test per operand for each op, not a tape lookup.  :meth:`Tape.backward`
-sums value-mode adjoints with ``np.add``, keys adjoints by node, and starts
-its walk at the first requested parameter on the tape: nothing recorded
-earlier is computed from one.  In graph mode it walks only the nodes with a
-requested or walked parent, so a requested parameter's own vjp never runs.
+takes a loss of any shape (one value per task) and differentiates the sum
+of its entries.  It sums value-mode adjoints with ``np.add``, keys adjoints
+by node, and starts its walk at the first requested parameter on the tape:
+nothing recorded earlier is computed from one.  In graph mode it walks only
+the nodes with a requested or walked parent, so a requested parameter's own
+vjp never runs; an adjoint that depends on none is a plain array.
 
 Hot chains of primitives are single fused nodes with analytic vector-Jacobian
 products: ``sub`` (one node, not ``add`` of ``neg``), ``linear`` (``x @ wᵀ +
@@ -130,20 +132,13 @@ def _keep_heap_pages() -> None:
 _keep_heap_pages()
 
 
-def as_tensor(values, shape=None) -> np.ndarray:
+def as_tensor(values) -> np.ndarray:
     """Copy ``values`` into an immutable, C-contiguous float64 array.
 
     Raises:
         NonFiniteError: if any entry is NaN or infinite.
-        ValueError: if ``shape`` is given and the element count mismatches.
     """
     arr = np.array(values, dtype=np.float64, order="C", copy=True)
-    if shape is not None:
-        if arr.size != int(np.prod(shape)):
-            raise ValueError(
-                f"data length {arr.size} does not match shape {tuple(shape)}"
-            )
-        arr = arr.reshape(shape)
     if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise NonFiniteError("tensor contains non-finite values")
     arr.flags.writeable = False
@@ -169,7 +164,8 @@ class Node:
     the operands and the node itself when the backward pass builds a graph,
     or their raw values otherwise, so a single vjp body serves both modes.
     In value mode every tape op the vjp calls sees plain arrays only and
-    returns its numpy result without a tape, so the adjoints are arrays.
+    returns its numpy result without a tape, so the adjoints are arrays; in
+    graph mode, so are the adjoints that depend on no node.
 
     ``Node`` has no subclasses: the tape ops tell a node from plain data with
     ``type(x) is Node``.
@@ -248,27 +244,28 @@ class Tape:
         return Node(self, np.asarray(value, dtype=np.float64))
 
     def backward(self, loss: Node, params, build_graph: bool = False):
-        """Reverse-mode gradients of a scalar ``loss`` for each of ``params``.
+        """Reverse-mode gradients of the sum of ``loss``'s entries (a loss of
+        any shape, typically one per task) for each of ``params``.
 
-        Walks the recorded nodes once in reverse order, which is a reverse
-        topological order because recording order is execution order, from
-        the last node to the first requested parameter on the tape.  With
-        ``build_graph=True`` the adjoints are created as tape nodes (enabling
-        differentiation through the gradients), and only nodes with a
-        requested or walked parent are walked, so a requested parameter's
-        own vjp does not run.  Adjoints are keyed by node.  Each vjp must
-        return one adjoint per operand, or this raises ``ValueError``.
-        Returns ``{param: gradient}``; parameters that do not reach the loss
-        get zero gradients.  A parameter may be a computed node rather than a
-        leaf (a parameter after an inner update); its gradient is its full
-        adjoint.
+        The walk is seeded with ``ones_like(loss.value)``, as a :func:`sum_`
+        node would seed it, and visits the recorded nodes once in reverse
+        order, which is a reverse topological order because recording order
+        is execution order, from the last node to the first requested
+        parameter on the tape.  With ``build_graph=True`` only nodes with a
+        requested or walked parent are walked, so a requested parameter's own
+        vjp does not run, and their adjoints are tape nodes (enabling
+        differentiation through the gradients); an adjoint that depends on no
+        requested parameter is a plain array in either mode, zeros included.
+        Adjoints are keyed by node.  Each vjp must return one adjoint per
+        operand, or this raises ``ValueError``.  Returns ``{param:
+        gradient}``; parameters that do not reach the loss get zero
+        gradients.  A parameter may be a computed node rather than a leaf (a
+        parameter after an inner update); its gradient is its full adjoint.
         """
         if self._nodes is _RELEASED:
             raise ValueError(f"cannot run backward: {_RELEASED_MESSAGE}")
         if not isinstance(loss, Node) or loss.tape is not self:
             raise ValueError("loss must be a node recorded on this tape")
-        if np.size(loss.value) != 1:
-            raise ValueError(f"loss must be scalar, got shape {loss.value.shape}")
         params = list(params)
         for p in params:
             if not isinstance(p, Node) or p.tape is not self:
@@ -310,15 +307,7 @@ class Tape:
                     pg = add(acc, pg) if build_graph else np.add(acc, pg)
                 adjoints[parent] = pg
 
-        result = {}
-        for p in params:
-            g = adjoints.get(p)
-            if g is None:
-                g = np.zeros_like(p.value)
-                if build_graph:
-                    g = Node(self, g)
-            result[p] = g
-        return result
+        return {p: adjoints[p] if p in adjoints else np.zeros_like(p.value) for p in params}
 
 
 def _tape_of(*operands):

@@ -452,6 +452,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=message):
             make_config(data=data)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("shape", [-1]),  # unchecked, numpy's "negative dimensions are not allowed"
+            ("shape", []),
+            ("class_separation", math.nan),  # unchecked, non-finite instances
+            ("class_separation", math.inf),
+            ("noise_scale", math.nan),
+            ("noise_scale", math.inf),
+        ],
+    )
+    def test_bad_synthetic_value_rejected_by_name(self, field, value):
+        # a well-typed entry passes RunConfig; the data is made in resolve_data
+        cfg = make_config(data={"train": {"synth": {**SYNTH, "seed": 1, field: value}}})
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            resolve_data(cfg)
+
     def test_descriptor_as_path_is_left_open(self):
         read_fd, write_fd = os.pipe()
         try:
@@ -483,7 +500,7 @@ class TestConfigValidation:
 
         for workload in load(root / "bench" / "workloads.py").WORKLOADS.values():
             workload.config(0, str(tmp_path), tiny=True)
-        assert len(list(load(root / "tools" / "digest_matrix.py").run_configs())) == 84
+        assert len(list(load(root / "tools" / "digest_matrix.py").run_configs())) == 96
         # the demo's imports and config, up to its first training run
         demo = ast.parse((root / "demos" / "02_prototype_learning.py").read_text())
         head = list(itertools.takewhile(

@@ -200,14 +200,14 @@ class TestTaskAxisPrimitives:
             np.testing.assert_array_equal(got[t], reference_sqdist(a[t], b[t]))
 
     def test_recorded_two_dimensional_path_is_unchanged(self):
-        # the training step records prototypes and distances on a tape
+        # the training step records prototypes and their scores on a tape
         rng = np.random.default_rng(5)
         emb, query = rng.standard_normal((6, 4)), rng.standard_normal((5, 4))
         labels = np.array([0, 1, 2, 0, 1, 2])
         values, grads = [], []
         for protos_fn, dist_fn in (
-            (LR.compute_prototypes, LR.pairwise_sqdist),
-            (reference_prototypes, reference_sqdist),
+            (LR.compute_prototypes, LR.protonet_logits),
+            (reference_prototypes, lambda q, p: T.neg(reference_sqdist(q, p))),
         ):
             with T.Tape() as tape:
                 e, q = tape.leaf(emb), tape.leaf(query)

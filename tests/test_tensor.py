@@ -68,10 +68,6 @@ def param_leaves(layers, tape) -> list[dict]:
 
 
 class TestAsTensor:
-    def test_validates_length_against_shape(self):
-        with pytest.raises(ValueError):
-            T.as_tensor([1.0, 2.0, 3.0], shape=(2, 2))
-
     def test_rejects_non_finite(self):
         with pytest.raises(T.NonFiniteError):
             T.as_tensor([1.0, np.nan])
@@ -156,11 +152,23 @@ class TestBackward:
         with pytest.raises(ValueError):
             tape.backward(T.sum_(out), [x, y], build_graph=build_graph)
 
-    def test_non_scalar_loss_rejected(self):
-        tape = T.Tape()
-        x = tape.leaf(np.ones(3))
-        with pytest.raises(ValueError):
-            tape.backward(T.mul(x, 2.0), [x])
+    @pytest.mark.parametrize("build_graph", [False, True])
+    @pytest.mark.parametrize("shape", [(3,), (2, 3)])
+    def test_loss_of_any_shape_gives_the_gradient_of_its_sum(self, shape, build_graph):
+        # a per-task loss goes straight in: bit-equal to a sum_ node on top
+        x0 = np.random.default_rng(7).standard_normal(shape)
+        c = np.linspace(-1.0, 2.0, x0.size).reshape(shape)
+        got = []
+        for wrap in (lambda loss: loss, T.sum_):
+            tape = T.Tape()
+            x, w = tape.leaf(x0), tape.leaf(c)
+            loss = T.mul(T.mul(x, x), w)
+            grads = tape.backward(wrap(loss), [x, w], build_graph=build_graph)
+            assert isinstance(grads[x], T.Node) == build_graph
+            got.append([T.value_of(grads[p]) for p in (x, w)])
+        for g, want in zip(*got):
+            assert (g.shape, g.tobytes()) == (want.shape, want.tobytes())
+        np.testing.assert_array_equal(got[0][0], 2.0 * x0 * c)
 
     def test_foreign_parameter_rejected(self):
         tape, other = T.Tape(), T.Tape()
@@ -240,6 +248,16 @@ class TestBackward:
         grads = tape.backward(loss, [y, x], build_graph=True)
         h = tape.backward(T.sum_(grads[x]), [x])  # d/dx sum(4·x·c) = 4·c
         np.testing.assert_array_equal(h[x], [1.0, 12.0, -4.0])
+
+    def test_graph_mode_adjoints_of_no_requested_parameter_are_arrays(self):
+        # one rule for both: the adjoint c of y depends on no requested
+        # parameter, and neither do the zeros of an unreached parameter
+        tape, x, y, loss, want = self.computed_parameter_tape()
+        w = tape.leaf(np.ones(2))
+        grads = tape.backward(loss, [y, w], build_graph=True)
+        assert type(grads[y]) is np.ndarray and type(grads[w]) is np.ndarray
+        np.testing.assert_array_equal(grads[y], want["y"])
+        np.testing.assert_array_equal(grads[w], np.zeros(2))
 
     def test_graph_mode_runs_no_vjp_of_a_requested_parameter(self):
         # y is requested and x is not: only nodes computed from y are
@@ -1104,7 +1122,8 @@ class TestFusedNodes:
 
     @pytest.mark.parametrize("a_shape,b_shape", [((6, 4), (3, 4)), ((2, 6, 4), (2, 3, 4))])
     def test_pairwise_sqdist(self, a_shape, b_shape):
-        # the cross term is linear(a, b), formerly matmul(a, transpose(b))
+        # arrays only: its adjoints are taken inside protonet_logits's node
+        # (test_protonet_logits), so here its values must equal the chain's
         from fewshot_ibp.learners import pairwise_sqdist
 
         def chain(a, b):
@@ -1115,7 +1134,6 @@ class TestFusedNodes:
 
         rng = np.random.default_rng(48)
         a, b = rng.standard_normal(a_shape), rng.standard_normal(b_shape)
-        fused_against_chain(pairwise_sqdist, chain, [a, b])
         np.testing.assert_array_equal(pairwise_sqdist(a, b), chain(a, b))
 
     @pytest.mark.parametrize("shape", [(6, 4), (3, 6, 4)])

@@ -4,18 +4,22 @@ changes no result.
 Each run trains with ``fewshot_ibp.harness.train`` into a temporary
 directory.  Its digest is the SHA-256 of ``metrics.csv``, ``checkpoint.ckpt``
 and the summary's ``test_accuracy``, ``test_ci95`` and ``box_width``.  The
-runs cross seven network/learner settings (ProtoNet on fc and on
+runs cross eight network/learner settings (ProtoNet on fc and on
 conv/batchnorm, first-order MAML on fc and on conv, second-order MAML on
-fc and on conv, and ProtoNet on fc with the ``euclidean`` distance) with
-the six objectives and with ``shared_mix_coeffs`` and ``bounds_on_adapted``
-both on or both off: 84 runs.  Second-order MAML on conv is the only
-setting that differentiates through the gradients of the conv, batchnorm
-and max-pool nodes.  One more line, ``sample_task``, hashes the tasks
-``fewshot_ibp.episodes.sample_task`` draws from the fc and the conv pool on
-the matrix's train spec, eval spec and a ``compactness`` spec, 200 seeds
-each, so the listing checks the sampler directly as well.  The last line,
-``evaluate``, hashes the per-task accuracies of first-order MAML
-evaluation (``fewshot_ibp.learners.maml_task_accuracies``) of 600 test
+fc, on conv and on a deeper fc network, and ProtoNet on fc with the
+``euclidean`` distance) with the six objectives and with
+``shared_mix_coeffs`` and ``bounds_on_adapted`` both on or both off: 96
+runs.  Second-order MAML on conv is the only setting that differentiates
+through the gradients of the conv, batchnorm and max-pool nodes.  The
+deeper fc network (fc, relu, fc, relu, then the fc head) is the only one
+whose prefix sends a box into an affine layer as a tape node, so only its
+runs take the adjoint of a box's faces through that layer.  One more
+line, ``sample_task``, hashes the tasks ``fewshot_ibp.episodes.sample_task``
+draws from the fc and the conv pool on the matrix's train spec, eval spec
+and a ``compactness`` spec, 200 seeds each, so the listing checks the
+sampler directly as well.  The last line, ``evaluate``, hashes the
+per-task accuracies of first-order MAML evaluation
+(``fewshot_ibp.learners.maml_task_accuracies``) of 600 test
 tasks, on the fc and the conv network at their initialization, with the
 matrix's eval spec, inner learning rate and eval inner steps.  The runs
 evaluate only 12 tasks, one adaptation chunk, so this line is the one that
@@ -31,9 +35,9 @@ covers only the run names and digests, so it is the same with or without
 much, save a ``--values`` listing from each and ``diff`` the two files: a
 moved run's line shows its old and its new digest and values.
 
-    python tools/digest_matrix.py              # all 84 runs, sample_task, evaluate
+    python tools/digest_matrix.py              # all 96 runs, sample_task, evaluate
     python tools/digest_matrix.py --only maml1-fc-ibpi-on
-    python tools/digest_matrix.py --only 'maml2-*'    # shell-style: the 24 second-order runs
+    python tools/digest_matrix.py --only 'maml2-*'    # shell-style: the 36 second-order runs
     python tools/digest_matrix.py --only sample_task
     python tools/digest_matrix.py --only evaluate
     python tools/digest_matrix.py --values
@@ -70,6 +74,18 @@ FC = (
     2,
     {"shape": [8], "class_separation": 3.0},
 )
+# two affine layers in the prefix: the second one takes a box as a tape node
+FC_DEEP = (
+    [
+        {"kind": "fully_connected", "in": 8, "out": 32},
+        {"kind": "relu"},
+        {"kind": "fully_connected", "in": 32, "out": 32},
+        {"kind": "relu"},
+        {"kind": "fully_connected", "in": 32, "out": 16},
+    ],
+    4,
+    FC[2],
+)
 CONV = (
     [
         {"kind": "conv2d", "in_channels": 1, "out_channels": 4, "kernel": 3},
@@ -90,6 +106,7 @@ SETTINGS = {
     "maml1-conv": ("maml", True, "sqeuclidean", CONV),
     "maml2-fc": ("maml", False, "sqeuclidean", FC),
     "maml2-conv": ("maml", False, "sqeuclidean", CONV),
+    "maml2-fc-deep": ("maml", False, "sqeuclidean", FC_DEEP),
     "protonet-fc-euclidean": ("protonet", True, "euclidean", FC),
 }
 SUMMARY_KEYS = ("test_accuracy", "test_ci95", "box_width")
