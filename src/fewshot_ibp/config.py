@@ -136,7 +136,11 @@ class RunConfig:
             noun = _type_fault(f.type, value)
             if noun is not None:
                 raise ValueError(f"{f.name} must be {noun}, got {value!r}")
-        for name in ("max_steps", "meta_batch", "eval_interval", "n_val_tasks", "n_eval_tasks"):
+        for name in ("train_ways", "eval_ways"):
+            if getattr(self, name) < 2:
+                raise ValueError(f"{name} must be at least 2")
+        for name in ("max_steps", "meta_batch", "eval_interval", "n_val_tasks", "n_eval_tasks",
+                     "train_shots", "train_query_shots", "eval_shots", "eval_query_shots"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         for name in ("inner_steps", "eval_inner_steps"):

@@ -1,12 +1,10 @@
 """Datasets, N-way K-shot task sampling, and a portable dataset file format.
 
-A dataset is a list of classes, each holding a stack of equally shaped
-float64 instances.  When a :class:`Dataset` is made, it copies every class
-into one read-only, contiguous pool of instances, class after class, and
-each class's ``instances`` becomes a view of its rows there, so nothing is
-stored twice.  Classes that already tile one read-only array that way
-(:func:`load_dataset` reads a file's rows straight into one) keep it as
-their pool, uncopied.
+A dataset is one pool of equally shaped float64 instances, class after
+class, with each class's instance count and id.  The pool is read-only and
+contiguous; :func:`synth_dataset` draws straight into one and
+:func:`load_dataset` reads a file's rows straight into one, so neither
+holds the rows twice.
 
 Episodic sampling (:func:`sample_task`) draws N distinct classes and K+Q
 distinct instances per class, remapping global class ids to local labels
@@ -37,59 +35,59 @@ ROLES = ("train", "validation", "test")
 
 
 @dataclass
-class ClassRecord:
-    class_id: int
-    instances: np.ndarray  # (count, *instance_shape); in a Dataset, a view of its pool
-
-    def __post_init__(self):
-        self.instances = np.asarray(self.instances, dtype=np.float64)
-        if self.instances.shape[0] < 1:
-            raise ValueError(f"class {self.class_id} has no instances")
-
-
-@dataclass
 class Dataset:
-    """Classes of equally shaped instances, pooled once when made.
+    """A pool of equally shaped instances, class after class.
 
-    ``pool`` holds every instance, class after class, read-only and
-    contiguous; ``offsets[i]`` is the first row of class ``i`` there, and
-    ``classes[i].instances`` is a view of that class's rows.  The pool is a
-    copy of the classes' rows, unless they already tile one read-only
-    float64 array exactly, class after class: that array is the pool.  A
-    non-finite instance raises ``NonFiniteError``.  A dataset is fixed once
-    made: :func:`sample_task` caches per task spec what it has checked and
-    built.
+    Class ``i`` has id ``class_ids[i]`` and ``counts[i]`` instances, the
+    rows ``offsets[i]`` to ``offsets[i] + counts[i]`` of ``pool``.  A
+    read-only, C-contiguous float64 pool is kept as it is; any other is
+    copied and frozen.  Each instance has one or more axes, none of them
+    empty.  A non-finite instance raises ``NonFiniteError``.  A dataset is
+    fixed once made: :func:`sample_task` caches per task spec what it has
+    checked and built.
     """
 
-    classes: list[ClassRecord]
+    pool: np.ndarray = field(repr=False)
+    counts: tuple
+    class_ids: tuple
     role: str = "train"
-    pool: np.ndarray = field(init=False, repr=False, compare=False)
     offsets: np.ndarray = field(init=False, repr=False, compare=False)
     _label_cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
-        if not self.classes:
+        self.counts, self.class_ids = tuple(self.counts), tuple(self.class_ids)
+        if not self.counts:
             raise ValueError("dataset has no classes")
         if self.role not in ROLES:
             raise ValueError(f"role must be one of {ROLES}, got {self.role!r}")
-        ids = [c.class_id for c in self.classes]
-        if len(set(ids)) != len(ids):
+        if len(self.class_ids) != len(self.counts):
+            raise ValueError(f"{len(self.class_ids)} class ids for {len(self.counts)} counts")
+        if len(set(self.class_ids)) != len(self.class_ids):
             raise ValueError("duplicate class ids")
-        shapes = {c.instances.shape[1:] for c in self.classes}
-        if len(shapes) != 1:
-            raise ValueError(f"instances have mixed shapes: {sorted(shapes)}")
-        rows = [c.instances for c in self.classes]
-        pool = _tiled_array(rows)
-        if pool is None:
-            pool = np.concatenate(rows)
+        for cid, count in zip(self.class_ids, self.counts):
+            if count < 1:
+                raise ValueError(f"class {cid} has no instances")
+        pool = self.pool
+        if not (
+            isinstance(pool, np.ndarray)
+            and pool.dtype == np.float64
+            and pool.flags.c_contiguous
+            and not pool.flags.writeable
+        ):
+            pool = np.array(pool, dtype=np.float64, order="C")
             pool.flags.writeable = False
+        if pool.ndim < 2 or 0 in pool.shape[1:]:
+            raise ValueError(
+                f"instance shape must be one or more positive sizes, got {list(pool.shape[1:])}"
+            )
+        if pool.shape[0] != sum(self.counts):
+            raise ValueError(
+                f"pool has {pool.shape[0]} rows, the class counts add up to {sum(self.counts)}"
+            )
         check_finite(pool, "dataset instances")
         self.pool = pool
-        counts = [c.instances.shape[0] for c in self.classes]
-        self.offsets = np.cumsum([0] + counts[:-1])
+        self.offsets = np.cumsum((0,) + self.counts[:-1])
         self.offsets.flags.writeable = False
-        for record, start, count in zip(self.classes, self.offsets.tolist(), counts):
-            record.instances = self.pool[start : start + count]
 
     @property
     def instance_shape(self) -> tuple:
@@ -97,27 +95,7 @@ class Dataset:
 
     @property
     def n_classes(self) -> int:
-        return len(self.classes)
-
-
-def _tiled_array(rows: list[np.ndarray]) -> np.ndarray | None:
-    """The read-only, contiguous float64 array that ``rows`` are consecutive
-    views of, in order and with no row left over, or None."""
-    base = rows[0].base
-    if not (
-        isinstance(base, np.ndarray)
-        and base.dtype == np.float64
-        and base.flags.c_contiguous
-        and not base.flags.writeable
-    ):
-        return None
-    start = 0
-    for part in rows:
-        stop = start + part.shape[0]
-        if part.__array_interface__ != base[start:stop].__array_interface__:
-            return None
-        start = stop
-    return base if start == base.shape[0] else None
+        return len(self.counts)
 
 
 @dataclass(frozen=True)
@@ -163,12 +141,9 @@ def check_supply(dataset: Dataset, spec: TaskSpec, name: str = "dataset") -> Non
     if dataset.n_classes < spec.ways:
         raise ValueError(f"{name} has {dataset.n_classes} classes, tasks need {spec.ways}")
     need = spec.shots + spec.query_shots
-    for record in dataset.classes:
-        if record.instances.shape[0] < need:
-            raise ValueError(
-                f"{name} class {record.class_id} has {record.instances.shape[0]} "
-                f"instances, tasks need {need}"
-            )
+    for cid, count in zip(dataset.class_ids, dataset.counts):
+        if count < need:
+            raise ValueError(f"{name} class {cid} has {count} instances, tasks need {need}")
 
 
 def _spec_labels(dataset: Dataset, spec: TaskSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -201,18 +176,15 @@ def sample_task(dataset: Dataset, spec: TaskSpec, rng: np.random.Generator) -> T
     """
     support_y, query_y = _spec_labels(dataset, spec)
     need = spec.shots + spec.query_shots
-    chosen = rng.choice(dataset.n_classes, size=spec.ways, replace=False)
-    records = [dataset.classes[ci] for ci in chosen.tolist()]
-    rows = np.array(
-        [rng.choice(record.instances.shape[0], size=need, replace=False) for record in records]
-    )
+    chosen = rng.choice(dataset.n_classes, size=spec.ways, replace=False).tolist()
+    rows = np.array([rng.choice(dataset.counts[ci], size=need, replace=False) for ci in chosen])
     rows += dataset.offsets[chosen][:, None]
     return Task(
         support_x=dataset.pool.take(rows[:, : spec.shots].ravel(), axis=0),
         support_y=support_y,
         query_x=dataset.pool.take(rows[:, spec.shots :].ravel(), axis=0),
         query_y=query_y,
-        class_ids=[record.class_id for record in records],
+        class_ids=[dataset.class_ids[ci] for ci in chosen],
     )
 
 
@@ -241,20 +213,21 @@ def synth_dataset(
     if not shape or min(shape) < 1:
         raise ValueError(f"shape must be one or more positive sizes, got {list(shape)}")
     rng = np.random.default_rng(seed)
-    classes = []
-    for cid in range(n_classes):
+    pool = np.empty((n_classes, per_class, *shape))
+    for rows in pool:
         mean = class_separation * rng.standard_normal(shape)
         noise = noise_scale * rng.standard_normal((per_class, *shape))
-        classes.append(ClassRecord(cid, mean[None, ...] + noise))
-    return Dataset(classes, role=role)
+        rows[...] = mean + noise
+    pool.flags.writeable = False
+    return Dataset(pool.reshape(-1, *shape), [per_class] * n_classes, range(n_classes), role)
 
 
 def save_dataset(dataset: Dataset, path) -> None:
     header = {
         "n_classes": dataset.n_classes,
         "instance_shape": list(dataset.instance_shape),
-        "class_ids": [c.class_id for c in dataset.classes],
-        "per_class_counts": [c.instances.shape[0] for c in dataset.classes],
+        "class_ids": dataset.class_ids,
+        "per_class_counts": dataset.counts,
         "role": dataset.role,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -263,8 +236,7 @@ def save_dataset(dataset: Dataset, path) -> None:
         fh.write(struct.pack("<I", DATASET_VERSION))
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for record in dataset.classes:
-            fh.write(np.ascontiguousarray(record.instances, dtype="<f8").tobytes())
+        fh.write(dataset.pool.astype("<f8", copy=False).tobytes())
 
 
 _HEADER_KEYS = ("n_classes", "instance_shape", "class_ids", "per_class_counts", "role")
@@ -322,8 +294,7 @@ def load_dataset(path) -> Dataset:
 
     The payload size the header implies is checked against the bytes left in
     the file before any of it is read.  The payload is read straight into
-    the dataset's pool, so the rows are held once, and each class's
-    ``instances`` is a view of its rows there.
+    the dataset's pool, so the rows are held once.
     """
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 4, "magic")
@@ -351,11 +322,5 @@ def load_dataset(path) -> Dataset:
         got = fh.readinto(pool.reshape(-1).view(np.uint8))
         if got != payload:
             raise ValueError(f"truncated dataset payload: {got} of {payload} bytes")
-    pool = pool.astype(np.float64, copy=False)  # a copy only on a big-endian machine
-    pool.flags.writeable = False
-    starts = np.cumsum([0] + counts).tolist()
-    classes = [
-        ClassRecord(cid, pool[start:stop])
-        for cid, start, stop in zip(header["class_ids"], starts, starts[1:])
-    ]
-    return Dataset(classes, role=header["role"])
+    pool.flags.writeable = False  # kept as the dataset's pool, unless big-endian
+    return Dataset(pool, counts, header["class_ids"], header["role"])

@@ -2,7 +2,9 @@
 
 import itertools
 import json
+import math
 import os
+import re
 import tempfile
 import tracemalloc
 
@@ -18,6 +20,23 @@ from fewshot_ibp.tensor import NonFiniteError
 
 def small_dataset(n_classes=4, per_class=10, dim=3, seed=0):
     return E.synth_dataset(n_classes, per_class, (dim,), 2.0, 0.5, seed)
+
+
+def make_dataset(arrays, ids=None, role="train"):
+    """The dataset whose classes hold the rows ``arrays``, with ids 0.. or ``ids``."""
+    ids = range(len(arrays)) if ids is None else ids
+    return E.Dataset(np.concatenate(arrays), [len(a) for a in arrays], ids, role)
+
+
+def bad_shape(shape):
+    """The message that rejects instances of ``shape``, as a pattern."""
+    return "instance shape must be one or more positive sizes, got " + re.escape(str(list(shape)))
+
+
+def class_rows(dataset, i):
+    """The rows of class ``i`` (an index, not an id) in the pool."""
+    start = int(dataset.offsets[i])
+    return dataset.pool[start : start + dataset.counts[i]]
 
 
 class TestSampleTask:
@@ -68,7 +87,7 @@ class TestSampleTask:
         # local label k's support instance belongs to class_ids[k]
         for k, cid in enumerate(task.class_ids):
             row = task.support_x[task.support_y == k][0]
-            source = ds.classes[cid].instances
+            source = class_rows(ds, ds.class_ids.index(cid))
             assert any(np.array_equal(row, inst) for inst in source)
 
     def test_pair_marginals_near_uniform(self):
@@ -86,19 +105,19 @@ class TestSampleTask:
 
 
 def reference_sample_task(dataset, spec, rng):
-    """The sampler before the pool, verbatim: it checks the supply on every
-    draw, takes each class's rows from its own array and builds the labels
-    anew."""
+    """The sampler before the pool, class by class: it checks the supply on
+    every draw, takes each class's rows from its own slice of the pool and
+    builds the labels anew."""
     E.check_supply(dataset, spec)
     need = spec.shots + spec.query_shots
     chosen = rng.choice(dataset.n_classes, size=spec.ways, replace=False)
     support, query, class_ids = [], [], []
     for local, ci in enumerate(chosen):
-        record = dataset.classes[int(ci)]
-        picks = rng.choice(record.instances.shape[0], size=need, replace=False)
-        support.append(record.instances[picks[: spec.shots]])
-        query.append(record.instances[picks[spec.shots :]])
-        class_ids.append(record.class_id)
+        instances = class_rows(dataset, int(ci))
+        picks = rng.choice(dataset.counts[int(ci)], size=need, replace=False)
+        support.append(instances[picks[: spec.shots]])
+        query.append(instances[picks[spec.shots :]])
+        class_ids.append(dataset.class_ids[int(ci)])
     support_y = np.repeat(np.arange(spec.ways), spec.shots)
     query_y = np.repeat(np.arange(spec.ways), spec.query_shots)
     return E.Task(
@@ -113,12 +132,8 @@ def reference_sample_task(dataset, spec, rng):
 def unequal_dataset():
     """Six classes of 5 to 12 instances, with ids that are not 0..5."""
     rng = np.random.default_rng(9)
-    return E.Dataset(
-        [
-            E.ClassRecord(cid, rng.standard_normal((count, 3)))
-            for cid, count in zip((7, 3, 40, 11, 0, 25), (5, 9, 7, 12, 6, 8))
-        ]
-    )
+    counts = (5, 9, 7, 12, 6, 8)
+    return make_dataset([rng.standard_normal((n, 3)) for n in counts], ids=(7, 3, 40, 11, 0, 25))
 
 
 def conv_pool_from_disk(tmp_path):
@@ -152,17 +167,13 @@ class TestPool:
             assert got.class_ids == want.class_ids
             assert [type(c) for c in got.class_ids] == [type(c) for c in want.class_ids]
 
-    def test_one_read_only_pool_and_class_views(self, tmp_path):
-        for ds in (unequal_dataset(), conv_pool_from_disk(tmp_path)):
+    def test_one_read_only_pool_and_class_offsets(self, tmp_path):
+        for ds in (unequal_dataset(), conv_pool_from_disk(tmp_path), small_dataset()):
             assert ds.pool.flags.c_contiguous and not ds.pool.flags.writeable
-            assert ds.pool.shape == (
-                sum(c.instances.shape[0] for c in ds.classes), *ds.instance_shape
-            )
-            for record, start in zip(ds.classes, ds.offsets.tolist()):
-                assert record.instances.base is ds.pool
-                count = record.instances.shape[0]
-                assert record.instances.tobytes() == ds.pool[start : start + count].tobytes()
-                assert not record.instances.flags.writeable
+            assert ds.pool.dtype == np.float64
+            assert ds.pool.shape == (sum(ds.counts), *ds.instance_shape)
+            assert ds.offsets.tolist() == np.cumsum((0,) + ds.counts[:-1]).tolist()
+            assert not ds.offsets.flags.writeable
 
     def test_loading_holds_the_rows_once(self, tmp_path):
         ds = E.synth_dataset(12, 30, (1, 10, 10), 2.0, 1.0, seed=11)
@@ -179,28 +190,40 @@ class TestPool:
         # the rows once, plus a little; a copy per class, then the pool, took 2x
         assert peak < 1.5 * ds.pool.nbytes
 
-    def test_rows_tiling_a_read_only_array_become_the_pool_uncopied(self):
-        rows = np.arange(12.0).reshape(6, 2).copy()  # owns its data
-        rows.flags.writeable = False
-        ds = E.Dataset([E.ClassRecord(0, rows[:2]), E.ClassRecord(1, rows[2:])])
-        assert ds.pool is rows
-        assert all(record.instances.base is rows for record in ds.classes)
-        writeable = rows.copy()
-        for parts in (
-            [rows[:2], rows[3:]],  # a row left out
-            [rows[2:], rows[:2]],  # out of order
-            [rows[:2], rows[2:4]],  # rows left over
-            [rows[:2, :1], rows[2:, :1]],  # not whole rows
-            [writeable[:2], writeable[2:]],  # the caller may still write
+    def test_synth_holds_its_rows_once(self):
+        E.synth_dataset(12, 30, (1, 10, 10), 2.0, 1.0, seed=11)  # warm caches
+        tracemalloc.start()
+        try:
+            ds = E.synth_dataset(12, 30, (1, 10, 10), 2.0, 1.0, seed=11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the pool, one class's draws and the finiteness mask (1.26x); a
+        # list of classes, then their concatenation, took 2.24x
+        assert peak < 1.5 * ds.pool.nbytes
+
+    def test_a_read_only_contiguous_float64_pool_is_kept_any_other_copied(self):
+        pool = np.arange(12.0).reshape(6, 2)
+        pool.flags.writeable = False
+        assert E.Dataset(pool, [2, 4], [0, 1]).pool is pool
+        wide = np.arange(24.0).reshape(6, 4)
+        wide.flags.writeable = False
+        for other in (
+            pool.copy(),  # the caller may still write
+            wide[:, ::2],  # not contiguous
+            np.asfortranarray(pool),  # not C-ordered
+            np.arange(12).reshape(6, 2),  # integers
         ):
-            ds = E.Dataset([E.ClassRecord(i, part) for i, part in enumerate(parts)])
-            assert not any(np.shares_memory(ds.pool, part) for part in parts)
-            assert ds.pool.tobytes() == np.concatenate(parts).tobytes()
+            ds = E.Dataset(other, [2, 4], [0, 1])
+            assert not np.shares_memory(ds.pool, other)
+            assert ds.pool.flags.c_contiguous and not ds.pool.flags.writeable
+            assert ds.pool.dtype == np.float64
+            np.testing.assert_array_equal(ds.pool, other)
 
     def test_non_finite_instances_rejected(self, tmp_path):
         with pytest.raises(NonFiniteError):
-            E.Dataset([E.ClassRecord(0, np.array([[0.0], [np.nan]]))])
-        ds = E.Dataset([E.ClassRecord(i, np.full((2, 1), float(i))) for i in range(2)])
+            make_dataset([np.array([[0.0], [np.nan]])])
+        ds = make_dataset([np.full((2, 1), float(i)) for i in range(2)])
         path = tmp_path / "pool.fsds"
         E.save_dataset(ds, path)
         raw = bytearray(path.read_bytes())
@@ -249,18 +272,17 @@ class TestSynthDataset:
     def test_deterministic_in_seed(self):
         a = small_dataset(seed=7)
         b = small_dataset(seed=7)
-        for ca, cb in zip(a.classes, b.classes):
-            np.testing.assert_array_equal(ca.instances, cb.instances)
+        assert a.pool.tobytes() == b.pool.tobytes()
 
     def test_zero_separation_zero_noise_collapses(self):
         ds = E.synth_dataset(3, 5, (4,), 0.0, 0.0, seed=0)
-        for record in ds.classes:
-            np.testing.assert_array_equal(record.instances, 0.0)
+        np.testing.assert_array_equal(ds.pool, 0.0)
 
     def test_twelve_class_pool(self):
         ds = E.synth_dataset(12, 20, (8,), 3.0, 1.0, seed=1)
         assert ds.n_classes == 12
-        assert all(c.instances.shape == (20, 8) for c in ds.classes)
+        assert ds.counts == (20,) * 12 and ds.class_ids == tuple(range(12))
+        assert ds.pool.shape == (240, 8)
 
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ValueError):
@@ -271,23 +293,35 @@ class TestSynthDataset:
 
 class TestDatasetInvariants:
     def test_empty_class_list_rejected(self):
-        with pytest.raises(ValueError):
-            E.Dataset([], role="train")
+        with pytest.raises(ValueError, match="no classes"):
+            E.Dataset(np.zeros((0, 3)), [], [], role="train")
 
     def test_duplicate_class_ids_rejected(self):
-        rec = E.ClassRecord(1, np.zeros((2, 3)))
-        with pytest.raises(ValueError):
-            E.Dataset([rec, E.ClassRecord(1, np.ones((2, 3)))])
+        with pytest.raises(ValueError, match="duplicate"):
+            make_dataset([np.zeros((2, 3)), np.ones((2, 3))], ids=[1, 1])
 
-    def test_mixed_shapes_rejected(self):
-        with pytest.raises(ValueError):
-            E.Dataset(
-                [E.ClassRecord(0, np.zeros((2, 3))), E.ClassRecord(1, np.zeros((2, 4)))]
-            )
+    @pytest.mark.parametrize(
+        "rows,counts,ids,message",
+        [
+            (5, [2, 2], [0, 1], "pool has 5 rows, the class counts add up to 4"),
+            (3, [2, 2], [0, 1], "pool has 3 rows, the class counts add up to 4"),
+            (4, [2, 2], [0, 1, 2], "3 class ids for 2 counts"),
+            (4, [2, 2], [0], "1 class ids for 2 counts"),
+            (4, [4, 0], [0, 9], "class 9 has no instances"),
+        ],
+    )
+    def test_pool_ids_and_counts_must_agree(self, rows, counts, ids, message):
+        with pytest.raises(ValueError, match=message):
+            E.Dataset(np.zeros((rows, 3)), counts, ids)
+
+    @pytest.mark.parametrize("shape", [(), (0,), (2, 0)])
+    def test_scalar_or_empty_instances_rejected(self, shape):
+        with pytest.raises(ValueError, match=bad_shape(shape)):
+            E.Dataset(np.zeros((3, *shape)), [3], [0])
 
     def test_bad_role_rejected(self):
         with pytest.raises(ValueError):
-            E.Dataset([E.ClassRecord(0, np.zeros((1, 2)))], role="training")
+            make_dataset([np.zeros((1, 2))], role="training")
 
 
 class TestFileFormat:
@@ -296,10 +330,8 @@ class TestFileFormat:
         path = tmp_path / "pool.fsds"
         E.save_dataset(ds, path)
         loaded = E.load_dataset(path)
-        assert loaded.role == ds.role
-        assert [c.class_id for c in loaded.classes] == [c.class_id for c in ds.classes]
-        for ca, cb in zip(ds.classes, loaded.classes):
-            np.testing.assert_array_equal(ca.instances, cb.instances)
+        assert (loaded.role, loaded.class_ids, loaded.counts) == (ds.role, ds.class_ids, ds.counts)
+        np.testing.assert_array_equal(loaded.pool, ds.pool)
 
     def test_save_load_save_is_stable(self, tmp_path):
         ds = E.synth_dataset(3, 4, (5,), 1.0, 1.0, seed=2)
@@ -366,10 +398,7 @@ class TestFileFormat:
         for key in drop:
             del header[key]
         blob = json.dumps(header, sort_keys=True).encode("utf-8")
-        payload = b"".join(
-            np.ascontiguousarray(c.instances, dtype="<f8").tobytes()
-            for c in ds.classes[:keep]
-        )
+        payload = ds.pool[: sum(ds.counts[:keep])].astype("<f8").tobytes()
         path.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob + payload)
 
     @pytest.mark.parametrize(
@@ -438,11 +467,22 @@ class TestFileFormat:
         # JSON true and false are Python ints, so each of these headers
         # agrees with its payload and used to load: with class ids
         # [false, true, 2], tasks reported class id True
-        ds = E.Dataset([E.ClassRecord(i, np.full((i + 1, 1), float(i))) for i in range(3)])
+        ds = make_dataset([np.full((i + 1, 1), float(i)) for i in range(3)])
         path = tmp_path / "pool.fsds"
         keep = 1 if "n_classes" in changes else None
         self.write_with_header(path, ds, keep=keep, **changes)
         with pytest.raises(ValueError, match=field):
+            E.load_dataset(path)
+
+    @pytest.mark.parametrize("shape", [(), (0,), (2, 0)])
+    def test_scalar_or_empty_instances_rejected(self, tmp_path, shape):
+        # a file whose header and payload agree, and which used to load
+        path = tmp_path / "pool.fsds"
+        keep = None if math.prod(shape) else 0  # 3 rows of 8 bytes, or none
+        self.write_with_header(
+            path, make_dataset([np.zeros((3, 1))]), keep=keep, instance_shape=list(shape)
+        )
+        with pytest.raises(ValueError, match=bad_shape(shape)):
             E.load_dataset(path)
 
     def test_non_integer_class_id_rejected(self, tmp_path):
@@ -455,18 +495,17 @@ class TestFileFormat:
 
 @st.composite
 def datasets(draw):
-    """Small datasets of any instance shape, class ids and role."""
+    """Small datasets of any instance shape a layer can take, class ids and role."""
     n_classes = draw(st.integers(1, 4))
-    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=0, max_size=3)))
+    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
     ids = draw(st.lists(st.integers(-(2**40), 2**40), min_size=n_classes,
                         max_size=n_classes, unique=True))
     finite = st.floats(allow_nan=False, allow_infinity=False)
-    classes = [
-        E.ClassRecord(cid, draw(hnp.arrays(np.float64, (draw(st.integers(1, 4)),) + shape,
-                                           elements=finite)))
-        for cid in ids
+    arrays = [
+        draw(hnp.arrays(np.float64, (draw(st.integers(1, 4)),) + shape, elements=finite))
+        for _ in ids
     ]
-    return E.Dataset(classes, role=draw(st.sampled_from(E.ROLES)))
+    return make_dataset(arrays, ids, role=draw(st.sampled_from(E.ROLES)))
 
 
 def saved_bytes(dataset) -> bytes:
@@ -497,9 +536,9 @@ def loads_or_value_error(raw: bytes) -> None:
     except ValueError:
         return
     assert isinstance(ds, E.Dataset)
-    for record in ds.classes:
-        assert record.instances.shape[1:] == ds.instance_shape
-        assert np.all(np.isfinite(record.instances))
+    assert ds.pool.shape == (sum(ds.counts), *ds.instance_shape)
+    assert ds.instance_shape and min(ds.instance_shape) > 0
+    assert np.all(np.isfinite(ds.pool))
 
 
 class TestFuzz:
@@ -508,11 +547,11 @@ class TestFuzz:
     def test_round_trip_is_exact(self, dataset):
         raw = saved_bytes(dataset)
         loaded = load_bytes(raw)
-        assert loaded.role == dataset.role
-        assert [c.class_id for c in loaded.classes] == [c.class_id for c in dataset.classes]
-        for a, b in zip(dataset.classes, loaded.classes):
-            assert a.instances.shape == b.instances.shape
-            assert a.instances.tobytes() == b.instances.tobytes()  # -0.0 included
+        assert (loaded.role, loaded.class_ids, loaded.counts) == (
+            dataset.role, dataset.class_ids, dataset.counts
+        )
+        assert loaded.pool.shape == dataset.pool.shape
+        assert loaded.pool.tobytes() == dataset.pool.tobytes()  # -0.0 included
         assert saved_bytes(loaded) == raw
 
     @given(

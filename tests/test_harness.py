@@ -17,14 +17,7 @@ from fewshot_ibp import cli
 from fewshot_ibp import harness as H
 from fewshot_ibp import layers as L
 from fewshot_ibp.config import RunConfig, resolve_data
-from fewshot_ibp.episodes import (
-    ClassRecord,
-    Dataset,
-    TaskSpec,
-    load_dataset,
-    save_dataset,
-    synth_dataset,
-)
+from fewshot_ibp.episodes import Dataset, TaskSpec, load_dataset, save_dataset, synth_dataset
 from fewshot_ibp.tensor import NonFiniteError
 from test_tensor import run_in_fresh_process
 
@@ -269,7 +262,7 @@ class TestCompactness:
         # identity embedding; every same-class pair sits at distance 5
         tri = np.array([[0.0, 0.0], [5.0, 0.0], [2.5, 2.5 * np.sqrt(3.0)]])
         classes = [tri, tri + 100.0]
-        ds = Dataset([ClassRecord(i, c) for i, c in enumerate(classes)])
+        ds = Dataset(np.concatenate(classes), [3, 3], [0, 1])
         net = L.Network([L.fully_connected(np.eye(2), np.zeros(2))], split_index=1)
         mean, std = H.compactness(net, ds, TaskSpec(2, 1, 2), n_tasks=12, queries_per_task=4)
         assert mean == pytest.approx(5.0)
@@ -350,12 +343,10 @@ class TestTaskSupply:
     def test_single_short_class_rejected(self, tmp_path):
         # one class of the train pool holds fewer than shots + query shots
         # instances; sampling reaches it only on some draws
-        classes = [
-            ClassRecord(c, np.random.default_rng(c).standard_normal((12 if c else 5, 6)))
-            for c in range(8)
-        ]
+        counts = [5] + [12] * 7
+        rows = [np.random.default_rng(c).standard_normal((n, 6)) for c, n in enumerate(counts)]
         path = tmp_path / "train.fsds"
-        save_dataset(Dataset(classes), path)
+        save_dataset(Dataset(np.concatenate(rows), counts, range(8)), path)
         cfg = make_config(data={"train": {"path": str(path)}})
         with pytest.raises(ValueError, match="class 0 has 5 instances, tasks need 6"):
             resolve_data(cfg)
@@ -399,6 +390,14 @@ class TestConfigValidation:
             ("inner_lr", math.nan),
             ("n_val_tasks", 0),
             ("n_eval_tasks", 0),
+            # a task needs two ways and one shot and one query shot per way;
+            # these used to fail in resolve_data without naming the field
+            ("train_ways", 1),
+            ("eval_ways", 1),
+            ("train_shots", 0),
+            ("train_query_shots", 0),
+            ("eval_shots", 0),
+            ("eval_query_shots", 0),
             # counts, ways, shots, seed and split_index take an int, not a bool
             ("n_eval_tasks", 1.5),
             ("max_steps", 2.5),
