@@ -34,6 +34,16 @@ DATASET_VERSION = 1
 ROLES = ("train", "validation", "test")
 
 
+def _ints(values, name: str) -> tuple:
+    """``values`` as a tuple of Python ints; a value that is not an integer
+    (a float, a bool) raises ``ValueError`` naming ``name``."""
+    values = tuple(values)
+    for v in values:
+        if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
+            raise ValueError(f"dataset {name} must be integers, got {v!r}")
+    return tuple(map(int, values))
+
+
 @dataclass
 class Dataset:
     """A pool of equally shaped instances, class after class.
@@ -42,7 +52,8 @@ class Dataset:
     rows ``offsets[i]`` to ``offsets[i] + counts[i]`` of ``pool``.  A
     read-only, C-contiguous float64 pool is kept as it is; any other is
     copied and frozen.  Each instance has one or more axes, none of them
-    empty.  A non-finite instance raises ``NonFiniteError``.  A dataset is
+    empty.  Counts and ids must be integers, and are kept as Python ints.
+    A non-finite instance raises ``NonFiniteError``.  A dataset is
     fixed once made: :func:`sample_task` caches per task spec what it has
     checked and built.
     """
@@ -55,7 +66,8 @@ class Dataset:
     _label_cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
-        self.counts, self.class_ids = tuple(self.counts), tuple(self.class_ids)
+        self.counts = _ints(self.counts, "counts")
+        self.class_ids = _ints(self.class_ids, "class_ids")
         if not self.counts:
             raise ValueError("dataset has no classes")
         if self.role not in ROLES:

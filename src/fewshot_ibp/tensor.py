@@ -74,6 +74,7 @@ the next step.
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 import platform
 
@@ -786,14 +787,18 @@ def _pool_gather(h, idx):
     return Node(h.tape, out, (h,), lambda g, inputs, o: (_pool_scatter(g, idx, x_shape),))
 
 
+@functools.lru_cache(maxsize=64)
 def _window_starts(x_shape, out_hw, stride):
     """Flat index into an array of ``x_shape`` (..., h, w) of each pooling
-    window's top-left entry, as an array (..., oh, ow)."""
+    window's top-left entry, as an array (..., oh, ow).  Built once per
+    shape, grid and stride, and read-only: every call shares it."""
     *lead, h, w = x_shape
     (in_image,) = _offset_views(np.arange(h * w).reshape(h, w), 1, 1, stride, out_hw)
     images = np.arange(0, math.prod(x_shape), h * w)
     # one row per image keeps the inner loop of the broadcast add oh·ow long
-    return (images[:, None] + in_image.ravel()).reshape(tuple(lead) + out_hw)
+    starts = (images[:, None] + in_image.ravel()).reshape(tuple(lead) + out_hw)
+    starts.flags.writeable = False
+    return starts
 
 
 def maxpool2d(x, window: int, stride: int | None = None):
@@ -837,8 +842,7 @@ def maxpool2d(x, window: int, stride: int | None = None):
         np.greater(view, out, out=above)  # strict: ties keep the first max, as argmax does
         np.maximum(off, np.multiply(above, offsets[k], dtype=off_type), out=off)
         np.maximum(view, out, out=out)
-    idx = _window_starts(vx.shape, out_hw, stride)
-    idx += off
+    idx = _window_starts(vx.shape, out_hw, stride) + off
     x_shape = vx.shape
 
     def vjp(g, inputs, o):

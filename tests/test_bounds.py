@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 
 from fewshot_ibp import bounds as B
 from fewshot_ibp import layers as L
+from fewshot_ibp import tensor as T
 from fewshot_ibp.tensor import NonFiniteError
+from test_tensor import fd_gradient
 
 
 def corner_images(fn, lower, upper):
@@ -459,13 +461,21 @@ class TestAffineBoxRule:
         for g, ref in zip(got, want):
             np.testing.assert_allclose(g, ref, rtol=1e-12, atol=1e-12)
 
-    def test_conv_box_costs_two_convolutions(self, monkeypatch):
+    @pytest.mark.parametrize("centered,convolutions", [(True, 1), (False, 2)])
+    def test_conv_box_convolutions(self, monkeypatch, centered, convolutions):
+        # a centered box maps its center with the forward pass's convolution
+        # and its radius in closed form; any other box takes two convolutions
         calls = []
-        conv2d = B.conv2d
-        monkeypatch.setattr(B, "conv2d", lambda *a, **k: calls.append(1) or conv2d(*a, **k))
+        for module in (B, L):
+            conv2d = module.conv2d
+            monkeypatch.setattr(
+                module, "conv2d", lambda *a, _conv=conv2d, **k: calls.append(1) or _conv(*a, **k)
+            )
         rng = np.random.default_rng(65)
-        B.propagate_layer(random_conv(rng, 2), B.epsilon_box(rng.standard_normal((2, 2, 5, 5)), 0.1))
-        assert len(calls) == 2
+        x = rng.standard_normal((2, 2, 5, 5))
+        box = B.epsilon_box(x, 0.1) if centered else B.IntervalTensor(x - 0.1, x + 0.1)
+        B.propagate_layer(random_conv(rng, 2), box)
+        assert len(calls) == convolutions
 
     def test_conv_and_batchnorm_boxes_are_sound(self):
         rng = np.random.default_rng(66)
@@ -530,3 +540,232 @@ class TestAffineBoxRule:
                 np.max(np.abs(corners.max(axis=0) - out.upper.ravel())),
             )
         assert worst <= 1e-9
+
+
+def random_fc(rng, in_dim, out_dim):
+    return L.fully_connected(rng.standard_normal((out_dim, in_dim)), rng.standard_normal(out_dim))
+
+
+def random_kernel_conv(rng, in_c, out_c, kernel):
+    return L.conv(rng.standard_normal((out_c, in_c, kernel, kernel)), rng.standard_normal(out_c))
+
+
+def centered_prefix(kind, rng):
+    """A prefix that keeps its box centered through its leading affine
+    layers, then ends the run, and an input batch for it: fc→fc→batchnorm,
+    conv→conv→batchnorm, or batchnorm first."""
+    if kind == "fc":
+        layers = [random_fc(rng, 4, 6), random_fc(rng, 6, 5), random_batchnorm(rng, 5),
+                  L.relu(), random_fc(rng, 5, 3)]
+        shape = (5, 4)
+    elif kind == "conv":
+        layers = [random_kernel_conv(rng, 2, 3, 3), random_kernel_conv(rng, 3, 2, 2),
+                  random_batchnorm(rng, 2), L.relu(), L.maxpool(2), L.flatten()]
+        shape = (4, 2, 7, 7)
+    else:  # batchnorm first
+        layers = [random_batchnorm(rng, 2), random_kernel_conv(rng, 2, 3, 2), L.relu(),
+                  L.maxpool(2)]
+        shape = (4, 2, 5, 5)
+    return L.Network(layers, split_index=len(layers)), rng.standard_normal(shape)
+
+
+def faces_rule_prefix(net, x, eps, params=None):
+    """The clean activation and the box of a prefix by the faces rule
+    alone: the box carries no center, and each layer maps its faces."""
+    center, box = x, B.IntervalTensor(x - eps, x + eps)
+    for i, layer in enumerate(net.prefix):
+        entry = params[i] if params is not None else {}
+        w, b = entry.get("weight"), entry.get("bias")
+        frozen = L.batch_stats(center, layer) if layer.kind == "batchnorm" else None
+        center = L.apply_layer(layer, center, weight=w, bias=b, frozen_stats=frozen)
+        box = B.propagate_layer(layer, box, weight=w, bias=b, frozen_stats=frozen)
+    return center, box
+
+
+PREFIX_KINDS = ("fc", "conv", "batchnorm_first")
+
+
+class TestCenteredBox:
+    """A centered box, ``epsilon_box`` and the images of its leading affine
+    layers, against the faces rule it replaced."""
+
+    @staticmethod
+    def faces_loss(faces, rng_seed=80):
+        c = np.random.default_rng(rng_seed).standard_normal(T.value_of(faces).shape)
+        return T.sum_(T.mul(T.mul(faces, faces), c))
+
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("kind", PREFIX_KINDS)
+    def test_box_matches_faces_rule(self, kind, shared):
+        rng = np.random.default_rng(81)
+        net, x = centered_prefix(kind, rng)
+        x = x + 0.3 * rng.standard_normal((3,) + x.shape)  # a stack of 3 tasks
+        arrays = [
+            {name: arr if shared else arr + 0.1 * rng.standard_normal((3,) + arr.shape)
+             for name, arr in layer.param_items()}
+            for layer in net.prefix
+        ]
+
+        def run(rule):
+            tape = T.Tape()
+            params = [{name: tape.leaf(a) for name, a in entry.items()} for entry in arrays]
+            center, box = rule(net, x, 0.1, params)
+            leaves = [p for entry in params for p in entry.values()]
+            grads = tape.backward(self.faces_loss(box.faces), leaves)
+            return [center.value, box.faces.value] + [grads[p] for p in leaves]
+
+        def centered(net, x, eps, params):
+            res = B.propagate_prefix(net, x, eps, params=params)
+            return res.center, res.box
+
+        for got, want in zip(run(centered), run(faces_rule_prefix), strict=True):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("kind", PREFIX_KINDS)
+    def test_box_is_sound(self, kind):
+        rng = np.random.default_rng(82)
+        worst = 0.0
+        for _ in range(5):
+            net, x = centered_prefix(kind, rng)
+            stats = []
+            L.forward(net.prefix, x, stats_out=stats)
+            for eps in (0.05, 0.2):
+                res = B.propagate_prefix(net, x, eps).values()
+                # uniform draws and corners of the box
+                delta = rng.uniform(-eps, eps, size=(40,) + x.shape)
+                delta[20:] = eps * np.sign(delta[20:])
+                y = np.stack([L.forward(net.prefix, x + d, frozen_stats=stats) for d in delta])
+                worst = max(worst, np.max(res.box.lower - y), np.max(y - res.box.upper))
+        assert worst <= 1e-9
+
+    # affine chains that keep the box centered throughout: each radius node
+    # feeds the next (a vector radius into fc, conv and batchnorm)
+    CHAINS = {
+        "fc_fc_batchnorm": ((4, 3), lambda rng: [random_fc(rng, 3, 4), random_fc(rng, 4, 3),
+                                                 random_batchnorm(rng, 3)]),
+        "conv_conv_batchnorm": ((3, 2, 5, 5), lambda rng: [
+            random_kernel_conv(rng, 2, 2, 2), random_kernel_conv(rng, 2, 2, 2),
+            random_batchnorm(rng, 2)]),
+        "batchnorm_conv": ((3, 2, 4, 4), lambda rng: [
+            random_batchnorm(rng, 2), random_kernel_conv(rng, 2, 2, 2)]),
+    }
+
+    @pytest.mark.parametrize("chain", sorted(CHAINS))
+    def test_radius_nodes_match_finite_differences(self, chain):
+        # first order against central differences of the loss, second order
+        # (a Hessian-vector product through the graph-mode gradients)
+        # against central differences of the gradient; the batchnorm
+        # statistics stay those of the clean pass at the base parameters
+        rng = np.random.default_rng(83)
+        shape, make = self.CHAINS[chain]
+        layers = make(rng)
+        x = rng.standard_normal(shape)
+        stats = []
+        L.forward(layers, x, stats_out=stats)
+        base = [arr.copy() for layer in layers for _, arr in layer.param_items()]
+
+        def loss_node(arrays):
+            box, it, frozen = B.epsilon_box(x, 0.1), iter(arrays), iter(stats)
+            for layer in layers:
+                w, b = next(it), next(it)
+                f = next(frozen) if layer.kind == "batchnorm" else None
+                box = B.propagate_layer(layer, box, w, b, frozen_stats=f)
+                assert box.center is not None
+            return self.faces_loss(box.faces)
+
+        def gradients(arrays, build_graph=False):
+            tape = T.Tape()
+            leaves = [tape.leaf(a) for a in arrays]
+            grads = tape.backward(loss_node(leaves), leaves, build_graph=build_graph)
+            return tape, leaves, [grads[p] for p in leaves]
+
+        _, _, first = gradients(base)
+        want = [fd_gradient(lambda arrays: float(loss_node(arrays)), base, k)
+                for k in range(len(base))]
+        for got, ref in zip(first, want, strict=True):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-5)
+
+        v = [rng.standard_normal(a.shape) for a in base]
+        tape, leaves, grads = gradients(base, build_graph=True)
+        gv = [T.sum_(T.mul(g, vi)) for g, vi in zip(grads, v) if isinstance(g, T.Node)]
+        s = gv[0]
+        for term in gv[1:]:
+            s = T.add(s, term)
+        hv = tape.backward(s, leaves)
+        h = 1e-5
+        plus = gradients([a + h * vi for a, vi in zip(base, v)])[2]
+        minus = gradients([a - h * vi for a, vi in zip(base, v)])[2]
+        for p, gp, gm in zip(leaves, plus, minus, strict=True):
+            np.testing.assert_allclose(hv[p], (gp - gm) / (2 * h), rtol=0, atol=1e-5)
+
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("kind", PREFIX_KINDS)
+    def test_task_stack_slices_equal_single_task_calls(self, kind, shared):
+        rng = np.random.default_rng(84)
+        net, x = centered_prefix(kind, rng)
+        x = x + 0.3 * rng.standard_normal((4,) + x.shape)
+        params = None if shared else TestTaskAxisBounds.per_task_params(net, 4, rng)
+        res = B.propagate_prefix(net, x, 0.1, params=params)
+        for t in range(4):
+            task_params = None if shared else [
+                {name: arr[t] for name, arr in entry.items()} for entry in params
+            ]
+            ref = B.propagate_prefix(net, x[t], 0.1, params=task_params)
+            np.testing.assert_array_equal(res.center[t], ref.center)
+            np.testing.assert_array_equal(res.box.faces[:, t], ref.box.faces)
+
+    @pytest.mark.parametrize("kind", PREFIX_KINDS)
+    def test_leading_affine_layers_keep_the_center(self, kind):
+        # each centered image is three nodes: the clean pass, the radius and
+        # the faces; the box carries the clean activation as its center
+        rng = np.random.default_rng(85)
+        net, x = centered_prefix(kind, rng)
+        box = B.epsilon_box(x, 0.1)
+        assert box.center is x and box.radius == 0.1
+        center, tape = x, T.Tape()
+        for layer in net.prefix:
+            params = {name: tape.leaf(arr) for name, arr in layer.param_items()}
+            frozen = L.batch_stats(center, layer) if layer.kind == "batchnorm" else None
+            recorded = len(tape)
+            center = L.apply_layer(layer, center, frozen_stats=frozen)
+            if box.center is None or layer.kind not in L.AFFINE_KINDS:
+                break
+            box = B.propagate_layer(layer, box, frozen_stats=frozen, **params)
+            assert len(tape) - recorded == 3
+            np.testing.assert_array_equal(box.center.value, center)
+            radius = box.radius.value.reshape((-1, 1, 1) if center.ndim == 4 else -1)
+            np.testing.assert_array_equal(box.faces.value, [center - radius, center + radius])
+
+    @pytest.mark.parametrize(
+        "layer,shape", [(L.relu(), (3, 4)), (L.maxpool(2), (2, 3, 4, 4)), (L.flatten(), (2, 3, 4, 4))]
+    )
+    def test_relu_maxpool_and_flatten_end_the_centered_run(self, layer, shape):
+        rng = np.random.default_rng(86)
+        x = rng.standard_normal(shape)
+        out = B.propagate_layer(layer, B.epsilon_box(x, 0.1))
+        assert out.center is None and out.radius is None
+        assert out.values().center is None
+        # an affine layer after it takes the faces rule
+        width = out.lower.reshape(shape[0], -1).shape[-1]
+        after = B.propagate_layer(random_fc(rng, width, 2), B.IntervalTensor(
+            out.lower.reshape(shape[0], -1), out.upper.reshape(shape[0], -1)))
+        assert after.center is None
+
+    @pytest.mark.parametrize("kind", PREFIX_KINDS)
+    def test_prefix_calls_each_layer_function_once_per_layer(self, kind, monkeypatch):
+        # propagate_layer materializes every layer's box, and the clean pass
+        # runs once per layer: inside it for a centered box, beside it
+        # otherwise
+        calls = {"propagate_layer": [], "apply_layer": []}
+        for name in calls:
+            fn = getattr(B, name)
+            monkeypatch.setattr(
+                B, name,
+                lambda layer, *a, _fn=fn, _name=name, **k: calls[_name].append(layer.kind)
+                or _fn(layer, *a, **k),
+            )
+        net, x = centered_prefix(kind, np.random.default_rng(87))
+        res = B.propagate_prefix(net, x, 0.1)
+        kinds = [layer.kind for layer in net.prefix]
+        assert calls == {"propagate_layer": kinds, "apply_layer": kinds}
+        np.testing.assert_array_equal(res.center, L.forward(net.prefix, x))

@@ -89,3 +89,81 @@ def test_sampler_line_follows_the_runs():
     assert names == ["protonet-fc-ibpi-on", "sample_task", "evaluate", "listing"]
     listing = hashlib.sha256("".join(line + "\n" for line in lines[:3]).encode("utf-8"))
     assert lines[3] == f"listing {listing.hexdigest()}"
+
+
+def load_tool():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("digest_matrix", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# two saved --values listings: run a holds, b's digest and box_width move,
+# c's test_accuracy moves, the sample_task check moves, d is new
+SAVED = """\
+a 11 test_accuracy=0.9 test_ci95=0.01 box_width=0.5
+b 22 test_accuracy=0.8 test_ci95=0.02 box_width=0.25
+c 33 test_accuracy=0.7 test_ci95=0.03 box_width=0.125
+sample_task 44
+listing 99
+"""
+CURRENT = """\
+a 11 test_accuracy=0.9 test_ci95=0.01 box_width=0.5
+b 2f test_accuracy=0.8 test_ci95=0.02 box_width=0.2500000000000001
+c 3f test_accuracy=0.6 test_ci95=0.03 box_width=0.125
+d 55 test_accuracy=0.5 test_ci95=0.04 box_width=1.0
+sample_task 4f
+listing 98
+"""
+
+
+def test_against_reports_each_moved_line_and_moved_results():
+    tool = load_tool()
+    saved, current = tool.parse_listing(SAVED), tool.parse_listing(CURRENT)
+    assert saved["b"] == ("22", {"test_accuracy": "0.8", "test_ci95": "0.02", "box_width": "0.25"})
+    assert saved["sample_task"] == ("44", {})
+    assert "listing" not in saved
+    report, results_moved = tool.compare(saved, current)
+    assert report == [
+        "moved b box_width 0.25 -> 0.2500000000000001",
+        "moved c test_accuracy 0.7 -> 0.6",
+        "absent d: not in the saved listing",
+        "moved sample_task",
+        "3 of 5 lines moved; test_accuracy or test_ci95 moved",
+    ]
+    assert results_moved
+    b_only = {name: line for name, line in current.items() if name in ("a", "b")}
+    report, results_moved = tool.compare(saved, b_only)
+    assert report[-1] == "1 of 2 lines moved; test_accuracy and test_ci95 held"
+    assert not results_moved
+
+
+def against(saved_text, tmp_path):
+    path = tmp_path / "saved.txt"
+    path.write_text(saved_text)
+    return subprocess.run(
+        [sys.executable, str(SCRIPT), "--only", "protonet-fc-ibpi-on", "--against", str(path)],
+        capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_against_exit_status(tmp_path):
+    line = digest_listing("protonet-fc-ibpi-on", flags=("--values",)).splitlines()[0]
+    name, digest, acc, ci, width = line.split()
+    out = against(line + "\n", tmp_path)
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout.splitlines()[-1] == "0 of 1 lines moved; test_accuracy and test_ci95 held"
+    # a moved box width alone passes, a moved test_ci95 fails
+    out = against(f"{name} {'0' * 64} {acc} {ci} box_width=0.5\n", tmp_path)
+    assert out.returncode == 0
+    assert f"moved {name} box_width 0.5 -> {width.partition('=')[2]}" in out.stdout
+    out = against(f"{name} {'0' * 64} {acc} test_ci95=0.5 {width}\n", tmp_path)
+    assert out.returncode == 1
+    assert out.stdout.splitlines()[-1] == "1 of 1 lines moved; test_accuracy or test_ci95 moved"
+    # a listing saved without --values cannot show a moved result
+    out = against(f"{name} {digest}\n", tmp_path)
+    assert out.returncode == 2 and "is not a --values listing" in out.stderr
+    out = against(f"{name}\n", tmp_path)
+    assert out.returncode == 2 and f"not a listing line: '{name}'" in out.stderr

@@ -319,6 +319,26 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError, match=bad_shape(shape)):
             E.Dataset(np.zeros((3, *shape)), [3], [0])
 
+    @pytest.mark.parametrize(
+        "counts,ids,name",
+        [
+            ([1.5, 2.5], [0, 1], "counts"),
+            ([True, 3], [0, 1], "counts"),
+            ([np.float64(2.0), 2], [0, 1], "counts"),
+            ([2, 2], [0.0, 1], "class_ids"),
+            ([2, 2], [np.bool_(True), 0], "class_ids"),
+        ],
+    )
+    def test_non_integer_counts_or_ids_rejected(self, counts, ids, name):
+        # a float count built (offsets [0, 1.5]) and failed only at sampling
+        with pytest.raises(ValueError, match=f"dataset {name} must be integers"):
+            E.Dataset(np.zeros((4, 3)), counts, ids)
+
+    def test_numpy_integers_kept_as_python_ints(self):
+        ds = E.Dataset(np.zeros((4, 3)), np.array([1, 3], dtype=np.int32), np.arange(7, 9))
+        assert (ds.counts, ds.class_ids) == ((1, 3), (7, 8))
+        assert all(type(v) is int for v in ds.counts + ds.class_ids)
+
     def test_bad_role_rejected(self):
         with pytest.raises(ValueError):
             make_dataset([np.zeros((1, 2))], role="training")
@@ -332,6 +352,16 @@ class TestFileFormat:
         loaded = E.load_dataset(path)
         assert (loaded.role, loaded.class_ids, loaded.counts) == (ds.role, ds.class_ids, ds.counts)
         np.testing.assert_array_equal(loaded.pool, ds.pool)
+
+    def test_int64_counts_and_ids_round_trip(self, tmp_path):
+        # numpy integers made save_dataset raise a JSON TypeError
+        pool = np.arange(12.0).reshape(4, 3)
+        ds = E.Dataset(pool, np.array([3, 1], dtype=np.int64), np.array([5, 2], dtype=np.int64))
+        path = tmp_path / "pool.fsds"
+        E.save_dataset(ds, path)
+        loaded = E.load_dataset(path)
+        assert (loaded.counts, loaded.class_ids) == ((3, 1), (5, 2))
+        np.testing.assert_array_equal(loaded.pool, pool)
 
     def test_save_load_save_is_stable(self, tmp_path):
         ds = E.synth_dataset(3, 4, (5,), 1.0, 1.0, seed=2)

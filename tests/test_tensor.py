@@ -1578,6 +1578,47 @@ class TestSpatialKernelsMatchReference:
             np.testing.assert_array_equal(got, ref)
             np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
 
+    @staticmethod
+    def first_max_indices(x, window, stride):
+        """Flat index into ``x`` of each window's first maximum in row-major
+        order, found window by window with ``np.argmax``."""
+        *lead, h, w = x.shape
+        out_hw = ((h - window) // stride + 1, (w - window) // stride + 1)
+        idx = np.empty(tuple(lead) + out_hw, dtype=np.int64)
+        for pos in np.ndindex(idx.shape):
+            *at, i, j = pos
+            patch = x[tuple(at)][i * stride : i * stride + window, j * stride : j * stride + window]
+            a, b = divmod(int(np.argmax(patch)), window)
+            idx[pos] = np.ravel_multi_index(tuple(at) + (i * stride + a, j * stride + b), x.shape)
+        return idx
+
+    # the 5-image conv support set, with a task axis and the faces axis, and
+    # a plain batch
+    @pytest.mark.parametrize("shape", [(5, 8, 8, 8), (2, 1, 5, 4, 8, 8), (3, 2, 7, 8)])
+    @pytest.mark.parametrize("window,stride", [(2, 2), (3, 1), (2, 3)])
+    def test_maxpool2d_indices_from_cached_window_starts(self, shape, window, stride, monkeypatch):
+        # the flat indices the taped forward hands its vjp are each window's
+        # first maximum; the window starts they are built from are cached,
+        # read-only, and unchanged by the calls that read them
+        rng = np.random.default_rng(sum(shape) + 10 * window + stride)
+        x = np.round(rng.standard_normal(shape))  # ties in many windows
+        want = self.first_max_indices(x, window, stride)
+        seen = []
+        scatter = T._pool_scatter
+        monkeypatch.setattr(
+            T, "_pool_scatter", lambda g, idx, s: seen.append(idx.copy()) or scatter(g, idx, s)
+        )
+        for _ in range(2):  # the second call reads the cached starts
+            tape_vjp(lambda a: T.maxpool2d(a, window, stride), [x], np.ones(want.shape))
+        assert len(seen) == 2
+        for idx in seen:
+            assert idx.dtype == want.dtype
+            np.testing.assert_array_equal(idx, want)
+        starts = T._window_starts(shape, want.shape[-2:], stride)
+        assert starts is T._window_starts(shape, want.shape[-2:], stride)
+        assert not starts.flags.writeable
+        np.testing.assert_array_equal(starts, self.first_max_indices(np.zeros(shape), window, stride))
+
     @pytest.mark.parametrize("layout", range(3))
     @pytest.mark.parametrize("stride", [1, 2])
     def test_conv_kernels_are_mutual_adjoints(self, layout, stride):

@@ -32,16 +32,19 @@ appends each run's ``test_accuracy``, ``test_ci95`` and ``box_width`` to
 its line, to show how far a run that moved has moved; the listing hash
 covers only the run names and digests, so it is the same with or without
 ``--values``.  To see which runs moved between two checkouts, and by how
-much, save a ``--values`` listing from each and ``diff`` the two files: a
-moved run's line shows its old and its new digest and values.
+much, save a ``--values`` listing from one and run the other with
+``--against`` that file: after its own listing it prints one line per line
+whose digest moved, with the values that moved, and it exits 1 if any
+run's ``test_accuracy`` or ``test_ci95`` moved.  A refactor whose digests
+move by rounding keeps every one of them.
 
     python tools/digest_matrix.py              # all 96 runs, sample_task, evaluate
     python tools/digest_matrix.py --only maml1-fc-ibpi-on
     python tools/digest_matrix.py --only 'maml2-*'    # shell-style: the 36 second-order runs
     python tools/digest_matrix.py --only sample_task
     python tools/digest_matrix.py --only evaluate
-    python tools/digest_matrix.py --values
-    diff parent-values.txt change-values.txt    # two saved --values listings
+    python tools/digest_matrix.py --values > parent-values.txt
+    python tools/digest_matrix.py --against parent-values.txt   # in the other checkout
 """
 
 from __future__ import annotations
@@ -110,6 +113,7 @@ SETTINGS = {
     "protonet-fc-euclidean": ("protonet", True, "euclidean", FC),
 }
 SUMMARY_KEYS = ("test_accuracy", "test_ci95", "box_width")
+RESULT_KEYS = ("test_accuracy", "test_ci95")  # --against fails if one moves
 OUTPUT_FILES = ("metrics.csv", "checkpoint.ckpt")
 SAMPLER_RUN = "sample_task"
 SAMPLER_SEEDS = 200
@@ -223,6 +227,49 @@ def evaluate_digest() -> str:
 CHECKS = {SAMPLER_RUN: sampler_digest, EVAL_RUN: evaluate_digest}
 
 
+def parse_listing(text: str) -> dict:
+    """``{name: (digest, values)}`` for each line of a listing but the
+    ``listing`` line, ``values`` the ``key=value`` fields a ``--values``
+    listing appends to a run (empty on a check line).  A line that is not
+    a name, a digest and ``key=value`` fields raises ``ValueError``."""
+    lines = {}
+    for line in text.splitlines():
+        parts = line.split()
+        if len(parts) < 2 or any("=" not in field for field in parts[2:]):
+            raise ValueError(f"not a listing line: {line!r}")
+        name, digest, *fields = parts
+        if name != "listing":
+            lines[name] = (digest, dict(field.split("=", 1) for field in fields))
+    return lines
+
+
+def compare(saved: dict, current: dict) -> tuple[list[str], bool]:
+    """One report line for each line of ``current`` whose digest differs
+    from ``saved`` (both parsed listings), naming the values that moved,
+    and whether any run's ``test_accuracy`` or ``test_ci95`` moved."""
+    report, results_moved = [], False
+    for name, (digest, values) in current.items():
+        if name not in saved:
+            report.append(f"absent {name}: not in the saved listing")
+            continue
+        old_digest, old_values = saved[name]
+        if digest == old_digest:
+            continue
+        changed = [key for key in values if values[key] != old_values[key]]
+        results_moved |= any(key in RESULT_KEYS for key in changed)
+        report.append(
+            f"moved {name}"
+            + "".join(f" {key} {old_values[key]} -> {values[key]}" for key in changed)
+        )
+    moved = sum(line.startswith("moved ") for line in report)
+    report.append(
+        f"{moved} of {len(current)} lines moved; "
+        + ("test_accuracy or test_ci95 moved" if results_moved
+           else "test_accuracy and test_ci95 held")
+    )
+    return report, results_moved
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--only", action="append", metavar="RUN",
@@ -230,7 +277,21 @@ def main(argv=None) -> int:
                              "matches (repeatable)")
     parser.add_argument("--values", action="store_true",
                         help="append each run's " + ", ".join(SUMMARY_KEYS))
+    parser.add_argument("--against", metavar="FILE",
+                        help="compare with a saved --values listing: print each line "
+                             "that moved, exit 1 if a run's "
+                             + " or ".join(RESULT_KEYS) + " moved")
     args = parser.parse_args(argv)
+    saved = None
+    if args.against:
+        with open(args.against, encoding="utf-8") as fh:
+            try:
+                saved = parse_listing(fh.read())
+            except ValueError as err:
+                parser.error(f"{args.against}: {err}")
+        if any(name not in CHECKS and set(values) != set(SUMMARY_KEYS)
+               for name, (_, values) in saved.items()):
+            parser.error(f"{args.against} is not a --values listing")
 
     def selected(name):
         return not args.only or any(fnmatch.fnmatchcase(name, pat) for pat in args.only)
@@ -240,20 +301,27 @@ def main(argv=None) -> int:
     if not runs and not checks:
         parser.error(f"no run named {args.only}")
     listing = hashlib.sha256()
+    current = {}
 
-    def emit(line, extra=""):
+    def emit(name, digest, values):
+        current[name] = (digest, values)
+        line = f"{name} {digest}"
         listing.update((line + "\n").encode("utf-8"))
-        print(line + extra, flush=True)
+        extra = "".join(f" {key}={value}" for key, value in values.items())
+        print(line + (extra if args.values else ""), flush=True)
 
     with tempfile.TemporaryDirectory() as tmp:
         for name, cfg in runs:
             digest, summary = run_digest(cfg, os.path.join(tmp, name))
-            values = "".join(f" {key}={summary[key]!r}" for key in SUMMARY_KEYS)
-            emit(f"{name} {digest}", values if args.values else "")
+            emit(name, digest, {key: repr(summary[key]) for key in SUMMARY_KEYS})
     for name in checks:
-        emit(f"{name} {CHECKS[name]()}")
+        emit(name, CHECKS[name](), {})
     print(f"listing {listing.hexdigest()}")
-    return 0
+    if saved is None:
+        return 0
+    report, results_moved = compare(saved, current)
+    print("\n".join(report))
+    return 1 if results_moved else 0
 
 
 if __name__ == "__main__":
