@@ -20,10 +20,11 @@ node.  An input box ``[x - eps, x + eps]`` is pushed layer by layer:
   once (one ``relu`` or ``maxpool2d`` node), and flatten is one ``reshape``;
   each ends the centered run;
 - an affine layer given a box without a center maps it by the faces rule,
-  one tape node: the midpoint ``mu`` of the faces maps through the layer
-  and the half-width ``psi`` through its elementwise absolute weights
-  without bias, giving ``[mu' - psi', mu' + psi']``; a conv box costs two
-  convolutions.
+  built from the tape's own ops: the midpoint ``mu`` of the faces maps
+  through the layer and the half-width ``psi`` through its elementwise
+  absolute weights without bias (for batchnorm, ``mu·scale + shift`` and
+  ``psi·|scale|``), giving ``[mu' - psi', mu' + psi']``; a conv box costs
+  two convolutions.
 
 The propagated box is guaranteed to contain the image of every point of the
 input box, and for a single affine, relu, or maxpool layer each output face
@@ -33,10 +34,9 @@ last one, with its center, when the result is made.
 
 All entry points accept tape nodes as well as plain arrays, so bound
 computations are differentiable with respect to the network parameters.
-Every box node's vjp (faces rule, radius, faces) is written with tape
-operations, so second-order meta-updates differentiate through it; a faces
-rule node repeats the adjoint sums of the primitive chain it replaced in the
-same order, so its gradients are those of the chain bit for bit.  As in
+The faces rule is a chain of tape ops with their own vjps, and each box
+node's vjp (radius, faces) is written with tape operations, so
+second-order meta-updates differentiate through all of them.  As in
 the forward pass, an odd face rank marks a stack of T tasks, propagated at
 once (:func:`~fewshot_ibp.layers.has_task_axis`): faces carry a task axis
 after their face axis, parameters are shared or stacked per task, a radius
@@ -45,6 +45,7 @@ is per task when they are, and batchnorm takes its statistics per task.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,12 +65,6 @@ from .layers import (
 )
 from .tensor import (
     Node,
-    _conv_bias_grad,
-    _conv_input_grad,
-    _conv_weight_grad,
-    _linear_bias_grad,
-    _linear_input_grad,
-    _linear_weight_grad,
     _tape_of,
     _unbroadcast,
     abs_,
@@ -79,7 +74,6 @@ from .tensor import (
     linear,
     maxpool2d,
     mul,
-    neg,
     relu,
     reshape,
     stack,
@@ -161,8 +155,8 @@ class BoundResult:
 def epsilon_box(x, eps: float) -> IntervalTensor:
     """The l-infinity ball ``[x - eps, x + eps]`` as a box centered on ``x``
     with the scalar radius ``eps``."""
-    if eps < 0:
-        raise ValueError(f"epsilon must be non-negative, got {eps}")
+    if not 0 <= eps < math.inf:
+        raise ValueError(f"epsilon must be finite and non-negative, got {eps}")
     return IntervalTensor.of(_centered_faces(x, eps), x, eps)
 
 
@@ -173,139 +167,57 @@ def _midpoint_radius(faces):
     return mul(add(lower, upper), 0.5), mul(sub(upper, lower), 0.5)
 
 
-def _faces(mu, psi):
-    """The stacked faces ``(mu - psi, mu + psi)`` of center and radius
-    arrays."""
-    out = np.empty((2,) + mu.shape)
-    np.subtract(mu, psi, out=out[0])
-    np.add(mu, psi, out=out[1])
-    return out
-
-
-def _image_adjoints(g):
-    """Adjoints of the center and radius images ``mu'``, ``psi'`` from the
-    adjoint ``g`` of the output faces ``(mu' - psi', mu' + psi')``."""
-    g_lower, g_upper = take(g, 0), take(g, 1)
-    return add(g_upper, g_lower), sub(g_upper, g_lower)
-
-
-def _face_adjoint(g_mu, g_psi):
-    """Adjoint of the input faces from those of the center and radius."""
-    g_mid, g_rad = mul(g_mu, 0.5), mul(g_psi, 0.5)
-    return stack((sub(g_mid, g_rad), add(g_rad, g_mid)))
-
-
-def _affine_interval(faces, w, b, apply, input_grad, weight_grad, bias_grad):
-    """The box image of ``apply(x, w, b)``, a map linear in ``x`` and in
-    ``w`` plus a bias, as one node.  ``input_grad(g, w, x_shape)``,
-    ``weight_grad(g, x, w_shape)`` and ``bias_grad(g, b_shape)`` are its
-    adjoints for an output adjoint ``g``.
-
-    ``w`` is listed twice among the parents, for the radius image and then
-    the center image, so the tape sums its adjoint in the order of the
-    primitive chain.
-    """
-    vf, vw = value_of(faces), value_of(w)
-    mu, psi = _midpoint_radius(vf)
-    abs_w = np.abs(vw)
-    mu_out = apply(mu, vw, None if b is None else value_of(b))
-    out = _faces(mu_out, apply(psi, abs_w, None))
-    tape = _tape_of(faces, w, b)
-    if tape is None:
-        return out
-    sign = np.sign(vw)
-
-    def vjp(g, inputs, o):
-        f, xw, _, _ = inputs
-        g_mu, g_psi = _image_adjoints(g)
-        g_faces = g_w_radius = g_w_center = g_b = None
-        if isinstance(faces, Node):
-            aw = abs_(xw) if isinstance(xw, Node) else abs_w
-            g_faces = _face_adjoint(
-                input_grad(g_mu, xw, mu.shape), input_grad(g_psi, aw, mu.shape)
-            )
-        if isinstance(w, Node):
-            x_mu, x_psi = _midpoint_radius(f) if isinstance(f, Node) else (mu, psi)
-            g_w_radius = mul(weight_grad(g_psi, x_psi, vw.shape), sign)
-            g_w_center = weight_grad(g_mu, x_mu, vw.shape)
-        if isinstance(b, Node):
-            g_b = bias_grad(g_mu, b.shape)
-        return g_faces, g_w_radius, g_w_center, g_b
-
-    return Node(tape, out, (faces, w, w, b), vjp)
-
-
-def _batchnorm_interval(faces, layer: LayerSpec, gamma, beta, frozen_stats):
-    """The box image of a batchnorm layer with frozen statistics as one
-    node, ``gamma``/``beta`` through the scale and shift of
-    :func:`~fewshot_ibp.layers.bn_affine`."""
-    vf = value_of(faces)
-    ref = vf[0]
-    mu, psi = _midpoint_radius(vf)
-    mean, var = batch_stats(mu, layer) if frozen_stats is None else frozen_stats
-    inv_std = bn_inv_std(layer, var)
-    scale, shift = bn_affine(layer, mean, var, gamma=value_of(gamma), beta=value_of(beta))
-    scale_b, shift_b = _bn_broadcast(ref, scale), _bn_broadcast(ref, shift)
-    abs_scale_b = _bn_broadcast(ref, np.abs(scale))
-    mu_out = np.add(np.multiply(mu, scale_b), shift_b)
-    out = _faces(mu_out, np.multiply(psi, abs_scale_b))
-    tape = _tape_of(faces, gamma, beta)
-    if tape is None:
-        return out
-    sign = np.sign(scale)
-
-    def vjp(g, inputs, o):
-        f, xg, _ = inputs
-        g_mu, g_psi = _image_adjoints(g)
-        s_b, abs_s_b = scale_b, abs_scale_b
-        if isinstance(xg, Node):  # building a graph: the scale as a node of gamma
-            s = mul(xg, inv_std)
-            s_b, abs_s_b = _bn_broadcast(ref, s), _bn_broadcast(ref, abs_(s))
-        g_faces = g_gamma = g_beta = None
-        if isinstance(faces, Node):
-            g_faces = _face_adjoint(mul(g_mu, s_b), mul(g_psi, abs_s_b))
-        if isinstance(gamma, Node) or isinstance(beta, Node):
-            g_shift = reshape(_unbroadcast(g_mu, shift_b.shape), shift.shape)
-        if isinstance(gamma, Node):
-            x_mu, x_psi = _midpoint_radius(f) if isinstance(f, Node) else (mu, psi)
-            g_scale = add(
-                mul(reshape(_unbroadcast(mul(g_psi, x_psi), abs_scale_b.shape), scale.shape), sign),
-                reshape(_unbroadcast(mul(g_mu, x_mu), scale_b.shape), scale.shape),
-            )
-            g_scale = add(g_scale, _unbroadcast(mul(neg(g_shift), mean), scale.shape))
-            g_gamma = _unbroadcast(mul(g_scale, inv_std), gamma.shape)
-        if isinstance(beta, Node):
-            g_beta = _unbroadcast(g_shift, beta.shape)
-        return g_faces, g_gamma, g_beta
-
-    return Node(tape, out, (faces, gamma, beta), vjp)
+def _faces_rule(layer: LayerSpec, faces, w, b, stats):
+    """The box image of an affine layer for a box without a center, from
+    tape ops: the midpoint ``mu`` of the faces maps through the layer and the
+    half-width ``psi`` through its elementwise absolute weights without bias,
+    giving the faces ``mu' ∓ psi'``.  Batchnorm takes ``stats`` (mean,
+    variance), or the midpoint's when they are ``None``."""
+    mu, psi = _midpoint_radius(faces)
+    if layer.kind == "batchnorm":
+        mean, var = batch_stats(mu, layer) if stats is None else stats
+        scale, shift = bn_affine(layer, mean, var, gamma=w, beta=b)
+        scale_b, shift_b = _bn_broadcast(mu, scale), _bn_broadcast(mu, shift)
+        abs_scale_b = _bn_broadcast(mu, abs_(scale))
+        mu, psi = add(mul(mu, scale_b), shift_b), mul(psi, abs_scale_b)
+    elif layer.kind == "conv2d":
+        mu = conv2d(mu, w, b, stride=layer.stride)
+        psi = conv2d(psi, abs_(w), None, stride=layer.stride)
+    else:
+        mu, psi = linear(mu, w, b), linear(psi, abs_(w))
+    return _centered_faces(mu, psi)
 
 
 def _radius_layout(center_shape, radius_shape):
     """The shape that aligns a radius, scalar, (channels,) or (tasks,
-    channels), with the channel axis of a center of ``center_shape``."""
-    if not radius_shape:
-        return ()
+    channels), with the channel axis of a center of ``center_shape``; a
+    radius of the center's own shape is its own layout."""
+    if len(radius_shape) in (0, len(center_shape)):
+        return radius_shape
     lead = (radius_shape[0], 1) if len(radius_shape) == 2 else ()
     return lead + radius_shape[-1:] + (1, 1) * (len(center_shape) >= 4)
 
 
 def _centered_faces(center, radius):
     """The stacked faces ``(center - radius, center + radius)`` as one node,
-    the radius aligned with the center's channel axis."""
+    the radius laid out by :func:`_radius_layout`."""
     vc, vr = value_of(center), value_of(radius)
     r_shape = np.shape(vr)
     layout = _radius_layout(vc.shape, r_shape)
-    out = _faces(vc, vr.reshape(layout) if layout else vr)
+    vr = vr if layout == r_shape else vr.reshape(layout)
+    out = np.empty((2,) + vc.shape)
+    np.subtract(vc, vr, out=out[0])
+    np.add(vc, vr, out=out[1])
     tape = _tape_of(center, radius)
     if tape is None:
         return out
 
     def vjp(g, inputs, o):
-        g_center, g_radius = _image_adjoints(g)
+        g_lower, g_upper = take(g, 0), take(g, 1)
+        g_center = add(g_upper, g_lower)
         if type(radius) is not Node:
             return g_center, None
-        g_radius = _unbroadcast(g_radius, layout)
+        g_radius = _unbroadcast(sub(g_upper, g_lower), layout)
         return g_center, g_radius if layout == r_shape else reshape(g_radius, r_shape)
 
     return Node(tape, out, (center, radius), vjp)
@@ -387,8 +299,9 @@ def propagate_layer(
 
     A centered box through an affine layer gives a centered box: its center
     from :func:`~fewshot_ibp.layers.apply_layer`, then a radius node and a
-    faces node.  Any other box and layer give one tape node and a box
-    without a center (see the module docstring).  ``weight``/``bias``
+    faces node.  Any other box and layer give a box without a center: the
+    faces rule's chain of tape ops for an affine layer, one node for relu,
+    max pooling and flatten (see the module docstring).  ``weight``/``bias``
     override stored parameters (typically tape nodes).  Batchnorm uses
     ``frozen_stats`` when given; otherwise statistics are taken from the box
     center, or the midpoint of a box without one, matching the per-step
@@ -413,21 +326,8 @@ def propagate_layer(
         else:
             radius = _affine_radius(w, box.radius, 1 if kind == "fully_connected" else 3)
         return IntervalTensor.of(_centered_faces(center, radius), center, radius)
-    if kind == "fully_connected":
-        out = _affine_interval(
-            faces, w, b, linear, _linear_input_grad, _linear_weight_grad, _linear_bias_grad
-        )
-    elif kind == "conv2d":
-        stride = layer.stride
-        out = _affine_interval(
-            faces, w, b,
-            lambda x, w_, b_: conv2d(x, w_, b_, stride=stride),
-            lambda g, w_, x_shape: _conv_input_grad(g, w_, x_shape, stride),
-            lambda g, x, w_shape: _conv_weight_grad(g, x, w_shape, stride),
-            _conv_bias_grad,
-        )
-    elif kind == "batchnorm":
-        out = _batchnorm_interval(faces, layer, w, b, frozen_stats)
+    if kind in AFFINE_KINDS:
+        out = _faces_rule(layer, faces, w, b, frozen_stats)
     elif kind == "relu":
         out = relu(faces)
     elif kind == "maxpool2d":

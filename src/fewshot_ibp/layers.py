@@ -244,7 +244,7 @@ def _batchnorm(x, layer: LayerSpec, mean, var, gamma, beta):
     """``x·scale + shift`` with the scale and shift of :func:`bn_affine` as
     one node, ``gamma``/``beta`` through them.  Its value is that of the
     primitive chain bit for bit, and its vjp sums the chain's adjoints in the
-    chain's order, as the batchnorm box node does."""
+    chain's order."""
     vx = value_of(x)
     inv_std = bn_inv_std(layer, var)
     scale, shift = bn_affine(layer, mean, var, gamma=value_of(gamma), beta=value_of(beta))

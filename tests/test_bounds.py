@@ -42,9 +42,10 @@ class TestEpsilonBox:
         np.testing.assert_array_equal(box.lower, [0.5, 1.5])
         np.testing.assert_array_equal(box.upper, [1.5, 2.5])
 
-    def test_negative_eps_rejected(self):
-        with pytest.raises(ValueError):
-            B.epsilon_box(np.zeros(2), -0.1)
+    @pytest.mark.parametrize("eps", [-0.1, np.nan, np.inf])
+    def test_invalid_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="epsilon must be finite and non-negative"):
+            B.epsilon_box(np.zeros(2), eps)
 
 
 class TestPropagateLayer:

@@ -100,6 +100,17 @@ def load_tool():
     return module
 
 
+def test_each_affine_kind_takes_the_faces_rule_in_some_setting():
+    # an affine layer after a relu in the prefix takes a box without a center
+    tool = load_tool()
+    after_relu = set()
+    for *_, (layers, split_index, _) in tool.SETTINGS.values():
+        kinds = [layer["kind"] for layer in layers[:split_index]]
+        if "relu" in kinds:
+            after_relu.update(kinds[kinds.index("relu") + 1:])
+    assert {"fully_connected", "conv2d", "batchnorm"} <= after_relu
+
+
 # two saved --values listings: run a holds, b's digest and box_width move,
 # c's test_accuracy moves, the sample_task check moves, d is new
 SAVED = """\

@@ -908,8 +908,8 @@ def chain_bound_losses(centers, lower, upper, task_axis=False):
 
 
 def chain_box_layer(layer, lower, upper, weight=None, bias=None, frozen_stats=None):
-    """The primitive chain of one box layer that the fused box nodes
-    replace, face by face; returns the stacked output faces."""
+    """The primitive chain of one box layer, face by face, that the box
+    layers of ``bounds`` must match; returns the stacked output faces."""
     w = layer.weight if weight is None else weight
     b = layer.bias if bias is None else bias
 
@@ -1304,6 +1304,11 @@ class TestFusedNodes:
         ("flatten", (2, 2, 3, 3)),
         ("flatten", (2, 2, 2, 3, 3)),
     ]
+    # tape nodes of one box layer on a box without a center, its leaves
+    # included: the faces rule of an affine layer is a chain of tape ops
+    # (midpoint and half-width, their two images, the faces), any other box
+    # layer one node
+    BOX_NODES = [13, 13, 13, 13, 13, 13, 17, 20, 20, 20, 2, 2, 2, 2, 2, 2]
     LAYERS = {
         "fully_connected": L.LayerSpec("fully_connected"),
         "conv2d": L.LayerSpec("conv2d", stride=2),
@@ -1332,7 +1337,9 @@ class TestFusedNodes:
         def chain(lower, upper, *params):
             return chain_box_layer(layer, lower, upper, *params, frozen_stats=frozen)
 
-        fused_against_chain(fused, chain, arrays)
+        # the faces rule is the chain's own ops: bit-equal, second order too
+        bit_equal = kind in L.AFFINE_KINDS
+        fused_against_chain(fused, chain, arrays, bit_equal=bit_equal)
         np.testing.assert_array_equal(fused(*arrays), chain(*arrays))
         if param_shapes:  # a constant weight between the faces and the bias
             w = arrays[2]
@@ -1340,12 +1347,12 @@ class TestFusedNodes:
                 lambda lower, upper, b: fused(lower, upper, w, b),
                 lambda lower, upper, b: chain(lower, upper, w, b),
                 arrays[:2] + arrays[3:],
+                bit_equal=bit_equal,
             )
-        # one node per box layer, whatever the parameters
         tape = T.Tape()
         box = B.IntervalTensor.of(tape.leaf(np.stack(arrays[:2])))
         B.propagate_layer(layer, box, *[tape.leaf(a) for a in arrays[2:]], frozen_stats=frozen)
-        assert len(tape) == 2 + len(param_shapes)
+        assert len(tape) == self.BOX_NODES[layout]
 
     @pytest.mark.parametrize("distance", ["sqeuclidean", "euclidean"])
     @pytest.mark.parametrize("a_shape,b_shape", [((6, 4), (3, 4)), ((2, 6, 4), (2, 3, 4))])

@@ -4,16 +4,19 @@ changes no result.
 Each run trains with ``fewshot_ibp.harness.train`` into a temporary
 directory.  Its digest is the SHA-256 of ``metrics.csv``, ``checkpoint.ckpt``
 and the summary's ``test_accuracy``, ``test_ci95`` and ``box_width``.  The
-runs cross eight network/learner settings (ProtoNet on fc and on
+runs cross nine network/learner settings (ProtoNet on fc and on
 conv/batchnorm, first-order MAML on fc and on conv, second-order MAML on
-fc, on conv and on a deeper fc network, and ProtoNet on fc with the
-``euclidean`` distance) with the six objectives and with
-``shared_mix_coeffs`` and ``bounds_on_adapted`` both on or both off: 96
-runs.  Second-order MAML on conv is the only setting that differentiates
-through the gradients of the conv, batchnorm and max-pool nodes.  The
-deeper fc network (fc, relu, fc, relu, then the fc head) is the only one
-whose prefix sends a box into an affine layer as a tape node, so only its
-runs take the adjoint of a box's faces through that layer.  One more
+fc, on conv, on a deeper fc network and on a deeper conv network, and
+ProtoNet on fc with the ``euclidean`` distance) with the six objectives
+and with ``shared_mix_coeffs`` and ``bounds_on_adapted`` both on or both
+off: 108 runs.  Second-order MAML on conv is the only setting that
+differentiates through the gradients of the conv, batchnorm and max-pool
+nodes.  The two deeper networks are the only ones whose prefix sends a box
+without a center into an affine layer, so only their runs take the faces
+rule of ``fewshot_ibp.bounds`` and its adjoint: the fc one (fc, relu, fc,
+relu, then the fc head) through a fully connected layer, the conv one
+(conv, relu, conv, batchnorm, relu, flatten, then the fc head) through a
+conv and a batchnorm layer.  One more
 line, ``sample_task``, hashes the tasks ``fewshot_ibp.episodes.sample_task``
 draws from the fc and the conv pool on the matrix's train spec, eval spec
 and a ``compactness`` spec, 200 seeds each, so the listing checks the
@@ -38,9 +41,9 @@ whose digest moved, with the values that moved, and it exits 1 if any
 run's ``test_accuracy`` or ``test_ci95`` moved.  A refactor whose digests
 move by rounding keeps every one of them.
 
-    python tools/digest_matrix.py              # all 96 runs, sample_task, evaluate
+    python tools/digest_matrix.py              # all 108 runs, sample_task, evaluate
     python tools/digest_matrix.py --only maml1-fc-ibpi-on
-    python tools/digest_matrix.py --only 'maml2-*'    # shell-style: the 36 second-order runs
+    python tools/digest_matrix.py --only 'maml2-*'    # shell-style: the 48 second-order runs
     python tools/digest_matrix.py --only sample_task
     python tools/digest_matrix.py --only evaluate
     python tools/digest_matrix.py --values > parent-values.txt
@@ -77,7 +80,7 @@ FC = (
     2,
     {"shape": [8], "class_separation": 3.0},
 )
-# two affine layers in the prefix: the second one takes a box as a tape node
+# a relu between two fc layers: the second one takes a box without a center
 FC_DEEP = (
     [
         {"kind": "fully_connected", "in": 8, "out": 32},
@@ -101,6 +104,21 @@ CONV = (
     4,
     {"shape": [1, 8, 8], "class_separation": 2.0},
 )
+# a relu between two convs, then batchnorm: the second conv and the batchnorm
+# take a box without a center
+CONV_DEEP = (
+    [
+        {"kind": "conv2d", "in_channels": 1, "out_channels": 4, "kernel": 3},
+        {"kind": "relu"},
+        {"kind": "conv2d", "in_channels": 4, "out_channels": 4, "kernel": 3},
+        {"kind": "batchnorm", "channels": 4},
+        {"kind": "relu"},
+        {"kind": "flatten"},
+        {"kind": "fully_connected", "in": 64, "out": 5},
+    ],
+    6,
+    CONV[2],
+)
 # name -> (learner, first_order, distance, network)
 SETTINGS = {
     "protonet-fc": ("protonet", True, "sqeuclidean", FC),
@@ -110,6 +128,7 @@ SETTINGS = {
     "maml2-fc": ("maml", False, "sqeuclidean", FC),
     "maml2-conv": ("maml", False, "sqeuclidean", CONV),
     "maml2-fc-deep": ("maml", False, "sqeuclidean", FC_DEEP),
+    "maml2-conv-deep": ("maml", False, "sqeuclidean", CONV_DEEP),
     "protonet-fc-euclidean": ("protonet", True, "euclidean", FC),
 }
 SUMMARY_KEYS = ("test_accuracy", "test_ci95", "box_width")
