@@ -8,13 +8,14 @@ node.  An input box ``[x - eps, x + eps]`` is pushed layer by layer:
   activation, with a radius that is one value per channel (the standard
   interval bound propagation form, Gowal et al. 2018).  :func:`epsilon_box`
   keeps its center ``x`` and its scalar radius ``eps``, and an affine layer
-  (fully connected, unpadded conv, batchnorm) maps such a box in three tape
+  (fully connected, unpadded conv, batchnorm) maps such a box in two tape
   nodes: the center through the layer's own forward pass
   (:func:`~fewshot_ibp.layers.apply_layer`, the one clean pass of
-  :func:`propagate_prefix`), the radius in closed form (each output
+  :func:`propagate_prefix`) and the radius in closed form (each output
   channel's ``Σ|w|·r`` over its fan-in for fc and conv, ``r·|gamma|·
-  inv_std`` for batchnorm with the center's statistics), and the faces
-  ``center ∓ radius``.  A conv box costs no convolution beyond the forward
+  inv_std`` for batchnorm with the center's statistics).  The faces
+  ``center ∓ radius``, a third node, are made when first read, which no
+  affine layer does.  A conv box costs no convolution beyond the forward
   pass's, and the result is again centered;
 - relu and max pooling are monotone, so they apply to the stacked faces at
   once (one ``relu`` or ``maxpool2d`` node), and flatten is one ``reshape``;
@@ -28,9 +29,10 @@ node.  An input box ``[x - eps, x + eps]`` is pushed layer by layer:
 
 The propagated box is guaranteed to contain the image of every point of the
 input box, and for a single affine, relu, or maxpool layer each output face
-is attained by some input point.  Each box is validated once (finite faces,
-lower below upper): an intermediate box when the next layer takes it, the
-last one, with its center, when the result is made.
+is attained by some input point.  Each box is validated once (finite, lower
+below upper; a centered box by its radius ``≥ 0``, which implies the order
+exactly as rounding is monotone): an intermediate box when the next layer
+takes it, the last one, with its center, when the result is made.
 
 All entry points accept tape nodes as well as plain arrays, so bound
 computations are differentiable with respect to the network parameters.
@@ -89,28 +91,34 @@ class IntervalTensor:
     shapes, held stacked as ``faces`` (2, ...).  ``lower`` and ``upper``
     read one face (a tape node when the faces are one).
 
-    A centered box also keeps the ``center`` its faces were built around and
+    A centered box also keeps the ``center`` its faces are built around and
     its ``radius``, a scalar or one value per channel, (channels,) or
-    (tasks, channels): its faces are ``center ∓ radius`` (see the module
-    docstring).  Any other box has neither (``None``).
+    (tasks, channels): its faces are ``center ∓ radius``, built when first
+    read (see the module docstring).  Any other box has neither (``None``).
     """
 
-    __slots__ = ("faces", "center", "radius")
+    __slots__ = ("_faces", "center", "radius")
 
     def __init__(self, lower, upper):
         lo_shape, up_shape = value_of(lower).shape, value_of(upper).shape
         if lo_shape != up_shape:
             raise ValueError(f"box face shapes differ: {lo_shape} vs {up_shape}")
-        self.faces = stack((lower, upper))
+        self._faces = stack((lower, upper))
         self.center = self.radius = None
 
     @classmethod
     def of(cls, faces, center=None, radius=None) -> "IntervalTensor":
         """The box whose stacked faces are ``faces``; a centered one when
-        ``center`` and ``radius`` are given."""
+        ``center`` and ``radius`` are given (faces None until read)."""
         box = cls.__new__(cls)
-        box.faces, box.center, box.radius = faces, center, radius
+        box._faces, box.center, box.radius = faces, center, radius
         return box
+
+    @property
+    def faces(self):
+        if self._faces is None:
+            self._faces = _centered_faces(self.center, self.radius)
+        return self._faces
 
     @property
     def lower(self):
@@ -121,14 +129,18 @@ class IntervalTensor:
         return take(self.faces, 1)
 
     def values(self) -> "IntervalTensor":
-        return IntervalTensor.of(
-            value_of(self.faces), value_of(self.center), value_of(self.radius)
-        )
+        return IntervalTensor.of(*map(value_of, (self.faces, self.center, self.radius)))
 
     def validate(self, tol: float = 0.0, context: str = "box faces") -> None:
-        faces = value_of(self.faces)
-        check_finite(faces, context)
-        if np.logical_or.reduce(faces[0] > faces[1] + tol, axis=None):
+        if self.center is None:
+            faces = value_of(self._faces)
+            check_finite(faces, context)
+            inverted = faces[0] > (faces[1] + tol if tol else faces[1])
+        else:  # see the module docstring
+            check_finite(self.radius, context)
+            check_finite(self.center if self._faces is None else self._faces, context)
+            inverted = value_of(self.radius) < 0
+        if np.logical_or.reduce(inverted, axis=None):
             raise ValueError("box has lower > upper")
 
 
@@ -143,10 +155,10 @@ class BoundResult:
         return BoundResult(value_of(self.center), self.box.values())
 
     def validate(self, tol: float = 1e-9) -> None:
+        faces = value_of(self.box.faces)  # built first, so the box check covers them
         self.box.validate(tol=tol, context="box faces of the result")
         c = value_of(self.center)
         check_finite(c, "box center")  # NaN compares false against both faces
-        faces = value_of(self.box.faces)
         below = np.logical_or.reduce(c < faces[0] - tol, axis=None)
         if below or np.logical_or.reduce(c > faces[1] + tol, axis=None):
             raise ValueError("center outside propagated box")
@@ -157,14 +169,7 @@ def epsilon_box(x, eps: float) -> IntervalTensor:
     with the scalar radius ``eps``."""
     if not 0 <= eps < math.inf:
         raise ValueError(f"epsilon must be finite and non-negative, got {eps}")
-    return IntervalTensor.of(_centered_faces(x, eps), x, eps)
-
-
-def _midpoint_radius(faces):
-    """Center and radius of a box from its stacked faces (values, or nodes
-    of the faces' tape)."""
-    lower, upper = take(faces, 0), take(faces, 1)
-    return mul(add(lower, upper), 0.5), mul(sub(upper, lower), 0.5)
+    return IntervalTensor.of(None, x, eps)
 
 
 def _faces_rule(layer: LayerSpec, faces, w, b, stats):
@@ -173,7 +178,8 @@ def _faces_rule(layer: LayerSpec, faces, w, b, stats):
     half-width ``psi`` through its elementwise absolute weights without bias,
     giving the faces ``mu' ∓ psi'``.  Batchnorm takes ``stats`` (mean,
     variance), or the midpoint's when they are ``None``."""
-    mu, psi = _midpoint_radius(faces)
+    lower, upper = take(faces, 0), take(faces, 1)
+    mu, psi = mul(add(lower, upper), 0.5), mul(sub(upper, lower), 0.5)
     if layer.kind == "batchnorm":
         mean, var = batch_stats(mu, layer) if stats is None else stats
         scale, shift = bn_affine(layer, mean, var, gamma=w, beta=b)
@@ -199,8 +205,8 @@ def _radius_layout(center_shape, radius_shape):
 
 
 def _centered_faces(center, radius):
-    """The stacked faces ``(center - radius, center + radius)`` as one node,
-    the radius laid out by :func:`_radius_layout`."""
+    """The stacked faces ``(center - radius, center + radius)`` as one node
+    (values off a live tape), the radius laid out by :func:`_radius_layout`."""
     vc, vr = value_of(center), value_of(radius)
     r_shape = np.shape(vr)
     layout = _radius_layout(vc.shape, r_shape)
@@ -209,7 +215,7 @@ def _centered_faces(center, radius):
     np.subtract(vc, vr, out=out[0])
     np.add(vc, vr, out=out[1])
     tape = _tape_of(center, radius)
-    if tape is None:
+    if tape is None or not len(tape):  # a released tape lists no nodes
         return out
 
     def vjp(g, inputs, o):
@@ -298,8 +304,8 @@ def propagate_layer(
     """Push a box through one layer.
 
     A centered box through an affine layer gives a centered box: its center
-    from :func:`~fewshot_ibp.layers.apply_layer`, then a radius node and a
-    faces node.  Any other box and layer give a box without a center: the
+    from :func:`~fewshot_ibp.layers.apply_layer`, then a radius node, its
+    faces built when read.  Any other box and layer give a box without a center: the
     faces rule's chain of tape ops for an affine layer, one node for relu,
     max pooling and flatten (see the module docstring).  ``weight``/``bias``
     override stored parameters (typically tape nodes).  Batchnorm uses
@@ -309,14 +315,16 @@ def propagate_layer(
     of tasks.
     """
     kind = layer.kind
+    centered = box.center is not None and kind in AFFINE_KINDS
+    faces = None if centered else box.faces  # built before the check covers them
     box.validate(context=f"box faces into a {kind} layer")
     w = layer.weight if weight is None else weight
     b = layer.bias if bias is None else bias
-    faces = box.faces
     if kind == "batchnorm":
-        check_batchnorm_input(value_of(w).shape[-1], value_of(faces).shape[1:])
+        shape = value_of(box.center).shape if centered else value_of(faces).shape[1:]
+        check_batchnorm_input(value_of(w).shape[-1], shape)
 
-    if box.center is not None and kind in AFFINE_KINDS:
+    if centered:
         center = box.center
         if kind == "batchnorm" and frozen_stats is None:
             frozen_stats = batch_stats(center, layer)
@@ -325,7 +333,7 @@ def propagate_layer(
             radius = _batchnorm_radius(layer, w, box.radius, frozen_stats[1])
         else:
             radius = _affine_radius(w, box.radius, 1 if kind == "fully_connected" else 3)
-        return IntervalTensor.of(_centered_faces(center, radius), center, radius)
+        return IntervalTensor.of(None, center, radius)
     if kind in AFFINE_KINDS:
         out = _faces_rule(layer, faces, w, b, frozen_stats)
     elif kind == "relu":

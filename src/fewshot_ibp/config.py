@@ -162,6 +162,12 @@ class RunConfig:
         if not self.layers:
             raise ValueError("config needs a network layer list")
         check_layer_descs(self.layers)
+        last = self.layers[-1]  # a MAML head scores the ways of each split read
+        head = last["out"] if self.learner == "maml" and last["kind"] == "fully_connected" else 0
+        for name, splits in (("train_ways", {"train"}), ("eval_ways", {"val", "test"})):
+            if 0 < head < getattr(self, name) and splits & self.data.keys():
+                raise ValueError(f"layer {len(self.layers) - 1} (fully_connected): a MAML head "
+                                 f"of 'out' {head} cannot score {name} = {getattr(self, name)}")
         if not 0 < self.split_index <= len(self.layers):
             raise ValueError("split_index outside the layer range")
         if self.static_weights is not None:

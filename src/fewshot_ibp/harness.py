@@ -112,14 +112,16 @@ class _TaskMix(NamedTuple):
     A task that did not fire has zero mixing weights and, for the mixup
     modes, its own sets as the pair, so its interpolated input is its own
     embedding bit for bit; its (plain, interpolated) cross-entropies weigh
-    (1, 0) against (1/2, 1/2) on a task that fired.
-    """
+    (1, 0) against (1/2, 1/2) on a task that fired.  Each set's row weights
+    are built once (:meth:`MixCoefficients.rows`)."""
 
     coeffs: MixCoefficients
     query_coeffs: MixCoefficients
     pair_support_x: np.ndarray | None
     pair_query_x: np.ndarray | None
     ce_weights: np.ndarray  # (tasks, 2)
+    support_rows: tuple | None = None
+    query_rows: tuple | None = None
 
 
 def _draw_tasks(learner, n_tasks, dataset, config, sample_rng, interp_rng):
@@ -148,9 +150,11 @@ def _draw_tasks(learner, n_tasks, dataset, config, sample_rng, interp_rng):
         if mixup:
             pair = sample_task(dataset, spec, sample_rng)
             pair_support_x[t], pair_query_x[t] = pair.support_x, pair.query_x
+    coeffs = MixCoefficients(lam[0], nu[0]), MixCoefficients(lam[1], nu[1])
     return tasks, _TaskMix(
-        MixCoefficients(lam[0], nu[0]), MixCoefficients(lam[1], nu[1]), pair_support_x,
-        pair_query_x, np.where(fired[:, None], 0.5, np.array([1.0, 0.0])),
+        *coeffs, pair_support_x, pair_query_x, np.where(fired[:, None], 0.5, np.array([1.0, 0.0])),
+        coeffs[0].rows(np.array([task.support_y for task in tasks])),
+        coeffs[1].rows(np.array([task.query_y for task in tasks])),
     )
 
 
@@ -215,18 +219,18 @@ def _protonet_step(network, dataset, config, eps_t, sample_rng, interp_rng, opt_
             query_emb = forward(network.head, query_h, params=head_params)
             protos = compute_prototypes(support_emb, batch.support_y, tasks[0].ways)
             scores = protonet_logits(query_emb, protos, config.distance)
-            return cross_entropy(scores, batch.query_y)
+            return cross_entropy(scores, batch.query_targets)
 
         qres, query_h = _embed(network, batch.query_x, eps_t, prefix_params, query_boxes)
         sres, support_h = _embed(network, batch.support_x, eps_t, prefix_params, support_boxes)
         l_ce = head_cross_entropy(support_h, query_h)
         if mix is not None:
             support_h = make_interpolated_task(
-                mode, network, batch.support_x, batch.support_y, mix.coeffs,
+                mode, network, batch.support_x, batch.support_y, mix.support_rows,
                 prefix_params, eps_t, bounds=sres, pair_x=mix.pair_support_x,
             )
             query_h = make_interpolated_task(
-                mode, network, batch.query_x, batch.query_y, mix.query_coeffs,
+                mode, network, batch.query_x, batch.query_y, mix.query_rows,
                 prefix_params, eps_t, bounds=qres, pair_x=mix.pair_query_x,
             )
             l_ce = weighted_sum((l_ce, head_cross_entropy(support_h, query_h)), mix.ce_weights.T)
@@ -249,15 +253,15 @@ def _maml_inner_loss(network, config, eps_t, mix: _TaskMix | None):
 
     def inner_loss(batch, params):
         sres, h = _embed(network, batch.support_x, eps_t, params[:s], support_boxes)
-        l_ce = cross_entropy(forward(network.head, h, params=params[s:]), batch.support_y)
+        l_ce = cross_entropy(forward(network.head, h, params=params[s:]), batch.support_targets)
         if mix is None:
             return l_ce
         h = make_interpolated_task(
-            mode, network, batch.support_x, batch.support_y, mix.coeffs,
+            mode, network, batch.support_x, batch.support_y, mix.support_rows,
             params[:s], eps_t, bounds=sres, pair_x=mix.pair_support_x,
         )
         scores = forward(network.head, h, params=params[s:])
-        return weighted_sum((l_ce, cross_entropy(scores, batch.support_y)), mix.ce_weights.T)
+        return weighted_sum((l_ce, cross_entropy(scores, batch.support_targets)), mix.ce_weights.T)
 
     return inner_loss
 
@@ -274,14 +278,15 @@ def _maml_query_loss(network, config, eps_t, mix: _TaskMix | None):
         qres, h = _embed(network, batch.query_x, eps_t, phi[:s], shared)
         if query_boxes and not shared:
             qres = propagate_prefix(network, batch.query_x, eps_t, params=theta[:s])
-        l_ce = cross_entropy(forward(network.head, h, params=phi[s:]), batch.query_y)
+        l_ce = cross_entropy(forward(network.head, h, params=phi[s:]), batch.query_targets)
         if mix is not None:
             h = make_interpolated_task(
-                mode, network, batch.query_x, batch.query_y, mix.query_coeffs,
+                mode, network, batch.query_x, batch.query_y, mix.query_rows,
                 phi[:s], eps_t, bounds=qres, pair_x=mix.pair_query_x,
             )
             scores = forward(network.head, h, params=phi[s:])
-            l_ce = weighted_sum((l_ce, cross_entropy(scores, batch.query_y)), mix.ce_weights.T)
+            l_ce2 = cross_entropy(scores, batch.query_targets)
+            l_ce = weighted_sum((l_ce, l_ce2), mix.ce_weights.T)
         return _loss_tail(config, l_ce, qres)
 
     return query_loss
@@ -424,7 +429,8 @@ def train(config: RunConfig, progress=None):
     Returns ``(network, rows, summary)`` where ``rows`` are per-step metric
     dicts.  When ``config.out_dir`` is set, writes ``config.json``,
     ``metrics.csv``, ``summary.json``, and ``checkpoint.ckpt`` there.  A
-    non-finite loss aborts with a diagnostic record.
+    non-finite value aborts with a diagnostic record, whatever the warning
+    filter: the steps run with numpy's floating-point warnings off.
     """
     t_start = time.monotonic()
     data = resolve_data(config)
@@ -443,34 +449,29 @@ def train(config: RunConfig, progress=None):
     best_val = (None, -1.0)
     step = 0
     try:
-        for step in range(1, config.max_steps + 1):
-            eps_t = (
-                epsilon_schedule(step, config.max_steps, config.epsilon)
-                if uses_eps
-                else 0.0
-            )
-            if config.learner == "protonet":
-                info, opt_state = _protonet_step(
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for step in range(1, config.max_steps + 1):
+                eps_t = (
+                    epsilon_schedule(step, config.max_steps, config.epsilon)
+                    if uses_eps
+                    else 0.0
+                )
+                step_fn = _protonet_step if config.learner == "protonet" else _maml_step
+                info, opt_state = step_fn(
                     network, ds_train, config, eps_t, sample_rng, interp_rng, opt_state
                 )
-            else:
-                info, opt_state = _maml_step(
-                    network, ds_train, config, eps_t, sample_rng, interp_rng, opt_state
-                )
-
-            row = {"step": step, "epsilon": eps_t, **info, "val_accuracy": None, "val_ci": None}
-            if "val" in data and (
-                step % config.eval_interval == 0 or step == config.max_steps
-            ):
-                acc, ci = _evaluate_split(
-                    network, config, data["val"], config.n_val_tasks, (config.seed, 101, step)
-                )
-                row["val_accuracy"], row["val_ci"] = acc, ci
-                if acc > best_val[1]:
-                    best_val = (step, acc)
-            rows.append(row)
-            if progress is not None:
-                progress(row)
+                row = {"step": step, "epsilon": eps_t, **info, "val_accuracy": None}
+                row["val_ci"] = None
+                if "val" in data and (step % config.eval_interval == 0 or step == config.max_steps):
+                    acc, ci = _evaluate_split(
+                        network, config, data["val"], config.n_val_tasks, (config.seed, 101, step)
+                    )
+                    row["val_accuracy"], row["val_ci"] = acc, ci
+                    if acc > best_val[1]:
+                        best_val = (step, acc)
+                rows.append(row)
+                if progress is not None:
+                    progress(row)
     except NonFiniteError as err:
         summary = _summary(config, rows, best_val, time.monotonic() - t_start)
         summary["status"] = "aborted"

@@ -51,6 +51,14 @@ class MixCoefficients:
         if not ((nu == 0) | (nu == 1)).all():
             raise ValueError("face choices must be 0 or 1")
 
+    def rows(self, labels) -> tuple:
+        """Each row's ``lam``, ``1 - lam`` and face weights ``(1 - nu, nu)``
+        in a set labelled ``labels``; labels (tasks, n) pick task by task."""
+        labels = np.asarray(labels)
+        lam, nu = (np.take_along_axis(np.asarray(c), labels, axis=-1) for c in (self.lam, self.nu))
+        lam, nu = lam.astype(np.float64), nu.astype(np.float64)
+        return lam, 1.0 - lam, np.array((1.0 - nu, nu))
+
 
 def sample_mix(n_classes: int, alpha: float, beta: float, rng) -> MixCoefficients:
     """Independent Beta(alpha, beta) weight and fair face choice per class."""
@@ -62,16 +70,14 @@ def sample_mix(n_classes: int, alpha: float, beta: float, rng) -> MixCoefficient
     return MixCoefficients(lam, nu)
 
 
-def _per_row(coeff_values, labels, reference):
-    """Each row's class coefficient, shaped to broadcast over ``reference``;
-    labels (tasks, n) pick from coefficients (tasks, ways) task by task."""
-    labels = np.asarray(labels)
-    trail = (1,) * (value_of(reference).ndim - labels.ndim)
-    rows = np.take_along_axis(np.asarray(coeff_values), labels, axis=-1)
-    return rows.astype(np.float64).reshape(labels.shape + trail)
+def _rows(coeffs, labels, reference) -> list:
+    """Row weights of per-class ``coeffs``, or given rows, laid out over ``reference``."""
+    rows = coeffs.rows(labels) if isinstance(coeffs, MixCoefficients) else coeffs
+    trail = (1,) * (value_of(reference).ndim - rows[0].ndim)
+    return [a.reshape(a.shape + trail) for a in rows]
 
 
-def interpolate_batch(centers, box: IntervalTensor, labels, coeffs: MixCoefficients):
+def interpolate_batch(centers, box: IntervalTensor, labels, coeffs):
     """Apply per-class coefficients row-wise over a labeled batch.
 
     One tape node over the centers and the box's stacked faces.  Its vjp,
@@ -79,9 +85,8 @@ def interpolate_batch(centers, box: IntervalTensor, labels, coeffs: MixCoefficie
     weights: the centers' by ``1 - lam``, each face's by ``lam`` times that
     face's choice weight.
     """
-    lam = _per_row(coeffs.lam, labels, centers)
-    nu = _per_row(coeffs.nu, labels, centers)
-    stay, keep = 1.0 - lam, 1.0 - nu
+    lam, stay, face_weights = _rows(coeffs, labels, centers)
+    keep, nu = face_weights
     faces = box.faces
     vf = value_of(faces)
     face = np.add(np.multiply(vf[0], keep), np.multiply(vf[1], nu))
@@ -89,7 +94,6 @@ def interpolate_batch(centers, box: IntervalTensor, labels, coeffs: MixCoefficie
     tape = _tape_of(centers, faces)
     if tape is None:
         return out
-    face_weights = np.array((keep, nu))
 
     def vjp(g, inputs, o):
         g_centers = mul(g, stay) if isinstance(centers, Node) else None
@@ -99,12 +103,12 @@ def interpolate_batch(centers, box: IntervalTensor, labels, coeffs: MixCoefficie
     return Node(tape, out, (centers, faces), vjp)
 
 
-def mix_batch(first, second, labels, coeffs: MixCoefficients):
+def mix_batch(first, second, labels, coeffs):
     """Per-class convex combination of two aligned batches: one ``weighted_sum`` node."""
     if value_of(first).shape != value_of(second).shape:
         raise ValueError("mixed batches must have identical shapes")
-    lam = _per_row(coeffs.lam, labels, first)
-    return weighted_sum((first, second), (1.0 - lam, lam))
+    lam, stay, _ = _rows(coeffs, labels, first)
+    return weighted_sum((first, second), (stay, lam))
 
 
 def make_interpolated_task(
@@ -128,7 +132,8 @@ def make_interpolated_task(
     ``mixup_input`` embeds the mix of ``x`` with the aligned batch ``pair_x``;
     ``mixup_embedding`` mixes the embeddings of the two batches.  When ``x``
     stacks the sets of several tasks on a leading axis, ``y`` and ``coeffs``
-    hold one row per task.
+    hold one row per task.  ``coeffs`` may also be the set's row weights
+    (:meth:`MixCoefficients.rows`).
     """
     if mode in BOUND_MODES:
         if bounds is None:

@@ -18,6 +18,7 @@ axis of T), and batchnorm takes its statistics per task.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import struct
@@ -145,6 +146,7 @@ class Network:
             raise ValueError(
                 f"split index {self.split_index} outside 1..{len(self.layers)}"
             )
+        self.set_parameter_arrays(self.parameter_arrays())
 
     @property
     def prefix(self) -> list[LayerSpec]:
@@ -155,20 +157,25 @@ class Network:
         return self.layers[self.split_index :]
 
     def parameter_arrays(self) -> list[np.ndarray]:
-        """Parameters in canonical order: layer by layer, weight then bias."""
+        """Parameters in canonical order (by layer, weight then bias): views of
+        ``parameter_vector``."""
         return [arr for layer in self.layers for _, arr in layer.param_items()]
 
     def set_parameter_arrays(self, arrays) -> None:
-        arrays = list(arrays)
+        """Copy ``arrays`` (canonical order) into ``parameter_vector``, one new
+        read-only vector the network owns, and make each parameter a view of it."""
+        arrays = list(map(np.asarray, arrays))
         expected = len(self.parameter_arrays())
         if len(arrays) != expected:
             raise ValueError(f"expected {expected} parameter arrays, got {len(arrays)}")
-        it = iter(arrays)
+        self.parameter_vector = vector = np.concatenate([a.ravel() for a in arrays] + [np.empty(0)])
+        check_finite(vector, "network parameters")
+        vector.flags.writeable = False
+        ends = itertools.accumulate(a.size for a in arrays)
+        views = (vector[end - a.size : end].reshape(a.shape) for a, end in zip(arrays, ends))
         for layer in self.layers:
-            if layer.weight is not None:
-                layer.weight = as_tensor(next(it))
-            if layer.bias is not None:
-                layer.bias = as_tensor(next(it))
+            for name, _ in list(layer.param_items()):
+                setattr(layer, name, next(views))
 
 
 def param_nodes_to_list(params) -> list:

@@ -162,9 +162,16 @@ def _onehot(labels, score_shape) -> np.ndarray:
     return (labels[..., None] == np.arange(classes)).astype(np.float64)
 
 
+def _classes(network: Network) -> int | None:
+    """Scores per row of a network ending in a fully connected layer."""
+    last = network.layers[-1]
+    return last.weight.shape[0] if last.kind == "fully_connected" else None
+
+
 def cross_entropy(scores, labels):
     """Mean negative log softmax probability of the true class, from logits.
 
+    ``labels``, one per row, may be their checked one-hot rows (:class:`TaskBatch`).
     Scores (tasks, n, k) with labels (tasks, n) give one mean per task, so
     each task's gradient is its own; backward sums them.  One tape node, whose
     vjp is ``(softmax - onehot) * g / n``: from the forward pass's
@@ -173,7 +180,7 @@ def cross_entropy(scores, labels):
     """
     vs = value_of(scores)
     shape = vs.shape
-    onehot = _onehot(labels, shape)
+    onehot = labels if np.shape(labels) == shape else _onehot(labels, shape)
     n = shape[-2]
     shift = vs.max(axis=-1, keepdims=True)  # detached; softmax ignores it
     z = vs - shift
@@ -206,10 +213,15 @@ class TaskBatch(NamedTuple):
     support_y: np.ndarray
     query_x: np.ndarray
     query_y: np.ndarray
+    support_targets: np.ndarray
+    query_targets: np.ndarray
 
     @classmethod
-    def stack(cls, tasks) -> "TaskBatch":
-        return cls(*(np.array([getattr(task, name) for task in tasks]) for name in cls._fields))
+    def stack(cls, tasks, classes: int | None = None) -> "TaskBatch":
+        """Stacked ``tasks``, the targets their labels' checked one-hot rows."""
+        sets = [np.array([getattr(task, name) for task in tasks]) for name in cls._fields[:4]]
+        targets = (y if classes is None else _onehot(y, y.shape + (classes,)) for y in sets[1::2])
+        return cls(*sets, *targets)
 
 
 # Element budget of one chunk's stacked query input: 27 tasks of 75 x 8
@@ -221,14 +233,14 @@ class TaskBatch(NamedTuple):
 _CHUNK_ELEMENTS = 2**14
 
 # Element budget of one adaptation chunk: each task's tiled parameter
-# elements plus its support elements, 153 tasks of the benchmark's fc
-# network (816 + 5 x 8) or 49 of its conv pool network (2,160 + 5 x 100).
-# Every chunk pays each inner step's tape dispatch, so these chunks are
-# larger than scoring chunks.  Set from a 240-task evaluate with 10 inner
-# steps (CPU ms, median of 15): fc 34.5 here, 35.4 at 2**16 and 34.0 at
-# 2**18; conv 300-304 here, 316-326 at 2**16 and 308 at 2**18.  One stack
-# of all the tasks took 38 and 456 ms.  The traced peak of 600 conv tasks
-# is 18.6 MB here and 37.0 MB at 2**18.
+# elements plus the support and query elements the chunk holds, 90 tasks of
+# the benchmark's fc network (816 + 5 x 8 + 75 x 8) or 12 of its conv pool
+# network (2,160 + 5 x 100 + 75 x 100).  Every chunk pays each inner step's
+# tape dispatch, so these chunks are larger than scoring chunks.  Set, when
+# only support elements counted, from a 240-task evaluate with 10 inner
+# steps (CPU ms, median of 15): fc 34.5 here, 35.4 at 2**16; conv 300-304
+# here, 316-326 at 2**16.  Counting the queries cut the traced peak of 600
+# conv tasks from 15.1 to 4.5 MB and made the conv evaluate 5% slower.
 _ADAPT_ELEMENTS = 2**17
 
 
@@ -334,30 +346,28 @@ def maml_task_accuracies(network: Network, tasks, inner_lr: float, steps: int) -
     result is the same, bit for bit, in any chunk.  One stack of every task
     holds all their tiled parameters and inner-loop activations at once:
     for 600 tasks of the benchmark's conv pool network the traced peak of
-    evaluation was 214 MB, against 18.6 MB in chunks.
+    evaluation was 214 MB, against about 4.5 MB in chunks.
     """
-    n_params = sum(arr.size for arr in network.parameter_arrays())
+    n, classes = network.parameter_vector.size, _classes(network)
     accs = []
-    for chunk in _chunks(tasks, _ADAPT_ELEMENTS, lambda task: n_params + task.support_x.size):
+    for chunk in _chunks(tasks, _ADAPT_ELEMENTS, lambda t: n + t.support_x.size + t.query_x.size):
         if any(task.query_x.shape[0] == 0 for task in chunk):
             raise ValueError("task has an empty query set")
-        support_x = np.stack([task.support_x for task in chunk])
-        support_y = np.stack([task.support_y for task in chunk])
+        batch = TaskBatch.stack(chunk)  # only the support labels are scored
+        y = batch.support_y
+        support_targets = y if classes is None else _onehot(y, y.shape + (classes,))
 
         def inner_loss(params):
-            logits = forward(network.layers, support_x, params=params)
-            return cross_entropy(logits, support_y)
+            logits = forward(network.layers, batch.support_x, params=params)
+            return cross_entropy(logits, support_targets)
 
         adapted = maml_adapt(inner_loss, _tiled_arrays(network, len(chunk)), inner_lr, steps)
         done = 0
         for part in task_chunks(chunk):
-            params = [
-                {name: arr[done : done + len(part)] for name, arr in entry.items()}
-                for entry in adapted
-            ]
-            batch = TaskBatch.stack(part)
-            scores = forward(network.layers, batch.query_x, params=params)
-            accs.extend(_accuracy(scores, batch.query_y).tolist())
+            rows = slice(done, done + len(part))
+            params = [{name: arr[rows] for name, arr in entry.items()} for entry in adapted]
+            scores = forward(network.layers, batch.query_x[rows], params=params)
+            accs.extend(_accuracy(scores, batch.query_y[rows]).tolist())
             done += len(part)
     if not accs:
         raise ValueError("no tasks to adapt")
@@ -421,7 +431,7 @@ def maml_outer_step(
     tasks = list(tasks)
     if not tasks:
         raise ValueError("task batch is empty")
-    batch = TaskBatch.stack(tasks)
+    batch = TaskBatch.stack(tasks, _classes(network))
 
     with Tape() as tape:
         tiled = _tiled_arrays(network, len(tasks))

@@ -1,12 +1,13 @@
-"""Adam parameter updates over flat lists of arrays."""
+"""Adam parameter updates, one pass over every parameter entry at once."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import NonFiniteError, as_tensor
+from .tensor import NonFiniteError
 
 # Adam's moment decay rates, and the stabilizer added to the second moment's root
 BETA1, BETA2, STABILIZER = 0.9, 0.999, 1e-8
@@ -15,13 +16,13 @@ BETA1, BETA2, STABILIZER = 0.9, 0.999, 1e-8
 @dataclass
 class OptimizerState:
     """Adam's learning rate plus its running moments: first and second moments
-    per parameter and a non-decreasing step counter used for bias correction.
-    """
+    of every parameter entry as flat vectors (None before the first step) and
+    a non-decreasing step counter used for bias correction."""
 
     lr: float
     step: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
     def __post_init__(self):
         if self.lr < 0:
@@ -35,31 +36,32 @@ def adam(lr: float) -> OptimizerState:
 def optimizer_step(params, grads, state: OptimizerState):
     """Apply one bias-corrected Adam update; returns (new_params, state).
 
-    ``params`` and ``grads`` are aligned lists of arrays.  Raises on shape
-    mismatches and non-finite gradients.
+    ``params`` and ``grads`` are aligned lists of arrays, updated as one vector
+    (Adam is elementwise); the new parameters are read-only views of one fresh
+    vector.  Raises on shape mismatches and non-finite gradients.
     """
-    params = list(params)
-    grads = list(grads)
+    params, grads = list(params), list(grads)
     if len(params) != len(grads):
         raise ValueError(f"{len(grads)} gradients for {len(params)} parameters")
     for p, g in zip(params, grads):
         if p.shape != g.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        if not np.logical_and.reduce(np.isfinite(g), axis=None):
-            raise NonFiniteError("non-finite gradient")
+    g = np.concatenate([g.ravel() for g in grads] + [np.empty(0)])
+    if not np.logical_and.reduce(np.isfinite(g), axis=None):
+        raise NonFiniteError("non-finite gradient")
+    p = np.concatenate([p.ravel() for p in params] + [np.empty(0)])
 
-    if not state.m:
-        state.m = [np.zeros_like(p) for p in params]
-        state.v = [np.zeros_like(p) for p in params]
-    if len(state.m) != len(params):
+    if state.m is None:
+        state.m, state.v = np.zeros_like(p), np.zeros_like(p)
+    if state.m.shape != p.shape:
         raise ValueError("optimizer state does not match parameter count")
     state.step += 1
     t = state.step
-    new_params = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = BETA1 * state.m[i] + (1.0 - BETA1) * g
-        state.v[i] = BETA2 * state.v[i] + (1.0 - BETA2) * g * g
-        m_hat = state.m[i] / (1.0 - BETA1**t)
-        v_hat = state.v[i] / (1.0 - BETA2**t)
-        new_params.append(as_tensor(p - state.lr * m_hat / (np.sqrt(v_hat) + STABILIZER)))
-    return new_params, state
+    state.m = BETA1 * state.m + (1.0 - BETA1) * g
+    state.v = BETA2 * state.v + (1.0 - BETA2) * g * g
+    m_hat = state.m / (1.0 - BETA1**t)
+    v_hat = state.v / (1.0 - BETA2**t)
+    new = p - state.lr * m_hat / (np.sqrt(v_hat) + STABILIZER)
+    new.flags.writeable = False
+    ends = itertools.accumulate(q.size for q in params)
+    return [new[end - q.size : end].reshape(q.shape) for q, end in zip(params, ends)], state

@@ -77,8 +77,10 @@ def reference_task_accuracies(network, tasks, inner_lr, steps):
 
 
 def task_elements(network, task) -> int:
-    """What one task counts against the adaptation budget."""
-    return sum(a.size for a in network.parameter_arrays()) + task.support_x.size
+    """What one task counts against the adaptation budget: its tiled
+    parameters, and the support and query sets the chunk holds."""
+    n_params = sum(a.size for a in network.parameter_arrays())
+    return n_params + task.support_x.size + task.query_x.size
 
 
 def adapt_chunk_size(network, task) -> int:
