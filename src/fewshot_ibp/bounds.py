@@ -17,9 +17,12 @@ node.  An input box ``[x - eps, x + eps]`` is pushed layer by layer:
   ``center ∓ radius``, a third node, are made when first read, which no
   affine layer does.  A conv box costs no convolution beyond the forward
   pass's, and the result is again centered;
+- max pooling keeps a radius per channel around the pooled center (the
+  clean pass's one pool), exactly, as ``x ↦ fl(x ∓ r)`` is monotone; a relu
+  before a pool runs after it, so conv box faces exist only pooled;
 - relu and max pooling are monotone, so they apply to the stacked faces at
   once (one ``relu`` or ``maxpool2d`` node), and flatten is one ``reshape``;
-  each ends the centered run;
+  relu and flatten end the centered run;
 - an affine layer given a box without a center maps it by the faces rule,
   built from the tape's own ops: the midpoint ``mu`` of the faces maps
   through the layer and the half-width ``psi`` through its elementwise
@@ -63,6 +66,7 @@ from .layers import (
     bn_inv_std,
     check_batchnorm_input,
     check_pool_input,
+    execution_order,
     has_task_axis,
 )
 from .tensor import (
@@ -305,9 +309,10 @@ def propagate_layer(
 
     A centered box through an affine layer gives a centered box: its center
     from :func:`~fewshot_ibp.layers.apply_layer`, then a radius node, its
-    faces built when read.  Any other box and layer give a box without a center: the
-    faces rule's chain of tape ops for an affine layer, one node for relu,
-    max pooling and flatten (see the module docstring).  ``weight``/``bias``
+    faces built when read; through max pooling, its radius around the pooled
+    center.  Any other box and layer give a box without a center: the faces
+    rule's chain of tape ops for an affine layer, one node for relu, max
+    pooling and flatten (see the module docstring).  ``weight``/``bias``
     override stored parameters (typically tape nodes).  Batchnorm uses
     ``frozen_stats`` when given; otherwise statistics are taken from the box
     center, or the midpoint of a box without one, matching the per-step
@@ -315,7 +320,9 @@ def propagate_layer(
     of tasks.
     """
     kind = layer.kind
-    centered = box.center is not None and kind in AFFINE_KINDS
+    centered = box.center is not None and (
+        kind in AFFINE_KINDS or kind == "maxpool2d" and np.ndim(value_of(box.radius)) <= 2
+    )
     faces = None if centered else box.faces  # built before the check covers them
     box.validate(context=f"box faces into a {kind} layer")
     w = layer.weight if weight is None else weight
@@ -329,7 +336,9 @@ def propagate_layer(
         if kind == "batchnorm" and frozen_stats is None:
             frozen_stats = batch_stats(center, layer)
         center = apply_layer(layer, center, weight=w, bias=b, frozen_stats=frozen_stats)
-        if kind == "batchnorm":
+        if kind == "maxpool2d":
+            radius = box.radius
+        elif kind == "batchnorm":
             radius = _batchnorm_radius(layer, w, box.radius, frozen_stats[1])
         else:
             radius = _affine_radius(w, box.radius, 1 if kind == "fully_connected" else 3)
@@ -357,16 +366,17 @@ def propagate_prefix(network: Network, x, eps: float, params=None) -> BoundResul
     Batchnorm statistics come from the center activations and are reused for
     the box, so both passes see the identical per-step affine map.  While
     the box is centered its center is the clean activation, so the clean
-    pass runs once per layer either way.  An odd-rank ``x`` is a stack of
-    tasks, and each task's batchnorm statistics are its own.  Each box is
-    validated once: every intermediate one by the next
+    pass runs once per layer either way, in
+    :func:`~fewshot_ibp.layers.execution_order`.  An odd-rank ``x`` is a
+    stack of tasks, and each task's batchnorm statistics are its own.  Each
+    box is validated once: every intermediate one by the next
     :func:`propagate_layer`, the last with the center by
     :meth:`BoundResult.validate`.
     """
     check_finite(x, "bound propagation input")
     center = x
     box = epsilon_box(x, eps)
-    for i, layer in enumerate(network.prefix):
+    for i, layer in execution_order(network.prefix):
         entry = params[i] if params is not None else {}
         w, b = entry.get("weight"), entry.get("bias")
         frozen = None

@@ -19,7 +19,7 @@ import os
 from dataclasses import asdict, dataclass, field, fields
 
 from .episodes import Dataset, TaskSpec, check_supply, load_dataset, synth_dataset
-from .layers import check_layer_descs
+from .layers import check_instance_shape, check_layer_descs
 from .learners import DISTANCES
 from .objective import WeightTriple
 
@@ -231,9 +231,9 @@ def resolve_data(config: RunConfig) -> dict[str, Dataset]:
     """Datasets for the splits named in the config (train required).
 
     Raises ``ValueError`` unless the train split can supply every task of
-    :meth:`RunConfig.train_spec` and the ``val`` and ``test`` splits every
-    task of :meth:`RunConfig.eval_spec`, so a run that cannot finish fails
-    before its first step.
+    :meth:`RunConfig.train_spec`, the ``val`` and ``test`` splits every task
+    of :meth:`RunConfig.eval_spec`, and each split's instances fit the layers,
+    so a run that cannot finish fails before its first step.
     """
     if "train" not in config.data:
         raise ValueError("config data section needs at least a 'train' entry")
@@ -243,4 +243,6 @@ def resolve_data(config: RunConfig) -> dict[str, Dataset]:
     for split, spec in specs.items():
         if split in data:
             check_supply(data[split], spec, f"{split} split")
+            shape = data[split].pool.shape[1:]
+            check_instance_shape(config.layers, shape, f"{split} instances of shape {shape}")
     return data

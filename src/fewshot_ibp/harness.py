@@ -200,7 +200,8 @@ def _protonet_step(network, dataset, config, eps_t, sample_rng, interp_rng, opt_
     Each parameter is a (1, ...) leaf, so no shared weight's gradient is
     summed over the task axis."""
     tasks, mix = _draw_tasks("protonet", 1, dataset, config, sample_rng, interp_rng)
-    batch = TaskBatch.stack(tasks)
+    # the query rows both cross-entropies read (support labels feed prototypes)
+    batch = TaskBatch.stack(tasks, tasks[0].ways, scored=("query",))
     mode = config.objective
     s = network.split_index
     # the clean pass shares the centers of the boxes that the bound losses or

@@ -163,13 +163,15 @@ class Network:
 
     def set_parameter_arrays(self, arrays) -> None:
         """Copy ``arrays`` (canonical order) into ``parameter_vector``, one new
-        read-only vector the network owns, and make each parameter a view of it."""
+        read-only vector the network owns, and make each parameter a view of
+        it.  A non-finite one raises, keeping the old parameters."""
         arrays = list(map(np.asarray, arrays))
         expected = len(self.parameter_arrays())
         if len(arrays) != expected:
             raise ValueError(f"expected {expected} parameter arrays, got {len(arrays)}")
-        self.parameter_vector = vector = np.concatenate([a.ravel() for a in arrays] + [np.empty(0)])
+        vector = np.concatenate([a.ravel() for a in arrays] + [np.empty(0)])
         check_finite(vector, "network parameters")
+        self.parameter_vector = vector
         vector.flags.writeable = False
         ends = itertools.accumulate(a.size for a in arrays)
         views = (vector[end - a.size : end].reshape(a.shape) for a, end in zip(arrays, ends))
@@ -330,6 +332,18 @@ def apply_layer(
     raise ValueError(f"unknown layer kind {kind!r}")
 
 
+def execution_order(layers) -> list:
+    """``(index, layer)`` for each of ``layers`` in the order they run: a relu
+    directly followed by max pooling runs after the pool, on fewer entries.
+    As ``max(relu(a), relu(b)) == relu(max(a, b))``, values and first-order
+    gradients are those of the layer order, bit for bit (signed zeros aside)."""
+    order = list(enumerate(layers))
+    for i in range(1, len(layers)):
+        if layers[i].kind == "maxpool2d" and layers[i - 1].kind == "relu":
+            order[i - 1], order[i] = order[i], order[i - 1]
+    return order
+
+
 def forward(
     layers,
     x,
@@ -337,7 +351,7 @@ def forward(
     frozen_stats=None,
     stats_out=None,
 ):
-    """Run ``x`` through an ordered layer sequence.
+    """Run ``x`` through an ordered layer sequence, in :func:`execution_order`.
 
     ``params``, one dict per layer keyed by the names of
     :meth:`LayerSpec.param_items`, replaces the layers' own parameters;
@@ -351,7 +365,7 @@ def forward(
     check_finite(x, "forward input")
     stats_iter = iter(frozen_stats) if frozen_stats is not None else None
     out = x
-    for i, layer in enumerate(layers):
+    for i, layer in execution_order(layers):
         entry = params[i] if params is not None else {}
         out = apply_layer(
             layer,
@@ -421,6 +435,39 @@ def check_layer_descs(layer_descs) -> None:
             width = desc["out"]
         elif kind not in ("relu", "batchnorm"):
             width = None
+
+
+# the input size each affine descriptor declares, and the input ranks it takes
+_DESC_INPUT = {"fully_connected": ("in", (1,)), "conv2d": ("in_channels", (3,)),
+               "batchnorm": ("channels", (1, 3))}
+
+
+def check_instance_shape(layer_descs, shape, source: str) -> None:
+    """Walk one instance's ``shape`` through checked descriptors by their
+    sizes alone.  Raises ``ValueError`` naming the layer, its kind and both
+    sizes where a declared input size differs from the one from ``source``,
+    or a conv or pool window does not fit in a (channels, height, width)
+    input."""
+    for i, desc in enumerate(layer_descs):
+        kind = desc["kind"]
+        if kind in _DESC_INPUT:
+            key, ranks = _DESC_INPUT[kind]
+            got = shape[0] if len(shape) in ranks else shape
+            if got != desc[key]:
+                raise ValueError(
+                    f"layer {i} ({kind}): {key!r} is {desc[key]}, but {source} reach it with {got}"
+                )
+        if kind in ("conv2d", "maxpool2d"):
+            key = "kernel" if kind == "conv2d" else "window"
+            window, stride = desc[key], desc.get("stride", 1 if kind == "conv2d" else desc[key])
+            if len(shape) != 3 or min(shape[1:]) < window:
+                raise ValueError(
+                    f"layer {i} ({kind}): {key!r} is {window}, but {source} reach it with {shape}"
+                )
+            hw = tuple((n - window) // stride + 1 for n in shape[1:])
+            shape = (desc.get("out_channels", shape[0]),) + hw
+        elif kind in ("fully_connected", "flatten"):
+            shape = (desc["out"],) if kind == "fully_connected" else (math.prod(shape),)
 
 
 def build_network(layer_descs, split_index: int, rng) -> Network:

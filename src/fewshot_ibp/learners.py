@@ -217,10 +217,14 @@ class TaskBatch(NamedTuple):
     query_targets: np.ndarray
 
     @classmethod
-    def stack(cls, tasks, classes: int | None = None) -> "TaskBatch":
-        """Stacked ``tasks``, the targets their labels' checked one-hot rows."""
+    def stack(cls, tasks, classes: int | None = None, scored=("support", "query")) -> "TaskBatch":
+        """Stacked ``tasks``.  Given ``classes``, the targets of the ``scored``
+        sets are their labels' checked one-hot rows; other targets are labels."""
         sets = [np.array([getattr(task, name) for task in tasks]) for name in cls._fields[:4]]
-        targets = (y if classes is None else _onehot(y, y.shape + (classes,)) for y in sets[1::2])
+        targets = (
+            y if classes is None or name not in scored else _onehot(y, y.shape + (classes,))
+            for name, y in zip(("support", "query"), sets[1::2])
+        )
         return cls(*sets, *targets)
 
 
@@ -353,13 +357,11 @@ def maml_task_accuracies(network: Network, tasks, inner_lr: float, steps: int) -
     for chunk in _chunks(tasks, _ADAPT_ELEMENTS, lambda t: n + t.support_x.size + t.query_x.size):
         if any(task.query_x.shape[0] == 0 for task in chunk):
             raise ValueError("task has an empty query set")
-        batch = TaskBatch.stack(chunk)  # only the support labels are scored
-        y = batch.support_y
-        support_targets = y if classes is None else _onehot(y, y.shape + (classes,))
+        batch = TaskBatch.stack(chunk, classes, scored=("support",))
 
         def inner_loss(params):
             logits = forward(network.layers, batch.support_x, params=params)
-            return cross_entropy(logits, support_targets)
+            return cross_entropy(logits, batch.support_targets)
 
         adapted = maml_adapt(inner_loss, _tiled_arrays(network, len(chunk)), inner_lr, steps)
         done = 0

@@ -738,10 +738,8 @@ class TestCenteredBox:
             radius = box.radius.value.reshape((-1, 1, 1) if center.ndim == 4 else -1)
             np.testing.assert_array_equal(box.faces.value, [center - radius, center + radius])
 
-    @pytest.mark.parametrize(
-        "layer,shape", [(L.relu(), (3, 4)), (L.maxpool(2), (2, 3, 4, 4)), (L.flatten(), (2, 3, 4, 4))]
-    )
-    def test_relu_maxpool_and_flatten_end_the_centered_run(self, layer, shape):
+    @pytest.mark.parametrize("layer,shape", [(L.relu(), (3, 4)), (L.flatten(), (2, 3, 4, 4))])
+    def test_relu_and_flatten_end_the_centered_run(self, layer, shape):
         rng = np.random.default_rng(86)
         x = rng.standard_normal(shape)
         out = B.propagate_layer(layer, B.epsilon_box(x, 0.1))
@@ -753,11 +751,25 @@ class TestCenteredBox:
             out.lower.reshape(shape[0], -1), out.upper.reshape(shape[0], -1)))
         assert after.center is None
 
+    @pytest.mark.parametrize("radius", [0.1, np.array([0.05, 0.0, 0.2])])
+    def test_maxpool_keeps_the_center(self, radius):
+        # the pooled center with the same radius; its faces are the faces
+        # rule's pool of center -/+ radius, bit for bit
+        x = np.random.default_rng(86).standard_normal((2, 3, 4, 4))
+        box = B.IntervalTensor.of(None, x, radius)
+        out = B.propagate_layer(L.maxpool(2), box)
+        np.testing.assert_array_equal(out.center, T.maxpool2d(x, 2))
+        assert out.radius is radius
+        want = B.propagate_layer(L.maxpool(2), B.IntervalTensor(box.lower, box.upper))
+        assert want.center is None
+        assert out.faces.tobytes() == want.faces.tobytes()
+
     @pytest.mark.parametrize("kind", PREFIX_KINDS)
     def test_prefix_calls_each_layer_function_once_per_layer(self, kind, monkeypatch):
         # propagate_layer materializes every layer's box, and the clean pass
         # runs once per layer: inside it for a centered box, beside it
-        # otherwise
+        # otherwise; in execution order, where a relu runs after the max
+        # pool that follows it
         calls = {"propagate_layer": [], "apply_layer": []}
         for name in calls:
             fn = getattr(B, name)
@@ -768,6 +780,8 @@ class TestCenteredBox:
             )
         net, x = centered_prefix(kind, np.random.default_rng(87))
         res = B.propagate_prefix(net, x, 0.1)
-        kinds = [layer.kind for layer in net.prefix]
-        assert calls == {"propagate_layer": kinds, "apply_layer": kinds}
+        kinds = " ".join(layer.kind for layer in net.prefix)
+        run = kinds.replace("relu maxpool2d", "maxpool2d relu").split()
+        assert "maxpool2d" not in kinds or run != kinds.split()
+        assert calls == {"propagate_layer": run, "apply_layer": run}
         np.testing.assert_array_equal(res.center, L.forward(net.prefix, x))

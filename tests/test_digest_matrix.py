@@ -6,6 +6,9 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+
+from fewshot_ibp import layers as L
 
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "digest_matrix.py"
 
@@ -109,6 +112,20 @@ def test_each_affine_kind_takes_the_faces_rule_in_some_setting():
         if "relu" in kinds:
             after_relu.update(kinds[kinds.index("relu") + 1:])
     assert {"fully_connected", "conv2d", "batchnorm"} <= after_relu
+
+
+def test_some_setting_pools_a_box_without_a_center():
+    # a max pool keeps a centered box centered, and a relu right before a
+    # pool runs after it: only a pool that runs after some relu takes the
+    # faces rule's pool
+    tool = load_tool()
+    pooled_after_relu = []
+    for name, (*_, (layers, split_index, _)) in tool.SETTINGS.items():
+        prefix = [SimpleNamespace(kind=layer["kind"]) for layer in layers[:split_index]]
+        run = [layer.kind for _, layer in L.execution_order(prefix)]
+        if "relu" in run and "maxpool2d" in run[run.index("relu") + 1:]:
+            pooled_after_relu.append(name)
+    assert pooled_after_relu == ["maml2-conv-two-block"]
 
 
 # two saved --values listings: run a holds, b's digest and box_width move,

@@ -1,7 +1,9 @@
 """Each fast path of a training step against the path it replaces: a
-centered box's faces built only when read, and its cheaper check; one flat
-Adam update; one-hot rows and per-row mixing coefficients built once per
-step; and the single overflow path of ``train``."""
+centered box's faces built only when read, and its cheaper check; a relu
+run after the max pool it precedes, and a centered box kept through the
+pool; one flat Adam update, and its copy into the network; one-hot
+rows and per-row mixing coefficients built once per step; and the single
+overflow path of ``train`` and the shape check before its first step."""
 
 import json
 import warnings
@@ -15,11 +17,14 @@ from fewshot_ibp import interpolation as I
 from fewshot_ibp import layers as L
 from fewshot_ibp import learners as LR
 from fewshot_ibp import tensor as T
-from fewshot_ibp.config import RunConfig
+from fewshot_ibp.config import RunConfig, resolve_data
+from fewshot_ibp.objective import bound_losses
 from fewshot_ibp.episodes import TaskSpec, sample_task, synth_dataset
 from fewshot_ibp.optim import BETA1, BETA2, STABILIZER, adam, optimizer_step
+from test_bounds import centered_prefix, faces_rule_prefix
 from test_harness import make_config
 from test_learners import batch_cross_entropy
+from test_tensor import fd_gradient
 
 
 # -- lazy faces and the centered box check ------------------------------------
@@ -99,6 +104,172 @@ class TestLazyFaces:
                 B.propagate_prefix(net, big, 1e308)
 
 
+# -- relu after the max pool, and the centered pool ---------------------------
+
+
+def tied_conv_block(rng, window, stride):
+    """conv, batchnorm, relu, max pool, flatten, fc, with integer inputs and
+    kernels: conv outputs full of ties, and a batchnorm shift that makes
+    whole windows negative."""
+    width = 3 * ((5 - window) // stride + 1) ** 2
+    net = L.Network([
+        L.conv(rng.integers(-1, 2, (3, 2, 2, 2)).astype(float), np.zeros(3)),
+        L.batchnorm(3, gamma=np.array([1.0, -1.0, 0.5]), beta=np.array([0.0, -3.0, 0.2])),
+        L.relu(), L.maxpool(window, stride), L.flatten(),
+        L.fully_connected(rng.standard_normal((2, width)), np.zeros(2)),
+    ], split_index=5)
+    return net, rng.integers(-1, 2, (4, 2, 6, 6)).astype(float)
+
+
+def in_order_forward(layers, x, params):
+    for layer, entry in zip(layers, params, strict=True):
+        x = L.apply_layer(layer, x, weight=entry.get("weight"), bias=entry.get("bias"))
+    return x
+
+
+class TestReluAfterPool:
+    def test_relu_followed_by_a_pool_runs_after_it(self):
+        kinds = ["conv2d", "relu", "maxpool2d", "relu", "relu", "maxpool2d", "flatten"]
+        layers = [L.LayerSpec(k, window=2) for k in kinds]
+        order = L.execution_order(layers)
+        assert [i for i, _ in order] == [0, 2, 1, 3, 5, 4, 6]
+        assert all(layer is layers[i] for i, layer in order)
+        assert [i for i, _ in L.execution_order(layers[:2])] == [0, 1]
+
+    @pytest.mark.parametrize("window,stride", [(2, 2), (3, 1)])
+    @pytest.mark.parametrize("layout", ["single", "shared", "per_task"])
+    def test_forward_equals_the_in_order_chain(self, layout, window, stride):
+        # values and first-order gradients bit for bit (== leaves signed
+        # zeros aside), on ties and all-negative windows
+        rng = np.random.default_rng(90)
+        net, x = tied_conv_block(rng, window, stride)
+        if layout != "single":
+            x = np.stack([x, -x, np.roll(x, 1, axis=-1)])
+        per_task = layout == "per_task"
+        arrays = [{n: np.stack([a, a[::-1], -a]) if per_task else a for n, a in layer.param_items()}
+                  for layer in net.layers]
+        c = rng.standard_normal((3,) * (layout != "single") + (4, 2))
+
+        def run(fn):
+            tape = T.Tape()
+            params = [{n: tape.leaf(a) for n, a in entry.items()} for entry in arrays]
+            xs = tape.leaf(x)
+            out = fn(net.layers, xs, params)
+            leaves = [xs] + [p for entry in params for p in entry.values()]
+            grads = tape.backward(T.sum_(T.mul(out, c)), leaves)
+            return [out.value] + [grads[p] for p in leaves]
+
+        def commuted(layers, xs, params):
+            return L.forward(layers, xs, params=params)
+
+        for got, want in zip(run(commuted), run(in_order_forward), strict=True):
+            np.testing.assert_array_equal(got, want)
+        pooled = T.maxpool2d(L.forward(net.layers[:2], x), window, stride)
+        assert (pooled < 0).any()  # some windows are all negative
+
+    def test_hessian_vector_product_matches_finite_differences(self):
+        rng = np.random.default_rng(91)
+        layers = [L.init_conv(2, 3, 2, rng), L.relu(), L.maxpool(2), L.flatten(),
+                  L.init_fully_connected(12, 3, rng)]
+        x = rng.standard_normal((4, 2, 5, 5))
+        base = [a.copy() for layer in layers for _, a in layer.param_items()]
+
+        def loss(arrays):
+            it = iter(arrays)
+            params = [{n: next(it) for n, _ in layer.param_items()} for layer in layers]
+            out = L.forward(layers, x, params=params)
+            return T.sum_(T.mul(out, out))
+
+        def gradients(arrays, build_graph=False):
+            tape = T.Tape()
+            leaves = [tape.leaf(a) for a in arrays]
+            grads = tape.backward(loss(leaves), leaves, build_graph=build_graph)
+            return tape, leaves, [grads[p] for p in leaves]
+
+        v = [rng.standard_normal(a.shape) for a in base]
+        tape, leaves, grads = gradients(base, build_graph=True)
+        s = None
+        for g, vi in zip(grads, v):
+            term = T.sum_(T.mul(g, vi))
+            s = term if s is None else T.add(s, term)
+        hv = tape.backward(s, leaves)
+        h = 1e-5
+        plus = gradients([a + h * vi for a, vi in zip(base, v)])[2]
+        minus = gradients([a - h * vi for a, vi in zip(base, v)])[2]
+        for p, gp, gm in zip(leaves, plus, minus, strict=True):
+            np.testing.assert_allclose(hv[p], (gp - gm) / (2 * h), rtol=0, atol=1e-5)
+        for k in range(len(base)):  # and the first order
+            want = fd_gradient(lambda arrays: float(loss(arrays)), base, k)
+            np.testing.assert_allclose(grads[k].value, want, rtol=0, atol=1e-5)
+
+
+class TestCenteredPool:
+    @pytest.mark.parametrize("window,stride", [(2, 2), (3, 2), (2, 1)])
+    @pytest.mark.parametrize("radius_kind", ["scalar", "per_channel", "per_task"])
+    def test_faces_equal_the_pool_of_center_minus_and_plus_radius(self, radius_kind, window,
+                                                                   stride):
+        rng = np.random.default_rng(92)
+        lead = (2,) if radius_kind == "per_task" else ()
+        center = np.round(rng.standard_normal(lead + (3, 4, 7, 7)), 1)  # ties
+        radius = {"scalar": 0.1, "per_channel": rng.uniform(0, 0.3, 4),
+                  "per_task": rng.uniform(0, 0.3, (2, 4))}[radius_kind]
+        layer = L.maxpool(window, stride)
+        out = B.propagate_layer(layer, B.IntervalTensor.of(None, center, radius))
+        assert out.radius is radius and out._faces is None
+        assert out.center.tobytes() == T.maxpool2d(center, window, stride).tobytes()
+        want = T.maxpool2d(B._centered_faces(center, radius), window, stride)
+        assert out.faces.tobytes() == want.tobytes()
+
+    def test_a_radius_per_entry_takes_the_faces_pool(self):
+        center = np.random.default_rng(93).standard_normal((2, 3, 4, 4))
+        radius = np.abs(center) * 0.1
+        out = B.propagate_layer(L.maxpool(2), B.IntervalTensor.of(None, center, radius))
+        assert out.center is None
+        want = T.maxpool2d(np.array([center - radius, center + radius]), 2)
+        assert out.faces.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("kind", ["conv", "batchnorm_first"])
+    def test_bound_loss_gradients_equal_the_faces_rule(self, kind, stacked):
+        rng = np.random.default_rng(94)
+        net, x = centered_prefix(kind, rng)
+        if stacked:
+            x = x + 0.3 * rng.standard_normal((3,) + x.shape)
+        arrays = [dict(layer.param_items()) for layer in net.prefix]
+
+        def run(rule):
+            tape = T.Tape()
+            params = [{n: tape.leaf(a) for n, a in entry.items()} for entry in arrays]
+            center, box = rule(net, x, 0.1, params)
+            l_lb, l_ub = bound_losses(center, box)
+            leaves = [p for entry in params for p in entry.values()]
+            grads = tape.backward(T.add(l_lb, l_ub), leaves)
+            return [grads[p] for p in leaves]
+
+        def centered(net, x, eps, params):
+            res = B.propagate_prefix(net, x, eps, params=params)
+            return res.center, res.box
+
+        for got, want in zip(run(centered), run(faces_rule_prefix), strict=True):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("window,stride", [(2, 2), (3, 2)])
+    def test_box_is_sound_at_corners(self, window, stride):
+        rng = np.random.default_rng(95)
+        net = L.Network([L.init_conv(2, 3, 2, rng),
+                         L.batchnorm(3, gamma=rng.uniform(-2, 2, 3), beta=rng.standard_normal(3)),
+                         L.relu(), L.maxpool(window, stride)], split_index=4)
+        x = rng.standard_normal((4, 2, 8, 8))
+        stats = []
+        L.forward(net.prefix, x, stats_out=stats)
+        res = B.propagate_prefix(net, x, 0.1).values()
+        assert res.box.center is None  # the relu after the pool ends the run
+        delta = rng.uniform(-0.1, 0.1, size=(60,) + x.shape)
+        delta[30:] = 0.1 * np.sign(delta[30:])  # corners
+        y = np.stack([L.forward(net.prefix, x + d, frozen_stats=stats) for d in delta])
+        assert max(np.max(res.box.lower - y), np.max(y - res.box.upper)) <= 1e-9
+
+
 # -- one flat Adam update ------------------------------------------------------
 
 
@@ -168,6 +339,36 @@ class TestFlatAdam:
         with pytest.raises(T.NonFiniteError):
             net.set_parameter_arrays([np.full(a.shape, np.nan) for a in arrays])
 
+    def test_overflowing_update_raises_and_keeps_the_parameters(self):
+        net, _ = conv_bn_relu(np.random.default_rng(8))
+        net.set_parameter_arrays([np.full(a.shape, np.finfo(float).max)
+                                  for a in net.parameter_arrays()])
+        vector = net.parameter_vector
+        with np.errstate(over="ignore"):  # as train's own errstate
+            new, _ = optimizer_step(net.parameter_arrays(),
+                                    [np.full(a.shape, -1.0) for a in net.parameter_arrays()],
+                                    adam(1e300))
+        with pytest.raises(T.NonFiniteError):
+            net.set_parameter_arrays(new)
+        assert net.parameter_vector is vector
+        assert all(a.base is vector for a in net.parameter_arrays())
+
+    def test_given_arrays_are_copied(self):
+        net = L.Network([L.fully_connected(np.ones((2, 2)), np.zeros(2)),
+                         L.fully_connected(np.full((2, 2), 2.0), np.ones(2))], split_index=1)
+        arrays = net.parameter_arrays()
+        swapped = [arrays[2], arrays[1], arrays[0], arrays[3]]  # views, out of order
+        writable = np.arange(12.0)
+        updated, _ = optimizer_step(arrays, [np.full(a.shape, 0.5) for a in arrays], adam(0.01))
+        cases = [swapped, [writable[:4].reshape(2, 2), writable[4:6], writable[6:10].reshape(2, 2),
+                           writable[10:]], [a + 1.0 for a in arrays], updated]
+        for given in cases:
+            net.set_parameter_arrays(given)
+            assert not any(np.shares_memory(net.parameter_vector, g) for g in given)
+            for a, g in zip(net.parameter_arrays(), given, strict=True):
+                assert a.base is net.parameter_vector and a.tobytes() == g.tobytes()
+            arrays = net.parameter_arrays()
+
 
 # -- step constants built once -------------------------------------------------
 
@@ -221,6 +422,23 @@ class TestStepConstants:
         with pytest.raises(ValueError, match=r"labels outside 0\.\.1"):
             LR.maml_task_accuracies(net, [task], 0.1, 5)
         assert steps == []
+
+    def test_protonet_step_builds_the_query_rows_once(self, monkeypatch):
+        # interpolation fires, so two cross-entropies read the query rows
+        calls = []
+        onehot = LR._onehot
+        counting = lambda labels, shape: calls.append(shape) or onehot(labels, shape)  # noqa: E731
+        monkeypatch.setattr(LR, "_onehot", counting)
+        fired = []
+        make_task = I.make_interpolated_task
+        monkeypatch.setattr(H, "make_interpolated_task",
+                            lambda *a, **k: fired.append(1) or make_task(*a, **k))
+        cfg = make_config(objective="ibpi", interp_probability=1.0)
+        net = L.build_network(cfg.layers, cfg.split_index, np.random.default_rng(0))
+        data = resolve_data(cfg)
+        H._protonet_step(net, data["train"], cfg, 0.1, np.random.default_rng(1),
+                         np.random.default_rng(2), adam(0.01))
+        assert fired and calls == [(1, cfg.train_ways * cfg.train_query_shots, cfg.train_ways)]
 
     @pytest.mark.parametrize("lead", [(), (3,)])
     def test_row_coefficients_equal_per_class_coefficients(self, lead):
@@ -285,3 +503,43 @@ class TestFailurePaths:
         with pytest.raises(ValueError, match="eval_ways = 5"):
             RunConfig(learner="maml", objective="ibpi", layers=layers, train_ways=3,
                       data={"test": {"path": "pool.npz"}})
+
+    @pytest.mark.parametrize("layers,shape,message", [
+        # a first layer whose width differs from the data
+        ([{"kind": "fully_connected", "in": 7, "out": 4}, {"kind": "relu"},
+          {"kind": "fully_connected", "in": 4, "out": 3}], [8],
+         r"layer 0 \(fully_connected\): 'in' is 7, but train instances of shape \(8,\) "
+         r"reach it with 8"),
+        # conv, flatten, fc whose flattened size differs from the fc's
+        ([{"kind": "conv2d", "in_channels": 1, "out_channels": 5, "kernel": 3}, {"kind": "relu"},
+          {"kind": "flatten"}, {"kind": "fully_connected", "in": 144, "out": 4}], [1, 10, 10],
+         r"layer 3 \(fully_connected\): 'in' is 144, but train instances of shape "
+         r"\(1, 10, 10\) reach it with 320"),
+        # a conv kernel larger than the image
+        ([{"kind": "conv2d", "in_channels": 1, "out_channels": 2, "kernel": 5}, {"kind": "flatten"},
+          {"kind": "fully_connected", "in": 2, "out": 3}], [1, 4, 4],
+         r"layer 0 \(conv2d\): 'kernel' is 5, but train instances of shape \(1, 4, 4\) "
+         r"reach it with \(1, 4, 4\)"),
+        # a pool window larger than the conv output
+        ([{"kind": "conv2d", "in_channels": 1, "out_channels": 2, "kernel": 3},
+          {"kind": "maxpool2d", "window": 3}, {"kind": "flatten"},
+          {"kind": "fully_connected", "in": 2, "out": 3}], [1, 4, 4],
+         r"layer 1 \(maxpool2d\): 'window' is 3, but train instances of shape \(1, 4, 4\) "
+         r"reach it with \(2, 2, 2\)"),
+        # a pool on features without height and width
+        ([{"kind": "fully_connected", "in": 8, "out": 6}, {"kind": "maxpool2d", "window": 2},
+          {"kind": "fully_connected", "in": 3, "out": 3}], [8],
+         r"layer 1 \(maxpool2d\): 'window' is 2, but train instances of shape \(8,\) "
+         r"reach it with \(6,\)"),
+    ])
+    def test_layer_sizes_checked_before_the_first_step(self, layers, shape, message, monkeypatch):
+        synth = {"n_classes": 6, "per_class": 12, "shape": shape, "class_separation": 2.0,
+                 "noise_scale": 1.0, "seed": 1}
+        cfg = RunConfig(learner="protonet", objective="ibp", layers=layers,
+                        split_index=len(layers) - 1, data={"train": {"synth": synth}},
+                        train_ways=3, train_query_shots=2, max_steps=2)
+        with pytest.raises(ValueError, match=message):
+            resolve_data(cfg)
+        monkeypatch.setattr(H, "_protonet_step", lambda *a: pytest.fail("a step ran"))
+        with pytest.raises(ValueError, match=message):
+            H.train(cfg)

@@ -499,7 +499,7 @@ class TestConfigValidation:
 
         for workload in load(root / "bench" / "workloads.py").WORKLOADS.values():
             workload.config(0, str(tmp_path), tiny=True)
-        assert len(list(load(root / "tools" / "digest_matrix.py").run_configs())) == 108
+        assert len(list(load(root / "tools" / "digest_matrix.py").run_configs())) == 120
         # the demo's imports and config, up to its first training run
         demo = ast.parse((root / "demos" / "02_prototype_learning.py").read_text())
         head = list(itertools.takewhile(

@@ -4,19 +4,23 @@ changes no result.
 Each run trains with ``fewshot_ibp.harness.train`` into a temporary
 directory.  Its digest is the SHA-256 of ``metrics.csv``, ``checkpoint.ckpt``
 and the summary's ``test_accuracy``, ``test_ci95`` and ``box_width``.  The
-runs cross nine network/learner settings (ProtoNet on fc and on
+runs cross ten network/learner settings (ProtoNet on fc and on
 conv/batchnorm, first-order MAML on fc and on conv, second-order MAML on
-fc, on conv, on a deeper fc network and on a deeper conv network, and
-ProtoNet on fc with the ``euclidean`` distance) with the six objectives
-and with ``shared_mix_coeffs`` and ``bounds_on_adapted`` both on or both
-off: 108 runs.  Second-order MAML on conv is the only setting that
-differentiates through the gradients of the conv, batchnorm and max-pool
-nodes.  The two deeper networks are the only ones whose prefix sends a box
-without a center into an affine layer, so only their runs take the faces
-rule of ``fewshot_ibp.bounds`` and its adjoint: the fc one (fc, relu, fc,
-relu, then the fc head) through a fully connected layer, the conv one
-(conv, relu, conv, batchnorm, relu, flatten, then the fc head) through a
-conv and a batchnorm layer.  One more
+fc, on conv, on a deeper fc network, on a deeper conv network and on two
+conv blocks, and ProtoNet on fc with the ``euclidean`` distance) with the
+six objectives and with ``shared_mix_coeffs`` and ``bounds_on_adapted``
+both on or both off: 120 runs.  Second-order MAML on conv is the only
+kind of setting that differentiates through the gradients of the conv,
+batchnorm and max-pool nodes.  The deeper networks and the two conv
+blocks are the only ones whose prefix sends a box without a center into
+an affine layer, so only their runs take the faces rule of
+``fewshot_ibp.bounds`` and its adjoint: the fc one (fc, relu, fc, relu,
+then the fc head) through a fully connected layer, the conv one (conv,
+relu, conv, batchnorm, relu, flatten, then the fc head) through a conv and
+a batchnorm layer.  A max pool keeps a centered box centered, so the two
+conv blocks (conv, batchnorm, relu, max pool, twice, then flatten and the
+fc head) are the only setting whose pool takes a box without a center, in
+its second block.  One more
 line, ``sample_task``, hashes the tasks ``fewshot_ibp.episodes.sample_task``
 draws from the fc and the conv pool on the matrix's train spec, eval spec
 and a ``compactness`` spec, 200 seeds each, so the listing checks the
@@ -41,9 +45,9 @@ whose digest moved, with the values that moved, and it exits 1 if any
 run's ``test_accuracy`` or ``test_ci95`` moved.  A refactor whose digests
 move by rounding keeps every one of them.
 
-    python tools/digest_matrix.py              # all 108 runs, sample_task, evaluate
+    python tools/digest_matrix.py              # all 120 runs, sample_task, evaluate
     python tools/digest_matrix.py --only maml1-fc-ibpi-on
-    python tools/digest_matrix.py --only 'maml2-*'    # shell-style: the 48 second-order runs
+    python tools/digest_matrix.py --only 'maml2-*'    # shell-style: the 60 second-order runs
     python tools/digest_matrix.py --only sample_task
     python tools/digest_matrix.py --only evaluate
     python tools/digest_matrix.py --values > parent-values.txt
@@ -119,6 +123,25 @@ CONV_DEEP = (
     6,
     CONV[2],
 )
+# two conv, batchnorm, relu, max-pool blocks: the first keeps the box
+# centered through its pool; the second block's conv and batchnorm take the
+# faces rule, and its pool a box without a center
+CONV_TWO_BLOCK = (
+    [
+        {"kind": "conv2d", "in_channels": 1, "out_channels": 4, "kernel": 3},
+        {"kind": "batchnorm", "channels": 4},
+        {"kind": "relu"},
+        {"kind": "maxpool2d", "window": 2},
+        {"kind": "conv2d", "in_channels": 4, "out_channels": 4, "kernel": 2},
+        {"kind": "batchnorm", "channels": 4},
+        {"kind": "relu"},
+        {"kind": "maxpool2d", "window": 2},
+        {"kind": "flatten"},
+        {"kind": "fully_connected", "in": 4, "out": 5},
+    ],
+    8,
+    CONV[2],
+)
 # name -> (learner, first_order, distance, network)
 SETTINGS = {
     "protonet-fc": ("protonet", True, "sqeuclidean", FC),
@@ -129,6 +152,7 @@ SETTINGS = {
     "maml2-conv": ("maml", False, "sqeuclidean", CONV),
     "maml2-fc-deep": ("maml", False, "sqeuclidean", FC_DEEP),
     "maml2-conv-deep": ("maml", False, "sqeuclidean", CONV_DEEP),
+    "maml2-conv-two-block": ("maml", False, "sqeuclidean", CONV_TWO_BLOCK),
     "protonet-fc-euclidean": ("protonet", True, "euclidean", FC),
 }
 SUMMARY_KEYS = ("test_accuracy", "test_ci95", "box_width")
