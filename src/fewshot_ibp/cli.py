@@ -8,6 +8,7 @@ error record to stderr and exit nonzero.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -30,10 +31,9 @@ def _spec_from(args) -> TaskSpec:
 
 def _cmd_train(args):
     config = RunConfig.from_file(args.config)
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.out is not None:
-        config.out_dir = args.out
+    overrides = {"seed": args.seed, "out_dir": args.out}
+    # replaced, not assigned, so the overrides are checked as the file's fields are
+    config = dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
     progress = None
     if args.verbose:
         def progress(row):

@@ -143,7 +143,7 @@ class RunConfig:
                      "train_shots", "train_query_shots", "eval_shots", "eval_query_shots"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        for name in ("inner_steps", "eval_inner_steps"):
+        for name in ("inner_steps", "eval_inner_steps", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         for name in ("epsilon", "meta_lr", "inner_lr"):
@@ -232,8 +232,9 @@ def resolve_data(config: RunConfig) -> dict[str, Dataset]:
 
     Raises ``ValueError`` unless the train split can supply every task of
     :meth:`RunConfig.train_spec`, the ``val`` and ``test`` splits every task
-    of :meth:`RunConfig.eval_spec`, and each split's instances fit the layers,
-    so a run that cannot finish fails before its first step.
+    of :meth:`RunConfig.eval_spec`, each split's instances fit the layers,
+    and, for MAML, the network's output rows have a score for each of the
+    split's ways, so a run that cannot finish fails before its first step.
     """
     if "train" not in config.data:
         raise ValueError("config data section needs at least a 'train' entry")
@@ -244,5 +245,8 @@ def resolve_data(config: RunConfig) -> dict[str, Dataset]:
         if split in data:
             check_supply(data[split], spec, f"{split} split")
             shape = data[split].pool.shape[1:]
-            check_instance_shape(config.layers, shape, f"{split} instances of shape {shape}")
+            out = check_instance_shape(config.layers, shape, f"{split} instances of shape {shape}")
+            if config.learner == "maml" and (len(out) != 1 or out[0] < spec.ways):
+                raise ValueError(f"a MAML network whose outputs have shape {out} cannot score "
+                                 f"the {spec.ways} ways of the {split} split")
     return data

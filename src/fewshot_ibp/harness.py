@@ -53,6 +53,7 @@ from .learners import (
     cross_entropy,
     maml_outer_step,
     maml_task_accuracies,
+    mapped_pool,
     protonet_logits,
     protonet_task_accuracies,
     task_chunks,
@@ -309,8 +310,11 @@ def _maml_step(network, dataset, config, eps_t, sample_rng, interp_rng, opt_stat
 
 
 def _task_rngs(seed_entropy, n_tasks: int):
-    """One generator per task, task ``i`` seeded by (entropy, i)."""
-    entropy = tuple(np.atleast_1d(seed_entropy).astype(np.uint64).tolist())
+    """One generator per task, task ``i`` seeded by (entropy, i).  Entropy
+    other than non-negative integers raises ``ValueError`` naming it."""
+    entropy = tuple(np.atleast_1d(seed_entropy).tolist())
+    if not all(type(v) is int and v >= 0 for v in entropy):
+        raise ValueError(f"task seed entropy must be non-negative integers, got {seed_entropy!r}")
     for i in range(n_tasks):
         yield np.random.default_rng(np.random.SeedSequence(entropy + (i,)))
 
@@ -337,18 +341,27 @@ def evaluate(
     queries with its own adapted parameters, one forward pass per smaller
     chunk of tasks (:func:`~fewshot_ibp.learners.maml_task_accuracies`); the
     prototype learner scores them on a task axis
-    (:func:`~fewshot_ibp.learners.protonet_task_accuracies`).
+    (:func:`~fewshot_ibp.learners.protonet_task_accuracies`).  Before it
+    draws, the prototype learner runs the layers before the first batchnorm
+    once on the whole pool when their output fits one scoring chunk, and
+    draws the same tasks from the mapped rows, which the remaining layers
+    score (:func:`~fewshot_ibp.learners.mapped_pool`): each drawn row is
+    then embedded once, not once per draw, and the one extra array is no
+    larger than a scoring chunk.  Otherwise the tasks are drawn from
+    ``dataset`` and embedded by the whole network.
     Transfer is this call on a dataset other than the one trained on: the
     meta-learner still fine-tunes on each task's support set, and shape
     incompatibilities surface as ``ValueError`` from the forward pass.
     """
     if n_tasks < 1:
         raise ValueError("need at least one evaluation task")
+    if learner == "protonet":
+        dataset, layers = mapped_pool(network, dataset)
     tasks = (sample_task(dataset, spec, rng) for rng in _task_rngs(seed_entropy, n_tasks))
     if learner == "maml":
         accs = maml_task_accuracies(network, tasks, inner_lr, eval_inner_steps)
     elif learner == "protonet":
-        accs = protonet_task_accuracies(network, tasks, distance)
+        accs = protonet_task_accuracies(network, tasks, distance, layers)
     else:
         raise ValueError(f"unknown learner {learner!r}")
     mean = float(np.mean(accs))

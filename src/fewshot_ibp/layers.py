@@ -344,6 +344,13 @@ def execution_order(layers) -> list:
     return order
 
 
+def first_batchnorm(layers) -> int:
+    """Index of the first batchnorm in ``layers``, ``len(layers)`` if none.
+    Every layer before it maps each instance on its own, whatever batch it
+    runs in, and :func:`execution_order` moves no layer across it."""
+    return next((i for i, layer in enumerate(layers) if layer.kind == "batchnorm"), len(layers))
+
+
 def forward(
     layers,
     x,
@@ -442,12 +449,12 @@ _DESC_INPUT = {"fully_connected": ("in", (1,)), "conv2d": ("in_channels", (3,)),
                "batchnorm": ("channels", (1, 3))}
 
 
-def check_instance_shape(layer_descs, shape, source: str) -> None:
+def check_instance_shape(layer_descs, shape, source: str) -> tuple:
     """Walk one instance's ``shape`` through checked descriptors by their
-    sizes alone.  Raises ``ValueError`` naming the layer, its kind and both
-    sizes where a declared input size differs from the one from ``source``,
-    or a conv or pool window does not fit in a (channels, height, width)
-    input."""
+    sizes alone, and return the shape of its output.  Raises ``ValueError``
+    naming the layer, its kind and both sizes where a declared input size
+    differs from the one from ``source``, or a conv or pool window does not
+    fit in a (channels, height, width) input."""
     for i, desc in enumerate(layer_descs):
         kind = desc["kind"]
         if kind in _DESC_INPUT:
@@ -468,6 +475,7 @@ def check_instance_shape(layer_descs, shape, source: str) -> None:
             shape = (desc.get("out_channels", shape[0]),) + hw
         elif kind in ("fully_connected", "flatten"):
             shape = (desc["out"],) if kind == "fully_connected" else (math.prod(shape),)
+    return shape
 
 
 def build_network(layer_descs, split_index: int, rng) -> Network:

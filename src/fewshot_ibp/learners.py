@@ -12,6 +12,9 @@ Prototypes, distances and logits also take a leading task axis, where each
 task's queries meet only that task's prototypes; evaluation scores its tasks
 that way, in chunks of bounded size (:func:`protonet_task_accuracies`).  An
 odd-rank input stacks tasks (:func:`~fewshot_ibp.layers.has_task_axis`).
+When the layers before the first batchnorm map the whole pool into no more
+elements than one chunk, evaluation runs them once on the pool and draws
+its tasks from the mapped rows (:func:`mapped_pool`).
 
 The meta-learner adapts a copy of the parameters on each task's support set
 with full-batch gradient descent, then is judged on the query set.
@@ -49,8 +52,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .episodes import Task
-from .layers import Network, forward, param_nodes_to_list
+from .episodes import Dataset, Task
+from .layers import Network, first_batchnorm, forward, param_nodes_to_list
 from .optim import optimizer_step
 from .tensor import (
     Node,
@@ -234,6 +237,9 @@ class TaskBatch(NamedTuple):
 # slower than the per-task loop, and 2**15 (54 fc tasks) raised fc peak RSS
 # by 4.5% where 2**14 raises it by 2%.  Scoring only runs a forward pass per
 # chunk, so small chunks cost little; adaptation has its own budget below.
+# It also bounds the pool that ProtoNet evaluation maps ahead of drawing
+# (:func:`mapped_pool`): the benchmark's fc pool maps to 360 x 16 elements,
+# while its conv pool, 360 x 512 up to the batchnorm, stays unmapped.
 _CHUNK_ELEMENTS = 2**14
 
 # Element budget of one adaptation chunk: each task's tiled parameter
@@ -376,8 +382,33 @@ def maml_task_accuracies(network: Network, tasks, inner_lr: float, steps: int) -
     return np.array(accs)
 
 
-def protonet_task_accuracies(network: Network, tasks, distance: str = "sqeuclidean") -> np.ndarray:
-    """Query accuracy of each task under the nearest-prototype rule.
+def mapped_pool(network: Network, dataset: Dataset) -> tuple[Dataset, list]:
+    """The dataset ProtoNet evaluation draws its tasks from, and the layers
+    that embed them.
+
+    The layers before the first batchnorm (:func:`~fewshot_ibp.layers.first_batchnorm`)
+    give each row the same output in every task that draws it.  When they
+    map the whole pool into no more than ``_CHUNK_ELEMENTS`` elements, they
+    run once on it, and the result is a dataset of the mapped rows (same
+    counts, ids and role, so tasks draw the same rows) and the remaining
+    layers.  Otherwise it is ``dataset`` and all the layers.  The size is
+    measured on one row, so a pool that does not fit is never mapped.
+    """
+    layers, pool = network.layers, dataset.pool
+    k = first_batchnorm(layers)
+    if k == 0 or len(pool) * forward(layers[:k], pool[:1]).size > _CHUNK_ELEMENTS:
+        return dataset, layers
+    mapped = forward(layers[:k], pool)
+    mapped.flags.writeable = False
+    return Dataset(mapped, dataset.counts, dataset.class_ids, dataset.role), layers[k:]
+
+
+def protonet_task_accuracies(
+    network: Network, tasks, distance: str = "sqeuclidean", layers=None
+) -> np.ndarray:
+    """Query accuracy of each task under the nearest-prototype rule, its
+    instances embedded by ``layers`` (by default all the network's; fewer
+    for tasks drawn from a :func:`mapped_pool`).
 
     The tasks (equal shapes, as drawn from one task spec) are scored a chunk
     at a time (:func:`task_chunks`): a chunk's support sets and its query
@@ -385,13 +416,14 @@ def protonet_task_accuracies(network: Network, tasks, distance: str = "sqeuclide
     each, so batchnorm takes its statistics per task and per set, and each
     task's queries are scored against that task's own prototypes.
     """
+    layers = network.layers if layers is None else layers
     accs = []
     for chunk in task_chunks(tasks):
         if any(task.query_x.shape[0] == 0 for task in chunk):
             raise ValueError("task has an empty query set")
         batch = TaskBatch.stack(chunk)
-        support_emb = forward(network.layers, batch.support_x)
-        query_emb = forward(network.layers, batch.query_x)
+        support_emb = forward(layers, batch.support_x)
+        query_emb = forward(layers, batch.query_x)
         protos = compute_prototypes(support_emb, batch.support_y, chunk[0].ways)
         # plain floats: a list of per-chunk arrays would outgrow the chunks
         accs.extend(_accuracy(protonet_logits(query_emb, protos, distance), batch.query_y).tolist())

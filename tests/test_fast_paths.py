@@ -3,15 +3,18 @@ centered box's faces built only when read, and its cheaper check; a relu
 run after the max pool it precedes, and a centered box kept through the
 pool; one flat Adam update, and its copy into the network; one-hot
 rows and per-row mixing coefficients built once per step; and the single
-overflow path of ``train`` and the shape check before its first step."""
+overflow path of ``train``, the shape and width checks before its first
+step, and the seeds it accepts."""
 
 import json
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from fewshot_ibp import bounds as B
+from fewshot_ibp import cli
 from fewshot_ibp import harness as H
 from fewshot_ibp import interpolation as I
 from fewshot_ibp import layers as L
@@ -496,6 +499,37 @@ class TestFailurePaths:
             make_config(learner="maml", layers=layers, **{"train_ways": 3, "eval_ways": 3,
                                                           field: 4})
         make_config(learner="protonet", layers=layers, **{field: 4})  # prototypes score
+
+    @pytest.mark.parametrize("field", ["train_ways", "eval_ways"])
+    def test_maml_output_narrower_than_the_ways_rejected_before_a_step(self, field, monkeypatch):
+        # the head ends in a relu, so only the walked output shape shows its width
+        layers = [{"kind": "fully_connected", "in": 6, "out": 16}, {"kind": "relu"},
+                  {"kind": "fully_connected", "in": 16, "out": 3}, {"kind": "relu"}]
+        resolve_data(make_config(learner="maml", layers=layers))  # 3 ways: accepted
+        cfg = make_config(learner="maml", layers=layers, **{field: 4})
+        split = "train" if field == "train_ways" else "val"
+        message = rf"outputs have shape \(3,\) cannot score the 4 ways of the {split} split"
+        with pytest.raises(ValueError, match=message):
+            resolve_data(cfg)
+        monkeypatch.setattr(H, "_maml_step", lambda *a: pytest.fail("a step ran"))
+        with pytest.raises(ValueError, match=message):
+            H.train(cfg)
+        resolve_data(make_config(learner="protonet", layers=layers, **{field: 4}))
+
+    @pytest.mark.parametrize("entropy", [(-1,), (2.7,), (0, -202), (True,)])
+    def test_task_seed_entropy_other_than_non_negative_integers_rejected(self, entropy):
+        cfg = make_config()
+        net = L.build_network(cfg.layers, cfg.split_index, np.random.default_rng(0))
+        ds = resolve_data(cfg)["test"]
+        with pytest.raises(ValueError, match=re.escape(repr(entropy))):
+            H.evaluate(net, "protonet", ds, cfg.eval_spec(), 2, entropy)
+
+    def test_negative_run_seed_rejected(self, tmp_path, capsys):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            make_config(seed=-3)
+        make_config().save(tmp_path / "config.json")  # the CLI's --seed is checked too
+        assert cli.main(["train", "--config", str(tmp_path / "config.json"), "--seed", "-3"]) == 1
+        assert "seed must be non-negative" in capsys.readouterr().err
 
     def test_maml_head_checked_only_against_splits_read(self):
         layers = [{"kind": "fully_connected", "in": 4, "out": 3}]

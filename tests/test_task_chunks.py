@@ -1,5 +1,6 @@
 """ProtoNet evaluation and compactness on a task axis, in chunks of tasks,
-against the per-task loops they replaced."""
+and ProtoNet evaluation on a pool mapped once ahead of drawing, against
+the per-task loops they replaced."""
 
 import tracemalloc
 
@@ -10,7 +11,7 @@ from fewshot_ibp import harness as H
 from fewshot_ibp import layers as L
 from fewshot_ibp import learners as LR
 from fewshot_ibp import tensor as T
-from fewshot_ibp.episodes import TaskSpec, sample_task
+from fewshot_ibp.episodes import TaskSpec, sample_task, synth_dataset
 from test_learners import conv_pool_network, fc_pool_network
 
 SPEC = TaskSpec(5, 1, 15)
@@ -218,6 +219,100 @@ class TestTaskAxisPrimitives:
         np.testing.assert_array_equal(values[0], values[1])
         for g0, g1 in zip(*grads):
             np.testing.assert_array_equal(g0, g1)
+
+
+# -- the pool mapped once ahead of drawing, against the per-task path ----------
+
+
+def fc_pool():
+    return fc_pool_network(0)[1]
+
+
+def conv_pool():
+    return conv_pool_network(0)[1]
+
+
+def network(layers, rng):
+    net = L.Network(layers, split_index=len(layers))
+    net.set_parameter_arrays([a + 0.1 * rng.standard_normal(a.shape) for a in net.parameter_arrays()])
+    return net
+
+
+def fc_mapped(rng):  # the whole network maps the pool: 360 x 16 elements
+    return perturbed(fc_pool_network)[0]
+
+
+def conv_mapped(rng):  # no batchnorm, 360 x 8 elements
+    return network([L.init_conv(1, 2, 3, rng), L.relu(), L.maxpool(2), L.flatten(),
+                    L.init_fully_connected(18, 8, rng)], rng)
+
+
+def fc_then_batchnorm(rng):  # the first fc maps the pool, 360 x 16 elements
+    return network([L.init_fully_connected(8, 16, rng), L.batchnorm(16), L.relu(),
+                    L.init_fully_connected(16, 8, rng)], rng)
+
+
+def conv_then_batchnorm(rng):  # the conv would map it into 360 x 144 elements
+    return perturbed(conv_pool_network)[0]
+
+
+def batchnorm_first(rng):  # no layer before the batchnorm
+    return network([L.batchnorm(8), L.init_fully_connected(8, 16, rng)], rng)
+
+
+def wide_output(rng):  # no batchnorm, but 360 x 64 elements
+    return network([L.init_fully_connected(8, 32, rng), L.relu(),
+                    L.init_fully_connected(32, 64, rng)], rng)
+
+
+class TestMappedPool:
+    """``evaluate`` maps the pool once when the layers before the first
+    batchnorm fit it into one scoring chunk; every task scores as the
+    per-task loop scores it, on either path."""
+
+    @pytest.mark.parametrize("make,pool,mapped_layers,distances", [
+        pytest.param(make, pool, k, distances, id=make.__name__)
+        for make, pool, k, distances in [
+            (fc_mapped, fc_pool, 3, LR.DISTANCES),
+            (conv_mapped, conv_pool, 5, ("sqeuclidean",)),
+            (fc_then_batchnorm, fc_pool, 1, ("sqeuclidean",)),
+            (conv_then_batchnorm, conv_pool, 0, ("sqeuclidean",)),
+            (batchnorm_first, fc_pool, 0, ("sqeuclidean",)),
+            (wide_output, fc_pool, 0, ("sqeuclidean",)),
+        ]
+    ])
+    def test_equal_to_per_task_loop(self, make, pool, mapped_layers, distances, monkeypatch):
+        net, ds, n = make(np.random.default_rng(2)), pool(), 60
+        mapped_ds, layers = LR.mapped_pool(net, ds)
+        assert len(layers) == len(net.layers) - mapped_layers
+        assert (mapped_ds is ds) == (mapped_layers == 0)
+        if mapped_layers:
+            assert mapped_ds.pool.size <= LR._CHUNK_ELEMENTS
+            assert (mapped_ds.counts, mapped_ds.class_ids) == (ds.counts, ds.class_ids)
+        inputs = []
+        forward = LR.forward
+        monkeypatch.setattr(LR, "forward", lambda layers, x: inputs.append(x) or forward(layers, x))
+        for distance in distances:
+            ref = [reference_accuracy(net, task, distance) for task in draw(ds, n)]
+            assert len(set(ref)) > 1
+            accs = LR.protonet_task_accuracies(net, draw(mapped_ds, n), distance, layers)
+            np.testing.assert_array_equal(accs, ref)
+            inputs.clear()
+            mean, ci = H.evaluate(net, "protonet", ds, SPEC, n, ENTROPY, distance=distance)
+            assert (mean, ci) == (float(np.mean(ref)), float(1.96 * np.std(ref, ddof=1) / np.sqrt(n)))
+            # the whole pool runs through the network once, and only when it fits
+            assert sum(x is ds.pool for x in inputs) == (mapped_layers > 0)
+
+    @pytest.mark.parametrize("make,shape", [
+        pytest.param(make, shape, id=make.__name__)
+        for make, shape in [(fc_mapped, (6,)), (conv_mapped, (1, 5, 5)),
+                            (conv_then_batchnorm, (2, 8, 8))]
+    ])
+    def test_transfer_pool_of_another_shape_rejected(self, make, shape):
+        net = make(np.random.default_rng(2))
+        ds = synth_dataset(6, 10, shape, 2.0, 1.0, seed=3, role="test")
+        with pytest.raises(ValueError):
+            H.evaluate(net, "protonet", ds, SPEC, 4, ENTROPY)
 
 
 @pytest.mark.parametrize("make", [fc_pool_network, conv_pool_network])

@@ -28,7 +28,10 @@ sampler directly as well.  The last line, ``evaluate``, hashes the
 per-task accuracies of first-order MAML evaluation
 (``fewshot_ibp.learners.maml_task_accuracies``) of 600 test
 tasks, on the fc and the conv network at their initialization, with the
-matrix's eval spec, inner learning rate and eval inner steps.  The runs
+matrix's eval spec, inner learning rate and eval inner steps, and the
+(mean, ci95) of ProtoNet ``fewshot_ibp.harness.evaluate`` of the same
+tasks on the same networks: the fc network maps its whole test pool ahead
+of drawing, the conv network embeds each task as drawn.  The runs
 evaluate only 12 tasks, one adaptation chunk, so this line is the one that
 covers evaluation over several chunks.
 
@@ -71,7 +74,7 @@ import numpy as np  # noqa: E402
 
 from fewshot_ibp.config import OBJECTIVES, RunConfig, resolve_dataset  # noqa: E402
 from fewshot_ibp.episodes import TaskSpec, sample_task  # noqa: E402
-from fewshot_ibp.harness import train  # noqa: E402
+from fewshot_ibp.harness import evaluate, train  # noqa: E402
 from fewshot_ibp.layers import build_network  # noqa: E402
 from fewshot_ibp.learners import maml_task_accuracies  # noqa: E402
 
@@ -249,7 +252,9 @@ def evaluate_digest() -> str:
     """SHA-256 of the per-task accuracies of first-order MAML evaluation of
     ``EVAL_TASKS`` tasks of the test split, drawn as ``evaluate`` draws them,
     on the fc and on the conv network as the matrix's seed initializes
-    them.  It covers the accuracy arrays' dtype, shape and bytes."""
+    them, and of the (mean, ci95) ProtoNet ``evaluate`` gives for the same
+    tasks.  It covers the accuracy arrays' dtype, shape and bytes, and the
+    two floats' exact reprs."""
     config = dict(run_configs())["maml1-fc-ibpi-on"]
     spec = config.eval_spec()
     digest = hashlib.sha256()
@@ -263,6 +268,8 @@ def evaluate_digest() -> str:
         accs = maml_task_accuracies(network, tasks, config.inner_lr, config.eval_inner_steps)
         digest.update(f"{accs.dtype.str} {accs.shape}".encode("utf-8"))
         digest.update(accs.tobytes())
+        result = evaluate(network, "protonet", dataset, spec, EVAL_TASKS, (0,))
+        digest.update(json.dumps(result).encode("utf-8"))
     return digest.hexdigest()
 
 
