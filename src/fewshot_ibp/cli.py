@@ -15,7 +15,7 @@ import sys
 from .config import RunConfig
 from .episodes import TaskSpec, load_dataset, save_dataset, synth_dataset
 from .harness import compactness, evaluate, report, train
-from .layers import load_checkpoint
+from .layers import check_instance_shape, layer_descs, load_checkpoint
 from .learners import DISTANCES
 
 
@@ -62,11 +62,22 @@ def _emit(result: dict, out) -> int:
     return 0
 
 
+def _loaded(args):
+    """The checkpoint's network and the dataset, whose instance shape is
+    walked through the network's layers before any task is drawn: a layer
+    the instances do not fit fails with its index, kind and both sizes."""
+    network = load_checkpoint(args.checkpoint)[0]
+    dataset = load_dataset(args.dataset)
+    shape = dataset.pool.shape[1:]
+    check_instance_shape(layer_descs(network.layers), shape,
+                         f"{dataset.role} instances of shape {shape}")
+    return network, dataset
+
+
 def _cmd_eval(args):
     """``eval`` and ``transfer``: accuracy of a checkpoint on a dataset, which
     for transfer is another dataset than the one trained on."""
-    network = load_checkpoint(args.checkpoint)[0]
-    dataset = load_dataset(args.dataset)
+    network, dataset = _loaded(args)
     mean, ci = evaluate(
         network,
         args.learner,
@@ -85,8 +96,7 @@ def _cmd_eval(args):
 
 
 def _cmd_compactness(args):
-    network = load_checkpoint(args.checkpoint)[0]
-    dataset = load_dataset(args.dataset)
+    network, dataset = _loaded(args)
     mean, std = compactness(
         network,
         dataset,

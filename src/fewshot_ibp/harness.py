@@ -343,12 +343,13 @@ def evaluate(
     prototype learner scores them on a task axis
     (:func:`~fewshot_ibp.learners.protonet_task_accuracies`).  Before it
     draws, the prototype learner runs the layers before the first batchnorm
-    once on the whole pool when their output fits one scoring chunk, and
-    draws the same tasks from the mapped rows, which the remaining layers
-    score (:func:`~fewshot_ibp.learners.mapped_pool`): each drawn row is
-    then embedded once, not once per draw, and the one extra array is no
-    larger than a scoring chunk.  Otherwise the tasks are drawn from
-    ``dataset`` and embedded by the whole network.
+    once on the whole pool when their output fits the mapped-pool budget,
+    and draws the same tasks from the mapped rows, which the remaining
+    layers score (:func:`~fewshot_ibp.learners.mapped_pool`): each drawn
+    row is then embedded once, not once per draw.  Its chunks hold as many
+    tasks as unmapped ones, so the one extra array is the mapped pool,
+    at most 2 MiB.  Otherwise the tasks are drawn from ``dataset`` and
+    embedded by the whole network.
     Transfer is this call on a dataset other than the one trained on: the
     meta-learner still fine-tunes on each task's support set, and shape
     incompatibilities surface as ``ValueError`` from the forward pass.
@@ -356,12 +357,13 @@ def evaluate(
     if n_tasks < 1:
         raise ValueError("need at least one evaluation task")
     if learner == "protonet":
+        row_elements = dataset.pool[0].size
         dataset, layers = mapped_pool(network, dataset)
     tasks = (sample_task(dataset, spec, rng) for rng in _task_rngs(seed_entropy, n_tasks))
     if learner == "maml":
         accs = maml_task_accuracies(network, tasks, inner_lr, eval_inner_steps)
     elif learner == "protonet":
-        accs = protonet_task_accuracies(network, tasks, distance, layers)
+        accs = protonet_task_accuracies(network, tasks, distance, layers, row_elements)
     else:
         raise ValueError(f"unknown learner {learner!r}")
     mean = float(np.mean(accs))

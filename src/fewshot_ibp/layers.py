@@ -190,18 +190,39 @@ def has_task_axis(x) -> bool:
     return value_of(x).ndim % 2 == 1
 
 
+def _rows(v: np.ndarray) -> np.ndarray:
+    """``v`` as one row per instance: an image batch (…, batch, c, h, w) as
+    (…, batch, c·h·w), a feature batch as it is."""
+    return v.reshape(v.shape[:-3] + (-1,)) if v.ndim >= 4 else v
+
+
+def _per_row(v: np.ndarray, per_channel: np.ndarray) -> np.ndarray:
+    """Per-channel values, (channels,) or (tasks, channels), laid along the
+    rows of :func:`_rows` of ``v``: each repeated over its channel's h·w
+    entries, with a unit batch axis after a task axis."""
+    if v.ndim >= 4:
+        per_channel = np.repeat(per_channel, v.shape[-2] * v.shape[-1], axis=-1)
+    return per_channel[..., None, :] if has_task_axis(v) else per_channel
+
+
 def batch_stats(x, layer: LayerSpec):
     """Detached per-channel batch mean and variance for a batchnorm layer,
-    of shape (channels,), or (tasks, channels) with a leading task axis."""
+    of shape (channels,), or (tasks, channels) with a leading task axis.
+
+    The mean is subtracted along rows of c·h·w (:func:`_rows`), one long
+    loop per instance rather than one per h·w plane, and the centered copy
+    squared in place; both sums run over the input's own axes and layout."""
     v = value_of(x)
     b = int(has_task_axis(v))
     axes = (b,) if v.ndim == 2 + b else (b, b + 2, b + 3)
     # the mean is summed once and reused for the variance, as np.var does:
     # bit-equal to np.mean and np.var
     n = math.prod(v.shape[ax] for ax in axes)
-    mean = np.add.reduce(v, axis=axes, keepdims=True) / n
-    var = np.add.reduce(np.square(v - mean), axis=axes) / n
-    return mean.reshape(var.shape), var
+    mean = (np.add.reduce(v, axis=axes, keepdims=True) / n).reshape(v.shape[:b] + (-1,))
+    centered = np.subtract(_rows(v), _per_row(v, mean))
+    np.square(centered, out=centered)
+    var = np.add.reduce(centered.reshape(v.shape), axis=axes) / n
+    return mean, var
 
 
 def bn_inv_std(layer: LayerSpec, var):
@@ -253,16 +274,19 @@ def _batchnorm(x, layer: LayerSpec, mean, var, gamma, beta):
     """``x·scale + shift`` with the scale and shift of :func:`bn_affine` as
     one node, ``gamma``/``beta`` through them.  Its value is that of the
     primitive chain bit for bit, and its vjp sums the chain's adjoints in the
-    chain's order."""
+    chain's order.  The scale and shift are applied along rows of c·h·w
+    (:func:`_per_row`) rather than broadcast over each h·w plane: the same
+    products, in long loops."""
     vx = value_of(x)
     inv_std = bn_inv_std(layer, var)
     scale, shift = bn_affine(layer, mean, var, gamma=value_of(gamma), beta=value_of(beta))
-    scale_b, shift_b = _bn_broadcast(vx, scale), _bn_broadcast(vx, shift)
-    out = np.multiply(vx, scale_b)
-    out += shift_b
+    out = np.multiply(_rows(vx), _per_row(vx, scale))
+    out += _per_row(vx, shift)
+    out = out.reshape(vx.shape)
     tape = _tape_of(x, gamma, beta)
     if tape is None:
         return out
+    scale_b, shift_b = _bn_broadcast(vx, scale), _bn_broadcast(vx, shift)
 
     def vjp(g, inputs, o):
         xx, xg, _ = inputs
@@ -409,10 +433,9 @@ def check_layer_descs(layer_descs) -> None:
     Raises ``ValueError`` naming the layer index and the field for a
     descriptor that is not an object, an unknown kind, a missing size, a size
     or stride that is not a positive integer, a batchnorm ``eps`` that is not
-    a non-negative finite number, and fully_connected layers, consecutive
-    but for relu and batchnorm, whose widths do not chain.
+    a non-negative finite number, and fully_connected layers whose widths do
+    not chain (:func:`check_layer_widths`).
     """
-    width = None  # output width of the last fully_connected layer
     for i, desc in enumerate(layer_descs):
         if not isinstance(desc, dict):
             raise ValueError(f"layer {i} must be an object, got {desc!r}")
@@ -433,6 +456,16 @@ def check_layer_descs(layer_descs) -> None:
             raise ValueError(
                 f"layer {i} ({kind}): 'eps' must be a non-negative finite number, got {eps!r}"
             )
+    check_layer_widths(layer_descs)
+
+
+def check_layer_widths(layer_descs) -> None:
+    """Reject fully_connected layers, consecutive but for relu and batchnorm,
+    whose widths do not chain, naming the layer, its kind and both widths:
+    the sizes alone show it, without an instance."""
+    width = None  # output width of the last fully_connected layer
+    for i, desc in enumerate(layer_descs):
+        kind = desc["kind"]
         if kind == "fully_connected":
             if width is not None and desc["in"] != width:
                 raise ValueError(
@@ -454,7 +487,8 @@ def check_instance_shape(layer_descs, shape, source: str) -> tuple:
     sizes alone, and return the shape of its output.  Raises ``ValueError``
     naming the layer, its kind and both sizes where a declared input size
     differs from the one from ``source``, or a conv or pool window does not
-    fit in a (channels, height, width) input."""
+    fit in a (channels, height, width) input.  A conv ``kernel`` may be a
+    (height, width) pair, as :func:`layer_descs` gives for a non-square one."""
     for i, desc in enumerate(layer_descs):
         kind = desc["kind"]
         if kind in _DESC_INPUT:
@@ -467,15 +501,37 @@ def check_instance_shape(layer_descs, shape, source: str) -> tuple:
         if kind in ("conv2d", "maxpool2d"):
             key = "kernel" if kind == "conv2d" else "window"
             window, stride = desc[key], desc.get("stride", 1 if kind == "conv2d" else desc[key])
-            if len(shape) != 3 or min(shape[1:]) < window:
+            windows = window if isinstance(window, tuple) else (window, window)
+            if len(shape) != 3 or any(n < w for n, w in zip(shape[1:], windows)):
                 raise ValueError(
                     f"layer {i} ({kind}): {key!r} is {window}, but {source} reach it with {shape}"
                 )
-            hw = tuple((n - window) // stride + 1 for n in shape[1:])
+            hw = tuple((n - w) // stride + 1 for n, w in zip(shape[1:], windows))
             shape = (desc.get("out_channels", shape[0]),) + hw
         elif kind in ("fully_connected", "flatten"):
             shape = (desc["out"],) if kind == "fully_connected" else (math.prod(shape),)
     return shape
+
+
+def layer_descs(layers) -> list[dict]:
+    """The descriptors (:func:`build_network`) of built ``layers``, with the
+    sizes their parameters give; a non-square conv kernel as a (height,
+    width) pair."""
+    descs = []
+    for layer in layers:
+        desc = {"kind": layer.kind}
+        if layer.kind == "fully_connected":
+            desc["out"], desc["in"] = layer.weight.shape
+        elif layer.kind == "conv2d":
+            out_c, in_c, kh, kw = layer.weight.shape
+            desc.update(in_channels=in_c, out_channels=out_c, kernel=kh if kh == kw else (kh, kw),
+                        stride=layer.stride)
+        elif layer.kind == "batchnorm":
+            desc.update(channels=layer.weight.shape[0], eps=layer.eps)
+        elif layer.kind == "maxpool2d":
+            desc.update(window=layer.window, stride=layer.stride)
+        descs.append(desc)
+    return descs
 
 
 def build_network(layer_descs, split_index: int, rng) -> Network:
@@ -597,7 +653,11 @@ def _layer_from_header(h, read_array) -> LayerSpec:
 
 
 def load_checkpoint(path) -> tuple[Network, dict]:
-    """Read a checkpoint; a malformed or truncated file raises ``ValueError``."""
+    """Read a checkpoint; a malformed or truncated file, or fully connected
+    layers whose widths do not chain (:func:`check_layer_widths`), raises
+    ``ValueError``.  Sizes that only an instance reveals, such as a conv
+    kernel larger than the image, are checked by walking the instance shape
+    (:func:`check_instance_shape` on :func:`layer_descs`)."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 4:
@@ -626,4 +686,5 @@ def load_checkpoint(path) -> tuple[Network, dict]:
     layers = [_layer_from_header(h, read_array) for h in header["layers"]]
     if offset != len(raw):
         raise ValueError("trailing bytes after checkpoint payload")
+    check_layer_widths(layer_descs(layers))
     return Network(layers, _header_int(header, "split_index", 0)), header

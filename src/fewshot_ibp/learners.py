@@ -13,8 +13,9 @@ task's queries meet only that task's prototypes; evaluation scores its tasks
 that way, in chunks of bounded size (:func:`protonet_task_accuracies`).  An
 odd-rank input stacks tasks (:func:`~fewshot_ibp.layers.has_task_axis`).
 When the layers before the first batchnorm map the whole pool into no more
-elements than one chunk, evaluation runs them once on the pool and draws
-its tasks from the mapped rows (:func:`mapped_pool`).
+than ``_MAPPED_ELEMENTS`` elements, evaluation runs them once on the pool
+and draws its tasks from the mapped rows (:func:`mapped_pool`), in chunks
+of as many tasks as unmapped rows would give.
 
 The meta-learner adapts a copy of the parameters on each task's support set
 with full-batch gradient descent, then is judged on the query set.
@@ -237,10 +238,17 @@ class TaskBatch(NamedTuple):
 # slower than the per-task loop, and 2**15 (54 fc tasks) raised fc peak RSS
 # by 4.5% where 2**14 raises it by 2%.  Scoring only runs a forward pass per
 # chunk, so small chunks cost little; adaptation has its own budget below.
-# It also bounds the pool that ProtoNet evaluation maps ahead of drawing
-# (:func:`mapped_pool`): the benchmark's fc pool maps to 360 x 16 elements,
-# while its conv pool, 360 x 512 up to the batchnorm, stays unmapped.
+# Tasks drawn from a mapped pool are counted at their unmapped row size, so
+# a chunk holds the same tasks mapped or not.
 _CHUNK_ELEMENTS = 2**14
+
+# Element budget (2 MiB of float64) of the pool that ProtoNet evaluation maps
+# ahead of drawing (:func:`mapped_pool`): the benchmark's fc pool maps to
+# 360 x 16 elements and its conv pool, up to the batchnorm, to 360 x 512.
+# The mapped conv pool then serves all 19,200 rows drawn by 240 tasks with
+# 360 convolved rows: that evaluation ran at 1,049 tasks/s against 856 per
+# task, and peak RSS was 47.0 MB against 45.1 (medians of 10 benchmark pairs).
+_MAPPED_ELEMENTS = 2**18
 
 # Element budget of one adaptation chunk: each task's tiled parameter
 # elements plus the support and query elements the chunk holds, 90 tasks of
@@ -264,10 +272,13 @@ def _chunks(tasks, budget: int, elements):
         yield [first, *itertools.islice(tasks, size - 1)]
 
 
-def task_chunks(tasks):
+def task_chunks(tasks, row_elements: int | None = None):
     """Chunks of ``tasks`` (:func:`_chunks`) whose stacked query inputs fit
-    the scoring budget, ``_CHUNK_ELEMENTS``."""
-    return _chunks(tasks, _CHUNK_ELEMENTS, lambda task: task.query_x.size)
+    the scoring budget, ``_CHUNK_ELEMENTS``, each query row counted at
+    ``row_elements`` elements (by default its own size)."""
+    if row_elements is None:
+        return _chunks(tasks, _CHUNK_ELEMENTS, lambda task: task.query_x.size)
+    return _chunks(tasks, _CHUNK_ELEMENTS, lambda task: len(task.query_x) * row_elements)
 
 
 def _tiled_arrays(network: Network, n_tasks: int) -> list[dict]:
@@ -388,7 +399,7 @@ def mapped_pool(network: Network, dataset: Dataset) -> tuple[Dataset, list]:
 
     The layers before the first batchnorm (:func:`~fewshot_ibp.layers.first_batchnorm`)
     give each row the same output in every task that draws it.  When they
-    map the whole pool into no more than ``_CHUNK_ELEMENTS`` elements, they
+    map the whole pool into no more than ``_MAPPED_ELEMENTS`` elements, they
     run once on it, and the result is a dataset of the mapped rows (same
     counts, ids and role, so tasks draw the same rows) and the remaining
     layers.  Otherwise it is ``dataset`` and all the layers.  The size is
@@ -396,7 +407,7 @@ def mapped_pool(network: Network, dataset: Dataset) -> tuple[Dataset, list]:
     """
     layers, pool = network.layers, dataset.pool
     k = first_batchnorm(layers)
-    if k == 0 or len(pool) * forward(layers[:k], pool[:1]).size > _CHUNK_ELEMENTS:
+    if k == 0 or len(pool) * forward(layers[:k], pool[:1]).size > _MAPPED_ELEMENTS:
         return dataset, layers
     mapped = forward(layers[:k], pool)
     mapped.flags.writeable = False
@@ -404,21 +415,24 @@ def mapped_pool(network: Network, dataset: Dataset) -> tuple[Dataset, list]:
 
 
 def protonet_task_accuracies(
-    network: Network, tasks, distance: str = "sqeuclidean", layers=None
+    network: Network, tasks, distance: str = "sqeuclidean", layers=None, row_elements=None
 ) -> np.ndarray:
     """Query accuracy of each task under the nearest-prototype rule, its
     instances embedded by ``layers`` (by default all the network's; fewer
     for tasks drawn from a :func:`mapped_pool`).
 
     The tasks (equal shapes, as drawn from one task spec) are scored a chunk
-    at a time (:func:`task_chunks`): a chunk's support sets and its query
+    at a time (:func:`task_chunks`, each row counted at ``row_elements``:
+    for a mapped pool, the size of an unmapped row, so that a chunk holds
+    the tasks it would hold unmapped and its largest activation is no
+    larger than theirs): a chunk's support sets and its query
     sets are stacked on a leading task axis and embedded by one forward pass
     each, so batchnorm takes its statistics per task and per set, and each
     task's queries are scored against that task's own prototypes.
     """
     layers = network.layers if layers is None else layers
     accs = []
-    for chunk in task_chunks(tasks):
+    for chunk in task_chunks(tasks, row_elements):
         if any(task.query_x.shape[0] == 0 for task in chunk):
             raise ValueError("task has an empty query set")
         batch = TaskBatch.stack(chunk)

@@ -8,6 +8,7 @@ exception type.
 
 import json
 import os
+import re
 import struct
 import tempfile
 
@@ -251,3 +252,114 @@ class TestFuzz:
             blob = text.replace(old, new, 1).encode("utf-8")
             raw = struct.pack("<I", len(blob)) + blob + payload
             loads_and_runs_or_value_error(raw)
+
+
+# -- layer sizes: at load, and walked from a dataset's instances ---------------
+
+
+def fc_mismatch_network():
+    """fc 8->32, relu, fc 16->4: each layer consistent, the widths not."""
+    rng = np.random.default_rng(5)
+    return L.Network([L.init_fully_connected(8, 32, rng), L.relu(),
+                      L.init_fully_connected(16, 4, rng)], split_index=2)
+
+
+# (layers, split index, instance shape) of the networks ``train`` builds,
+# as the benchmark and the digest matrix run them
+TRAINED = [
+    ([{"kind": "fully_connected", "in": 8, "out": 32}, {"kind": "relu"},
+      {"kind": "fully_connected", "in": 32, "out": 16}], 2, [8]),
+    ([{"kind": "fully_connected", "in": 8, "out": 32}, {"kind": "batchnorm", "channels": 32},
+      {"kind": "relu"}, {"kind": "fully_connected", "in": 32, "out": 16}], 3, [8]),
+    ([{"kind": "conv2d", "in_channels": 1, "out_channels": 8, "kernel": 3},
+      {"kind": "batchnorm", "channels": 8}, {"kind": "relu"}, {"kind": "maxpool2d", "window": 2},
+      {"kind": "flatten"}, {"kind": "fully_connected", "in": 128, "out": 16}], 4, [1, 10, 10]),
+    ([{"kind": "conv2d", "in_channels": 1, "out_channels": 4, "kernel": 3, "stride": 2},
+      {"kind": "relu"}, {"kind": "conv2d", "in_channels": 4, "out_channels": 4, "kernel": 2},
+      {"kind": "batchnorm", "channels": 4, "eps": 0.001}, {"kind": "relu"},
+      {"kind": "maxpool2d", "window": 2, "stride": 1}, {"kind": "flatten"},
+      {"kind": "fully_connected", "in": 4, "out": 5}], 7, [1, 7, 7]),
+]
+
+
+class TestLayerSizes:
+    def test_fc_widths_that_do_not_chain_rejected_at_load(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        L.save_checkpoint(fc_mismatch_network(), path)
+        with pytest.raises(ValueError, match=r"layer 2 \(fully_connected\): 'in' is 16, "
+                                             r"but the layers before it give width 32"):
+            L.load_checkpoint(path)
+
+    @pytest.mark.parametrize("layers,split_index,shape", TRAINED)
+    def test_every_checkpoint_train_writes_loads(self, tmp_path, layers, split_index, shape):
+        from fewshot_ibp.config import RunConfig
+        from fewshot_ibp.harness import train
+
+        synth = {"n_classes": 6, "per_class": 8, "shape": shape, "class_separation": 2.0,
+                 "noise_scale": 1.0}
+        config = RunConfig(
+            learner="protonet", objective="ibp", layers=layers, split_index=split_index,
+            data={"train": {"synth": {**synth, "seed": 1}}}, train_ways=3, train_query_shots=3,
+            eval_ways=3, eval_query_shots=3, max_steps=2, n_eval_tasks=2, seed=0,
+            out_dir=str(tmp_path),
+        )
+        network = train(config)[0]
+        loaded, _ = L.load_checkpoint(tmp_path / "checkpoint.ckpt")
+        descs = L.layer_descs(loaded.layers)
+        assert descs == L.layer_descs(network.layers)
+        walked = L.check_instance_shape(descs, tuple(shape), "instances")
+        assert walked == L.check_instance_shape(layers, tuple(shape), "instances")
+        L.check_layer_descs(descs)  # the descriptors of built layers are valid ones
+
+    def test_non_square_kernel_walks(self):
+        rng = np.random.default_rng(6)
+        layers = [L.conv(rng.standard_normal((2, 1, 2, 3)), np.zeros(2)), L.flatten()]
+        descs = L.layer_descs(layers)
+        assert descs[0]["kernel"] == (2, 3)
+        assert L.check_instance_shape(descs, (1, 4, 5), "instances") == (18,)
+        assert L.forward(layers, np.zeros((1, 1, 4, 5))).shape == (1, 18)
+        with pytest.raises(ValueError, match=r"layer 0 \(conv2d\): 'kernel' is \(2, 3\)"):
+            L.check_instance_shape(descs, (1, 4, 2), "instances")
+
+
+class TestCliWalksInstances:
+    """``eval``, ``transfer`` and ``compactness`` reject a dataset whose
+    instances do not fit the loaded layers before they draw a task, naming
+    the layer, its kind and both sizes."""
+
+    @staticmethod
+    def run(tmp_path, capsys, command, network, shape):
+        from fewshot_ibp import cli
+        from fewshot_ibp.episodes import save_dataset, synth_dataset
+
+        ckpt, data = tmp_path / "net.ckpt", tmp_path / "data.fsds"
+        L.save_checkpoint(network, ckpt)
+        save_dataset(synth_dataset(4, 10, shape, 2.0, 1.0, seed=7, role="test"), data)
+        argv = [command, "--checkpoint", str(ckpt), "--dataset", str(data),
+                "--ways", "2", "--shots", "1", "--n-tasks", "3"]
+        if command != "compactness":
+            argv += ["--learner", "protonet", "--query-shots", "2"]
+        else:
+            argv += ["--queries-per-task", "4"]
+        rc = cli.main(argv)
+        out, err = capsys.readouterr()
+        return rc, out, err
+
+    @pytest.mark.parametrize("command", ["eval", "transfer", "compactness"])
+    @pytest.mark.parametrize("shape,message", [
+        pytest.param((3, 6, 6), r"layer 0 \(conv2d\): 'in_channels' is 2, but test "
+                     r"instances of shape \(3, 6, 6\) reach it with 3", id="channels"),
+        pytest.param((2, 5, 5), r"layer 5 \(fully_connected\): 'in' is 12, but test "
+                     r"instances of shape \(2, 5, 5\) reach it with 3", id="flattened"),
+    ])
+    def test_instances_that_do_not_fit_rejected(self, tmp_path, capsys, command, shape, message):
+        rc, out, err = self.run(tmp_path, capsys, command, conv_pool_network(), shape)
+        assert (rc, out) == (1, "")
+        record = json.loads(err)
+        assert record["error"] == "ValueError"
+        assert re.fullmatch(message, record["message"])
+
+    @pytest.mark.parametrize("command", ["eval", "transfer", "compactness"])
+    def test_instances_that_fit_run(self, tmp_path, capsys, command):
+        rc, out, _ = self.run(tmp_path, capsys, command, conv_pool_network(), (2, 6, 6))
+        assert rc == 0 and json.loads(out)

@@ -2,11 +2,13 @@
 centered box's faces built only when read, and its cheaper check; a relu
 run after the max pool it precedes, and a centered box kept through the
 pool; one flat Adam update, and its copy into the network; one-hot
-rows and per-row mixing coefficients built once per step; and the single
+rows and per-row mixing coefficients built once per step; batchnorm along
+rows of c·h·w; and the single
 overflow path of ``train``, the shape and width checks before its first
 step, and the seeds it accepts."""
 
 import json
+import math
 import re
 import warnings
 
@@ -27,7 +29,7 @@ from fewshot_ibp.optim import BETA1, BETA2, STABILIZER, adam, optimizer_step
 from test_bounds import centered_prefix, faces_rule_prefix
 from test_harness import make_config
 from test_learners import batch_cross_entropy
-from test_tensor import fd_gradient
+from test_tensor import fd_gradient, fused_against_chain
 
 
 # -- lazy faces and the centered box check ------------------------------------
@@ -469,6 +471,114 @@ class TestStepConstants:
         for fn in (interp, mix):
             for got, want in zip(run(fn, rows), run(fn, coeffs), strict=True):
                 assert got.tobytes() == want.tobytes()
+
+
+# -- batchnorm over rows of c·h·w ----------------------------------------------
+
+
+def broadcast_batch_stats(x, layer):
+    """``layers.batch_stats`` as it was: the mean subtracted as a (…, c, 1, 1)
+    operand broadcast over each h·w plane, the difference squared anew."""
+    v = T.value_of(x)
+    b = int(L.has_task_axis(v))
+    axes = (b,) if v.ndim == 2 + b else (b, b + 2, b + 3)
+    n = math.prod(v.shape[ax] for ax in axes)
+    mean = np.add.reduce(v, axis=axes, keepdims=True) / n
+    var = np.add.reduce(np.square(v - mean), axis=axes) / n
+    return mean.reshape(var.shape), var
+
+
+def broadcast_batchnorm(x, layer, mean, var, gamma, beta):
+    """``layers._batchnorm`` as it was: scale and shift broadcast as
+    (…, c, 1, 1) operands over each h·w plane."""
+    vx = T.value_of(x)
+    inv_std = L.bn_inv_std(layer, var)
+    scale, shift = L.bn_affine(layer, mean, var, gamma=T.value_of(gamma), beta=T.value_of(beta))
+    scale_b, shift_b = L._bn_broadcast(vx, scale), L._bn_broadcast(vx, shift)
+    out = np.multiply(vx, scale_b)
+    out += shift_b
+    tape = T._tape_of(x, gamma, beta)
+    if tape is None:
+        return out
+
+    def vjp(g, inputs, o):
+        xx, xg, _ = inputs
+        s_b = scale_b
+        if isinstance(xg, T.Node):
+            s_b = L._bn_broadcast(vx, T.mul(xg, inv_std))
+        g_x = g_gamma = g_beta = None
+        if isinstance(x, T.Node):
+            g_x = T.mul(g, s_b)
+        if isinstance(gamma, T.Node) or isinstance(beta, T.Node):
+            g_shift = T.reshape(T._unbroadcast(g, shift_b.shape), shift.shape)
+        if isinstance(gamma, T.Node):
+            g_scale = T.add(
+                T.reshape(T._unbroadcast(T.mul(g, xx), scale_b.shape), scale.shape),
+                T._unbroadcast(T.mul(T.neg(g_shift), mean), scale.shape),
+            )
+            g_gamma = T._unbroadcast(T.mul(g_scale, inv_std), gamma.shape)
+        if isinstance(beta, T.Node):
+            g_beta = T._unbroadcast(g_shift, beta.shape)
+        return g_x, g_gamma, g_beta
+
+    return T.Node(tape, out, (x, gamma, beta), vjp)
+
+
+class TestBatchnormRows:
+    """Batch statistics and the batchnorm activation applied along rows of
+    c·h·w against the broadcast code they replace, bit for bit."""
+
+    # (x shape, gamma and beta shape): 2-D and 4-D, each with a task axis,
+    # parameters shared by the tasks or one row per task
+    LAYOUTS = [
+        ((6, 3), (3,)),
+        ((2, 6, 3), (2, 3)),
+        ((6, 3, 4, 5), (3,)),
+        ((2, 6, 3, 4, 5), (3,)),
+        ((2, 6, 3, 4, 5), (2, 3)),
+    ]
+
+    @pytest.mark.parametrize("x_shape,p_shape", LAYOUTS)
+    def test_batch_stats_bit_equal(self, x_shape, p_shape):
+        layer = L.batchnorm(3)
+        rng = np.random.default_rng(90)
+        for _ in range(20):
+            x = rng.uniform(0.1, 50.0) * rng.standard_normal(x_shape) + rng.uniform(-20.0, 20.0)
+            for got, want in zip(L.batch_stats(x, layer), broadcast_batch_stats(x, layer)):
+                assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+
+    @pytest.mark.parametrize("x_shape,p_shape", LAYOUTS)
+    def test_activation_bit_equal_in_value_and_gradients(self, x_shape, p_shape):
+        # value, first-order, graph-mode and second-order gradients bit for
+        # bit (fused_against_chain), with the statistics of the batch
+        layer = L.batchnorm(3)
+        rng = np.random.default_rng(91)
+        x = 2.0 * rng.standard_normal(x_shape) + 1.0
+        gamma, beta = rng.standard_normal(p_shape), rng.standard_normal(p_shape)
+        stats = L.batch_stats(x, layer)
+
+        def rows(x, gamma, beta):
+            return L.apply_layer(layer, x, weight=gamma, bias=beta, frozen_stats=stats)
+
+        def broadcast(x, gamma, beta):
+            return broadcast_batchnorm(x, layer, *stats, gamma, beta)
+
+        arrays = [x, gamma, beta]
+        # every operand on the tape; a constant input; stored parameters
+        for leaves in ((0, 1, 2), (1, 2), (0,)):
+            def on(fn, leaves=leaves):
+                def call(*nodes):
+                    args = list(arrays)
+                    for i, node in zip(leaves, nodes):
+                        args[i] = node
+                    return fn(*args)
+                return call
+
+            leaf_arrays = [arrays[i] for i in leaves]
+            fused_against_chain(on(rows), on(broadcast), leaf_arrays, bit_equal=True)
+        value = L.apply_layer(layer, x, weight=gamma, bias=beta)
+        want = broadcast_batchnorm(x, layer, *broadcast_batch_stats(x, layer), gamma, beta)
+        assert value.tobytes() == want.tobytes()
 
 
 # -- one overflow path, and configs that cannot score their tasks --------------

@@ -252,22 +252,32 @@ def fc_then_batchnorm(rng):  # the first fc maps the pool, 360 x 16 elements
                     L.init_fully_connected(16, 8, rng)], rng)
 
 
-def conv_then_batchnorm(rng):  # the conv would map it into 360 x 144 elements
+def conv_then_batchnorm(rng):  # the conv maps the pool: 360 x 144 elements
     return perturbed(conv_pool_network)[0]
+
+
+def wide_conv_then_batchnorm(rng):  # the conv would map it into 360 x 1,152 elements
+    return network([L.init_conv(1, 32, 3, rng), L.batchnorm(32), L.relu(), L.maxpool(2),
+                    L.flatten(), L.init_fully_connected(288, 8, rng)], rng)
 
 
 def batchnorm_first(rng):  # no layer before the batchnorm
     return network([L.batchnorm(8), L.init_fully_connected(8, 16, rng)], rng)
 
 
-def wide_output(rng):  # no batchnorm, but 360 x 64 elements
+def wide_output(rng):  # no batchnorm, 360 x 64 elements
     return network([L.init_fully_connected(8, 32, rng), L.relu(),
                     L.init_fully_connected(32, 64, rng)], rng)
 
 
+def wider_output(rng):  # no batchnorm, but 360 x 1,024 elements
+    return network([L.init_fully_connected(8, 32, rng), L.relu(),
+                    L.init_fully_connected(32, 1024, rng)], rng)
+
+
 class TestMappedPool:
     """``evaluate`` maps the pool once when the layers before the first
-    batchnorm fit it into one scoring chunk; every task scores as the
+    batchnorm fit it into ``_MAPPED_ELEMENTS``; every task scores as the
     per-task loop scores it, on either path."""
 
     @pytest.mark.parametrize("make,pool,mapped_layers,distances", [
@@ -276,9 +286,11 @@ class TestMappedPool:
             (fc_mapped, fc_pool, 3, LR.DISTANCES),
             (conv_mapped, conv_pool, 5, ("sqeuclidean",)),
             (fc_then_batchnorm, fc_pool, 1, ("sqeuclidean",)),
-            (conv_then_batchnorm, conv_pool, 0, ("sqeuclidean",)),
+            (conv_then_batchnorm, conv_pool, 1, ("sqeuclidean",)),
+            (wide_conv_then_batchnorm, conv_pool, 0, ("sqeuclidean",)),
             (batchnorm_first, fc_pool, 0, ("sqeuclidean",)),
-            (wide_output, fc_pool, 0, ("sqeuclidean",)),
+            (wide_output, fc_pool, 3, ("sqeuclidean",)),
+            (wider_output, fc_pool, 0, ("sqeuclidean",)),
         ]
     ])
     def test_equal_to_per_task_loop(self, make, pool, mapped_layers, distances, monkeypatch):
@@ -286,9 +298,12 @@ class TestMappedPool:
         mapped_ds, layers = LR.mapped_pool(net, ds)
         assert len(layers) == len(net.layers) - mapped_layers
         assert (mapped_ds is ds) == (mapped_layers == 0)
+        k = L.first_batchnorm(net.layers)
         if mapped_layers:
-            assert mapped_ds.pool.size <= LR._CHUNK_ELEMENTS
+            assert mapped_ds.pool.size <= LR._MAPPED_ELEMENTS
             assert (mapped_ds.counts, mapped_ds.class_ids) == (ds.counts, ds.class_ids)
+        elif k:  # a fallback case: the layers before the batchnorm would exceed the bound
+            assert L.forward(net.layers[:k], ds.pool).size > LR._MAPPED_ELEMENTS
         inputs = []
         forward = LR.forward
         monkeypatch.setattr(LR, "forward", lambda layers, x: inputs.append(x) or forward(layers, x))
@@ -303,10 +318,31 @@ class TestMappedPool:
             # the whole pool runs through the network once, and only when it fits
             assert sum(x is ds.pool for x in inputs) == (mapped_layers > 0)
 
+    @pytest.mark.parametrize("make,pool", [
+        pytest.param(make, pool, id=make.__name__)
+        for make, pool in [(fc_mapped, fc_pool), (fc_then_batchnorm, fc_pool),
+                           (conv_then_batchnorm, conv_pool)]
+    ])
+    def test_mapped_chunk_holds_as_many_tasks_as_unmapped(self, make, pool, monkeypatch):
+        net, ds = make(np.random.default_rng(2)), pool()
+        mapped_ds, _ = LR.mapped_pool(net, ds)
+        unmapped = chunk_size(draw(ds, 1)[0])
+        # a mapped row is larger, so counted at its own size a chunk would hold fewer tasks
+        assert mapped_ds.pool[0].size > ds.pool[0].size
+        assert chunk_size(draw(mapped_ds, 1)[0]) < unmapped
+        sizes = []
+        chunks = LR.task_chunks
+        monkeypatch.setattr(LR, "task_chunks", lambda tasks, *args: (
+            sizes.append(len(chunk)) or chunk for chunk in chunks(tasks, *args)))
+        H.evaluate(net, "protonet", ds, SPEC, N_TASKS, ENTROPY)
+        full, rest = divmod(N_TASKS, unmapped)
+        assert sizes == [unmapped] * full + [rest] * (rest > 0)
+
     @pytest.mark.parametrize("make,shape", [
         pytest.param(make, shape, id=make.__name__)
         for make, shape in [(fc_mapped, (6,)), (conv_mapped, (1, 5, 5)),
-                            (conv_then_batchnorm, (2, 8, 8))]
+                            (conv_then_batchnorm, (2, 8, 8)),
+                            (wide_conv_then_batchnorm, (2, 8, 8))]
     ])
     def test_transfer_pool_of_another_shape_rejected(self, make, shape):
         net = make(np.random.default_rng(2))

@@ -30,8 +30,10 @@ per-task accuracies of first-order MAML evaluation
 tasks, on the fc and the conv network at their initialization, with the
 matrix's eval spec, inner learning rate and eval inner steps, and the
 (mean, ci95) of ProtoNet ``fewshot_ibp.harness.evaluate`` of the same
-tasks on the same networks: the fc network maps its whole test pool ahead
-of drawing, the conv network embeds each task as drawn.  The runs
+tasks on the same networks and on a wider conv network: the fc network
+maps its whole test pool ahead of drawing, and the conv network the pool
+up to its batchnorm, while the wide conv network's pool is too large to
+map, so it embeds each task as drawn.  The runs
 evaluate only 12 tasks, one adaptation chunk, so this line is the one that
 covers evaluation over several chunks.
 
@@ -145,6 +147,21 @@ CONV_TWO_BLOCK = (
     8,
     CONV[2],
 )
+# a conv whose output, 360 x 32 x 6 x 6 elements up to the batchnorm, is too
+# large for ProtoNet evaluation to map the pool ahead of drawing: it embeds
+# each task as drawn (only the ``evaluate`` line runs it)
+CONV_WIDE = (
+    [
+        {"kind": "conv2d", "in_channels": 1, "out_channels": 32, "kernel": 3},
+        {"kind": "batchnorm", "channels": 32},
+        {"kind": "relu"},
+        {"kind": "maxpool2d", "window": 2},
+        {"kind": "flatten"},
+        {"kind": "fully_connected", "in": 288, "out": 5},
+    ],
+    4,
+    CONV[2],
+)
 # name -> (learner, first_order, distance, network)
 SETTINGS = {
     "protonet-fc": ("protonet", True, "sqeuclidean", FC),
@@ -253,21 +270,23 @@ def evaluate_digest() -> str:
     ``EVAL_TASKS`` tasks of the test split, drawn as ``evaluate`` draws them,
     on the fc and on the conv network as the matrix's seed initializes
     them, and of the (mean, ci95) ProtoNet ``evaluate`` gives for the same
-    tasks.  It covers the accuracy arrays' dtype, shape and bytes, and the
-    two floats' exact reprs."""
+    tasks, on those two networks and on ``CONV_WIDE``.  It covers the
+    accuracy arrays' dtype, shape and bytes, and the floats' exact reprs."""
     config = dict(run_configs())["maml1-fc-ibpi-on"]
     spec = config.eval_spec()
     digest = hashlib.sha256()
-    for layers, split_index, pool in (FC, CONV):
+    for setting in (FC, CONV, CONV_WIDE):
+        layers, split_index, pool = setting
         network = build_network(layers, split_index, np.random.default_rng(config.seed))
         dataset = resolve_dataset(pool_data(pool)["test"])
-        tasks = (
-            sample_task(dataset, spec, np.random.default_rng(np.random.SeedSequence((0, i))))
-            for i in range(EVAL_TASKS)
-        )
-        accs = maml_task_accuracies(network, tasks, config.inner_lr, config.eval_inner_steps)
-        digest.update(f"{accs.dtype.str} {accs.shape}".encode("utf-8"))
-        digest.update(accs.tobytes())
+        if setting is not CONV_WIDE:
+            tasks = (
+                sample_task(dataset, spec, np.random.default_rng(np.random.SeedSequence((0, i))))
+                for i in range(EVAL_TASKS)
+            )
+            accs = maml_task_accuracies(network, tasks, config.inner_lr, config.eval_inner_steps)
+            digest.update(f"{accs.dtype.str} {accs.shape}".encode("utf-8"))
+            digest.update(accs.tobytes())
         result = evaluate(network, "protonet", dataset, spec, EVAL_TASKS, (0,))
         digest.update(json.dumps(result).encode("utf-8"))
     return digest.hexdigest()
