@@ -14,6 +14,17 @@ it, and its label arrays are built then too: every task of that spec shares
 the same two read-only arrays.  Each draw makes the same ``rng.choice``
 calls, in the same order, that drawing class by class would, and fetches
 its support and its query set with one gather each from the pool.
+
+:func:`draw_task_rows` draws a block of tasks, one per generator, and gives
+the classes and pool rows :func:`sample_task` would draw with each,
+leaving every generator in the state :func:`sample_task` leaves it in.
+Without replacement, numpy's ``Generator.choice`` runs Floyd's algorithm
+and then a Fisher-Yates shuffle, each draw below a bound taken from a raw
+32-bit word by Lemire's method (arXiv 1805.10941).  The block drawer takes
+each generator's words with one ``integers`` call for its classes and one
+for its instances, and resolves both algorithms across the whole block
+with array operations.  Where numpy shuffles the tail of a full range
+instead, it draws with :func:`sample_task`'s calls.
 """
 
 from __future__ import annotations
@@ -34,12 +45,25 @@ DATASET_VERSION = 1
 ROLES = ("train", "validation", "test")
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer: a Python or numpy int, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def as_int(value, name: str) -> int:
+    """``value`` as a Python int; a value that is not an integer (a float, a
+    bool) raises ``ValueError`` naming ``name``."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _ints(values, name: str) -> tuple:
     """``values`` as a tuple of Python ints; a value that is not an integer
     (a float, a bool) raises ``ValueError`` naming ``name``."""
     values = tuple(values)
     for v in values:
-        if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
+        if not _is_integer(v):
             raise ValueError(f"dataset {name} must be integers, got {v!r}")
     return tuple(map(int, values))
 
@@ -119,6 +143,8 @@ class TaskSpec:
     query_shots: int
 
     def __post_init__(self):
+        for name in ("ways", "shots", "query_shots"):
+            object.__setattr__(self, name, as_int(getattr(self, name), f"task spec {name}"))
         if self.ways < 2:
             raise ValueError("a task needs at least 2 ways")
         if self.shots < 1 or self.query_shots < 1:
@@ -158,7 +184,7 @@ def check_supply(dataset: Dataset, spec: TaskSpec, name: str = "dataset") -> Non
             raise ValueError(f"{name} class {cid} has {count} instances, tasks need {need}")
 
 
-def _spec_labels(dataset: Dataset, spec: TaskSpec) -> tuple[np.ndarray, np.ndarray]:
+def spec_labels(dataset: Dataset, spec: TaskSpec) -> tuple[np.ndarray, np.ndarray]:
     """The read-only support and query labels of every task of ``spec``,
     built, and the supply checked, on the first call for ``spec``.  A spec
     the dataset cannot supply is not cached, so it raises on every call."""
@@ -175,6 +201,17 @@ def _spec_labels(dataset: Dataset, spec: TaskSpec) -> tuple[np.ndarray, np.ndarr
     return labels
 
 
+def _task_rows(dataset: Dataset, spec: TaskSpec, rng: np.random.Generator):
+    """The class indices (ways,) and pool rows (ways, K+Q) of one task:
+    the classes from one ``rng.choice`` call, then each class's instances
+    from one call of its own, in the order the classes were chosen."""
+    need = spec.shots + spec.query_shots
+    chosen = rng.choice(dataset.n_classes, size=spec.ways, replace=False).tolist()
+    rows = np.array([rng.choice(dataset.counts[ci], size=need, replace=False) for ci in chosen])
+    rows += dataset.offsets[chosen][:, None]
+    return chosen, rows
+
+
 def sample_task(dataset: Dataset, spec: TaskSpec, rng: np.random.Generator) -> Task:
     """Draw one episode: N classes without replacement, K+Q distinct
     instances each, first K to the support set.
@@ -186,11 +223,8 @@ def sample_task(dataset: Dataset, spec: TaskSpec, rng: np.random.Generator) -> T
     labels are read-only arrays, built once per spec and shared by all its
     tasks, and the spec's supply is checked once, on its first draw.
     """
-    support_y, query_y = _spec_labels(dataset, spec)
-    need = spec.shots + spec.query_shots
-    chosen = rng.choice(dataset.n_classes, size=spec.ways, replace=False).tolist()
-    rows = np.array([rng.choice(dataset.counts[ci], size=need, replace=False) for ci in chosen])
-    rows += dataset.offsets[chosen][:, None]
+    support_y, query_y = spec_labels(dataset, spec)
+    chosen, rows = _task_rows(dataset, spec, rng)
     return Task(
         support_x=dataset.pool.take(rows[:, : spec.shots].ravel(), axis=0),
         support_y=support_y,
@@ -198,6 +232,135 @@ def sample_task(dataset: Dataset, spec: TaskSpec, rng: np.random.Generator) -> T
         query_y=query_y,
         class_ids=[dataset.class_ids[ci] for ci in chosen],
     )
+
+
+def _tail_shuffled(items: int, size: int) -> bool:
+    """Whether ``Generator.choice(items, size, replace=False)`` shuffles the
+    tail of a full range instead of running Floyd's algorithm."""
+    return items > 10_000 and size > items // 50
+
+
+def _replayed(rng, words, items, size: int) -> list:
+    """``rng.choice(m, size, replace=False)`` for each ``m`` of ``items`` in
+    turn, one draw at a time, from ``words`` and then from ``rng``: the
+    path for a block stream whose words include a rejection."""
+    words = iter(words.tolist())
+
+    def below(bound):
+        if bound == 1:
+            return 0
+        while True:
+            word = next(words, None)
+            if word is None:
+                word = int(rng.integers(0, 2**32, size=1, dtype=np.uint32)[0])
+            m = word * bound
+            if (m & 0xFFFFFFFF) >= 2**32 % bound:
+                return m >> 32
+
+    drawn = []
+    for m in items:
+        out = []
+        for j in range(m - size, m):
+            value = below(j + 1)
+            out.append(j if value in out else value)
+        for i in range(size - 1, 0, -1):
+            t = below(i + 1)
+            out[i], out[t] = out[t], out[i]
+        drawn.append(out)
+    return drawn
+
+
+def _word_slots(short: np.ndarray, width: int) -> np.ndarray:
+    """Which of a stream's (k, width) draw slots take a word: all but the
+    first of a choice whose items equal its size (``short``)."""
+    slots = np.ones((len(short), width), dtype=bool)
+    slots[short, 0] = False
+    return slots
+
+
+def _block_choices(rngs, items: np.ndarray, size: int, dtype) -> np.ndarray:
+    """``rngs[s].choice(items[s, i], size, replace=False)`` for each ``i`` in
+    turn, for every stream ``s``: an (n, k, size) array of ``dtype``.
+
+    Each choice draws ``size`` values for Floyd's algorithm, the ``j``-th
+    below ``items - size + j + 1``, then ``size - 1`` for the shuffle, below
+    ``size`` down to 2; a bound of 1 (the first draw when ``items ==
+    size``) takes no word.  A stream's words come from one ``integers``
+    call and are laid out (k, 2 size - 1), a slot left free where a draw
+    takes none.  The draws are resolved one slot at a time across the
+    block, each choice a column of a (size, n k) array.  A word that
+    Lemire's method rejects shifts every later draw of its stream onto the
+    next word, so such a stream is drawn again one draw at a time
+    (:func:`_replayed`), pulling its extra words from its generator.
+    """
+    n, k = items.shape
+    width = 2 * size - 1
+    words = np.empty((n, k, width), dtype=np.uint32)
+    short = items == size
+    for s, (rng, ragged) in enumerate(zip(rngs, short.any(axis=1).tolist())):
+        if ragged:
+            slots = _word_slots(short[s], width)
+            words[s][slots] = rng.integers(0, 2**32, size=int(slots.sum()), dtype=np.uint32)
+        else:
+            words[s] = rng.integers(0, 2**32, size=k * width, dtype=np.uint32).reshape(k, width)
+    flat = words.reshape(n * k, width)
+    rejected = np.zeros(n * k, dtype=bool)
+
+    def below(slot, bound):
+        bound = np.asarray(bound, dtype=np.uint64)
+        m = flat[:, slot].astype(np.uint64) * bound
+        np.logical_or(rejected, (m & 0xFFFFFFFF) < np.uint64(2**32) % bound, out=rejected)
+        return (m >> 32).astype(np.int64)
+
+    out = np.empty((size, n * k), dtype=dtype)
+    last = items.reshape(-1) - size  # Floyd's j before its first draw
+    for c in range(size):  # Floyd's algorithm
+        value = below(c, last + c + 1)
+        out[c] = np.where((out[:c] == value).any(axis=0), last + c, value)
+    choices = np.arange(n * k)
+    for c, i in enumerate(range(size - 1, 0, -1), start=size):  # the shuffle
+        t = below(c, i + 1)
+        swapped = out[t, choices]
+        out[t, choices] = out[i]
+        out[i] = swapped
+    out = np.ascontiguousarray(out.T).reshape(n, k, size)
+    for s in np.flatnonzero(rejected.reshape(n, k).any(axis=1)).tolist():
+        slots = _word_slots(short[s], width)
+        out[s] = _replayed(rngs[s], words[s][slots], items[s].tolist(), size)
+    return out
+
+
+def draw_task_rows(dataset: Dataset, spec: TaskSpec, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """The class indices (n, ways) and pool rows (n, ways, K+Q) that
+    :func:`sample_task` draws with each of the ``n`` generators ``rngs``,
+    each generator left in the state :func:`sample_task` leaves it in.
+    Both are int32, so that a block's rows take half the memory, unless
+    the pool has 2**31 rows or more.
+
+    The classes of the whole block are resolved first, then their
+    instances (:func:`_block_choices`): two ``integers`` calls per
+    generator.  Where numpy would shuffle the tail of a full range (more
+    than 10,000 classes, or instances of a class, and a sample of more than
+    1/50 of them) every generator draws with :func:`sample_task`'s calls.
+    The supply is checked as :func:`sample_task` checks it.
+    """
+    rngs = list(rngs)
+    spec_labels(dataset, spec)
+    need = spec.shots + spec.query_shots
+    dtype = np.int32 if len(dataset.pool) < 2**31 else np.int64
+    if _tail_shuffled(dataset.n_classes, spec.ways) or any(
+        _tail_shuffled(count, need) for count in dataset.counts
+    ):
+        drawn = [_task_rows(dataset, spec, rng) for rng in rngs]
+        return (
+            np.array([c for c, _ in drawn], dtype=dtype).reshape(-1, spec.ways),
+            np.array([r for _, r in drawn], dtype=dtype).reshape(-1, spec.ways, need),
+        )
+    n_classes = np.full((len(rngs), 1), dataset.n_classes)
+    classes = _block_choices(rngs, n_classes, spec.ways, dtype)[:, 0]
+    rows = _block_choices(rngs, np.array(dataset.counts)[classes], need, dtype)
+    rows += dataset.offsets[classes][..., None]
+    return classes, rows
 
 
 def synth_dataset(

@@ -37,7 +37,7 @@ import numpy as np
 
 from .bounds import propagate_prefix
 from .config import SCHEMA_VERSION, RunConfig, resolve_data
-from .episodes import Dataset, TaskSpec, sample_task
+from .episodes import Dataset, TaskSpec, as_int, sample_task
 from .interpolation import (
     BOUND_MODES,
     MODES,
@@ -49,6 +49,7 @@ from .interpolation import (
 from .layers import Network, build_network, forward, param_nodes_to_list, save_checkpoint
 from .learners import (
     TaskBatch,
+    TaskDraw,
     compute_prototypes,
     cross_entropy,
     maml_outer_step,
@@ -56,7 +57,7 @@ from .learners import (
     mapped_pool,
     protonet_logits,
     protonet_task_accuracies,
-    task_chunks,
+    task_batches,
 )
 from .objective import (
     LossTriple,
@@ -333,9 +334,15 @@ def evaluate(
     """Mean task accuracy with a normal-approximation 95% confidence
     half-width (zero for a single task, where the sample std is undefined).
 
-    Task ``i`` is drawn from its own stream seeded by (entropy, i), and
-    both learners take the tasks a chunk at a time as they are drawn, so
-    memory does not grow with ``n_tasks``.  The meta-learner adapts each
+    Task ``i`` is the task :func:`~fewshot_ibp.episodes.sample_task` draws
+    from its own stream seeded by (entropy, i), and both learners take the
+    tasks a chunk at a time, so memory does not grow with ``n_tasks``
+    (:class:`~fewshot_ibp.learners.TaskDraw`).  The streams are drawn a block
+    of ``_CHUNK_ELEMENTS`` row indices at a time, each block's tasks with two
+    ``integers`` calls per stream and array operations
+    (:func:`~fewshot_ibp.episodes.draw_task_rows`), and each chunk's support
+    and query sets are gathered from the pool straight into its stacked
+    arrays, one gather per set.  The meta-learner adapts each
     chunk on a task axis, recording one tape per inner step for the whole
     chunk, each released after its backward pass, and scores each task's
     queries with its own adapted parameters, one forward pass per smaller
@@ -354,12 +361,12 @@ def evaluate(
     meta-learner still fine-tunes on each task's support set, and shape
     incompatibilities surface as ``ValueError`` from the forward pass.
     """
-    if n_tasks < 1:
+    if as_int(n_tasks, "n_tasks") < 1:
         raise ValueError("need at least one evaluation task")
     if learner == "protonet":
         row_elements = dataset.pool[0].size
         dataset, layers = mapped_pool(network, dataset)
-    tasks = (sample_task(dataset, spec, rng) for rng in _task_rngs(seed_entropy, n_tasks))
+    tasks = TaskDraw(dataset, spec, _task_rngs(seed_entropy, n_tasks))
     if learner == "maml":
         accs = maml_task_accuracies(network, tasks, inner_lr, eval_inner_steps)
     elif learner == "protonet":
@@ -384,29 +391,26 @@ def compactness(
     Per task, ``queries_per_task`` query instances (split evenly over the
     ways) are embedded through the prefix; each instance's Euclidean distance
     to its nearest same-class neighbor is averaged.  Task ``i`` is drawn from
-    its own stream seeded by (entropy, i), and the tasks are embedded on a
-    task axis a chunk at a time, as in :func:`evaluate`.  Returns the mean
-    and sample std over tasks.
+    its own stream seeded by (entropy, i), and the tasks are drawn and
+    embedded on a task axis a chunk at a time, as in :func:`evaluate`.
+    Returns the mean and sample std over tasks.
     """
-    if n_tasks < 1:
+    if as_int(n_tasks, "n_tasks") < 1:
         raise ValueError("need at least one task")
-    per_class = queries_per_task // spec.ways
+    per_class = as_int(queries_per_task, "queries_per_task") // spec.ways
     if per_class < 2:
         raise ValueError("need at least 2 same-class query instances per task")
     task_spec = TaskSpec(spec.ways, spec.shots, per_class)
-    tasks = (
-        sample_task(dataset, task_spec, rng) for rng in _task_rngs(seed_entropy, n_tasks)
-    )
+    tasks = TaskDraw(dataset, task_spec, _task_rngs(seed_entropy, n_tasks))
     diagonal = np.arange(per_class)
     means = []
-    for chunk in task_chunks(tasks):
-        query_y = np.stack([task.query_y for task in chunk])
-        emb = forward(network.prefix, np.stack([task.query_x for task in chunk]))
-        order = np.argsort(query_y, axis=-1, kind="stable")
+    for batch in task_batches(tasks):
+        emb = forward(network.prefix, batch.query_x)
+        order = np.argsort(batch.query_y, axis=-1, kind="stable")
         rows = np.take_along_axis(emb.reshape(emb.shape[:2] + (-1,)), order[..., None], axis=1)
         # one task's rows grouped by class, (ways, per_class, dim), at a time:
         # a whole chunk's pairwise differences outgrow the cache and run slower
-        for task_rows in rows.reshape(len(chunk), spec.ways, per_class, -1):
+        for task_rows in rows.reshape(len(rows), spec.ways, per_class, -1):
             d2 = np.sum((task_rows[:, :, None, :] - task_rows[:, None, :, :]) ** 2, axis=-1)
             d2[:, diagonal, diagonal] = np.inf
             means.append(np.mean(np.sqrt(d2.min(axis=-1))))
@@ -425,16 +429,17 @@ def mean_box_width(
 ) -> float:
     """Average propagated box width over query instances of sampled tasks.
 
-    Tasks are propagated one at a time: a conv box on a stacked task axis
-    holds several full-size temporaries per task, and measured slower than
-    this loop, with a higher memory peak.
+    Task ``i`` is drawn from its own stream seeded by (entropy, i), the
+    streams a block at a time as in :func:`evaluate`.  Tasks are propagated
+    one at a time: a conv box on a stacked task axis holds several
+    full-size temporaries per task, and measured slower than this loop,
+    with a higher memory peak.
     """
-    if n_tasks < 1:
+    if as_int(n_tasks, "n_tasks") < 1:
         raise ValueError("need at least one task")
     widths = []
-    for rng in _task_rngs(seed_entropy, n_tasks):
-        task = sample_task(dataset, spec, rng)
-        res = propagate_prefix(network, task.query_x, eps).values()
+    for batch in TaskDraw(dataset, spec, _task_rngs(seed_entropy, n_tasks)).batches(1):
+        res = propagate_prefix(network, batch.query_x[0], eps).values()
         widths.append(float(np.mean(res.box.upper - res.box.lower)))
     return float(np.mean(widths))
 

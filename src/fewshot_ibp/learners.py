@@ -16,6 +16,10 @@ When the layers before the first batchnorm map the whole pool into no more
 than ``_MAPPED_ELEMENTS`` elements, evaluation runs them once on the pool
 and draws its tasks from the mapped rows (:func:`mapped_pool`), in chunks
 of as many tasks as unmapped rows would give.
+Both learners' evaluation takes its tasks as an iterable of tasks or as a
+:class:`TaskDraw`, the tasks of a list of generators drawn a block at a
+time (:func:`~fewshot_ibp.episodes.draw_task_rows`) and gathered from the
+pool a chunk at a time (:meth:`TaskBatch.gather`).
 
 The meta-learner adapts a copy of the parameters on each task's support set
 with full-batch gradient descent, then is judged on the query set.
@@ -49,11 +53,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable
 from typing import NamedTuple
 
 import numpy as np
 
-from .episodes import Dataset, Task
+from .episodes import Dataset, Task, TaskSpec, draw_task_rows, spec_labels
 from .layers import Network, first_batchnorm, forward, param_nodes_to_list
 from .optim import optimizer_step
 from .tensor import (
@@ -211,7 +216,8 @@ def cross_entropy(scores, labels):
 
 class TaskBatch(NamedTuple):
     """Support and query sets of equally shaped tasks (as drawn from one task
-    spec) stacked on a leading task axis: entry ``[t]`` belongs to task t."""
+    spec) stacked on a leading task axis: entry ``[t]`` belongs to task t.
+    ``ways`` is each task's number of classes."""
 
     support_x: np.ndarray
     support_y: np.ndarray
@@ -219,17 +225,36 @@ class TaskBatch(NamedTuple):
     query_y: np.ndarray
     support_targets: np.ndarray
     query_targets: np.ndarray
+    ways: int
+
+    @classmethod
+    def _with_targets(cls, support_x, support_y, query_x, query_y, ways, classes, scored):
+        """Given ``classes``, the targets of the ``scored`` sets are their
+        labels' checked one-hot rows; other targets are labels."""
+        targets = (
+            y if classes is None or name not in scored else _onehot(y, y.shape + (classes,))
+            for name, y in (("support", support_y), ("query", query_y))
+        )
+        return cls(support_x, support_y, query_x, query_y, *targets, ways)
 
     @classmethod
     def stack(cls, tasks, classes: int | None = None, scored=("support", "query")) -> "TaskBatch":
-        """Stacked ``tasks``.  Given ``classes``, the targets of the ``scored``
-        sets are their labels' checked one-hot rows; other targets are labels."""
+        """Stacked ``tasks``, with targets as :meth:`_with_targets` makes them."""
         sets = [np.array([getattr(task, name) for task in tasks]) for name in cls._fields[:4]]
-        targets = (
-            y if classes is None or name not in scored else _onehot(y, y.shape + (classes,))
-            for name, y in zip(("support", "query"), sets[1::2])
-        )
-        return cls(*sets, *targets)
+        return cls._with_targets(*sets, tasks[0].ways, classes, scored)
+
+    @classmethod
+    def gather(cls, pool, rows, shots: int, labels, classes=None, scored=("support", "query")):
+        """The tasks whose pool rows are ``rows`` (tasks, ways, K+Q), first
+        K to the support set, as :meth:`stack` stacks the tasks
+        :func:`~fewshot_ibp.episodes.sample_task` gives for those rows: each
+        set is one gather from ``pool`` into its stacked array, and its
+        labels a read-only view of the spec's ``labels`` (support, query)."""
+        n, ways = rows.shape[:2]
+        parts = rows[..., :shots], rows[..., shots:]
+        support_x, query_x = (pool.take(part.reshape(n, -1), axis=0) for part in parts)
+        support_y, query_y = (np.broadcast_to(y, (n,) + y.shape) for y in labels)
+        return cls._with_targets(support_x, support_y, query_x, query_y, ways, classes, scored)
 
 
 # Element budget of one chunk's stacked query input: 27 tasks of 75 x 8
@@ -264,21 +289,111 @@ _ADAPT_ELEMENTS = 2**17
 
 def _chunks(tasks, budget: int, elements):
     """Consecutive lists of ``tasks``, drawn lazily from the iterable, each
-    of as many tasks (at least one) as fit ``budget`` at ``elements(task)``
-    elements per task, counted on the chunk's first task."""
+    of as many tasks (at least one) as fit ``budget`` at ``elements(support
+    elements, query elements, query rows)`` elements per task, counted on
+    the chunk's first task."""
     tasks = iter(tasks)
     for first in tasks:
-        size = max(1, budget // max(1, elements(first)))
+        sizes = first.support_x.size, first.query_x.size, len(first.query_x)
+        size = _per_chunk(budget, elements(*sizes))
         yield [first, *itertools.islice(tasks, size - 1)]
+
+
+def _per_chunk(budget: int, task_elements: int) -> int:
+    """Tasks per chunk (at least one) at ``task_elements`` elements each."""
+    return max(1, budget // max(1, task_elements))
+
+
+def _scored_elements(row_elements: int | None):
+    """A task's elements against the scoring budget: its query elements,
+    each query row counted at ``row_elements`` when given."""
+    if row_elements is None:
+        return lambda support, query, rows: query
+    return lambda support, query, rows: rows * row_elements
 
 
 def task_chunks(tasks, row_elements: int | None = None):
     """Chunks of ``tasks`` (:func:`_chunks`) whose stacked query inputs fit
     the scoring budget, ``_CHUNK_ELEMENTS``, each query row counted at
     ``row_elements`` elements (by default its own size)."""
-    if row_elements is None:
-        return _chunks(tasks, _CHUNK_ELEMENTS, lambda task: task.query_x.size)
-    return _chunks(tasks, _CHUNK_ELEMENTS, lambda task: len(task.query_x) * row_elements)
+    return _chunks(tasks, _CHUNK_ELEMENTS, _scored_elements(row_elements))
+
+
+class TaskDraw(NamedTuple):
+    """The tasks :func:`~fewshot_ibp.episodes.sample_task` draws from
+    ``dataset`` with each generator of the iterable ``rngs`` in turn,
+    without drawing them one at a time: evaluation takes them as
+    :class:`TaskBatch` chunks (:meth:`batches`)."""
+
+    dataset: Dataset
+    spec: TaskSpec
+    rngs: Iterable[np.random.Generator]
+
+    def sizes(self) -> tuple[int, int, int]:
+        """Each task's support elements, query elements and query rows."""
+        spec, row = self.spec, self.dataset.pool[0].size
+        query_rows = spec.ways * spec.query_shots
+        return spec.ways * spec.shots * row, query_rows * row, query_rows
+
+    def _row_blocks(self):
+        """The pool rows (tasks, ways, K+Q) of consecutive blocks of the
+        generators, each block as many tasks as fit ``_CHUNK_ELEMENTS`` row
+        indices (:func:`~fewshot_ibp.episodes.draw_task_rows`)."""
+        spec = self.spec
+        per_block = max(1, _CHUNK_ELEMENTS // (spec.ways * (spec.shots + spec.query_shots)))
+        rngs = iter(self.rngs)
+        while len(rows := draw_task_rows(self.dataset, spec, itertools.islice(rngs, per_block))[1]):
+            yield rows
+
+    def batches(self, size: int, classes: int | None = None, scored=("support", "query")):
+        """Consecutive chunks of ``size`` tasks (the last may hold fewer),
+        drawn a block at a time as they are needed, each gathered from the
+        pool into a :class:`TaskBatch` (:meth:`TaskBatch.gather`; ``classes``
+        and ``scored`` as for :meth:`TaskBatch.stack`)."""
+        labels = spec_labels(self.dataset, self.spec)
+
+        def gather(rows):
+            pool, shots = self.dataset.pool, self.spec.shots
+            return TaskBatch.gather(pool, rows, shots, labels, classes, scored)
+
+        short = None  # the rows of fewer than ``size`` tasks, drawn and not gathered
+        for block in self._row_blocks():
+            if short is not None:
+                fill = size - len(short)
+                short, block = np.concatenate([short, block[:fill]]), block[fill:]
+                if len(short) < size:
+                    continue
+                yield gather(short)
+            whole = len(block) - len(block) % size
+            for start in range(0, whole, size):
+                yield gather(block[start : start + size])
+            # a copy, so that the block is freed before the next is drawn
+            short = block[whole:].copy() if whole < len(block) else None
+        if short is not None:
+            yield gather(short)
+
+
+def _stacked(chunk, classes=None, scored=("support", "query")) -> TaskBatch:
+    """:meth:`TaskBatch.stack` of a chunk, none of whose query sets may be
+    empty."""
+    if any(task.query_x.shape[0] == 0 for task in chunk):
+        raise ValueError("task has an empty query set")
+    return TaskBatch.stack(chunk, classes, scored)
+
+
+def _batches(tasks, budget: int, elements, classes=None, scored=("support", "query")):
+    """:class:`TaskBatch` chunks of ``tasks``, an iterable of tasks or a
+    :class:`TaskDraw`, each of as many tasks as fit ``budget``, counted as
+    :func:`_chunks` counts them."""
+    if isinstance(tasks, TaskDraw):
+        return tasks.batches(_per_chunk(budget, elements(*tasks.sizes())), classes, scored)
+    return (_stacked(chunk, classes, scored) for chunk in _chunks(tasks, budget, elements))
+
+
+def task_batches(tasks, row_elements: int | None = None):
+    """:class:`TaskBatch` chunks of ``tasks`` (tasks, or a :class:`TaskDraw`)
+    of as many tasks as :func:`task_chunks` puts in a chunk."""
+    return _batches(tasks, _CHUNK_ELEMENTS, _scored_elements(row_elements))
 
 
 def _tiled_arrays(network: Network, n_tasks: int) -> list[dict]:
@@ -355,10 +470,11 @@ def maml_task_accuracies(network: Network, tasks, inner_lr: float, steps: int) -
     """Query accuracy of each task after first-order adaptation on its
     support set.
 
-    The tasks (equal shapes, as drawn from one task spec) are drawn lazily
-    and adapted a chunk at a time, as many as fit the adaptation budget
-    (``_ADAPT_ELEMENTS``).  A chunk's support sets are stacked on a leading
-    task axis and the network's parameters tiled to one copy per task, and
+    The tasks (equal shapes, as drawn from one task spec; an iterable of
+    tasks or a :class:`TaskDraw`) are drawn lazily and adapted a chunk at
+    a time, as many as fit the adaptation budget (``_ADAPT_ELEMENTS``).
+    A chunk's support sets are stacked on a leading task axis and the
+    network's parameters tiled to one copy per task, and
     :func:`maml_adapt` descends on the sum of the per-task support
     cross-entropies, so every task follows exactly its own gradient.  The
     chunk's queries are then scored in smaller chunks (:func:`task_chunks`),
@@ -371,23 +487,23 @@ def maml_task_accuracies(network: Network, tasks, inner_lr: float, steps: int) -
     """
     n, classes = network.parameter_vector.size, _classes(network)
     accs = []
-    for chunk in _chunks(tasks, _ADAPT_ELEMENTS, lambda t: n + t.support_x.size + t.query_x.size):
-        if any(task.query_x.shape[0] == 0 for task in chunk):
-            raise ValueError("task has an empty query set")
-        batch = TaskBatch.stack(chunk, classes, scored=("support",))
+    for batch in _batches(
+        tasks, _ADAPT_ELEMENTS, lambda support, query, rows: n + support + query,
+        classes, scored=("support",),
+    ):
 
         def inner_loss(params):
             logits = forward(network.layers, batch.support_x, params=params)
             return cross_entropy(logits, batch.support_targets)
 
-        adapted = maml_adapt(inner_loss, _tiled_arrays(network, len(chunk)), inner_lr, steps)
-        done = 0
-        for part in task_chunks(chunk):
-            rows = slice(done, done + len(part))
+        tiled = _tiled_arrays(network, len(batch.query_x))
+        adapted = maml_adapt(inner_loss, tiled, inner_lr, steps)
+        size = _per_chunk(_CHUNK_ELEMENTS, batch.query_x[0].size)  # as task_chunks counts
+        for start in range(0, len(batch.query_x), size):
+            rows = slice(start, start + size)
             params = [{name: arr[rows] for name, arr in entry.items()} for entry in adapted]
             scores = forward(network.layers, batch.query_x[rows], params=params)
             accs.extend(_accuracy(scores, batch.query_y[rows]).tolist())
-            done += len(part)
     if not accs:
         raise ValueError("no tasks to adapt")
     return np.array(accs)
@@ -421,8 +537,9 @@ def protonet_task_accuracies(
     instances embedded by ``layers`` (by default all the network's; fewer
     for tasks drawn from a :func:`mapped_pool`).
 
-    The tasks (equal shapes, as drawn from one task spec) are scored a chunk
-    at a time (:func:`task_chunks`, each row counted at ``row_elements``:
+    The tasks (equal shapes, as drawn from one task spec; an iterable of
+    tasks or a :class:`TaskDraw`) are scored a chunk at a time
+    (:func:`task_batches`, each row counted at ``row_elements``:
     for a mapped pool, the size of an unmapped row, so that a chunk holds
     the tasks it would hold unmapped and its largest activation is no
     larger than theirs): a chunk's support sets and its query
@@ -432,13 +549,10 @@ def protonet_task_accuracies(
     """
     layers = network.layers if layers is None else layers
     accs = []
-    for chunk in task_chunks(tasks, row_elements):
-        if any(task.query_x.shape[0] == 0 for task in chunk):
-            raise ValueError("task has an empty query set")
-        batch = TaskBatch.stack(chunk)
+    for batch in task_batches(tasks, row_elements):
         support_emb = forward(layers, batch.support_x)
         query_emb = forward(layers, batch.query_x)
-        protos = compute_prototypes(support_emb, batch.support_y, chunk[0].ways)
+        protos = compute_prototypes(support_emb, batch.support_y, batch.ways)
         # plain floats: a list of per-chunk arrays would outgrow the chunks
         accs.extend(_accuracy(protonet_logits(query_emb, protos, distance), batch.query_y).tolist())
     if not accs:

@@ -331,9 +331,9 @@ class TestMappedPool:
         assert mapped_ds.pool[0].size > ds.pool[0].size
         assert chunk_size(draw(mapped_ds, 1)[0]) < unmapped
         sizes = []
-        chunks = LR.task_chunks
-        monkeypatch.setattr(LR, "task_chunks", lambda tasks, *args: (
-            sizes.append(len(chunk)) or chunk for chunk in chunks(tasks, *args)))
+        batches = LR.task_batches
+        monkeypatch.setattr(LR, "task_batches", lambda tasks, *args: (
+            sizes.append(len(batch.query_x)) or batch for batch in batches(tasks, *args)))
         H.evaluate(net, "protonet", ds, SPEC, N_TASKS, ENTROPY)
         full, rest = divmod(N_TASKS, unmapped)
         assert sizes == [unmapped] * full + [rest] * (rest > 0)

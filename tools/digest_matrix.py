@@ -24,7 +24,10 @@ its second block.  One more
 line, ``sample_task``, hashes the tasks ``fewshot_ibp.episodes.sample_task``
 draws from the fc and the conv pool on the matrix's train spec, eval spec
 and a ``compactness`` spec, 200 seeds each, so the listing checks the
-sampler directly as well.  The last line, ``evaluate``, hashes the
+sampler directly as well; the same tasks drawn a block at a time
+(``fewshot_ibp.episodes.draw_task_rows``) keep the line as it is only while
+they equal ``sample_task``'s, so a numpy change that breaks the replay of
+``Generator.choice`` moves it.  The last line, ``evaluate``, hashes the
 per-task accuracies of first-order MAML evaluation
 (``fewshot_ibp.learners.maml_task_accuracies``) of 600 test
 tasks, on the fc and the conv network at their initialization, with the
@@ -75,7 +78,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 import numpy as np  # noqa: E402
 
 from fewshot_ibp.config import OBJECTIVES, RunConfig, resolve_dataset  # noqa: E402
-from fewshot_ibp.episodes import TaskSpec, sample_task  # noqa: E402
+from fewshot_ibp.episodes import TaskSpec, draw_task_rows, sample_task, spec_labels  # noqa: E402
 from fewshot_ibp.harness import evaluate, train  # noqa: E402
 from fewshot_ibp.layers import build_network  # noqa: E402
 from fewshot_ibp.learners import maml_task_accuracies  # noqa: E402
@@ -236,18 +239,30 @@ def run_digest(config: RunConfig, out_dir: str) -> tuple[str, dict]:
     return digest.hexdigest(), summary
 
 
+def _hash_task(digest, arrays, class_ids) -> None:
+    """Add one task's support and query arrays and its class ids to ``digest``."""
+    for arr in arrays:
+        digest.update(f"{arr.dtype.str} {arr.shape}".encode("utf-8"))
+        digest.update(arr.tobytes())
+    digest.update(json.dumps(class_ids).encode("utf-8"))
+
+
 def sampler_digest() -> str:
     """SHA-256 of the tasks drawn from the fc and the conv pool, each from
     ``SAMPLER_SEEDS`` seeds: on the train split with the train spec, and on
     the test split with the eval spec and with the spec ``compactness``
     draws for its default query count.  It covers every array's dtype,
-    shape and bytes, and the class ids."""
+    shape and bytes, and the class ids.  The block drawer
+    (``fewshot_ibp.episodes.draw_task_rows``) draws the same tasks from the
+    same seeds, hashed the same way; while it replays ``sample_task``
+    exactly, the two hashes are equal and the line is that hash, and
+    otherwise it is the hash of both."""
     config = next(run_configs())[1]
     eval_spec = config.eval_spec()
     compact_spec = TaskSpec(
         eval_spec.ways, eval_spec.shots, COMPACTNESS_QUERIES // eval_spec.ways
     )
-    digest = hashlib.sha256()
+    digest, replay = hashlib.sha256(), hashlib.sha256()
     for _, _, pool in (FC, CONV):
         data = pool_data(pool)
         train_split, test_split = (resolve_dataset(data[s]) for s in ("train", "test"))
@@ -258,11 +273,21 @@ def sampler_digest() -> str:
         ):
             for seed in range(SAMPLER_SEEDS):
                 task = sample_task(dataset, spec, np.random.default_rng(seed))
-                for arr in (task.support_x, task.support_y, task.query_x, task.query_y):
-                    digest.update(f"{arr.dtype.str} {arr.shape}".encode("utf-8"))
-                    digest.update(arr.tobytes())
-                digest.update(json.dumps(task.class_ids).encode("utf-8"))
-    return digest.hexdigest()
+                arrays = (task.support_x, task.support_y, task.query_x, task.query_y)
+                _hash_task(digest, arrays, task.class_ids)
+            seeds = range(SAMPLER_SEEDS)
+            classes, rows = draw_task_rows(dataset, spec, map(np.random.default_rng, seeds))
+            support_y, query_y = spec_labels(dataset, spec)
+            for task_classes, task_rows in zip(classes.tolist(), rows):
+                support_x, query_x = (
+                    dataset.pool.take(part.ravel(), axis=0)
+                    for part in (task_rows[:, : spec.shots], task_rows[:, spec.shots :])
+                )
+                class_ids = [dataset.class_ids[c] for c in task_classes]
+                _hash_task(replay, (support_x, support_y, query_x, query_y), class_ids)
+    if replay.digest() == digest.digest():
+        return digest.hexdigest()
+    return hashlib.sha256(digest.digest() + replay.digest()).hexdigest()
 
 
 def evaluate_digest() -> str:
