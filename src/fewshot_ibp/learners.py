@@ -264,7 +264,11 @@ class TaskBatch(NamedTuple):
 # by 4.5% where 2**14 raises it by 2%.  Scoring only runs a forward pass per
 # chunk, so small chunks cost little; adaptation has its own budget below.
 # Tasks drawn from a mapped pool are counted at their unmapped row size, so
-# a chunk holds the same tasks mapped or not.
+# a chunk holds the same tasks mapped or not.  Evaluation also draws its
+# tasks in blocks of this many row indices (:class:`TaskDraw`), 204 tasks of
+# 5 x 16 rows, so a block's indices take about a query chunk's memory; a
+# block pays its array operations once per draw slot whatever its size, so
+# it is not cut to the size of a chunk.
 _CHUNK_ELEMENTS = 2**14
 
 # Element budget (2 MiB of float64) of the pool that ProtoNet evaluation maps
@@ -340,7 +344,7 @@ class TaskDraw(NamedTuple):
         generators, each block as many tasks as fit ``_CHUNK_ELEMENTS`` row
         indices (:func:`~fewshot_ibp.episodes.draw_task_rows`)."""
         spec = self.spec
-        per_block = max(1, _CHUNK_ELEMENTS // (spec.ways * (spec.shots + spec.query_shots)))
+        per_block = _per_chunk(_CHUNK_ELEMENTS, spec.ways * (spec.shots + spec.query_shots))
         rngs = iter(self.rngs)
         while len(rows := draw_task_rows(self.dataset, spec, itertools.islice(rngs, per_block))[1]):
             yield rows
