@@ -48,16 +48,16 @@ from .interpolation import (
 )
 from .layers import Network, build_network, forward, param_nodes_to_list, save_checkpoint
 from .learners import (
+    _CHUNK_ELEMENTS,
     TaskBatch,
     TaskDraw,
+    _per_chunk,
     compute_prototypes,
     cross_entropy,
     maml_outer_step,
     maml_task_accuracies,
-    mapped_pool,
     protonet_logits,
     protonet_task_accuracies,
-    task_batches,
 )
 from .objective import (
     LossTriple,
@@ -335,9 +335,10 @@ def evaluate(
     half-width (zero for a single task, where the sample std is undefined).
 
     Task ``i`` is the task :func:`~fewshot_ibp.episodes.sample_task` draws
-    from its own stream seeded by (entropy, i), and both learners take the
-    tasks a chunk at a time, so memory does not grow with ``n_tasks``
-    (:class:`~fewshot_ibp.learners.TaskDraw`).  The streams are drawn a block
+    from its own stream seeded by (entropy, i).  Both learners are given
+    the same :class:`~fewshot_ibp.learners.TaskDraw` of those streams and
+    take its tasks a chunk at a time, so memory does not grow with
+    ``n_tasks``.  The streams are drawn a block
     of ``_CHUNK_ELEMENTS`` row indices at a time, each block's tasks with two
     ``integers`` calls per stream and array operations
     (:func:`~fewshot_ibp.episodes.draw_task_rows`), and each chunk's support
@@ -363,14 +364,11 @@ def evaluate(
     """
     if as_int(n_tasks, "n_tasks") < 1:
         raise ValueError("need at least one evaluation task")
-    if learner == "protonet":
-        row_elements = dataset.pool[0].size
-        dataset, layers = mapped_pool(network, dataset)
     tasks = TaskDraw(dataset, spec, _task_rngs(seed_entropy, n_tasks))
     if learner == "maml":
         accs = maml_task_accuracies(network, tasks, inner_lr, eval_inner_steps)
     elif learner == "protonet":
-        accs = protonet_task_accuracies(network, tasks, distance, layers, row_elements)
+        accs = protonet_task_accuracies(network, tasks, distance)
     else:
         raise ValueError(f"unknown learner {learner!r}")
     mean = float(np.mean(accs))
@@ -392,7 +390,9 @@ def compactness(
     ways) are embedded through the prefix; each instance's Euclidean distance
     to its nearest same-class neighbor is averaged.  Task ``i`` is drawn from
     its own stream seeded by (entropy, i), and the tasks are drawn and
-    embedded on a task axis a chunk at a time, as in :func:`evaluate`.
+    embedded on a task axis a chunk at a time, as in :func:`evaluate`, each
+    chunk as many tasks as fit the scoring budget at their query elements
+    (:meth:`~fewshot_ibp.learners.TaskDraw.batches`).
     Returns the mean and sample std over tasks.
     """
     if as_int(n_tasks, "n_tasks") < 1:
@@ -404,7 +404,7 @@ def compactness(
     tasks = TaskDraw(dataset, task_spec, _task_rngs(seed_entropy, n_tasks))
     diagonal = np.arange(per_class)
     means = []
-    for batch in task_batches(tasks):
+    for batch in tasks.batches(_per_chunk(_CHUNK_ELEMENTS, tasks.sizes()[1])):
         emb = forward(network.prefix, batch.query_x)
         order = np.argsort(batch.query_y, axis=-1, kind="stable")
         rows = np.take_along_axis(emb.reshape(emb.shape[:2] + (-1,)), order[..., None], axis=1)

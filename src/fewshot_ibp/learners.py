@@ -16,10 +16,11 @@ When the layers before the first batchnorm map the whole pool into no more
 than ``_MAPPED_ELEMENTS`` elements, evaluation runs them once on the pool
 and draws its tasks from the mapped rows (:func:`mapped_pool`), in chunks
 of as many tasks as unmapped rows would give.
-Both learners' evaluation takes its tasks as an iterable of tasks or as a
-:class:`TaskDraw`, the tasks of a list of generators drawn a block at a
-time (:func:`~fewshot_ibp.episodes.draw_task_rows`) and gathered from the
-pool a chunk at a time (:meth:`TaskBatch.gather`).
+Both learners' evaluation takes its tasks as a :class:`TaskDraw`, the tasks
+of a list of generators drawn a block at a time
+(:func:`~fewshot_ibp.episodes.draw_task_rows`) and gathered from the pool a
+chunk at a time (:meth:`TaskBatch.gather`).  One hand-built task is scored
+by :func:`predict_accuracy`, as a chunk of one.
 
 The meta-learner adapts a copy of the parameters on each task's support set
 with full-batch gradient descent, then is judged on the query set.
@@ -58,7 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .episodes import Dataset, Task, TaskSpec, draw_task_rows, spec_labels
+from .episodes import Dataset, Task, TaskSpec, as_int, draw_task_rows, spec_labels
 from .layers import Network, first_batchnorm, forward, param_nodes_to_list
 from .optim import optimizer_step
 from .tensor import (
@@ -257,18 +258,18 @@ class TaskBatch(NamedTuple):
         return cls._with_targets(support_x, support_y, query_x, query_y, ways, classes, scored)
 
 
-# Element budget of one chunk's stacked query input: 27 tasks of 75 x 8
-# queries, or 2 of 75 x 1 x 10 x 10.  Set from the benchmark's peak RSS and
-# eval speed: 2**13 (13 fc tasks, 1 conv task) left conv evaluation 5%
-# slower than the per-task loop, and 2**15 (54 fc tasks) raised fc peak RSS
-# by 4.5% where 2**14 raises it by 2%.  Scoring only runs a forward pass per
-# chunk, so small chunks cost little; adaptation has its own budget below.
-# Tasks drawn from a mapped pool are counted at their unmapped row size, so
-# a chunk holds the same tasks mapped or not.  Evaluation also draws its
-# tasks in blocks of this many row indices (:class:`TaskDraw`), 204 tasks of
-# 5 x 16 rows, so a block's indices take about a query chunk's memory; a
-# block pays its array operations once per draw slot whatever its size, so
-# it is not cut to the size of a chunk.
+# Element budget of one scoring chunk's stacked query input: 27 tasks of
+# 75 x 8 queries, or 2 of 75 x 1 x 10 x 10.  Set from the benchmark's peak
+# RSS and eval speed: 2**13 (13 fc tasks, 1 conv task) left conv evaluation
+# 5% slower than the per-task loop, and 2**15 (54 fc tasks) raised fc peak
+# RSS by 4.5% where 2**14 raises it by 2%.  Scoring only runs a forward pass
+# per chunk, so small chunks cost little; adaptation has its own budget
+# below.  Tasks drawn from a mapped pool are counted at their unmapped query
+# size, so a chunk holds the same tasks mapped or not.  Evaluation also
+# draws its tasks in blocks of this many row indices (:class:`TaskDraw`),
+# 204 tasks of 5 x 16 rows, so a block's indices take about a query chunk's
+# memory; a block pays its array operations once per draw slot whatever its
+# size, so it is not cut to the size of a chunk.
 _CHUNK_ELEMENTS = 2**14
 
 # Element budget (2 MiB of float64) of the pool that ProtoNet evaluation maps
@@ -291,36 +292,9 @@ _MAPPED_ELEMENTS = 2**18
 _ADAPT_ELEMENTS = 2**17
 
 
-def _chunks(tasks, budget: int, elements):
-    """Consecutive lists of ``tasks``, drawn lazily from the iterable, each
-    of as many tasks (at least one) as fit ``budget`` at ``elements(support
-    elements, query elements, query rows)`` elements per task, counted on
-    the chunk's first task."""
-    tasks = iter(tasks)
-    for first in tasks:
-        sizes = first.support_x.size, first.query_x.size, len(first.query_x)
-        size = _per_chunk(budget, elements(*sizes))
-        yield [first, *itertools.islice(tasks, size - 1)]
-
-
 def _per_chunk(budget: int, task_elements: int) -> int:
     """Tasks per chunk (at least one) at ``task_elements`` elements each."""
     return max(1, budget // max(1, task_elements))
-
-
-def _scored_elements(row_elements: int | None):
-    """A task's elements against the scoring budget: its query elements,
-    each query row counted at ``row_elements`` when given."""
-    if row_elements is None:
-        return lambda support, query, rows: query
-    return lambda support, query, rows: rows * row_elements
-
-
-def task_chunks(tasks, row_elements: int | None = None):
-    """Chunks of ``tasks`` (:func:`_chunks`) whose stacked query inputs fit
-    the scoring budget, ``_CHUNK_ELEMENTS``, each query row counted at
-    ``row_elements`` elements (by default its own size)."""
-    return _chunks(tasks, _CHUNK_ELEMENTS, _scored_elements(row_elements))
 
 
 class TaskDraw(NamedTuple):
@@ -377,29 +351,6 @@ class TaskDraw(NamedTuple):
             yield gather(short)
 
 
-def _stacked(chunk, classes=None, scored=("support", "query")) -> TaskBatch:
-    """:meth:`TaskBatch.stack` of a chunk, none of whose query sets may be
-    empty."""
-    if any(task.query_x.shape[0] == 0 for task in chunk):
-        raise ValueError("task has an empty query set")
-    return TaskBatch.stack(chunk, classes, scored)
-
-
-def _batches(tasks, budget: int, elements, classes=None, scored=("support", "query")):
-    """:class:`TaskBatch` chunks of ``tasks``, an iterable of tasks or a
-    :class:`TaskDraw`, each of as many tasks as fit ``budget``, counted as
-    :func:`_chunks` counts them."""
-    if isinstance(tasks, TaskDraw):
-        return tasks.batches(_per_chunk(budget, elements(*tasks.sizes())), classes, scored)
-    return (_stacked(chunk, classes, scored) for chunk in _chunks(tasks, budget, elements))
-
-
-def task_batches(tasks, row_elements: int | None = None):
-    """:class:`TaskBatch` chunks of ``tasks`` (tasks, or a :class:`TaskDraw`)
-    of as many tasks as :func:`task_chunks` puts in a chunk."""
-    return _batches(tasks, _CHUNK_ELEMENTS, _scored_elements(row_elements))
-
-
 def _tiled_arrays(network: Network, n_tasks: int) -> list[dict]:
     """The network's parameters as read-only views with a leading task axis."""
     return [
@@ -445,7 +396,7 @@ def maml_adapt(inner_loss, params: list[dict], inner_lr: float, steps: int) -> l
     """
     if not 0 <= inner_lr < math.inf:
         raise ValueError(f"inner_lr must be non-negative and finite, got {inner_lr!r}")
-    if steps < 0:
+    if as_int(steps, "steps") < 0:
         raise ValueError("steps must be non-negative")
     tape = _tape_of(*param_nodes_to_list(params))
     current = [dict(entry) for entry in params]
@@ -470,44 +421,49 @@ def maml_adapt(inner_loss, params: list[dict], inner_lr: float, steps: int) -> l
     return current
 
 
-def maml_task_accuracies(network: Network, tasks, inner_lr: float, steps: int) -> np.ndarray:
-    """Query accuracy of each task after first-order adaptation on its
-    support set.
+def _maml_accuracies(network: Network, batch: TaskBatch, inner_lr: float, steps: int) -> list:
+    """Query accuracy of each task of ``batch`` (support targets one-hot)
+    after first-order adaptation on its support set: with the parameters
+    tiled to one copy per task, :func:`maml_adapt` descends on the sum of
+    the per-task support cross-entropies, so every task follows exactly its
+    own gradient; the queries are then scored by one forward pass per
+    scoring chunk (``_CHUNK_ELEMENTS``) with those tasks' adapted
+    parameters, and batchnorm takes its statistics per task."""
 
-    The tasks (equal shapes, as drawn from one task spec; an iterable of
-    tasks or a :class:`TaskDraw`) are drawn lazily and adapted a chunk at
-    a time, as many as fit the adaptation budget (``_ADAPT_ELEMENTS``).
-    A chunk's support sets are stacked on a leading task axis and the
-    network's parameters tiled to one copy per task, and
-    :func:`maml_adapt` descends on the sum of the per-task support
-    cross-entropies, so every task follows exactly its own gradient.  The
-    chunk's queries are then scored in smaller chunks (:func:`task_chunks`),
-    each by one forward pass on the task axis with those tasks' adapted
-    parameters; batchnorm takes its statistics per task.  Each task's
-    result is the same, bit for bit, in any chunk.  One stack of every task
-    holds all their tiled parameters and inner-loop activations at once:
-    for 600 tasks of the benchmark's conv pool network the traced peak of
-    evaluation was 214 MB, against about 4.5 MB in chunks.
-    """
-    n, classes = network.parameter_vector.size, _classes(network)
+    def inner_loss(params):
+        logits = forward(network.layers, batch.support_x, params=params)
+        return cross_entropy(logits, batch.support_targets)
+
+    tiled = _tiled_arrays(network, len(batch.query_x))
+    adapted = maml_adapt(inner_loss, tiled, inner_lr, steps)
+    size = _per_chunk(_CHUNK_ELEMENTS, batch.query_x[0].size)
     accs = []
-    for batch in _batches(
-        tasks, _ADAPT_ELEMENTS, lambda support, query, rows: n + support + query,
-        classes, scored=("support",),
-    ):
+    for start in range(0, len(batch.query_x), size):
+        rows = slice(start, start + size)
+        params = [{name: arr[rows] for name, arr in entry.items()} for entry in adapted]
+        scores = forward(network.layers, batch.query_x[rows], params=params)
+        accs.extend(_accuracy(scores, batch.query_y[rows]).tolist())
+    return accs
 
-        def inner_loss(params):
-            logits = forward(network.layers, batch.support_x, params=params)
-            return cross_entropy(logits, batch.support_targets)
 
-        tiled = _tiled_arrays(network, len(batch.query_x))
-        adapted = maml_adapt(inner_loss, tiled, inner_lr, steps)
-        size = _per_chunk(_CHUNK_ELEMENTS, batch.query_x[0].size)  # as task_chunks counts
-        for start in range(0, len(batch.query_x), size):
-            rows = slice(start, start + size)
-            params = [{name: arr[rows] for name, arr in entry.items()} for entry in adapted]
-            scores = forward(network.layers, batch.query_x[rows], params=params)
-            accs.extend(_accuracy(scores, batch.query_y[rows]).tolist())
+def maml_task_accuracies(
+    network: Network, tasks: TaskDraw, inner_lr: float, steps: int
+) -> np.ndarray:
+    """Query accuracy of each task of ``tasks`` after first-order adaptation
+    on its support set (:func:`_maml_accuracies`), a chunk of tasks at a
+    time (:meth:`TaskDraw.batches`): as many as fit the adaptation budget
+    (``_ADAPT_ELEMENTS``) at their tiled parameters and support and query
+    elements.  Each task's result is the same, bit for bit, in any chunk.
+    One stack of every task holds all their tiled parameters and inner-loop
+    activations at once: for 600 tasks of the benchmark's conv pool network
+    the traced peak of evaluation was 214 MB, against about 4.5 MB in
+    chunks.
+    """
+    support, query, _ = tasks.sizes()
+    size = _per_chunk(_ADAPT_ELEMENTS, network.parameter_vector.size + support + query)
+    accs = []
+    for batch in tasks.batches(size, _classes(network), scored=("support",)):
+        accs.extend(_maml_accuracies(network, batch, inner_lr, steps))
     if not accs:
         raise ValueError("no tasks to adapt")
     return np.array(accs)
@@ -534,31 +490,35 @@ def mapped_pool(network: Network, dataset: Dataset) -> tuple[Dataset, list]:
     return Dataset(mapped, dataset.counts, dataset.class_ids, dataset.role), layers[k:]
 
 
-def protonet_task_accuracies(
-    network: Network, tasks, distance: str = "sqeuclidean", layers=None, row_elements=None
-) -> np.ndarray:
-    """Query accuracy of each task under the nearest-prototype rule, its
-    instances embedded by ``layers`` (by default all the network's; fewer
-    for tasks drawn from a :func:`mapped_pool`).
+def _protonet_accuracies(layers, batch: TaskBatch, distance: str) -> list:
+    """Query accuracy of each task of ``batch`` under the nearest-prototype
+    rule, its instances embedded by ``layers``: the support sets and the
+    query sets are embedded by one forward pass each on the task axis, so
+    batchnorm takes its statistics per task and per set, and each task's
+    queries are scored against that task's own prototypes."""
+    support_emb = forward(layers, batch.support_x)
+    query_emb = forward(layers, batch.query_x)
+    protos = compute_prototypes(support_emb, batch.support_y, batch.ways)
+    return _accuracy(protonet_logits(query_emb, protos, distance), batch.query_y).tolist()
 
-    The tasks (equal shapes, as drawn from one task spec; an iterable of
-    tasks or a :class:`TaskDraw`) are scored a chunk at a time
-    (:func:`task_batches`, each row counted at ``row_elements``:
-    for a mapped pool, the size of an unmapped row, so that a chunk holds
-    the tasks it would hold unmapped and its largest activation is no
-    larger than theirs): a chunk's support sets and its query
-    sets are stacked on a leading task axis and embedded by one forward pass
-    each, so batchnorm takes its statistics per task and per set, and each
-    task's queries are scored against that task's own prototypes.
+
+def protonet_task_accuracies(
+    network: Network, tasks: TaskDraw, distance: str = "sqeuclidean"
+) -> np.ndarray:
+    """Query accuracy of each task of ``tasks`` under the nearest-prototype
+    rule (:func:`_protonet_accuracies`), drawn from the pool as
+    :func:`mapped_pool` maps it and embedded by the layers it leaves, a
+    chunk at a time (:meth:`TaskDraw.batches`).  A chunk holds as many tasks
+    as fit the scoring budget (``_CHUNK_ELEMENTS``) at their unmapped query
+    elements, so that it holds the tasks it would hold unmapped and its
+    largest activation is no larger than theirs.
     """
-    layers = network.layers if layers is None else layers
+    size = _per_chunk(_CHUNK_ELEMENTS, tasks.sizes()[1])
+    dataset, layers = mapped_pool(network, tasks.dataset)
     accs = []
-    for batch in task_batches(tasks, row_elements):
-        support_emb = forward(layers, batch.support_x)
-        query_emb = forward(layers, batch.query_x)
-        protos = compute_prototypes(support_emb, batch.support_y, batch.ways)
+    for batch in tasks._replace(dataset=dataset).batches(size):
         # plain floats: a list of per-chunk arrays would outgrow the chunks
-        accs.extend(_accuracy(protonet_logits(query_emb, protos, distance), batch.query_y).tolist())
+        accs.extend(_protonet_accuracies(layers, batch, distance))
     if not accs:
         raise ValueError("no tasks to score")
     return np.array(accs)
@@ -634,17 +594,20 @@ def predict_accuracy(
     eval_steps: int = 10,
     inner_lr: float = 0.01,
 ) -> float:
-    """Fraction of query instances classified correctly.
+    """Fraction of query instances classified correctly in one task.
 
     The prototype learner embeds with the full network and assigns each query
-    to the nearest prototype (:func:`protonet_task_accuracies` with one
-    task).  The meta-learner fine-tunes on the support set for
-    ``eval_steps`` (:func:`maml_task_accuracies` with one task) and takes
-    the argmax of the classifier outputs.  Argmax ties resolve to the lowest
-    class index.
+    to the nearest prototype (:func:`_protonet_accuracies`).  The
+    meta-learner fine-tunes on the support set for ``eval_steps``
+    (:func:`_maml_accuracies`) and takes the argmax of the classifier
+    outputs.  Argmax ties resolve to the lowest class index.  A task with an
+    empty query set raises ``ValueError``.
     """
+    if task.query_x.shape[0] == 0:
+        raise ValueError("task has an empty query set")
     if learner == "protonet":
-        return float(protonet_task_accuracies(network, [task], distance)[0])
+        return _protonet_accuracies(network.layers, TaskBatch.stack([task]), distance)[0]
     if learner == "maml":
-        return float(maml_task_accuracies(network, [task], inner_lr, eval_steps)[0])
+        batch = TaskBatch.stack([task], _classes(network), scored=("support",))
+        return _maml_accuracies(network, batch, inner_lr, eval_steps)[0]
     raise ValueError(f"unknown learner {learner!r}")

@@ -288,7 +288,10 @@ def test_protonet_evaluate_per_task_equals_sample_task_loop(monkeypatch, make, p
 def test_maml_evaluate_per_task_equals_sample_task_loop(monkeypatch, make, pool):
     net, ds = make(np.random.default_rng(2)), pool()
     n, steps, lr = 240, 3, 0.1  # fc adaptation chunks of 90: the third spans two blocks
-    ref = [LR.maml_task_accuracies(net, [task], lr, steps)[0] for task in draw(ds, n)]
+    ref = [
+        LR.predict_accuracy("maml", net, task, eval_steps=steps, inner_lr=lr)
+        for task in draw(ds, n)
+    ]
     accs, (mean, _) = evaluated_accuracies(
         monkeypatch, "maml", net, "maml", ds, SPEC, n, ENTROPY, eval_inner_steps=steps, inner_lr=lr
     )
@@ -337,6 +340,21 @@ class TestIntegerSizes:
         for call in calls:
             with pytest.raises(ValueError, match="n_tasks must be an integer"):
                 call()
+
+    @pytest.mark.parametrize("steps", [True, 2.5])
+    def test_inner_steps_rejected(self, steps):
+        net, ds = perturbed(fc_pool_network)
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            H.evaluate(net, "maml", ds, SPEC, 2, ENTROPY, eval_inner_steps=steps)
+        params = [dict(layer.param_items()) for layer in net.layers]
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            LR.maml_adapt(lambda p: 0.0, params, 0.1, steps)
+
+    def test_numpy_integer_inner_steps_accepted(self):
+        net, ds = perturbed(fc_pool_network)
+        args = net, "maml", ds, SPEC, 2, ENTROPY
+        want = H.evaluate(*args, eval_inner_steps=2)
+        assert H.evaluate(*args, eval_inner_steps=np.int64(2)) == want
 
     def test_queries_per_task_rejected(self):
         net, ds = perturbed(fc_pool_network)

@@ -1,5 +1,6 @@
 """Smoke test of ``tools/digest_matrix.py``, the byte-identity check for
-refactors."""
+refactors, and the pinned listing ``tools/digest_listing.txt``, which no
+result may move from."""
 
 import hashlib
 import re
@@ -8,9 +9,13 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
+import pytest
+
 from fewshot_ibp import layers as L
 
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "digest_matrix.py"
+PINNED = SCRIPT.parent / "digest_listing.txt"
 
 
 def digest_listing(*runs, flags=()):
@@ -18,6 +23,37 @@ def digest_listing(*runs, flags=()):
     out = subprocess.run(argv, capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr[-2000:]
     return out.stdout
+
+
+@pytest.fixture(scope="module")
+def pinned_run():
+    """One run of the whole matrix with ``--values --against`` the pinned
+    listing, shared by the tests that need a full or a second listing."""
+    return subprocess.run(
+        [sys.executable, str(SCRIPT), "--values", "--against", str(PINNED)],
+        capture_output=True, text=True, timeout=600,
+    )
+
+
+def pinned_line(pinned_run, name):
+    """The line of ``name`` in the shared ``--values`` listing."""
+    return next(line for line in pinned_run.stdout.splitlines() if line.split()[0] == name)
+
+
+def made_with():
+    """The comment lines that a listing made with this numpy and BLAS
+    starts with."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return [f"# numpy {np.__version__}", f"# blas {blas['name']} {blas['version']}"]
+
+
+def test_pinned_listing_holds(pinned_run):
+    # no test_accuracy or test_ci95 moved; under the numpy and BLAS the file
+    # was made with, no digest moved either
+    assert pinned_run.returncode == 0, pinned_run.stdout[-2000:] + pinned_run.stderr[-2000:]
+    pinned = PINNED.read_text().splitlines()
+    if pinned[:2] == made_with():
+        assert pinned_line(pinned_run, "listing") == pinned[-1], pinned_run.stdout[-2000:]
 
 
 def test_one_run_digest_is_stable_and_listed():
@@ -65,17 +101,17 @@ def test_pattern_matching_nothing_rejected():
     assert rejected("maml3-*")
 
 
-def test_sampler_digest_is_stable_and_listed():
+def test_sampler_digest_is_stable_and_listed(pinned_run):
     first = digest_listing("sample_task")
     lines = first.splitlines()
     assert len(lines) == 2
     assert re.fullmatch(r"sample_task [0-9a-f]{64}", lines[0])
     listing = hashlib.sha256((lines[0] + "\n").encode("utf-8")).hexdigest()
     assert lines[1] == f"listing {listing}"
-    assert digest_listing("sample_task", flags=("--values",)) == first
+    assert pinned_line(pinned_run, "sample_task") == lines[0]  # a --values run
 
 
-def test_evaluate_digest_is_stable_and_listed():
+def test_evaluate_digest_is_stable_and_listed(pinned_run):
     # 600 tasks: several adaptation chunks on both networks
     first = digest_listing("evaluate")
     lines = first.splitlines()
@@ -83,7 +119,7 @@ def test_evaluate_digest_is_stable_and_listed():
     assert re.fullmatch(r"evaluate [0-9a-f]{64}", lines[0])
     listing = hashlib.sha256((lines[0] + "\n").encode("utf-8")).hexdigest()
     assert lines[1] == f"listing {listing}"
-    assert digest_listing("evaluate", flags=("--values",)) == first
+    assert pinned_line(pinned_run, "evaluate") == lines[0]  # a --values run
 
 
 def test_sampler_line_follows_the_runs():
@@ -177,8 +213,8 @@ def against(saved_text, tmp_path):
     )
 
 
-def test_against_exit_status(tmp_path):
-    line = digest_listing("protonet-fc-ibpi-on", flags=("--values",)).splitlines()[0]
+def test_against_exit_status(tmp_path, pinned_run):
+    line = pinned_line(pinned_run, "protonet-fc-ibpi-on")
     name, digest, acc, ci, width = line.split()
     out = against(line + "\n", tmp_path)
     assert out.returncode == 0, out.stderr[-2000:]

@@ -425,7 +425,7 @@ class TestStepConstants:
         with pytest.raises(ValueError, match=r"labels outside 0\.\.1"):
             LR.maml_outer_step(net, [task], batch_cross_entropy(net), None, adam(0.1), 0.1, 5)
         with pytest.raises(ValueError, match=r"labels outside 0\.\.1"):
-            LR.maml_task_accuracies(net, [task], 0.1, 5)
+            LR.predict_accuracy("maml", net, task, eval_steps=5, inner_lr=0.1)
         assert steps == []
 
     def test_protonet_step_builds_the_query_rows_once(self, monkeypatch):

@@ -731,7 +731,8 @@ class TestPredictAccuracy:
             accs.append(LR.predict_accuracy("protonet", net, task))
         assert abs(np.mean(accs) - 0.2) < 0.05
 
-    def test_empty_query_rejected(self):
+    @pytest.mark.parametrize("learner", ["protonet", "maml"])
+    def test_empty_query_rejected(self, learner):
         net = L.Network([L.fully_connected(np.eye(2), np.zeros(2))], split_index=1)
         task = Task(
             support_x=np.zeros((2, 2)),
@@ -740,8 +741,8 @@ class TestPredictAccuracy:
             query_y=np.zeros(0, dtype=int),
             class_ids=[0, 1],
         )
-        with pytest.raises(ValueError):
-            LR.predict_accuracy("protonet", net, task)
+        with pytest.raises(ValueError, match="empty query set"):
+            LR.predict_accuracy(learner, net, task)
 
     def test_maml_eval_fine_tunes_to_separable_task(self):
         ds = synth_dataset(4, 10, (3,), 10.0, 0.1, seed=13)
@@ -892,7 +893,7 @@ class TestTaskBatchedEvaluation:
         net, ds = make(0)
         spec, n_tasks = TaskSpec(5, 1, 15), 60
         task = sample_task(ds, spec, np.random.default_rng(0))
-        chunk = len(next(LR.task_chunks([task] * n_tasks)))
+        chunk = LR._per_chunk(LR._CHUNK_ELEMENTS, task.query_x.size)
         stacks = []
         forward = LR.forward
 

@@ -1,6 +1,6 @@
-"""MAML evaluation adapted a chunk of tasks at a time, against the single
-stack it replaced, and the one-array inner update of first-order
-adaptation."""
+"""MAML evaluation of a ``TaskDraw``, adapted a chunk of tasks at a time,
+against the single stack of ``sample_task`` tasks it replaced, and the
+one-array inner update of first-order adaptation."""
 
 import sys
 import tracemalloc
@@ -13,7 +13,7 @@ from fewshot_ibp import learners as LR
 from fewshot_ibp import tensor as T
 from fewshot_ibp.layers import forward, param_nodes_to_list
 from test_learners import conv_pool_network, fc_pool_network
-from test_task_chunks import ENTROPY, SPEC, draw, perturbed
+from test_task_chunks import ENTROPY, SPEC, chunk_size, draw, perturbed, task_draw
 
 STEPS, LR_INNER = 10, 0.1
 N_TASKS = 24
@@ -46,7 +46,8 @@ def reference_adapt(inner_loss, params, inner_lr, steps):
 
 def reference_task_accuracies(network, tasks, inner_lr, steps):
     """``maml_task_accuracies`` before adaptation in chunks, verbatim but
-    for the names it calls."""
+    for the names it calls and its query chunks, cut here at the scoring
+    budget's size."""
     tasks = list(tasks)
     if not tasks:
         raise ValueError("no tasks to adapt")
@@ -61,7 +62,8 @@ def reference_task_accuracies(network, tasks, inner_lr, steps):
 
     adapted = reference_adapt(inner_loss, LR._tiled_arrays(network, len(tasks)), inner_lr, steps)
     accs = []
-    for chunk in LR.task_chunks(tasks):
+    size = chunk_size(tasks[0])
+    for chunk in (tasks[start : start + size] for start in range(0, len(tasks), size)):
         done = len(accs)
         params = [
             {name: arr[done : done + len(chunk)] for name, arr in entry.items()}
@@ -132,7 +134,7 @@ def small_budget(monkeypatch, setting):
 class TestMamlTaskAccuracies:
     @pytest.mark.parametrize("n_tasks", [1, N_TASKS])
     def test_chunks_equal_single_stack(self, setting, small_budget, monkeypatch, n_tasks):
-        net, _, tasks = setting
+        net, ds, tasks = setting
         tasks = tasks[:n_tasks]
         ref_adapted = []
         spy_on(monkeypatch, sys.modules[__name__], "reference_adapt", ref_adapted)
@@ -140,7 +142,7 @@ class TestMamlTaskAccuracies:
         assert n_tasks == 1 or len(set(ref.tolist())) > 1
         adapted = []
         spy_on(monkeypatch, LR, "maml_adapt", adapted)
-        accs = LR.maml_task_accuracies(net, iter(tasks), LR_INNER, STEPS)
+        accs = LR.maml_task_accuracies(net, task_draw(ds, n_tasks), LR_INNER, STEPS)
         sizes = [chunk[0]["weight"].shape[0] for chunk in adapted]  # tasks per chunk
         assert sizes == ([1] if n_tasks == 1 else [7, 7, 7, 3])
         assert accs.tobytes() == ref.tobytes()
@@ -159,38 +161,10 @@ class TestMamlTaskAccuracies:
         assert mean == float(np.mean(ref))
         assert ci == float(1.96 * np.std(ref, ddof=1) / np.sqrt(N_TASKS))
 
-    def test_tasks_are_drawn_a_chunk_at_a_time(self, setting, small_budget, monkeypatch):
-        net, _, tasks = setting
-        drawn, seen = [], []
-
-        def lazily():
-            for task in tasks:
-                drawn.append(task)
-                yield task
-
-        def note_drawn(*args, **kwargs):
-            seen.append(len(drawn))
-            return adapt(*args, **kwargs)
-
-        adapt = LR.maml_adapt
-        monkeypatch.setattr(LR, "maml_adapt", note_drawn)
-        LR.maml_task_accuracies(net, lazily(), LR_INNER, 1)
-        assert seen == [7, 14, 21, 24]
-
-    def test_empty_query_set_in_a_later_chunk_rejected(self, setting, small_budget, monkeypatch):
-        net, _, tasks = setting
-        tasks[PER_CHUNK + 2].query_x = tasks[PER_CHUNK + 2].query_x[:0]
-        tasks[PER_CHUNK + 2].query_y = tasks[PER_CHUNK + 2].query_y[:0]
-        adapted = []
-        spy_on(monkeypatch, LR, "maml_adapt", adapted)
-        with pytest.raises(ValueError, match="empty query set"):
-            LR.maml_task_accuracies(net, tasks, LR_INNER, STEPS)
-        assert len(adapted) == 1  # the first chunk was adapted and scored
-
     def test_no_tasks_rejected(self):
-        net, _ = perturbed(fc_pool_network)
+        net, ds = perturbed(fc_pool_network)
         with pytest.raises(ValueError, match="no tasks"):
-            LR.maml_task_accuracies(net, iter([]), LR_INNER, STEPS)
+            LR.maml_task_accuracies(net, LR.TaskDraw(ds, SPEC, []), LR_INNER, STEPS)
 
 
 def test_maml_evaluate_memory_is_bounded_by_chunks():

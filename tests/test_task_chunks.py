@@ -1,6 +1,7 @@
-"""ProtoNet evaluation and compactness on a task axis, in chunks of tasks,
-and ProtoNet evaluation on a pool mapped once ahead of drawing, against
-the per-task loops they replaced."""
+"""ProtoNet evaluation and compactness of a ``TaskDraw``, scored on a task
+axis in chunks of tasks, and ProtoNet evaluation on a pool mapped once ahead
+of drawing, against the per-task loops over ``sample_task`` they
+replaced."""
 
 import tracemalloc
 
@@ -95,9 +96,15 @@ def draw(ds, n, spec=SPEC, entropy=ENTROPY):
     ]
 
 
+def task_draw(ds, n, spec=SPEC, entropy=ENTROPY):
+    """The tasks of :func:`draw`, as a ``TaskDraw`` of the same streams."""
+    seeds = (np.random.SeedSequence(entropy + (i,)) for i in range(n))
+    return LR.TaskDraw(ds, spec, map(np.random.default_rng, seeds))
+
+
 def chunk_size(task) -> int:
-    """Tasks per chunk for tasks shaped like ``task``."""
-    return len(next(LR.task_chunks([task] * N_TASKS)))
+    """Tasks per scoring chunk for tasks shaped like ``task``."""
+    return LR._per_chunk(LR._CHUNK_ELEMENTS, task.query_x.size)
 
 
 @pytest.fixture(params=[fc_pool_network, conv_pool_network], ids=["fc", "conv"])
@@ -118,7 +125,7 @@ class TestProtonetTaskAccuracies:
         ref = [reference_accuracy(net, task, distance) for task in tasks]
         assert len(set(ref)) > 1
         for n in task_counts(tasks):
-            accs = LR.protonet_task_accuracies(net, tasks[:n], distance)
+            accs = LR.protonet_task_accuracies(net, task_draw(ds, n), distance)
             np.testing.assert_array_equal(accs, ref[:n])
             mean, ci = H.evaluate(net, "protonet", ds, SPEC, n, ENTROPY, distance=distance)
             ref_mean = float(np.mean(ref[:n]))
@@ -127,39 +134,17 @@ class TestProtonetTaskAccuracies:
         for task, acc in zip(tasks[:3], ref):
             assert LR.predict_accuracy("protonet", net, task, distance=distance) == acc
 
-    def test_chunks_are_drawn_lazily(self):
-        net, ds = perturbed(fc_pool_network)
-        drawn = []
-
-        def tasks():
-            for task in draw(ds, N_TASKS):
-                drawn.append(task)
-                yield task
-
-        chunks = LR.task_chunks(tasks())
-        first = next(chunks)
-        assert 1 < len(first) == len(drawn) < N_TASKS
-        assert sum(map(len, chunks)) + len(first) == N_TASKS
-
-    def test_empty_query_set_in_chunk_rejected(self):
-        net, ds = perturbed(fc_pool_network)
-        tasks = draw(ds, 3)
-        tasks[2].query_x = tasks[2].query_x[:0]
-        tasks[2].query_y = tasks[2].query_y[:0]
-        with pytest.raises(ValueError, match="empty query set"):
-            LR.protonet_task_accuracies(net, tasks)
-
     def test_unknown_distance_and_learner_rejected(self):
         net, ds = perturbed(fc_pool_network)
         with pytest.raises(ValueError, match="unknown distance"):
-            LR.protonet_task_accuracies(net, draw(ds, 2), "cosine")
+            LR.protonet_task_accuracies(net, task_draw(ds, 2), "cosine")
         with pytest.raises(ValueError, match="unknown learner"):
             H.evaluate(net, "knn", ds, SPEC, 2, ENTROPY)
 
     def test_no_tasks_rejected(self):
-        net, _ = perturbed(fc_pool_network)
-        with pytest.raises(ValueError):
-            LR.protonet_task_accuracies(net, [])
+        net, ds = perturbed(fc_pool_network)
+        with pytest.raises(ValueError, match="no tasks"):
+            LR.protonet_task_accuracies(net, LR.TaskDraw(ds, SPEC, []))
 
 
 class TestCompactnessChunks:
@@ -310,7 +295,7 @@ class TestMappedPool:
         for distance in distances:
             ref = [reference_accuracy(net, task, distance) for task in draw(ds, n)]
             assert len(set(ref)) > 1
-            accs = LR.protonet_task_accuracies(net, draw(mapped_ds, n), distance, layers)
+            accs = LR.protonet_task_accuracies(net, task_draw(ds, n), distance)
             np.testing.assert_array_equal(accs, ref)
             inputs.clear()
             mean, ci = H.evaluate(net, "protonet", ds, SPEC, n, ENTROPY, distance=distance)
@@ -331,8 +316,8 @@ class TestMappedPool:
         assert mapped_ds.pool[0].size > ds.pool[0].size
         assert chunk_size(draw(mapped_ds, 1)[0]) < unmapped
         sizes = []
-        batches = LR.task_batches
-        monkeypatch.setattr(LR, "task_batches", lambda tasks, *args: (
+        batches = LR.TaskDraw.batches
+        monkeypatch.setattr(LR.TaskDraw, "batches", lambda tasks, *args: (
             sizes.append(len(batch.query_x)) or batch for batch in batches(tasks, *args)))
         H.evaluate(net, "protonet", ds, SPEC, N_TASKS, ENTROPY)
         full, rest = divmod(N_TASKS, unmapped)

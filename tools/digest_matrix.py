@@ -29,8 +29,9 @@ sampler directly as well; the same tasks drawn a block at a time
 they equal ``sample_task``'s, so a numpy change that breaks the replay of
 ``Generator.choice`` moves it.  The last line, ``evaluate``, hashes the
 per-task accuracies of first-order MAML evaluation
-(``fewshot_ibp.learners.maml_task_accuracies``) of 600 test
-tasks, on the fc and the conv network at their initialization, with the
+(``fewshot_ibp.learners.maml_task_accuracies``) of 600 test tasks, drawn
+through a ``fewshot_ibp.learners.TaskDraw`` from the streams ``evaluate``
+seeds, on the fc and the conv network at their initialization, with the
 matrix's eval spec, inner learning rate and eval inner steps, and the
 (mean, ci95) of ProtoNet ``fewshot_ibp.harness.evaluate`` of the same
 tasks on the same networks and on a wider conv network: the fc network
@@ -53,6 +54,14 @@ whose digest moved, with the values that moved, and it exits 1 if any
 run's ``test_accuracy`` or ``test_ci95`` moved.  A refactor whose digests
 move by rounding keeps every one of them.
 
+``tools/digest_listing.txt`` is the ``--values`` listing of the checkout it
+sits in, after two comment lines, ``# numpy <version>`` and ``# blas <name>
+<version>`` (from ``numpy.show_config(mode="dicts")``), that name what it
+was made with; lines that start with ``#`` are comments in any listing.
+``tests/test_digest_matrix.py`` runs ``--against`` it and requires exit 0,
+and, under the same numpy and BLAS, the same listing hash.  A change that
+moves results writes the file again in the same diff.
+
     python tools/digest_matrix.py              # all 120 runs, sample_task, evaluate
     python tools/digest_matrix.py --only maml1-fc-ibpi-on
     python tools/digest_matrix.py --only 'maml2-*'    # shell-style: the 60 second-order runs
@@ -60,6 +69,7 @@ move by rounding keeps every one of them.
     python tools/digest_matrix.py --only evaluate
     python tools/digest_matrix.py --values > parent-values.txt
     python tools/digest_matrix.py --against parent-values.txt   # in the other checkout
+    python tools/digest_matrix.py --against tools/digest_listing.txt
 """
 
 from __future__ import annotations
@@ -81,7 +91,7 @@ from fewshot_ibp.config import OBJECTIVES, RunConfig, resolve_dataset  # noqa: E
 from fewshot_ibp.episodes import TaskSpec, draw_task_rows, sample_task, spec_labels  # noqa: E402
 from fewshot_ibp.harness import evaluate, train  # noqa: E402
 from fewshot_ibp.layers import build_network  # noqa: E402
-from fewshot_ibp.learners import maml_task_accuracies  # noqa: E402
+from fewshot_ibp.learners import TaskDraw, maml_task_accuracies  # noqa: E402
 
 FC = (
     [
@@ -292,7 +302,8 @@ def sampler_digest() -> str:
 
 def evaluate_digest() -> str:
     """SHA-256 of the per-task accuracies of first-order MAML evaluation of
-    ``EVAL_TASKS`` tasks of the test split, drawn as ``evaluate`` draws them,
+    ``EVAL_TASKS`` tasks of the test split, drawn from the streams
+    ``evaluate`` seeds (a ``TaskDraw`` of ``SeedSequence((0, i))``),
     on the fc and on the conv network as the matrix's seed initializes
     them, and of the (mean, ci95) ProtoNet ``evaluate`` gives for the same
     tasks, on those two networks and on ``CONV_WIDE``.  It covers the
@@ -305,10 +316,8 @@ def evaluate_digest() -> str:
         network = build_network(layers, split_index, np.random.default_rng(config.seed))
         dataset = resolve_dataset(pool_data(pool)["test"])
         if setting is not CONV_WIDE:
-            tasks = (
-                sample_task(dataset, spec, np.random.default_rng(np.random.SeedSequence((0, i))))
-                for i in range(EVAL_TASKS)
-            )
+            seeds = (np.random.SeedSequence((0, i)) for i in range(EVAL_TASKS))
+            tasks = TaskDraw(dataset, spec, map(np.random.default_rng, seeds))
             accs = maml_task_accuracies(network, tasks, config.inner_lr, config.eval_inner_steps)
             digest.update(f"{accs.dtype.str} {accs.shape}".encode("utf-8"))
             digest.update(accs.tobytes())
@@ -323,11 +332,14 @@ CHECKS = {SAMPLER_RUN: sampler_digest, EVAL_RUN: evaluate_digest}
 
 def parse_listing(text: str) -> dict:
     """``{name: (digest, values)}`` for each line of a listing but the
-    ``listing`` line, ``values`` the ``key=value`` fields a ``--values``
-    listing appends to a run (empty on a check line).  A line that is not
-    a name, a digest and ``key=value`` fields raises ``ValueError``."""
+    ``listing`` line and comments, ``values`` the ``key=value`` fields a
+    ``--values`` listing appends to a run (empty on a check line).  A line
+    that is not a comment, nor a name, a digest and ``key=value`` fields,
+    raises ``ValueError``."""
     lines = {}
     for line in text.splitlines():
+        if line.startswith("#"):
+            continue
         parts = line.split()
         if len(parts) < 2 or any("=" not in field for field in parts[2:]):
             raise ValueError(f"not a listing line: {line!r}")
