@@ -161,6 +161,27 @@ class TestMamlTaskAccuracies:
         assert mean == float(np.mean(ref))
         assert ci == float(1.96 * np.std(ref, ddof=1) / np.sqrt(N_TASKS))
 
+    def test_tasks_are_drawn_a_chunk_at_a_time(self, setting, small_budget, monkeypatch):
+        net, ds, _ = setting
+        # draw blocks of 5 tasks, so a chunk of 7 is gathered once the block
+        # holding its last task is drawn: after 10, 15, 24 (of 25) and 24
+        monkeypatch.setattr(LR, "_CHUNK_ELEMENTS", 5 * SPEC.ways * (SPEC.shots + SPEC.query_shots))
+        taken, seen = [], []
+
+        def lazily():
+            for rng in task_draw(ds, N_TASKS).rngs:
+                taken.append(rng)
+                yield rng
+
+        def note_taken(*args, **kwargs):
+            seen.append(len(taken))
+            return adapt(*args, **kwargs)
+
+        adapt = LR.maml_adapt
+        monkeypatch.setattr(LR, "maml_adapt", note_taken)
+        LR.maml_task_accuracies(net, LR.TaskDraw(ds, SPEC, lazily()), LR_INNER, 1)
+        assert seen == [10, 15, 24, 24]
+
     def test_no_tasks_rejected(self):
         net, ds = perturbed(fc_pool_network)
         with pytest.raises(ValueError, match="no tasks"):

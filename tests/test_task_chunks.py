@@ -134,6 +134,27 @@ class TestProtonetTaskAccuracies:
         for task, acc in zip(tasks[:3], ref):
             assert LR.predict_accuracy("protonet", net, task, distance=distance) == acc
 
+    def test_chunks_are_drawn_lazily(self, monkeypatch):
+        net, ds = perturbed(fc_pool_network)
+        taken, seen = [], []  # generators taken; (generators taken, tasks) per chunk
+
+        def lazily():
+            for rng in task_draw(ds, N_TASKS).rngs:
+                taken.append(rng)
+                yield rng
+
+        def note_taken(layers, batch, distance):
+            seen.append((len(taken), len(batch.query_x)))
+            return score(layers, batch, distance)
+
+        score = LR._protonet_accuracies
+        monkeypatch.setattr(LR, "_protonet_accuracies", note_taken)
+        LR.protonet_task_accuracies(net, LR.TaskDraw(ds, SPEC, lazily()))
+        block = LR._per_chunk(LR._CHUNK_ELEMENTS, SPEC.ways * (SPEC.shots + SPEC.query_shots))
+        (first_taken, first), last_taken = seen[0], seen[-1][0]
+        assert 1 < first < first_taken == block < last_taken == N_TASKS
+        assert sum(n for _, n in seen) == N_TASKS
+
     def test_unknown_distance_and_learner_rejected(self):
         net, ds = perturbed(fc_pool_network)
         with pytest.raises(ValueError, match="unknown distance"):
