@@ -170,7 +170,8 @@ class Task:
 
     @property
     def ways(self) -> int:
-        return len(self.class_ids)
+        """Local labels 0..N-1: one more than the largest support label."""
+        return int(np.max(self.support_y, initial=-1)) + 1
 
 
 def check_supply(dataset: Dataset, spec: TaskSpec, name: str = "dataset") -> None:

@@ -5,13 +5,15 @@ compactness analysis, and consolidated reports.
 Training is sequential over steps, and both learners train on one layout: a
 stack of tasks on a leading task axis, which every layer reads from the
 input's odd rank (:func:`~fewshot_ibp.layers.has_task_axis`).  A step draws
-its tasks (a MAML meta-batch, or one ProtoNet task) and the interpolation of
-the tasks that fired, then scores all tasks at once: the cross-entropies
-give one value per task, tasks that did not fire interpolate with zero
-weight, and one loss tail adds the bound losses and weighs each task's
-losses with weights computed from its own detached values (one
-:func:`~fewshot_ibp.tensor.weighted_sum` node, as each mixed cross-entropy
-is).  Where a set's box is propagated with the parameters of its clean pass,
+its tasks (a MAML meta-batch, or one ProtoNet task) as pool rows gathered
+into one :class:`~fewshot_ibp.learners.TaskBatch`, as evaluation does, and
+the interpolation of the tasks that fired, then scores all tasks at once:
+the cross-entropies give one value per task, tasks that did not fire
+interpolate with zero weight, and one loss tail adds the bound losses and
+weighs each task's losses with weights computed from its own detached values
+(one :func:`~fewshot_ibp.tensor.weighted_sum` node, as each mixed
+cross-entropy is).  One update applies the mean of the tasks' gradients.
+Where a set's box is propagated with the parameters of its clean pass,
 both learners read the clean embeddings from the box centers instead of
 running the prefix again: ProtoNet for each set it propagates, and MAML for
 the support set of every inner step that interpolates toward bounds and for
@@ -37,7 +39,7 @@ import numpy as np
 
 from .bounds import propagate_prefix
 from .config import SCHEMA_VERSION, RunConfig, resolve_data
-from .episodes import Dataset, TaskSpec, as_int, sample_task
+from .episodes import Dataset, TaskSpec, _task_rows, as_int, spec_labels
 from .interpolation import (
     BOUND_MODES,
     MODES,
@@ -51,6 +53,8 @@ from .learners import (
     _CHUNK_ELEMENTS,
     TaskBatch,
     TaskDraw,
+    _classes,
+    _mean_update,
     _per_chunk,
     compute_prototypes,
     cross_entropy,
@@ -67,7 +71,7 @@ from .objective import (
     epsilon_schedule,
     total_loss,
 )
-from .optim import adam, optimizer_step
+from .optim import adam
 from .tensor import NonFiniteError, Tape, value_of, weighted_sum
 
 METRICS_COLUMNS = [
@@ -126,37 +130,39 @@ class _TaskMix(NamedTuple):
     query_rows: tuple | None = None
 
 
-def _draw_tasks(learner, n_tasks, dataset, config, sample_rng, interp_rng):
-    """A training step's tasks, then which of them interpolate, then how:
+def _draw_tasks(learner, n_tasks, dataset, config, sample_rng, interp_rng, classes, scored):
+    """A training step's tasks, one gather of the pool rows ``sample_task``
+    would draw (:meth:`~fewshot_ibp.learners.TaskBatch.gather` with
+    ``classes`` and ``scored``), then which of them interpolate, then how:
     each task that fired draws, in task order, its support coefficients, its
     query coefficients (the support ones when shared) and, for a mixup mode,
-    its pair task.  The mix is None when no task fired."""
+    its pair's rows.  A task that did not fire pairs with itself, and the
+    pair sets are one gather too.  The mix is None when no task fired."""
     spec = config.train_spec()
-    tasks = [sample_task(dataset, spec, sample_rng) for _ in range(n_tasks)]
+    spec_labels(dataset, spec)  # the supply check, before any draw, as sample_task makes it
+    rows = np.array([_task_rows(dataset, spec, sample_rng)[1] for _ in range(n_tasks)])
+    batch = TaskBatch.gather(dataset, spec, rows, classes, scored)
     if config.objective not in MODES:
-        return tasks, None
+        return batch, None
     fired = should_interpolate(learner, n_tasks, interp_rng, config.interp_probability)
     if not fired.any():
-        return tasks, None
-    ways = tasks[0].ways
-    lam = np.zeros((2, n_tasks, ways))  # the support rows, then the query rows
-    nu = np.zeros((2, n_tasks, ways), dtype=int)
+        return batch, None
+    lam = np.zeros((2, n_tasks, spec.ways))  # the support rows, then the query rows
+    nu = np.zeros((2, n_tasks, spec.ways), dtype=int)
     mixup = config.objective not in BOUND_MODES
-    pair_support_x = np.array([task.support_x for task in tasks]) if mixup else None
-    pair_query_x = np.array([task.query_x for task in tasks]) if mixup else None
     for t in np.flatnonzero(fired):
-        drawn = [sample_mix(ways, config.alpha, config.beta, interp_rng)]
+        drawn = [sample_mix(spec.ways, config.alpha, config.beta, interp_rng)]
         if not config.shared_mix_coeffs:
-            drawn.append(sample_mix(ways, config.alpha, config.beta, interp_rng))
+            drawn.append(sample_mix(spec.ways, config.alpha, config.beta, interp_rng))
         lam[:, t], nu[:, t] = [c.lam for c in drawn], [c.nu for c in drawn]
         if mixup:
-            pair = sample_task(dataset, spec, sample_rng)
-            pair_support_x[t], pair_query_x[t] = pair.support_x, pair.query_x
+            rows[t] = _task_rows(dataset, spec, sample_rng)[1]
+    pairs = TaskBatch.gather(dataset, spec, rows) if mixup else None
     coeffs = MixCoefficients(lam[0], nu[0]), MixCoefficients(lam[1], nu[1])
-    return tasks, _TaskMix(
-        *coeffs, pair_support_x, pair_query_x, np.where(fired[:, None], 0.5, np.array([1.0, 0.0])),
-        coeffs[0].rows(np.array([task.support_y for task in tasks])),
-        coeffs[1].rows(np.array([task.query_y for task in tasks])),
+    return batch, _TaskMix(
+        *coeffs, getattr(pairs, "support_x", None), getattr(pairs, "query_x", None),
+        np.where(fired[:, None], 0.5, np.array([1.0, 0.0])),
+        coeffs[0].rows(batch.support_y), coeffs[1].rows(batch.query_y),
     )
 
 
@@ -201,9 +207,10 @@ def _protonet_step(network, dataset, config, eps_t, sample_rng, interp_rng, opt_
     """One prototype-network update on the task axis, a batch of one task.
     Each parameter is a (1, ...) leaf, so no shared weight's gradient is
     summed over the task axis."""
-    tasks, mix = _draw_tasks("protonet", 1, dataset, config, sample_rng, interp_rng)
     # the query rows both cross-entropies read (support labels feed prototypes)
-    batch = TaskBatch.stack(tasks, tasks[0].ways, scored=("query",))
+    batch, mix = _draw_tasks(
+        "protonet", 1, dataset, config, sample_rng, interp_rng, config.train_ways, ("query",)
+    )
     mode = config.objective
     s = network.split_index
     # the clean pass shares the centers of the boxes that the bound losses or
@@ -220,7 +227,7 @@ def _protonet_step(network, dataset, config, eps_t, sample_rng, interp_rng, opt_
         def head_cross_entropy(support_h, query_h):
             support_emb = forward(network.head, support_h, params=head_params)
             query_emb = forward(network.head, query_h, params=head_params)
-            protos = compute_prototypes(support_emb, batch.support_y, tasks[0].ways)
+            protos = compute_prototypes(support_emb, batch.support_y, batch.ways)
             scores = protonet_logits(query_emb, protos, config.distance)
             return cross_entropy(scores, batch.query_targets)
 
@@ -240,10 +247,7 @@ def _protonet_step(network, dataset, config, eps_t, sample_rng, interp_rng, opt_
         total, diagnostics = _loss_tail(config, l_ce, qres)
         flat = param_nodes_to_list(params)
         grads = tape.backward(total, flat)
-    new_arrays, opt_state = optimizer_step(
-        network.parameter_arrays(), [grads[p][0] for p in flat], opt_state
-    )
-    network.set_parameter_arrays(new_arrays)
+    opt_state = _mean_update(network, [grads[p] for p in flat], opt_state)
     return _step_info(diagnostics), opt_state
 
 
@@ -296,10 +300,13 @@ def _maml_query_loss(network, config, eps_t, mix: _TaskMix | None):
 
 
 def _maml_step(network, dataset, config, eps_t, sample_rng, interp_rng, opt_state):
-    tasks, mix = _draw_tasks("maml", config.meta_batch, dataset, config, sample_rng, interp_rng)
+    batch, mix = _draw_tasks(
+        "maml", config.meta_batch, dataset, config, sample_rng, interp_rng,
+        _classes(network), ("support", "query"),
+    )
     diagnostics = maml_outer_step(
         network,
-        tasks,
+        batch,
         _maml_inner_loss(network, config, eps_t, mix),
         _maml_query_loss(network, config, eps_t, mix),
         opt_state,
@@ -336,28 +343,16 @@ def evaluate(
 
     Task ``i`` is the task :func:`~fewshot_ibp.episodes.sample_task` draws
     from its own stream seeded by (entropy, i).  Both learners are given
-    the same :class:`~fewshot_ibp.learners.TaskDraw` of those streams and
-    take its tasks a chunk at a time, so memory does not grow with
-    ``n_tasks``.  The streams are drawn a block
-    of ``_CHUNK_ELEMENTS`` row indices at a time, each block's tasks with two
-    ``integers`` calls per stream and array operations
-    (:func:`~fewshot_ibp.episodes.draw_task_rows`), and each chunk's support
-    and query sets are gathered from the pool straight into its stacked
-    arrays, one gather per set.  The meta-learner adapts each
-    chunk on a task axis, recording one tape per inner step for the whole
-    chunk, each released after its backward pass, and scores each task's
-    queries with its own adapted parameters, one forward pass per smaller
-    chunk of tasks (:func:`~fewshot_ibp.learners.maml_task_accuracies`); the
-    prototype learner scores them on a task axis
-    (:func:`~fewshot_ibp.learners.protonet_task_accuracies`).  Before it
-    draws, the prototype learner runs the layers before the first batchnorm
-    once on the whole pool when their output fits the mapped-pool budget,
-    and draws the same tasks from the mapped rows, which the remaining
-    layers score (:func:`~fewshot_ibp.learners.mapped_pool`): each drawn
-    row is then embedded once, not once per draw.  Its chunks hold as many
-    tasks as unmapped ones, so the one extra array is the mapped pool,
-    at most 2 MiB.  Otherwise the tasks are drawn from ``dataset`` and
-    embedded by the whole network.
+    the same :class:`~fewshot_ibp.learners.TaskDraw` of those streams, drawn
+    a block at a time (:func:`~fewshot_ibp.episodes.draw_task_rows`) and
+    gathered from the pool a chunk at a time, so memory does not grow with
+    ``n_tasks``.  The meta-learner adapts each chunk on a task axis, one
+    tape per inner step for the whole chunk, each released after its
+    backward pass, and scores each task's queries with its own adapted
+    parameters (:func:`~fewshot_ibp.learners.maml_task_accuracies`).  The
+    prototype learner scores them on a task axis, drawn from the pool as
+    mapped once by the layers before the first batchnorm when that fits its
+    budget (:func:`~fewshot_ibp.learners.protonet_task_accuracies`).
     Transfer is this call on a dataset other than the one trained on: the
     meta-learner still fine-tunes on each task's support set, and shape
     incompatibilities surface as ``ValueError`` from the forward pass.

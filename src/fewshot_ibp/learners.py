@@ -9,18 +9,19 @@ is one tape node (the ``euclidean`` root inside the scores' node), with a
 vjp written in tape operations that sums the adjoints of the primitive
 chain it replaced in that chain's order.
 Prototypes, distances and logits also take a leading task axis, where each
-task's queries meet only that task's prototypes; evaluation scores its tasks
-that way, in chunks of bounded size (:func:`protonet_task_accuracies`).  An
-odd-rank input stacks tasks (:func:`~fewshot_ibp.layers.has_task_axis`).
-When the layers before the first batchnorm map the whole pool into no more
-than ``_MAPPED_ELEMENTS`` elements, evaluation runs them once on the pool
-and draws its tasks from the mapped rows (:func:`mapped_pool`), in chunks
-of as many tasks as unmapped rows would give.
-Both learners' evaluation takes its tasks as a :class:`TaskDraw`, the tasks
-of a list of generators drawn a block at a time
-(:func:`~fewshot_ibp.episodes.draw_task_rows`) and gathered from the pool a
-chunk at a time (:meth:`TaskBatch.gather`).  One hand-built task is scored
-by :func:`predict_accuracy`, as a chunk of one.
+task's queries meet only that task's prototypes.  An odd-rank input stacks
+tasks (:func:`~fewshot_ibp.layers.has_task_axis`).
+
+Every drawn task reaches a learner as pool rows gathered into a
+:class:`TaskBatch`, its sets stacked on the task axis
+(:meth:`TaskBatch.gather`): a training step's tasks at once, and
+evaluation's as a :class:`TaskDraw`, drawn a block at a time
+(:func:`~fewshot_ibp.episodes.draw_task_rows`) and gathered a chunk at a
+time, so its memory is bounded by element budgets.  When the layers before
+the first batchnorm map the whole pool into no more than
+``_MAPPED_ELEMENTS`` elements, ProtoNet evaluation runs them once on the
+pool and draws from the mapped rows (:func:`mapped_pool`).  Only
+:func:`predict_accuracy` stacks a hand-built task (:meth:`TaskBatch.stack`).
 
 The meta-learner adapts a copy of the parameters on each task's support set
 with full-batch gradient descent, then is judged on the query set.
@@ -31,25 +32,17 @@ from what it is given: from arrays it adapts first-order, the inner update
 detached, so the outer gradient is the query gradient at the adapted
 parameters applied to the initial slots; from tape nodes it adapts
 second-order, re-recording the inner updates on their tape, for every layer
-kind.  One update op, :func:`_descended`, serves both orders.
-
-Tasks are adapted together on a leading task axis: their sets are stacked
-into a :class:`TaskBatch`, the parameters tiled to one copy per task, and
-the inner loss gives one value per task (as :func:`cross_entropy` does)
-and backward differentiates their sum, so each task's gradient is its own
-and one backward pass per step serves every task.  Evaluation draws, adapts
-and scores its tasks a chunk at a time, so its memory is bounded by two
-element budgets, one for adaptation and a smaller one for scoring the
-queries (:func:`maml_task_accuracies`).  Training, in
-:func:`maml_outer_step`, tiles θ into one tape leaf per task and adapts the
-arrays or the leaves, and one backward pass of the per-task query losses
-gives every task's gradient of θ.  A first-order inner update makes one
-fresh array per parameter and never writes into a gradient, which the tape
-may share between parameters.
-Every tape the meta-learner records is released as soon as its gradients
-have been read, so no graph waits for the cyclic collector.
+kind.  One update op, :func:`_descended`, serves both orders.  A batch's
+tasks adapt together: the parameters are tiled to one copy per task, the
+inner loss gives one value per task and backward differentiates their sum,
+so each task's gradient is its own and one backward pass per step serves
+every task.  A first-order inner update makes one fresh array per parameter
+and never writes into a gradient, which the tape may share between
+parameters.  Both training steps apply the mean of their per-task
+gradients with one optimizer step (:func:`_mean_update`).  Every tape the
+meta-learner records is released as soon as its gradients have been read,
+so no graph waits for the cyclic collector.
 """
-
 from __future__ import annotations
 
 import itertools
@@ -245,16 +238,18 @@ class TaskBatch(NamedTuple):
         return cls._with_targets(*sets, tasks[0].ways, classes, scored)
 
     @classmethod
-    def gather(cls, pool, rows, shots: int, labels, classes=None, scored=("support", "query")):
-        """The tasks whose pool rows are ``rows`` (tasks, ways, K+Q), first
-        K to the support set, as :meth:`stack` stacks the tasks
+    def gather(cls, dataset, spec, rows, classes=None, scored=("support", "query")):
+        """The tasks of ``spec`` whose pool rows are ``rows`` (tasks, ways,
+        K+Q), first K to the support set, as :meth:`stack` stacks the tasks
         :func:`~fewshot_ibp.episodes.sample_task` gives for those rows: each
-        set is one gather from ``pool`` into its stacked array, and its
-        labels a read-only view of the spec's ``labels`` (support, query)."""
+        set is one gather from ``dataset.pool`` into its stacked array, and
+        its labels a read-only view of :func:`~fewshot_ibp.episodes.spec_labels`."""
         n, ways = rows.shape[:2]
-        parts = rows[..., :shots], rows[..., shots:]
-        support_x, query_x = (pool.take(part.reshape(n, -1), axis=0) for part in parts)
-        support_y, query_y = (np.broadcast_to(y, (n,) + y.shape) for y in labels)
+        parts = rows[..., : spec.shots], rows[..., spec.shots :]
+        support_x, query_x = (dataset.pool.take(part.reshape(n, -1), axis=0) for part in parts)
+        # the views np.broadcast_to makes, at a quarter of its cost
+        support_y, query_y = (np.ndarray((n,) + y.shape, y.dtype, y, 0, (0,) + y.strides)
+                              for y in spec_labels(dataset, spec))
         return cls._with_targets(support_x, support_y, query_x, query_y, ways, classes, scored)
 
 
@@ -323,32 +318,31 @@ class TaskDraw(NamedTuple):
         while len(rows := draw_task_rows(self.dataset, spec, itertools.islice(rngs, per_block))[1]):
             yield rows
 
-    def batches(self, size: int, classes: int | None = None, scored=("support", "query")):
-        """Consecutive chunks of ``size`` tasks (the last may hold fewer),
-        drawn a block at a time as they are needed, each gathered from the
-        pool into a :class:`TaskBatch` (:meth:`TaskBatch.gather`; ``classes``
-        and ``scored`` as for :meth:`TaskBatch.stack`)."""
-        labels = spec_labels(self.dataset, self.spec)
-
-        def gather(rows):
-            pool, shots = self.dataset.pool, self.spec.shots
-            return TaskBatch.gather(pool, rows, shots, labels, classes, scored)
-
-        short = None  # the rows of fewer than ``size`` tasks, drawn and not gathered
+    def _row_chunks(self, size: int):
+        """The pool rows of consecutive chunks of ``size`` tasks (the last
+        may hold fewer), drawn a block at a time as they are needed."""
+        short = None  # the rows of fewer than ``size`` tasks, drawn and not yielded
         for block in self._row_blocks():
             if short is not None:
                 fill = size - len(short)
                 short, block = np.concatenate([short, block[:fill]]), block[fill:]
                 if len(short) < size:
                     continue
-                yield gather(short)
+                yield short
             whole = len(block) - len(block) % size
             for start in range(0, whole, size):
-                yield gather(block[start : start + size])
+                yield block[start : start + size]
             # a copy, so that the block is freed before the next is drawn
             short = block[whole:].copy() if whole < len(block) else None
         if short is not None:
-            yield gather(short)
+            yield short
+
+    def batches(self, size: int, classes: int | None = None, scored=("support", "query")):
+        """Consecutive chunks of ``size`` tasks (:meth:`_row_chunks`), each
+        gathered from the pool into a :class:`TaskBatch` as it is needed
+        (:meth:`TaskBatch.gather`, with ``classes`` and ``scored``)."""
+        chunks = self._row_chunks(size)
+        return (TaskBatch.gather(self.dataset, self.spec, rows, classes, scored) for rows in chunks)
 
 
 def _tiled_arrays(network: Network, n_tasks: int) -> list[dict]:
@@ -530,9 +524,19 @@ def _accuracy(scores, labels):
     return np.mean(predictions == labels, axis=-1)
 
 
+def _mean_update(network: Network, task_grads: list, opt_state):
+    """One optimizer step on the mean of each parameter's per-task gradients
+    (tasks, ...), added in task order (one task: its gradient, bit for bit)."""
+    scale = 1.0 / len(task_grads[0])
+    mean_grads = [np.add.reduce(g, axis=0) * scale for g in task_grads]
+    new_arrays, opt_state = optimizer_step(network.parameter_arrays(), mean_grads, opt_state)
+    network.set_parameter_arrays(new_arrays)
+    return opt_state
+
+
 def maml_outer_step(
     network: Network,
-    tasks,
+    batch: TaskBatch,
     inner_loss,
     query_loss,
     opt_state,
@@ -540,27 +544,24 @@ def maml_outer_step(
     inner_steps: int,
     first_order: bool = True,
 ):
-    """One meta-update over a batch of tasks, all adapted at once.
+    """One meta-update over the tasks of ``batch``, all adapted at once.
 
-    The tasks are stacked into a :class:`TaskBatch` and the parameters θ
-    tiled into one leaf per task, ``tape.leaf(broadcast_to(a, (T,) +
-    a.shape))``, on a single tape.  ``inner_loss(batch, params)`` returns the
-    per-task support losses, shape (tasks,), which :func:`maml_adapt` takes
-    as they are, first-order from the tiled arrays or second-order on the
-    tape from the tiled leaves.  ``query_loss(batch, theta, phi)`` returns
-    the per-task total losses, shape (tasks,), and diagnostics of any form;
-    one backward pass of them gives each task's own gradient of θ.  The
-    gradients are averaged over the batch, adding in task order, and applied
-    with one optimizer step; the tape is released once they are read.
-    Returns the diagnostics.
+    The parameters θ are tiled into one leaf per task, ``tape.leaf(
+    broadcast_to(a, (T,) + a.shape))``, on a single tape.
+    ``inner_loss(batch, params)`` returns the per-task support losses,
+    shape (tasks,), which :func:`maml_adapt` takes as they are, first-order
+    from the tiled arrays or second-order on the tape from the tiled leaves.
+    ``query_loss(batch, theta, phi)`` returns the per-task total losses,
+    shape (tasks,), and diagnostics of any form; one backward pass of them
+    gives each task's own gradient of θ, and :func:`_mean_update` applies
+    their mean once the tape is released.  Returns the diagnostics.
     """
-    tasks = list(tasks)
-    if not tasks:
+    n_tasks = len(batch.query_x)
+    if not n_tasks:
         raise ValueError("task batch is empty")
-    batch = TaskBatch.stack(tasks, _classes(network))
 
     with Tape() as tape:
-        tiled = _tiled_arrays(network, len(tasks))
+        tiled = _tiled_arrays(network, n_tasks)
         theta = [{name: tape.leaf(arr) for name, arr in entry.items()} for entry in tiled]
         theta_flat = param_nodes_to_list(theta)
         phi = maml_adapt(
@@ -579,10 +580,7 @@ def maml_outer_step(
         else:
             grads = tape.backward(losses, theta_flat)
             task_grads = [grads[t] for t in theta_flat]
-    scale = 1.0 / len(tasks)
-    mean_grads = [np.add.reduce(g, axis=0) * scale for g in task_grads]
-    new_arrays, opt_state = optimizer_step(network.parameter_arrays(), mean_grads, opt_state)
-    network.set_parameter_arrays(new_arrays)
+    _mean_update(network, task_grads, opt_state)
     return diagnostics
 
 

@@ -1,14 +1,17 @@
 """Tasks drawn a block at a time (``episodes.draw_task_rows``) and gathered
 a chunk at a time (``learners.TaskDraw``), against ``sample_task``, which
-draws them one at a time; and evaluation on them, against the per-task
-loop."""
+draws them one at a time; evaluation on them, against the per-task loop;
+and a training step's draw (``harness._draw_tasks``), against
+``sample_task`` and ``TaskBatch.stack``."""
 
 import numpy as np
 import pytest
 
 from fewshot_ibp import episodes as E
 from fewshot_ibp import harness as H
+from fewshot_ibp import interpolation as I
 from fewshot_ibp import learners as LR
+from fewshot_ibp.config import OBJECTIVES, RunConfig
 from test_task_chunks import (
     ENTROPY,
     SPEC,
@@ -51,8 +54,7 @@ def assert_same_tasks(dataset, spec, make_rngs):
     need = spec.shots + spec.query_shots
     assert classes.shape == (len(rngs), spec.ways)
     assert rows.shape == (len(rngs), spec.ways, need)
-    labels = E.spec_labels(dataset, spec)
-    batch = LR.TaskBatch.gather(dataset.pool, rows, spec.shots, labels)
+    batch = LR.TaskBatch.gather(dataset, spec, rows)
     for t, rng in enumerate(ref_rngs):
         task = E.sample_task(dataset, spec, rng)
         assert [dataset.class_ids[c] for c in classes[t].tolist()] == task.class_ids
@@ -307,6 +309,89 @@ def test_box_width_equals_sample_task_loop():
         box = H.propagate_prefix(net, task.query_x, 0.1).values().box
         widths.append(float(np.mean(box.upper - box.lower)))
     assert H.mean_box_width(net, ds, SPEC, 0.1, n_tasks=30) == float(np.mean(widths))
+
+
+# -- a training step's draw, against sample_task and TaskBatch.stack ------------
+
+
+def reference_draw_tasks(learner, n_tasks, dataset, config, sample_rng, interp_rng, classes,
+                         scored):
+    """A training step's draw as it was made before training gathered pool
+    rows: ``sample_task`` for each task and each fired task's pair, the
+    batch stacked by ``TaskBatch.stack`` and the pair sets stacked from the
+    tasks, a fired task's pair in its place."""
+    spec = config.train_spec()
+    tasks = [E.sample_task(dataset, spec, sample_rng) for _ in range(n_tasks)]
+    batch = LR.TaskBatch.stack(tasks, classes, scored)
+    if config.objective not in I.MODES:
+        return batch, None
+    fired = I.should_interpolate(learner, n_tasks, interp_rng, config.interp_probability)
+    if not fired.any():
+        return batch, None
+    ways = tasks[0].ways
+    lam = np.zeros((2, n_tasks, ways))
+    nu = np.zeros((2, n_tasks, ways), dtype=int)
+    mixup = config.objective not in I.BOUND_MODES
+    pair_support_x = np.array([task.support_x for task in tasks]) if mixup else None
+    pair_query_x = np.array([task.query_x for task in tasks]) if mixup else None
+    for t in np.flatnonzero(fired):
+        drawn = [I.sample_mix(ways, config.alpha, config.beta, interp_rng)]
+        if not config.shared_mix_coeffs:
+            drawn.append(I.sample_mix(ways, config.alpha, config.beta, interp_rng))
+        lam[:, t], nu[:, t] = [c.lam for c in drawn], [c.nu for c in drawn]
+        if mixup:
+            pair = E.sample_task(dataset, spec, sample_rng)
+            pair_support_x[t], pair_query_x[t] = pair.support_x, pair.query_x
+    coeffs = I.MixCoefficients(lam[0], nu[0]), I.MixCoefficients(lam[1], nu[1])
+    return batch, H._TaskMix(
+        *coeffs, pair_support_x, pair_query_x, np.where(fired[:, None], 0.5, np.array([1.0, 0.0])),
+        coeffs[0].rows(np.array([task.support_y for task in tasks])),
+        coeffs[1].rows(np.array([task.query_y for task in tasks])),
+    )
+
+
+def leaves(value):
+    """The arrays (or None) of a task batch or a mix, in field order."""
+    if isinstance(value, I.MixCoefficients):
+        return [value.lam, value.nu]
+    if isinstance(value, tuple):
+        return [leaf for field in value for leaf in leaves(field)]
+    return [value]
+
+
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("objective", OBJECTIVES)
+@pytest.mark.parametrize("learner,n_tasks", [("protonet", 1), ("maml", 4)])
+def test_training_draw_equals_sample_task_and_stack(learner, n_tasks, objective, shared):
+    net, ds = fc_pool_network(0)
+    cfg = RunConfig(
+        learner=learner, objective=objective, layers=[{"kind": "relu"}] * len(net.layers),
+        split_index=net.split_index, meta_batch=n_tasks, shared_mix_coeffs=shared,
+        interp_probability=0.5,  # some steps interpolate and some do not
+    )
+    if learner == "protonet":
+        classes, scored = cfg.train_ways, ("query",)
+    else:
+        classes, scored = LR._classes(net), ("support", "query")
+    rngs = [np.random.default_rng(9), np.random.default_rng(10)]
+    ref_rngs = [np.random.default_rng(9), np.random.default_rng(10)]
+    mixed = []
+    for _ in range(8):
+        batch, mix = H._draw_tasks(learner, n_tasks, ds, cfg, *rngs, classes, scored)
+        want, want_mix = reference_draw_tasks(learner, n_tasks, ds, cfg, *ref_rngs, classes, scored)
+        assert batch.ways == want.ways == cfg.train_ways
+        assert (mix is None) == (want_mix is None)
+        mixed.append(mix is not None)
+        for got, ref in zip(leaves(batch[:-1]) + leaves(mix), leaves(want[:-1]) + leaves(want_mix)):
+            if ref is None:
+                assert got is None
+                continue
+            got, ref = np.asarray(got), np.asarray(ref)
+            assert (got.dtype, got.shape) == (ref.dtype, ref.shape)
+            assert got.tobytes() == ref.tobytes()
+    assert [state(r) for r in rngs] == [state(r) for r in ref_rngs]
+    if objective in I.MODES:  # steps with and without a mix were compared
+        assert any(mixed) and not all(mixed)
 
 
 # -- task sizes must be integers ------------------------------------------------

@@ -28,7 +28,6 @@ from fewshot_ibp.episodes import TaskSpec, sample_task, synth_dataset
 from fewshot_ibp.optim import BETA1, BETA2, STABILIZER, adam, optimizer_step
 from test_bounds import centered_prefix, faces_rule_prefix
 from test_harness import make_config
-from test_learners import batch_cross_entropy
 from test_tensor import fd_gradient, fused_against_chain
 
 
@@ -422,8 +421,11 @@ class TestStepConstants:
         task = sample_task(ds, TaskSpec(3, 1, 2), rng)  # labels 0..2
         steps = []
         monkeypatch.setattr(LR, "maml_adapt", lambda *a, **k: steps.append(a))
+        # a training step gathers its batch, one-hot rows checked, before adapting
+        cfg = RunConfig(learner="maml", objective="vanilla", layers=[{"kind": "relu"}],
+                        split_index=1, train_ways=3, train_shots=1, train_query_shots=2)
         with pytest.raises(ValueError, match=r"labels outside 0\.\.1"):
-            LR.maml_outer_step(net, [task], batch_cross_entropy(net), None, adam(0.1), 0.1, 5)
+            H._maml_step(net, ds, cfg, 0.0, rng, rng, adam(0.1))
         with pytest.raises(ValueError, match=r"labels outside 0\.\.1"):
             LR.predict_accuracy("maml", net, task, eval_steps=5, inner_lr=0.1)
         assert steps == []

@@ -425,8 +425,8 @@ class TestMamlOuterStep:
             info = {"losses": (1.0, 0.0, 0.0), "weights": (1, 0, 0), "total": 1.0}
             return T.mul(const, 1.0), [info]
 
-        task = self.make_task(rng)
-        LR.maml_outer_step(net, [task], batch_cross_entropy(net), frozen_loss, adam(0.01), 0.1, 1)
+        batch = LR.TaskBatch.stack([self.make_task(rng)], LR._classes(net))
+        LR.maml_outer_step(net, batch, batch_cross_entropy(net), frozen_loss, adam(0.01), 0.1, 1)
         for a, b in zip(before, net.parameter_arrays()):
             np.testing.assert_array_equal(a, b)
 
@@ -447,7 +447,8 @@ class TestMamlOuterStep:
                 return loss, [{"total": float(v)} for v in T.value_of(loss)]
 
             LR.maml_outer_step(
-                net, batch, batch_cross_entropy(net), task_loss, adam(0.01), 0.05, 2
+                net, LR.TaskBatch.stack(batch, LR._classes(net)), batch_cross_entropy(net),
+                task_loss, adam(0.01), 0.05, 2,
             )
             return net.parameter_arrays()
 
@@ -744,6 +745,38 @@ class TestPredictAccuracy:
         with pytest.raises(ValueError, match="empty query set"):
             LR.predict_accuracy(learner, net, task)
 
+    @pytest.mark.parametrize("learner", ["protonet", "maml"])
+    def test_task_without_class_ids_scores_as_with_them(self, learner):
+        # the ways come from the local labels; without ids a task had 0 ways,
+        # and the prototype learner raised "labels outside 0..-1"
+        rng = np.random.default_rng(16)
+        net = L.Network([L.init_fully_connected(3, 2, rng)], split_index=1)
+        sets = dict(
+            support_x=rng.standard_normal((4, 3)), support_y=np.array([0, 0, 1, 1]),
+            query_x=rng.standard_normal((4, 3)), query_y=np.array([0, 1, 0, 1]),
+        )
+        bare, named = Task(**sets), Task(**sets, class_ids=[7, 9])
+        assert bare.ways == named.ways == 2
+        kwargs = {"eval_steps": 3, "inner_lr": 0.1} if learner == "maml" else {}
+        got = LR.predict_accuracy(learner, net, bare, **kwargs)
+        assert got == LR.predict_accuracy(learner, net, named, **kwargs)
+
+    @pytest.mark.parametrize("learner", ["protonet", "maml"])
+    def test_argmax_ties_resolve_to_the_lowest_class(self, learner):
+        # an exact tie between the true class and a higher one: the lowest
+        # index scores 1.0, the last index would score 0.0
+        if learner == "protonet":
+            # prototypes 10, 1 and -1; the query at 0 is as far from 1 as from -1
+            net = L.Network([L.fully_connected(np.eye(1), np.zeros(1))], split_index=1)
+            support_x, query_y = np.array([[10.0], [1.0], [-1.0]]), np.array([1])
+        else:
+            # scores 0, 0 and -0 for the query at 0, unadapted
+            net = L.Network([L.fully_connected(np.array([[0.0], [1.0], [-1.0]]), np.zeros(3))],
+                            split_index=1)
+            support_x, query_y = np.array([[1.0], [2.0], [3.0]]), np.array([0])
+        task = Task(support_x, np.arange(3), np.zeros((1, 1)), query_y, class_ids=[0, 1, 2])
+        assert LR.predict_accuracy(learner, net, task, eval_steps=0) == 1.0
+
     def test_maml_eval_fine_tunes_to_separable_task(self):
         ds = synth_dataset(4, 10, (3,), 10.0, 0.1, seed=13)
         rng = np.random.default_rng(14)
@@ -946,7 +979,8 @@ class TestTapeRelease:
     def test_outer_step_frees_every_tape(self, tapes, first_order):
         net, ds = fc_pool_network(3)
         rng = np.random.default_rng(4)
-        batch = [sample_task(ds, TaskSpec(5, 1, 3), rng) for _ in range(2)]
+        tasks = [sample_task(ds, TaskSpec(5, 1, 3), rng) for _ in range(2)]
+        batch = LR.TaskBatch.stack(tasks, LR._classes(net))
 
         def task_loss(stacked, theta, phi):
             logits = L.forward(net.layers, stacked.query_x, params=phi)

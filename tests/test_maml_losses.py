@@ -97,7 +97,8 @@ def close(got, want):
 
 
 def draw_step(net, ds, objective, flags, first_order, **overrides):
-    """A MAML config and one step's task batch and interpolation."""
+    """A MAML config and one step's task batch and interpolation, drawn as
+    ``harness._maml_step`` draws them."""
     cfg = RunConfig(**{
         "learner": "maml",
         "objective": objective,
@@ -113,11 +114,12 @@ def draw_step(net, ds, objective, flags, first_order, **overrides):
         "interp_probability": 1.0,  # a task fires: the support set shares its centers
         **overrides,
     })
-    tasks, mix = H._draw_tasks(
-        "maml", cfg.meta_batch, ds, cfg, np.random.default_rng(1), np.random.default_rng(2)
+    batch, mix = H._draw_tasks(
+        "maml", cfg.meta_batch, ds, cfg, np.random.default_rng(1), np.random.default_rng(2),
+        LR._classes(net), ("support", "query"),
     )
     assert (mix is None) == (objective not in BOUND_MODES)
-    return cfg, tasks, mix
+    return cfg, batch, mix
 
 
 def losses(net, cfg, mix, new):
@@ -127,7 +129,7 @@ def losses(net, cfg, mix, new):
     return _maml_inner_loss(net, cfg, EPS, mix), _maml_query_loss(net, cfg, EPS, mix)
 
 
-def meta_step(net, tasks, cfg, inner_loss, query_loss, monkeypatch):
+def meta_step(net, batch, cfg, inner_loss, query_loss, monkeypatch):
     """One ``maml_outer_step``: the values of every inner loss, the query
     diagnostics and the mean gradient of each parameter, which is not
     applied."""
@@ -146,7 +148,7 @@ def meta_step(net, tasks, cfg, inner_loss, query_loss, monkeypatch):
         return out
 
     diagnostics = LR.maml_outer_step(
-        net, tasks, recorded, query_loss, adam(0.01), cfg.inner_lr, cfg.inner_steps,
+        net, batch, recorded, query_loss, adam(0.01), cfg.inner_lr, cfg.inner_steps,
         first_order=cfg.first_order,
     )
     return inner_values, diagnostics, seen["grads"]
@@ -161,9 +163,8 @@ class TestSharedCenters:
     @pytest.mark.parametrize("objective", BOXED)
     def test_loss_values_bit_equal_to_the_replaced_code(self, network, objective, flags):
         net, ds = NETWORKS[network](0)
-        cfg, tasks, mix = draw_step(net, ds, objective, flags, True)
-        batch = LR.TaskBatch.stack(tasks)
-        theta = LR._tiled_arrays(net, len(tasks))
+        cfg, batch, mix = draw_step(net, ds, objective, flags, True)
+        theta = LR._tiled_arrays(net, len(batch.query_x))
         rng = np.random.default_rng(3)
         phi = [
             {name: arr + 0.05 * rng.standard_normal(arr.shape) for name, arr in entry.items()}
@@ -194,9 +195,9 @@ class TestSharedCenters:
     ):
         make = NETWORKS[network]
         net, ds = make(0)
-        cfg, tasks, mix = draw_step(net, ds, objective, flags, first_order)
-        got = meta_step(net, tasks, cfg, *losses(net, cfg, mix, True), monkeypatch)
-        want = meta_step(net, tasks, cfg, *losses(net, cfg, mix, False), monkeypatch)
+        cfg, batch, mix = draw_step(net, ds, objective, flags, first_order)
+        got = meta_step(net, batch, cfg, *losses(net, cfg, mix, True), monkeypatch)
+        want = meta_step(net, batch, cfg, *losses(net, cfg, mix, False), monkeypatch)
         (inner_values, diagnostics, grads), (ref_inner, ref_diagnostics, ref_grads) = got, want
         assert len(inner_values) == len(ref_inner) == cfg.inner_steps
         assert_bit_equal(inner_values[0], ref_inner[0])  # at θ, before any update
@@ -222,21 +223,20 @@ class TestSharedCenters:
             np.random.default_rng(5),
         )
         _, ds = fc_pool_network(0)
-        cfg, tasks, mix = draw_step(
+        cfg, batch, mix = draw_step(
             net, ds, "ibpi", True, False, meta_batch=2, static_weights=[0.5, 0.25, 0.25]
         )
         inner, query = losses(net, cfg, mix, True)
-        _, _, grads = meta_step(net, tasks, cfg, inner, query, monkeypatch)
-        batch = LR.TaskBatch.stack(tasks)
+        _, _, grads = meta_step(net, batch, cfg, inner, query, monkeypatch)
         arrays = net.parameter_arrays()
 
         def meta_loss(arrs):
             net.set_parameter_arrays(arrs)
-            theta = LR._tiled_arrays(net, len(tasks))
+            theta = LR._tiled_arrays(net, len(batch.query_x))
             phi = LR.maml_adapt(
                 lambda params: T.sum_(inner(batch, params)), theta, cfg.inner_lr, cfg.inner_steps
             )
-            return float(np.sum(value_of(query(batch, theta, phi)[0]))) / len(tasks)
+            return float(np.sum(value_of(query(batch, theta, phi)[0]))) / len(batch.query_x)
 
         for index, g in enumerate(grads):
             fd = fd_gradient(meta_loss, arrays, index, step=1e-6)
