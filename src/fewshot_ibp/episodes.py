@@ -21,10 +21,10 @@ leaving every generator in the state :func:`sample_task` leaves it in.
 Without replacement, numpy's ``Generator.choice`` runs Floyd's algorithm
 and then a Fisher-Yates shuffle, each draw below a bound taken from a raw
 32-bit word by Lemire's method (arXiv 1805.10941).  The block drawer takes
-each generator's words with one ``integers`` call for its classes and one
-for its instances, and resolves both algorithms across the whole block
-with array operations.  Where numpy shuffles the tail of a full range
-instead, it draws with :func:`sample_task`'s calls.
+all of a task's words with one ``integers`` call per generator (two where a
+class has exactly K+Q instances), and resolves both algorithms across the
+whole block with array operations.  Where numpy shuffles the tail of a full
+range instead, it draws with :func:`sample_task`'s calls.
 """
 
 from __future__ import annotations
@@ -77,8 +77,8 @@ class Dataset:
     read-only, C-contiguous float64 pool is kept as it is; any other is
     copied and frozen.  Each instance has one or more axes, none of them
     empty.  Counts and ids must be integers, and are kept as Python ints.
-    A non-finite instance raises ``NonFiniteError``.  A dataset is
-    fixed once made: :func:`sample_task` caches per task spec what it has
+    A non-finite instance raises ``NonFiniteError``.  A dataset is fixed
+    once made: task draws and gathers cache per task spec what they have
     checked and built.
     """
 
@@ -243,9 +243,8 @@ def _tail_shuffled(items: int, size: int) -> bool:
 
 def _replayed(rng, words, items, size: int) -> list:
     """``rng.choice(m, size, replace=False)`` for each ``m`` of ``items`` in
-    turn, one draw at a time, from ``words`` and then from ``rng``: the
-    path for a block stream whose words include a rejection."""
-    words = iter(words.tolist())
+    turn, one draw at a time, from the iterator ``words`` and then from
+    ``rng``: the path for a block stream whose words include a rejection."""
 
     def below(bound):
         if bound == 1:
@@ -271,40 +270,22 @@ def _replayed(rng, words, items, size: int) -> list:
     return drawn
 
 
-def _word_slots(short: np.ndarray, width: int) -> np.ndarray:
-    """Which of a stream's (k, width) draw slots take a word: all but the
-    first of a choice whose items equal its size (``short``)."""
-    slots = np.ones((len(short), width), dtype=bool)
-    slots[short, 0] = False
-    return slots
-
-
-def _block_choices(rngs, items: np.ndarray, size: int, dtype) -> np.ndarray:
-    """``rngs[s].choice(items[s, i], size, replace=False)`` for each ``i`` in
-    turn, for every stream ``s``: an (n, k, size) array of ``dtype``.
+def _resolved(words: np.ndarray, items: np.ndarray, size: int, dtype):
+    """``choice(items[s, i], size, replace=False)`` for every stream ``s``
+    and each ``i``, from ``words`` laid out (n, k, 2 size - 1): an (n, k,
+    size) array of ``dtype``, and whether each stream had a word rejected.
 
     Each choice draws ``size`` values for Floyd's algorithm, the ``j``-th
     below ``items - size + j + 1``, then ``size - 1`` for the shuffle, below
     ``size`` down to 2; a bound of 1 (the first draw when ``items ==
-    size``) takes no word.  A stream's words come from one ``integers``
-    call and are laid out (k, 2 size - 1), a slot left free where a draw
-    takes none.  The draws are resolved one slot at a time across the
-    block, each choice a column of a (size, n k) array.  A word that
-    Lemire's method rejects shifts every later draw of its stream onto the
-    next word, so such a stream is drawn again one draw at a time
-    (:func:`_replayed`), pulling its extra words from its generator.
+    size``) takes no word, and its slot is left free.  The draws are
+    resolved one slot at a time across the block, each choice a column of
+    a (size, n k) array.  A word that Lemire's method rejects shifts every
+    later draw of its stream onto the next word, so such a stream must be
+    drawn again one draw at a time (:func:`_replayed`).
     """
     n, k = items.shape
-    width = 2 * size - 1
-    words = np.empty((n, k, width), dtype=np.uint32)
-    short = items == size
-    for s, (rng, ragged) in enumerate(zip(rngs, short.any(axis=1).tolist())):
-        if ragged:
-            slots = _word_slots(short[s], width)
-            words[s][slots] = rng.integers(0, 2**32, size=int(slots.sum()), dtype=np.uint32)
-        else:
-            words[s] = rng.integers(0, 2**32, size=k * width, dtype=np.uint32).reshape(k, width)
-    flat = words.reshape(n * k, width)
+    flat = words.reshape(n * k, -1)
     rejected = np.zeros(n * k, dtype=bool)
 
     def below(slot, bound):
@@ -324,10 +305,21 @@ def _block_choices(rngs, items: np.ndarray, size: int, dtype) -> np.ndarray:
         swapped = out[t, choices]
         out[t, choices] = out[i]
         out[i] = swapped
-    out = np.ascontiguousarray(out.T).reshape(n, k, size)
-    for s in np.flatnonzero(rejected.reshape(n, k).any(axis=1)).tolist():
-        slots = _word_slots(short[s], width)
-        out[s] = _replayed(rngs[s], words[s][slots], items[s].tolist(), size)
+    return np.ascontiguousarray(out.T).reshape(n, k, size), rejected.reshape(n, k).any(axis=1)
+
+
+def _block_choices(rngs, items: np.ndarray, size: int, dtype) -> np.ndarray:
+    """``rngs[s].choice(items[s, i], size, replace=False)`` for each ``i`` in
+    turn, for every stream ``s``, from one ``integers`` call per stream: an
+    (n, k, size) array of ``dtype`` (:func:`_resolved`)."""
+    slots = np.ones(items.shape + (2 * size - 1,), dtype=bool)  # which slots take a word
+    slots[items == size, 0] = False
+    words = np.empty(slots.shape, dtype=np.uint32)
+    for s, rng in enumerate(rngs):
+        words[s][slots[s]] = rng.integers(0, 2**32, size=int(slots[s].sum()), dtype=np.uint32)
+    out, rejected = _resolved(words, items, size, dtype)
+    for s in np.flatnonzero(rejected).tolist():
+        out[s] = _replayed(rngs[s], iter(words[s][slots[s]].tolist()), items[s].tolist(), size)
     return out
 
 
@@ -339,27 +331,42 @@ def draw_task_rows(dataset: Dataset, spec: TaskSpec, rngs) -> tuple[np.ndarray, 
     the pool has 2**31 rows or more.
 
     The classes of the whole block are resolved first, then their
-    instances (:func:`_block_choices`): two ``integers`` calls per
-    generator.  Where numpy would shuffle the tail of a full range (more
-    than 10,000 classes, or instances of a class, and a sample of more than
-    1/50 of them) every generator draws with :func:`sample_task`'s calls.
-    The supply is checked as :func:`sample_task` checks it.
+    instances (:func:`_resolved`), from one ``integers`` call per generator
+    (a stream with a rejected word drawn again as a whole task), or from
+    two where a class has exactly K+Q instances, since a task's words then
+    depend on its classes (:func:`_block_choices`).  Where numpy would
+    shuffle the tail of a full range (more than 10,000 classes, or
+    instances of a class, and a sample of more than 1/50 of them) every
+    generator draws with :func:`sample_task`'s calls.  The supply is
+    checked first, as :func:`sample_task` checks it.
     """
     rngs = list(rngs)
     spec_labels(dataset, spec)
-    need = spec.shots + spec.query_shots
+    n, ways, need = len(rngs), spec.ways, spec.shots + spec.query_shots
     dtype = np.int32 if len(dataset.pool) < 2**31 else np.int64
-    if _tail_shuffled(dataset.n_classes, spec.ways) or any(
+    if not rngs:
+        return np.empty((0, ways), dtype=dtype), np.empty((0, ways, need), dtype=dtype)
+    if _tail_shuffled(dataset.n_classes, ways) or any(
         _tail_shuffled(count, need) for count in dataset.counts
     ):
-        drawn = [_task_rows(dataset, spec, rng) for rng in rngs]
-        return (
-            np.array([c for c, _ in drawn], dtype=dtype).reshape(-1, spec.ways),
-            np.array([r for _, r in drawn], dtype=dtype).reshape(-1, spec.ways, need),
-        )
-    n_classes = np.full((len(rngs), 1), dataset.n_classes)
-    classes = _block_choices(rngs, n_classes, spec.ways, dtype)[:, 0]
-    rows = _block_choices(rngs, np.array(dataset.counts)[classes], need, dtype)
+        drawn = zip(*(_task_rows(dataset, spec, rng) for rng in rngs))
+        return tuple(np.array(part, dtype=dtype) for part in drawn)
+    counts, n_classes = np.array(dataset.counts), np.full((n, 1), dataset.n_classes)
+    if need in dataset.counts:  # a task's words depend on its classes
+        classes = _block_choices(rngs, n_classes, ways, dtype)[:, 0]
+        rows = _block_choices(rngs, counts[classes], need, dtype)
+    else:
+        first, split = int(dataset.n_classes == ways), 2 * ways - 1  # the class words' slots
+        words = np.empty((n, split + ways * (2 * need - 1)), dtype=np.uint32)
+        for s, rng in enumerate(rngs):
+            words[s, first:] = rng.integers(0, 2**32, size=len(words[s]) - first, dtype=np.uint32)
+        classes, rejected = _resolved(words[:, None, :split], n_classes, ways, dtype)
+        classes = classes[:, 0]
+        rows, also = _resolved(words[:, split:].reshape(n, ways, -1), counts[classes], need, dtype)
+        for s in np.flatnonzero(rejected | also).tolist():
+            taken = iter(words[s, first:].tolist())
+            classes[s] = _replayed(rngs[s], taken, [dataset.n_classes], ways)[0]
+            rows[s] = _replayed(rngs[s], taken, counts[classes[s]].tolist(), need)
     rows += dataset.offsets[classes][..., None]
     return classes, rows
 

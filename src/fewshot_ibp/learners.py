@@ -222,20 +222,18 @@ class TaskBatch(NamedTuple):
     ways: int
 
     @classmethod
-    def _with_targets(cls, support_x, support_y, query_x, query_y, ways, classes, scored):
-        """Given ``classes``, the targets of the ``scored`` sets are their
-        labels' checked one-hot rows; other targets are labels."""
+    def stack(cls, tasks, classes: int | None = None, scored=("support", "query")) -> "TaskBatch":
+        """Stacked ``tasks``.  Given ``classes``, the targets of the
+        ``scored`` sets are their labels' checked one-hot rows; other
+        targets are labels."""
+        support_x, support_y, query_x, query_y = (
+            np.array([getattr(task, name) for task in tasks]) for name in cls._fields[:4]
+        )
         targets = (
             y if classes is None or name not in scored else _onehot(y, y.shape + (classes,))
             for name, y in (("support", support_y), ("query", query_y))
         )
-        return cls(support_x, support_y, query_x, query_y, *targets, ways)
-
-    @classmethod
-    def stack(cls, tasks, classes: int | None = None, scored=("support", "query")) -> "TaskBatch":
-        """Stacked ``tasks``, with targets as :meth:`_with_targets` makes them."""
-        sets = [np.array([getattr(task, name) for task in tasks]) for name in cls._fields[:4]]
-        return cls._with_targets(*sets, tasks[0].ways, classes, scored)
+        return cls(support_x, support_y, query_x, query_y, *targets, tasks[0].ways)
 
     @classmethod
     def gather(cls, dataset, spec, rows, classes=None, scored=("support", "query")):
@@ -243,14 +241,24 @@ class TaskBatch(NamedTuple):
         K+Q), first K to the support set, as :meth:`stack` stacks the tasks
         :func:`~fewshot_ibp.episodes.sample_task` gives for those rows: each
         set is one gather from ``dataset.pool`` into its stacked array, and
-        its labels a read-only view of :func:`~fewshot_ibp.episodes.spec_labels`."""
+        its labels and targets read-only views of one task's, kept beside
+        :func:`~fewshot_ibp.episodes.spec_labels` once built and checked."""
         n, ways = rows.shape[:2]
         parts = rows[..., : spec.shots], rows[..., spec.shots :]
         support_x, query_x = (dataset.pool.take(part.reshape(n, -1), axis=0) for part in parts)
+        key = spec, classes, tuple(scored)
+        if (one := dataset._label_cache.get(key)) is None:  # one task's labels, then targets
+            labels = spec_labels(dataset, spec)
+            one = labels + tuple(y if classes is None or name not in scored
+                                 else _onehot(y[None], (1,) + y.shape + (classes,))[0]
+                                 for name, y in zip(("support", "query"), labels))
+            for a in one:
+                a.flags.writeable = False
+            dataset._label_cache[key] = one
         # the views np.broadcast_to makes, at a quarter of its cost
-        support_y, query_y = (np.ndarray((n,) + y.shape, y.dtype, y, 0, (0,) + y.strides)
-                              for y in spec_labels(dataset, spec))
-        return cls._with_targets(support_x, support_y, query_x, query_y, ways, classes, scored)
+        support_y, query_y, *targets = (np.ndarray((n,) + a.shape, a.dtype, a, 0, (0,) + a.strides)
+                                        for a in one)
+        return cls(support_x, support_y, query_x, query_y, *targets, ways)
 
 
 # Element budget of one scoring chunk's stacked query input: 27 tasks of

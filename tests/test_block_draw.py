@@ -109,11 +109,46 @@ class TestDrawTaskRows:
         classes, rows = E.draw_task_rows(fc_pool(), SPEC, [])
         assert classes.shape == (0, SPEC.ways) and rows.shape == (0, SPEC.ways, 16)
 
+    def test_no_generators_resolve_no_slots(self, monkeypatch):
+        calls = []
+        resolved = E._resolved
+        monkeypatch.setattr(E, "_resolved", lambda *args: calls.append(1) or resolved(*args))
+        classes, rows = E.draw_task_rows(fc_pool(), SPEC, [])
+        assert (classes.dtype, rows.dtype) == (np.int32, np.int32) and calls == []
+        # one block of 30 tasks, then the empty block that ends the draw
+        batches = LR.TaskDraw(fc_pool(), SPEC, pcg(range(30))).batches(7)
+        assert sum(len(batch.query_x) for batch in batches) == 30
+        assert len(calls) == 2  # the block's classes and its instances
+
     def test_supply_checked(self):
         with pytest.raises(ValueError, match="tasks need 13"):
             E.draw_task_rows(fc_pool(), E.TaskSpec(13, 1, 1), pcg(range(2)))
         with pytest.raises(ValueError, match="tasks need 40"):
             E.draw_task_rows(fc_pool(), E.TaskSpec(2, 20, 20), pcg(range(2)))
+
+
+class CountingGenerator:
+    """A generator that counts its ``integers`` calls."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.integers(*args, **kwargs)
+
+
+@pytest.mark.parametrize("make_dataset,spec,calls", [
+    pytest.param(fc_pool, E.TaskSpec(5, 1, 15), 1, id="fc"),
+    pytest.param(fc_pool, E.TaskSpec(12, 5, 10), 1, id="ways-equal-classes"),
+    # a class of exactly K+Q instances: the instance words depend on the classes
+    pytest.param(uneven_dataset, E.TaskSpec(3, 2, 3), 2, id="uneven"),
+    pytest.param(fc_pool, E.TaskSpec(12, 5, 25), 2, id="count-equals-need"),
+])
+def test_integers_calls_per_stream(make_dataset, spec, calls):
+    stubs = [CountingGenerator(rng) for rng in pcg(range(200))]
+    E.draw_task_rows(make_dataset(), spec, stubs)
+    assert [stub.calls for stub in stubs] == [calls] * 200
 
 
 # -- the rejection path, on words chosen to reject ----------------------------

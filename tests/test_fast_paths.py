@@ -24,7 +24,7 @@ from fewshot_ibp import learners as LR
 from fewshot_ibp import tensor as T
 from fewshot_ibp.config import RunConfig, resolve_data
 from fewshot_ibp.objective import bound_losses
-from fewshot_ibp.episodes import TaskSpec, sample_task, synth_dataset
+from fewshot_ibp.episodes import TaskSpec, draw_task_rows, sample_task, synth_dataset
 from fewshot_ibp.optim import BETA1, BETA2, STABILIZER, adam, optimizer_step
 from test_bounds import centered_prefix, faces_rule_prefix
 from test_harness import make_config
@@ -413,6 +413,26 @@ class TestStepConstants:
         assert plain.support_targets is plain.support_y and plain.query_targets is plain.query_y
         with pytest.raises(ValueError, match=r"labels outside 0\.\.1"):
             LR.TaskBatch.stack(tasks, 2)
+
+    def test_gathered_targets_built_once_per_spec(self, monkeypatch):
+        ds = synth_dataset(6, 10, (4,), 2.0, 0.5, seed=8)
+        spec = TaskSpec(3, 2, 3)
+        rows = draw_task_rows(ds, spec, [np.random.default_rng(s) for s in range(4)])[1]
+        calls = []
+        onehot = LR._onehot
+        monkeypatch.setattr(LR, "_onehot", lambda *args: calls.append(1) or onehot(*args))
+        for n in (4, 2):
+            batch = LR.TaskBatch.gather(ds, spec, rows[:n], 5)
+            for y, got in ((batch.support_y, batch.support_targets),
+                           (batch.query_y, batch.query_targets)):
+                want = onehot(np.array(y), y.shape + (5,))
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes() and not got.flags.writeable
+        assert len(calls) == 2  # the support and the query rows, on the first gather
+        for _ in range(2):  # labels that fail the check are not kept
+            with pytest.raises(ValueError, match=r"labels outside 0\.\.1"):
+                LR.TaskBatch.gather(ds, spec, rows, 2)
+        assert len(calls) == 4
 
     def test_bad_labels_raise_before_the_first_inner_step(self, monkeypatch):
         rng = np.random.default_rng(10)
