@@ -4,8 +4,9 @@ Configs load from JSON files whose keys mirror the field names.  Dataset
 entries under ``data``, keyed by split (``train``, ``val``, ``test``), are
 either ``{"path": ...}`` (the portable dataset format) or ``{"synth":
 {...}}`` with :func:`fewshot_ibp.episodes.synth_dataset` keyword arguments.
-Each entry is checked when the config is built, so an unknown split or a
-malformed entry fails naming its split and field before any file is opened.
+Each entry's split, keys and types are checked when the config is built,
+naming its split and field before any file is opened; its values (a role,
+a class count) when the data is made (:func:`resolve_data`), naming its split.
 """
 
 from __future__ import annotations
@@ -230,15 +231,22 @@ def resolve_dataset(entry: dict) -> Dataset:
 def resolve_data(config: RunConfig) -> dict[str, Dataset]:
     """Datasets for the splits named in the config (train required).
 
-    Raises ``ValueError`` unless the train split can supply every task of
-    :meth:`RunConfig.train_spec`, the ``val`` and ``test`` splits every task
-    of :meth:`RunConfig.eval_spec`, each split's instances fit the layers,
-    and, for MAML, the network's output rows have a score for each of the
-    split's ways, so a run that cannot finish fails before its first step.
+    A ``ValueError`` from making a split's dataset is raised again with a
+    ``data.<split>: `` prefix.  Raises ``ValueError`` unless the train split
+    can supply every task of :meth:`RunConfig.train_spec`, the ``val`` and
+    ``test`` splits every task of :meth:`RunConfig.eval_spec`, each split's
+    instances fit the layers, and, for MAML, the network's output rows have
+    a score for each of the split's ways, so a run that cannot finish fails
+    before its first step.
     """
     if "train" not in config.data:
         raise ValueError("config data section needs at least a 'train' entry")
-    data = {split: resolve_dataset(entry) for split, entry in config.data.items()}
+    data = {}
+    for split, entry in config.data.items():
+        try:
+            data[split] = resolve_dataset(entry)
+        except ValueError as err:
+            raise ValueError(f"data.{split}: {err}") from err
     eval_spec = config.eval_spec()
     specs = {"train": config.train_spec(), "val": eval_spec, "test": eval_spec}
     for split, spec in specs.items():

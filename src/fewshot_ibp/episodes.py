@@ -444,19 +444,13 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return buf
 
 
-def _is_int(value) -> bool:
-    """Whether a header value is a JSON integer; ``true`` and ``false`` are
-    Python ints too, and are not."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _check_header(header) -> None:
     if not isinstance(header, dict) or any(k not in header for k in _HEADER_KEYS):
         raise ValueError(f"dataset header must be an object with keys {_HEADER_KEYS}")
     ids, counts, shape = header["class_ids"], header["per_class_counts"], header["instance_shape"]
     if not all(isinstance(v, list) for v in (ids, counts, shape)):
         raise ValueError("class_ids, per_class_counts and instance_shape must be lists")
-    if not _is_int(header["n_classes"]):
+    if not _is_integer(header["n_classes"]):
         raise ValueError(f"n_classes {header['n_classes']!r} in dataset header is not an integer")
     if not header["n_classes"] == len(ids) == len(counts):
         raise ValueError(
@@ -465,10 +459,10 @@ def _check_header(header) -> None:
         )
     for name, values in (("per_class_counts", counts), ("instance_shape", shape)):
         for value in values:
-            if not _is_int(value) or value < 0:
+            if not _is_integer(value) or value < 0:
                 raise ValueError(f"bad count or extent {value!r} in dataset header {name}")
     for cid in ids:
-        if not _is_int(cid):
+        if not _is_integer(cid):
             raise ValueError(f"class id {cid!r} in dataset header class_ids is not an integer")
 
 

@@ -130,10 +130,10 @@ class _TaskMix(NamedTuple):
     query_rows: tuple | None = None
 
 
-def _draw_tasks(learner, n_tasks, dataset, config, sample_rng, interp_rng, classes, scored):
+def _draw_tasks(learner, n_tasks, dataset, config, sample_rng, interp_rng, classes):
     """A training step's tasks, one gather of the pool rows ``sample_task``
-    would draw (:meth:`~fewshot_ibp.learners.TaskBatch.gather` with
-    ``classes`` and ``scored``), then which of them interpolate, then how:
+    would draw (:meth:`~fewshot_ibp.learners.TaskBatch.gather`, its targets
+    ``classes`` wide), then which of them interpolate, then how:
     each task that fired draws, in task order, its support coefficients, its
     query coefficients (the support ones when shared) and, for a mixup mode,
     its pair's rows.  A task that did not fire pairs with itself, and the
@@ -141,7 +141,7 @@ def _draw_tasks(learner, n_tasks, dataset, config, sample_rng, interp_rng, class
     spec = config.train_spec()
     spec_labels(dataset, spec)  # the supply check, before any draw, as sample_task makes it
     rows = np.array([_task_rows(dataset, spec, sample_rng)[1] for _ in range(n_tasks)])
-    batch = TaskBatch.gather(dataset, spec, rows, classes, scored)
+    batch = TaskBatch.gather(dataset, spec, rows, classes)
     if config.objective not in MODES:
         return batch, None
     fired = should_interpolate(learner, n_tasks, interp_rng, config.interp_probability)
@@ -207,10 +207,8 @@ def _protonet_step(network, dataset, config, eps_t, sample_rng, interp_rng, opt_
     """One prototype-network update on the task axis, a batch of one task.
     Each parameter is a (1, ...) leaf, so no shared weight's gradient is
     summed over the task axis."""
-    # the query rows both cross-entropies read (support labels feed prototypes)
-    batch, mix = _draw_tasks(
-        "protonet", 1, dataset, config, sample_rng, interp_rng, config.train_ways, ("query",)
-    )
+    # query targets one per way, for both cross-entropies (support labels feed prototypes)
+    batch, mix = _draw_tasks("protonet", 1, dataset, config, sample_rng, interp_rng, None)
     mode = config.objective
     s = network.split_index
     # the clean pass shares the centers of the boxes that the bound losses or
@@ -301,8 +299,7 @@ def _maml_query_loss(network, config, eps_t, mix: _TaskMix | None):
 
 def _maml_step(network, dataset, config, eps_t, sample_rng, interp_rng, opt_state):
     batch, mix = _draw_tasks(
-        "maml", config.meta_batch, dataset, config, sample_rng, interp_rng,
-        _classes(network), ("support", "query"),
+        "maml", config.meta_batch, dataset, config, sample_rng, interp_rng, _classes(network)
     )
     diagnostics = maml_outer_step(
         network,
@@ -344,15 +341,16 @@ def evaluate(
     Task ``i`` is the task :func:`~fewshot_ibp.episodes.sample_task` draws
     from its own stream seeded by (entropy, i).  Both learners are given
     the same :class:`~fewshot_ibp.learners.TaskDraw` of those streams, drawn
-    a block at a time (:func:`~fewshot_ibp.episodes.draw_task_rows`) and
-    gathered from the pool a chunk at a time, so memory does not grow with
-    ``n_tasks``.  The meta-learner adapts each chunk on a task axis, one
-    tape per inner step for the whole chunk, each released after its
-    backward pass, and scores each task's queries with its own adapted
-    parameters (:func:`~fewshot_ibp.learners.maml_task_accuracies`).  The
-    prototype learner scores them on a task axis, drawn from the pool as
-    mapped once by the layers before the first batchnorm when that fits its
-    budget (:func:`~fewshot_ibp.learners.protonet_task_accuracies`).
+    a block of whole chunks at a time
+    (:func:`~fewshot_ibp.episodes.draw_task_rows`) and gathered from the
+    pool a chunk at a time, so memory does not grow with ``n_tasks``.  The
+    meta-learner adapts each chunk on a task axis, one tape per inner step
+    for the whole chunk, each released after its backward pass, and scores
+    each task's queries with its own adapted parameters
+    (:func:`~fewshot_ibp.learners.maml_task_accuracies`).  The prototype
+    learner scores them on a task axis, drawn from the pool as mapped once
+    by the layers before the first batchnorm when that fits its budget
+    (:func:`~fewshot_ibp.learners.protonet_task_accuracies`).
     Transfer is this call on a dataset other than the one trained on: the
     meta-learner still fine-tunes on each task's support set, and shape
     incompatibilities surface as ``ValueError`` from the forward pass.

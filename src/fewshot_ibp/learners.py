@@ -13,14 +13,14 @@ task's queries meet only that task's prototypes.  An odd-rank input stacks
 tasks (:func:`~fewshot_ibp.layers.has_task_axis`).
 
 Every drawn task reaches a learner as pool rows gathered into a
-:class:`TaskBatch`, its sets stacked on the task axis
-(:meth:`TaskBatch.gather`): a training step's tasks at once, and
-evaluation's as a :class:`TaskDraw`, drawn a block at a time
-(:func:`~fewshot_ibp.episodes.draw_task_rows`) and gathered a chunk at a
-time, so its memory is bounded by element budgets.  When the layers before
-the first batchnorm map the whole pool into no more than
-``_MAPPED_ELEMENTS`` elements, ProtoNet evaluation runs them once on the
-pool and draws from the mapped rows (:func:`mapped_pool`).  Only
+:class:`TaskBatch`, its sets stacked on the task axis and its targets the
+one-hot rows of its labels (:meth:`TaskBatch.gather`): a training step's
+tasks at once, and evaluation's as a :class:`TaskDraw`, drawn a block of
+whole chunks at a time (:func:`~fewshot_ibp.episodes.draw_task_rows`) and
+gathered a chunk at a time, so its memory is bounded by element budgets.
+When the layers before the first batchnorm map the whole pool into no more
+than ``_MAPPED_ELEMENTS`` elements, ProtoNet evaluation runs them once on
+the pool and draws from the mapped rows (:func:`mapped_pool`).  Only
 :func:`predict_accuracy` stacks a hand-built task (:meth:`TaskBatch.stack`).
 
 The meta-learner adapts a copy of the parameters on each task's support set
@@ -222,21 +222,19 @@ class TaskBatch(NamedTuple):
     ways: int
 
     @classmethod
-    def stack(cls, tasks, classes: int | None = None, scored=("support", "query")) -> "TaskBatch":
-        """Stacked ``tasks``.  Given ``classes``, the targets of the
-        ``scored`` sets are their labels' checked one-hot rows; other
-        targets are labels."""
+    def stack(cls, tasks, classes: int | None = None) -> "TaskBatch":
+        """Stacked ``tasks``, the targets of both sets their labels' checked
+        one-hot rows, ``classes`` wide (the tasks' ways when not given)."""
         support_x, support_y, query_x, query_y = (
             np.array([getattr(task, name) for task in tasks]) for name in cls._fields[:4]
         )
-        targets = (
-            y if classes is None or name not in scored else _onehot(y, y.shape + (classes,))
-            for name, y in (("support", support_y), ("query", query_y))
-        )
-        return cls(support_x, support_y, query_x, query_y, *targets, tasks[0].ways)
+        ways = tasks[0].ways
+        width = ways if classes is None else classes
+        targets = (_onehot(y, y.shape + (width,)) for y in (support_y, query_y))
+        return cls(support_x, support_y, query_x, query_y, *targets, ways)
 
     @classmethod
-    def gather(cls, dataset, spec, rows, classes=None, scored=("support", "query")):
+    def gather(cls, dataset, spec, rows, classes=None):
         """The tasks of ``spec`` whose pool rows are ``rows`` (tasks, ways,
         K+Q), first K to the support set, as :meth:`stack` stacks the tasks
         :func:`~fewshot_ibp.episodes.sample_task` gives for those rows: each
@@ -246,12 +244,10 @@ class TaskBatch(NamedTuple):
         n, ways = rows.shape[:2]
         parts = rows[..., : spec.shots], rows[..., spec.shots :]
         support_x, query_x = (dataset.pool.take(part.reshape(n, -1), axis=0) for part in parts)
-        key = spec, classes, tuple(scored)
+        key = spec, ways if classes is None else classes
         if (one := dataset._label_cache.get(key)) is None:  # one task's labels, then targets
             labels = spec_labels(dataset, spec)
-            one = labels + tuple(y if classes is None or name not in scored
-                                 else _onehot(y[None], (1,) + y.shape + (classes,))[0]
-                                 for name, y in zip(("support", "query"), labels))
+            one = labels + tuple(_onehot(y[None], (1,) + y.shape + (key[1],))[0] for y in labels)
             for a in one:
                 a.flags.writeable = False
             dataset._label_cache[key] = one
@@ -269,10 +265,10 @@ class TaskBatch(NamedTuple):
 # per chunk, so small chunks cost little; adaptation has its own budget
 # below.  Tasks drawn from a mapped pool are counted at their unmapped query
 # size, so a chunk holds the same tasks mapped or not.  Evaluation also
-# draws its tasks in blocks of this many row indices (:class:`TaskDraw`),
-# 204 tasks of 5 x 16 rows, so a block's indices take about a query chunk's
-# memory; a block pays its array operations once per draw slot whatever its
-# size, so it is not cut to the size of a chunk.
+# draws its tasks in blocks of whole chunks that fit this many row indices
+# (:meth:`TaskDraw.batches`), 7 chunks of 27 tasks of 5 x 16 rows, so a
+# block's indices take about a query chunk's memory and no chunk spans two
+# blocks.
 _CHUNK_ELEMENTS = 2**14
 
 # Element budget (2 MiB of float64) of the pool that ProtoNet evaluation maps
@@ -310,47 +306,24 @@ class TaskDraw(NamedTuple):
     spec: TaskSpec
     rngs: Iterable[np.random.Generator]
 
-    def sizes(self) -> tuple[int, int, int]:
-        """Each task's support elements, query elements and query rows."""
+    def sizes(self) -> tuple[int, int]:
+        """Each task's support elements and query elements."""
         spec, row = self.spec, self.dataset.pool[0].size
-        query_rows = spec.ways * spec.query_shots
-        return spec.ways * spec.shots * row, query_rows * row, query_rows
+        return spec.ways * spec.shots * row, spec.ways * spec.query_shots * row
 
-    def _row_blocks(self):
-        """The pool rows (tasks, ways, K+Q) of consecutive blocks of the
-        generators, each block as many tasks as fit ``_CHUNK_ELEMENTS`` row
-        indices (:func:`~fewshot_ibp.episodes.draw_task_rows`)."""
-        spec = self.spec
-        per_block = _per_chunk(_CHUNK_ELEMENTS, spec.ways * (spec.shots + spec.query_shots))
-        rngs = iter(self.rngs)
-        while len(rows := draw_task_rows(self.dataset, spec, itertools.islice(rngs, per_block))[1]):
-            yield rows
-
-    def _row_chunks(self, size: int):
-        """The pool rows of consecutive chunks of ``size`` tasks (the last
-        may hold fewer), drawn a block at a time as they are needed."""
-        short = None  # the rows of fewer than ``size`` tasks, drawn and not yielded
-        for block in self._row_blocks():
-            if short is not None:
-                fill = size - len(short)
-                short, block = np.concatenate([short, block[:fill]]), block[fill:]
-                if len(short) < size:
-                    continue
-                yield short
-            whole = len(block) - len(block) % size
-            for start in range(0, whole, size):
-                yield block[start : start + size]
-            # a copy, so that the block is freed before the next is drawn
-            short = block[whole:].copy() if whole < len(block) else None
-        if short is not None:
-            yield short
-
-    def batches(self, size: int, classes: int | None = None, scored=("support", "query")):
-        """Consecutive chunks of ``size`` tasks (:meth:`_row_chunks`), each
-        gathered from the pool into a :class:`TaskBatch` as it is needed
-        (:meth:`TaskBatch.gather`, with ``classes`` and ``scored``)."""
-        chunks = self._row_chunks(size)
-        return (TaskBatch.gather(self.dataset, self.spec, rows, classes, scored) for rows in chunks)
+    def batches(self, size: int, classes: int | None = None):
+        """Consecutive chunks of ``size`` tasks (the last may hold fewer),
+        each gathered from the pool into a :class:`TaskBatch` as it is
+        needed (:meth:`TaskBatch.gather`, with ``classes``).  The tasks are
+        drawn (:func:`~fewshot_ibp.episodes.draw_task_rows`) a block of
+        whole chunks at a time: as many chunks as fit ``_CHUNK_ELEMENTS``
+        row indices, at least one."""
+        dataset, spec, rngs = self.dataset, self.spec, iter(self.rngs)
+        chunk_rows = size * spec.ways * (spec.shots + spec.query_shots)
+        per_block = size * _per_chunk(_CHUNK_ELEMENTS, chunk_rows)
+        while len(block := draw_task_rows(dataset, spec, itertools.islice(rngs, per_block))[1]):
+            for start in range(0, len(block), size):
+                yield TaskBatch.gather(dataset, spec, block[start : start + size], classes)
 
 
 def _tiled_arrays(network: Network, n_tasks: int) -> list[dict]:
@@ -461,10 +434,10 @@ def maml_task_accuracies(
     the traced peak of evaluation was 214 MB, against about 4.5 MB in
     chunks.
     """
-    support, query, _ = tasks.sizes()
+    support, query = tasks.sizes()
     size = _per_chunk(_ADAPT_ELEMENTS, network.parameter_vector.size + support + query)
     accs = []
-    for batch in tasks.batches(size, _classes(network), scored=("support",)):
+    for batch in tasks.batches(size, _classes(network)):
         accs.extend(_maml_accuracies(network, batch, inner_lr, steps))
     if not accs:
         raise ValueError("no tasks to adapt")
@@ -607,13 +580,13 @@ def predict_accuracy(
     meta-learner fine-tunes on the support set for ``eval_steps``
     (:func:`_maml_accuracies`) and takes the argmax of the classifier
     outputs.  Argmax ties resolve to the lowest class index.  A task with an
-    empty query set raises ``ValueError``.
+    empty query set, or a label outside the scores, raises ``ValueError``.
     """
     if task.query_x.shape[0] == 0:
         raise ValueError("task has an empty query set")
     if learner == "protonet":
         return _protonet_accuracies(network.layers, TaskBatch.stack([task]), distance)[0]
     if learner == "maml":
-        batch = TaskBatch.stack([task], _classes(network), scored=("support",))
+        batch = TaskBatch.stack([task], _classes(network))
         return _maml_accuracies(network, batch, inner_lr, eval_steps)[0]
     raise ValueError(f"unknown learner {learner!r}")

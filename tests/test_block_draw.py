@@ -251,14 +251,18 @@ class TestRejection:
 
 class TestTaskDraw:
     @pytest.mark.parametrize("size", [1, 7, 27, 204, 205, 500])
-    def test_batches_equal_stacked_sample_tasks(self, size):
-        ds, n = fc_pool(), 450  # blocks of 204, 204 and 42 tasks
+    def test_batches_equal_stacked_sample_tasks(self, size, monkeypatch):
+        ds, n = fc_pool(), 450  # size 27: blocks of 189, 189 and 72 tasks
         tasks = draw(ds, n)
+        blocks = []  # the generators of each draw_task_rows call
+        real = LR.draw_task_rows
+        monkeypatch.setattr(LR, "draw_task_rows",
+                            lambda d, s, rngs: real(d, s, blocks.append(list(rngs)) or blocks[-1]))
         sizes = []
-        got = LR.TaskDraw(ds, SPEC, pcg(range(n))).batches(size, classes=5, scored=("support",))
+        got = LR.TaskDraw(ds, SPEC, pcg(range(n))).batches(size, classes=5)
         for batch in got:
             done = sum(sizes)
-            want = LR.TaskBatch.stack(tasks[done : done + len(batch.query_x)], 5, ("support",))
+            want = LR.TaskBatch.stack(tasks[done : done + len(batch.query_x)], 5)
             for name in LR.TaskBatch._fields:
                 a, b = np.asarray(getattr(batch, name)), np.asarray(getattr(want, name))
                 assert (a.dtype, a.shape) == (b.dtype, b.shape), name
@@ -266,6 +270,12 @@ class TestTaskDraw:
             sizes.append(len(batch.query_x))
         full, rest = divmod(n, size)
         assert sizes == [size] * full + [rest] * (rest > 0)
+        # whole chunks: every block but the last drawn one (then the empty one)
+        drawn = [len(block) for block in blocks]
+        assert all(k % size == 0 for k in drawn[:-2]) and drawn[-1] == 0
+        per_block = size * max(1, LR._CHUNK_ELEMENTS // (size * SPEC.ways * 16))
+        full, rest = divmod(n, per_block)
+        assert drawn == [per_block] * full + [rest] * (rest > 0) + [0]
 
     def test_blocks_are_drawn_as_needed(self):
         taken = []
@@ -277,7 +287,7 @@ class TestTaskDraw:
 
         batches = LR.TaskDraw(fc_pool(), SPEC, rngs()).batches(27)
         next(batches)
-        assert len(taken) == LR._CHUNK_ELEMENTS // (SPEC.ways * 16) == 204
+        assert len(taken) == 27 * (LR._CHUNK_ELEMENTS // (27 * SPEC.ways * 16)) == 189
         assert sum(len(b.query_x) for b in batches) == 600 - 27
 
     def test_no_tasks(self):
@@ -324,7 +334,7 @@ def test_protonet_evaluate_per_task_equals_sample_task_loop(monkeypatch, make, p
 ])
 def test_maml_evaluate_per_task_equals_sample_task_loop(monkeypatch, make, pool):
     net, ds = make(np.random.default_rng(2)), pool()
-    n, steps, lr = 240, 3, 0.1  # fc adaptation chunks of 90: the third spans two blocks
+    n, steps, lr = 240, 3, 0.1  # fc adaptation chunks of 90, two to a block of 180
     ref = [
         LR.predict_accuracy("maml", net, task, eval_steps=steps, inner_lr=lr)
         for task in draw(ds, n)
@@ -349,15 +359,14 @@ def test_box_width_equals_sample_task_loop():
 # -- a training step's draw, against sample_task and TaskBatch.stack ------------
 
 
-def reference_draw_tasks(learner, n_tasks, dataset, config, sample_rng, interp_rng, classes,
-                         scored):
+def reference_draw_tasks(learner, n_tasks, dataset, config, sample_rng, interp_rng, classes):
     """A training step's draw as it was made before training gathered pool
     rows: ``sample_task`` for each task and each fired task's pair, the
     batch stacked by ``TaskBatch.stack`` and the pair sets stacked from the
     tasks, a fired task's pair in its place."""
     spec = config.train_spec()
     tasks = [E.sample_task(dataset, spec, sample_rng) for _ in range(n_tasks)]
-    batch = LR.TaskBatch.stack(tasks, classes, scored)
+    batch = LR.TaskBatch.stack(tasks, classes)
     if config.objective not in I.MODES:
         return batch, None
     fired = I.should_interpolate(learner, n_tasks, interp_rng, config.interp_probability)
@@ -404,16 +413,13 @@ def test_training_draw_equals_sample_task_and_stack(learner, n_tasks, objective,
         split_index=net.split_index, meta_batch=n_tasks, shared_mix_coeffs=shared,
         interp_probability=0.5,  # some steps interpolate and some do not
     )
-    if learner == "protonet":
-        classes, scored = cfg.train_ways, ("query",)
-    else:
-        classes, scored = LR._classes(net), ("support", "query")
+    classes = None if learner == "protonet" else LR._classes(net)  # as each step draws
     rngs = [np.random.default_rng(9), np.random.default_rng(10)]
     ref_rngs = [np.random.default_rng(9), np.random.default_rng(10)]
     mixed = []
     for _ in range(8):
-        batch, mix = H._draw_tasks(learner, n_tasks, ds, cfg, *rngs, classes, scored)
-        want, want_mix = reference_draw_tasks(learner, n_tasks, ds, cfg, *ref_rngs, classes, scored)
+        batch, mix = H._draw_tasks(learner, n_tasks, ds, cfg, *rngs, classes)
+        want, want_mix = reference_draw_tasks(learner, n_tasks, ds, cfg, *ref_rngs, classes)
         assert batch.ways == want.ways == cfg.train_ways
         assert (mix is None) == (want_mix is None)
         mixed.append(mix is not None)

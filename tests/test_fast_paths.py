@@ -409,8 +409,10 @@ class TestStepConstants:
         batch = LR.TaskBatch.stack(tasks, 5)
         assert batch.support_targets.shape == batch.support_y.shape + (5,)
         np.testing.assert_array_equal(batch.query_targets.argmax(-1), batch.query_y)
-        plain = LR.TaskBatch.stack(tasks)  # no width: the labels are the targets
-        assert plain.support_targets is plain.support_y and plain.query_targets is plain.query_y
+        plain, wide = LR.TaskBatch.stack(tasks), LR.TaskBatch.stack(tasks, 3)  # no width: the ways
+        for name in ("support_targets", "query_targets"):
+            assert getattr(plain, name).tobytes() == getattr(wide, name).tobytes()
+            assert getattr(plain, name).shape == getattr(wide, name).shape
         with pytest.raises(ValueError, match=r"labels outside 0\.\.1"):
             LR.TaskBatch.stack(tasks, 2)
 
@@ -451,7 +453,8 @@ class TestStepConstants:
         assert steps == []
 
     def test_protonet_step_builds_the_query_rows_once(self, monkeypatch):
-        # interpolation fires, so two cross-entropies read the query rows
+        # interpolation fires, so two cross-entropies read the query rows; the
+        # support rows are built once beside them, and the pair sets share both
         calls = []
         onehot = LR._onehot
         counting = lambda labels, shape: calls.append(shape) or onehot(labels, shape)  # noqa: E731
@@ -465,7 +468,9 @@ class TestStepConstants:
         data = resolve_data(cfg)
         H._protonet_step(net, data["train"], cfg, 0.1, np.random.default_rng(1),
                          np.random.default_rng(2), adam(0.01))
-        assert fired and calls == [(1, cfg.train_ways * cfg.train_query_shots, cfg.train_ways)]
+        ways = cfg.train_ways
+        assert fired and calls == [(1, ways * cfg.train_shots, ways),
+                                   (1, ways * cfg.train_query_shots, ways)]
 
     @pytest.mark.parametrize("lead", [(), (3,)])
     def test_row_coefficients_equal_per_class_coefficients(self, lead):

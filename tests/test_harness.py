@@ -465,7 +465,26 @@ class TestConfigValidation:
     def test_bad_synthetic_value_rejected_by_name(self, field, value):
         # a well-typed entry passes RunConfig; the data is made in resolve_data
         cfg = make_config(data={"train": {"synth": {**SYNTH, "seed": 1, field: value}}})
-        with pytest.raises(ValueError, match=f"^{field} must be "):
+        with pytest.raises(ValueError, match=rf"^data\.train: {field} must be "):
+            resolve_data(cfg)
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("role", "bogus", "role must be one of"),
+            ("n_classes", 0, "class and instance counts must be positive"),
+            ("class_separation", -1.0, "class_separation must be non-negative"),
+        ],
+    )
+    def test_bad_synthetic_value_names_its_split(self, field, value, message):
+        # the train and val splits are good; the test split's value fails when it is made
+        data = {
+            "train": {"synth": {**SYNTH, "seed": 1}},
+            "val": {"synth": {**SYNTH, "seed": 2, "role": "validation"}},
+            "test": {"synth": {**SYNTH, "seed": 3, "role": "test", field: value}},
+        }
+        cfg = make_config(data=data)
+        with pytest.raises(ValueError, match=rf"^data\.test: {message}"):
             resolve_data(cfg)
 
     def test_descriptor_as_path_is_left_open(self):

@@ -7,8 +7,10 @@ module.  ``from __future__`` imports and names listed in ``__all__`` are
 exempt.  Every top-level function and class of those modules must be read
 outside its own definition somewhere in ``src/``, ``bench/``, ``tools/`` or
 ``demos/``: a loaded name, an attribute, a name imported from a module or
-an entry of ``__all__``.  Tests do not count, so a definition only tests
-use is reported.
+an entry of ``__all__``.  Every method and property of those modules'
+classes, except the dunder methods Python calls, must be read there as an
+attribute outside its own body.  Tests do not count, so a definition only
+tests use is reported.
 """
 
 import ast
@@ -20,7 +22,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fewshot_ibp"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 READERS = sorted(p for d in ("src", "bench", "tools", "demos") for p in (ROOT / d).rglob("*.py"))
-DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITIONS = FUNCTIONS + (ast.ClassDef,)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -111,3 +114,51 @@ def test_an_unread_definition_is_reported():
     reader = "from m import imported\nimport m\nm.attribute()\n"
     got = dead_definitions({"m.py": module}, [module, reader])
     assert got == ["m.py:3: recursive", "m.py:5: Unread"]
+
+
+def attributes_read(source: str) -> set[str]:
+    """The attribute names ``source`` reads, except a method's reads of its
+    own name inside its body (a recursion)."""
+    tree = ast.parse(source)
+    own = set()
+    for cls in ast.walk(tree):
+        for method in cls.body if isinstance(cls, ast.ClassDef) else ():
+            if isinstance(method, FUNCTIONS):
+                own.update(id(node) for node in ast.walk(method)
+                           if isinstance(node, ast.Attribute) and node.attr == method.name)
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and id(node) not in own}
+
+
+def dead_methods(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """The methods and properties of the top-level classes of ``modules``
+    (name to source) that no source of ``readers`` reads as an attribute;
+    dunder methods are exempt."""
+    read = set().union(*map(attributes_read, readers))
+    return [
+        f"{name}:{node.lineno}: {cls.name}.{node.name}"
+        for name, source in modules.items()
+        for cls in ast.parse(source).body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, FUNCTIONS) and node.name not in read
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+
+
+def test_every_method_is_read():
+    modules = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    assert dead_methods(modules, [p.read_text(encoding="utf-8") for p in READERS]) == []
+
+
+def test_an_unread_method_is_reported():
+    module = (
+        "class C:\n"
+        "    def __init__(self):\n        pass\n"
+        "    def called(self):\n        pass\n"
+        "    def recursive(self):\n        return self.recursive()\n"
+        "    @property\n    def unread(self):\n        return 1\n"
+    )
+    reader = "C().called()\n"
+    got = dead_methods({"m.py": module}, [module, reader])
+    assert got == ["m.py:6: C.recursive", "m.py:9: C.unread"]

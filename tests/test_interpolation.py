@@ -39,7 +39,7 @@ def draw_tasks(cfg, seed, n_tasks=3):
     """One MAML training step's tasks and interpolation, drawn by the harness."""
     ds = synth_dataset(6, 16, (4,), 2.0, 0.6, seed=seed)
     rngs = np.random.default_rng(seed), np.random.default_rng(seed + 1)
-    return H._draw_tasks("maml", n_tasks, ds, cfg, *rngs, None, ("support", "query"))
+    return H._draw_tasks("maml", n_tasks, ds, cfg, *rngs, None)
 
 
 class TestSampleMix:

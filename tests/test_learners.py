@@ -778,6 +778,16 @@ class TestPredictAccuracy:
         task = Task(support_x, np.arange(3), np.zeros((1, 1)), query_y, class_ids=[0, 1, 2])
         assert LR.predict_accuracy(learner, net, task, eval_steps=0) == 1.0
 
+    @pytest.mark.parametrize("learner", ["protonet", "maml"])
+    def test_query_label_outside_the_scores_rejected(self, learner):
+        # 3 ways and 3 scores per row: a query label of 3 used to score as wrong
+        rng = np.random.default_rng(17)
+        net = L.Network([L.init_fully_connected(2, 3, rng)], split_index=1)
+        task = Task(rng.standard_normal((3, 2)), np.arange(3), rng.standard_normal((2, 2)),
+                    np.array([0, 3]), class_ids=[0, 1, 2])
+        with pytest.raises(ValueError, match=r"labels outside 0\.\.2"):
+            LR.predict_accuracy(learner, net, task, eval_steps=1)
+
     def test_maml_eval_fine_tunes_to_separable_task(self):
         ds = synth_dataset(4, 10, (3,), 10.0, 0.1, seed=13)
         rng = np.random.default_rng(14)

@@ -163,8 +163,8 @@ class TestMamlTaskAccuracies:
 
     def test_tasks_are_drawn_a_chunk_at_a_time(self, setting, small_budget, monkeypatch):
         net, ds, _ = setting
-        # draw blocks of 5 tasks, so a chunk of 7 is gathered once the block
-        # holding its last task is drawn: after 10, 15, 24 (of 25) and 24
+        # a budget of 5 tasks' row indices holds no chunk of 7, so each block
+        # is one chunk, drawn as it is needed: after 7, 14, 21 and 24 tasks
         monkeypatch.setattr(LR, "_CHUNK_ELEMENTS", 5 * SPEC.ways * (SPEC.shots + SPEC.query_shots))
         taken, seen = [], []
 
@@ -180,7 +180,7 @@ class TestMamlTaskAccuracies:
         adapt = LR.maml_adapt
         monkeypatch.setattr(LR, "maml_adapt", note_taken)
         LR.maml_task_accuracies(net, LR.TaskDraw(ds, SPEC, lazily()), LR_INNER, 1)
-        assert seen == [10, 15, 24, 24]
+        assert seen == [7, 14, 21, 24]
 
     def test_no_tasks_rejected(self):
         net, ds = perturbed(fc_pool_network)

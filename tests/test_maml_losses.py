@@ -116,7 +116,7 @@ def draw_step(net, ds, objective, flags, first_order, **overrides):
     })
     batch, mix = H._draw_tasks(
         "maml", cfg.meta_batch, ds, cfg, np.random.default_rng(1), np.random.default_rng(2),
-        LR._classes(net), ("support", "query"),
+        LR._classes(net),
     )
     assert (mix is None) == (objective not in BOUND_MODES)
     return cfg, batch, mix

@@ -150,8 +150,10 @@ class TestProtonetTaskAccuracies:
         score = LR._protonet_accuracies
         monkeypatch.setattr(LR, "_protonet_accuracies", note_taken)
         LR.protonet_task_accuracies(net, LR.TaskDraw(ds, SPEC, lazily()))
-        block = LR._per_chunk(LR._CHUNK_ELEMENTS, SPEC.ways * (SPEC.shots + SPEC.query_shots))
         (first_taken, first), last_taken = seen[0], seen[-1][0]
+        # a block of whole chunks, as many as fit the budget's row indices
+        chunk_rows = first * SPEC.ways * (SPEC.shots + SPEC.query_shots)
+        block = first * LR._per_chunk(LR._CHUNK_ELEMENTS, chunk_rows)
         assert 1 < first < first_taken == block < last_taken == N_TASKS
         assert sum(n for _, n in seen) == N_TASKS
 
